@@ -117,7 +117,7 @@ def build_pam(
     page_size: int = 512,
     tracer=None,
     audit: bool | None = None,
-    vector: bool | None = None,
+    vector: bool = True,
     store_factory: Callable[..., PageStore] | None = None,
 ) -> PointAccessMethod:
     """Build a fresh PAM over its own page store and insert all points.
@@ -131,9 +131,10 @@ def build_pam(
     :class:`repro.verify.AuditError` on any violation; ``None`` defers
     to the ``REPRO_AUDIT`` environment variable.
 
-    ``vector`` forces the store's columnar cache on or off; ``None``
-    defers to ``REPRO_VECTOR`` (default on).  Builds are identical
-    either way — the cache only accelerates query-time filtering.
+    ``vector=False`` builds the store without a columnar cache, which
+    puts every query on the scalar reference descents.  Builds are
+    identical either way — the cache only accelerates query-time
+    filtering.
 
     ``store_factory`` overrides store construction (it is called as
     ``store_factory(page_size=..., vector=...)``); ``None`` defers to
@@ -162,7 +163,7 @@ def build_sam(
     page_size: int = 512,
     tracer=None,
     audit: bool | None = None,
-    vector: bool | None = None,
+    vector: bool = True,
     store_factory: Callable[..., PageStore] | None = None,
 ) -> SpatialAccessMethod:
     """Build a fresh SAM over its own page store and insert all rectangles.

@@ -140,11 +140,11 @@ class _AccessMethodBase(abc.ABC):
         ``intersection``, ``containment``, ``enclosure``) and ``queries``
         the file's raw queries in execution order.  The driver
         (:mod:`repro.query.driver`) marks the current query index before
-        each call, letting the scan helpers evaluate each visited page
-        against the *entire* batch in one kernel call.  Registration is
-        purely an evaluation hint: results and disk-access statistics are
-        identical with or without it, and it is a no-op when the store
-        has no columnar cache (``REPRO_VECTOR=0``).
+        each call, letting the traversal evaluate each hot page against
+        the *entire* batch in one kernel call.  Registration is purely an
+        evaluation hint: results and disk-access statistics are identical
+        with or without it, and it is a no-op when the store has no
+        columnar cache (``vector=False``, the scalar reference).
         """
         cache = self.store.columnar
         if cache is not None:
@@ -160,7 +160,7 @@ class _AccessMethodBase(abc.ABC):
         """Map a query file to the boxes the scan paths will be asked about.
 
         Must replicate the public query methods' conversions exactly, so
-        that the box a scan helper receives compares equal to the
+        that the box the traversal receives compares equal to the
         registered one.  Structures that rewrite queries before scanning
         (the transformation technique) override this.
         """

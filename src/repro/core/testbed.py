@@ -17,10 +17,10 @@ results together with a machine-readable
 :class:`~repro.obs.export.RunReport` (per-operation access histograms,
 percentiles, timings and exact totals).
 
-Queries run through the vectorized execution layer
-(:mod:`repro.query`) by default; set ``REPRO_VECTOR=0`` to force the
-original scalar scan loops.  Results and access counts are identical
-either way — only wall-clock time changes.
+Queries run through the batched execution layer (:mod:`repro.query`).
+The scalar reference descents stay reachable through ``vector=False`` on
+:func:`~repro.core.comparison.build_pam` / ``build_sam``; results and
+access counts are identical either way — only wall-clock time changes.
 """
 
 from __future__ import annotations

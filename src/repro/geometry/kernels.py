@@ -122,7 +122,7 @@ def boxes_enclose_many(
 #
 # Two NumPy dispatches (compare + all) instead of four, with verdicts
 # bit-identical to the pairwise kernels — the hot-path form used by
-# :mod:`repro.query.scan`.  Intersection and enclosure share the
+# :mod:`repro.query.traverse`.  Intersection and enclosure share the
 # ``[lo, -hi]`` page array ("cover"); containment needs ``[-lo, hi]``.
 
 

@@ -6,8 +6,7 @@ One line per run (schema :data:`LEDGER_SCHEMA`), each carrying
 
 * a **fingerprint** — git commit, a hash over every ``repro`` source
   file (the build cache's :func:`~repro.parallel.cache.code_fingerprint`),
-  page size, scale, seed, worker count, ``REPRO_VECTOR`` mode and the
-  ``REPRO_VECTOR_PROMOTE`` threshold override — so runs are only ever
+  page size, scale, seed and worker count — so runs are only ever
   compared against runs of the same code and configuration;
 * **metrics** — an arbitrary nesting of numeric leaves; wall-clock
   costs end in ``_seconds`` and are the leaves the regression gate
@@ -23,7 +22,7 @@ skipped and reported on the next read.
 
 CLI::
 
-    python -m repro.obs.ledger record results/BENCH_QUERY.json
+    python -m repro.obs.ledger record results/BENCH_PARALLEL.json
     python -m repro.obs.ledger log [--limit N] [--format markdown]
     python -m repro.obs.ledger baseline set <run> | baseline show
     python -m repro.obs.ledger compare <run> <run> [--format markdown]
@@ -114,35 +113,20 @@ def collect_fingerprint(
     scale: int,
     seed: int | None = None,
     workers: int = 1,
-    vector: str | None = None,
-    promote: str | None = None,
     commit: str | None = None,
     code: str | None = None,
     storage: Mapping | None = None,
 ) -> dict:
     """Everything a run's performance legitimately depends on.
 
-    ``vector`` defaults to the resolved ``REPRO_VECTOR`` mode (``"1"``
-    or ``"0"``); A/B harnesses that time both modes pass ``"ab"``.
-    ``promote`` defaults to the ``REPRO_VECTOR_PROMOTE`` threshold
-    override (``"default"`` when unset) — tuned runs carry the value so
-    they never gate against untuned baselines.  ``code`` reuses the
-    build cache's source fingerprint, so any edit anywhere in the
-    package separates histories automatically.
+    ``code`` reuses the build cache's source fingerprint, so any edit
+    anywhere in the package separates histories automatically.
 
     ``storage`` describes a durable backend (at least ``backend``,
     typically also the pool budget and fsync mode): a disk run must
     never gate against a sim run's timings.  The key is **added only
-    when given** — simulated runs keep the exact historical dict shape,
-    so every previously recorded digest and pinned baseline stays
-    valid.
+    when given**, so simulated runs share one dict shape.
     """
-    if vector is None:
-        from repro.query.columnar import vector_enabled
-
-        vector = "1" if vector_enabled() else "0"
-    if promote is None:
-        promote = os.environ.get("REPRO_VECTOR_PROMOTE", "").strip() or "default"
     if code is None:
         from repro.parallel.cache import code_fingerprint
 
@@ -154,8 +138,6 @@ def collect_fingerprint(
         "scale": scale,
         "seed": seed,
         "workers": workers,
-        "vector": str(vector),
-        "vector_promote": str(promote),
     }
     if storage is not None:
         fingerprint["storage"] = dict(storage)
@@ -776,8 +758,7 @@ def entry_from_bench_document(
 ) -> LedgerEntry:
     """Build an entry from a bench artefact, dispatching on its schema.
 
-    Understands ``repro.query/bench/v1`` (the scalar/vector A/B
-    harness), ``repro.parallel/bench/v1`` (the grid timing bench),
+    Understands ``repro.parallel/bench/v1`` (the grid timing bench),
     ``repro.obs/clip-redundancy/v1`` (the clipping redundancy sweep)
     and ``repro.obs/run-report/v1``.  ``inflate`` scales every
     ``*_seconds`` metric — the gate's injected-regression test hook.
@@ -789,40 +770,7 @@ def entry_from_bench_document(
     if inflate != 1.0:
         meta["inflate"] = inflate
 
-    if schema == "repro.query/bench/v1":
-        metrics = {
-            "total_seconds": doc["vector_seconds"],
-            "scalar_seconds": doc["scalar_seconds"],
-            "vector_seconds": doc["vector_seconds"],
-            "matrix_scalar_seconds": doc.get("matrix_scalar_seconds"),
-            "matrix_vector_seconds": doc.get("matrix_vector_seconds"),
-            "structures": {
-                name: {
-                    "scalar_seconds": t["scalar_seconds"],
-                    "vector_seconds": t["vector_seconds"],
-                }
-                for name, t in doc.get("per_structure", {}).items()
-            },
-        }
-        metrics = {k: v for k, v in metrics.items() if v is not None}
-        meta.update(
-            speedup=doc.get("speedup"), identical=doc.get("identical")
-        )
-        entry = LedgerEntry(
-            label=label or "query-bench",
-            source="repro.query.bench",
-            fingerprint=collect_fingerprint(
-                page_size=doc["page_size"],
-                scale=doc["scale"],
-                seed=None,
-                workers=1,
-                vector="ab",
-            ),
-            metrics=metrics,
-            reports=dict(doc.get("reports") or {}),
-            meta=meta,
-        )
-    elif schema == "repro.parallel/bench/v1":
+    if schema == "repro.parallel/bench/v1":
         metrics = {
             "total_seconds": doc["parallel_seconds"],
             "serial_seconds": doc.get("serial_seconds"),

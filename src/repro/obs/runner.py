@@ -45,7 +45,6 @@ def _traced_run(
     record_events: bool,
     sink,
     meta: dict | None,
-    vector: bool | None,
     ledger=None,
     explain: bool | str | None = None,
 ) -> tuple[dict[str, MethodResult], RunReport]:
@@ -58,9 +57,7 @@ def _traced_run(
     for name, factory in factories.items():
         tracer.set_context(structure=name, op="insert")
         with registry.timer(f"{name}/build"):
-            method = build(
-                factory, data, page_size=page_size, tracer=tracer, vector=vector
-            )
+            method = build(factory, data, page_size=page_size, tracer=tracer)
         recorder = None
         if explain_to is not None:
             from repro.obs.explain import ExplainRecorder
@@ -120,7 +117,6 @@ def traced_pam_run(
     record_events: bool = False,
     sink=None,
     meta: dict | None = None,
-    vector: bool | None = None,
     ledger=None,
     explain: bool | str | None = None,
 ) -> tuple[dict[str, MethodResult], RunReport]:
@@ -129,9 +125,7 @@ def traced_pam_run(
     Returns ``(results, report)`` where ``results`` is exactly what
     :func:`repro.core.comparison.run_pam_experiment` would produce and
     ``report`` adds per-operation histograms, timings and totals.
-    ``vector`` forces the stores' columnar caches on or off (``None``
-    defers to ``REPRO_VECTOR``); every reported access count is
-    identical either way.  ``ledger`` optionally appends the run to the
+    ``ledger`` optionally appends the run to the
     performance ledger (see :func:`record_to_ledger`).  ``explain``
     follows :func:`repro.core.comparison._explain_dir` semantics
     (``None`` defers to ``REPRO_EXPLAIN``): when active, one
@@ -150,7 +144,6 @@ def traced_pam_run(
         record_events=record_events,
         sink=sink,
         meta=meta,
-        vector=vector,
         ledger=ledger,
         explain=explain,
     )
@@ -166,7 +159,6 @@ def traced_sam_run(
     record_events: bool = False,
     sink=None,
     meta: dict | None = None,
-    vector: bool | None = None,
     ledger=None,
     explain: bool | str | None = None,
 ) -> tuple[dict[str, MethodResult], RunReport]:
@@ -183,7 +175,6 @@ def traced_sam_run(
         record_events=record_events,
         sink=sink,
         meta=meta,
-        vector=vector,
         ledger=ledger,
         explain=explain,
     )

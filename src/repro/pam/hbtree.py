@@ -706,7 +706,7 @@ class HBTree(PointAccessMethod):
     def _range_query_scalar(
         self, rect: Rect
     ) -> list[tuple[tuple[float, ...], object]]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
+        """The scalar reference descent (stores built with ``vector=False``)."""
         result: list[tuple[tuple[float, ...], object]] = []
         seen: set[int] = set()
 

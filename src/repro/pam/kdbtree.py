@@ -425,7 +425,7 @@ class KdBTree(PointAccessMethod):
     def _range_query_scalar(
         self, rect: Rect
     ) -> list[tuple[tuple[float, ...], object]]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
+        """The scalar reference descent (stores built with ``vector=False``)."""
         result: list[tuple[tuple[float, ...], object]] = []
         stack = [(self._root_pid, self._root_is_leaf)]
         while stack:

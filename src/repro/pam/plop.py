@@ -147,8 +147,8 @@ class _PlopGrid:
     def iter_chain_pages(self, idx: tuple[int, ...]):
         """Yield ``(pid, records)`` per chain page, charging every read.
 
-        Page-granular variant of :meth:`read_chain` for the vectorized
-        scan helpers; reads the same pages in the same order.
+        Page-granular variant of :meth:`read_chain` for the batched
+        record match; reads the same pages in the same order.
         """
         bucket = self.buckets.get(idx)
         if bucket is None:

@@ -1,21 +1,22 @@
-"""Vectorized query execution over the simulated page store.
+"""Batched query execution over the page store.
 
 The package replaces the per-record Python loops inside visited pages with
-NumPy kernels (:mod:`repro.geometry.kernels`) driven off small columnar
-caches of page contents (:mod:`repro.query.columnar`).  The invariant that
-makes this safe is spelled out in DESIGN.md: vectorization happens strictly
-*within* pages the scalar path already visits, so the set of pages touched —
-and every disk-access statistic the paper reports — is bit-identical with
-vectorization on or off (``REPRO_VECTOR=0`` is the kill switch).
+NumPy kernels (:mod:`repro.geometry.kernels`) evaluated over the fused
+struct-of-arrays views the pages carry (:mod:`repro.storage.soa`).  The
+invariant that makes this safe is spelled out in DESIGN.md: the batched
+path issues exactly the charged reads of the scalar reference descents, in
+the same order, so the set of pages touched — and every disk-access
+statistic the paper reports — is bit-identical.  There is one production
+path (this package) and one reference (the ``*_scalar`` descents, reached
+only through a store built with ``vector=False``).
 
 Modules
 -------
-``columnar``   per-store cache of page coordinate arrays + batch workloads
-``scan``       in-page scan helpers shared by every access method
+``columnar``   per-store workload slot, batch verdict rows, hot-pid hints
+``traverse``   plan/replay level-at-a-time traversal and ``RowSource``
 ``driver``     batched query driver running a whole query file in one pass
-``bench``      scalar-vs-vector A/B harness (identity + wall-clock)
 """
 
-from repro.query.columnar import ColumnarCache, vector_enabled
+from repro.query.columnar import ColumnarCache
 
-__all__ = ["ColumnarCache", "vector_enabled"]
+__all__ = ["ColumnarCache"]

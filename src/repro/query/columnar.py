@@ -1,70 +1,43 @@
-"""Columnar page caches and batched query workloads.
+"""Batched query workloads and the per-store slot that holds them.
 
 A :class:`ColumnarCache` lives on a :class:`~repro.storage.pagestore.PageStore`
-(``store.columnar``) and lazily materialises, per page, the small NumPy
-arrays the vectorized scan helpers need — record coordinates for data pages,
-``(lo, hi)`` bounds for directory entries.  The store invalidates a page's
-arrays on every :meth:`~repro.storage.pagestore.PageStore.write` and
-:meth:`~repro.storage.pagestore.PageStore.free`, before any charging
-decision, so mutation paths can never observe stale arrays.
+(``store.columnar``).  Page *arrays* are not kept here — struct-of-arrays
+pages carry their own fused views (:mod:`repro.storage.soa`) — so the
+cache is three things: the slot for the active :class:`QueryWorkload`,
+the hot-pid hint handed from one workload to the next, and the
+:meth:`~ColumnarCache.invalidate` hook the store calls on every ``write``
+and ``free``, before any charging decision, so mutation paths can never
+observe a stale verdict row.
 
 A *workload* batches an entire query file: when the driver registers the
-file's query boxes up front, the scan helpers evaluate each hot (page,
-predicate) pair against **all** queries in one ``(Q, n)`` kernel call and
-then answer every later query that touches the same page from the cached
-per-query hit-index lists without touching NumPy again.  Queries
-issued outside a workload (or whose box does not match the registered one)
-fall back to single-query kernels, and stores without a cache run the
-original scalar loops — behaviour, not just results, is unchanged.
+file's query boxes up front, :class:`~repro.query.traverse.RowSource`
+evaluates each hot (page, predicate) pair against **all** queries in one
+``(Q, n)`` kernel call and then answers every later query that touches
+the same page from the cached per-query hit-index lists without touching
+NumPy again.  Queries issued outside a workload (or whose box does not
+match the registered one) ride single-query kernels.  A store built with
+``vector=False`` has no cache at all and runs the scalar reference
+descents — behaviour, not just results, is unchanged.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.rect import Rect
 
-__all__ = [
-    "ColumnarCache",
-    "QueryWorkload",
-    "promote_visits_for",
-    "vector_enabled",
-]
-
-_FALSY = ("0", "off", "no", "false")
-
-
-def vector_enabled() -> bool:
-    """Whether new stores get a columnar cache (``REPRO_VECTOR``, default on)."""
-    return os.environ.get("REPRO_VECTOR", "").lower() not in _FALSY
+__all__ = ["ColumnarCache", "QueryWorkload", "promote_visits_for"]
 
 
 def promote_visits_for(batch_size: int) -> int:
     """The visit count at which a page's batch mask is built.
 
-    Defaults to ``max(4, Q // 8)`` — the batch kernel costs roughly
-    ``Q / 10`` single evaluations, so promotion only pays on pages a
-    sizeable fraction of the batch revisits.  ``REPRO_VECTOR_PROMOTE``
-    overrides the threshold outright (a positive integer; tuned runs
-    carry the value in their ledger fingerprint so they never gate
-    against untuned baselines).
+    ``max(4, Q // 8)`` — the batch kernel costs roughly ``Q / 10`` single
+    evaluations, so promotion only pays on pages a sizeable fraction of
+    the batch revisits.
     """
-    raw = os.environ.get("REPRO_VECTOR_PROMOTE", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_VECTOR_PROMOTE must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(
-                f"REPRO_VECTOR_PROMOTE must be a positive integer, got {raw!r}"
-            )
-        return value
     return max(4, batch_size // 8)
 
 
@@ -84,13 +57,14 @@ class QueryWorkload:
 
     ``rects[i]`` may be ``None`` when query ``i`` cannot produce a box (the
     transformation technique's center representation); its batch rows are
-    NaN and compare false everywhere, and the scan helpers are never asked
+    NaN and compare false everywhere, and no verdict row is ever requested
     for them because the access method returns early.
 
     Batch evaluation pays the whole batch's kernel work up front, which only
     amortises on pages many queries revisit.  A page is therefore *promoted*
-    only once its visit count under one tag reaches :attr:`promote_visits`;
-    colder pages answer with a single-query fused row.  Promotion runs one
+    only once its visit count under one row key reaches
+    :attr:`promote_visits`; colder pages answer with a single-query fused
+    row.  Promotion (:meth:`repro.query.traverse.RowSource.row`) runs one
     ``(Q, n)`` kernel call and flattens the mask to CSR form — one
     ``nonzero`` plus one ``searchsorted`` for the whole batch, after which
     any query's ascending hit-index list is a two-element slice and a
@@ -133,33 +107,32 @@ class QueryWorkload:
         #: Index of the query currently being executed (set by the driver).
         self.index = -1
         self.current: "Rect | None" = None
-        #: Visits of one (pid, tag) before the batch is evaluated (see
-        #: :func:`promote_visits_for`; ``REPRO_VECTOR_PROMOTE`` overrides).
+        #: Visits of one (pid, rowkey) before the batch is evaluated (see
+        #: :func:`promote_visits_for`).
         self.promote_visits = promote_visits_for(len(self.rects))
         # op -> (Q, 2d) fused query matrix (built lazily per op family).
         self._qvecs: dict[str, np.ndarray] = {}
         #: ``arange(Q + 1)`` — the searchsorted probe turning a batch
         #: mask's nonzero pairs into per-query CSR row offsets.
         self._qrange = np.arange(len(self.rects) + 1)
-        # (pid, tag) -> (starts, cols): the batch verdict in CSR form —
+        # (pid, rowkey) -> (starts, cols): the batch verdict in CSR form —
         # query i's ascending hit indices are cols[starts[i]:starts[i+1]].
         # ``starts`` is a plain list: offsets are probed twice per page
         # visit, and Python-int indexing beats NumPy scalar extraction.
         self._rows: dict[tuple[int, str], tuple] = {}
-        # (pid, tag) -> visits answered without a batch evaluation.
+        # (pid, rowkey) -> visits answered without a batch evaluation.
         self._visits: dict[tuple[int, str], int] = {}
         #: Pids that ran hot in an earlier workload of this cache (see
         #: :meth:`ColumnarCache.end_workload`): promote on first visit
         #: instead of re-counting — an evaluation hint only, the verdicts
         #: are computed against *this* workload's queries either way.
-        #: Pid-level on purpose: the per-op tags of one page are probed by
-        #: the same traversals, so heat transfers across query files even
+        #: Pid-level on purpose: the per-op row keys of one page are probed
+        #: by the same traversals, so heat transfers across query files even
         #: when the operation (and therefore the row key) changes.
         self._hot: frozenset = hot if hot is not None else frozenset()
-        # (pid, tag) -> hit row of the *current* query only, for structures
-        # that revisit one page several times within a single query (the
-        # z-ordered methods scan one leaf per z-interval).  Cleared on
-        # every set_query.
+        # (pid, rowkey) -> hit row of the *current* query only (cleared on
+        # every set_query), for structures that revisit one page within a
+        # single query (the z-ordered methods scan one leaf per z-interval).
         self._cur: dict[tuple[int, str], list] = {}
 
     def set_query(self, index: int) -> None:
@@ -168,55 +141,12 @@ class QueryWorkload:
         self.current = self.rects[index]
         self._cur.clear()
 
-    def matches(self, rect: Rect) -> bool:
-        """Whether ``rect`` is the registered box of the current query."""
-        cur = self.current
-        return cur is not None and (cur is rect or cur == rect)
-
     def qvecs(self, op: str) -> np.ndarray:
         """The ``(Q, 2d)`` fused query matrix for ``op``, built on demand."""
         qv = self._qvecs.get(op)
         if qv is None:
             qv = self._qvecs[op] = _QVEC_BUILDERS[op](self.qlo, self.qhi)
         return qv
-
-    def index_row(self, pid: int, tag: str, op: str, fused: "np.ndarray") -> list:
-        """Ascending hit indices of page ``pid`` for the current query.
-
-        Answers from the promoted page's CSR verdict when the page is hot,
-        from a single-query fused row otherwise (see class docstring).
-        Callers must treat the returned list as read-only — within-query
-        revisits hand out the cached list itself.
-        """
-        key = (pid, tag)
-        row = self._cur.get(key)
-        if row is not None:
-            return row
-        entry = self._rows.get(key)
-        if entry is None:
-            visits = self._visits.get(key, 0) + 1
-            if visits < self.promote_visits and pid not in self._hot:
-                self._visits[key] = visits
-                mask = (fused <= self.qvecs(op)[self.index]).all(axis=1)
-                row = self._cur[key] = mask.nonzero()[0].tolist()
-                return row
-            qvecs = self.qvecs(op)
-            # Column-AND instead of a (Q, n, 2d) broadcast + reduction:
-            # same exact comparisons, a fraction of the memory traffic.
-            mask = fused[:, 0] <= qvecs[:, 0:1]
-            for j in range(1, fused.shape[1]):
-                mask &= fused[:, j] <= qvecs[:, j : j + 1]
-            qidx, cols = mask.nonzero()
-            entry = self._rows[key] = (
-                np.searchsorted(qidx, self._qrange).tolist(),
-                cols,
-            )
-        starts, cols = entry
-        i = self.index
-        s = starts[i]
-        e = starts[i + 1]
-        row = self._cur[key] = cols[s:e].tolist() if e > s else []
-        return row
 
     def invalidate(self, pid: int) -> None:
         """Drop every cached hit row (and visit count) for page ``pid``."""
@@ -229,15 +159,11 @@ class QueryWorkload:
 
 
 class ColumnarCache:
-    """Per-store cache of columnar page arrays (and the active workload)."""
+    """A store's active query workload and its cross-workload hot-pid hint."""
 
-    __slots__ = ("_pages", "workload", "_hot_pids")
+    __slots__ = ("workload", "_hot_pids")
 
     def __init__(self) -> None:
-        # pid -> {tag: arrays}; tags distinguish the different array views
-        # one page can have (e.g. a BANG entry page caches both block and
-        # MBR bounds under separate tags).
-        self._pages: dict[int, dict[str, Any]] = {}
         self.workload: "QueryWorkload | None" = None
         # Pids that ran hot in earlier workloads of this cache; the next
         # workload promotes them on first visit (comparison drivers run
@@ -245,35 +171,11 @@ class ColumnarCache:
         # is almost always hot for the next).
         self._hot_pids: set = set()
 
-    # -- arrays ----------------------------------------------------------
-
-    def arrays(self, pid: int, tag: str, build: Callable[[], Any]) -> Any:
-        """The cached arrays for ``(pid, tag)``, building them on a miss."""
-        page = self._pages.get(pid)
-        if page is None:
-            page = self._pages[pid] = {}
-        arrays = page.get(tag)
-        if arrays is None:
-            arrays = page[tag] = build()
-        return arrays
-
     def invalidate(self, pid: int) -> None:
-        """Drop page ``pid``'s arrays and any batch masks built from them."""
-        self._pages.pop(pid, None)
+        """Drop every verdict row and promotion hint derived from ``pid``."""
         if self.workload is not None:
             self.workload.invalidate(pid)
         self._hot_pids.discard(pid)
-
-    def clear(self) -> None:
-        """Drop everything (arrays, hit rows and visit counts)."""
-        self._pages.clear()
-        self._hot_pids.clear()
-        if self.workload is not None:
-            self.workload._rows.clear()
-            self.workload._visits.clear()
-            self.workload._cur.clear()
-
-    # -- workloads -------------------------------------------------------
 
     def begin_workload(self, rects: Sequence["Rect | None"]) -> QueryWorkload:
         """Register a query file's boxes for batched evaluation."""

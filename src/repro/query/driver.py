@@ -1,17 +1,16 @@
 """The batched query driver: run one query file in a single pass.
 
-The driver is the third tier of the vectorized execution story
-(:mod:`repro.query.scan`): it registers a whole query file as a batched
-workload on the method's columnar cache, marks the current query index
-before each call, and runs every query under the usual per-operation
-disk-access measurement.  A page visited by many queries of the file is
-then evaluated against *all* of them in one ``(Q, n)`` kernel call, and
-each later query reuses its cached mask row.
+The driver registers a whole query file as a batched workload on the
+method's columnar cache (:mod:`repro.query.columnar`), marks the current
+query index before each call, and runs every query under the usual
+per-operation disk-access measurement.  A page visited by many queries
+of the file is then evaluated against *all* of them in one ``(Q, n)``
+kernel call, and each later query reuses its cached mask row.
 
 Registration is an evaluation hint only: the queries still execute one
 at a time through the method's public API, so the pages touched and the
-per-query disk-access statistics are bit-identical to the scalar path.
-The driver is duck-typed — any object with ``store``,
+per-query disk-access statistics are bit-identical to the scalar
+reference.  The driver is duck-typed — any object with ``store``,
 ``register_query_workload`` and ``end_query_workload`` works — so it can
 be used without importing the core experiment machinery.
 """
@@ -22,13 +21,6 @@ import time
 from typing import Any, Callable, Sequence
 
 __all__ = ["run_query_file"]
-
-
-def _measure(store, operation: Callable[[], Any]) -> tuple[int, Any]:
-    """Run one operation and return ``(disk accesses, result)``."""
-    before = store.stats.total
-    result = operation()
-    return store.stats.total - before, result
 
 
 def run_query_file(
@@ -43,8 +35,8 @@ def run_query_file(
     ``kind`` is the query-type tag understood by the method's
     ``_workload_rects`` (``range``, ``pm``, ``point``, ``intersection``,
     ``containment``, ``enclosure``); ``operation(query)`` must run exactly
-    one public query of ``method``.  Without a columnar cache
-    (``REPRO_VECTOR=0``) this degenerates to the plain per-query loop.
+    one public query of ``method``.  On a store without a columnar cache
+    (``vector=False``) this degenerates to the plain per-query loop.
 
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every query
@@ -52,11 +44,6 @@ def run_query_file(
     Tracing chains the store's observer, so measured costs and results
     are identical with or without it.
     """
-    method.register_query_workload(kind, queries)
-    cache = method.store.columnar
-    workload = cache.workload if cache is not None else None
-    if explain is not None:
-        explain.start_file(method, kind)
     # The per-query timing below exists only when telemetry is active:
     # the disabled path keeps the loop free of perf_counter calls, and
     # the timing never feeds back into the charged cost accounting.
@@ -65,12 +52,21 @@ def run_query_file(
     telem = active_telemetry()
     out: list[tuple[int, Any]] = []
     stats = method.store.stats
+    started_file = False
+    # Everything that registers state on the store sits inside the try:
+    # a raising start_file must not leave the batch installed.
     try:
+        method.register_query_workload(kind, queries)
+        cache = method.store.columnar
+        workload = cache.workload if cache is not None else None
+        if explain is not None:
+            explain.start_file(method, kind)
+            started_file = True
         for index, query in enumerate(queries):
             if workload is not None:
                 workload.set_query(index)
-            # _measure, inlined: the per-query accounting runs tens of
-            # thousands of times per file and is common to both modes.
+            # ``stats.total`` spelled out: the per-query accounting runs
+            # tens of thousands of times per file.
             before = (
                 stats.data_reads
                 + stats.data_writes
@@ -100,6 +96,6 @@ def run_query_file(
                 explain.finish_query(index, query, cost, result)
     finally:
         method.end_query_workload()
-        if explain is not None:
+        if started_file:
             explain.end_file()
     return out

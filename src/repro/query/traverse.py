@@ -1,10 +1,8 @@
 """Batched level-at-a-time traversal (plan / replay).
 
-PR 4 vectorized the work *inside* a visited page but left the descent
-itself scalar: every directory page paid a Python helper call, side-cache
-probes and — below the workload promotion threshold — its own two-dispatch
-NumPy kernel.  At the paper's 512-byte pages those per-page costs dominate
-the query path.  This module batches the descent:
+At the paper's 512-byte pages a page holds ~20 rows, so a per-page
+Python call plus its own NumPy dispatch costs more than the predicate
+work it replaces.  This module batches the descent instead:
 
 **Plan.**  A query walks the structure level by level over *uncharged*
 page views (:meth:`~repro.storage.pagestore.PageStore.peek`).  All cold
@@ -31,9 +29,15 @@ results, one kernel.
 
 :class:`RowSource` is the shared primitive: it answers per-page verdict
 rows from the workload's batch cache when the page is hot, and otherwise
-defers the page into the current level's fused batch.  It shares the
-workload's promotion counters and per-query memo with the per-page scan
-helpers (:mod:`repro.query.scan`), so mixed call sites stay coherent.
+defers the page into the current level's fused batch.  Its memo *is* the
+workload's per-query memo, so the inlined hot-page probes in the access
+methods and the planner share within-query revisit answers.
+
+The scalar descents (``*_scalar`` methods and the inline ``store.columnar
+is None`` branches) are the tested reference: a store built with
+``vector=False`` runs them, and ``tests/test_query_traversal.py`` compares
+the two access streams event for event.  :data:`SCALAR_PRED` holds the
+pairwise predicates they share.
 """
 
 from __future__ import annotations
@@ -45,7 +49,14 @@ import numpy as np
 from repro.geometry.rect import Rect
 from repro.storage import soa
 
-__all__ = ["RowSource", "data_hit_rows", "box_view", "value_view", "qvec_for"]
+__all__ = [
+    "RowSource",
+    "SCALAR_PRED",
+    "data_hit_rows",
+    "box_view",
+    "value_view",
+    "qvec_for",
+]
 
 _EMPTY_ROW: list = []
 
@@ -97,6 +108,15 @@ def qvec_for(op: str, query: Rect) -> np.ndarray:
     return np.array(vals)
 
 
+#: The pairwise predicates the fused kernels must agree with (stored box
+#: first, query second) — what the scalar reference descents evaluate.
+SCALAR_PRED = {
+    "isect": lambda r, q: r.intersects(q),
+    "within": lambda r, q: q.contains_rect(r),
+    "encl": lambda r, q: r.contains_rect(q),
+}
+
+
 class RowSource:
     """Per-operation verdict rows with workload caching and level batching.
 
@@ -109,11 +129,11 @@ class RowSource:
     flush, ``rows[(pid, rowkey)]`` holds every row requested this level.
 
     Verdicts are bit-identical to the scalar predicates: hot pages answer
-    from the same ``(Q, n)`` masks the scan helpers build, cold pages ride
-    a concatenated single-comparison kernel over the same fused arrays.
+    from a ``(Q, n)`` batch mask, cold pages ride a concatenated
+    single-comparison kernel over the same fused arrays.
     """
 
-    __slots__ = ("workload", "qidx", "rows", "query", "_pend", "_pend_keys", "_qvecs")
+    __slots__ = ("workload", "rows", "query", "_pend", "_pend_keys", "_qvecs")
 
     def __init__(self, cache, query: Rect):
         workload = cache.workload if cache is not None else None
@@ -124,8 +144,8 @@ class RowSource:
         self.workload = workload
         self.query = query
         #: Memoised rows of this operation; the workload's per-query memo
-        #: when a batch is registered, so per-page scan helpers and the
-        #: planner share within-query revisit answers.
+        #: when a batch is registered, so the access methods' inlined
+        #: hot-page probes and the planner share within-query revisits.
         self.rows: dict = workload._cur if workload is not None else {}
         # op -> (keys, arrays): pages deferred into the level batch.
         self._pend: dict[str, tuple[list, list]] = {}

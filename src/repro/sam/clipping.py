@@ -125,19 +125,12 @@ class ClippingSAM(SpatialAccessMethod):
             self._tree.insert(self._key(bits), (rect, rid))
             self._region_entries += 1
 
-    #: Scalar fallbacks for the op tags of scan.select_rect_values.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
     def _query(self, query: Rect, op: str) -> list[object]:
         """Scan the query's z-regions and probe their ancestors."""
         query_regions = decompose_rect(query, self.dims, 8, _MAX_DEPTH)
         seen: set[int] = set()
         result: list[object] = []
-        predicate = self._SCALAR_PRED[op]
+        predicate = traverse.SCALAR_PRED[op]
 
         def offer(rect: Rect, rid: object) -> None:
             if rid not in seen and predicate(rect, query):

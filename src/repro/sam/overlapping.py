@@ -80,13 +80,6 @@ class OverlappingPlop(SpatialAccessMethod):
             )
         self._grid.insert((rect, rid))
 
-    #: Scalar fallbacks for the op tags of scan.select_rect_values.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
     def _scan_window(self, lo, hi, op: str, query: Rect) -> list[object]:
         """Read every bucket whose cell meets ``[lo, hi]`` and filter."""
         if any(l > h for l, h in zip(lo, hi)):
@@ -100,7 +93,7 @@ class OverlappingPlop(SpatialAccessMethod):
         store = self.store
         vector = store.columnar is not None
         src = traverse.RowSource(store.columnar, query) if vector else None
-        predicate = self._SCALAR_PRED[op]
+        predicate = traverse.SCALAR_PRED[op]
         rowkey = "vrects:" + op
         vtag, vbuild = traverse.value_view(op)
         occurrences: list = []

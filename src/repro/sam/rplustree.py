@@ -371,13 +371,6 @@ class RPlusTree(SpatialAccessMethod):
 
     # -- queries ------------------------------------------------------------------------
 
-    #: Scalar fallbacks for the op tags of scan.select_boxes.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
     def _collect(self, region_op: str, entry_op: str, query: Rect) -> list[object]:
         store = self.store
         if store.columnar is None:
@@ -457,7 +450,7 @@ class RPlusTree(SpatialAccessMethod):
     def _collect_scalar(
         self, region_op: str, entry_op: str, query: Rect
     ) -> list[object]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
+        """The scalar reference descent (stores built with ``vector=False``)."""
         result: list[object] = []
         seen: set[object] = set()
         stack = [(self._root_pid, self._root_is_leaf)]
@@ -465,14 +458,14 @@ class RPlusTree(SpatialAccessMethod):
             pid, is_leaf = stack.pop()
             if is_leaf:
                 leaf: _Leaf = self.store.read(pid)
-                pred = self._SCALAR_PRED[entry_op]
+                pred = traverse.SCALAR_PRED[entry_op]
                 for rect, rid in zip(leaf.rects, leaf.rids):
                     if rid not in seen and pred(rect, query):
                         seen.add(rid)
                         result.append(rid)
                 continue
             node: _Inner = self.store.read(pid)
-            pred = self._SCALAR_PRED[region_op]
+            pred = traverse.SCALAR_PRED[region_op]
             for region, child in zip(node.regions, node.pids):
                 if pred(region, query):
                     stack.append((child, node.leaf_children))

@@ -290,13 +290,6 @@ class RTree(SpatialAccessMethod):
 
     # -- queries ---------------------------------------------------------------------
 
-    #: Scalar fallbacks for the op tags of scan.select_boxes.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
     def _collect(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
         store = self.store
         if store.columnar is None:
@@ -389,14 +382,14 @@ class RTree(SpatialAccessMethod):
         return result
 
     def _collect_scalar(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
+        """The scalar reference descent (stores built with ``vector=False``)."""
         result: list[object] = []
         stack = [self._root_pid]
         while stack:
             pid = stack.pop()
             node: _Node = self.store.read(pid)
             op = leaf_op if node.is_leaf else inner_op
-            pred = self._SCALAR_PRED[op]
+            pred = traverse.SCALAR_PRED[op]
             out = result if node.is_leaf else stack
             out.extend(
                 child

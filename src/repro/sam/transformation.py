@@ -31,6 +31,7 @@ from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import BuildMetrics
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
+from repro.query import traverse
 from repro.storage.pagestore import PageStore
 
 __all__ = ["TransformationSAM"]
@@ -153,12 +154,7 @@ class TransformationSAM(SpatialAccessMethod):
             return list(self._max_extent)
         return [0.5] * self.dims
 
-    #: Scalar post-filters and their vectorized counterparts, by op tag.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
+    #: Vectorized counterparts of traverse.SCALAR_PRED, by op tag.
     _KERNELS = {
         "isect": kernels.boxes_intersect,
         "within": kernels.boxes_within,
@@ -171,7 +167,7 @@ class TransformationSAM(SpatialAccessMethod):
             return []
         candidates = self.pam._range_query(query_box)
         if self.store.columnar is None or len(candidates) < 2:
-            predicate = self._SCALAR_PRED[op]
+            predicate = traverse.SCALAR_PRED[op]
             return [
                 rid
                 for point, rid in candidates

@@ -39,9 +39,17 @@ import sys
 import time
 from pathlib import Path
 
-from repro.query.bench import _run_workload, results_dir
+from repro.core.comparison import PAM_QUERY_TYPES
+from repro.parallel.bench import results_dir
+from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
+from repro.workloads.queries import (
+    RANGE_QUERY_VOLUMES,
+    generate_partial_match_queries,
+    generate_range_queries,
+    generate_rect_query_workload,
+)
 
 __all__ = ["BENCH_SCHEMA", "DEFAULT_STRUCTURES", "bench_structure", "main"]
 
@@ -50,6 +58,40 @@ BENCH_SCHEMA = "repro.storage/bench/v1"
 #: One tree SAM and one hashing PAM: different page populations, both
 #: representative of how the comparison driver touches the store.
 DEFAULT_STRUCTURES = ("R", "GRID")
+
+
+def _run_workload(method, kind: str) -> list[tuple[str, list]]:
+    """The full query workload of one structure as ``(label, outcomes)``.
+
+    Outcomes are the driver's per-query ``(cost, result)`` pairs — the
+    exact material the identity check compares across backends.
+    """
+    files: list[tuple[str, list]] = []
+    if kind == "pam":
+        for label, volume in zip(PAM_QUERY_TYPES[:3], RANGE_QUERY_VOLUMES):
+            queries = generate_range_queries(volume, seed=101)
+            files.append(
+                (label, run_query_file(method, "range", queries, method.range_query))
+            )
+        for label, axis in (("pm_x", 0), ("pm_y", 1)):
+            queries = generate_partial_match_queries(axis, seed=103)
+            files.append(
+                (label, run_query_file(method, "pm", queries, method.partial_match))
+            )
+        return files
+    workload = generate_rect_query_workload(seed=107)
+    files.append(
+        ("point", run_query_file(method, "point", workload["points"], method.point_query))
+    )
+    for label, operation in (
+        ("intersection", method.intersection),
+        ("enclosure", method.enclosure),
+        ("containment", method.containment),
+    ):
+        files.append(
+            (label, run_query_file(method, label, workload["rectangles"], operation))
+        )
+    return files
 
 
 def _build(spec: dict, data, store) -> object:

@@ -609,7 +609,7 @@ class DiskPageStore(PageStore):
         pool_pages: int = 128,
         slot_size: int | None = None,
         path_buffer_limit: int = 6,
-        vector: bool | None = None,
+        vector: bool = True,
         io: IOProvider | None = None,
         fsync: bool = True,
         paranoid: bool = True,

@@ -73,7 +73,7 @@ def _store_base_dir(directory: str | Path | None) -> Path:
 def make_store(
     page_size: int = 512,
     *,
-    vector: bool | None = None,
+    vector: bool = True,
     backend: str | None = None,
     directory: str | Path | None = None,
     pool_pages: int | None = None,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.stats import AccessStats
-from repro.query.columnar import ColumnarCache, vector_enabled
+from repro.query.columnar import ColumnarCache
 from repro.storage.page import PageKind
 
 __all__ = ["PageStore"]
@@ -56,7 +56,7 @@ class PageStore:
         self,
         page_size: int = 512,
         path_buffer_limit: int = 6,
-        vector: bool | None = None,
+        vector: bool = True,
     ):
         self.page_size = page_size
         #: How many of the most recently accessed pages stay buffered
@@ -76,12 +76,9 @@ class PageStore:
         self._buffer_cur: dict[int, None] = {}
         self._written_this_op: set[int] = set()
         self._next_id = 0
-        #: Columnar cache backing the vectorized scan helpers
-        #: (:mod:`repro.query`).  ``None`` keeps every access method on
-        #: its original scalar loops; ``vector=None`` defers to the
-        #: ``REPRO_VECTOR`` environment variable (default on).
-        if vector is None:
-            vector = vector_enabled()
+        #: Workload slot of the batched query path (:mod:`repro.query`).
+        #: ``vector=False`` leaves it ``None``, which keeps every access
+        #: method on its scalar reference descent.
         self.columnar = ColumnarCache() if vector else None
 
     # -- page lifecycle -------------------------------------------------
@@ -220,8 +217,8 @@ class PageStore:
         once — a real system flushes each dirty page a single time.
         """
         # Invalidate before any charging decision: pinned and deduplicated
-        # writes still mean the page object changed, so its columnar arrays
-        # must never survive a write.
+        # writes still mean the page object changed, so its cached verdict
+        # rows must never survive a write.
         if self.columnar is not None:
             self.columnar.invalidate(pid)
         if pid in self._pinned:

@@ -1,10 +1,9 @@
 """Struct-of-arrays page payloads.
 
 A :class:`SoAList` is the canonical container for a page's entries: it
-keeps the per-page columnar views — the fused NumPy arrays the vectorized
-scan and traversal layers consume (:mod:`repro.query.scan`,
-:mod:`repro.query.traverse`) — *on the page itself*, instead of in a
-pid-keyed side cache.  Two consequences:
+keeps the per-page columnar views — the fused NumPy arrays the batched
+traversal consumes (:mod:`repro.query.traverse`) — *on the page itself*,
+instead of in a pid-keyed side cache.  Two consequences:
 
 * **No side-cache probes.**  A page visit reaches its fused array through
   one attribute access and one dict lookup, with no per-store dictionary
@@ -18,9 +17,9 @@ pid-keyed side cache.  Two consequences:
 
 Python row objects (``(point, rid)`` / ``(rect, rid)`` tuples) remain
 reachable through the ordinary list interface, which is what the scalar
-kill-switch path (``REPRO_VECTOR=0``), the auditors, explain and snapshot
-walks iterate; the fused arrays are the representation the vectorized
-read path actually evaluates.
+reference descents (stores built with ``vector=False``), the auditors,
+explain and snapshot walks iterate; the fused arrays are the
+representation the batched read path actually evaluates.
 
 In-place mutation of *held objects* (e.g. rebinding ``entry.mbr`` on a
 BANG directory entry) cannot be observed by the container; such sites

@@ -24,7 +24,7 @@ MODULES = (
     "repro.obs.explain",
     "repro.obs.telemetry",
     "repro.verify.fuzz",
-    "repro.query.bench",
+    "repro.parallel.bench",
     "repro.storage.bench",
 )
 

@@ -35,8 +35,8 @@ PAM_FACTORY = lambda s, dims=2: BuddyTree(s, dims)  # noqa: E731
 SAM_FACTORY = lambda s, dims=2: RTree(s, dims)  # noqa: E731
 
 
-def traced_pam(points, seed=19):
-    pam = build_pam(PAM_FACTORY, points)
+def traced_pam(points, seed=19, vector=True):
+    pam = build_pam(PAM_FACTORY, points, vector=vector)
     recorder = ExplainRecorder("BUDDY")
     result = run_pam_queries(pam, seed=seed, explain=recorder)
     return pam, result, recorder.to_trace()
@@ -75,11 +75,14 @@ class TestBitIdentity:
                 assert touched == query["accesses"]
                 assert touched == sum(query["cost"].values())
 
-    @pytest.mark.parametrize("vector", ["0", "1"])
-    def test_both_vector_modes(self, vector, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", vector)
+    @pytest.mark.parametrize(
+        "vector", [pytest.param(False, id="0"), pytest.param(True, id="1")]
+    )
+    def test_both_vector_modes(self, vector):
+        """The scalar reference and the batched path explain alike."""
         points = make_points(200, seed=5)
-        _, result, trace = traced_pam(points, seed=29)
+        pam, result, trace = traced_pam(points, seed=29, vector=vector)
+        assert (pam.store.columnar is not None) is vector
         plain = run_pam_queries(build_pam(PAM_FACTORY, points), seed=29)
         assert plain.query_costs == result.query_costs
         assert validate_explain(trace) == []

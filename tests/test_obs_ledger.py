@@ -29,8 +29,6 @@ FP = {
     "scale": 100,
     "seed": 1,
     "workers": 1,
-    "vector": "1",
-    "vector_promote": "default",
 }
 
 
@@ -78,23 +76,13 @@ class TestFingerprint:
 
     def test_digest_separates_configurations(self):
         assert fingerprint_digest(FP) != fingerprint_digest({**FP, "scale": 200})
-        assert fingerprint_digest(FP) != fingerprint_digest({**FP, "vector": "0"})
+        assert fingerprint_digest(FP) != fingerprint_digest({**FP, "workers": 4})
 
     def test_collect_carries_commit_and_code(self):
         fp = collect_fingerprint(page_size=512, scale=10, seed=3, workers=2)
         assert set(fp) == set(FP)
         assert fp["workers"] == 2
         assert fp["code"]  # the build cache's source hash
-
-    def test_collect_carries_promotion_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_PROMOTE", raising=False)
-        fp = collect_fingerprint(page_size=512, scale=10)
-        assert fp["vector_promote"] == "default"
-        monkeypatch.setenv("REPRO_VECTOR_PROMOTE", "9")
-        tuned = collect_fingerprint(page_size=512, scale=10)
-        assert tuned["vector_promote"] == "9"
-        # A tuned run must land in its own gating history.
-        assert fingerprint_digest(tuned) != fingerprint_digest(fp)
 
 
 class TestRecordAndRead:
@@ -147,10 +135,10 @@ class TestFlattenAndCompare:
         assert by_metric["structures/GRID/build_seconds"]["delta_pct"] == 50.0
 
     def test_refuses_differing_fingerprints(self):
-        other = make_entry(fingerprint={**FP, "scale": 999, "vector": "0"})
+        other = make_entry(fingerprint={**FP, "scale": 999, "workers": 4})
         with pytest.raises(FingerprintMismatch) as exc:
             compare_entries(make_entry(), other)
-        assert "scale" in str(exc.value) and "vector" in str(exc.value)
+        assert "scale" in str(exc.value) and "workers" in str(exc.value)
 
 
 class TestGate:
@@ -245,23 +233,6 @@ class TestEntryBuilders:
         assert structures["GRID"] == {"build_seconds": 1.5, "query_seconds": 0.5}
         assert entry.metrics["total_seconds"] == 2.0
 
-    def test_from_query_bench_document(self):
-        doc = {
-            "schema": "repro.query/bench/v1",
-            "scale": 100,
-            "page_size": 8192,
-            "scalar_seconds": 2.0,
-            "vector_seconds": 1.0,
-            "speedup": 2.0,
-            "per_structure": {
-                "GRID": {"scalar_seconds": 2.0, "vector_seconds": 1.0}
-            },
-        }
-        entry = entry_from_bench_document(doc)
-        assert entry.source == "repro.query.bench"
-        assert entry.metrics["total_seconds"] == 1.0
-        assert entry.fingerprint["vector"] == "ab"
-
     def test_from_parallel_bench_document(self):
         doc = {
             "schema": "repro.parallel/bench/v1",
@@ -273,20 +244,21 @@ class TestEntryBuilders:
         }
         entry = entry_from_bench_document(doc)
         assert entry.source == "repro.parallel.bench"
+        assert entry.metrics["total_seconds"] == 3.0
         assert entry.fingerprint["workers"] == 4
 
     def test_inflate_scales_only_seconds(self):
         doc = {
-            "schema": "repro.query/bench/v1",
+            "schema": "repro.parallel/bench/v1",
             "scale": 100,
-            "page_size": 8192,
-            "scalar_seconds": 2.0,
-            "vector_seconds": 1.0,
+            "page_size": 512,
+            "workers": 4,
+            "parallel_seconds": 1.0,
+            "serial_seconds": 2.0,
             "speedup": 2.0,
-            "per_structure": {},
         }
         entry = entry_from_bench_document(doc, inflate=2.0)
-        assert entry.metrics["vector_seconds"] == 2.0
+        assert entry.metrics["parallel_seconds"] == 2.0
         assert entry.meta["speedup"] == 2.0  # ratio untouched
         assert entry.meta["inflate"] == 2.0
 
@@ -298,12 +270,12 @@ class TestEntryBuilders:
 class TestCli:
     def write_bench(self, tmp_path):
         doc = {
-            "schema": "repro.query/bench/v1",
+            "schema": "repro.parallel/bench/v1",
             "scale": 100,
-            "page_size": 8192,
-            "scalar_seconds": 2.0,
-            "vector_seconds": 1.0,
-            "per_structure": {},
+            "page_size": 512,
+            "workers": 4,
+            "parallel_seconds": 1.0,
+            "serial_seconds": 2.0,
         }
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(doc))

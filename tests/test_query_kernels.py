@@ -1,7 +1,7 @@
 """Hypothesis property tests: vectorized kernels equal the scalar oracle.
 
 Every kernel in :mod:`repro.geometry.kernels` — pairwise, batch, and the
-fused single-comparison forms the scan helpers actually use — must agree
+fused single-comparison forms the traversal actually uses — must agree
 with the corresponding :class:`~repro.geometry.rect.Rect` predicate on
 every (record, query) pair, including degenerate boxes and boxes that
 touch exactly on a boundary (the closed-interval edge cases where a
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.query.columnar import _QVEC_BUILDERS
-from repro.query.scan import _qvec_single
+from repro.query.traverse import SCALAR_PRED as ORACLES, qvec_for
 
 # A small shared pool of exact values makes coincident boundaries (touching
 # and degenerate boxes) common instead of measure-zero.
@@ -56,14 +56,6 @@ def _bounds(rects):
     hi = np.array([r.hi for r in rects])
     return lo, hi
 
-
-#: op tag -> scalar oracle (stored rect first, query second), mirroring
-#: repro.query.scan._SCALAR_OPS.
-ORACLES = {
-    "isect": lambda r, q: r.intersects(q),
-    "within": lambda r, q: q.contains_rect(r),
-    "encl": lambda r, q: r.contains_rect(q),
-}
 
 PAIRWISE = {
     "isect": (kernels.boxes_intersect, kernels.boxes_intersect_many),
@@ -148,8 +140,8 @@ class TestFusedKernels:
         fused = kernels.fuse_points(arr)
         for q in queries:
             expected = kernels.points_in_box(arr, np.array(q.lo), np.array(q.hi))
-            qvec = np.array(tuple(-c for c in q.lo) + q.hi)
-            assert kernels.fused_match(fused, qvec).tolist() == expected.tolist()
+            got = kernels.fused_match(fused, qvec_for("pts", q))
+            assert got.tolist() == expected.tolist()
 
     @KERNEL_SETTINGS
     @given(data=page_and_queries(dims=2))
@@ -165,7 +157,7 @@ class TestFusedKernels:
             fused = fused_by_family[family[op]]
             for q in queries:
                 expected = single_k(lo, hi, np.array(q.lo), np.array(q.hi))
-                got = kernels.fused_match(fused, _qvec_single(op, q))
+                got = kernels.fused_match(fused, qvec_for(op, q))
                 assert got.tolist() == expected.tolist(), op
 
     @KERNEL_SETTINGS
@@ -180,15 +172,14 @@ class TestFusedKernels:
             qvecs = _QVEC_BUILDERS[op](qlo, qhi)
             batch = kernels.fused_match_many(fused, qvecs)
             for i, q in enumerate(queries):
-                row = kernels.fused_match(fused, _qvec_single(op, q))
+                row = kernels.fused_match(fused, qvec_for(op, q))
                 assert batch[i].tolist() == row.tolist(), op
 
     def test_fused_qvec_builders_agree_with_single(self):
         q = Rect((0.25, 0.5), (0.75, 1.0))
         qlo = np.array([q.lo])
         qhi = np.array([q.hi])
-        for op in ("isect", "within", "encl"):
+        for op in ("pts", "isect", "within", "encl"):
             batch_row = _QVEC_BUILDERS[op](qlo, qhi)[0]
-            assert batch_row.tolist() == _qvec_single(op, q).tolist(), op
-        pts_row = _QVEC_BUILDERS["pts"](qlo, qhi)[0]
-        assert pts_row.tolist() == list(tuple(-c for c in q.lo) + q.hi)
+            assert batch_row.tolist() == qvec_for(op, q).tolist(), op
+        assert qvec_for("pts", q).tolist() == list(tuple(-c for c in q.lo) + q.hi)

@@ -1,14 +1,16 @@
-"""The columnar scan layer: caching, invalidation, and scalar/vector identity.
+"""In-page verdict rows: caching, invalidation and promotion.
 
-Covers the contracts the vectorized execution layer rests on:
+Covers the contracts the batched query path rests on, driven through
+:class:`repro.query.traverse.RowSource` and
+:func:`~repro.query.traverse.data_hit_rows` over struct-of-arrays pages
+(the per-container view caching itself is pinned in ``test_soa.py``):
 
-* page arrays are built lazily and dropped on every ``write``/``free``,
-  so mutation can never be observed through a stale array;
 * workload hit-row caches (batch promotion and the current-query memo)
-  invalidate with the page;
-* the ``REPRO_VECTOR=0`` kill switch restores the scalar loops;
-* a scalar and a vectorized pass over the whole structure matrix return
-  bit-identical per-query costs, results, and store totals; and
+  invalidate with the page on every ``write`` and ``free``;
+* promoted CSR rows equal the single-query rows;
+* a store built with ``vector=False`` has no cache — the one remaining
+  way onto the scalar reference descents;
+* a batched driver pass answers exactly what unbatched queries answer; and
 * the differential fuzzer (inserts, deletes, queries, invariant audits)
   stays green with the columnar caches enabled — invalidation under
   arbitrary mutation sequences, checked against the brute-force oracle.
@@ -18,101 +20,114 @@ import numpy as np
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.query import scan
-from repro.query.bench import run_identity_matrix
-from repro.query.columnar import QueryWorkload, vector_enabled
+from repro.query import traverse
+from repro.query.columnar import ColumnarCache, QueryWorkload
 from repro.query.driver import run_query_file
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
+from repro.storage.soa import SoAList
 from repro.verify.fuzz import STRUCTURES, make_ops, run_ops, structure_seed
 
+ROWKEY = "vrects:isect"
 
-def data_page(store, records):
-    pid = store.allocate(PageKind.DATA, records)
+
+def data_page(store, rows):
+    pid = store.allocate(PageKind.DATA, rows)
     store.write(pid)
     return pid
 
 
+def isect_row(store, pid, values, query):
+    """Ascending indices of ``values`` intersecting ``query``, via RowSource."""
+    src = traverse.RowSource(store.columnar, query)
+    tag, build = traverse.value_view("isect")
+    row = src.row(pid, ROWKEY, "isect", values, tag, build)
+    return src.flush()[(pid, ROWKEY)] if row is None else row
+
+
 class TestColumnarInvalidation:
-    def test_match_records_caches_and_rebuilds_on_write(self):
-        store = PageStore(vector=True)
-        records = [((0.1, 0.1), "a"), ((0.6, 0.6), "b")]
-        pid = data_page(store, records)
-        q = Rect((0.0, 0.0), (0.5, 0.5))
-        assert scan.match_records(store, pid, records, q) == [((0.1, 0.1), "a")]
-        assert "pts" in store.columnar._pages[pid]
-        records.append(((0.2, 0.2), "c"))
-        store.write(pid)
-        assert pid not in store.columnar._pages
-        assert scan.match_records(store, pid, records, q) == [
-            ((0.1, 0.1), "a"),
-            ((0.2, 0.2), "c"),
-        ]
-
-    def test_free_drops_cached_arrays(self):
-        store = PageStore(vector=True)
-        values = [(Rect((0.0, 0.0), (0.4, 0.4)), 1)]
-        pid = store.allocate(PageKind.DATA, values)
-        store.write(pid)
-        q = Rect((0.1, 0.1), (0.9, 0.9))
-        assert scan.select_rect_values(store, pid, values, "isect", q) == [0]
-        assert pid in store.columnar._pages
-        store.free(pid)
-        assert pid not in store.columnar._pages
-
-    def test_in_place_mutation_without_write_is_caught_by_length_guard(self):
-        # Every real mutation path writes the page; the length guard is the
-        # defensive net if one ever didn't.
-        store = PageStore(vector=True)
-        records = [((0.1, 0.1), "a")]
-        pid = data_page(store, records)
-        q = Rect((0.0, 0.0), (1.0, 1.0))
-        assert len(scan.match_records(store, pid, records, q)) == 1
-        records.append(((0.2, 0.2), "b"))  # no store.write on purpose
-        assert len(scan.match_records(store, pid, records, q)) == 2
-
     def test_workload_rows_invalidate_with_the_page(self):
         store = PageStore(vector=True)
-        values = [
-            (Rect((0.0, 0.0), (0.3, 0.3)), 1),
-            (Rect((0.5, 0.5), (0.9, 0.9)), 2),
-        ]
+        values = SoAList(
+            [
+                (Rect((0.0, 0.0), (0.3, 0.3)), 1),
+                (Rect((0.5, 0.5), (0.9, 0.9)), 2),
+            ]
+        )
         pid = data_page(store, values)
         queries = [Rect((0.0, 0.0), (0.6, 0.6)), Rect((0.4, 0.4), (1.0, 1.0))]
         workload = store.columnar.begin_workload(queries)
         workload.promote_visits = 1  # promote on first visit
         workload.set_query(0)
-        assert scan.select_rect_values(store, pid, values, "isect", queries[0]) == [0, 1]
-        assert (pid, "vrects:isect") in workload._rows
+        assert isect_row(store, pid, values, queries[0]) == [0, 1]
+        assert (pid, ROWKEY) in workload._rows
         values.append((Rect((0.95, 0.95), (1.0, 1.0)), 3))
         store.write(pid)
-        assert (pid, "vrects:isect") not in workload._rows
+        assert (pid, ROWKEY) not in workload._rows
         workload.set_query(1)
         # The appended rect is visible immediately — stale rows are gone.
-        assert scan.select_rect_values(store, pid, values, "isect", queries[1]) == [1, 2]
+        assert isect_row(store, pid, values, queries[1]) == [1, 2]
+
+    def test_free_drops_cached_arrays(self):
+        store = PageStore(vector=True)
+        values = SoAList([(Rect((0.0, 0.0), (0.4, 0.4)), 1)])
+        pid = data_page(store, values)
+        queries = [Rect((0.1, 0.1), (0.9, 0.9))]
+        workload = store.columnar.begin_workload(queries)
+        workload.promote_visits = 1
+        workload.set_query(0)
+        assert isect_row(store, pid, values, queries[0]) == [0]
+        store.columnar._hot_pids.add(pid)
+        assert (pid, ROWKEY) in workload._rows and (pid, ROWKEY) in workload._cur
+        store.free(pid)
+        assert not workload._rows and not workload._cur
+        assert pid not in store.columnar._hot_pids
 
     def test_current_query_memo_resets_between_queries(self):
         store = PageStore(vector=True)
-        values = [(Rect((0.0, 0.0), (0.3, 0.3)), 1)]
+        values = SoAList([(Rect((0.0, 0.0), (0.3, 0.3)), 1)])
         pid = data_page(store, values)
         queries = [Rect((0.0, 0.0), (0.6, 0.6)), Rect((0.7, 0.7), (1.0, 1.0))]
         workload = store.columnar.begin_workload(queries)
         workload.set_query(0)
-        assert scan.select_rect_values(store, pid, values, "isect", queries[0]) == [0]
+        assert isect_row(store, pid, values, queries[0]) == [0]
         assert workload._cur  # memoised for intra-query revisits
-        assert scan.select_rect_values(store, pid, values, "isect", queries[0]) == [0]
+        assert isect_row(store, pid, values, queries[0]) == [0]
         workload.set_query(1)
         assert not workload._cur
-        assert scan.select_rect_values(store, pid, values, "isect", queries[1]) == []
+        assert isect_row(store, pid, values, queries[1]) == []
+
+    def test_match_records_caches_and_rebuilds_on_write(self):
+        store = PageStore(vector=True)
+        records = SoAList([((0.1, 0.1), "a"), ((0.6, 0.6), "b")])
+        pid = data_page(store, records)
+        q = Rect((0.0, 0.0), (0.5, 0.5))
+        assert traverse.data_hit_rows(store, q, [(pid, records)]) == {pid: [0]}
+        assert records.view_builds == 1  # the fused view lives on the page
+        records.append(((0.2, 0.2), "c"))
+        store.write(pid)
+        assert records.view_builds == 0
+        assert traverse.data_hit_rows(store, q, [(pid, records)]) == {pid: [0, 2]}
+
+    def test_in_place_mutation_without_write_is_caught_by_length_guard(self):
+        # Every real mutation path goes through the SoAList mutators and
+        # writes the page; the length guard is the net if one ever didn't.
+        store = PageStore(vector=True)
+        records = SoAList([((0.1, 0.1), "a")])
+        pid = data_page(store, records)
+        q = Rect((0.0, 0.0), (1.0, 1.0))
+        assert traverse.data_hit_rows(store, q, [(pid, records)]) == {pid: [0]}
+        list.append(records, ((0.2, 0.2), "b"))  # no invalidation on purpose
+        assert traverse.data_hit_rows(store, q, [(pid, records)]) == {pid: [0, 1]}
 
 
 class TestWorkloadPromotion:
     def test_promotion_answers_match_single_query_rows(self):
         rng = np.random.default_rng(7)
-        values = [
+        values = SoAList(
             (Rect(tuple(lo), tuple(lo + 0.1)), i)
             for i, lo in enumerate(rng.uniform(0, 0.9, size=(15, 2)))
-        ]
+        )
         queries = [
             Rect(tuple(lo), tuple(lo + 0.3))
             for lo in rng.uniform(0, 0.7, size=(9, 2))
@@ -125,9 +140,13 @@ class TestWorkloadPromotion:
         wl.promote_visits = 1
         for i, q in enumerate(queries):
             wl.set_query(i)
-            promoted = scan.select_rect_values(hot, pid_h, values, "isect", q)
-            single = scan.select_rect_values(cold, pid_c, values, "isect", q)
+            promoted = isect_row(hot, pid_h, values, q)
+            assert (pid_h, ROWKEY) in wl._rows
+            single = isect_row(cold, pid_c, values, q)
             assert promoted == single, i
+            assert single == [
+                j for j, (rect, _) in enumerate(values) if rect.intersects(q)
+            ]
 
     def test_promotion_threshold_scales_with_batch_size(self):
         assert QueryWorkload([None] * 8).promote_visits == 4
@@ -135,31 +154,24 @@ class TestWorkloadPromotion:
 
 
 class TestKillSwitch:
+    """``vector=False`` — the explicit keyword is the only switch left."""
+
     def test_vector_disabled_store_has_no_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        assert not vector_enabled()
-        store = PageStore()
-        assert store.columnar is None
+        monkeypatch.setenv("REPRO_VECTOR", "0")  # the environment has no say
+        assert isinstance(PageStore().columnar, ColumnarCache)
+        assert PageStore(vector=False).columnar is None
 
     def test_helpers_fall_back_to_scalar(self):
+        # ``None`` tells the caller to run its scalar reference loop.
         store = PageStore(vector=False)
-        records = [((0.1, 0.2), "a"), ((0.8, 0.8), "b")]
+        records = SoAList([((0.1, 0.2), "a"), ((0.8, 0.8), "b")])
         pid = data_page(store, records)
         q = Rect((0.0, 0.0), (0.5, 0.5))
-        assert scan.match_records(store, pid, records, q) == [((0.1, 0.2), "a")]
-        assert scan.select_rect_values(store, pid, [], "isect", q) is None
-        assert (
-            scan.select_bounds(store, pid, "t", 1, lambda: (None, None), "isect", q)
-            is None
-        )
+        assert traverse.data_hit_rows(store, q, [(pid, records)]) is None
+        assert records.view_builds == 0
 
 
 class TestScalarVectorIdentity:
-    def test_identity_matrix_smoke(self):
-        timings, mismatches = run_identity_matrix(scale=60, page_size=512, seed=99)
-        assert not mismatches
-        assert len(timings) == len(STRUCTURES)
-
     def test_driver_batches_equal_unbatched_queries(self):
         spec = STRUCTURES["GRID"]
         rng = np.random.default_rng(3)
@@ -174,15 +186,32 @@ class TestScalarVectorIdentity:
             pam.insert(p, rid)
         batched = run_query_file(pam, "range", queries, pam.range_query)
         assert store.columnar.workload is None  # deregistered afterwards
-        for (cost, hits), q in zip(batched, queries):
+        unbatched = [pam.range_query(q) for q in queries]
+        for (cost, hits), alone, q in zip(batched, unbatched, queries):
             expected = sorted((p, i) for i, p in enumerate(points) if q.contains_point(p))
-            assert sorted(hits) == expected
+            assert sorted(hits) == sorted(alone) == expected
+
+    def test_raising_start_file_leaves_no_workload_registered(self):
+        class Exploding:
+            def start_file(self, method, kind):
+                raise RuntimeError("recorder refused to attach")
+
+            def end_file(self):
+                raise AssertionError("end_file without a started file")
+
+        store = PageStore(vector=True)
+        pam = STRUCTURES["GRID"]["factory"](store)
+        pam.insert((0.5, 0.5), 0)
+        with pytest.raises(RuntimeError, match="refused"):
+            run_query_file(
+                pam, "range", [Rect.unit(2)], pam.range_query, explain=Exploding()
+            )
+        assert store.columnar.workload is None
 
 
 @pytest.mark.parametrize("name", ["GRID", "BANG", "R", "T-BANG"])
 def test_fuzz_with_columnar_caches_and_audits(name):
     spec = STRUCTURES[name]
-    assert vector_enabled()
     ops = make_ops(spec, 80, structure_seed(name, 31))
     failure = run_ops(spec, ops, audit_every=10)
     assert failure is None, failure

@@ -5,25 +5,26 @@ equal results: the *frontier* it derives at every directory level — and
 therefore the full ordered stream of page accesses the replay issues —
 must equal the scalar descent's, access for access.  These tests pin
 that oracle across the whole fuzz matrix: every structure is built
-twice from identical data (``REPRO_VECTOR`` off and on), every query
-file runs through the batched driver in both modes, and the two
-observer event streams (pid, kind, read/write, charged) are compared as
-ordered sequences.  A vector-mode traversal that visited one extra
-page, skipped one, or reordered two reads fails immediately.
+twice from identical data (``PageStore(vector=False)``, the scalar
+reference, and ``vector=True``), every query file runs through the
+batched driver on both, and the two observer event streams (pid, kind,
+read/write, charged) are compared as ordered sequences.  A batched
+traversal that visited one extra page, skipped one, or reordered two
+reads fails immediately.
 
 A second pass forces the workload promotion threshold to 1 page visit
-(``REPRO_VECTOR_PROMOTE=1``), driving every page through the CSR batch
-verdicts and the cross-workload promotion hints on the very first
+(``promote_visits_for`` patched), driving every page through the CSR
+batch verdicts and the cross-workload promotion hints on the very first
 query — the paths a cold default threshold would leave underexercised
 at these tiny scales.
 """
 
-import os
+from unittest import mock
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.rect import Rect
+from repro.query import columnar
 from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
@@ -115,35 +116,14 @@ class TestFrontierOracle:
     )
     @given(seed=st.integers(0, 10**6), queries=query_rects())
     def test_frontier_identity_under_forced_promotion(self, seed, queries):
-        old = os.environ.get("REPRO_VECTOR_PROMOTE")
-        os.environ["REPRO_VECTOR_PROMOTE"] = "1"
-        try:
+        with mock.patch.object(columnar, "promote_visits_for", lambda size: 1):
+            assert columnar.QueryWorkload(queries).promote_visits == 1
             _assert_frontier_identity(seed, 60, queries)
-        finally:
-            if old is None:
-                del os.environ["REPRO_VECTOR_PROMOTE"]
-            else:
-                os.environ["REPRO_VECTOR_PROMOTE"] = old
 
 
 class TestWorkloadLifecycle:
-    def test_promotion_threshold_env_override(self, monkeypatch):
-        from repro.query.columnar import promote_visits_for
-
-        monkeypatch.delenv("REPRO_VECTOR_PROMOTE", raising=False)
-        assert promote_visits_for(160) == 20
-        assert promote_visits_for(8) == 4
-        monkeypatch.setenv("REPRO_VECTOR_PROMOTE", "7")
-        assert promote_visits_for(160) == 7
-        for bad in ("0", "-3", "many"):
-            monkeypatch.setenv("REPRO_VECTOR_PROMOTE", bad)
-            with pytest.raises(ValueError):
-                promote_visits_for(160)
-
     def test_hot_pid_hints_do_not_change_verdicts(self):
         """A pid hint only moves promotion earlier — never the answer."""
-        from repro.query.columnar import ColumnarCache
-
         points = _point_pool(60, 7)
         queries = [
             Rect((0.1, 0.1), (0.6, 0.6)),
@@ -156,7 +136,7 @@ class TestWorkloadLifecycle:
         for rid, p in enumerate(points):
             method.insert(p, rid)
         cache = store.columnar
-        assert isinstance(cache, ColumnarCache)
+        assert isinstance(cache, columnar.ColumnarCache)
         first = run_query_file(method, "range", queries, method.range_query)
         assert cache._hot_pids, "first workload should leave promotion hints"
         hinted = run_query_file(method, "range", queries, method.range_query)
@@ -166,11 +146,7 @@ class TestWorkloadLifecycle:
         assert [r for _, r in hinted] == [r for _, r in first]
 
     def test_invalidate_drops_hot_pid_hint(self):
-        from repro.query.columnar import ColumnarCache
-
-        cache = ColumnarCache()
+        cache = columnar.ColumnarCache()
         cache._hot_pids.update({3, 5})
         cache.invalidate(3)
         assert cache._hot_pids == {5}
-        cache.clear()
-        assert not cache._hot_pids
