@@ -10,6 +10,13 @@ Two per-call wins ride under every query of the testbed:
   of assembling the Morton code bit by bit, for the 2-d native
   structures and the 4-d transformed space alike.
 
+And one under every BANG / BUDDY insert:
+
+* :func:`repro.geometry.blocks.bits_of_point` and
+  :func:`~repro.geometry.blocks.min_enclosing_block` run on the same
+  spread kernel (one packed code, unpacked a byte at a time) instead of
+  a 48-step per-bit loop per address.
+
 Each case times the shipped implementation against a straightforward
 reference written here, min-of-repeats, and asserts a modest win so a
 regression that silently reverts the optimisation fails the bench.  The
@@ -20,6 +27,7 @@ import math
 import timeit
 from random import Random
 
+from repro.geometry.blocks import MAX_DEPTH, bits_of_point, min_enclosing_block
 from repro.geometry.rect import Rect
 from repro.geometry.zorder import z_value
 
@@ -52,6 +60,28 @@ def ref_z_value(point, dims: int, bits_per_axis: int = 16) -> int:
     return z
 
 
+def ref_bits_of_point(point, dims: int, depth: int) -> tuple:
+    """One shift-and-mask step per halving decision."""
+    per_axis = (depth + dims - 1) // dims
+    scale = 1 << per_axis
+    qs = [min(math.floor(c * scale), scale - 1) for c in point]
+    return tuple(
+        (qs[j % dims] >> (per_axis - 1 - j // dims)) & 1 for j in range(depth)
+    )
+
+
+def ref_min_enclosing_block(rect: Rect, dims: int) -> tuple:
+    """Longest common prefix of the two corner addresses, bit by bit."""
+    lo = ref_bits_of_point(rect.lo, dims, MAX_DEPTH)
+    hi = ref_bits_of_point(rect.hi, dims, MAX_DEPTH)
+    n = 0
+    for x, y in zip(lo, hi):
+        if x != y:
+            break
+        n += 1
+    return lo[:n]
+
+
 def _best(fn) -> float:
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER
 
@@ -76,6 +106,15 @@ def test_micro_geometry(benchmark):
     for p in points4:
         assert z_value(p, 4) == ref_z_value(p, 4)
 
+    for p in points2:
+        assert bits_of_point(p, 2, MAX_DEPTH) == ref_bits_of_point(p, 2, MAX_DEPTH)
+    for p in points4:
+        assert bits_of_point(p, 4, MAX_DEPTH) == ref_bits_of_point(p, 4, MAX_DEPTH)
+    # Page-sized MBRs next to point-sized ones: shallow and deep blocks.
+    boxes = [rect(0.05) for _ in range(150)] + [rect(1e-6) for _ in range(150)]
+    for box in boxes:
+        assert min_enclosing_block(box, 2) == ref_min_enclosing_block(box, 2)
+
     timings = {
         "intersects": (
             _best(lambda: [a.intersects(b) for a, b in pairs]),
@@ -88,6 +127,18 @@ def test_micro_geometry(benchmark):
         "z_value 4-d": (
             _best(lambda: [z_value(p, 4) for p in points4]),
             _best(lambda: [ref_z_value(p, 4) for p in points4]),
+        ),
+        "bits_of_pt 2-d": (
+            _best(lambda: [bits_of_point(p, 2, MAX_DEPTH) for p in points2]),
+            _best(lambda: [ref_bits_of_point(p, 2, MAX_DEPTH) for p in points2]),
+        ),
+        "bits_of_pt 4-d": (
+            _best(lambda: [bits_of_point(p, 4, MAX_DEPTH) for p in points4]),
+            _best(lambda: [ref_bits_of_point(p, 4, MAX_DEPTH) for p in points4]),
+        ),
+        "min_encl_block": (
+            _best(lambda: [min_enclosing_block(b, 2) for b in boxes]),
+            _best(lambda: [ref_min_enclosing_block(b, 2) for b in boxes]),
         ),
     }
     benchmark(lambda: [a.intersects(b) for a, b in pairs])
@@ -111,3 +162,7 @@ def test_micro_geometry(benchmark):
     assert rows["intersects"][2] > 1.05
     assert rows["z_value 2-d"][2] > 1.2
     assert rows["z_value 4-d"][2] > 1.2
+    # The address kernel wins 3-6x locally.
+    assert rows["bits_of_pt 2-d"][2] > 1.5
+    assert rows["bits_of_pt 4-d"][2] > 1.5
+    assert rows["min_encl_block"][2] > 1.5

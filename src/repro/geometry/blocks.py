@@ -15,6 +15,13 @@ and the BUDDY tree's buddy rectangles rely on.
 
 All coordinates are binary fractions with at most :data:`MAX_DEPTH`
 halvings per block, so the float arithmetic below is exact.
+
+Addresses are *computed* as packed integers — :func:`morton_code`
+quantises a point and interleaves its coordinate bits through one
+spread table, :func:`point_code` cuts that code to a block depth — and
+prefix tests on them are shifts and compares.  ``Bits`` tuples remain
+the public and stored address type; :func:`bits_of_code` materialises
+one from a code only where a tuple is kept.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ __all__ = [
     "MAX_DEPTH",
     "Bits",
     "block_rect",
+    "morton_code",
+    "point_code",
+    "enclosing_code",
+    "bits_of_code",
+    "code_of_bits",
     "bits_of_point",
     "is_prefix",
     "common_prefix",
@@ -45,8 +57,31 @@ MAX_DEPTH = 48
 #: A block address: tuple of 0/1 halving decisions.
 Bits = tuple[int, ...]
 
-# Precomputed negative powers of two, exact as floats.
-_POW2 = [2.0 ** -k for k in range(MAX_DEPTH + 2)]
+#: dims -> 256-entry table spreading a byte's bits ``dims`` apart:
+#: bit ``i`` of the byte lands at bit ``i * dims`` of the entry.
+_SPREAD_TABLES: dict[int, list[int]] = {}
+
+#: byte -> its eight bits, most significant first.
+_BYTE_BITS = [tuple((byte >> (7 - i)) & 1 for i in range(8)) for byte in range(256)]
+
+
+def _spread_table(dims: int) -> list[int]:
+    table = _SPREAD_TABLES.get(dims)
+    if table is None:
+        table = _SPREAD_TABLES[dims] = [
+            sum(((byte >> i) & 1) << (i * dims) for i in range(8))
+            for byte in range(256)
+        ]
+    return table
+
+
+# Warm the tables for every dimensionality the testbed reaches: 2-d for
+# the native structures, 4-d for the transformation technique (2-d rects
+# mapped to 4-d points), 3-d for completeness.  First-call latency then
+# never includes table construction.
+for _dims in (2, 3, 4):
+    _spread_table(_dims)
+del _dims
 
 
 def split_axis(bits: Bits, dims: int) -> int:
@@ -79,32 +114,82 @@ def block_rect(bits: Bits, dims: int) -> Rect:
     return Rect._make(tuple(lo), hi)
 
 
+def morton_code(point: Sequence[float], dims: int, bits_per_axis: int) -> int:
+    """Quantise ``point`` to ``bits_per_axis`` bits per axis and interleave.
+
+    Coordinates must lie in ``[0, 1]``; ``1.0`` is clamped into the last
+    cell (scaling by a power of two is exact, so nothing else rounds up).
+    Interleaving is cyclic starting with axis 0, most significant bit
+    first — the halving order of a block address — so the code's
+    ``dims * bits_per_axis`` binary digits *are* that address.
+
+    Instead of assembling the code bit by bit, each quantised coordinate
+    is spread through a 256-entry table — one lookup per 8 coordinate
+    bits — and the spread axes are or-ed together: bit ``j`` of axis
+    ``a`` lands at position ``j * dims + (dims - 1 - a)``.
+    """
+    scale = 1 << bits_per_axis
+    table = _spread_table(dims)
+    step = 8 * dims
+    code = 0
+    shift = dims
+    for c in point:
+        q = math.floor(c * scale)
+        if q >= scale:
+            q = scale - 1
+        elif q < 0:
+            raise ValueError(f"coordinate {c} outside the unit cube")
+        shift -= 1
+        spread = table[q & 0xFF]
+        q >>= 8
+        offset = 0
+        while q:
+            offset += step
+            spread |= table[q & 0xFF] << offset
+            q >>= 8
+        code |= spread << shift
+    if shift:
+        raise ValueError(f"point {tuple(point)} does not have {dims} coordinates")
+    return code
+
+
+def point_code(point: Sequence[float], dims: int, depth: int = MAX_DEPTH) -> int:
+    """Packed address of the depth-``depth`` block containing ``point``.
+
+    The integer whose ``depth`` binary digits are
+    ``bits_of_point(point, dims, depth)``.  The code of a shallower block
+    around the same point is a right shift of a deeper one.
+    """
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds MAX_DEPTH={MAX_DEPTH}")
+    per_axis = (depth + dims - 1) // dims
+    return morton_code(point, dims, per_axis) >> (per_axis * dims - depth)
+
+
+def bits_of_code(code: int, depth: int) -> Bits:
+    """The ``depth``-digit packed address ``code`` as a ``Bits`` tuple."""
+    pad = -depth % 8
+    bits: Bits = ()
+    for byte in (code << pad).to_bytes((depth + pad) >> 3, "big"):
+        bits += _BYTE_BITS[byte]
+    return bits[:depth] if pad else bits
+
+
+def code_of_bits(bits: Bits) -> int:
+    """The packed address of block ``bits`` (its depth is ``len(bits)``)."""
+    code = 0
+    for bit in bits:
+        code = (code << 1) | bit
+    return code
+
+
 def bits_of_point(point: Sequence[float], dims: int, depth: int) -> Bits:
     """Address of the depth-``depth`` block containing ``point``.
 
     ``point`` must lie in ``[0,1)`` per axis; boundary points belong to
     the upper half (half-open convention).
     """
-    if depth > MAX_DEPTH:
-        raise ValueError(f"depth {depth} exceeds MAX_DEPTH={MAX_DEPTH}")
-    # Quantize each axis once; bit k (from the most significant) of the
-    # quantized value is the k-th halving decision for that axis.
-    per_axis = (depth + dims - 1) // dims
-    scale = 1 << per_axis
-    quantized = []
-    for c in point:
-        q = math.floor(c * scale)
-        if q >= scale:  # c == 1.0 or float round-up: clamp into the cube
-            q = scale - 1
-        if q < 0:
-            raise ValueError(f"coordinate {c} outside the unit cube")
-        quantized.append(q)
-    bits = []
-    for j in range(depth):
-        axis = j % dims
-        k = j // dims  # halving index within that axis, MSB first
-        bits.append((quantized[axis] >> (per_axis - 1 - k)) & 1)
-    return tuple(bits)
+    return bits_of_code(point_code(point, dims, depth), depth)
 
 
 def is_prefix(a: Bits, b: Bits) -> bool:
@@ -122,16 +207,21 @@ def common_prefix(a: Bits, b: Bits) -> Bits:
     return a[:n]
 
 
+def enclosing_code(rect: Rect, dims: int, max_depth: int = MAX_DEPTH) -> tuple[int, int]:
+    """``(code, depth)`` of the smallest block containing ``rect``.
+
+    The longest common prefix of the addresses of the rectangle's lower
+    and upper corners; an upper corner touching ``1.0`` is clamped into
+    the half-open cube by the quantiser.
+    """
+    lo = point_code(rect.lo, dims, max_depth)
+    depth = max_depth - (lo ^ point_code(rect.hi, dims, max_depth)).bit_length()
+    return lo >> (max_depth - depth), depth
+
+
 def min_enclosing_block(rect: Rect, dims: int, max_depth: int = MAX_DEPTH) -> Bits:
     """Smallest block (longest address) whose rectangle contains ``rect``.
 
-    This is the *buddy rectangle* operation of the BUDDY hash tree: the
-    block is found as the longest common prefix of the addresses of the
-    rectangle's lower and upper corners.  The upper corner is nudged
-    inside the half-open cube so that a rectangle touching ``1.0`` still
-    resolves.
+    This is the *buddy rectangle* operation of the BUDDY hash tree.
     """
-    lo_bits = bits_of_point(rect.lo, dims, max_depth)
-    hi_point = tuple(min(c, 1.0 - _POW2[MAX_DEPTH + 1]) for c in rect.hi)
-    hi_bits = bits_of_point(hi_point, dims, max_depth)
-    return common_prefix(lo_bits, hi_bits)
+    return bits_of_code(*enclosing_code(rect, dims, max_depth))

@@ -13,11 +13,15 @@ companion paper in the same proceedings volume.
 
 from __future__ import annotations
 
-import math
-
 from typing import Sequence
 
-from repro.geometry.blocks import Bits, block_rect
+from repro.geometry.blocks import (
+    Bits,
+    block_rect,
+    code_of_bits,
+    min_enclosing_block,
+    morton_code,
+)
 from repro.geometry.rect import Rect
 
 __all__ = [
@@ -27,66 +31,16 @@ __all__ = [
 ]
 
 
-#: dims -> 256-entry table spreading a byte's bits ``dims`` apart:
-#: bit ``i`` of the byte lands at bit ``i * dims`` of the entry.
-_SPREAD_TABLES: dict[int, list[int]] = {}
-
-
-def _spread_table(dims: int) -> list[int]:
-    table = _SPREAD_TABLES.get(dims)
-    if table is None:
-        table = _SPREAD_TABLES[dims] = [
-            sum(((byte >> i) & 1) << (i * dims) for i in range(8))
-            for byte in range(256)
-        ]
-    return table
-
-
-# Warm the tables for every dimensionality the testbed reaches: 2-d for
-# the native structures, 4-d for the transformation technique (2-d rects
-# mapped to 4-d points), 3-d for completeness.  First-query latency then
-# never includes table construction.
-for _dims in (2, 3, 4):
-    _spread_table(_dims)
-del _dims
-
-
 def z_value(point: Sequence[float], dims: int, bits_per_axis: int = 16) -> int:
     """Morton code of ``point`` with ``bits_per_axis`` bits per axis.
 
     Coordinates must lie in ``[0, 1]``; the value ``1.0`` is clamped to
     the last cell.  Interleaving is cyclic starting with axis 0, matching
-    the halving order of :mod:`repro.geometry.blocks`.
-
-    Instead of assembling the code bit by bit (``dims * bits_per_axis``
-    shift-or steps), each quantized coordinate is spread through a
-    precomputed 256-entry table — one lookup per 8 coordinate bits —
-    and the spread axes are or-ed together: bit ``j`` of axis ``a``
-    lands at position ``j * dims + (dims - 1 - a)``, exactly the cyclic
-    MSB-first interleaving of the reference loop.
+    the halving order of :mod:`repro.geometry.blocks` — the code is
+    computed by that module's :func:`~repro.geometry.blocks.morton_code`,
+    the one quantise-and-spread kernel block addresses share.
     """
-    scale = 1 << bits_per_axis
-    quantized = []
-    for c in point:
-        q = math.floor(c * scale)
-        if q >= scale:
-            q = scale - 1
-        if q < 0:
-            raise ValueError(f"coordinate {c} outside the unit cube")
-        quantized.append(q)
-    table = _spread_table(dims)
-    z = 0
-    for axis in range(dims):
-        q = quantized[axis]
-        spread = table[q & 0xFF]
-        chunk = 0
-        q >>= 8
-        while q:
-            chunk += 1
-            spread |= table[q & 0xFF] << (8 * chunk * dims)
-            q >>= 8
-        z |= spread << (dims - 1 - axis)
-    return z
+    return morton_code(point, dims, bits_per_axis)
 
 
 def z_interval(bits: Bits, dims: int, bits_per_axis: int = 16) -> tuple[int, int]:
@@ -94,9 +48,7 @@ def z_interval(bits: Bits, dims: int, bits_per_axis: int = 16) -> tuple[int, int
     total = dims * bits_per_axis
     if len(bits) > total:
         raise ValueError(f"block deeper ({len(bits)}) than the z resolution ({total})")
-    prefix = 0
-    for bit in bits:
-        prefix = (prefix << 1) | bit
+    prefix = code_of_bits(bits)
     shift = total - len(bits)
     return prefix << shift, (prefix + 1) << shift
 
@@ -126,8 +78,6 @@ def decompose_rect(
         return block.area() - covered
 
     # Start from the minimal enclosing block of the object.
-    from repro.geometry.blocks import min_enclosing_block
-
     cover = [min_enclosing_block(rect, dims, max_depth)]
     while len(cover) < max_regions:
         # Split the block with the largest overshoot whose children still

@@ -75,6 +75,18 @@ class _Entry:
         self.mbr = mbr
 
 
+def _entry_codes(lst) -> list[tuple[int, int]]:
+    """``(packed block, MAX_DEPTH - length)`` per directory entry.
+
+    The block holds a point of packed address ``code`` iff
+    ``code >> shift == packed``.  Entry blocks are never rebound, so the
+    view stays valid until the entry list itself mutates.
+    """
+    return [
+        (blocks.code_of_bits(e.bits), blocks.MAX_DEPTH - len(e.bits)) for e in lst
+    ]
+
+
 class _DirNode:
     """A directory page: its own block plus nested child entries."""
 
@@ -209,6 +221,11 @@ class BangFile(PointAccessMethod):
     def _point_bits(self, point: tuple[float, ...]) -> Bits:
         return blocks.bits_of_point(point, self.dims, blocks.MAX_DEPTH)
 
+    def _point_code(self, point: tuple[float, ...]) -> int:
+        """``_point_bits`` packed: block ``b`` holds the point iff
+        ``code >> (MAX_DEPTH - len(b)) == code_of_bits(b)``."""
+        return blocks.point_code(point, self.dims)
+
     def _best_data_entry(self, bits: Bits) -> tuple[int, Bits]:
         """(data pid, block) of the longest data block that is a prefix of ``bits``.
 
@@ -236,22 +253,23 @@ class BangFile(PointAccessMethod):
         must find the block-determined target page even when the point
         falls outside its current region).
         """
-        bits = self._point_bits(point)
+        code = self._point_code(point)
         if self.spanning:
-            return self._spanning_descent(bits)
+            return self._spanning_descent(blocks.bits_of_code(code, blocks.MAX_DEPTH))
         prune = prune and self.minimal_regions
-        best_pid, best_len = -1, -1
+        best_pid, best_shift = -1, blocks.MAX_DEPTH + 1
         stack = [self._root_pid]
         while stack:
             node: _DirNode = self.store.read(stack.pop())
-            for entry in node.entries:
-                if not blocks.is_prefix(entry.bits, bits):
+            entries = node.entries
+            for entry, (prefix, shift) in zip(entries, entries.view("codes", _entry_codes)):
+                if code >> shift != prefix:
                     continue
                 if prune and (entry.mbr is None or not entry.mbr.contains_point(point)):
                     continue
                 if node.is_leaf:
-                    if len(entry.bits) > best_len:
-                        best_pid, best_len = entry.pid, len(entry.bits)
+                    if shift < best_shift:  # a longer block
+                        best_pid, best_shift = entry.pid, shift
                 else:
                     stack.append(entry.pid)
         return best_pid
@@ -343,10 +361,13 @@ class BangFile(PointAccessMethod):
         if sub_block is None:
             self.store.write(pid)  # duplicate-degenerate page: tolerate overflow
             return
-        inner = [r for r in page.records if self._record_in_block(r[0], sub_block)]
-        page.records = [
-            r for r in page.records if not self._record_in_block(r[0], sub_block)
-        ]
+        prefix = blocks.code_of_bits(sub_block)
+        shift = blocks.MAX_DEPTH - len(sub_block)
+        inner, outer = [], []
+        for record in page.records:
+            in_block = self._point_code(record[0]) >> shift == prefix
+            (inner if in_block else outer).append(record)
+        page.records = outer
         new_page = _DataPage(sub_block)
         new_page.records = inner
         new_pid = self.store.allocate(PageKind.DATA, new_page)
@@ -358,9 +379,6 @@ class BangFile(PointAccessMethod):
             mbr = Rect.bounding_points([p for p, _ in inner])
         self._add_directory_entry(_Entry(sub_block, new_pid, mbr))
 
-    def _record_in_block(self, point: tuple[float, ...], bits: Bits) -> bool:
-        return blocks.is_prefix(bits, self._point_bits(point))
-
     def _choose_split_block(self, page: _DataPage) -> Bits | None:
         """Best-balance proper sub-block of the page's block.
 
@@ -370,25 +388,37 @@ class BangFile(PointAccessMethod):
         block are skipped (the block is already someone else's region).
         """
         total = len(page.records)
-        record_bits = [self._point_bits(p) for p, _ in page.records]
         current = page.bits
+        depth = len(current)
+        prefix = blocks.code_of_bits(current)
+        shift = blocks.MAX_DEPTH - depth
+        # Record codes inside the current block; only the chosen half
+        # survives each level, so one bit per code per level is tested.
+        inside = []
+        for p, _ in page.records:
+            code = self._point_code(p)
+            if code >> shift == prefix:
+                inside.append(code)
         best: Bits | None = None
         best_imbalance = total + 1
-        while len(current) < blocks.MAX_DEPTH:
-            zero = current + (0,)
-            count0 = sum(1 for rb in record_bits if blocks.is_prefix(zero, rb))
-            count1 = sum(1 for rb in record_bits if blocks.is_prefix(current, rb)) - count0
+        while depth < blocks.MAX_DEPTH:
+            bit = 1 << (blocks.MAX_DEPTH - 1 - depth)
+            zeros = [code for code in inside if not code & bit]
+            count0 = len(zeros)
+            count1 = len(inside) - count0
             if count0 == 0 and count1 == 0:
                 break
-            current = zero if count0 >= count1 else current + (1,)
-            inner = count0 if count0 >= count1 else count1
+            if count0 >= count1:
+                current, inside, inner = current + (0,), zeros, count0
+            else:
+                current, inner = current + (1,), count1
+                inside = [code for code in inside if code & bit]
+            depth += 1
             if 0 < inner < total and current not in self._data_blocks:
                 imbalance = abs(inner - (total - inner))
                 if imbalance < best_imbalance:
                     best_imbalance = imbalance
                     best = current
-            if inner == 0:
-                break
         return best
 
     def _add_directory_entry(self, entry: _Entry) -> None:
@@ -439,17 +469,36 @@ class BangFile(PointAccessMethod):
         total = len(node.entries)
         sibling_blocks = self._sibling_blocks(node)
         current = node.bits
+        depth = len(current)
+        prefix = blocks.code_of_bits(current)
+        shift = blocks.MAX_DEPTH - depth
+        # Left-aligned codes of the entry blocks nested in the current
+        # block, with their shifts (MAX_DEPTH - length): an entry survives
+        # a level only if its block is *longer* than the candidate's
+        # parent and carries the chosen bit there.
+        inside = [
+            (code << s, s)
+            for code, s in node.entries.view("codes", _entry_codes)
+            if s <= shift and code >> (shift - s) == prefix
+        ]
         best: Bits | None = None
         best_imbalance = total + 1
-        while len(current) < blocks.MAX_DEPTH:
-            zero = current + (0,)
-            count0 = sum(1 for e in node.entries if blocks.is_prefix(zero, e.bits))
-            in_cur = sum(1 for e in node.entries if blocks.is_prefix(current, e.bits))
-            count1 = in_cur - count0
+        while depth < blocks.MAX_DEPTH:
+            shift -= 1
+            bit = 1 << shift
+            zeros = [(a, s) for a, s in inside if s <= shift and not a & bit]
+            count0 = len(zeros)
+            # As in the tuple form, the upper count also takes the entries
+            # whose block *is* the current block.
+            count1 = len(inside) - count0
             if count0 == 0 and count1 == 0:
                 break
-            current = zero if count0 >= count1 else current + (1,)
-            inner = max(count0, count1)
+            if count0 >= count1:
+                current, inside, inner = current + (0,), zeros, count0
+            else:
+                current, inner = current + (1,), count1
+                inside = [(a, s) for a, s in inside if s <= shift and a & bit]
+            depth += 1
             if 0 < inner < total and current not in sibling_blocks:
                 imbalance = abs(inner - (total - inner))
                 if imbalance < best_imbalance:

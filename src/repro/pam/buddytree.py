@@ -42,16 +42,37 @@ __all__ = ["BuddyTree"]
 class _Entry:
     """One directory entry: a minimal bounding rectangle and a child pointer."""
 
-    __slots__ = ("rect", "pid", "is_data")
+    __slots__ = ("rect", "pid", "is_data", "_buddy")
 
     def __init__(self, rect: Rect, pid: int, is_data: bool):
         self.rect = rect
         self.pid = pid
         self.is_data = is_data
+        #: ``(rect, (block, packed block))`` as of the last :meth:`buddy`
+        #: call; stale once ``rect`` is rebound to another (immutable) Rect.
+        self._buddy: tuple[Rect, tuple[blocks.Bits, int]] | None = None
+
+    def buddy(self, dims: int) -> tuple[blocks.Bits, int]:
+        """The entry's buddy rectangle — the minimal block enclosing its
+        MBR — as ``(address, packed address)``."""
+        cached = self._buddy
+        rect = self.rect
+        if cached is None or cached[0] is not rect:
+            code, depth = blocks.enclosing_code(rect, dims)
+            cached = self._buddy = (rect, (blocks.bits_of_code(code, depth), code))
+        return cached[1]
 
     def block(self, dims: int) -> blocks.Bits:
-        """The entry's buddy rectangle: minimal block enclosing its MBR."""
-        return blocks.min_enclosing_block(self.rect, dims)
+        """Address of the entry's buddy rectangle."""
+        return self.buddy(dims)[0]
+
+    def __getstate__(self):
+        # The derived block is shed the way SoAList sheds its views:
+        # pickled pages keep the three stored fields and nothing else.
+        return None, {"rect": self.rect, "pid": self.pid, "is_data": self.is_data}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(**state[1])
 
 
 class _DirNode:
@@ -297,32 +318,38 @@ class BuddyTree(PointAccessMethod):
         rectangle stays clear of every sibling region.  ``None`` means
         the point lies in space no entry may claim.
         """
-        for entry in node.entries:
+        entries = node.entries
+        for entry in entries:
             if entry.rect.contains_point(point):
                 return entry
-        containing = [
-            e
-            for e in node.entries
-            if blocks.block_rect(e.block(self.dims), self.dims).contains_point(point)
-        ]
-        if containing:
-            # Buddy rectangles of siblings are nested or disjoint; the
-            # deepest (smallest) one is the responsible region.
-            return max(containing, key=lambda e: len(e.block(self.dims)))
-        point_bits = blocks.bits_of_point(point, self.dims, blocks.MAX_DEPTH)
+        dims = self.dims
+        # (b) tests the *closed* buddy rectangle, not prefix containment:
+        # a point on a buddy boundary is claimed by both siblings.  Buddy
+        # rectangles of siblings are nested or disjoint otherwise; the
+        # deepest (smallest) one is the responsible region, first wins.
         best: _Entry | None = None
         best_len = -1
-        for entry in node.entries:
-            grown_block = blocks.common_prefix(entry.block(self.dims), point_bits)
-            grown_rect = blocks.block_rect(grown_block, self.dims)
+        for entry in entries:
+            bits = entry.block(dims)
+            if len(bits) > best_len and blocks.block_rect(bits, dims).contains_point(point):
+                best, best_len = entry, len(bits)
+        if best is not None:
+            return best
+        point_code = blocks.point_code(point, dims)
+        for entry in entries:
+            bits, code = entry.buddy(dims)
+            # Longest common prefix of the buddy block and the point.
+            differing = (point_code >> (blocks.MAX_DEPTH - len(bits))) ^ code
+            grown_len = len(bits) - differing.bit_length()
+            if grown_len <= best_len:
+                continue
+            grown_rect = blocks.block_rect(bits[:grown_len], dims)
             if any(
                 other is not entry and grown_rect.intersects(other.rect)
-                for other in node.entries
+                for other in entries
             ):
                 continue
-            if len(grown_block) > best_len:
-                best_len = len(grown_block)
-                best = entry
+            best, best_len = entry, grown_len
         return best
 
     # -- splitting ----------------------------------------------------------------
@@ -332,13 +359,14 @@ class BuddyTree(PointAccessMethod):
     ) -> tuple[list, list, Rect, Rect] | None:
         """Split records at the halving hyperplane of their minimal block."""
         mbr = Rect.bounding_points([p for p, _ in records])
-        block = blocks.min_enclosing_block(mbr, self.dims)
-        if len(block) >= blocks.MAX_DEPTH:
+        _, depth = blocks.enclosing_code(mbr, self.dims)
+        if depth >= blocks.MAX_DEPTH:
             return None  # duplicate-degenerate page; caller tolerates overflow
+        halving_bit = 1 << (blocks.MAX_DEPTH - 1 - depth)
         lower, upper = [], []
         for record in records:
-            bits = blocks.bits_of_point(record[0], self.dims, len(block) + 1)
-            (upper if bits[-1] else lower).append(record)
+            in_upper = blocks.point_code(record[0], self.dims) & halving_bit
+            (upper if in_upper else lower).append(record)
         if not lower or not upper:
             return None
         return (
@@ -402,14 +430,28 @@ class BuddyTree(PointAccessMethod):
         *worse* on five of the seven distributions — the one-against-rest
         splits of the plain halving keep regions tighter.)
         """
-        entry_blocks = [e.block(self.dims) for e in entries]
-        common = entry_blocks[0]
-        for b in entry_blocks[1:]:
-            common = blocks.common_prefix(common, b)
-        depth = len(common)
-        lower = [e for e, b in zip(entries, entry_blocks) if len(b) > depth and b[depth] == 0]
-        upper = [e for e, b in zip(entries, entry_blocks) if len(b) > depth and b[depth] == 1]
-        stuck = [e for e, b in zip(entries, entry_blocks) if len(b) <= depth]
+        # Entry blocks as (length, code left-aligned to MAX_DEPTH): the
+        # common block ends at the first digit on which any two differ,
+        # or where the shortest block does.
+        aligned = []
+        for e in entries:
+            bits, code = e.buddy(self.dims)
+            aligned.append((len(bits), code << (blocks.MAX_DEPTH - len(bits))))
+        first = aligned[0][1]
+        differing = 0
+        for _, code in aligned:
+            differing |= code ^ first
+        depth = min(
+            min(n for n, _ in aligned), blocks.MAX_DEPTH - differing.bit_length()
+        )
+        lower, upper, stuck = [], [], []
+        for e, (n, code) in zip(entries, aligned):
+            if n <= depth:
+                stuck.append(e)
+            elif code >> (blocks.MAX_DEPTH - 1 - depth) & 1:
+                upper.append(e)
+            else:
+                lower.append(e)
         # An entry whose own block *equals* the common block (a degenerate
         # region around a shared center) goes with the smaller side.
         for e in stuck:

@@ -17,6 +17,8 @@ measuring-stick configuration is Guttman's split with that fill.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.interfaces import SpatialAccessMethod
 from repro.geometry.rect import Rect
 from repro.storage import layout
@@ -28,6 +30,29 @@ from repro.query import traverse
 __all__ = ["RTree"]
 
 _SPLIT_POLICIES = ("guttman", "greene", "margin")
+
+#: The ``[lo, -hi]`` fused view of a page's rectangles — the same
+#: container view the query path evaluates, so insert-time choosers and
+#: queries share one build of it.  On this encoding the union of two
+#: boxes is an elementwise ``minimum``.
+_COVER = traverse.box_view("isect")
+
+
+#: Pairs evaluated per step of the quadratic seed pick.
+_PAIR_BLOCK = 1 << 14
+
+
+def _areas(cover: np.ndarray, dims: int) -> np.ndarray:
+    """Volumes of ``[lo, -hi]`` fused boxes (along the last axis).
+
+    Float for float :meth:`Rect.area`: the same ``hi - lo`` per axis,
+    multiplied in axis order (its leading ``1.0 *`` is exact).
+    """
+    extent = -cover[..., dims:] - cover[..., :dims]
+    area = extent[..., 0].copy()
+    for axis in range(1, dims):
+        area *= extent[..., axis]
+    return area
 
 
 class _Node:
@@ -146,7 +171,9 @@ class RTree(SpatialAccessMethod):
                 return None
             return self._split(pid, node)
         slot = self._choose_subtree(node, rect)
-        node.rects[slot] = node.rects[slot].union(rect)
+        grown = node.rects[slot].union(rect)
+        if grown != node.rects[slot]:  # an unchanged page keeps its fused views
+            node.rects[slot] = grown
         split = self._insert_into(node.children[slot], rect, rid)
         if split is not None:
             # The child lost entries to its new sibling: recompute its
@@ -163,12 +190,14 @@ class RTree(SpatialAccessMethod):
 
     def _choose_subtree(self, node: _Node, rect: Rect) -> int:
         """Least-enlargement child, ties by smallest area (Guttman)."""
-        best, best_key = 0, None
-        for i, r in enumerate(node.rects):
-            key = (r.enlargement(rect), r.area())
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return best
+        dims = self.dims
+        cover = node.rects.view(*_COVER)
+        area = _areas(cover, dims)
+        enlargement = _areas(np.minimum(cover, traverse.qvec_for("encl", rect)), dims) - area
+        ties = np.flatnonzero(enlargement == enlargement.min())
+        if len(ties) > 1:  # argmin keeps the first of equal areas
+            return int(ties[area[ties].argmin()])
+        return int(ties[0])
 
     def _grow_root(self, split: tuple[Rect, int]) -> None:
         sibling_rect, sibling_pid = split
@@ -188,10 +217,11 @@ class RTree(SpatialAccessMethod):
     def _split(self, pid: int, node: _Node) -> tuple[Rect, int]:
         """Split an overflowing node; returns the new sibling's (rect, pid)."""
         entries = list(zip(node.rects, node.children))
+        cover = node.rects.view(*_COVER)
         if self.split_policy == "guttman":
-            left, right = self._split_guttman(entries)
+            left, right = self._split_guttman(entries, cover)
         elif self.split_policy == "greene":
-            left, right = self._split_greene(entries)
+            left, right = self._split_greene(entries, cover)
         else:
             left, right = self._split_margin(entries)
         node.rects = [r for r, _ in left]
@@ -205,54 +235,64 @@ class RTree(SpatialAccessMethod):
         self.store.write(sibling_pid)
         return Rect.bounding(sibling.rects), sibling_pid
 
-    def _pick_seeds(self, entries: list) -> tuple[int, int]:
-        """Quadratic seed pick: the pair wasting the most area."""
+    def _pick_seeds(self, cover: np.ndarray) -> tuple[int, int]:
+        """Quadratic seed pick: the first pair wasting the most area."""
+        dims = self.dims
+        n = len(cover)
+        area = _areas(cover, dims)
+        index = np.arange(n)
         worst, pair = -1.0, (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                waste = (
-                    entries[i][0].union(entries[j][0]).area()
-                    - entries[i][0].area()
-                    - entries[j][0].area()
-                )
-                if waste > worst:
-                    worst, pair = waste, (i, j)
+        # All pairs of a block of rows at once; a paper-sized page is one
+        # block, an 8 KiB page a dozen, so temporaries stay page-sized.
+        rows = max(1, _PAIR_BLOCK // n)
+        for start in range(0, n - 1, rows):
+            block = slice(start, start + rows)
+            unions = np.minimum(cover[block, None, :], cover[None, :, :])
+            waste = _areas(unions, dims) - area[block, None] - area[None, :]
+            # Only pairs i < j compete; row-major argmax then visits them
+            # in nested-loop order and keeps the first maximum.
+            waste[index[block, None] >= index] = -np.inf
+            k = int(waste.argmax())
+            if waste.flat[k] > worst:
+                worst, pair = waste.flat[k], (start + k // n, k % n)
         return pair
 
-    def _split_guttman(self, entries: list) -> tuple[list, list]:
-        i, j = self._pick_seeds(entries)
-        left, right = [entries[i]], [entries[j]]
-        left_rect, right_rect = entries[i][0], entries[j][0]
-        rest = [e for k, e in enumerate(entries) if k not in (i, j)]
-        while rest:
+    def _split_guttman(self, entries: list, cover: np.ndarray) -> tuple[list, list]:
+        dims = self.dims
+        seeds = self._pick_seeds(cover)
+        area = _areas(cover, dims)
+        # Per side (left, right): its entries, its fused box, its volume
+        # and what every entry would enlarge it by.  Only the side that
+        # grew is recomputed.
+        groups = tuple([entries[k]] for k in seeds)
+        boxes = [cover[k] for k in seeds]
+        areas = [float(area[k]) for k in seeds]
+        grow = [_areas(np.minimum(cover, box), dims) - a for box, a in zip(boxes, areas)]
+        unassigned = np.ones(len(entries), dtype=bool)
+        unassigned[list(seeds)] = False
+        remaining = len(entries) - 2
+        while remaining:
             # Force assignment when one side must take everything left.
-            if len(left) + len(rest) <= self._min_entries:
-                left.extend(rest)
+            starved = [g for g in groups if len(g) + remaining <= self._min_entries]
+            if starved:
+                starved[0].extend(entries[k] for k in np.flatnonzero(unassigned))
                 break
-            if len(right) + len(rest) <= self._min_entries:
-                right.extend(rest)
-                break
-            # PickNext: entry with the largest preference difference.
-            best_k, best_diff = 0, -1.0
-            for k, (rect, _) in enumerate(rest):
-                diff = abs(left_rect.enlargement(rect) - right_rect.enlargement(rect))
-                if diff > best_diff:
-                    best_k, best_diff = k, diff
-            rect, child = rest.pop(best_k)
-            grow_left = left_rect.enlargement(rect)
-            grow_right = right_rect.enlargement(rect)
-            key = (grow_left, left_rect.area(), len(left))
-            other = (grow_right, right_rect.area(), len(right))
-            if key <= other:
-                left.append((rect, child))
-                left_rect = left_rect.union(rect)
-            else:
-                right.append((rect, child))
-                right_rect = right_rect.union(rect)
-        return left, right
+            # PickNext: first entry with the largest preference difference.
+            k = int(np.where(unassigned, np.abs(grow[0] - grow[1]), -1.0).argmax())
+            unassigned[k] = False
+            remaining -= 1
+            key, other = (
+                (float(grow[side][k]), areas[side], len(groups[side])) for side in (0, 1)
+            )
+            side = 0 if key <= other else 1
+            groups[side].append(entries[k])
+            boxes[side] = np.minimum(boxes[side], cover[k])
+            areas[side] = float(_areas(boxes[side], dims))
+            grow[side] = _areas(np.minimum(cover, boxes[side]), dims) - areas[side]
+        return groups
 
-    def _split_greene(self, entries: list) -> tuple[list, list]:
-        i, j = self._pick_seeds(entries)
+    def _split_greene(self, entries: list, cover: np.ndarray) -> tuple[list, list]:
+        i, j = self._pick_seeds(cover)
         # Choose the axis with the greatest normalised seed separation.
         best_axis, best_sep = 0, -1.0
         for axis in range(self.dims):

@@ -1,7 +1,10 @@
 """Tests for the BUDDY hash tree, including its paper-stated invariants."""
 
+import pickle
+
+from repro.geometry import blocks
 from repro.geometry.rect import Rect
-from repro.pam.buddytree import BuddyTree, _DirNode
+from repro.pam.buddytree import BuddyTree, _DirNode, _Entry
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
@@ -181,3 +184,68 @@ class TestDeletion:
         for i, p in enumerate(points):
             tree.insert(p, i)
         check_pam_against_oracle(tree, points, STANDARD_QUERIES)
+
+
+class TestChooseEntryOnBuddyBoundaries:
+    """Step (b) of ``_choose_entry`` tests the *closed* buddy rectangle.
+
+    A point exactly on a halving line lies in the closed rectangles of
+    the buddies on both sides, while its half-open address (prefix
+    containment) puts it in the upper one only.  Which sibling takes the
+    point decides the page it is stored on, so a rewrite of (b) in terms
+    of ``is_prefix`` / shifted codes changes placement; these pin it.
+    """
+
+    LEFT = Rect((0.1, 0.1), (0.4, 0.9))  # buddy block (0,)  = [0, .5] x [0, 1]
+    RIGHT = Rect((0.6, 0.1), (0.9, 0.9))  # buddy block (1,) = [.5, 1] x [0, 1]
+    DEEP_LEFT = Rect((0.3, 0.3), (0.45, 0.45))  # (0, 0, 1, 1) = [.25, .5]^2
+
+    def node(self, *rects):
+        return _DirNode([_Entry(r, pid, True) for pid, r in enumerate(rects)])
+
+    def test_fixture_blocks(self):
+        tree = BuddyTree(PageStore(), 2)
+        node = self.node(self.LEFT, self.RIGHT, self.DEEP_LEFT)
+        assert [e.block(2) for e in node.entries] == [(0,), (1,), (0, 0, 1, 1)]
+        # The half-open address of a point on x = 0.5 starts with 1.
+        assert blocks.bits_of_point((0.5, 0.4), 2, 1) == (1,)
+        assert tree._choose_entry(node, (0.5, 0.4)) is not None
+
+    def test_equal_depth_siblings_first_wins(self):
+        tree = BuddyTree(PageStore(), 2)
+        node = self.node(self.LEFT, self.RIGHT)
+        assert tree._choose_entry(node, (0.5, 0.5)).rect is self.LEFT
+        node = self.node(self.RIGHT, self.LEFT)
+        assert tree._choose_entry(node, (0.5, 0.5)).rect is self.RIGHT
+
+    def test_deeper_lower_sibling_wins(self):
+        tree = BuddyTree(PageStore(), 2)
+        for rects in ((self.DEEP_LEFT, self.RIGHT), (self.RIGHT, self.DEEP_LEFT)):
+            node = self.node(*rects)
+            assert tree._choose_entry(node, (0.5, 0.4)).rect is self.DEEP_LEFT
+
+    def test_point_off_the_boundary_goes_by_address(self):
+        tree = BuddyTree(PageStore(), 2)
+        node = self.node(self.DEEP_LEFT, self.RIGHT)
+        assert tree._choose_entry(node, (0.5000001, 0.4)).rect is self.RIGHT
+        assert tree._choose_entry(node, (0.4999999, 0.4)).rect is self.DEEP_LEFT
+
+
+class TestEntryBlockCache:
+    def test_rebinding_rect_invalidates(self):
+        entry = _Entry(Rect((0.1, 0.1), (0.4, 0.9)), 7, True)
+        assert entry.block(2) == (0,)
+        assert entry.block(2) is entry.block(2)
+        entry.rect = entry.rect.expanded_to_point((0.6, 0.5))
+        assert entry.block(2) == ()
+        entry.rect = Rect.from_point((0.3, 0.3))
+        assert len(entry.block(2)) == blocks.MAX_DEPTH
+
+    def test_cache_is_shed_from_pickles(self):
+        entry = _Entry(Rect((0.1, 0.1), (0.4, 0.9)), 7, True)
+        cold = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+        entry.block(2)
+        assert pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL) == cold
+        back = pickle.loads(cold)
+        assert (back.rect, back.pid, back.is_data) == (entry.rect, 7, True)
+        assert back.block(2) == (0,)
