@@ -23,10 +23,9 @@ bit-identical with and without ``--report``.
 file's independent (structure, build+query) cells out over ``N`` worker
 processes via :mod:`repro.parallel`, with a content-addressed build
 cache (``REPRO_BUILD_CACHE``; ``off`` disables) so repeated sessions
-skip finished cells.  The merge is deterministic: tables, totals and
-run-report access histograms are identical to the serial run; only the
-wall-clock timers differ.  The default of 1 keeps the historical
-bit-identical in-process path.
+skip finished cells.  The default of 1 runs the very same cells inline
+in this process, so tables, totals and run-report access histograms are
+identical at any worker count; only the wall-clock timers differ.
 
 **Explain traces** — set ``REPRO_EXPLAIN=1`` (or a directory path) to
 record one EXPLAIN trace per (data file, structure) cell
@@ -34,9 +33,9 @@ record one EXPLAIN trace per (data file, structure) cell
 given directory): every query's page
 descent with candidates vs hits, prunes and duplicate elimination.
 Recording is passive — tables and totals stay bit-identical — and the
-per-query traces sum exactly to the measured access counts.  Worker
-processes inherit the variable; warm-cache cells skip execution and
-therefore write no traces.
+per-query traces sum exactly to the measured access counts.  The
+directory travels to worker processes as an argument; warm-cache cells
+skip execution and therefore write no traces.
 
 **Performance ledger** — set ``REPRO_LEDGER=1`` (or a path) to append
 every bench cell's timings and access totals to the fingerprinted
@@ -48,39 +47,29 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.comparison import (
+    QUERY_SEEDS,
     MethodResult,
     _explain_dir,
-    _trace_path,
     build_pam,
-    build_sam,
-    run_pam_queries,
-    run_sam_queries,
+    record_experiment,
 )
-from repro.core.stats import AccessStats
-from repro.core.testbed import (
-    standard_pam_factories,
-    standard_sam_factories,
-    testbed_scale,
-    testbed_workers,
-)
-from repro.obs.export import RunReport, build_run_report
-from repro.obs.tracer import Tracer
+from repro.core.testbed import standard_pam_factories, testbed_scale, testbed_workers
+from repro.obs.export import RunReport
+from repro.parallel.cache import cache_from_env
+from repro.parallel.runner import run_pam_file, run_sam_file
 from repro.workloads.distributions import generate_point_file
-from repro.workloads.rect_distributions import generate_rect_file
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-_pam_cache: dict[str, dict[str, MethodResult]] = {}
-_sam_cache: dict[str, dict[str, MethodResult]] = {}
+_results_cache: dict[tuple[str, str], dict[str, MethodResult]] = {}
+_reports: dict[tuple[str, str], RunReport] = {}
 _pam_built: dict[tuple[str, str], object] = {}
-_pam_reports: dict[str, RunReport] = {}
-_sam_reports: dict[str, RunReport] = {}
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -103,65 +92,6 @@ def reports_enabled() -> bool:
     return os.environ.get("REPRO_RUN_REPORT", "") == "1"
 
 
-def _record_ledger(
-    kind: str,
-    file_name: str,
-    timers: dict[str, float],
-    totals: dict,
-    *,
-    workers: int = 1,
-    results: dict | None = None,
-) -> None:
-    """Append this bench cell to the performance ledger (REPRO_LEDGER).
-
-    When ``results`` carry structure snapshots, each snapshot's
-    redundancy block rides in the structure's totals so the gate flags
-    redundancy drift like an access-count drift.
-    """
-    from repro.obs.ledger import entry_from_timers, ledger_from_env
-
-    ledger = ledger_from_env()
-    if ledger is None:
-        return
-    merged: dict[str, dict] = {}
-    for name, stats in totals.items():
-        row = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-        snapshot = getattr((results or {}).get(name), "snapshot", None)
-        if snapshot and "redundancy" in snapshot:
-            row["redundancy"] = dict(snapshot["redundancy"])
-        merged[name] = row
-    ledger.record(
-        entry_from_timers(
-            label=f"{kind}-bench {file_name}",
-            source="benchmarks/conftest.py",
-            kind=kind,
-            timers=timers,
-            totals=merged,
-            page_size=512,
-            scale=bench_scale(),
-            seed=101 if kind == "pam" else 107,
-            workers=workers,
-            meta={"file": file_name},
-        )
-    )
-
-
-def _explain_recorder(name: str):
-    """An ExplainRecorder when REPRO_EXPLAIN is on, else ``None``."""
-    if _explain_dir() is None:
-        return None
-    from repro.obs.explain import ExplainRecorder
-
-    return ExplainRecorder(name)
-
-
-def _save_explain(recorder, kind: str, name: str, file_name: str) -> None:
-    # One subdirectory per data file (matching the parallel workers);
-    # without it each file's traces would overwrite the previous one's.
-    if recorder is not None:
-        recorder.save(_trace_path(_explain_dir() / file_name, kind, name))
-
-
 def bench_scale() -> int:
     """Records per data file for this bench session."""
     return testbed_scale()
@@ -172,134 +102,81 @@ def bench_workers() -> int:
     return testbed_workers()
 
 
-def _parallel_results(kind: str, file_name: str) -> dict[str, MethodResult]:
-    """Parallel (and build-cached) equivalent of the serial bench loops.
+def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
+    """Run every standard structure's cell on ``file_name``, once per session.
 
-    Jobs replay the exact serial sequence per structure, so results,
-    totals and span histograms merge back indistinguishably; the
-    RunReport is assembled from the merged artefacts exactly as the
-    serial path assembles it from its own.
+    The cells run through :mod:`repro.parallel` at any worker count —
+    inline at 1, pooled (and build-cached) above — so the tables, the
+    RunReport and the ledger entry come from the same outcome either way.
     """
-    from repro.parallel.cache import cache_from_env
-    from repro.parallel.runner import run_pam_file, run_sam_file
-
-    run_file = run_pam_file if kind == "pam" else run_sam_file
-    outcome = run_file(
+    key = (kind, file_name)
+    if key in _results_cache:
+        return _results_cache[key]
+    workers = bench_workers()
+    outcome = (run_pam_file if kind == "pam" else run_sam_file)(
         file_name,
         scale=bench_scale(),
-        workers=bench_workers(),
-        cache=cache_from_env(),
+        workers=workers,
+        cache=cache_from_env() if workers > 1 else None,
+        explain_dir=_explain_dir(),
     )
     if reports_enabled():
-        report = build_run_report(
+        report = outcome.to_report(
             label=f"{kind.upper()} {file_name}",
             kind=kind,
-            scale=outcome.records,
             page_size=512,
-            seed=101 if kind == "pam" else 107,
-            results=outcome.results,
-            totals=outcome.totals,
-            spans=outcome.spans,
-            timers=outcome.timers,
+            seed=QUERY_SEEDS[kind],
             meta={"file": file_name, "bench_scale": bench_scale()},
         )
-        reports = _pam_reports if kind == "pam" else _sam_reports
-        reports[file_name] = report
+        _reports[key] = report
         report.save(RESULTS_DIR / f"RUN-{kind.upper()}-{file_name}.json")
-    _record_ledger(
-        kind,
-        file_name,
-        outcome.timers,
-        outcome.totals,
-        workers=bench_workers(),
-        results=outcome.results,
+    record_experiment(
+        None,  # REPRO_LEDGER decides
+        outcome,
+        label=f"{kind}-bench {file_name}",
+        source="benchmarks/conftest.py",
+        kind=kind,
+        scale=bench_scale(),
+        seed=QUERY_SEEDS[kind],
+        workers=workers,
+        meta={"file": file_name},
     )
+    if kind == "pam":
+        _pam_built.update(((file_name, n), m) for n, m in outcome.built.items())
+    _results_cache[key] = outcome.results
     return outcome.results
 
 
 def pam_results(file_name: str) -> dict[str, MethodResult]:
     """Build every PAM (plus BUDDY+) on ``file_name`` and run the queries."""
-    if file_name in _pam_cache:
-        return _pam_cache[file_name]
-    if bench_workers() > 1:
-        results = _parallel_results("pam", file_name)
-        _pam_cache[file_name] = results
-        return results
-    points = generate_point_file(file_name, bench_scale())
-    tracer = Tracer() if reports_enabled() else None
-    results: dict[str, MethodResult] = {}
-    totals: dict[str, AccessStats] = {}
-    timers: dict[str, float] = {}
-    for name, factory in standard_pam_factories().items():
-        if tracer is not None:
-            tracer.set_context(structure=name)
-        started = time.perf_counter()
-        pam = build_pam(factory, points, tracer=tracer)
-        timers[f"{name}/build"] = time.perf_counter() - started
-        _pam_built[(file_name, name)] = pam
-        started = time.perf_counter()
-        explain = _explain_recorder(name)
-        result = run_pam_queries(pam, tracer=tracer, explain=explain)
-        timers[f"{name}/queries"] = time.perf_counter() - started
-        _save_explain(explain, "pam", name, file_name)
-        result.name = name
-        result.snapshot = pam.snapshot()
-        results[name] = result
-        totals[name] = pam.store.stats.snapshot()
-        if name == "BUDDY":
-            # The packed variant is derived from the built BUDDY file,
-            # exactly as the authors generated it by simulation.  It
-            # shares BUDDY's store, so its totals are the delta from
-            # this point on (pack + its own query run).
-            before = pam.store.stats.snapshot()
-            if tracer is not None:
-                tracer.set_context(structure="BUDDY+", op="pack")
-            started = time.perf_counter()
-            pam.pack()
-            timers["BUDDY+/build"] = time.perf_counter() - started
-            started = time.perf_counter()
-            explain = _explain_recorder("BUDDY+")
-            packed = run_pam_queries(pam, tracer=tracer, explain=explain)
-            timers["BUDDY+/queries"] = time.perf_counter() - started
-            _save_explain(explain, "pam", "BUDDY+", file_name)
-            packed.name = "BUDDY+"
-            packed.snapshot = pam.snapshot()
-            results["BUDDY+"] = packed
-            totals["BUDDY+"] = pam.store.stats - before
-    if tracer is not None:
-        report = build_run_report(
-            label=f"PAM {file_name}",
-            kind="pam",
-            scale=len(points),
-            page_size=512,
-            seed=101,
-            results=results,
-            totals=totals,
-            spans=tracer.finish(),
-            timers=timers,
-            meta={"file": file_name, "bench_scale": bench_scale()},
-        )
-        _pam_reports[file_name] = report
-        report.save(RESULTS_DIR / f"RUN-PAM-{file_name}.json")
-    _record_ledger("pam", file_name, timers, totals, results=results)
-    _pam_cache[file_name] = results
-    return results
+    return _results("pam", file_name)
+
+
+def sam_results(file_name: str) -> dict[str, MethodResult]:
+    """Build every SAM on ``file_name`` and run the §7 query workload."""
+    return _results("sam", file_name)
 
 
 def pam_report(file_name: str) -> RunReport | None:
     """The RunReport of :func:`pam_results` (``None`` without --report)."""
     pam_results(file_name)
-    return _pam_reports.get(file_name)
+    return _reports.get(("pam", file_name))
+
+
+def sam_report(file_name: str) -> RunReport | None:
+    """The RunReport of :func:`sam_results` (``None`` without --report)."""
+    sam_results(file_name)
+    return _reports.get(("sam", file_name))
 
 
 def built_pam(file_name: str, name: str):
-    """The cached built structure (after :func:`pam_results`).
+    """The built structure behind a :func:`pam_results` row.
 
-    In parallel sessions the structures are built inside worker
-    processes, so the representative copy that the ``pytest-benchmark``
-    timing fixture drives is rebuilt here on first demand (BUDDY is
-    packed afterwards, mirroring the serial session where BUDDY+ is
-    derived from the same object).
+    Serial sessions hand back the object the cell built (BUDDY and
+    BUDDY+ are the same, packed, file).  In parallel sessions the
+    structures were built inside worker processes, so the copy that the
+    ``pytest-benchmark`` timing fixture drives is rebuilt here on first
+    demand.
     """
     pam_results(file_name)
     key = (file_name, name)
@@ -312,60 +189,6 @@ def built_pam(file_name: str, name: str):
             pam.pack()
         _pam_built[key] = pam
     return _pam_built[key]
-
-
-def sam_results(file_name: str) -> dict[str, MethodResult]:
-    """Build every SAM on ``file_name`` and run the §7 query workload."""
-    if file_name in _sam_cache:
-        return _sam_cache[file_name]
-    if bench_workers() > 1:
-        results = _parallel_results("sam", file_name)
-        _sam_cache[file_name] = results
-        return results
-    rects = generate_rect_file(file_name, bench_scale())
-    tracer = Tracer() if reports_enabled() else None
-    results: dict[str, MethodResult] = {}
-    totals: dict[str, AccessStats] = {}
-    timers: dict[str, float] = {}
-    for name, factory in standard_sam_factories().items():
-        if tracer is not None:
-            tracer.set_context(structure=name)
-        started = time.perf_counter()
-        sam = build_sam(factory, rects, tracer=tracer)
-        timers[f"{name}/build"] = time.perf_counter() - started
-        started = time.perf_counter()
-        explain = _explain_recorder(name)
-        result = run_sam_queries(sam, tracer=tracer, explain=explain)
-        timers[f"{name}/queries"] = time.perf_counter() - started
-        _save_explain(explain, "sam", name, file_name)
-        result.name = name
-        result.snapshot = sam.snapshot()
-        results[name] = result
-        totals[name] = sam.store.stats.snapshot()
-    if tracer is not None:
-        report = build_run_report(
-            label=f"SAM {file_name}",
-            kind="sam",
-            scale=len(rects),
-            page_size=512,
-            seed=107,
-            results=results,
-            totals=totals,
-            spans=tracer.finish(),
-            timers=timers,
-            meta={"file": file_name, "bench_scale": bench_scale()},
-        )
-        _sam_reports[file_name] = report
-        report.save(RESULTS_DIR / f"RUN-SAM-{file_name}.json")
-    _record_ledger("sam", file_name, timers, totals, results=results)
-    _sam_cache[file_name] = results
-    return results
-
-
-def sam_report(file_name: str) -> RunReport | None:
-    """The RunReport of :func:`sam_results` (``None`` without --report)."""
-    sam_results(file_name)
-    return _sam_reports.get(file_name)
 
 
 def emit(experiment_id: str, text: str) -> None:

@@ -12,10 +12,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
-from repro.core.stats import BuildMetrics
+from repro.core.stats import AccessStats, BuildMetrics
 from repro.geometry.rect import Rect
 from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
@@ -30,10 +30,18 @@ from repro.workloads.queries import (
 __all__ = [
     "PAM_QUERY_TYPES",
     "SAM_QUERY_TYPES",
+    "QUERY_SEEDS",
     "MethodResult",
+    "StructureOutcome",
+    "ExperimentOutcome",
     "measure",
     "build_pam",
     "build_sam",
+    "query_files",
+    "run_cell",
+    "merge_outcomes",
+    "run_experiment",
+    "record_experiment",
     "run_pam_experiment",
     "run_sam_experiment",
     "normalise",
@@ -44,6 +52,9 @@ PAM_QUERY_TYPES = ("range_0.1%", "range_1%", "range_10%", "pm_x", "pm_y")
 
 #: Query-type labels in the order of the paper's SAM tables.
 SAM_QUERY_TYPES = ("point", "intersection", "enclosure", "containment")
+
+#: Default query-file seeds of the two parts of the comparison.
+QUERY_SEEDS = {"pam": 101, "sam": 107}
 
 
 @dataclass
@@ -110,17 +121,17 @@ def _trace_path(directory: Path, kind: str, name: str) -> Path:
     return directory / f"{kind.upper()}-{safe}.json"
 
 
-def build_pam(
-    factory: Callable[..., PointAccessMethod],
-    points: Sequence[tuple[float, ...]],
+def build_method(
+    factory: Callable[..., PointAccessMethod | SpatialAccessMethod],
+    records: Sequence,
     dims: int = 2,
     page_size: int = 512,
     tracer=None,
     audit: bool | None = None,
     vector: bool = True,
     store_factory: Callable[..., PageStore] | None = None,
-) -> PointAccessMethod:
-    """Build a fresh PAM over its own page store and insert all points.
+) -> PointAccessMethod | SpatialAccessMethod:
+    """Build a fresh PAM or SAM over its own page store and insert all records.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) is installed as the new
     store's observer and labels the build's spans ``op="insert"``;
@@ -146,50 +157,50 @@ def build_pam(
     store = store_factory(page_size=page_size, vector=vector)
     if tracer is not None:
         tracer.set_context(op="setup").attach(store)
-    pam = factory(store, dims=dims)
+    method = factory(store, dims=dims)
     if tracer is not None:
         tracer.set_context(op="insert")
-    for rid, point in enumerate(points):
-        pam.insert(point, rid)
+    for rid, record in enumerate(records):
+        method.insert(record, rid)
     if _audit_requested(audit):
-        pam.audit()
-    return pam
+        method.audit()
+    return method
 
 
-def build_sam(
-    factory: Callable[..., SpatialAccessMethod],
-    rects: Sequence[Rect],
-    dims: int = 2,
-    page_size: int = 512,
-    tracer=None,
-    audit: bool | None = None,
-    vector: bool = True,
-    store_factory: Callable[..., PageStore] | None = None,
-) -> SpatialAccessMethod:
-    """Build a fresh SAM over its own page store and insert all rectangles.
+#: One builder serves points and rectangles; both historical names stay.
+build_pam = build_sam = build_method
 
-    ``audit``, ``vector`` and ``store_factory`` behave as in
-    :func:`build_pam`.
+
+def query_files(kind: str, method, seed: int | None = None) -> list[tuple]:
+    """The paper's query files for one built method, in table order.
+
+    Rows are ``(label, query kind, queries, scalar operation)`` — the
+    arguments of :func:`repro.query.driver.run_query_file` behind the
+    label the tables print.  ``kind="pam"`` gives the five files of §3,
+    ``kind="sam"`` the four query types of §7; ``seed`` defaults to
+    :data:`QUERY_SEEDS`.
     """
-    if store_factory is None:
-        store_factory = make_store
-    store = store_factory(page_size=page_size, vector=vector)
-    if tracer is not None:
-        tracer.set_context(op="setup").attach(store)
-    sam = factory(store, dims=dims)
-    if tracer is not None:
-        tracer.set_context(op="insert")
-    for rid, rect in enumerate(rects):
-        sam.insert(rect, rid)
-    if _audit_requested(audit):
-        sam.audit()
-    return sam
+    seed = QUERY_SEEDS[kind] if seed is None else seed
+    if kind == "pam":
+        files = []
+        for label, volume in zip(PAM_QUERY_TYPES[:3], RANGE_QUERY_VOLUMES):
+            queries = generate_range_queries(volume, seed=seed)
+            files.append((label, "range", queries, method.range_query))
+        for label, axis in (("pm_x", 0), ("pm_y", 1)):
+            queries = generate_partial_match_queries(axis, seed=seed + 2)
+            files.append((label, "pm", queries, method.partial_match))
+        return files
+    workload = generate_rect_query_workload(seed=seed)
+    return [("point", "point", workload["points"], method.point_query)] + [
+        (label, label, workload["rectangles"], getattr(method, label))
+        for label in SAM_QUERY_TYPES[1:]
+    ]
 
 
-def run_pam_queries(
-    pam: PointAccessMethod, seed: int = 101, tracer=None, explain=None
+def run_queries(
+    kind: str, method, seed: int | None = None, tracer=None, explain=None
 ) -> MethodResult:
-    """Run the five query files of §3 against a built PAM.
+    """Run :func:`query_files` against a built method.
 
     With a ``tracer``, each query file's operations are recorded as
     spans labelled with the file's query type.  Each file runs through
@@ -201,68 +212,332 @@ def run_pam_queries(
     query file is traced page-by-page under the file's query-type
     label.  Tracing is passive — costs and results are unchanged.
     """
-    result = MethodResult(type(pam).__name__, pam.metrics())
-    for label, volume in zip(PAM_QUERY_TYPES[:3], RANGE_QUERY_VOLUMES):
-        if tracer is not None:
-            tracer.set_context(op=label)
-        if explain is not None:
-            explain.label = label
-        queries = generate_range_queries(volume, seed=seed)
-        outcomes = run_query_file(pam, "range", queries, pam.range_query, explain=explain)
-        result.query_costs[label] = sum(c for c, _ in outcomes) / len(queries)
-        result.query_results[label] = sum(len(hits) for _, hits in outcomes)
-    for label, axis in (("pm_x", 0), ("pm_y", 1)):
-        if tracer is not None:
-            tracer.set_context(op=label)
-        if explain is not None:
-            explain.label = label
-        queries = generate_partial_match_queries(axis, seed=seed + 2)
-        outcomes = run_query_file(pam, "pm", queries, pam.partial_match, explain=explain)
-        result.query_costs[label] = sum(c for c, _ in outcomes) / len(queries)
-        result.query_results[label] = sum(len(hits) for _, hits in outcomes)
-    return result
-
-
-def run_sam_queries(
-    sam: SpatialAccessMethod, seed: int = 107, tracer=None, explain=None
-) -> MethodResult:
-    """Run the four query types of §7 against a built SAM.
-
-    Each query type runs as one batched workload via
-    :func:`repro.query.driver.run_query_file`.  ``explain`` behaves as
-    in :func:`run_pam_queries`.
-    """
-    workload = generate_rect_query_workload(seed=seed)
-    result = MethodResult(type(sam).__name__, sam.metrics())
-    if tracer is not None:
-        tracer.set_context(op="point")
-    if explain is not None:
-        explain.label = "point"
-    outcomes = run_query_file(
-        sam, "point", workload["points"], sam.point_query, explain=explain
-    )
-    result.query_costs["point"] = sum(c for c, _ in outcomes) / len(
-        workload["points"]
-    )
-    result.query_results["point"] = sum(len(hits) for _, hits in outcomes)
-    operations = {
-        "intersection": sam.intersection,
-        "enclosure": sam.enclosure,
-        "containment": sam.containment,
-    }
-    for label, operation in operations.items():
+    result = MethodResult(type(method).__name__, method.metrics())
+    for label, query_kind, queries, operation in query_files(kind, method, seed):
         if tracer is not None:
             tracer.set_context(op=label)
         if explain is not None:
             explain.label = label
         outcomes = run_query_file(
-            sam, label, workload["rectangles"], operation, explain=explain
+            method, query_kind, queries, operation, explain=explain
         )
-        result.query_costs[label] = sum(c for c, _ in outcomes) / len(
-            workload["rectangles"]
-        )
+        result.query_costs[label] = sum(c for c, _ in outcomes) / len(queries)
         result.query_results[label] = sum(len(hits) for _, hits in outcomes)
     return result
+
+
+def run_pam_queries(
+    pam: PointAccessMethod, seed: int = 101, tracer=None, explain=None
+) -> MethodResult:
+    """Run the five query files of §3 against a built PAM."""
+    return run_queries("pam", pam, seed, tracer, explain)
+
+
+def run_sam_queries(
+    sam: SpatialAccessMethod, seed: int = 107, tracer=None, explain=None
+) -> MethodResult:
+    """Run the four query types of §7 against a built SAM."""
+    return run_queries("sam", sam, seed, tracer, explain)
+
+
+@dataclass
+class StructureOutcome:
+    """One table row produced by a cell: result, totals and timings.
+
+    ``storage`` is the store's ``io_stats()`` document on the durable
+    backend (``None`` on the simulated one) — physical-IO counters that
+    ride next to, never instead of, the charged ``totals``.
+    """
+
+    name: str
+    result: MethodResult
+    totals: AccessStats
+    build_seconds: float
+    query_seconds: float
+    storage: dict | None = None
+
+
+def run_cell(
+    kind: str,
+    name: str,
+    factory: Callable,
+    data: Sequence,
+    *,
+    page_size: int = 512,
+    seed: int | None = None,
+    tracer=None,
+    explain_dir: Path | None = None,
+    audit: bool | None = None,
+    derive_packed: bool = False,
+) -> tuple[list[StructureOutcome], object]:
+    """One cell of the comparison grid: build, query files, snapshot, totals.
+
+    This is the paper's standardised procedure for one (data file,
+    structure) pair, and the only place it is written down; every
+    driver — serial, traced, pooled, bench session — calls it.  Returns
+    the cell's table rows and the built method (for in-process callers).
+
+    ``tracer`` observes the build and labels each query file's spans;
+    ``explain_dir`` (already resolved, see :func:`_explain_dir`) gets
+    one :mod:`repro.obs.explain` trace per row.  Both are passive.
+    ``derive_packed`` adds the ``<name>+`` row the way the authors
+    generated BUDDY+ "by computation and simulation": pack the built
+    file and re-run the query files on the same store, charging only
+    the delta from that point on.
+    """
+    if tracer is not None:
+        tracer.set_context(structure=name)
+    started = time.perf_counter()
+    method = build_method(
+        factory, data, page_size=page_size, tracer=tracer, audit=audit
+    )
+    build_seconds = time.perf_counter() - started
+    store = method.store
+    io_stats = getattr(store, "io_stats", None)  # durable backend only
+
+    def row(row_name: str, build_seconds: float, before: AccessStats | None = None):
+        recorder = None
+        if explain_dir is not None:
+            from repro.obs.explain import ExplainRecorder
+
+            recorder = ExplainRecorder(row_name)
+        started = time.perf_counter()
+        result = run_queries(kind, method, seed, tracer, recorder)
+        query_seconds = time.perf_counter() - started
+        result.name = row_name
+        result.snapshot = method.snapshot()
+        if recorder is not None:
+            recorder.save(_trace_path(explain_dir, kind, row_name))
+        totals = store.stats.snapshot() if before is None else store.stats - before
+        storage = io_stats() if io_stats is not None else None
+        return StructureOutcome(
+            row_name, result, totals, build_seconds, query_seconds, storage
+        )
+
+    rows = [row(name, build_seconds)]
+    if derive_packed:
+        before = store.stats.snapshot()
+        if tracer is not None:
+            tracer.set_context(structure=f"{name}+", op="pack")
+        started = time.perf_counter()
+        method.pack()
+        rows.append(row(f"{name}+", time.perf_counter() - started, before))
+    return rows, method
+
+
+@dataclass
+class ExperimentOutcome:
+    """Every cell of one comparison, folded in table order.
+
+    ``results`` preserves the order the cells were submitted in (with
+    derived rows such as BUDDY+ directly after their parent), whichever
+    process ran them.  ``storage`` holds the durable backend's
+    ``io_stats()`` per structure (empty on the simulated backend);
+    ``built`` holds the built methods of cells that ran in this
+    process (pooled and cache-replayed cells have none).
+    """
+
+    results: dict[str, MethodResult] = field(default_factory=dict)
+    totals: dict[str, AccessStats] = field(default_factory=dict)
+    timers: dict[str, float] = field(default_factory=dict)
+    spans: list = field(default_factory=list)
+    storage: dict[str, dict] = field(default_factory=dict)
+    built: dict[str, object] = field(default_factory=dict)
+
+    def add(self, rows: Sequence[StructureOutcome], built=None) -> None:
+        """Fold one cell's rows in."""
+        for row in rows:
+            self.results[row.name] = row.result
+            self.totals[row.name] = row.totals
+            self.timers[f"{row.name}/build"] = row.build_seconds
+            self.timers[f"{row.name}/queries"] = row.query_seconds
+            if row.storage is not None:
+                self.storage[row.name] = row.storage
+            if built is not None:
+                self.built[row.name] = built
+
+    @property
+    def records(self) -> int:
+        """Records in the underlying data file (from the build metrics)."""
+        for result in self.results.values():
+            return result.metrics.records
+        return 0
+
+    @property
+    def snapshots(self) -> dict[str, dict]:
+        """Per-structure snapshots carried by the results."""
+        return {
+            name: result.snapshot
+            for name, result in self.results.items()
+            if result.snapshot is not None
+        }
+
+    def to_report(
+        self,
+        *,
+        label: str,
+        kind: str,
+        page_size: int,
+        seed: int | None,
+        meta: dict | None = None,
+    ):
+        """Assemble the run's :class:`~repro.obs.export.RunReport`."""
+        from repro.obs.export import build_run_report
+
+        return build_run_report(
+            label=label,
+            kind=kind,
+            scale=self.records,
+            page_size=page_size,
+            seed=seed,
+            results=self.results,
+            totals=self.totals,
+            spans=self.spans,
+            timers=self.timers,
+            meta=meta,
+            storage=self.storage or None,
+        )
+
+
+def merge_outcomes(job_results: Sequence) -> ExperimentOutcome:
+    """Fold per-job results (rows + spans) into one outcome, in order."""
+    outcome = ExperimentOutcome()
+    for job in job_results:
+        outcome.add(job.structures, job.built)
+        outcome.spans.extend(job.spans)
+    return outcome
+
+
+def run_experiment(
+    kind: str,
+    factories,
+    data: Sequence,
+    *,
+    seed: int | None = None,
+    page_size: int = 512,
+    tracer=None,
+    workers: int = 1,
+    audit: bool | None = None,
+    explain: bool | str | None = None,
+    cache=None,
+) -> ExperimentOutcome:
+    """Run every structure's cell on the same data file.
+
+    ``factories`` maps table names to factories, which run in this
+    process one :func:`run_cell` after the other.  With ``workers > 1``
+    — or when ``factories`` is just a sequence of names — the cells go
+    through :func:`repro.parallel.runner.run_parallel_experiment`
+    instead: the names must then be registered standard-testbed
+    structures (job specs ship names, not closures), ``cache`` may name
+    a build cache, and neither a shared ``tracer`` nor a post-build
+    audit can follow the cells out of this process.
+    """
+    explain_dir = _explain_dir(explain)
+    if workers > 1 or not isinstance(factories, Mapping):
+        if tracer is not None:
+            raise ValueError(
+                "a shared tracer cannot observe job execution; run a mapping "
+                "of factories with workers=1 (jobs return their own spans)"
+            )
+        if workers > 1 and _audit_requested(audit):
+            raise ValueError("post-build audits run in-process; run with workers=1")
+        from repro.parallel.runner import run_parallel_experiment
+
+        return run_parallel_experiment(
+            kind,
+            list(factories),
+            data,
+            seed=seed,
+            page_size=page_size,
+            workers=workers,
+            cache=cache,
+            explain_dir=explain_dir,
+        )
+    outcome = ExperimentOutcome()
+    for name, factory in factories.items():
+        rows, _ = run_cell(
+            kind,
+            name,
+            factory,
+            data,
+            page_size=page_size,
+            seed=seed,
+            tracer=tracer,
+            explain_dir=explain_dir,
+            audit=audit,
+        )
+        outcome.add(rows)
+    return outcome
+
+
+def record_experiment(
+    ledger,
+    outcome: ExperimentOutcome,
+    *,
+    label: str,
+    source: str,
+    kind: str,
+    scale: int,
+    seed: int | None,
+    workers: int = 1,
+    page_size: int = 512,
+    meta: dict | None = None,
+) -> None:
+    """Append an outcome's timings and totals to the performance ledger.
+
+    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`: ``None``
+    defers to ``REPRO_LEDGER``, ``False`` disables recording.  Snapshot
+    redundancy and durable-backend IO counters fold into the totals
+    (and the backend into the fingerprint) exactly as for a run report —
+    see :func:`repro.obs.ledger.entry_from_timers`.
+    """
+    from repro.obs.ledger import entry_from_timers, resolve_ledger
+
+    target = resolve_ledger(ledger)
+    if target is None:
+        return
+    target.record(
+        entry_from_timers(
+            label=label,
+            source=source,
+            kind=kind,
+            timers=outcome.timers,
+            totals=outcome.totals,
+            snapshots=outcome.snapshots,
+            storage=outcome.storage,
+            page_size=page_size,
+            scale=scale,
+            seed=seed,
+            workers=workers,
+            meta=meta,
+        )
+    )
+
+
+def _experiment_results(
+    kind, factories, data, seed, tracer, workers, audit, ledger, explain
+):
+    outcome = run_experiment(
+        kind,
+        factories,
+        data,
+        seed=seed,
+        tracer=tracer,
+        workers=workers,
+        audit=audit,
+        explain=explain,
+    )
+    record_experiment(
+        ledger,
+        outcome,
+        label=f"{kind}-experiment",
+        source="repro.core.comparison",
+        kind=kind,
+        scale=len(data),
+        seed=seed,
+        workers=workers,
+    )
+    return outcome.results
 
 
 def run_pam_experiment(
@@ -281,14 +556,12 @@ def run_pam_experiment(
     factory name (see :func:`repro.obs.runner.traced_pam_run` for the
     variant that also assembles a :class:`repro.obs.RunReport`).
 
-    ``workers > 1`` fans the structures out over a process pool via
-    :mod:`repro.parallel`; the factory *names* must then be registered
-    standard-testbed structures (job specs ship names, not closures),
-    and a ``tracer`` cannot be threaded through — spans stay inside the
-    workers and are only available via the parallel runner's own API.
+    ``workers > 1`` fans the structures out over a process pool — see
+    :func:`run_experiment` for what that requires of ``factories``,
+    ``tracer`` and ``audit``.
 
-    ``audit=True`` audits every structure post-build (and requires
-    ``workers == 1``, like a tracer); ``None`` defers to ``REPRO_AUDIT``.
+    ``audit=True`` audits every structure post-build; ``None`` defers
+    to ``REPRO_AUDIT``.
 
     ``ledger`` records the run (timings + access totals + per-structure
     redundancy metrics) to the performance ledger; ``None`` defers to
@@ -298,55 +571,12 @@ def run_pam_experiment(
     structure (``PAM-<name>.json``) into the resolved directory;
     ``None`` defers to ``REPRO_EXPLAIN`` (see :func:`_explain_dir`).
     Tracing chains the store observer, so costs are bit-identical with
-    or without it.  With ``workers > 1``, workers resolve
-    ``REPRO_EXPLAIN`` themselves; structures replayed from a warm build
-    cache skip execution and therefore write no trace.
+    or without it, at any worker count; structures replayed from a warm
+    build cache skip execution and therefore write no trace.
     """
-    if workers > 1:
-        if _audit_requested(audit):
-            raise ValueError(
-                "post-build audits run in-process; run with workers=1"
-            )
-        return _parallel_experiment(
-            "pam", factories, points, seed, tracer, workers, ledger
-        )
-    explain_to = _explain_dir(explain)
-    results = {}
-    timers: dict[str, float] = {}
-    totals: dict[str, object] = {}
-    snapshots: dict[str, dict] = {}
-    for name, factory in factories.items():
-        if tracer is not None:
-            tracer.set_context(structure=name)
-        t0 = time.perf_counter()
-        pam = build_pam(factory, points, tracer=tracer, audit=audit)
-        t1 = time.perf_counter()
-        recorder = None
-        if explain_to is not None:
-            from repro.obs.explain import ExplainRecorder
-
-            recorder = ExplainRecorder(name)
-        result = run_pam_queries(pam, seed=seed, tracer=tracer, explain=recorder)
-        t2 = time.perf_counter()
-        result.name = name
-        result.snapshot = pam.snapshot()
-        results[name] = result
-        if recorder is not None:
-            recorder.save(_trace_path(explain_to, "pam", name))
-        timers[f"{name}/build"] = t1 - t0
-        timers[f"{name}/queries"] = t2 - t1
-        totals[name] = pam.store.stats.snapshot()
-        snapshots[name] = result.snapshot
-    _record_experiment(
-        ledger,
-        kind="pam",
-        timers=timers,
-        totals=totals,
-        scale=len(points),
-        seed=seed,
-        snapshots=snapshots,
+    return _experiment_results(
+        "pam", factories, points, seed, tracer, workers, audit, ledger, explain
     )
-    return results
 
 
 def run_sam_experiment(
@@ -361,128 +591,12 @@ def run_sam_experiment(
 ) -> dict[str, MethodResult]:
     """Build every SAM on the same rectangle file and run the queries.
 
-    ``workers > 1`` parallelises by structure exactly like
-    :func:`run_pam_experiment`; ``audit``, ``ledger`` and ``explain``
-    behave as there (trace files are named ``SAM-<name>.json``).
+    Every parameter behaves as in :func:`run_pam_experiment` (trace
+    files are named ``SAM-<name>.json``).
     """
-    if workers > 1:
-        if _audit_requested(audit):
-            raise ValueError(
-                "post-build audits run in-process; run with workers=1"
-            )
-        return _parallel_experiment(
-            "sam", factories, rects, seed, tracer, workers, ledger
-        )
-    explain_to = _explain_dir(explain)
-    results = {}
-    timers: dict[str, float] = {}
-    totals: dict[str, object] = {}
-    snapshots: dict[str, dict] = {}
-    for name, factory in factories.items():
-        if tracer is not None:
-            tracer.set_context(structure=name)
-        t0 = time.perf_counter()
-        sam = build_sam(factory, rects, tracer=tracer, audit=audit)
-        t1 = time.perf_counter()
-        recorder = None
-        if explain_to is not None:
-            from repro.obs.explain import ExplainRecorder
-
-            recorder = ExplainRecorder(name)
-        result = run_sam_queries(sam, seed=seed, tracer=tracer, explain=recorder)
-        t2 = time.perf_counter()
-        result.name = name
-        result.snapshot = sam.snapshot()
-        results[name] = result
-        if recorder is not None:
-            recorder.save(_trace_path(explain_to, "sam", name))
-        timers[f"{name}/build"] = t1 - t0
-        timers[f"{name}/queries"] = t2 - t1
-        totals[name] = sam.store.stats.snapshot()
-        snapshots[name] = result.snapshot
-    _record_experiment(
-        ledger,
-        kind="sam",
-        timers=timers,
-        totals=totals,
-        scale=len(rects),
-        seed=seed,
-        snapshots=snapshots,
+    return _experiment_results(
+        "sam", factories, rects, seed, tracer, workers, audit, ledger, explain
     )
-    return results
-
-
-def _record_experiment(
-    ledger,
-    *,
-    kind: str,
-    timers: dict[str, float],
-    totals: dict,
-    scale: int,
-    seed: int | None,
-    workers: int = 1,
-    page_size: int = 512,
-    snapshots: dict | None = None,
-) -> None:
-    """Append an experiment's timings/totals to the performance ledger.
-
-    ``snapshots`` maps structure name to a structure snapshot; each
-    snapshot's ``redundancy`` block is folded into that structure's
-    access totals, so the gate flags redundancy drift under an
-    identical fingerprint exactly like an access-count drift.
-    """
-    from repro.obs.ledger import entry_from_timers, resolve_ledger
-
-    target = resolve_ledger(ledger)
-    if target is None:
-        return
-    merged: dict[str, dict] = {}
-    for name, stats in totals.items():
-        row = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-        snap = (snapshots or {}).get(name)
-        if snap and "redundancy" in snap:
-            row["redundancy"] = dict(snap["redundancy"])
-        merged[name] = row
-    target.record(
-        entry_from_timers(
-            label=f"{kind}-experiment",
-            source="repro.core.comparison",
-            kind=kind,
-            timers=timers,
-            totals=merged,
-            page_size=page_size,
-            scale=scale,
-            seed=seed,
-            workers=workers,
-        )
-    )
-
-
-def _parallel_experiment(
-    kind: str, factories: dict, data, seed: int, tracer, workers: int, ledger=None
-) -> dict[str, MethodResult]:
-    """Fan an experiment out by structure name via :mod:`repro.parallel`."""
-    if tracer is not None:
-        raise ValueError(
-            "a shared tracer cannot observe worker processes; run with "
-            "workers=1 or use repro.parallel.runner.traced_parallel_run"
-        )
-    from repro.parallel.runner import run_parallel_experiment
-
-    outcome = run_parallel_experiment(
-        kind, list(factories), data, seed=seed, workers=workers
-    )
-    _record_experiment(
-        ledger,
-        kind=kind,
-        timers=outcome.timers,
-        totals=outcome.totals,
-        scale=len(data),
-        seed=seed,
-        workers=workers,
-        snapshots=getattr(outcome, "snapshots", None),
-    )
-    return outcome.results
 
 
 def normalise(

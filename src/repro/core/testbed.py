@@ -26,7 +26,6 @@ access counts are identical either way — only wall-clock time changes.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from typing import Callable
 
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
@@ -41,6 +40,7 @@ from repro.sam.transformation import TransformationSAM
 __all__ = [
     "standard_pam_factories",
     "standard_sam_factories",
+    "standard_factories",
     "run_standard_pam_testbed",
     "run_standard_sam_testbed",
     "testbed_scale",
@@ -59,42 +59,14 @@ def testbed_scale() -> int:
 def testbed_workers() -> int:
     """Worker processes per experiment, from ``REPRO_BENCH_WORKERS``.
 
-    1 (the default) keeps the historical single-process path; anything
-    larger fans each comparison out by structure via
-    :mod:`repro.parallel`, which is outcome-identical by construction.
+    1 (the default) runs every cell in this process; anything larger
+    fans each comparison out by structure via :mod:`repro.parallel` —
+    the same cells, so the outcome is identical by construction.
     """
     try:
         return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
     except ValueError:
         return 1
-
-
-@contextmanager
-def _explain_env(explain):
-    """Carry an ``explain=`` argument to spawn workers via the environment.
-
-    Worker processes read ``REPRO_EXPLAIN`` at job execution time (see
-    :func:`repro.parallel.jobs.execute_job`), so honouring the keyword
-    under ``workers > 1`` means pinning the variable for the duration of
-    the run.  ``None`` leaves the environment alone.
-    """
-    if explain is None:
-        yield
-        return
-    previous = os.environ.get("REPRO_EXPLAIN")
-    if explain is True:
-        os.environ["REPRO_EXPLAIN"] = "1"
-    elif explain is False:
-        os.environ["REPRO_EXPLAIN"] = "0"
-    else:
-        os.environ["REPRO_EXPLAIN"] = str(explain)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_EXPLAIN", None)
-        else:
-            os.environ["REPRO_EXPLAIN"] = previous
 
 
 def standard_pam_factories() -> dict[str, Callable[..., PointAccessMethod]]:
@@ -115,6 +87,28 @@ def standard_pam_factories() -> dict[str, Callable[..., PointAccessMethod]]:
     }
 
 
+def standard_factories(kind: str) -> dict[str, Callable]:
+    """The standard structures of one part of the comparison, by kind."""
+    return standard_pam_factories() if kind == "pam" else standard_sam_factories()
+
+
+def _traced_standard(kind, data, seed, label, page_size, workers, ledger, explain):
+    # Imported lazily so plain testbed users never touch the observability layer.
+    from repro.obs.runner import traced_run
+
+    return traced_run(
+        kind,
+        standard_factories(kind),
+        data,
+        seed=seed,
+        label=label,
+        page_size=page_size,
+        workers=testbed_workers() if workers is None else workers,
+        ledger=ledger,
+        explain=explain,
+    )
+
+
 def run_standard_pam_testbed(
     points,
     seed: int = 101,
@@ -127,41 +121,17 @@ def run_standard_pam_testbed(
     """Traced run of the standard PAM comparison on ``points``.
 
     Returns ``(results, report)`` — see
-    :func:`repro.obs.runner.traced_pam_run`.  Imported lazily so plain
-    testbed users never touch the observability layer.  ``workers``
-    defaults to :func:`testbed_workers`; more than one fans the
-    structures out over a process pool with identical results.
-    ``ledger`` optionally records the run to the performance ledger
-    (``None`` defers to ``REPRO_LEDGER``).  ``explain`` writes one
-    :mod:`repro.obs.explain` trace per structure (``True`` for the
-    default directory, a path for an explicit one, ``None`` defers to
-    ``REPRO_EXPLAIN``) at any worker count, without changing results.
+    :func:`repro.obs.runner.traced_run`.  ``workers`` defaults to
+    :func:`testbed_workers`; more than one fans the structures out over
+    a process pool with identical results.  ``ledger`` optionally
+    records the run to the performance ledger (``None`` defers to
+    ``REPRO_LEDGER``).  ``explain`` writes one :mod:`repro.obs.explain`
+    trace per structure (``True`` for the default directory, a path for
+    an explicit one, ``None`` defers to ``REPRO_EXPLAIN``) at any
+    worker count, without changing results.
     """
-    workers = testbed_workers() if workers is None else workers
-    if workers > 1:
-        from repro.parallel.runner import traced_parallel_run
-
-        with _explain_env(explain):
-            return traced_parallel_run(
-                "pam",
-                list(standard_pam_factories()),
-                points,
-                seed=seed,
-                label=label,
-                page_size=page_size,
-                workers=workers,
-                ledger=ledger,
-            )
-    from repro.obs.runner import traced_pam_run
-
-    return traced_pam_run(
-        standard_pam_factories(),
-        points,
-        seed=seed,
-        label=label,
-        page_size=page_size,
-        ledger=ledger,
-        explain=explain,
+    return _traced_standard(
+        "pam", points, seed, label, page_size, workers, ledger, explain
     )
 
 
@@ -175,31 +145,8 @@ def run_standard_sam_testbed(
     explain=None,
 ):
     """Traced run of the standard SAM comparison on ``rects``."""
-    workers = testbed_workers() if workers is None else workers
-    if workers > 1:
-        from repro.parallel.runner import traced_parallel_run
-
-        with _explain_env(explain):
-            return traced_parallel_run(
-                "sam",
-                list(standard_sam_factories()),
-                rects,
-                seed=seed,
-                label=label,
-                page_size=page_size,
-                workers=workers,
-                ledger=ledger,
-            )
-    from repro.obs.runner import traced_sam_run
-
-    return traced_sam_run(
-        standard_sam_factories(),
-        rects,
-        seed=seed,
-        label=label,
-        page_size=page_size,
-        ledger=ledger,
-        explain=explain,
+    return _traced_standard(
+        "sam", rects, seed, label, page_size, workers, ledger, explain
     )
 
 

@@ -612,12 +612,30 @@ def entry_from_timers(
     reports: Mapping | None = None,
     meta: Mapping | None = None,
     fingerprint: Mapping | None = None,
+    snapshots: Mapping[str, Mapping] | None = None,
+    storage: Mapping[str, Mapping] | None = None,
 ) -> LedgerEntry:
     """Build an entry from ``<structure>/build|queries`` timer seconds.
 
     ``totals`` maps structure name to an access-stats mapping (or an
     object with ``as_dict``); they ride along so the gate can detect
     behaviour drift, not just slowdowns.
+
+    ``snapshots`` maps structure name to its structure snapshot; each
+    snapshot's redundancy metrics fold into that structure's totals, so
+    the gate flags redundancy drift under an identical fingerprint
+    exactly like an access-count drift (both are deterministic, so any
+    change is a behaviour change).
+
+    ``storage`` maps structure name to the durable backend's
+    ``io_stats()`` document, which contributes twice: the
+    *deterministic* physical-IO counters (:func:`storage_io_totals`)
+    fold into the structure's totals — drift under an identical
+    fingerprint fails the gate outright — while the *noisy* fsync
+    latency percentiles land as ``*_seconds`` metric leaves, gated at
+    the usual regression threshold.  Unless ``fingerprint`` is given,
+    the collected one additionally grows a ``storage`` key (backend +
+    pool budget) so disk runs never gate against sim history.
     """
     structures: dict[str, dict[str, float]] = {}
     for key, seconds in timers.items():
@@ -628,25 +646,40 @@ def entry_from_timers(
         structures.setdefault(name, {})[metric] = (
             structures.get(name, {}).get(metric, 0.0) + seconds
         )
-    metrics: dict = {
-        "total_seconds": sum(timers.values()),
-        "structures": structures,
-    }
     totals_dict = None
     if totals:
         totals_dict = {
             name: stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
             for name, stats in totals.items()
         }
+        for name, snapshot in (snapshots or {}).items():
+            if name in totals_dict and isinstance(snapshot.get("redundancy"), Mapping):
+                totals_dict[name]["redundancy"] = dict(snapshot["redundancy"])
+    storage_fp = None
+    for name, io in (storage or {}).items():
+        if storage_fp is None:
+            storage_fp = {
+                "backend": io.get("backend", "disk"),
+                "pool": io.get("pool", {}).get("budget"),
+            }
+        if totals_dict is not None and name in totals_dict:
+            totals_dict[name]["storage_io"] = storage_io_totals(io)
+        leaves = storage_latency_leaves(io)
+        if leaves:
+            structures.setdefault(name, {}).update(leaves)
     return LedgerEntry(
         label=label,
         source=source,
         fingerprint=dict(fingerprint)
         if fingerprint is not None
         else collect_fingerprint(
-            page_size=page_size, scale=scale, seed=seed, workers=workers
+            page_size=page_size,
+            scale=scale,
+            seed=seed,
+            workers=workers,
+            storage=storage_fp,
         ),
-        metrics=metrics,
+        metrics={"total_seconds": sum(timers.values()), "structures": structures},
         totals=totals_dict,
         reports=dict(reports or {}),
         meta={"kind": kind, **dict(meta or {})},
@@ -665,61 +698,29 @@ def entry_from_run_report(
 ) -> LedgerEntry:
     """Derive a ledger entry from a :class:`~repro.obs.export.RunReport`.
 
-    A structure entry carrying a ``snapshot`` contributes the snapshot's
-    redundancy metrics to its access totals, so the gate flags
-    redundancy drift under an identical fingerprint exactly like an
-    access-count drift (both are deterministic, so any change is a
-    behaviour change).
-
-    A structure entry carrying a ``storage`` block (durable backend)
-    contributes twice: the *deterministic* physical-IO counters (pool
-    hits/misses/evictions, page-file and WAL traffic, commits, write
-    amplification) fold into the structure's access totals — drift
-    under an identical fingerprint fails the gate outright — while the
-    *noisy* fsync latency percentiles land as ``*_seconds`` metric
-    leaves, gated at the usual regression threshold.  The fingerprint
-    additionally grows a ``storage`` key (backend + pool budget) so
-    disk runs never gate against sim history.
+    Each structure entry's ``snapshot`` and ``storage`` blocks fold in
+    as described for :func:`entry_from_timers`.
     """
     timers: dict[str, float] = {}
-    totals: dict[str, dict] = {}
-    storage_fp: dict | None = None
-    latency_leaves: dict[str, dict[str, float]] = {}
     for name, entry in report.structures.items():
         timers[f"{name}/build"] = entry.get("build", {}).get("seconds", 0.0)
         timers[f"{name}/queries"] = sum(
             q.get("seconds", 0.0) for q in entry.get("queries", {}).values()
         )
-        totals[name] = dict(entry.get("totals", {}))
-        redundancy = (entry.get("snapshot") or {}).get("redundancy")
-        if isinstance(redundancy, Mapping):
-            totals[name]["redundancy"] = dict(redundancy)
-        storage = entry.get("storage")
-        if not isinstance(storage, Mapping):
-            continue
-        if storage_fp is None:
-            storage_fp = {
-                "backend": storage.get("backend", "disk"),
-                "pool": storage.get("pool", {}).get("budget"),
-            }
-        totals[name]["storage_io"] = storage_io_totals(storage)
-        leaves = storage_latency_leaves(storage)
-        if leaves:
-            latency_leaves[name] = leaves
-    if fingerprint is None and storage_fp is not None:
-        fingerprint = collect_fingerprint(
-            page_size=report.page_size,
-            scale=report.scale,
-            seed=report.seed,
-            workers=workers,
-            storage=storage_fp,
-        )
-    ledger_entry = entry_from_timers(
+
+    def blocks(key: str) -> dict:
+        return {
+            name: entry[key]
+            for name, entry in report.structures.items()
+            if isinstance(entry.get(key), Mapping)
+        }
+
+    return entry_from_timers(
         label=label or report.label,
         source=source,
         kind=report.kind,
         timers=timers,
-        totals=totals,
+        totals={n: e.get("totals", {}) for n, e in report.structures.items()},
         page_size=report.page_size,
         scale=report.scale,
         seed=report.seed,
@@ -727,10 +728,9 @@ def entry_from_run_report(
         reports=reports,
         meta=meta,
         fingerprint=fingerprint,
+        snapshots=blocks("snapshot"),
+        storage=blocks("storage"),
     )
-    for name, leaves in latency_leaves.items():
-        ledger_entry.metrics["structures"].setdefault(name, {}).update(leaves)
-    return ledger_entry
 
 
 def _scale_seconds(metrics, factor: float):

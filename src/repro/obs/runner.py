@@ -1,94 +1,91 @@
 """Traced experiment runs: the §3/§7 driver plus observability.
 
-These helpers wrap :mod:`repro.core.comparison`'s build/query functions
-with a :class:`~repro.obs.tracer.Tracer` and wall-clock timers, and
-assemble the result into a :class:`~repro.obs.export.RunReport`.  The
-tracer only *observes* the page stores, so the returned
+:func:`traced_run` runs :func:`repro.core.comparison.run_experiment`
+under a :class:`~repro.obs.tracer.Tracer` (or, with ``workers > 1``,
+collects the spans the worker processes traced) and assembles the
+outcome into a :class:`~repro.obs.export.RunReport`.  The tracer only
+*observes* the page stores, so the returned
 :class:`~repro.core.comparison.MethodResult` objects — and every
 access count inside the report — are identical to an untraced run with
-the same data and seed.
+the same data and seed, at any worker count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.core.comparison import (
-    MethodResult,
-    _explain_dir,
-    _trace_path,
-    build_pam,
-    build_sam,
-    run_pam_queries,
-    run_sam_queries,
-)
+from repro.core.comparison import QUERY_SEEDS, MethodResult, run_experiment
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
-from repro.core.stats import AccessStats
 from repro.geometry.rect import Rect
-from repro.obs.export import RunReport, build_run_report
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import RunReport
 from repro.obs.tracer import Tracer
 
-__all__ = ["record_to_ledger", "traced_pam_run", "traced_sam_run"]
+__all__ = ["record_to_ledger", "traced_run", "traced_pam_run", "traced_sam_run"]
 
 
-def _traced_run(
+def traced_run(
     kind: str,
-    factories: dict,
-    data,
-    build,
-    run_queries,
+    factories,
+    data: Sequence,
     *,
-    seed: int,
-    label: str,
-    page_size: int,
-    record_events: bool,
-    sink,
-    meta: dict | None,
+    seed: int | None = None,
+    label: str | None = None,
+    page_size: int = 512,
+    record_events: bool = False,
+    sink=None,
+    meta: dict | None = None,
     ledger=None,
     explain: bool | str | None = None,
+    workers: int = 1,
+    cache=None,
 ) -> tuple[dict[str, MethodResult], RunReport]:
-    tracer = Tracer(record_events=record_events, sink=sink)
-    registry = MetricsRegistry()
-    explain_to = _explain_dir(explain)
-    results: dict[str, MethodResult] = {}
-    totals: dict[str, AccessStats] = {}
-    storage: dict[str, dict] = {}
-    for name, factory in factories.items():
-        tracer.set_context(structure=name, op="insert")
-        with registry.timer(f"{name}/build"):
-            method = build(factory, data, page_size=page_size, tracer=tracer)
-        recorder = None
-        if explain_to is not None:
-            from repro.obs.explain import ExplainRecorder
+    """Run one comparison, report it, and record it to the ledger.
 
-            recorder = ExplainRecorder(name)
-        with registry.timer(f"{name}/queries"):
-            result = run_queries(method, seed=seed, tracer=tracer, explain=recorder)
-        if recorder is not None:
-            recorder.save(_trace_path(explain_to, kind, name))
-        result.name = name
-        result.snapshot = method.snapshot()
-        results[name] = result
-        totals[name] = method.store.stats.snapshot()
-        io_stats = getattr(method.store, "io_stats", None)
-        if io_stats is not None:  # durable backend: physical-IO counters
-            storage[name] = io_stats()
-    report = build_run_report(
-        label=label,
+    Returns ``(results, report)`` where ``results`` is exactly what
+    :func:`repro.core.comparison.run_pam_experiment` /
+    ``run_sam_experiment`` would produce and ``report`` adds
+    per-operation histograms, timings, totals and — on the durable
+    backend — each structure's physical-IO ``storage`` block.
+
+    ``factories``, ``workers`` and ``cache`` are those of
+    :func:`~repro.core.comparison.run_experiment`: a mapping at
+    ``workers=1`` runs in this process under one tracer, which is the
+    only case ``record_events`` / ``sink`` (see
+    :class:`~repro.obs.tracer.Tracer`) can serve; otherwise every job
+    traces itself and the merged spans yield the same histograms.
+    ``ledger`` follows :func:`record_to_ledger`, ``explain``
+    :func:`repro.core.comparison.run_pam_experiment`.
+    """
+    tracer = None
+    if workers == 1 and isinstance(factories, Mapping):
+        tracer = Tracer(record_events=record_events, sink=sink)
+    elif record_events or sink is not None:
+        raise ValueError(
+            "record_events / sink need the single in-process tracer; run a "
+            "mapping of factories with workers=1"
+        )
+    outcome = run_experiment(
+        kind,
+        factories,
+        data,
+        seed=seed,
+        page_size=page_size,
+        tracer=tracer,
+        workers=workers,
+        explain=explain,
+        cache=cache,
+    )
+    if tracer is not None:
+        outcome.spans = tracer.finish()
+    report = outcome.to_report(
+        label=label or f"{kind.upper()} run",
         kind=kind,
-        scale=len(data),
         page_size=page_size,
         seed=seed,
-        results=results,
-        totals=totals,
-        spans=tracer.finish(),
-        timers={name: timer.seconds for name, timer in registry.timers().items()},
         meta=meta,
-        storage=storage or None,
     )
-    record_to_ledger(report, ledger=ledger)
-    return results, report
+    record_to_ledger(report, ledger=ledger, workers=workers)
+    return outcome.results, report
 
 
 def record_to_ledger(report: RunReport, *, ledger=None, workers: int = 1) -> None:
@@ -111,70 +108,19 @@ def traced_pam_run(
     factories: dict[str, Callable[..., PointAccessMethod]],
     points: Sequence[tuple[float, ...]],
     *,
-    seed: int = 101,
-    label: str = "PAM run",
-    page_size: int = 512,
-    record_events: bool = False,
-    sink=None,
-    meta: dict | None = None,
-    ledger=None,
-    explain: bool | str | None = None,
+    seed: int = QUERY_SEEDS["pam"],
+    **options,
 ) -> tuple[dict[str, MethodResult], RunReport]:
-    """Build every PAM on ``points``, run the §3 query files, report.
-
-    Returns ``(results, report)`` where ``results`` is exactly what
-    :func:`repro.core.comparison.run_pam_experiment` would produce and
-    ``report`` adds per-operation histograms, timings and totals.
-    ``ledger`` optionally appends the run to the
-    performance ledger (see :func:`record_to_ledger`).  ``explain``
-    follows :func:`repro.core.comparison._explain_dir` semantics
-    (``None`` defers to ``REPRO_EXPLAIN``): when active, one
-    :mod:`repro.obs.explain` trace per structure lands in the trace
-    directory, without changing any reported number.
-    """
-    return _traced_run(
-        "pam",
-        factories,
-        points,
-        build_pam,
-        run_pam_queries,
-        seed=seed,
-        label=label,
-        page_size=page_size,
-        record_events=record_events,
-        sink=sink,
-        meta=meta,
-        ledger=ledger,
-        explain=explain,
-    )
+    """:func:`traced_run` of every PAM on ``points`` (§3 query files)."""
+    return traced_run("pam", factories, points, seed=seed, **options)
 
 
 def traced_sam_run(
     factories: dict[str, Callable[..., SpatialAccessMethod]],
     rects: Sequence[Rect],
     *,
-    seed: int = 107,
-    label: str = "SAM run",
-    page_size: int = 512,
-    record_events: bool = False,
-    sink=None,
-    meta: dict | None = None,
-    ledger=None,
-    explain: bool | str | None = None,
+    seed: int = QUERY_SEEDS["sam"],
+    **options,
 ) -> tuple[dict[str, MethodResult], RunReport]:
-    """Build every SAM on ``rects``, run the §7 query workload, report."""
-    return _traced_run(
-        "sam",
-        factories,
-        rects,
-        build_sam,
-        run_sam_queries,
-        seed=seed,
-        label=label,
-        page_size=page_size,
-        record_events=record_events,
-        sink=sink,
-        meta=meta,
-        ledger=ledger,
-        explain=explain,
-    )
+    """:func:`traced_run` of every SAM on ``rects`` (§7 query workload)."""
+    return traced_run("sam", factories, rects, seed=seed, **options)

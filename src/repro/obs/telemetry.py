@@ -66,6 +66,7 @@ __all__ = [
     "set_telemetry",
     "summarise_histogram",
     "telemetry_enabled",
+    "timeline_dir",
     "to_prometheus",
     "validate_io_stats",
     "validate_timeline",
@@ -89,6 +90,12 @@ _ON_VALUES = {"1", "true", "on", "yes"}
 def telemetry_enabled() -> bool:
     """Whether ``REPRO_TELEMETRY`` turns the telemetry layer on."""
     return os.environ.get(TELEMETRY_ENV, "").strip().lower() in _ON_VALUES
+
+
+def timeline_dir() -> Path | None:
+    """The ``REPRO_TELEMETRY_DIR`` per-job timeline directory, if set."""
+    raw = os.environ.get(TIMELINE_DIR_ENV, "").strip()
+    return Path(raw) if raw else None
 
 
 def slow_op_threshold_seconds() -> float | None:

@@ -8,7 +8,7 @@ package exploits that independence three ways:
 * :mod:`repro.parallel.jobs` — picklable :class:`JobSpec` descriptions
   of one cell (names and seeds, never callables, so they survive a
   ``spawn`` boundary) and the worker-side :func:`execute_job` that
-  replays the serial bench sequence exactly.
+  runs the spec's :func:`~repro.core.comparison.run_cell`.
 * :mod:`repro.parallel.runner` — :func:`run_specs` fans specs out over
   a process pool and :func:`merge_outcomes` folds job results back in
   deterministic spec order, yielding tables, totals, timers and tracer
@@ -22,8 +22,8 @@ package exploits that independence three ways:
   match, and records the wall-clock speedup in
   ``results/BENCH_PARALLEL.json``.
 
-The benches opt in via ``REPRO_BENCH_WORKERS=N`` (default 1 keeps the
-bit-identical serial path) and place the cache via
+The benches opt in via ``REPRO_BENCH_WORKERS=N`` (default 1 runs the
+same cells inline) and place the cache via
 ``REPRO_BUILD_CACHE`` (a directory, or ``off`` to disable).
 """
 
@@ -38,7 +38,6 @@ from repro.parallel.jobs import (
 )
 from repro.parallel.runner import (
     ExperimentOutcome,
-    default_workers,
     merge_outcomes,
     run_pam_file,
     run_parallel_experiment,
@@ -55,7 +54,6 @@ __all__ = [
     "StructureOutcome",
     "cache_from_env",
     "code_fingerprint",
-    "default_workers",
     "execute_job",
     "merge_outcomes",
     "pam_file_specs",

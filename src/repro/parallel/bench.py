@@ -24,22 +24,14 @@ import time
 from pathlib import Path
 
 from repro.core.testbed import testbed_scale
-from repro.parallel.cache import BuildCache, cache_from_env
+from repro.parallel.cache import BuildCache, cache_from_env, default_results_root
 from repro.parallel.jobs import JobSpec, pam_file_specs, sam_file_specs
 from repro.parallel.runner import ExperimentOutcome, merge_outcomes, run_specs
 
-__all__ = ["BENCH_SCHEMA", "build_grid", "compare_outcomes", "main", "results_dir"]
+__all__ = ["BENCH_SCHEMA", "build_grid", "compare_outcomes", "main"]
 
 #: Schema identifier of results/BENCH_PARALLEL.json.
 BENCH_SCHEMA = "repro.parallel/bench/v1"
-
-
-def results_dir() -> Path:
-    """The repo's ``results/`` directory (falls back to ``./results``)."""
-    for parent in Path(__file__).resolve().parents:
-        if (parent / "results").is_dir() or (parent / "pyproject.toml").is_file():
-            return parent / "results"
-    return Path.cwd() / "results"
 
 
 def build_grid(
@@ -267,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         "verified": verified,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    output = Path(args.output) if args.output else results_dir() / "BENCH_PARALLEL.json"
+    output = Path(args.output or default_results_root() / "BENCH_PARALLEL.json")
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")

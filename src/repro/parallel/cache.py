@@ -71,7 +71,7 @@ def cache_from_env(env: str = "REPRO_BUILD_CACHE") -> "BuildCache | None":
         return None
     if value:
         return BuildCache(Path(value))
-    return BuildCache(_default_root())
+    return BuildCache(default_results_root() / ".build_cache")
 
 
 def default_results_root() -> Path:
@@ -86,11 +86,6 @@ def default_results_root() -> Path:
         if (parent / "results").is_dir() or (parent / "pyproject.toml").is_file():
             return parent / "results"
     return Path.cwd() / "results"
-
-
-def _default_root() -> Path:
-    """``<repo>/results/.build_cache`` when run from a checkout."""
-    return default_results_root() / ".build_cache"
 
 
 class BuildCache:

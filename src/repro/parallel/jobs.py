@@ -6,37 +6,28 @@ parameter that determines its outcome (scale, page size, query seed).
 Specs carry *names*, never callables, so they cross a ``spawn`` process
 boundary; the worker resolves the structure through the standard
 testbed registries and regenerates the data file from its deterministic
-generator.  :func:`execute_job` then replays exactly the serial bench
-sequence — build, query files, and for BUDDY the derived BUDDY+ pack —
-under a private :class:`~repro.obs.tracer.Tracer`, so the merged spans,
+generator.  :func:`execute_job` then runs the spec's
+:func:`~repro.core.comparison.run_cell` — the same function every
+in-process driver calls — under a private
+:class:`~repro.obs.tracer.Tracer`, so the merged spans,
 :class:`~repro.core.comparison.MethodResult` numbers and
-:class:`~repro.core.stats.AccessStats` totals are identical to a
+:class:`~repro.core.stats.AccessStats` totals are those of a
 single-process run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.comparison import (
-    MethodResult,
-    build_pam,
-    build_sam,
-    run_pam_queries,
-    run_sam_queries,
-)
-from repro.core.stats import AccessStats
+from repro.core.comparison import QUERY_SEEDS, StructureOutcome, run_cell
+from repro.core.testbed import standard_factories
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
-    "PAM_SEED",
-    "SAM_SEED",
     "JobSpec",
     "StructureOutcome",
     "JobResult",
@@ -47,11 +38,6 @@ __all__ = [
     "pam_file_specs",
     "sam_file_specs",
 ]
-
-#: Query seeds of the serial benches (`run_pam_queries`/`run_sam_queries`).
-PAM_SEED = 101
-SAM_SEED = 107
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -82,9 +68,7 @@ class JobSpec:
 
     @property
     def query_seed(self) -> int:
-        return self.seed if self.seed is not None else (
-            PAM_SEED if self.kind == "pam" else SAM_SEED
-        )
+        return self.seed if self.seed is not None else QUERY_SEEDS[self.kind]
 
     def cache_fields(self) -> dict:
         """The key material for :class:`~repro.parallel.cache.BuildCache`."""
@@ -104,23 +88,21 @@ class JobSpec:
 
 
 @dataclass
-class StructureOutcome:
-    """One table row produced by a job: result, totals and timings."""
-
-    name: str
-    result: MethodResult
-    totals: AccessStats
-    build_seconds: float
-    query_seconds: float
-
-
-@dataclass
 class JobResult:
-    """Everything a worker sends back for one spec (all picklable)."""
+    """Everything a worker sends back for one spec.
+
+    ``built`` is the built method, for callers in the executing
+    process; it is never pickled, so pooled and cache-replayed results
+    carry ``None``.
+    """
 
     spec: JobSpec
     structures: list[StructureOutcome]
     spans: list[Span] = field(default_factory=list)
+    built: object = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "built": None}
 
 
 def data_digest(data: Sequence) -> str:
@@ -137,9 +119,7 @@ def resolve_factory(kind: str, structure: str):
     structures can run in workers; anything else raises a ``KeyError``
     that lists the valid names.
     """
-    from repro.core.testbed import standard_pam_factories, standard_sam_factories
-
-    registry = standard_pam_factories() if kind == "pam" else standard_sam_factories()
+    registry = standard_factories(kind)
     try:
         return registry[structure]
     except KeyError:
@@ -172,24 +152,18 @@ def _job_telemetry(spec: JobSpec):
     label-derived names are deterministic, so the runner can merge the
     per-worker timelines into one reproducible document afterwards.
     """
-    from repro.obs.telemetry import (
-        TIMELINE_DIR_ENV,
-        FlightRecorder,
-        active_telemetry,
-    )
+    from repro.obs.telemetry import FlightRecorder, active_telemetry, timeline_dir
 
     telem = active_telemetry()
-    if telem is None:
-        return None, None
-    raw = os.environ.get(TIMELINE_DIR_ENV, "").strip()
-    if not raw:
+    directory = timeline_dir() if telem is not None else None
+    if directory is None:
         return telem, None
     safe = "".join(
         ch if ch.isalnum() or ch in "+-." else "_" for ch in spec.label()
     )
     recorder = FlightRecorder(
         telem,
-        Path(raw) / f"timeline-{safe}.jsonl",
+        directory / f"timeline-{safe}.jsonl",
         interval_seconds=0.1,
         label=spec.label(),
         worker=safe,
@@ -197,113 +171,63 @@ def _job_telemetry(spec: JobSpec):
     return telem, recorder.start()
 
 
-def execute_job(spec: JobSpec, data: Sequence | None = None) -> JobResult:
-    """Run one build+query cell and return its complete outcome.
+def execute_job(
+    spec: JobSpec, data: Sequence | None = None, explain_dir: Path | None = None
+) -> JobResult:
+    """Run the spec's cell and return its complete outcome.
 
-    This is the function a pool worker runs; it mirrors the serial
-    bench loop of ``benchmarks/conftest.py`` step for step (same
-    builders, same query seeds, same BUDDY+ derivation and same tracer
-    context labels), which is what makes the merged outcome
-    indistinguishable from a serial session.
-
-    Each outcome's :class:`MethodResult` carries the structure's
-    post-build snapshot (:mod:`repro.obs.structure`); snapshots are
-    uncharged walks, so totals stay identical to pre-snapshot runs.
-    With ``REPRO_EXPLAIN`` set, the worker also writes one
-    :mod:`repro.obs.explain` trace per structure — workers inherit the
-    environment, so a parallel run traces exactly like a serial one
-    (structures replayed from a warm build cache skip execution and
-    write no trace).
+    This is the function a pool worker runs (and ``workers=1`` runs
+    inline): resolve the factory by name, call
+    :func:`~repro.core.comparison.run_cell` under a private tracer,
+    wrap the flight recorder around it.  ``explain_dir`` is the
+    caller's resolved trace directory — an argument, not key material,
+    so it never perturbs the build cache; cells of a named data file
+    trace into a subdirectory of that name, or each file's traces
+    would overwrite the last.
     """
-    from repro.core.comparison import _explain_dir, _trace_path
-
     if data is None:
         data = load_job_data(spec)
     factory = resolve_factory(spec.kind, spec.structure)
-    build = build_pam if spec.kind == "pam" else build_sam
-    run_queries = run_pam_queries if spec.kind == "pam" else run_sam_queries
-    explain_to = _explain_dir()
-    if explain_to is not None and spec.file:
-        # One subdirectory per data file, mirroring the serial bench:
-        # without it, each file's traces would overwrite the last.
-        explain_to = explain_to / spec.file
-
-    def recorder(name: str):
-        if explain_to is None:
-            return None
-        from repro.obs.explain import ExplainRecorder
-
-        return ExplainRecorder(name)
-
+    if explain_dir is not None and spec.file:
+        explain_dir = Path(explain_dir) / spec.file
     telem, flight = _job_telemetry(spec)
     try:
         tracer = Tracer()
-        tracer.set_context(structure=spec.structure)
-        started = time.perf_counter()
-        method = build(factory, data, page_size=spec.page_size, tracer=tracer)
-        build_seconds = time.perf_counter() - started
-        explain = recorder(spec.structure)
-        started = time.perf_counter()
-        result = run_queries(
-            method, seed=spec.query_seed, tracer=tracer, explain=explain
+        rows, method = run_cell(
+            spec.kind,
+            spec.structure,
+            factory,
+            data,
+            page_size=spec.page_size,
+            seed=spec.query_seed,
+            tracer=tracer,
+            explain_dir=explain_dir,
+            derive_packed=spec.derive_packed,
         )
-        query_seconds = time.perf_counter() - started
         if telem is not None:
-            telem.observe("bench.build_seconds", build_seconds)
-            telem.observe("bench.query_seconds", query_seconds)
-        result.name = spec.structure
-        result.snapshot = method.snapshot()
-        if explain is not None:
-            explain.save(_trace_path(explain_to, spec.kind, spec.structure))
-        structures = [
-            StructureOutcome(
-                spec.structure,
-                result,
-                method.store.stats.snapshot(),
-                build_seconds,
-                query_seconds,
-            )
-        ]
-
-        if spec.derive_packed:
-            # BUDDY+ is not a separate build: pack the just-built BUDDY
-            # file and re-run the query files on the same store, charging
-            # only the delta — exactly how the serial bench derives the
-            # row.
-            before = method.store.stats.snapshot()
-            tracer.set_context(structure=f"{spec.structure}+", op="pack")
-            started = time.perf_counter()
-            method.pack()
-            pack_seconds = time.perf_counter() - started
-            explain = recorder(f"{spec.structure}+")
-            started = time.perf_counter()
-            packed = run_queries(
-                method, seed=spec.query_seed, tracer=tracer, explain=explain
-            )
-            packed_seconds = time.perf_counter() - started
-            if telem is not None:
-                telem.observe("bench.build_seconds", pack_seconds)
-                telem.observe("bench.query_seconds", packed_seconds)
-            packed.name = f"{spec.structure}+"
-            packed.snapshot = method.snapshot()
-            if explain is not None:
-                explain.save(_trace_path(explain_to, spec.kind, packed.name))
-            structures.append(
-                StructureOutcome(
-                    packed.name,
-                    packed,
-                    method.store.stats - before,
-                    pack_seconds,
-                    packed_seconds,
-                )
-            )
-
-        return JobResult(
-            spec=spec, structures=structures, spans=tracer.finish()
-        )
+            for row in rows:
+                telem.observe("bench.build_seconds", row.build_seconds)
+                telem.observe("bench.query_seconds", row.query_seconds)
+        return JobResult(spec, rows, tracer.finish(), built=method)
     finally:
         if flight is not None:
             flight.stop()
+
+
+def _file_specs(kind: str, file_name: str, scale: int, structures, page_size, seed):
+    names = structures if structures is not None else standard_factories(kind)
+    return [
+        JobSpec(
+            kind=kind,
+            structure=name,
+            scale=scale,
+            page_size=page_size,
+            seed=seed,
+            file=file_name,
+            derive_packed=(kind == "pam" and name == "BUDDY"),
+        )
+        for name in names
+    ]
 
 
 def pam_file_specs(
@@ -312,26 +236,10 @@ def pam_file_specs(
     *,
     structures: Sequence[str] | None = None,
     page_size: int = 512,
-    seed: int = PAM_SEED,
+    seed: int = QUERY_SEEDS["pam"],
 ) -> list[JobSpec]:
     """One spec per standard PAM on ``file_name`` (BUDDY derives BUDDY+)."""
-    from repro.core.testbed import standard_pam_factories
-
-    names = list(structures) if structures is not None else list(
-        standard_pam_factories()
-    )
-    return [
-        JobSpec(
-            kind="pam",
-            structure=name,
-            scale=scale,
-            page_size=page_size,
-            seed=seed,
-            file=file_name,
-            derive_packed=(name == "BUDDY"),
-        )
-        for name in names
-    ]
+    return _file_specs("pam", file_name, scale, structures, page_size, seed)
 
 
 def sam_file_specs(
@@ -340,22 +248,7 @@ def sam_file_specs(
     *,
     structures: Sequence[str] | None = None,
     page_size: int = 512,
-    seed: int = SAM_SEED,
+    seed: int = QUERY_SEEDS["sam"],
 ) -> list[JobSpec]:
     """One spec per standard SAM on ``file_name``."""
-    from repro.core.testbed import standard_sam_factories
-
-    names = list(structures) if structures is not None else list(
-        standard_sam_factories()
-    )
-    return [
-        JobSpec(
-            kind="sam",
-            structure=name,
-            scale=scale,
-            page_size=page_size,
-            seed=seed,
-            file=file_name,
-        )
-        for name in names
-    ]
+    return _file_specs("sam", file_name, scale, structures, page_size, seed)

@@ -11,25 +11,20 @@ so the merged tables, totals, timers and tracer spans are identical to
 a serial run regardless of which worker finished first.
 
 ``workers=1`` executes the specs inline in the calling process — no
-pool, no pickling — which keeps the default bench path bit-identical
-to the historical serial code.
+pool, no pickling; either way each spec runs the same
+:func:`~repro.core.comparison.run_cell`.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.comparison import MethodResult
-from repro.core.stats import AccessStats
-from repro.obs.tracer import Span
+from repro.core.comparison import QUERY_SEEDS, ExperimentOutcome, merge_outcomes
+from repro.obs.runner import traced_run as traced_parallel_run
 from repro.parallel.cache import BuildCache, cache_from_env
 from repro.parallel.jobs import (
-    PAM_SEED,
-    SAM_SEED,
     JobResult,
     JobSpec,
     data_digest,
@@ -40,7 +35,6 @@ from repro.parallel.jobs import (
 
 __all__ = [
     "ExperimentOutcome",
-    "default_workers",
     "run_specs",
     "merge_outcomes",
     "run_pam_file",
@@ -50,96 +44,26 @@ __all__ = [
 ]
 
 
-def default_workers(env: str = "REPRO_BENCH_WORKERS") -> int:
-    """Worker count from the environment (1 = serial, the default)."""
-    try:
-        return max(1, int(os.environ.get(env, "1")))
-    except ValueError:
-        return 1
-
-
-@dataclass
-class ExperimentOutcome:
-    """A serial-equivalent experiment result, merged from jobs.
-
-    ``results`` preserves the structure order of the submitted specs
-    (with derived rows such as BUDDY+ directly after their parent), so
-    tables rendered from it match the serial loop's ordering exactly.
-    """
-
-    results: dict[str, MethodResult] = field(default_factory=dict)
-    totals: dict[str, AccessStats] = field(default_factory=dict)
-    timers: dict[str, float] = field(default_factory=dict)
-    spans: list[Span] = field(default_factory=list)
-
-    @property
-    def records(self) -> int:
-        """Records in the underlying data file (from the build metrics)."""
-        for result in self.results.values():
-            return result.metrics.records
-        return 0
-
-    @property
-    def snapshots(self) -> dict[str, dict]:
-        """Per-structure snapshots carried by the merged results.
-
-        Results replayed from a build cache written before snapshots
-        existed are simply absent.
-        """
-        return {
-            name: result.snapshot
-            for name, result in self.results.items()
-            if getattr(result, "snapshot", None) is not None
-        }
-
-    def to_report(
-        self,
-        *,
-        label: str,
-        kind: str,
-        page_size: int,
-        seed: int | None,
-        meta: dict | None = None,
-    ):
-        """Assemble the run's :class:`~repro.obs.export.RunReport`."""
-        from repro.obs.export import build_run_report
-
-        return build_run_report(
-            label=label,
-            kind=kind,
-            scale=self.records,
-            page_size=page_size,
-            seed=seed,
-            results=self.results,
-            totals=self.totals,
-            spans=self.spans,
-            timers=self.timers,
-            meta=meta,
-        )
-
-
-def _resolve_cache(cache) -> BuildCache | None:
-    if cache == "auto":
-        return cache_from_env()
-    return cache
-
-
 def run_specs(
     specs: Sequence[JobSpec],
     *,
     workers: int = 1,
     cache: BuildCache | str | None = None,
     data: Sequence | None = None,
+    explain_dir: Path | None = None,
 ) -> list[JobResult]:
     """Execute the specs — cached, pooled, or inline — in spec order.
 
     ``cache`` is a :class:`BuildCache`, ``None`` (no caching) or the
     string ``"auto"`` (resolve from ``REPRO_BUILD_CACHE``).  ``data``
     ships an inline record sequence to every spec whose ``file`` is
-    ``None``.  The returned list is ordered like ``specs`` no matter
-    how execution interleaved.
+    ``None``; ``explain_dir`` ships the resolved explain-trace
+    directory to every executed job (cache hits write no trace).  The
+    returned list is ordered like ``specs`` no matter how execution
+    interleaved.
     """
-    cache = _resolve_cache(cache)
+    if cache == "auto":
+        cache = cache_from_env()
     outcomes: dict[int, JobResult] = {}
     pending: list[tuple[int, JobSpec]] = []
     for i, spec in enumerate(specs):
@@ -159,13 +83,13 @@ def run_specs(
                 max_workers=min(workers, len(pending)), mp_context=context
             ) as pool:
                 futures = [
-                    pool.submit(execute_job, spec, payload)
+                    pool.submit(execute_job, spec, payload, explain_dir)
                     for (_, spec), payload in zip(pending, job_data)
                 ]
                 finished = [future.result() for future in futures]
         else:
             finished = [
-                execute_job(spec, payload)
+                execute_job(spec, payload, explain_dir)
                 for (_, spec), payload in zip(pending, job_data)
             ]
         for (i, spec), result in zip(pending, finished):
@@ -186,16 +110,11 @@ def _merge_job_timelines() -> None:
     order — a pure function of the job labels — so the merged document
     is deterministic no matter how the pool interleaved the workers.
     """
-    from repro.obs.telemetry import (
-        TIMELINE_DIR_ENV,
-        merge_timelines,
-        telemetry_enabled,
-    )
+    from repro.obs.telemetry import merge_timelines, telemetry_enabled, timeline_dir
 
-    raw = os.environ.get(TIMELINE_DIR_ENV, "").strip()
-    if not raw or not telemetry_enabled():
+    directory = timeline_dir()
+    if directory is None or not telemetry_enabled():
         return
-    directory = Path(raw)
     merged = directory / "timeline-merged.jsonl"
     parts = sorted(
         path
@@ -206,34 +125,24 @@ def _merge_job_timelines() -> None:
         merge_timelines(parts, merged)
 
 
-def merge_outcomes(job_results: Sequence[JobResult]) -> ExperimentOutcome:
-    """Fold job results into one serial-equivalent outcome, in order."""
-    outcome = ExperimentOutcome()
-    for job in job_results:
-        for row in job.structures:
-            outcome.results[row.name] = row.result
-            outcome.totals[row.name] = row.totals
-            outcome.timers[f"{row.name}/build"] = row.build_seconds
-            outcome.timers[f"{row.name}/queries"] = row.query_seconds
-        outcome.spans.extend(job.spans)
-    return outcome
-
-
 def run_pam_file(
     file_name: str,
     *,
     scale: int,
     workers: int = 1,
     page_size: int = 512,
-    seed: int = PAM_SEED,
+    seed: int = QUERY_SEEDS["pam"],
     structures: Sequence[str] | None = None,
     cache: BuildCache | str | None = None,
+    explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """The full standard-PAM comparison on one data file (plus BUDDY+)."""
     specs = pam_file_specs(
         file_name, scale, structures=structures, page_size=page_size, seed=seed
     )
-    return merge_outcomes(run_specs(specs, workers=workers, cache=cache))
+    return merge_outcomes(
+        run_specs(specs, workers=workers, cache=cache, explain_dir=explain_dir)
+    )
 
 
 def run_sam_file(
@@ -242,15 +151,18 @@ def run_sam_file(
     scale: int,
     workers: int = 1,
     page_size: int = 512,
-    seed: int = SAM_SEED,
+    seed: int = QUERY_SEEDS["sam"],
     structures: Sequence[str] | None = None,
     cache: BuildCache | str | None = None,
+    explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """The full standard-SAM comparison on one rectangle file."""
     specs = sam_file_specs(
         file_name, scale, structures=structures, page_size=page_size, seed=seed
     )
-    return merge_outcomes(run_specs(specs, workers=workers, cache=cache))
+    return merge_outcomes(
+        run_specs(specs, workers=workers, cache=cache, explain_dir=explain_dir)
+    )
 
 
 def run_parallel_experiment(
@@ -262,11 +174,12 @@ def run_parallel_experiment(
     page_size: int = 512,
     workers: int = 1,
     cache: BuildCache | str | None = None,
+    explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """Fan an in-memory experiment out by structure name.
 
-    The counterpart of :func:`repro.core.comparison.run_pam_experiment`
-    for ad-hoc data: records are shipped to the workers and the cache
+    What :func:`repro.core.comparison.run_experiment` calls for
+    ``workers > 1``: records are shipped to the workers and the cache
     key uses their content digest instead of a file name.
     """
     digest = data_digest(data)
@@ -281,42 +194,8 @@ def run_parallel_experiment(
         )
         for name in structures
     ]
-    return merge_outcomes(run_specs(specs, workers=workers, cache=cache, data=data))
-
-
-def traced_parallel_run(
-    kind: str,
-    structures: Sequence[str],
-    data: Sequence,
-    *,
-    seed: int | None = None,
-    label: str = "parallel run",
-    page_size: int = 512,
-    workers: int = 1,
-    cache: BuildCache | str | None = None,
-    meta: dict | None = None,
-    ledger=None,
-):
-    """Parallel counterpart of :func:`repro.obs.runner.traced_pam_run`.
-
-    Returns ``(results, report)`` with the same shapes as the serial
-    traced runners, so callers can switch on a worker count alone.
-    The merged spans and timers are bit-identical to a serial run, so
-    a ledger entry or profile derived here matches one from workers=1.
-    """
-    outcome = run_parallel_experiment(
-        kind,
-        structures,
-        data,
-        seed=seed,
-        page_size=page_size,
-        workers=workers,
-        cache=cache,
+    return merge_outcomes(
+        run_specs(
+            specs, workers=workers, cache=cache, data=data, explain_dir=explain_dir
+        )
     )
-    report = outcome.to_report(
-        label=label, kind=kind, page_size=page_size, seed=seed, meta=meta
-    )
-    from repro.obs.runner import record_to_ledger
-
-    record_to_ledger(report, ledger=ledger, workers=workers)
-    return outcome.results, report

@@ -39,17 +39,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.comparison import PAM_QUERY_TYPES
-from repro.parallel.bench import results_dir
+from repro.core.comparison import query_files
+from repro.parallel.cache import default_results_root
 from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
-from repro.workloads.queries import (
-    RANGE_QUERY_VOLUMES,
-    generate_partial_match_queries,
-    generate_range_queries,
-    generate_rect_query_workload,
-)
 
 __all__ = ["BENCH_SCHEMA", "DEFAULT_STRUCTURES", "bench_structure", "main"]
 
@@ -60,45 +54,28 @@ BENCH_SCHEMA = "repro.storage/bench/v1"
 DEFAULT_STRUCTURES = ("R", "GRID")
 
 
-def _run_workload(method, kind: str) -> list[tuple[str, list]]:
-    """The full query workload of one structure as ``(label, outcomes)``.
+def _timed_run(spec: dict, data, store) -> dict:
+    """Build on ``store`` and run the paper's query files, timing both.
 
-    Outcomes are the driver's per-query ``(cost, result)`` pairs — the
-    exact material the identity check compares across backends.
+    ``outcomes`` are the driver's per-query ``(cost, result)`` pairs
+    per file and ``totals`` the charged counters — the exact material
+    the identity check compares across backends.
     """
-    files: list[tuple[str, list]] = []
-    if kind == "pam":
-        for label, volume in zip(PAM_QUERY_TYPES[:3], RANGE_QUERY_VOLUMES):
-            queries = generate_range_queries(volume, seed=101)
-            files.append(
-                (label, run_query_file(method, "range", queries, method.range_query))
-            )
-        for label, axis in (("pm_x", 0), ("pm_y", 1)):
-            queries = generate_partial_match_queries(axis, seed=103)
-            files.append(
-                (label, run_query_file(method, "pm", queries, method.partial_match))
-            )
-        return files
-    workload = generate_rect_query_workload(seed=107)
-    files.append(
-        ("point", run_query_file(method, "point", workload["points"], method.point_query))
-    )
-    for label, operation in (
-        ("intersection", method.intersection),
-        ("enclosure", method.enclosure),
-        ("containment", method.containment),
-    ):
-        files.append(
-            (label, run_query_file(method, label, workload["rectangles"], operation))
-        )
-    return files
-
-
-def _build(spec: dict, data, store) -> object:
+    t0 = time.perf_counter()
     method = spec["factory"](store)
     for rid, item in enumerate(data):
         method.insert(item, rid)
-    return method
+    t1 = time.perf_counter()
+    outcomes = [
+        (label, run_query_file(method, query_kind, queries, operation))
+        for label, query_kind, queries, operation in query_files(spec["kind"], method)
+    ]
+    t2 = time.perf_counter()
+    return {
+        "seconds": {"build_seconds": t1 - t0, "query_seconds": t2 - t1},
+        "outcomes": outcomes,
+        "totals": store.stats.as_dict(),
+    }
 
 
 def bench_structure(
@@ -118,35 +95,22 @@ def bench_structure(
     )
     data = data[:scale]
 
-    sim = make_store(page_size, backend="sim")
-    t0 = time.perf_counter()
-    method = _build(spec, data, sim)
-    sim_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sim_outcomes = _run_workload(method, spec["kind"])
-    sim_query = time.perf_counter() - t0
-    sim_stats = sim.stats.as_dict()
-    total_pages = len(sim.page_ids())
+    sim_store = make_store(page_size, backend="sim")
+    sim = _timed_run(spec, data, sim_store)
+    total_pages = len(sim_store.page_ids())
 
     pool_pages = max(8, int(total_pages * pool_frac))
-    disk = make_store(
+    disk_store = make_store(
         page_size,
         backend="disk",
         directory=directory,
         pool_pages=pool_pages,
         fsync=fsync,
     )
-    t0 = time.perf_counter()
-    method = _build(spec, data, disk)
-    disk_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    disk_outcomes = _run_workload(method, spec["kind"])
-    disk_query = time.perf_counter() - t0
-    disk_stats = disk.stats.as_dict()
-    io = disk.io_stats()
-    disk.close()
+    disk = _timed_run(spec, data, disk_store)
+    io = disk_store.io_stats()
+    disk_store.close()
 
-    identical = sim_stats == disk_stats and sim_outcomes == disk_outcomes
     return {
         "structure": name,
         "kind": spec["kind"],
@@ -155,10 +119,11 @@ def bench_structure(
         "pages": total_pages,
         "pool_pages": pool_pages,
         "fsync": fsync,
-        "identical": identical,
-        "totals": disk_stats,
-        "sim": {"build_seconds": sim_build, "query_seconds": sim_query},
-        "disk": {"build_seconds": disk_build, "query_seconds": disk_query},
+        "identical": sim["totals"] == disk["totals"]
+        and sim["outcomes"] == disk["outcomes"],
+        "totals": disk["totals"],
+        "sim": sim["seconds"],
+        "disk": disk["seconds"],
         "storage": io,
     }
 
@@ -252,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         timeline_path = (
             Path(args.timeline)
             if args.timeline
-            else results_dir() / "TELEMETRY_STORAGE.jsonl"
+            else default_results_root() / "TELEMETRY_STORAGE.jsonl"
         )
         flight = FlightRecorder(
             telem,
@@ -295,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "structures": records,
     }
-    out = Path(args.out) if args.out else results_dir() / "BENCH_STORAGE.json"
+    out = Path(args.out or default_results_root() / "BENCH_STORAGE.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
@@ -321,14 +286,14 @@ def main(argv: list[str] | None = None) -> int:
             telem,
             Path(args.prometheus)
             if args.prometheus
-            else results_dir() / "METRICS_STORAGE.prom",
+            else default_results_root() / "METRICS_STORAGE.prom",
         )
         print(f"wrote {prom}")
         if telem.slow_ops or args.slow_ops:
             slow = telem.save_slow_ops(
                 Path(args.slow_ops)
                 if args.slow_ops
-                else results_dir() / "SLOW_OPS_STORAGE.jsonl"
+                else default_results_root() / "SLOW_OPS_STORAGE.jsonl"
             )
             print(f"wrote {slow} ({len(telem.slow_ops)} slow ops)")
         fsync_summary = telem.latency_summaries().get("storage.io.fsync_seconds")

@@ -322,10 +322,12 @@ class TestExplainWiring:
 
         monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
         points = make_points(200, seed=3)
+        run_standard_pam_testbed(points, workers=1, explain=tmp_path / "s")
+        environ = dict(os.environ)
         run_standard_pam_testbed(points, workers=2, explain=tmp_path / "w")
-        # The kwarg reaches spawn workers through REPRO_EXPLAIN, which
-        # must be restored afterwards.
-        assert "REPRO_EXPLAIN" not in os.environ
+        # The directory travels to spawn workers as a job argument; the
+        # parent's environment is never written, not even transiently.
+        assert dict(os.environ) == environ
         traces = sorted(p.name for p in (tmp_path / "w").glob("*.json"))
         assert traces == [
             "PAM-BANG-star.json",
@@ -334,8 +336,35 @@ class TestExplainWiring:
             "PAM-GRID.json",
             "PAM-HB.json",
         ]
-        for path in (tmp_path / "w").glob("*.json"):
-            assert validate_explain(json.loads(path.read_text())) == []
+        for name in traces:  # byte for byte what the in-process run wrote
+            assert (tmp_path / "w" / name).read_bytes() == (
+                tmp_path / "s" / name
+            ).read_bytes()
+            assert validate_explain(json.loads((tmp_path / "w" / name).read_text())) == []
+
+    def test_explain_dir_is_not_cache_key_material(self, tmp_path):
+        from repro.parallel.cache import BuildCache
+        from repro.parallel.jobs import pam_file_specs, sam_file_specs
+        from repro.parallel.runner import run_specs
+
+        fields = {
+            "kind", "structure", "scale", "page_size",
+            "seed", "file", "digest", "derive_packed",
+        }  # fmt: skip
+        for spec in pam_file_specs("uniform", 100) + sam_file_specs("diagonal", 100):
+            assert set(spec.cache_fields()) == fields
+        specs = pam_file_specs("uniform", 150, structures=["GRID", "BUDDY"])
+        cache = BuildCache(tmp_path / "cache")
+        cold = run_specs(specs, cache=cache, explain_dir=tmp_path / "cold")
+        assert len(list((tmp_path / "cold" / "uniform").glob("*.json"))) == 3
+        # A warm cache replays the cells: same rows, no execution, no trace.
+        warm = run_specs(specs, cache=cache, explain_dir=tmp_path / "warm")
+        assert cache.hits == len(specs)
+        assert not (tmp_path / "warm").exists()
+        for a, b in zip(cold, warm):
+            assert [r.result.query_costs for r in a.structures] == [
+                r.result.query_costs for r in b.structures
+            ]
 
 
 class TestCli:

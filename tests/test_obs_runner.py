@@ -1,9 +1,14 @@
 """Tests for the traced runners' ledger plumbing and artefact wiring."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro.core.comparison import run_pam_experiment
+from repro.core.testbed import run_standard_pam_testbed, standard_pam_factories
 from repro.obs.export import JsonlTraceSink
-from repro.obs.ledger import Ledger
+from repro.obs.ledger import Ledger, collect_fingerprint, storage_io_totals
 from repro.obs.runner import record_to_ledger, traced_pam_run, traced_sam_run
 from repro.pam.twolevelgrid import TwoLevelGridFile
 from repro.sam.rtree import RTree
@@ -49,6 +54,11 @@ class TestLedgerPlumbing:
         expected["redundancy"] = dict(
             report.structures["GRID"]["snapshot"]["redundancy"]
         )
+        # ... and, on the durable backend, the deterministic IO counters.
+        if "storage" in report.structures["GRID"]:
+            expected["storage_io"] = storage_io_totals(
+                report.structures["GRID"]["storage"]
+            )
         assert entry.totals["GRID"] == expected
 
     def test_env_opt_in(self, tmp_path, monkeypatch):
@@ -121,3 +131,79 @@ class TestParallelLedger:
         (entry,) = Ledger(path).entries()
         assert entry.fingerprint["workers"] == 2
         assert entry.label == "par"
+
+
+# -- every driver records a disk run as a disk run ---------------------------
+
+_BENCH_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
+_NAMES = ["GRID", "BUDDY"]
+_FACTORIES = {name: standard_pam_factories()[name] for name in _NAMES}
+
+
+def _experiment(points, ledger, tmp_path, monkeypatch):
+    run_pam_experiment(_FACTORIES, points, seed=19, ledger=ledger)
+    return None  # no report
+
+
+def _traced_in_process(points, ledger, tmp_path, monkeypatch):
+    return traced_pam_run(_FACTORIES, points, seed=19, ledger=ledger)[1]
+
+
+def _traced_inline_jobs(points, ledger, tmp_path, monkeypatch):
+    from repro.parallel.runner import traced_parallel_run
+
+    # Structure *names* go through run_specs even at workers=1.
+    return traced_parallel_run(
+        "pam", _NAMES, points, seed=19, workers=1, ledger=ledger
+    )[1]
+
+
+def _traced_pooled(points, ledger, tmp_path, monkeypatch):
+    return run_standard_pam_testbed(points, seed=19, workers=2, ledger=ledger)[1]
+
+
+def _bench_session(points, ledger, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "150")
+    monkeypatch.setenv("REPRO_RUN_REPORT", "1")
+    monkeypatch.setenv("REPRO_LEDGER", ledger)
+    monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
+    monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
+    spec = importlib.util.spec_from_file_location("bench_on_disk", _BENCH_CONFTEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
+    return module.pam_report("uniform")
+
+
+class TestDiskBackendDriversAgree:
+    """A disk run must never gate against a sim run's timings: every
+    driver fingerprints the backend and carries the IO counters."""
+
+    DRIVERS = [
+        _experiment,
+        _traced_in_process,
+        _traced_inline_jobs,
+        _traced_pooled,
+        _bench_session,
+    ]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_storage_reaches_ledger_and_report(self, driver, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_BACKEND", "disk")
+        path = tmp_path / "L.jsonl"
+        report = driver(make_points(150, seed=3), str(path), tmp_path, monkeypatch)
+        (entry,) = Ledger(path).entries()
+        expected_keys = set(
+            collect_fingerprint(page_size=512, scale=150, seed=19, storage={})
+        )
+        assert set(entry.fingerprint) == expected_keys
+        assert entry.fingerprint["storage"]["backend"] == "disk"
+        assert entry.totals
+        for name, totals in entry.totals.items():
+            assert totals["storage_io"]["backend"] == "disk", name
+        if report is not None:
+            for name, structure in report.structures.items():
+                assert structure["storage"]["backend"] == "disk", name
+                assert entry.totals[name]["storage_io"] == storage_io_totals(
+                    structure["storage"]
+                )

@@ -26,6 +26,7 @@ from repro.core.testbed import (
     standard_pam_factories,
     standard_sam_factories,
 )
+from repro.core.testbed import testbed_workers as workers_from_env
 from repro.obs.export import summarise_spans, validate_run_report
 from repro.obs.tracer import Tracer
 from repro.parallel.cache import BuildCache, code_fingerprint
@@ -37,7 +38,6 @@ from repro.parallel.jobs import (
     sam_file_specs,
 )
 from repro.parallel.runner import (
-    default_workers,
     merge_outcomes,
     run_pam_file,
     run_parallel_experiment,
@@ -210,9 +210,9 @@ class TestJobSpecs:
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-        assert default_workers() == 1
+        assert workers_from_env() == 1
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "6")
-        assert default_workers() == 6
+        assert workers_from_env() == 6
 
 
 # -- the build cache --------------------------------------------------------
