@@ -57,7 +57,8 @@ def test_three_techniques(benchmark):
 
 def test_clipping_redundancy_sweep(benchmark):
     from repro.obs.ablation import build_clip_redundancy_document
-    from repro.obs.ledger import entry_from_bench_document, ledger_from_env
+    from repro.config import RunConfig
+    from repro.obs.ledger import entry_from_bench_document, resolve_ledger
 
     rects = generate_rect_file("gaussian_square", max(bench_scale() // 4, 1000))
     rows = {}
@@ -105,7 +106,7 @@ def test_clipping_redundancy_sweep(benchmark):
         rows=doc_rows,
     )
     emit_json("ABL-CLIP-REDUNDANCY", doc)
-    ledger = ledger_from_env()
+    ledger = resolve_ledger(RunConfig.from_env().ledger)
     if ledger is not None:
         ledger.record(entry_from_bench_document(doc))
     # More redundancy => strictly more stored regions.

@@ -51,6 +51,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.comparison import (
     QUERY_SEEDS,
     MethodResult,
@@ -58,9 +59,9 @@ from repro.core.comparison import (
     build_pam,
     record_experiment,
 )
-from repro.core.testbed import standard_pam_factories, testbed_scale, testbed_workers
+from repro.core.testbed import standard_pam_factories
 from repro.obs.export import RunReport
-from repro.parallel.cache import cache_from_env
+from repro.parallel.cache import resolve_cache
 from repro.parallel.runner import run_pam_file, run_sam_file
 from repro.workloads.distributions import generate_point_file
 
@@ -94,12 +95,12 @@ def reports_enabled() -> bool:
 
 def bench_scale() -> int:
     """Records per data file for this bench session."""
-    return testbed_scale()
+    return RunConfig.from_env().bench_scale
 
 
 def bench_workers() -> int:
     """Worker processes per data file, from ``REPRO_BENCH_WORKERS``."""
-    return testbed_workers()
+    return RunConfig.from_env().bench_workers
 
 
 def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
@@ -112,13 +113,14 @@ def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
     key = (kind, file_name)
     if key in _results_cache:
         return _results_cache[key]
+    config = RunConfig.from_env()
     workers = bench_workers()
     outcome = (run_pam_file if kind == "pam" else run_sam_file)(
         file_name,
         scale=bench_scale(),
         workers=workers,
-        cache=cache_from_env() if workers > 1 else None,
-        explain_dir=_explain_dir(),
+        cache=resolve_cache(config.build_cache) if workers > 1 else None,
+        explain_dir=_explain_dir(config.explain),
     )
     if reports_enabled():
         report = outcome.to_report(
@@ -131,7 +133,7 @@ def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
         _reports[key] = report
         report.save(RESULTS_DIR / f"RUN-{kind.upper()}-{file_name}.json")
     record_experiment(
-        None,  # REPRO_LEDGER decides
+        config.ledger,
         outcome,
         label=f"{kind}-bench {file_name}",
         source="benchmarks/conftest.py",

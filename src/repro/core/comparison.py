@@ -8,12 +8,12 @@ is exactly how the paper's tables are laid out.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.config import RunConfig, parse_location
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import AccessStats, BuildMetrics
 from repro.geometry.rect import Rect
@@ -83,36 +83,20 @@ def measure(store: PageStore, operation: Callable[[], object]) -> tuple[int, obj
     return store.stats.total - before, result
 
 
-def _audit_requested(audit: bool | None) -> bool:
-    """Resolve the ``audit`` parameter; ``None`` falls back to ``REPRO_AUDIT``."""
-    if audit is not None:
-        return audit
-    return os.environ.get("REPRO_AUDIT", "").lower() not in ("", "0", "off", "no", "false")
+def _explain_dir(explain: bool | str | Path) -> Path | None:
+    """The trace directory an ``explain`` value names (``None`` = off).
 
-
-def _explain_dir(explain: bool | str | None = None) -> Path | None:
-    """Resolve the ``explain`` parameter into a trace directory.
-
-    ``None`` falls back to ``REPRO_EXPLAIN``.  Off-values (empty,
-    ``"0"``, ``"off"``, ``"no"``, ``"false"``, ``False``) disable
-    tracing and return ``None``; ``True`` or ``"1"`` traces into the
-    default ``results/explain``; any other string is taken as the
-    output directory itself.
+    ``False`` disables tracing, ``True`` traces into the default
+    ``results/explain``, a path is the output directory itself; a
+    string is read in the ``REPRO_EXPLAIN`` vocabulary first.
     """
-    if explain is None:
-        explain = os.environ.get("REPRO_EXPLAIN", "")
-    if explain is False:
-        return None
+    if isinstance(explain, str):
+        explain = parse_location(explain)
     if explain is True:
-        explain = "1"
-    value = str(explain).strip()
-    if value.lower() in ("", "0", "off", "no", "false"):
-        return None
-    if value == "1":
         from repro.parallel.cache import default_results_root
 
         return default_results_root() / "explain"
-    return Path(value)
+    return explain or None
 
 
 def _trace_path(directory: Path, kind: str, name: str) -> Path:
@@ -127,7 +111,7 @@ def build_method(
     dims: int = 2,
     page_size: int = 512,
     tracer=None,
-    audit: bool | None = None,
+    audit: bool = False,
     vector: bool = True,
     store_factory: Callable[..., PageStore] | None = None,
 ) -> PointAccessMethod | SpatialAccessMethod:
@@ -139,8 +123,7 @@ def build_method(
 
     ``audit=True`` runs the structure's invariant auditor
     (:mod:`repro.verify`) on the finished build and raises
-    :class:`repro.verify.AuditError` on any violation; ``None`` defers
-    to the ``REPRO_AUDIT`` environment variable.
+    :class:`repro.verify.AuditError` on any violation.
 
     ``vector=False`` builds the store without a columnar cache, which
     puts every query on the scalar reference descents.  Builds are
@@ -150,7 +133,7 @@ def build_method(
     ``store_factory`` overrides store construction (it is called as
     ``store_factory(page_size=..., vector=...)``); ``None`` defers to
     :func:`repro.storage.factory.make_store` and thus to the
-    ``REPRO_STORE_BACKEND`` environment variable.
+    configured backend.
     """
     if store_factory is None:
         store_factory = make_store
@@ -162,7 +145,7 @@ def build_method(
         tracer.set_context(op="insert")
     for rid, record in enumerate(records):
         method.insert(record, rid)
-    if _audit_requested(audit):
+    if audit:
         method.audit()
     return method
 
@@ -267,7 +250,7 @@ def run_cell(
     seed: int | None = None,
     tracer=None,
     explain_dir: Path | None = None,
-    audit: bool | None = None,
+    audit: bool = False,
     derive_packed: bool = False,
 ) -> tuple[list[StructureOutcome], object]:
     """One cell of the comparison grid: build, query files, snapshot, totals.
@@ -417,8 +400,8 @@ def run_experiment(
     page_size: int = 512,
     tracer=None,
     workers: int = 1,
-    audit: bool | None = None,
-    explain: bool | str | None = None,
+    audit: bool = False,
+    explain: bool | str | Path = False,
     cache=None,
 ) -> ExperimentOutcome:
     """Run every structure's cell on the same data file.
@@ -439,7 +422,7 @@ def run_experiment(
                 "a shared tracer cannot observe job execution; run a mapping "
                 "of factories with workers=1 (jobs return their own spans)"
             )
-        if workers > 1 and _audit_requested(audit):
+        if workers > 1 and audit:
             raise ValueError("post-build audits run in-process; run with workers=1")
         from repro.parallel.runner import run_parallel_experiment
 
@@ -485,8 +468,8 @@ def record_experiment(
 ) -> None:
     """Append an outcome's timings and totals to the performance ledger.
 
-    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`: ``None``
-    defers to ``REPRO_LEDGER``, ``False`` disables recording.  Snapshot
+    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`
+    (``None`` / ``False`` disable recording).  Snapshot
     redundancy and durable-backend IO counters fold into the totals
     (and the backend into the fingerprint) exactly as for a run report —
     see :func:`repro.obs.ledger.entry_from_timers`.
@@ -517,6 +500,7 @@ def record_experiment(
 def _experiment_results(
     kind, factories, data, seed, tracer, workers, audit, ledger, explain
 ):
+    config = RunConfig.from_env()
     outcome = run_experiment(
         kind,
         factories,
@@ -524,11 +508,11 @@ def _experiment_results(
         seed=seed,
         tracer=tracer,
         workers=workers,
-        audit=audit,
-        explain=explain,
+        audit=config.audit if audit is None else audit,
+        explain=config.explain if explain is None else explain,
     )
     record_experiment(
-        ledger,
+        config.ledger if ledger is None else ledger,
         outcome,
         label=f"{kind}-experiment",
         source="repro.core.comparison",
@@ -548,7 +532,7 @@ def run_pam_experiment(
     workers: int = 1,
     audit: bool | None = None,
     ledger=None,
-    explain: bool | str | None = None,
+    explain: bool | str | Path | None = None,
 ) -> dict[str, MethodResult]:
     """Build every PAM on the same data file and run the query files.
 
@@ -560,16 +544,13 @@ def run_pam_experiment(
     :func:`run_experiment` for what that requires of ``factories``,
     ``tracer`` and ``audit``.
 
-    ``audit=True`` audits every structure post-build; ``None`` defers
-    to ``REPRO_AUDIT``.
-
+    ``audit``, ``ledger`` and ``explain`` left at ``None`` follow
+    :class:`repro.config.RunConfig`; an explicit value — ``False``
+    included — wins.  ``audit=True`` audits every structure post-build.
     ``ledger`` records the run (timings + access totals + per-structure
-    redundancy metrics) to the performance ledger; ``None`` defers to
-    ``REPRO_LEDGER``, ``False`` disables recording.
-
-    ``explain`` writes one :mod:`repro.obs.explain` trace file per
-    structure (``PAM-<name>.json``) into the resolved directory;
-    ``None`` defers to ``REPRO_EXPLAIN`` (see :func:`_explain_dir`).
+    redundancy metrics) to the performance ledger.  ``explain`` writes
+    one :mod:`repro.obs.explain` trace file per structure
+    (``PAM-<name>.json``) into the directory :func:`_explain_dir` names.
     Tracing chains the store observer, so costs are bit-identical with
     or without it, at any worker count; structures replayed from a warm
     build cache skip execution and therefore write no trace.
@@ -587,7 +568,7 @@ def run_sam_experiment(
     workers: int = 1,
     audit: bool | None = None,
     ledger=None,
-    explain: bool | str | None = None,
+    explain: bool | str | Path | None = None,
 ) -> dict[str, MethodResult]:
     """Build every SAM on the same rectangle file and run the queries.
 

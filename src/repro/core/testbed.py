@@ -6,10 +6,9 @@ point or spatial access method such that he can run his implementation
 in our testbed."
 
 :func:`standard_pam_factories` / :func:`standard_sam_factories` return
-the compared structures under the paper's table abbreviations;
-:func:`testbed_scale` reads the ``REPRO_BENCH_SCALE`` environment
-variable so the benches run at laptop scale by default and at the
-paper's 100 000 records on demand.
+the compared structures under the paper's table abbreviations; the
+benches size their data files by ``RunConfig.bench_scale``, laptop
+scale by default and the paper's 100 000 records on demand.
 
 :func:`run_standard_pam_testbed` / :func:`run_standard_sam_testbed`
 run the whole standard comparison under a tracer and return the usual
@@ -25,9 +24,9 @@ access counts are identical either way — only wall-clock time changes.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
+from repro.config import RunConfig
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.pam.bang import BangFile
 from repro.pam.buddytree import BuddyTree
@@ -43,30 +42,7 @@ __all__ = [
     "standard_factories",
     "run_standard_pam_testbed",
     "run_standard_sam_testbed",
-    "testbed_scale",
-    "testbed_workers",
 ]
-
-#: Default number of records in bench runs; the paper uses 100 000.
-DEFAULT_SCALE = 10_000
-
-
-def testbed_scale() -> int:
-    """Number of records per data file, from ``REPRO_BENCH_SCALE``."""
-    return int(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
-
-
-def testbed_workers() -> int:
-    """Worker processes per experiment, from ``REPRO_BENCH_WORKERS``.
-
-    1 (the default) runs every cell in this process; anything larger
-    fans each comparison out by structure via :mod:`repro.parallel` —
-    the same cells, so the outcome is identical by construction.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def standard_pam_factories() -> dict[str, Callable[..., PointAccessMethod]]:
@@ -103,7 +79,7 @@ def _traced_standard(kind, data, seed, label, page_size, workers, ledger, explai
         seed=seed,
         label=label,
         page_size=page_size,
-        workers=testbed_workers() if workers is None else workers,
+        workers=RunConfig.from_env().bench_workers if workers is None else workers,
         ledger=ledger,
         explain=explain,
     )
@@ -122,13 +98,12 @@ def run_standard_pam_testbed(
 
     Returns ``(results, report)`` — see
     :func:`repro.obs.runner.traced_run`.  ``workers`` defaults to
-    :func:`testbed_workers`; more than one fans the structures out over
-    a process pool with identical results.  ``ledger`` optionally
-    records the run to the performance ledger (``None`` defers to
-    ``REPRO_LEDGER``).  ``explain`` writes one :mod:`repro.obs.explain`
-    trace per structure (``True`` for the default directory, a path for
-    an explicit one, ``None`` defers to ``REPRO_EXPLAIN``) at any
-    worker count, without changing results.
+    ``RunConfig.bench_workers``; more than one fans the structures out
+    over a process pool — the same cells, so identical results.
+    ``ledger`` optionally records the run to the performance ledger.
+    ``explain`` writes one :mod:`repro.obs.explain` trace per structure
+    (``True`` for the default directory, a path for an explicit one) at
+    any worker count, without changing results.
     """
     return _traced_standard(
         "pam", points, seed, label, page_size, workers, ledger, explain

@@ -100,7 +100,6 @@ __all__ = [
     "entry_from_run_report",
     "entry_from_timers",
     "gate_run",
-    "ledger_from_env",
     "page_heatmap",
     "phase_of",
     "profile_to_collapsed",
@@ -135,8 +134,7 @@ _LEDGER_NAMES = frozenset(
         "entry_from_run_report",
         "entry_from_timers",
         "gate_run",
-        "ledger_from_env",
-        "resolve_ledger",
+            "resolve_ledger",
     }
 )
 _PROFILE_NAMES = frozenset({"CostAttribution", "OpCost", "apportion"})

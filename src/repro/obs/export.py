@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from repro.core.stats import AccessStats
-from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, Histogram
+from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, SUMMARY_KEYS, Histogram
 from repro.obs.tracer import BUILD_OPS, Span
 
 __all__ = [
@@ -423,7 +423,7 @@ def _histogram_row(label: str, hist: Mapping) -> str:
 # -- report assembly -------------------------------------------------------
 
 _STATS_KEYS = ("data_reads", "data_writes", "dir_reads", "dir_writes")
-_HIST_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99", "buckets")
+_HIST_KEYS = (*SUMMARY_KEYS, "buckets")
 
 
 def build_run_report(

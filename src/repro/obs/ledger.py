@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from repro.config import RunConfig, parse_location
+
 __all__ = [
     "LEDGER_SCHEMA",
     "FingerprintMismatch",
@@ -68,7 +70,6 @@ __all__ = [
     "storage_io_totals",
     "storage_latency_leaves",
     "default_ledger_path",
-    "ledger_from_env",
     "resolve_ledger",
     "main",
 ]
@@ -334,46 +335,23 @@ class Ledger:
         return entry
 
 
-# -- env / argument resolution ---------------------------------------------
-
-_OFF_VALUES = {"0", "off", "none", "no", "false"}
-
-
-def ledger_from_env(env: str = "REPRO_LEDGER") -> Ledger | None:
-    """The ledger configured by the environment (``None`` when unset).
-
-    ``REPRO_LEDGER=1`` records to the default ``results/LEDGER.jsonl``;
-    any other non-off value is used as the ledger path.
-    """
-    value = os.environ.get(env)
-    if value is None or value.strip().lower() in _OFF_VALUES | {""}:
-        return None
-    if value.strip() == "1":
-        return Ledger()
-    return Ledger(value)
+# -- argument resolution ---------------------------------------------------
 
 
 def resolve_ledger(value) -> Ledger | None:
-    """Normalise a ledger argument: instance, path, bool, or env default.
+    """Normalise a ledger argument: instance, path, bool or switch string.
 
-    ``None`` defers to ``REPRO_LEDGER``; ``False`` (or an off-string
-    like ``"0"``) disables recording outright; ``True`` (or ``"1"``)
-    uses the default path; anything else is taken as the ledger path.
+    ``None`` / ``False`` disable recording, ``True`` uses the default
+    path, a path is the ledger file; a string (``--ledger 1/0/path``)
+    is read in the ``REPRO_LEDGER`` vocabulary first.
     """
-    if value is None:
-        return ledger_from_env()
-    if value is False:
-        return None
-    if value is True:
-        return Ledger()
     if isinstance(value, Ledger):
         return value
     if isinstance(value, str):
-        if value.strip().lower() in _OFF_VALUES | {""}:
-            return None
-        if value.strip() == "1":
-            return Ledger()
-    return Ledger(value)
+        value = parse_location(value)
+    if value is True:
+        return Ledger()
+    return Ledger(value) if value else None
 
 
 # -- metric comparison ------------------------------------------------------
@@ -927,11 +905,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("text", "markdown"), default="text")
 
     args = parser.parse_args(argv)
-    env_ledger = ledger_from_env()
     ledger = (
         Ledger(args.ledger)
         if args.ledger
-        else env_ledger if env_ledger is not None else Ledger()
+        else resolve_ledger(RunConfig.from_env().ledger) or Ledger()
     )
 
     if args.command == "record":

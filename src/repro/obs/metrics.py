@@ -24,6 +24,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "SUMMARY_KEYS",
     "Timer",
 ]
 
@@ -118,16 +119,24 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value})"
 
 
+#: Keys of :meth:`Histogram.summary`, in order — the shape every
+#: timeline, ``io_stats`` and run-report validator checks.
+SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
+
+
 class Histogram:
     """Fixed-bucket histogram with exact percentile summaries.
 
     ``buckets`` are inclusive upper bounds; one overflow bucket
     (``+Inf``) is always appended.  Observations are also kept verbatim
-    (sorted lazily) so :meth:`percentile` is the exact nearest-rank
-    statistic.
+    so :meth:`percentile` is the exact nearest-rank statistic.  The
+    statistics only ever sort a *copy* of them (copying a list is
+    atomic under the GIL): the flight recorder summarises from its own
+    thread while the workload thread keeps observing, and an in-place
+    sort must never race with an append.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "_samples", "_sorted")
+    __slots__ = ("name", "buckets", "bucket_counts", "_samples")
 
     def __init__(self, name: str, buckets: tuple[float, ...] = DEFAULT_ACCESS_BUCKETS):
         if not buckets or list(buckets) != sorted(buckets):
@@ -136,7 +145,6 @@ class Histogram:
         self.buckets = tuple(buckets)
         self.bucket_counts = [0] * (len(self.buckets) + 1)
         self._samples: list[float] = []
-        self._sorted = True
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -146,8 +154,6 @@ class Histogram:
                 break
         else:
             self.bucket_counts[-1] += 1
-        if self._samples and value < self._samples[-1]:
-            self._sorted = False
         self._samples.append(value)
 
     # -- summary statistics ----------------------------------------------
@@ -172,29 +178,32 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self._samples else 0.0
 
+    @staticmethod
+    def _nearest_rank(ordered: list, q: float) -> float:
+        if not ordered:
+            return 0.0
+        return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+
     def percentile(self, q: float) -> float:
         """Exact nearest-rank percentile, ``q`` in [0, 100]."""
         if not 0 <= q <= 100:
             raise ValueError("q must be between 0 and 100")
-        if not self._samples:
-            return 0.0
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-        rank = max(1, math.ceil(q / 100.0 * len(self._samples)))
-        return self._samples[rank - 1]
+        return self._nearest_rank(sorted(self._samples), q)
 
     def summary(self) -> dict:
-        """The scalar summary embedded in run reports."""
+        """The scalar summary (:data:`SUMMARY_KEYS`) of one point in time."""
+        ordered = sorted(self._samples)
+        n = len(ordered)
+        total = sum(ordered)
         return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "count": n,
+            "sum": total,
+            "min": ordered[0] if n else 0.0,
+            "max": ordered[-1] if n else 0.0,
+            "mean": total / n if n else 0.0,
+            "p50": self._nearest_rank(ordered, 50),
+            "p90": self._nearest_rank(ordered, 90),
+            "p99": self._nearest_rank(ordered, 99),
         }
 
     def as_dict(self) -> dict:
@@ -326,10 +335,11 @@ class MetricsRegistry:
             )
             lines.append(header)
             for name, hist in sorted(self._histograms.items()):
+                row = hist.summary()
                 lines.append(
-                    f"{name:40s}{hist.count:>8d}{hist.mean:>10.2f}"
-                    f"{hist.percentile(50):>8.0f}{hist.percentile(90):>8.0f}"
-                    f"{hist.percentile(99):>8.0f}{hist.max:>8.0f}"
+                    f"{name:40s}{row['count']:>8d}{row['mean']:>10.2f}"
+                    f"{row['p50']:>8.0f}{row['p90']:>8.0f}"
+                    f"{row['p99']:>8.0f}{row['max']:>8.0f}"
                 )
         if self._timers:
             lines.append(f"{'timer':40s}{'seconds':>12s}{'count':>8s}")

@@ -50,9 +50,6 @@ __all__ = [
     "main",
 ]
 
-_STATS_KEYS = ("data_reads", "data_writes", "dir_reads", "dir_writes")
-
-
 def apportion(total: int, weights: Sequence[int]) -> list[int]:
     """Split integer ``total`` proportionally to ``weights``, exactly.
 
@@ -143,27 +140,21 @@ class CostAttribution:
         spans: Iterable[Span],
         timers: Mapping[str, float] | None = None,
     ) -> "CostAttribution":
-        """Group spans by ``(structure, op)`` and apportion the timers.
+        """Roll spans up by ``(structure, op)`` and apportion the timers.
 
         ``timers`` maps ``"<structure>/build"`` / ``"<structure>/queries"``
         to seconds, exactly as the drivers and the parallel merge emit
         them.
         """
-        groups: dict[tuple[str, str], OpCost] = {}
-        for span in spans:
-            key = (span.structure, span.op)
-            row = groups.get(key)
-            if row is None:
-                row = groups[key] = OpCost(
-                    span.structure, span.op, phase_of(span.op)
-                )
-            row.operations += 1
-            row.data_reads += span.data_reads
-            row.data_writes += span.data_writes
-            row.dir_reads += span.dir_reads
-            row.dir_writes += span.dir_writes
-            row.free += span.free_accesses
-        self = cls(rows=list(groups.values()))
+        from repro.obs.export import summarise_touches
+
+        self = cls(
+            rows=[
+                _row_from_touches(structure, op, touch)
+                for structure, per_op in summarise_touches(spans).items()
+                for op, touch in per_op.items()
+            ]
+        )
         self._apportion_timers(timers or {})
         return self
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
+from repro.config import RunConfig
 from repro.core.comparison import QUERY_SEEDS, MethodResult, run_experiment
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.geometry.rect import Rect
@@ -53,9 +54,11 @@ def traced_run(
     only case ``record_events`` / ``sink`` (see
     :class:`~repro.obs.tracer.Tracer`) can serve; otherwise every job
     traces itself and the merged spans yield the same histograms.
-    ``ledger`` follows :func:`record_to_ledger`, ``explain``
+    ``ledger`` and ``explain`` left at ``None`` — and whether builds
+    are audited — follow :class:`repro.config.RunConfig`, as in
     :func:`repro.core.comparison.run_pam_experiment`.
     """
+    config = RunConfig.from_env()
     tracer = None
     if workers == 1 and isinstance(factories, Mapping):
         tracer = Tracer(record_events=record_events, sink=sink)
@@ -72,7 +75,8 @@ def traced_run(
         page_size=page_size,
         tracer=tracer,
         workers=workers,
-        explain=explain,
+        audit=config.audit,
+        explain=config.explain if explain is None else explain,
         cache=cache,
     )
     if tracer is not None:
@@ -84,17 +88,18 @@ def traced_run(
         seed=seed,
         meta=meta,
     )
-    record_to_ledger(report, ledger=ledger, workers=workers)
+    record_to_ledger(
+        report, ledger=config.ledger if ledger is None else ledger, workers=workers
+    )
     return outcome.results, report
 
 
 def record_to_ledger(report: RunReport, *, ledger=None, workers: int = 1) -> None:
     """Append ``report`` to the performance ledger, if one is active.
 
-    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger` semantics:
-    ``None`` defers to ``REPRO_LEDGER`` (so recording stays off unless
-    the environment opts in), ``True``/a path/a ``Ledger`` enable it,
-    ``False`` disables it outright.
+    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`:
+    ``True`` / a path / a ``Ledger`` enable it, ``None`` / ``False``
+    leave recording off.
     """
     from repro.obs.ledger import entry_from_run_report, resolve_ledger
 

@@ -39,7 +39,6 @@ import argparse
 import fnmatch
 import json
 import math
-import os
 import sys
 import threading
 import time
@@ -47,8 +46,10 @@ import weakref
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.config import RunConfig
 from repro.obs.metrics import (
     LATENCY_BUCKETS_SECONDS,
+    SUMMARY_KEYS,
     Histogram,
     MetricsRegistry,
 )
@@ -64,9 +65,6 @@ __all__ = [
     "prometheus_name",
     "read_timeline",
     "set_telemetry",
-    "summarise_histogram",
-    "telemetry_enabled",
-    "timeline_dir",
     "to_prometheus",
     "validate_io_stats",
     "validate_timeline",
@@ -79,69 +77,6 @@ TIMELINE_SCHEMA = "repro.obs/telemetry/v1"
 
 #: Schema of a slow-operation log (JSONL: header, then one line per op).
 SLOW_OP_SCHEMA = "repro.obs/slow-op/v1"
-
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-SLOW_OP_ENV = "REPRO_SLOW_OP_MS"
-TIMELINE_DIR_ENV = "REPRO_TELEMETRY_DIR"
-
-_ON_VALUES = {"1", "true", "on", "yes"}
-
-
-def telemetry_enabled() -> bool:
-    """Whether ``REPRO_TELEMETRY`` turns the telemetry layer on."""
-    return os.environ.get(TELEMETRY_ENV, "").strip().lower() in _ON_VALUES
-
-
-def timeline_dir() -> Path | None:
-    """The ``REPRO_TELEMETRY_DIR`` per-job timeline directory, if set."""
-    raw = os.environ.get(TIMELINE_DIR_ENV, "").strip()
-    return Path(raw) if raw else None
-
-
-def slow_op_threshold_seconds() -> float | None:
-    """The ``REPRO_SLOW_OP_MS`` threshold in seconds (``None`` = off)."""
-    raw = os.environ.get(SLOW_OP_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value / 1000.0 if value >= 0 else None
-
-
-def summarise_histogram(hist: Histogram) -> dict:
-    """An exact summary computed on a *copy* of the samples.
-
-    The flight recorder samples from its own thread while the workload
-    thread keeps observing; :meth:`Histogram.percentile` sorts the
-    shared sample list in place, which must never race with an append.
-    Copying first (``list`` of a list is safe under the GIL) makes the
-    summary a consistent point-in-time snapshot and leaves the
-    histogram's lazy-sort state alone.
-    """
-    samples = sorted(list(hist._samples))
-    n = len(samples)
-    if not n:
-        return {
-            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-            "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
-        }
-    total = sum(samples)
-
-    def rank(q: float) -> float:
-        return samples[max(1, math.ceil(q / 100.0 * n)) - 1]
-
-    return {
-        "count": n,
-        "sum": total,
-        "min": samples[0],
-        "max": samples[-1],
-        "mean": total / n,
-        "p50": rank(50),
-        "p90": rank(90),
-        "p99": rank(99),
-    }
 
 
 class Telemetry:
@@ -165,10 +100,9 @@ class Telemetry:
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.label = label
-        if slow_op_ms is not None:
-            self.slow_op_seconds: float | None = slow_op_ms / 1000.0
-        else:
-            self.slow_op_seconds = slow_op_threshold_seconds()
+        self.slow_op_seconds: float | None = (
+            slow_op_ms / 1000.0 if slow_op_ms is not None else None
+        )
         self.slow_ops: list[dict] = []
         self.started = time.perf_counter()
         self._stores: "weakref.WeakSet" = weakref.WeakSet()
@@ -208,11 +142,7 @@ class Telemetry:
         prefix, suffix = "storage.io.", "_seconds"
         for name, hist in self.registry.histograms().items():
             if name.startswith(prefix) and name.endswith(suffix):
-                samples = list(hist._samples)
-                out[name[len(prefix):-len(suffix)]] = (
-                    len(samples),
-                    sum(samples),
-                )
+                out[name[len(prefix):-len(suffix)]] = (hist.count, hist.sum)
         return out
 
     class _Span:
@@ -357,7 +287,7 @@ class Telemetry:
                 for name, gauge in sorted(registry.gauges().items())
             },
             "histograms": {
-                name: summarise_histogram(hist)
+                name: hist.summary()
                 for name, hist in sorted(registry.histograms().items())
             },
         }
@@ -365,7 +295,7 @@ class Telemetry:
     def latency_summaries(self) -> dict[str, dict]:
         """End-of-run summaries of every latency histogram, by name."""
         return {
-            name: summarise_histogram(hist)
+            name: hist.summary()
             for name, hist in sorted(self.registry.histograms().items())
         }
 
@@ -391,17 +321,19 @@ def active_telemetry() -> Telemetry | None:
     """The process-wide telemetry, or ``None`` when disabled.
 
     Explicit (:func:`set_telemetry`) beats environment; with
-    ``REPRO_TELEMETRY=1`` a shared instance is created on first use so
-    every store, bench and query driver in the process reports into one
-    registry — which is exactly what the flight recorder samples.
+    ``REPRO_TELEMETRY=1`` a shared instance (slow-operation threshold
+    from ``REPRO_SLOW_OP_MS``) is created on first use so every store,
+    bench and query driver in the process reports into one registry —
+    which is exactly what the flight recorder samples.
     """
     if _EXPLICIT is not None:
         return _EXPLICIT
-    if not telemetry_enabled():
+    config = RunConfig.from_env()
+    if not config.telemetry:
         return None
     global _ENV_INSTANCE
     if _ENV_INSTANCE is None:
-        _ENV_INSTANCE = Telemetry()
+        _ENV_INSTANCE = Telemetry(slow_op_ms=config.slow_op_ms)
     return _ENV_INSTANCE
 
 
@@ -525,9 +457,6 @@ def read_timeline(path: str | Path) -> tuple[dict, list[dict]]:
     return header, samples
 
 
-_SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
-
-
 def validate_timeline(path: str | Path) -> list[str]:
     """Schema-check one timeline file; returns problems ([] when valid)."""
     problems: list[str] = []
@@ -568,11 +497,11 @@ def validate_timeline(path: str | Path) -> list[str]:
                 for name, summary in block.items():
                     if not isinstance(summary, Mapping) or any(
                         not isinstance(summary.get(k), (int, float))
-                        for k in _SUMMARY_KEYS
+                        for k in SUMMARY_KEYS
                     ):
                         problems.append(
                             f"{where}: histogram {name!r} lacks "
-                            f"numeric {_SUMMARY_KEYS}"
+                            f"numeric {SUMMARY_KEYS}"
                         )
             else:
                 for name, value in block.items():
@@ -718,7 +647,7 @@ def validate_io_stats(stats: Mapping) -> list[str]:
             for name, summary in latency.items():
                 if not isinstance(summary, Mapping) or any(
                     not isinstance(summary.get(k), (int, float))
-                    for k in _SUMMARY_KEYS
+                    for k in SUMMARY_KEYS
                 ):
                     problems.append(f"latency[{name!r}] is not a summary")
     if "write_amplification" in stats and not isinstance(
@@ -779,7 +708,7 @@ def to_prometheus(source: Telemetry | MetricsRegistry) -> str:
 
     for name, hist in sorted(registry.histograms().items()):
         metric = prometheus_name(name)
-        summary = summarise_histogram(hist)
+        summary = hist.summary()
         lines.append(f"# HELP {metric} Histogram {name}.")
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
@@ -855,7 +784,7 @@ class MetricsServer:
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 - http.server API
-                if self.path.rstrip("/") not in ("", "/metrics".rstrip("/")):
+                if self.path != "/metrics":
                     self.send_error(404, "only /metrics is served")
                     return
                 body = to_prometheus(telemetry).encode("utf-8")

@@ -27,7 +27,7 @@ same cells inline) and place the cache via
 ``REPRO_BUILD_CACHE`` (a directory, or ``off`` to disable).
 """
 
-from repro.parallel.cache import BuildCache, cache_from_env, code_fingerprint
+from repro.parallel.cache import BuildCache, code_fingerprint, resolve_cache
 from repro.parallel.jobs import (
     JobResult,
     JobSpec,
@@ -52,11 +52,11 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "StructureOutcome",
-    "cache_from_env",
     "code_fingerprint",
     "execute_job",
     "merge_outcomes",
     "pam_file_specs",
+    "resolve_cache",
     "run_pam_file",
     "run_parallel_experiment",
     "run_sam_file",

@@ -23,8 +23,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.testbed import testbed_scale
-from repro.parallel.cache import BuildCache, cache_from_env, default_results_root
+from repro.config import RunConfig
+from repro.parallel.cache import BuildCache, default_results_root, resolve_cache
 from repro.parallel.jobs import JobSpec, pam_file_specs, sam_file_specs
 from repro.parallel.runner import ExperimentOutcome, merge_outcomes, run_specs
 
@@ -175,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         "results/LEDGER.jsonl; default: off unless REPRO_LEDGER is set)",
     )
     args = parser.parse_args(argv)
+    config = RunConfig.from_env()
 
-    scale = args.scale if args.scale is not None else testbed_scale()
+    scale = args.scale if args.scale is not None else config.bench_scale
     pam_files = [f for f in args.pam_files.split(",") if f]
     sam_files = [f for f in args.sam_files.split(",") if f]
     grid = build_grid(pam_files, sam_files, scale, args.page_size)
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cache is not None:
         cache = BuildCache(args.cache)
     else:
-        cache = cache_from_env()
+        cache = resolve_cache(config.build_cache)
 
     serial: dict[str, ExperimentOutcome] | None = None
     serial_seconds = None
@@ -266,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.obs.ledger import entry_from_bench_document, resolve_ledger
 
-    ledger = resolve_ledger(args.ledger)
+    ledger = resolve_ledger(config.ledger if args.ledger is None else args.ledger)
     if ledger is not None:
         entry = ledger.record(entry_from_bench_document(document, path=str(output)))
         print(f"ledger: recorded {entry.run_id} -> {ledger.path}")

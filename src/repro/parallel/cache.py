@@ -10,12 +10,8 @@ cached on disk under a digest of the spec plus a *code fingerprint*
 skips all rebuilds and any change to the code base invalidates every
 entry automatically.
 
-The cache location comes from ``REPRO_BUILD_CACHE``:
-
-* unset — ``results/.build_cache`` next to the installed tree's repo
-  root (or the current directory's ``results/``, whichever exists);
-* a path — use that directory;
-* ``0`` / ``off`` / ``none`` / empty — disable caching entirely.
+The bench entry points place it by ``RunConfig.build_cache``
+(:func:`resolve_cache`): on by default, under ``results/.build_cache``.
 
 Entries are written atomically (temp file + rename) so concurrent
 sessions sharing one cache directory never observe torn pickles.
@@ -32,12 +28,10 @@ from pathlib import Path
 
 __all__ = [
     "BuildCache",
-    "cache_from_env",
+    "resolve_cache",
     "code_fingerprint",
     "default_results_root",
 ]
-
-_DISABLED_VALUES = {"0", "off", "none", "no", "false"}
 
 _fingerprint_cache: str | None = None
 
@@ -64,14 +58,11 @@ def code_fingerprint() -> str:
     return _fingerprint_cache
 
 
-def cache_from_env(env: str = "REPRO_BUILD_CACHE") -> "BuildCache | None":
-    """The cache configured by the environment (``None`` when disabled)."""
-    value = os.environ.get(env)
-    if value is not None and value.strip().lower() in _DISABLED_VALUES | {""}:
-        return None
-    if value:
-        return BuildCache(Path(value))
-    return BuildCache(default_results_root() / ".build_cache")
+def resolve_cache(value: Path | bool) -> "BuildCache | None":
+    """The cache a ``RunConfig.build_cache`` value names (``None`` = off)."""
+    if value is True:
+        return BuildCache(default_results_root() / ".build_cache")
+    return BuildCache(value) if value else None
 
 
 def default_results_root() -> Path:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from repro.config import RunConfig
 from repro.core.comparison import QUERY_SEEDS, StructureOutcome, run_cell
 from repro.core.testbed import standard_factories
 from repro.obs.tracer import Span, Tracer
@@ -33,6 +34,7 @@ __all__ = [
     "JobResult",
     "data_digest",
     "execute_job",
+    "job_timeline_dir",
     "load_job_data",
     "resolve_factory",
     "pam_file_specs",
@@ -142,20 +144,35 @@ def load_job_data(spec: JobSpec):
     return generate_rect_file(spec.file, spec.scale)
 
 
+def job_timeline_dir() -> Path | None:
+    """Where jobs of this process record their timelines (``None`` = nowhere).
+
+    Needs telemetry active here and ``RunConfig.telemetry_dir`` on; a
+    bare "on" means ``results/telemetry``.
+    """
+    from repro.obs.telemetry import active_telemetry
+    from repro.parallel.cache import default_results_root
+
+    directory = RunConfig.from_env().telemetry_dir
+    if directory is False or active_telemetry() is None:
+        return None
+    return default_results_root() / "telemetry" if directory is True else directory
+
+
 def _job_telemetry(spec: JobSpec):
     """The process-wide telemetry plus (optionally) a per-job recorder.
 
     Workers inherit ``REPRO_TELEMETRY`` through the environment, so a
-    parallel run instruments exactly like a serial one.  When
-    ``REPRO_TELEMETRY_DIR`` also names a directory, each job records
-    its own ``timeline-<label>.jsonl`` flight-recorder file there —
+    parallel run instruments exactly like a serial one.  With a
+    :func:`job_timeline_dir`, each job records its own
+    ``timeline-<label>.jsonl`` flight-recorder file there —
     label-derived names are deterministic, so the runner can merge the
     per-worker timelines into one reproducible document afterwards.
     """
-    from repro.obs.telemetry import FlightRecorder, active_telemetry, timeline_dir
+    from repro.obs.telemetry import FlightRecorder, active_telemetry
 
     telem = active_telemetry()
-    directory = timeline_dir() if telem is not None else None
+    directory = job_timeline_dir()
     if directory is None:
         return telem, None
     safe = "".join(
@@ -179,7 +196,9 @@ def execute_job(
     This is the function a pool worker runs (and ``workers=1`` runs
     inline): resolve the factory by name, call
     :func:`~repro.core.comparison.run_cell` under a private tracer,
-    wrap the flight recorder around it.  ``explain_dir`` is the
+    wrap the flight recorder around it.  As a process's way in, it
+    reads audit and telemetry from :class:`repro.config.RunConfig`,
+    which workers inherit through the environment.  ``explain_dir`` is the
     caller's resolved trace directory — an argument, not key material,
     so it never perturbs the build cache; cells of a named data file
     trace into a subdirectory of that name, or each file's traces
@@ -202,6 +221,7 @@ def execute_job(
             seed=spec.query_seed,
             tracer=tracer,
             explain_dir=explain_dir,
+            audit=RunConfig.from_env().audit,
             derive_packed=spec.derive_packed,
         )
         if telem is not None:

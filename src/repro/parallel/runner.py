@@ -23,12 +23,13 @@ from typing import Sequence
 
 from repro.core.comparison import QUERY_SEEDS, ExperimentOutcome, merge_outcomes
 from repro.obs.runner import traced_run as traced_parallel_run
-from repro.parallel.cache import BuildCache, cache_from_env
+from repro.parallel.cache import BuildCache
 from repro.parallel.jobs import (
     JobResult,
     JobSpec,
     data_digest,
     execute_job,
+    job_timeline_dir,
     pam_file_specs,
     sam_file_specs,
 )
@@ -48,22 +49,19 @@ def run_specs(
     specs: Sequence[JobSpec],
     *,
     workers: int = 1,
-    cache: BuildCache | str | None = None,
+    cache: BuildCache | None = None,
     data: Sequence | None = None,
     explain_dir: Path | None = None,
 ) -> list[JobResult]:
     """Execute the specs — cached, pooled, or inline — in spec order.
 
-    ``cache`` is a :class:`BuildCache`, ``None`` (no caching) or the
-    string ``"auto"`` (resolve from ``REPRO_BUILD_CACHE``).  ``data``
+    ``cache`` is a :class:`BuildCache` or ``None`` (no caching).  ``data``
     ships an inline record sequence to every spec whose ``file`` is
     ``None``; ``explain_dir`` ships the resolved explain-trace
     directory to every executed job (cache hits write no trace).  The
     returned list is ordered like ``specs`` no matter how execution
     interleaved.
     """
-    if cache == "auto":
-        cache = cache_from_env()
     outcomes: dict[int, JobResult] = {}
     pending: list[tuple[int, JobSpec]] = []
     for i, spec in enumerate(specs):
@@ -104,16 +102,16 @@ def run_specs(
 def _merge_job_timelines() -> None:
     """Fold per-job flight-recorder files into one merged timeline.
 
-    Runs only when ``REPRO_TELEMETRY`` + ``REPRO_TELEMETRY_DIR`` are
-    both set (each executed job then recorded a
-    ``timeline-<label>.jsonl``).  Sources are taken in sorted filename
-    order — a pure function of the job labels — so the merged document
-    is deterministic no matter how the pool interleaved the workers.
+    Runs only where :func:`~repro.parallel.jobs.job_timeline_dir` made
+    each executed job record a ``timeline-<label>.jsonl``.  Sources are
+    taken in sorted filename order — a pure function of the job labels
+    — so the merged document is deterministic no matter how the pool
+    interleaved the workers.
     """
-    from repro.obs.telemetry import merge_timelines, telemetry_enabled, timeline_dir
+    from repro.obs.telemetry import merge_timelines
 
-    directory = timeline_dir()
-    if directory is None or not telemetry_enabled():
+    directory = job_timeline_dir()
+    if directory is None:
         return
     merged = directory / "timeline-merged.jsonl"
     parts = sorted(
@@ -133,7 +131,7 @@ def run_pam_file(
     page_size: int = 512,
     seed: int = QUERY_SEEDS["pam"],
     structures: Sequence[str] | None = None,
-    cache: BuildCache | str | None = None,
+    cache: BuildCache | None = None,
     explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """The full standard-PAM comparison on one data file (plus BUDDY+)."""
@@ -153,7 +151,7 @@ def run_sam_file(
     page_size: int = 512,
     seed: int = QUERY_SEEDS["sam"],
     structures: Sequence[str] | None = None,
-    cache: BuildCache | str | None = None,
+    cache: BuildCache | None = None,
     explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """The full standard-SAM comparison on one rectangle file."""
@@ -173,7 +171,7 @@ def run_parallel_experiment(
     seed: int | None = None,
     page_size: int = 512,
     workers: int = 1,
-    cache: BuildCache | str | None = None,
+    cache: BuildCache | None = None,
     explain_dir: Path | None = None,
 ) -> ExperimentOutcome:
     """Fan an in-memory experiment out by structure name.

@@ -39,6 +39,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.config import RunConfig
 from repro.core.comparison import query_files
 from repro.parallel.cache import default_results_root
 from repro.query.driver import run_query_file
@@ -203,16 +204,13 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown structures {unknown}; choose from {sorted(STRUCTURES)}")
 
-    from repro.obs.telemetry import telemetry_enabled
-
-    telemetry_on = (
-        args.telemetry if args.telemetry is not None else telemetry_enabled()
-    )
+    config = RunConfig.from_env()
+    telemetry_on = config.telemetry if args.telemetry is None else args.telemetry
     telem = flight = None
     if telemetry_on:
         from repro.obs.telemetry import FlightRecorder, Telemetry, set_telemetry
 
-        telem = Telemetry(label="storage-bench")
+        telem = Telemetry(label="storage-bench", slow_op_ms=config.slow_op_ms)
         set_telemetry(telem)  # make_store attaches it to every disk store
         timeline_path = (
             Path(args.timeline)
@@ -313,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         storage_io_totals,
     )
 
-    ledger = resolve_ledger(args.ledger)
+    ledger = resolve_ledger(config.ledger if args.ledger is None else args.ledger)
     if ledger is not None and not failures:
         timers = {}
         totals = {}

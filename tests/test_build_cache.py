@@ -14,7 +14,8 @@ import pickle
 import pytest
 
 import repro.parallel.cache as cache_mod
-from repro.parallel.cache import BuildCache, cache_from_env, code_fingerprint
+from repro.config import RunConfig
+from repro.parallel.cache import BuildCache, code_fingerprint, resolve_cache
 from repro.parallel.jobs import JobSpec
 
 
@@ -107,19 +108,26 @@ class TestCorruptEntries:
         assert cache.misses == 1
 
 
+def configured_cache():
+    """What the bench entry points do with ``REPRO_BUILD_CACHE``."""
+    return resolve_cache(RunConfig.from_env().build_cache)
+
+
 class TestEnvironmentSwitch:
     @pytest.mark.parametrize("value", ["off", "0", "none", "no", "false", "", "  OFF  "])
     def test_disabled_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_BUILD_CACHE", value)
-        assert cache_from_env() is None
+        assert configured_cache() is None
 
     def test_explicit_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BUILD_CACHE", str(tmp_path / "bc"))
-        cache = cache_from_env()
+        cache = configured_cache()
         assert cache is not None and cache.root == tmp_path / "bc"
 
     def test_unset_uses_default_root(self, monkeypatch):
         monkeypatch.delenv("REPRO_BUILD_CACHE", raising=False)
-        cache = cache_from_env()
+        cache = configured_cache()
         assert cache is not None
         assert cache.root.name == ".build_cache"
+        monkeypatch.setenv("REPRO_BUILD_CACHE", "1")  # on: there, not ./1
+        assert configured_cache().root == cache.root

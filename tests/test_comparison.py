@@ -18,8 +18,6 @@ from repro.core.testbed import (
     standard_pam_factories,
     standard_sam_factories,
 )
-from repro.core.testbed import testbed_scale as scale_from_env
-from repro.core.testbed import testbed_workers as workers_from_env
 from repro.pam.buddytree import BuddyTree
 from repro.sam.rtree import RTree
 from repro.storage.pagestore import PageStore
@@ -146,16 +144,3 @@ class TestTestbed:
         assert set(standard_pam_factories()) == {"HB", "BANG", "BANG*", "GRID", "BUDDY"}
         assert set(standard_sam_factories()) == {"R-Tree", "BANG", "BUDDY", "PLOP"}
 
-    def test_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "4321")
-        assert scale_from_env() == 4321
-        monkeypatch.delenv("REPRO_BENCH_SCALE")
-        assert scale_from_env() == 10_000
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "4")
-        assert workers_from_env() == 4
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "garbage")
-        assert workers_from_env() == 1
-        monkeypatch.delenv("REPRO_BENCH_WORKERS")
-        assert workers_from_env() == 1

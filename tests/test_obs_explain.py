@@ -267,17 +267,21 @@ class TestValidate:
 
 
 class TestExplainWiring:
-    def test_explain_dir_env_semantics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
-        assert _explain_dir() is None
-        for off in ("", "0", "off", "no", "false"):
-            monkeypatch.setenv("REPRO_EXPLAIN", off)
-            assert _explain_dir() is None
-        monkeypatch.setenv("REPRO_EXPLAIN", "/tmp/somewhere")
-        assert str(_explain_dir()) == "/tmp/somewhere"
+    def test_explain_dir_env_semantics(self, monkeypatch, tmp_path):
+        # Values, not the environment: False is off, True the default
+        # results root, a string a path unless it is an on/off word.
+        monkeypatch.setenv("REPRO_EXPLAIN", str(tmp_path / "env"))
         assert _explain_dir(False) is None
         assert str(_explain_dir("elsewhere")) == "elsewhere"
-        assert _explain_dir(True) is not None  # default results root
+        assert _explain_dir("none") is None
+        assert _explain_dir(True) == _explain_dir("1")
+        assert _explain_dir(True).name == "explain"
+        # The entry point is what follows REPRO_EXPLAIN; False beats it.
+        factories = {"BUDDY": PAM_FACTORY}
+        run_pam_experiment(factories, make_points(60, seed=4), explain=False)
+        assert not (tmp_path / "env").exists()
+        run_pam_experiment(factories, make_points(60, seed=4))
+        assert (tmp_path / "env" / "PAM-BUDDY.json").is_file()
 
     def test_trace_path_sanitises_names(self, tmp_path):
         assert _trace_path(tmp_path, "pam", "BANG*").name == "PAM-BANG-star.json"

@@ -16,7 +16,6 @@ from repro.obs.ledger import (
     fingerprint_digest,
     flatten_metrics,
     gate_run,
-    ledger_from_env,
     main,
     resolve_ledger,
 )
@@ -211,19 +210,23 @@ class TestGate:
 
 class TestResolve:
     def test_explicit_values(self, tmp_path):
+        assert resolve_ledger(None) is None
         assert resolve_ledger(False) is None
         assert resolve_ledger("0") is None
         ledger = Ledger(tmp_path / "L.jsonl")
         assert resolve_ledger(ledger) is ledger
         assert resolve_ledger(str(tmp_path / "x.jsonl")).path.name == "x.jsonl"
+        # On means the default file — "true" used to append to ./true.
+        assert resolve_ledger("true").path == resolve_ledger(True).path == Ledger().path
 
-    def test_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_LEDGER", raising=False)
-        assert resolve_ledger(None) is None
+    def test_env_default(self, tmp_path, monkeypatch, capsys):
+        # resolve_ledger takes values; the CLI is what follows REPRO_LEDGER.
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "env.jsonl"))
-        assert resolve_ledger(None).path.name == "env.jsonl"
-        monkeypatch.setenv("REPRO_LEDGER", "off")
-        assert ledger_from_env() is None
+        assert resolve_ledger(None) is None
+        assert main(["log"]) == 0
+        assert "env.jsonl is empty" in capsys.readouterr().out
+        assert main(["--ledger", str(tmp_path / "flag.jsonl"), "log"]) == 0
+        assert "flag.jsonl is empty" in capsys.readouterr().out
 
 
 class TestEntryBuilders:

@@ -26,7 +26,6 @@ from repro.core.testbed import (
     standard_pam_factories,
     standard_sam_factories,
 )
-from repro.core.testbed import testbed_workers as workers_from_env
 from repro.obs.export import summarise_spans, validate_run_report
 from repro.obs.tracer import Tracer
 from repro.parallel.cache import BuildCache, code_fingerprint
@@ -207,12 +206,6 @@ class TestJobSpecs:
         sam = sam_file_specs("diagonal", 100)
         assert [s.structure for s in sam] == ["R-Tree", "BANG", "BUDDY", "PLOP"]
         assert all(s.seed is not None for s in pam + sam)
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-        assert workers_from_env() == 1
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "6")
-        assert workers_from_env() == 6
 
 
 # -- the build cache --------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.obs.telemetry import (
     prometheus_name,
     read_timeline,
     set_telemetry,
-    summarise_histogram,
     to_prometheus,
     validate_io_stats,
     validate_slow_op_log,
@@ -118,7 +117,7 @@ class TestTelemetryCore:
         hist = telem.histogram("x")
         for v in range(1, 101):
             hist.observe(float(v))
-        summary = summarise_histogram(hist)
+        summary = hist.summary()
         assert summary["count"] == 100
         assert summary["p50"] == hist.percentile(50) == 50
         assert summary["p90"] == hist.percentile(90) == 90
@@ -499,10 +498,11 @@ class TestMetricsServer:
     def test_only_metrics_is_served(self):
         telem = Telemetry()
         with MetricsServer(telem) as server:
-            url = server.url.replace("/metrics", "/other")
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(url, timeout=10)
-            assert err.value.code == 404
+            for other in ("/other", "/"):
+                url = server.url.replace("/metrics", other)
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(url, timeout=10)
+                assert err.value.code == 404
 
     def test_serves_concurrent_scrapes(self, tmp_path):
         telem = Telemetry()

@@ -319,18 +319,18 @@ class TestExperimentWiring:
         assert len(sam) == 60
 
     def test_audit_env_variable(self, monkeypatch):
-        from repro.core.comparison import _audit_requested
+        from repro.core.comparison import build_pam, run_pam_experiment
 
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert not _audit_requested(None)
-        assert _audit_requested(True)
-        assert not _audit_requested(False)
-        for value in ("0", "off", "no", "false", ""):
-            monkeypatch.setenv("REPRO_AUDIT", value)
-            assert not _audit_requested(None)
+        audits = []
+        monkeypatch.setattr(BuddyTree, "audit", lambda self: audits.append(self))
+        factories = {"BUDDY": lambda s, dims=2: BuddyTree(s, dims)}
+        points = make_points(40, seed=4)
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert _audit_requested(None)
-        assert not _audit_requested(False)  # explicit beats the env
+        build_pam(factories["BUDDY"], points)  # builders take values only
+        run_pam_experiment(factories, points, audit=False)  # explicit beats the env
+        assert audits == []
+        run_pam_experiment(factories, points)  # the entry point follows it
+        assert len(audits) == 1
 
     def test_parallel_experiment_rejects_audit(self):
         from repro.core.comparison import run_pam_experiment, run_sam_experiment
