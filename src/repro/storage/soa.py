@@ -31,9 +31,12 @@ degrades to a rebuild, never to a stale verdict.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Iterable
 
 import numpy as np
+
+from repro.geometry.rect import Rect
 
 __all__ = [
     "SoAList",
@@ -51,16 +54,22 @@ class SoAList(list):
 
     Views are keyed by tag (``"pts"``, ``"entries:cover"``, …) and built
     on first use by a caller-supplied function of the container; every
-    mutating list method invalidates them.  The container pickles as a
-    plain reconstruction from its items, so build-cache entries never
-    carry derived arrays.
+    mutating list method invalidates them.  The container pickles from
+    its items alone, so build-cache entries and page images never carry
+    derived arrays: a container of :class:`Rect` rows travels as one flat
+    coordinate tuple (:meth:`__reduce__`), any other row shape as the
+    plain list.  A container restored from the flat form keeps that tuple
+    in ``_flat`` — the box-view builders start from it instead of walking
+    the rows it was just decoded into — until the first mutator drops it
+    together with the views.
     """
 
-    __slots__ = ("_views",)
+    __slots__ = ("_views", "_flat")
 
     def __init__(self, items: Iterable = ()):
         super().__init__(items)
         self._views: "dict[str, tuple[int, Any]] | None" = None
+        self._flat: "tuple | None" = None
 
     # -- columnar views ---------------------------------------------------
 
@@ -83,6 +92,7 @@ class SoAList(list):
         With a ``tag``, only that view is dropped — the per-array
         invalidation that lets unrelated views survive.
         """
+        self._flat = None
         views = self._views
         if views:
             if tag is None:
@@ -98,6 +108,11 @@ class SoAList(list):
     # -- pickling ---------------------------------------------------------
 
     def __reduce__(self):
+        # Always from the rows, never from ``_flat``: the durable store's
+        # silent-mutation CRC checks must see what the access method holds.
+        boxes = _flatten_boxes(self)
+        if boxes is not None:
+            return (_restore_boxes, boxes)
         return (type(self), (list(self),))
 
     # -- mutators (each invalidates this container's views only) ----------
@@ -105,62 +120,124 @@ class SoAList(list):
     def append(self, item):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.append(self, item)
 
     def extend(self, items):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.extend(self, items)
 
     def insert(self, index, item):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.insert(self, index, item)
 
     def remove(self, item):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.remove(self, item)
 
     def pop(self, index=-1):
         if self._views:
             self._views.clear()
+        self._flat = None
         return list.pop(self, index)
 
     def clear(self):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.clear(self)
 
     def sort(self, **kwargs):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.sort(self, **kwargs)
 
     def reverse(self):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.reverse(self)
 
     def __setitem__(self, index, value):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.__setitem__(self, index, value)
 
     def __delitem__(self, index):
         if self._views:
             self._views.clear()
+        self._flat = None
         list.__delitem__(self, index)
 
     def __iadd__(self, other):
         if self._views:
             self._views.clear()
+        self._flat = None
         return list.__iadd__(self, other)
 
     def __imul__(self, factor):
         if self._views:
             self._views.clear()
+        self._flat = None
         return list.__imul__(self, factor)
+
+
+def _flatten_boxes(rows: list) -> "tuple[int, tuple] | None":
+    """``(dims, flat)`` for rows that are all :class:`Rect` of one
+    dimensionality, else ``None``.
+
+    ``flat`` is the rows' ``lo + hi`` coordinates end to end, elements
+    untouched (an ``int`` stays an ``int``, ``-0.0`` keeps its sign): no
+    nested tuples for pickle to memoise and no per-row reduce call, which
+    is what made a page of boxes dearer to move than a page of points.
+    Rows of ``(point, rid)`` tuples measured *slower* flattened and keep
+    the list form.
+    """
+    if not rows or type(rows[0]) is not Rect:
+        return None
+    dims = len(rows[0].lo)
+    if not dims:
+        return None
+    flat: list = []
+    extend = flat.extend
+    for row in rows:
+        if type(row) is not Rect:
+            return None
+        lo = row.lo
+        if len(lo) != dims:
+            return None
+        extend(lo)
+        extend(row.hi)
+    return dims, tuple(flat)
+
+
+def _restore_boxes(dims: int, flat: tuple) -> SoAList:
+    """Rebuild a container of :class:`Rect` rows from :func:`_flatten_boxes`.
+
+    Keeps the check ``Rect.__init__`` made when every row was unpickled
+    through it — an inverted interval is a ``ValueError`` — as ``dims``
+    strided passes over the tuple instead of one Python call per row.
+    """
+    width = 2 * dims
+    if dims < 1 or len(flat) % width:
+        raise ValueError(f"dimension mismatch: {len(flat)} coordinates, {dims} dims")
+    for axis in range(dims):
+        if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
+            raise ValueError(f"inverted interval on axis {axis} of a stored box")
+    make = Rect._make
+    out = SoAList(
+        [make(flat[i : i + dims], flat[i + dims : i + width]) for i in range(0, len(flat), width)]
+    )
+    out._flat = flat
+    return out
 
 
 class soa_field:
@@ -234,15 +311,36 @@ def fused_anti_values(lst: "SoAList") -> np.ndarray:
     return np.concatenate([-lo, hi], axis=1)
 
 
+def _box_rows(lst: "SoAList") -> "tuple[np.ndarray, int]":
+    """A fresh ``(n, 2d)`` array of ``[lo, hi]`` rows, and ``d``.
+
+    Built from the flat coordinate tuple: the one a disk miss left on the
+    container when it still matches the rows, else one flattened here —
+    the simulated and the durable store share this single path.
+    """
+    n = len(lst)
+    flat = getattr(lst, "_flat", None)  # plain lists of Rect build too
+    if flat is None or not n or len(flat) != n * 2 * len(lst[0].lo):
+        # No flat, or a bypassed mutator left it stale: walk the rows.
+        boxes = _flatten_boxes(lst)
+        if boxes is None:
+            raise TypeError("box view of a container that is not all Rect rows")
+        flat = boxes[1]
+    arr = np.array(flat, dtype=float).reshape(n, -1)
+    return arr, arr.shape[1] // 2
+
+
 def fused_cover_boxes(lst: "SoAList") -> np.ndarray:
     """``[lo, -hi]`` rows for a container of :class:`Rect` (isect/encl)."""
-    lo = np.array([r.lo for r in lst], dtype=float)
-    hi = np.array([r.hi for r in lst], dtype=float)
-    return np.concatenate([lo, -hi], axis=1)
+    arr, dims = _box_rows(lst)
+    hi = arr[:, dims:]
+    np.negative(hi, out=hi)
+    return arr
 
 
 def fused_anti_boxes(lst: "SoAList") -> np.ndarray:
     """``[-lo, hi]`` rows for a container of :class:`Rect` (containment)."""
-    lo = np.array([r.lo for r in lst], dtype=float)
-    hi = np.array([r.hi for r in lst], dtype=float)
-    return np.concatenate([-lo, hi], axis=1)
+    arr, dims = _box_rows(lst)
+    lo = arr[:, :dims]
+    np.negative(lo, out=lo)
+    return arr

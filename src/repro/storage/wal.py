@@ -53,6 +53,11 @@ _FRAME = struct.Struct("<II")
 #: length of, say, 3 GiB must not trigger a 3 GiB read).
 _MAX_PAYLOAD = 1 << 28
 
+#: Replay reads the log in blocks of this size and walks the frames in
+#: memory — a pread per block instead of two per frame, without holding
+#: a second copy of a log that may be tens of MiB.
+_REPLAY_BLOCK = 1 << 16
+
 
 class WalRecord:
     """One decoded record plus the file offset just past its frame."""
@@ -125,10 +130,24 @@ class WriteAheadLog:
         uncommitted tail) are dropped.  ``end`` is the file offset just
         past the last commit — the caller truncates there.  ``torn``
         reports whether the scan stopped early on a damaged frame, as
-        opposed to a clean EOF.
+        opposed to a clean EOF.  The file is read a block at a time
+        (``_REPLAY_BLOCK``) and the frames are walked in memory.
         """
         file_size = self._fh.size()
-        header = self._fh.pread(_HEADER.size, 0)
+        block = memoryview(b"")
+        block_at = 0
+
+        def pread(n: int, offset: int) -> memoryview:
+            """``n`` bytes at ``offset`` (fewer at EOF), out of the block."""
+            nonlocal block, block_at
+            start = offset - block_at
+            if start < 0 or start + n > len(block):
+                block = memoryview(self._fh.pread(max(n, _REPLAY_BLOCK), offset))
+                block_at = offset
+                start = 0
+            return block[start : start + n]
+
+        header = pread(_HEADER.size, 0)
         if len(header) < _HEADER.size:
             return [], _HEADER.size, len(header) not in (0, _HEADER.size)
         magic, version = _HEADER.unpack(header)
@@ -142,7 +161,7 @@ class WriteAheadLog:
         offset = _HEADER.size
         torn = False
         while offset < file_size:
-            frame_header = self._fh.pread(_FRAME.size, offset)
+            frame_header = pread(_FRAME.size, offset)
             if len(frame_header) < _FRAME.size:
                 torn = True
                 break
@@ -150,7 +169,7 @@ class WriteAheadLog:
             if length > _MAX_PAYLOAD or offset + _FRAME.size + length > file_size:
                 torn = True
                 break
-            payload = self._fh.pread(length, offset + _FRAME.size)
+            payload = pread(length, offset + _FRAME.size)
             if len(payload) < length or zlib.crc32(payload) != crc:
                 torn = True
                 break

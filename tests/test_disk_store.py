@@ -9,9 +9,12 @@ lifecycle parity with the simulated store, checkpoint/snapshot export.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro.geometry.rect import Rect
+from repro.sam.rtree import _Node
 from repro.storage.disk import (
     AliasingError,
     CorruptionError,
@@ -23,10 +26,22 @@ from repro.storage.disk import (
     restore_method,
     snapshot_method,
 )
-from repro.storage.io import FaultInjectingIO, InjectedCrash, OsFileIO
+from repro.storage.io import FaultInjectingIO, InjectedCrash, InstrumentedIO, OsFileIO
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import _REPLAY_BLOCK, WriteAheadLog
+
+
+class _CallCounter(Counter):
+    """An ``InstrumentedIO`` sink that counts calls per operation."""
+
+    def observe_io(self, op, seconds, nbytes):
+        self[op] += 1
+
+
+def _counting_io():
+    calls = _CallCounter()
+    return InstrumentedIO(OsFileIO(), calls), calls
 
 
 # -- fault-injecting IO ----------------------------------------------------
@@ -141,6 +156,31 @@ class TestWriteAheadLog:
         assert torn and end == mid
         assert [r.kind for r in records] == ["page", "commit"]
 
+    def test_replay_reads_blocks_not_frames(self, tmp_path):
+        """Frames are walked in memory: a pread per block of log, and a
+        frame larger than a block still arrives whole."""
+        io, calls = _counting_io()
+        wal = WriteAheadLog(tmp_path / "wal", io)
+        big = bytes(range(256)) * 1024  # 256 KiB, several replay blocks
+        for pid in range(200):
+            wal.append("page", pid, "data", big if pid == 120 else b"p" * 300)
+            if pid % 10 == 9:
+                wal.commit(next_id=pid + 1, pinned=[])
+        wal.append("page", 999, "data", b"uncommitted")
+        size = wal.size
+        wal.close()
+
+        wal = WriteAheadLog(tmp_path / "wal", io)
+        before = calls["pread"]
+        records, end, torn = wal.replay()
+        assert calls["pread"] - before <= 4 + size // _REPLAY_BLOCK
+        assert not torn and end < size
+        pages = [r for r in records if r.kind == "page"]
+        assert [r.fields[0] for r in pages] == list(range(200))
+        assert records[-1].kind == "commit" and records[-1].end_offset == end
+        assert pages[120].fields[2] == big
+        assert all(type(r.fields[2]) is bytes for r in pages)
+
     def test_reset_empties_the_log(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
         wal.append("meta", b"blob")
@@ -185,6 +225,16 @@ class TestPageFile:
         pf.write_slot(0, PageKind.DATA, b"old")
         with pytest.raises(CorruptionError, match="stale"):
             pf.read_slot(0, expected_crc=0xDEAD)
+
+    def test_length_hint_is_one_pread_and_a_wrong_hint_only_costs_a_second(self, tmp_path):
+        io, calls = _counting_io()
+        pf = PageFile(tmp_path / "pages", io, 4096, 512)
+        crc = pf.write_slot(2, PageKind.DATA, b"payload")
+        for hint, preads in ((7, 1), (0, 2), (3, 2), (4000, 2)):
+            before = calls["pread"]
+            assert pf.read_slot(2, crc, hint) == (PageKind.DATA, b"payload")
+            assert calls["pread"] - before == preads, hint
+        assert pf.bytes_read == 4 * (PageFile.SLOT_HEADER + 7)
 
     def test_default_slot_size_scales_with_page_size(self):
         assert default_slot_size(512) >= 16 * 512
@@ -344,6 +394,121 @@ class TestDiskPageStore:
         assert stats["backend"] == "disk"
         for section in ("pool", "wal", "pagefile"):
             assert isinstance(stats[section], dict)
+
+
+# -- the miss path ----------------------------------------------------------
+
+
+def _rid(pid: int) -> int:
+    return 1000 + pid
+
+
+def _leaf(i: int, rows: int = 3) -> _Node:
+    """An R-tree leaf as page ``i`` of a fresh store (page ids start at 0)."""
+    node = _Node(is_leaf=True)
+    node.rects = [Rect((0.01 * i, 0.1 * k), (0.01 * i + 0.5, 0.1 * k + 0.3)) for k in range(rows)]
+    node.children = [_rid(i)]
+    return node
+
+
+class TestMissPath:
+    """A miss is one ``pread``, and it refuses what two used to refuse."""
+
+    POOL = 4
+
+    def _spilled(self, tmp_path, pages=10, **kw):
+        """A store holding more committed pages than its pool; returns
+        ``(store, non-resident pids)``."""
+        store = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False, **kw)
+        pids = []
+        for i in range(pages):
+            store.begin_operation()
+            pid = store.allocate(PageKind.DATA, _leaf(i))
+            store.write(pid)
+            pids.append(pid)
+        store.begin_operation()
+        store.begin_operation()
+        cold = [p for p in pids if p not in store.pool.frames]
+        assert len(cold) >= 4
+        return store, cold
+
+    def test_one_pread_per_miss_and_per_peek_load(self, tmp_path):
+        io, calls = _counting_io()
+        store, cold = self._spilled(tmp_path, io=io)
+        pool = store.pool
+        for pid in cold[:3]:
+            before = calls["pread"], pool.misses
+            assert store.read(pid).children == [_rid(pid)]
+            assert (calls["pread"], pool.misses) == (before[0] + 1, before[1] + 1)
+        pid = next(p for p in cold if p not in pool.frames)
+        before = calls["pread"], pool.peek_loads, pool.misses
+        assert store.peek(pid).children == [_rid(pid)]
+        assert (calls["pread"], pool.peek_loads, pool.misses) == (
+            before[0] + 1, before[1] + 1, before[2],
+        )  # fmt: skip
+
+    def test_a_length_only_stale_page_table_reads_the_slot_it_names(self, tmp_path):
+        io, calls = _counting_io()
+        store, cold = self._spilled(tmp_path, io=io)
+        store.pool.pages[cold[0]].length += 3  # the CRC still names the slot's image
+        before = calls["pread"]
+        assert store.peek(cold[0]).children == [_rid(cold[0])]
+        assert calls["pread"] == before + 2
+
+    def test_stale_truncated_and_flipped_slots_are_still_refused(self, tmp_path):
+        store, cold = self._spilled(tmp_path)
+        stale, flipped, cut = cold[0], cold[1], max(cold)
+        pagefile = store._pagefile
+        # A slot rewritten behind the page table's back: other length, other CRC.
+        pagefile.write_slot(stale, PageKind.DATA, pickle.dumps(_leaf(99, rows=5), 4))
+        with pytest.raises(CorruptionError, match="stale"):
+            store.read(stale)
+        with pytest.raises(CorruptionError, match="stale"):
+            store.peek(stale)
+        # One flipped payload bit, length and header intact.
+        path = store.path / "pages.dat"
+        raw = bytearray(path.read_bytes())
+        raw[pagefile._offset(flipped) + PageFile.SLOT_HEADER + 20] ^= 0x10
+        path.write_bytes(raw)
+        with pytest.raises(CorruptionError, match="checksum"):
+            store.read(flipped)
+        # The file ends inside the last cold slot's payload, then before its header.
+        handle = pagefile._fh
+        handle.truncate(pagefile._offset(cut) + PageFile.SLOT_HEADER + 10)
+        with pytest.raises(CorruptionError, match="checksum"):
+            store.read(cut)
+        handle.truncate(pagefile._offset(cut) + 4)
+        with pytest.raises(CorruptionError, match="slot missing"):
+            store.peek(cut)
+        assert store.pool.misses == 0 and store.pool.peek_loads == 0
+
+    def test_unwritten_rtree_mutation_is_caught_at_eviction_and_at_commit(self, tmp_path):
+        store, cold = self._spilled(tmp_path)
+        pool = store.pool
+        a, b, *rest = cold
+        store.begin_operation()
+        for pid in (a, b):  # off disk: each carries the flat it was decoded from
+            assert store.read(pid).rects._flat is not None
+        store.read(a).rects[0] = Rect((0.0, 0.0), (0.5, 0.5))  # no store.write(a)
+        store.read(b).rects.append(Rect((0.1, 0.1), (0.2, 0.2)))  # nor store.write(b)
+        assert pool.silent_dirty == 0
+        # Nothing is dirty, so the next brackets' commits have nothing to
+        # scan; the clock meets `a` and `b` as clean eviction candidates.
+        for pid in [p for p in store.page_ids() if p not in (a, b)]:
+            store.begin_operation()
+            store.read(pid)
+        assert pool.silent_dirty == 2
+        # At commit: the scan re-serialises a touched clean page from its rows.
+        store.begin_operation()
+        c = next(p for p in store.page_ids() if p not in pool.frames and p not in (a, b))
+        store.read(c).rects.pop()  # unwritten, again
+        store.write(store.allocate(PageKind.DATA, _leaf(50)))  # makes the commit happen
+        store.commit()
+        assert pool.silent_dirty == 3
+        store.close()
+        back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
+        assert back.peek(a).rects[0] == Rect((0.0, 0.0), (0.5, 0.5))
+        assert len(back.peek(b).rects) == 4 and len(back.peek(c).rects) == 2
 
 
 # -- method persistence helpers ---------------------------------------------
