@@ -159,23 +159,29 @@ class _AccessMethodBase(abc.ABC):
     def _workload_rects(self, kind: str, queries: Sequence) -> list:
         """Map a query file to the boxes the scan paths will be asked about.
 
-        Must replicate the public query methods' conversions exactly, so
-        that the box the traversal receives compares equal to the
-        registered one.  Structures that rewrite queries before scanning
-        (the transformation technique) override this.
+        The box the traversal receives must compare equal to the
+        registered one, so conversions the public query methods make are
+        shared with them (:meth:`_partial_match_rect`).  Structures that
+        rewrite queries before scanning (the transformation technique)
+        override this.
         """
         if kind == "pm":
-            rects = []
-            for specified in queries:
-                lo = [0.0] * self.dims
-                hi = [1.0] * self.dims
-                for axis, value in specified.items():
-                    lo[axis] = hi[axis] = value
-                rects.append(Rect(tuple(lo), tuple(hi)))
-            return rects
+            return [self._partial_match_rect(specified) for specified in queries]
         if kind == "point":
             return [Rect.from_point(tuple(float(c) for c in p)) for p in queries]
         return list(queries)
+
+    def _partial_match_rect(self, specified: dict[int, float]) -> Rect:
+        """The degenerate range query a partial-match query runs as."""
+        lo = [0.0] * self.dims
+        hi = [1.0] * self.dims
+        for axis, value in specified.items():
+            if not 0 <= axis < self.dims:
+                raise ValueError(
+                    f"partial-match axis {axis} outside 0..{self.dims - 1}"
+                )
+            lo[axis] = hi[axis] = value
+        return Rect(tuple(lo), tuple(hi))
 
     # -- operation bracketing ----------------------------------------------
 
@@ -237,13 +243,10 @@ class PointAccessMethod(_AccessMethodBase):
 
         ``specified`` maps axis index to the required value.  Executed as
         a degenerate range query, which is how the compared structures
-        process partial matches.
+        process partial matches.  An axis outside ``0..dims-1`` is a
+        ``ValueError``, raised before the operation starts.
         """
-        lo = [0.0] * self.dims
-        hi = [1.0] * self.dims
-        for axis, value in specified.items():
-            lo[axis] = hi[axis] = value
-        return self.range_query(Rect(tuple(lo), tuple(hi)))
+        return self.range_query(self._partial_match_rect(specified))
 
 
 class SpatialAccessMethod(_AccessMethodBase):

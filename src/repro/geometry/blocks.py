@@ -45,6 +45,7 @@ __all__ = [
     "bits_of_point",
     "is_prefix",
     "common_prefix",
+    "nested_residuals",
     "min_enclosing_block",
     "split_axis",
 ]
@@ -205,6 +206,37 @@ def common_prefix(a: Bits, b: Bits) -> Bits:
             break
         n += 1
     return a[:n]
+
+
+def nested_residuals(all_bits: Sequence[Bits]) -> "list[list[Bits] | None]":
+    """Per block, the disjoint blocks tiling it minus the listed blocks nested in it.
+
+    A walk down the binary partition: a half that is itself a listed
+    block is left out, a half with a listed block further inside is
+    halved again, any other half is a piece.  ``None`` for a block with
+    no other listed block strictly inside it; an empty list when the
+    nested blocks tile it completely.
+    """
+    taken = set(all_bits)
+    inner = {bits[:k] for bits in taken for k in range(len(bits))}
+    out: "list[list[Bits] | None]" = []
+    for bits in all_bits:
+        if bits not in inner:
+            out.append(None)
+            continue
+        pieces: list[Bits] = []
+        stack = [bits]
+        while stack:
+            current = stack.pop()
+            for child in (current + (0,), current + (1,)):
+                if child in taken:
+                    continue
+                if child in inner:
+                    stack.append(child)
+                else:
+                    pieces.append(child)
+        out.append(pieces)
+    return out
 
 
 def enclosing_code(rect: Rect, dims: int, max_depth: int = MAX_DEPTH) -> tuple[int, int]:

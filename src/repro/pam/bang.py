@@ -35,13 +35,15 @@ The ``ABL-BANG-MBR`` bench quantifies the §9 prediction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.core.interfaces import PointAccessMethod
 from repro.geometry import blocks
 from repro.geometry.blocks import Bits
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import CoverSet, is_covered
+from repro.geometry.regioncover import is_covered
 from repro.storage import layout
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
@@ -644,60 +646,81 @@ class BangFile(PointAccessMethod):
                 hi[i] = entry.mbr.hi
         return np.concatenate([lo, -hi], axis=1)
 
-    def _build_nested(self, lst) -> list:
-        """Per-entry ``[block rect, nested sibling blocks, coverage]``.
+    def _build_residual(self, lst) -> tuple:
+        """``(nested, owner, rows)``: the residual column of a leaf page.
 
-        The nesting structure depends only on the page's entries, never on
-        the query, so one O(entries^2) pass serves every later query until
-        the entry list mutates (the container invalidates the view).  The
-        third slot lazily memoises the "full block covered by nested
-        siblings" verdict.
+        The region of an entry with sibling blocks nested inside it is
+        its block minus those blocks, tiled by disjoint dyadic *pieces*
+        (:func:`repro.geometry.blocks.nested_residuals`).  ``rows`` holds
+        every piece as a fused ``[lo, -hi]`` row twice: ``m`` closed rows,
+        then the same rows moved two ulps inward on every side that is
+        not on the owner's own boundary (nothing is nested across that).
+        ``owner[row]`` is the entry a row belongs to and ``nested`` the
+        set of entries that have nested siblings at all.  Depends on the
+        entry blocks only, so it lives until the entry list mutates.
         """
         dims = self.dims
-        rects_ = [blocks.block_rect(e.bits, dims) for e in lst]
-        info = []
-        for j, entry in enumerate(lst):
-            bits = entry.bits
-            depth = len(bits)
-            nested = [
-                rects_[k]
-                for k, other in enumerate(lst)
-                if other is not entry
-                and len(other.bits) > depth
-                and blocks.is_prefix(bits, other.bits)
-            ]
-            info.append([rects_[j], CoverSet(nested) if nested else None, None])
-        return info
+        nested: set[int] = set()
+        owner: list[int] = []
+        pieces: list[Rect] = []
+        for i, tiles in enumerate(blocks.nested_residuals([e.bits for e in lst])):
+            if tiles is not None:
+                nested.add(i)
+                owner.extend([i] * len(tiles))
+                pieces.extend([blocks.block_rect(t, dims) for t in tiles])
+        closed = np.array([r.lo + r.hi for r in pieces]).reshape(len(pieces), 2 * dims)
+        np.negative(closed[:, dims:], out=closed[:, dims:])
+        # In the fused encoding "inward" is "up" on all 2d columns.
+        inward = np.nextafter(np.nextafter(closed, np.inf), np.inf)
+        own = lst.view("blocks:cover", self._build_blocks_cover)[owner]
+        shrunk = np.where(closed > own, inward, closed)
+        return nested, owner * 2, np.concatenate([closed, shrunk])
 
-    def _keep_leaf_entries(self, entries, idx: list, rect: Rect) -> list:
+    def _build_residual_cover(self, lst) -> "np.ndarray":
+        """The fused rows of :meth:`_build_residual`, as the kernels take them."""
+        return lst.view("residual", self._build_residual)[2]
+
+    def _keep_leaf_entries(self, entries, idx: list, r_row: list, rect: Rect) -> list:
         """Filter a leaf's block/MBR hits by the nesting-coverage rule:
         an entry whose overlap with the query is entirely covered by
-        sibling blocks nested inside it holds no reachable records."""
-        info = entries.view("nested", self._build_nested)
-        qlo = rect.lo
-        qhi = rect.hi
-        out = []
-        for i in idx:
-            slot = info[i]
-            nested = slot[1]
-            if nested is not None:
-                block = slot[0]
-                blo = block.lo
-                bhi = block.hi
-                # idx holds block/query intersection hits, so the clipped
-                # overlap is never empty.
-                olo = tuple(map(max, blo, qlo))
-                ohi = tuple(map(min, bhi, qhi))
-                if olo == blo and ohi == bhi:
-                    covered = slot[2]
-                    if covered is None:
-                        covered = slot[2] = nested.covers(block)
-                else:
-                    covered = nested.covers_bounds(olo, ohi)
-                if covered:
-                    continue
-            out.append(i)
-        return out
+        sibling blocks nested inside it holds no reachable records.
+
+        ``r_row`` is the query's intersection verdict over the residual
+        rows.  No closed piece hit: the overlap lies wholly inside nested
+        blocks, every point :func:`is_covered` probes included — pruned.
+        A shrunk piece hit: the overlap reaches a point of a piece that no
+        nested block touches, and two ulps of margin keep the midpoint
+        ``is_covered`` probes next to it clear of them too — kept.  What
+        is left (a piece touched only within two ulps of an inner edge)
+        asks the oracle itself, so the verdict is the scalar one on every
+        input (DESIGN.md, "Query execution", has the argument).
+        """
+        nested, owner, _ = entries.view("residual", self._build_residual)
+        if not nested:
+            return idx
+        split = bisect_left(r_row, len(owner) >> 1)
+        kept = {owner[row] for row in r_row[split:]}
+        touched = {owner[row] for row in r_row[:split]}
+        return [
+            i
+            for i in idx
+            if i not in nested
+            or i in kept
+            or (i in touched and not self._covered_by_nested(entries, entries[i], rect))
+        ]
+
+    def _covered_by_nested(self, entries, entry: _Entry, rect: Rect) -> bool:
+        """The scalar oracle: is the part of ``rect`` inside the entry's
+        block entirely covered by sibling blocks nested in that block?
+        ``rect`` must meet the block."""
+        dims = self.dims
+        bits = entry.bits
+        nested = [
+            blocks.block_rect(other.bits, dims)
+            for other in entries
+            if len(other.bits) > len(bits) and blocks.is_prefix(bits, other.bits)
+        ]
+        return is_covered(blocks.block_rect(bits, dims).intersection(rect), nested)
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
@@ -706,8 +729,8 @@ class BangFile(PointAccessMethod):
         # Plan: level-at-a-time over uncharged views; block and MBR gates
         # of every cold directory page of a level — and, afterwards, every
         # cold data page — share one fused kernel call per op (see
-        # repro.query.traverse).  The nesting-coverage leaf filter is a
-        # cached per-page structure, no kernels involved.
+        # repro.query.traverse).  The nesting-coverage leaf filter rides
+        # along as a third gate: the leaf's residual rows.
         objects = store._objects
         src = traverse.RowSource(store.columnar, rect)
         row_of = src.row
@@ -725,7 +748,9 @@ class BangFile(PointAccessMethod):
         relevant: dict[int, list] = {}
         level = [self._root_pid]
 
-        def resolve(pid: int, node: "_DirNode", b_row: list, m_row, nxt: list) -> None:
+        def resolve(
+            pid: int, node: "_DirNode", b_row: list, m_row, r_row, nxt: list
+        ) -> None:
             if minimal:
                 hits = set(m_row)
                 idx = [i for i in b_row if i in hits]
@@ -733,7 +758,7 @@ class BangFile(PointAccessMethod):
                 idx = b_row
             entries = node.entries
             if node.is_leaf:
-                relevant[pid] = self._keep_leaf_entries(entries, idx, rect)
+                relevant[pid] = self._keep_leaf_entries(entries, idx, r_row, rect)
             else:
                 kids = expansion[pid] = [entries[i].pid for i in idx]
                 nxt.extend(kids)
@@ -750,7 +775,8 @@ class BangFile(PointAccessMethod):
                     else:
                         expansion[pid] = traverse._EMPTY_ROW
                     continue
-                b_row = m_row = None
+                leaf = node.is_leaf
+                b_row = m_row = r_row = None
                 if hot is not None:
                     entry = hot.get((pid, "blocks:isect"))
                     if entry is not None:
@@ -767,6 +793,15 @@ class BangFile(PointAccessMethod):
                             m_row = (
                                 cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
                             )
+                    if leaf:
+                        entry = hot.get((pid, "residual:isect"))
+                        if entry is not None:
+                            starts, cols = entry
+                            s = starts[qi]
+                            e = starts[qi + 1]
+                            r_row = (
+                                cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
+                            )
                 if b_row is None:
                     b_row = row_of(
                         pid, "blocks:isect", "isect",
@@ -777,18 +812,29 @@ class BangFile(PointAccessMethod):
                         pid, "mbrs:isect", "isect",
                         entries, "mbrs:cover", self._build_mbrs_cover,
                     )
-                if b_row is None or (minimal and m_row is None):
-                    deferred.append((pid, node, b_row, m_row))
+                if leaf and r_row is None:
+                    r_row = row_of(
+                        pid, "residual:isect", "isect",
+                        entries, "residual:cover", self._build_residual_cover,
+                    )
+                if (
+                    b_row is None
+                    or (minimal and m_row is None)
+                    or (leaf and r_row is None)
+                ):
+                    deferred.append((pid, node, b_row, m_row, r_row))
                 else:
-                    resolve(pid, node, b_row, m_row, nxt)
+                    resolve(pid, node, b_row, m_row, r_row, nxt)
             if deferred:
                 rows = src.flush()
-                for pid, node, b_row, m_row in deferred:
+                for pid, node, b_row, m_row, r_row in deferred:
                     if b_row is None:
                         b_row = rows[(pid, "blocks:isect")]
                     if minimal and m_row is None:
                         m_row = rows[(pid, "mbrs:isect")]
-                    resolve(pid, node, b_row, m_row, nxt)
+                    if node.is_leaf and r_row is None:
+                        r_row = rows[(pid, "residual:isect")]
+                    resolve(pid, node, b_row, m_row, r_row, nxt)
             level = nxt
         # All surviving data pages ride one last fused call.
         leaf_dpids: dict[int, list] = {}
@@ -873,18 +919,9 @@ class BangFile(PointAccessMethod):
                 entry.mbr is None or not entry.mbr.intersects(rect)
             ):
                 continue
-            block = blocks.block_rect(entry.bits, self.dims)
-            overlap = block.intersection(rect)
-            if overlap is None:
+            if not blocks.block_rect(entry.bits, self.dims).intersects(rect):
                 continue
-            nested = [
-                blocks.block_rect(other.bits, self.dims)
-                for other in entries
-                if other is not entry
-                and len(other.bits) > len(entry.bits)
-                and blocks.is_prefix(entry.bits, other.bits)
-            ]
-            if nested and is_covered(overlap, nested):
+            if self._covered_by_nested(entries, entry, rect):
                 continue
             out.append(entry)
         return out

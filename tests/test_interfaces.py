@@ -46,6 +46,34 @@ class TestPointAccessMethodContract:
         hits = pam.partial_match({1: 0.1})
         assert sorted(rid for _, rid in hits) == [1, 3]
 
+    @pytest.mark.parametrize("axis", [-1, 2, 7])
+    def test_partial_match_rejects_axis_outside_dims(self, store, axis):
+        """``{-1: v}`` used to wrap to the last axis and ``{dims: v}`` to
+        raise a bare IndexError; both are a ValueError naming the axis,
+        raised before the operation starts so nothing is charged."""
+        pam = BuddyTree(store, 2)
+        for i in range(200):
+            pam.insert((i / 211.0, (i * 7 % 211) / 211.0), i)
+        pam.partial_match({1: 0.5})
+
+        class CountBegins:
+            begins = 0
+
+            def on_operation_begin(self, store):
+                self.begins += 1
+
+            def on_access(self, *args):
+                pass
+
+        store.observer = observer = CountBegins()
+        before = store.stats.total
+        with pytest.raises(ValueError, match=f"axis {axis} "):
+            pam.partial_match({0: 0.5, axis: 0.5})
+        assert observer.begins == 0
+        assert store.stats.total == before
+        line = Rect((0.0, 0.5), (1.0, 0.5))
+        assert pam.partial_match({1: 0.5}) == pam.range_query(line)
+
     def test_metrics_fields(self, store):
         pam = BuddyTree(store, 2)
         for i in range(200):

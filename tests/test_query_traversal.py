@@ -21,13 +21,16 @@ at these tiny scales.
 
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.testbed import standard_pam_factories
 from repro.geometry.rect import Rect
 from repro.query import columnar
 from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
+from repro.workloads import generate_partial_match_queries
 
 coordinate = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -144,6 +147,33 @@ class TestWorkloadLifecycle:
         # path buffer keeps recently visited pages); the hint contract is
         # about the answers.
         assert [r for _, r in hinted] == [r for _, r in first]
+
+    @pytest.mark.parametrize("name", sorted(standard_pam_factories()))
+    def test_partial_match_file_rides_the_registered_batch(self, name):
+        """``_workload_rects("pm")`` and ``partial_match`` must produce
+        equal boxes, or ``RowSource`` silently drops the batch and every
+        page goes cold.  Seen from inside the file (``end_query_workload``
+        drops the batch): every scan box equals the registered one, and
+        the batch was asked for rows."""
+        store = PageStore(512, vector=True)
+        method = standard_pam_factories()[name](store)
+        for rid, p in enumerate(_point_pool(300, 11)):
+            method.insert(p, rid)
+        queries = generate_partial_match_queries(0, count=6) + [{0: 0.25, 1: 0.5}]
+        scan = method._range_query
+        seen = []
+
+        def spy(rect):
+            workload = store.columnar.workload
+            seen.append(workload.current == rect)
+            result = scan(rect)
+            seen.append(bool(workload._visits or workload._rows))
+            return result
+
+        with mock.patch.object(method, "_range_query", spy):
+            outcomes = run_query_file(method, "pm", queries, method.partial_match)
+        assert len(outcomes) == len(queries)
+        assert seen == [True] * (2 * len(queries))
 
     def test_invalidate_drops_hot_pid_hint(self):
         cache = columnar.ColumnarCache()

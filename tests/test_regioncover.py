@@ -1,9 +1,9 @@
-"""Tests for exact rectangle-union coverage."""
+"""Tests for the scalar rectangle-union coverage oracle."""
 
 from hypothesis import given, strategies as st
 
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import CoverSet, is_covered
+from repro.geometry.regioncover import is_covered
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -77,54 +77,3 @@ class TestIsCovered:
     @given(rect())
     def test_self_cover(self, target):
         assert is_covered(target, [target])
-
-
-class TestCoverSet:
-    """CoverSet must agree with is_covered on every target.
-
-    This pins the whole shortcut ladder — the bounding-box gate, the
-    fully-covered-grid early return, the small-box flat-list walk and
-    the NumPy fallback — against the per-call oracle.
-    """
-
-    @given(st.lists(rect(), min_size=1, max_size=6), rect())
-    def test_matches_is_covered(self, covers, target):
-        cs = CoverSet(covers)
-        assert cs.covers(target) == is_covered(target, covers)
-        assert cs.covers_bounds(target.lo, target.hi) == is_covered(
-            target, covers
-        )
-
-    @given(st.lists(rect(), min_size=1, max_size=4))
-    def test_union_members_are_covered(self, covers):
-        cs = CoverSet(covers)
-        for c in covers:
-            assert cs.covers(c)
-
-    def test_full_grid_shortcut(self):
-        # Two abutting halves cover their bounding box completely: every
-        # interior target must be answered True (via the _full fast path).
-        cs = CoverSet(
-            [Rect((0.0, 0.0), (0.5, 1.0)), Rect((0.5, 0.0), (1.0, 1.0))]
-        )
-        assert cs._full
-        assert cs.covers(Rect((0.2, 0.3), (0.9, 0.7)))
-        assert cs.covers(Rect((0.5, 0.5), (0.5, 0.5)))  # degenerate
-        assert not cs.covers(Rect((0.2, 0.3), (1.1, 0.7)))  # sticks out
-
-    def test_small_box_walk_matches_numpy(self):
-        # An L-shaped cover leaves one quadrant open; probe targets whose
-        # cell boxes are small enough for the flat-list walk.
-        covers = [
-            Rect((0.0, 0.0), (1.0, 0.5)),
-            Rect((0.0, 0.5), (0.5, 1.0)),
-        ]
-        cs = CoverSet(covers)
-        assert not cs._full
-        for target in (
-            Rect((0.1, 0.1), (0.9, 0.4)),
-            Rect((0.1, 0.1), (0.4, 0.9)),
-            Rect((0.6, 0.6), (0.9, 0.9)),
-            Rect((0.1, 0.1), (0.9, 0.9)),
-        ):
-            assert cs.covers(target) == is_covered(target, covers)
