@@ -826,7 +826,9 @@ class BuddyTree(PointAccessMethod):
         saved = 0
         stack = [self._root_pid]
         while stack:
-            node: _DirNode = self.store._objects[stack.pop()]
+            pid = stack.pop()
+            node: _DirNode = self.store._objects[pid]
+            fused = 0
             small = [
                 e
                 for e in node.entries
@@ -841,11 +843,16 @@ class BuddyTree(PointAccessMethod):
             ):
                 n = len(self.store._objects[entry.pid].records)
                 if group and group_size + n > self._capacity:
-                    saved += self._fuse(group)
+                    fused += self._fuse(group)
                     group, group_size = [], 0
                 group.append(entry)
                 group_size += n
-            saved += self._fuse(group)
+            fused += self._fuse(group)
+            if fused:
+                # _fuse repointed entries of this page at their group's
+                # shared data page: the directory page changed too.
+                self.store.write(pid)
+            saved += fused
             stack.extend(e.pid for e in node.entries if not e.is_data)
         self._packed = True
         return saved

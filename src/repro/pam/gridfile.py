@@ -62,6 +62,12 @@ class _GridLayer:
         # box or a scale boundary; rebuilt lazily by payloads_in_rect.
         self._bounds: tuple[list[object], np.ndarray, np.ndarray] | None = None
 
+    def __getstate__(self):
+        # The snapshot is derived state and is shed the way SoAList sheds
+        # its views: a query must not change the image of the page (or
+        # method blob) the layer is pickled into.
+        return {**self.__dict__, "_bounds": None}
+
     # -- geometry ---------------------------------------------------------
 
     def ncells(self, axis: int) -> int:

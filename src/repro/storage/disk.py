@@ -43,18 +43,32 @@ the allocation cursor and pinned set from the last commit record and
 ends with a checkpoint, so a recovered store is indistinguishable from
 one that shut down cleanly at its last commit boundary.
 
-Two safety nets guard the one behaviour a real buffer manager adds over
-the simulated store — page objects can *leave* memory:
+The one behaviour a real buffer manager adds over the simulated store is
+that page objects can *leave* memory, and it does so on the strength of
+the **page-mutation contract**: a page's image may change only inside an
+operation that calls ``write()``, ``allocate()`` or ``free()`` on it,
+and derived caches never enter the image.  The store trusts that call —
+a clean victim whose slot is current is dropped without a look, and a
+commit pickles the dirty pages only.  The contract is enforced where it
+costs no measured time: :class:`repro.verify.barrier.WriteBarrier`
+audits every simulated fuzz run and tier-1.  What stays unconditional
+here is what costs nothing extra — the CRC check of every loaded slot,
+the drift check where a WAL-only page has to be pickled anyway to write
+its slot (eviction) and ``flush_to_slots``' :class:`AliasingError`
+(checkpoint).  Two storage-debug modes look harder:
 
-* **Silent-mutation detection.**  Access methods occasionally mutate a
-  page without charging a write (the store cannot see attribute
-  assignments).  Commits and evictions therefore re-serialise touched
-  clean pages and compare CRCs; a drifted page is re-classified dirty
-  and logged, never dropped.
+* **Silent-mutation detection** (``paranoid=True``).  Evictions
+  re-serialise *every* victim and commits re-serialise every clean
+  resident page handed out since the last commit, and compare CRCs; a
+  drifted page is counted (``silent_dirty``), re-classified dirty and
+  logged, never dropped.
 * **Poison mode** (``poison=True``) strips every attribute from an
   evicted page object, so any access method that illegally retained a
   reference across operations fails loudly (``AttributeError``)
   instead of reading stale state.
+
+:func:`repro.storage.factory.make_store` turns both on together under
+``REPRO_STORE_POISON=1``.
 """
 
 from __future__ import annotations
@@ -319,9 +333,12 @@ class BufferPool:
       them ahead of the ``write`` call), so they stay resident until
       the next operation bracket — the simulated store's read-mutate-
       write-within-an-op contract survives unchanged;
-    * every candidate is re-serialised and CRC-checked against its
-      committed image (``paranoid`` mode, on by default): a page that
-      was silently mutated is re-classified dirty instead of evicted;
+    * a clean victim whose slot is current is simply dropped; a
+      WAL-only victim is serialised to write its slot, and that image
+      is CRC-checked against the committed one for free.  ``paranoid``
+      mode (a debug net, off by default) re-serialises and checks
+      *every* victim: a page that was silently mutated is re-classified
+      dirty instead of evicted;
     * if no frame at all is evictable the pool overflows (grows past
       its budget) rather than corrupt anything, and counts it — the
       budget bounds steady-state residency, a single operation's
@@ -334,7 +351,7 @@ class BufferPool:
         pagefile: PageFile,
         budget: int,
         *,
-        paranoid: bool = True,
+        paranoid: bool = False,
         poison: bool = False,
     ):
         if budget < 4:
@@ -347,8 +364,9 @@ class BufferPool:
         self.frames: dict[int, _Frame] = {}
         self.pages: dict[int, _PageMeta] = {}
         self.dirty: set[int] = set()
-        #: Pages handed out (mutably) since the last commit; commit
-        #: CRC-checks the clean resident ones for silent mutations.
+        #: Pages handed out (mutably) since the last commit; a
+        #: ``paranoid`` commit CRC-checks the clean resident ones for
+        #: silent mutations.
         self.touched: set[int] = set()
         #: Pages handed out during the *current operation*.  Their
         #: objects may be held (and mutated ahead of their ``write``)
@@ -526,6 +544,8 @@ class BufferPool:
         Returns ``False`` — and re-classifies the page dirty — when the
         serialise-and-check pass finds the object drifted from its
         committed image (a mutation the store was never told about).
+        The pass runs where the page must be pickled anyway (its slot is
+        stale) and, in ``paranoid`` mode, for every victim.
         """
         meta = self.pages[pid]
         payload = None
@@ -603,7 +623,10 @@ class DiskPageStore(PageStore):
         Whether commits fsync the WAL.  Keep ``True`` wherever
         durability is the point; benches may trade it away.
     paranoid / poison:
-        Buffer-pool safety nets, see :class:`BufferPool`.
+        Storage-debug nets, both off by default: re-serialise and
+        CRC-check every eviction victim and every clean page a commit's
+        operations touched / strip evicted page objects (see the module
+        docstring and :class:`BufferPool`).
     wal_checkpoint_bytes:
         Auto-checkpoint once the WAL grows past this size.
     telemetry:
@@ -628,7 +651,7 @@ class DiskPageStore(PageStore):
         vector: bool = True,
         io: IOProvider | None = None,
         fsync: bool = True,
-        paranoid: bool = True,
+        paranoid: bool = False,
         poison: bool = False,
         wal_checkpoint_bytes: int = 64 << 20,
         telemetry=None,
@@ -790,10 +813,12 @@ class DiskPageStore(PageStore):
         if not (pool.dirty or pool.freed or self._pin_dirty or meta is not None):
             return False
         payloads: dict[int, bytes] = {}
-        # Silent-mutation scan: any page handed out since the last commit
-        # may have been mutated without a write(); re-serialise the clean
-        # resident ones and promote drifted pages to dirty.
-        for pid in pool.touched:
+        # Silent-mutation scan, paranoid mode only (the contract says
+        # there is nothing to find): any page handed out since the last
+        # commit may have been mutated without a write(); re-serialise the
+        # clean resident ones and promote drifted pages to dirty.
+        scan = pool.touched if pool.paranoid else ()
+        for pid in scan:
             frame = pool.frames.get(pid)
             if frame is None or frame.dirty:
                 continue

@@ -8,7 +8,8 @@ at ``None`` follow :class:`repro.config.RunConfig`: ``store_backend``
 ``disk``, :class:`repro.storage.disk.DiskPageStore`), ``store_dir``
 (base directory; each disk store gets its own fresh subdirectory, by
 default under a per-process temporary directory removed at exit),
-``store_poison`` and — through
+``store_poison`` (the storage-debug switch: evicted page objects are
+poisoned *and* the pool's ``paranoid`` re-pickle nets are on) and — through
 :func:`repro.obs.telemetry.active_telemetry` — ``telemetry``, which
 attaches the process-wide sink to every disk store built here without
 touching any call site or any charged statistic.
@@ -78,6 +79,7 @@ def make_store(
     base = _store_base_dir(config.store_dir if directory is None else directory)
     path = base / f"store-{os.getpid()}-{next(_counter)}"
     disk_kwargs.setdefault("poison", config.store_poison)
+    disk_kwargs.setdefault("paranoid", config.store_poison)
     if "telemetry" not in disk_kwargs:
         from repro.obs.telemetry import active_telemetry
 

@@ -1,0 +1,97 @@
+"""Write-barrier auditor: the page-mutation contract, enforced.
+
+The contract every access method owes its page store: **a page's
+serialised image may change only inside an operation that calls**
+``write()``, ``allocate()`` **or** ``free()`` **on it**, and derived
+caches (NumPy views, memoised blocks) never enter the image.  The
+simulated store cannot lose a write, so it never notices a breach; the
+durable store (:mod:`repro.storage.disk`) drops clean pages from its
+buffer pool on the strength of exactly this promise.
+
+:class:`WriteBarrier` makes a breach a test failure on the *simulated*
+backend.  It installs itself as the store's passive observer (see
+:class:`repro.obs.tracer.StoreObserver` — observation can never change
+what is charged), serialises every live page with the durable store's
+own ``_dumps`` at each ``begin_operation()`` — the same boundary at
+which the durable store commits — and raises an
+:class:`~repro.verify.invariants.AuditError` for every page whose image
+moved since the previous boundary without a ``write()``.  A page that
+first appears in a window was allocated in it, and a page that vanished
+was freed (page ids are never reused), so ``write`` events are all the
+barrier needs to see.
+
+The cost is O(live pages) per operation.  That is a fuzz cost
+(:mod:`repro.verify.fuzz` installs the barrier on every simulated run),
+never a measured one.
+"""
+
+from __future__ import annotations
+
+from repro.storage.disk import _dumps
+from repro.storage.pagestore import PageStore
+from repro.verify.invariants import AuditError, Violation
+
+__all__ = ["WriteBarrier"]
+
+
+class WriteBarrier:
+    """Audit ``store`` for page images that change without a ``write()``.
+
+    Operation windows are numbered by their opening ``begin_operation()``
+    call, from 0; set-up work before the first bracket is window -1.
+    Code that runs outside any bracket of its own (BUDDY+ ``pack()``)
+    belongs to the window it ran in.
+    """
+
+    def __init__(self, store: PageStore):
+        self.store = store
+        self.op = -1
+        self._written: set[int] = set()
+        self._images = self._snapshot()
+        self._inner = store.observer
+        store.observer = self
+
+    def _snapshot(self) -> dict[int, bytes]:
+        store = self.store
+        return {pid: _dumps(store.peek(pid)) for pid in store.page_ids()}
+
+    # -- StoreObserver -----------------------------------------------------
+
+    def on_operation_begin(self, store) -> None:
+        self.check()
+        self.op += 1
+        if self._inner is not None:
+            self._inner.on_operation_begin(store)
+
+    def on_access(self, store, pid, kind, rw, charged, reason) -> None:
+        if rw == "write":
+            self._written.add(pid)
+        if self._inner is not None:
+            self._inner.on_access(store, pid, kind, rw, charged, reason)
+
+    # -- the audit -----------------------------------------------------------
+
+    def check(self) -> None:
+        """Close the current window: compare every live page with its
+        image at the previous boundary.  Call it once more after the
+        last operation; every earlier window is closed by the next
+        ``begin_operation()``."""
+        before, written = self._images, self._written
+        self._images = self._snapshot()
+        self._written = set()
+        violations = []
+        for pid, image in self._images.items():
+            old = before.get(pid)
+            if old is None or old == image or pid in written:
+                continue
+            violations.append(
+                Violation(
+                    "contract.unwritten",
+                    f"page {pid} ({self.store.kind(pid).value}, "
+                    f"{type(self.store.peek(pid)).__name__}) changed during "
+                    f"operation {self.op} without write(): image "
+                    f"{len(old)} -> {len(image)} bytes",
+                )
+            )
+        if violations:
+            raise AuditError("page-mutation contract", violations)

@@ -40,8 +40,10 @@ from repro.sam.overlapping import OverlappingPlop
 from repro.sam.rplustree import RPlusTree
 from repro.sam.rtree import RTree
 from repro.sam.transformation import TransformationSAM
+from repro.storage.disk import DiskPageStore
 from repro.storage.factory import make_store
 from repro.storage.pagestore import PageStore
+from repro.verify.barrier import WriteBarrier
 from repro.verify.invariants import AuditError
 from repro.verify.oracle import PamOracle, SamOracle
 from repro.workloads.distributions import generate_point_file
@@ -298,8 +300,18 @@ def run_ops(
     ``store_factory`` builds the page store under test; ``None`` defers
     to :func:`repro.storage.factory.make_store` (and so to
     ``REPRO_STORE_BACKEND``), keeping the simulated store the default.
+
+    The page-mutation contract is part of the verdict on both backends.
+    A simulated store runs under a :class:`WriteBarrier`, which raises
+    an ``AuditError`` (``contract.unwritten``) at the operation boundary
+    after a page changed without a ``write()``.  A durable store is
+    failed at the end (code ``contract``) when its pool re-classified a
+    page as silently dirty; how hard it looks is the store's business
+    (``paranoid``, which ``REPRO_STORE_POISON=1`` turns on).
     """
     store = store_factory() if store_factory is not None else make_store()
+    disk = isinstance(store, DiskPageStore)
+    barrier = None if disk else WriteBarrier(store)
     am = spec["factory"](store)
     oracle = PamOracle() if spec["kind"] == "pam" else SamOracle()
     mutations = 0
@@ -381,10 +393,20 @@ def run_ops(
                     am.audit()
                 except AuditError as err:
                     return _failure(index, op, "audit", str(err))
+    last = (len(ops) - 1, ops[-1] if ops else None)
     try:
+        if barrier is not None:
+            barrier.check()
         am.audit()
     except AuditError as err:
-        return _failure(len(ops) - 1, ops[-1] if ops else None, "audit", str(err))
+        return _failure(*last, "audit", str(err))
+    if disk and store.pool.silent_dirty:
+        return _failure(
+            *last,
+            "contract",
+            f"{store.pool.silent_dirty} page(s) drifted from their committed "
+            "image without a write() (pool.silent_dirty)",
+        )
     return None
 
 

@@ -117,4 +117,11 @@ def test_make_store_follows_the_config_and_explicit_arguments_win(monkeypatch, t
     with make_store() as store, make_store(poison=False) as plain:
         assert store.path.parent == tmp_path and store.pool.poison
         assert not plain.pool.poison
+        # One storage-debug switch: it also turns the re-pickle nets on.
+        assert store.pool.paranoid is True and plain.pool.paranoid is True
+    with make_store(paranoid=False) as quiet:
+        assert quiet.pool.poison and not quiet.pool.paranoid
+    monkeypatch.delenv("REPRO_STORE_POISON")
+    with make_store() as default:
+        assert not default.pool.poison and default.pool.paranoid is False
     assert type(make_store(backend="sim")) is PageStore

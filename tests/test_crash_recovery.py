@@ -23,8 +23,10 @@ Coverage knobs:
   points beyond the deterministic grid.
 
 Structures chosen to cover distinct storage behaviours: ``GRID-1``
-(pinned in-core directory + deletes), ``BUDDY+`` (``pack()`` rebuilds —
-the silent-mutation path), ``R`` (a SAM with deletes).
+(pinned in-core directory + deletes), ``BUDDY+`` (``pack()`` fuses data
+pages and repoints directory entries outside any operation bracket; it
+writes every page it changes, so nothing here leans on the store's
+``paranoid`` nets, which are off), ``R`` (a SAM with deletes).
 """
 
 from __future__ import annotations

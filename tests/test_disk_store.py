@@ -331,7 +331,7 @@ class TestDiskPageStore:
             store.write(a)
 
     def test_silent_mutation_is_committed_not_lost(self, tmp_path):
-        store = _fresh(tmp_path)
+        store = _fresh(tmp_path, paranoid=True)  # the commit scan is a debug net
         store.begin_operation()
         a = store.allocate(PageKind.DATA, ["v1"])
         b = store.allocate(PageKind.DATA, ["other"])
@@ -483,7 +483,7 @@ class TestMissPath:
         assert store.pool.misses == 0 and store.pool.peek_loads == 0
 
     def test_unwritten_rtree_mutation_is_caught_at_eviction_and_at_commit(self, tmp_path):
-        store, cold = self._spilled(tmp_path)
+        store, cold = self._spilled(tmp_path, paranoid=True)  # both debug nets
         pool = store.pool
         a, b, *rest = cold
         store.begin_operation()
@@ -509,6 +509,40 @@ class TestMissPath:
         back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
         assert back.peek(a).rects[0] == Rect((0.0, 0.0), (0.5, 0.5))
         assert len(back.peek(b).rects) == 4 and len(back.peek(c).rects) == 2
+
+    def test_the_default_store_pickles_nothing_it_was_not_told_to_write(
+        self, tmp_path, monkeypatch
+    ):
+        """The page-mutation contract, trusted: a clean victim whose slot
+        is current is a dict delete, and a commit pickles dirty pages only
+        (``paranoid=True`` re-pickles both, see the test above)."""
+        from repro.storage import disk
+
+        store, _ = self._spilled(tmp_path)
+        store.checkpoint()  # every committed page now has a current slot
+        pool = store.pool
+        assert not pool.paranoid and all(m.on_disk for m in pool.pages.values())
+        dumped = []
+        monkeypatch.setattr(
+            disk, "_dumps", lambda obj: dumped.append(obj) or pickle.dumps(obj, 4)
+        )
+        before = pool.evictions, pool.misses
+        for _ in range(2):  # a query-only phase: misses and evictions, no writes
+            for pid in store.page_ids():
+                store.begin_operation()
+                assert store.read(pid).children == [_rid(pid)]
+        assert pool.evictions >= before[0] + 10 and pool.misses >= before[1] + 10
+        assert dumped == [] and pool.silent_dirty == 0
+        # A meta-less commit: three pages handed out, one written.
+        store.begin_operation()
+        a, b, c = store.page_ids()[:3]
+        nodes = [store.read(pid) for pid in (a, b, c)]
+        nodes[1].children.append(7)
+        store.write(b)
+        assert store.commit() and dumped == [nodes[1]]
+        store.close()
+        back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
+        assert back.peek(b).children == [_rid(b), 7]
 
 
 # -- method persistence helpers ---------------------------------------------

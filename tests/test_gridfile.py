@@ -4,6 +4,8 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.pam.gridfile import GridFile, _GridLayer
+from repro.pam.twingrid import TwinGridFile
+from repro.storage.disk import _dumps, snapshot_method
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
     STANDARD_QUERIES,
@@ -162,3 +164,18 @@ class TestGridFile:
         diag = [(i / 600.0, i / 600.0) for i in range(600)]
         unif = make_points(600, seed=11)
         assert dir_cells(diag) > 4 * dir_cells(unif)
+
+
+@pytest.mark.parametrize("cls", [GridFile, TwinGridFile])
+def test_a_query_leaves_the_method_blob_unchanged(cls):
+    """GRID-1 and TWIN keep their layers in method state, not in pages:
+    the blob ``commit(meta=snapshot_method(...))`` logs must not pick up
+    the bounds snapshot a vectorised query caches on a layer."""
+    grid = cls(PageStore(), 2)
+    for rid, point in enumerate(make_points(400, seed=12)):
+        grid.insert(point, rid)
+    layers = [grid._layer] if cls is GridFile else grid._layers
+    before = _dumps(snapshot_method(grid))
+    assert grid.range_query(Rect((0.1, 0.1), (0.9, 0.9)))
+    assert any(layer._bounds is not None for layer in layers)
+    assert _dumps(snapshot_method(grid)) == before and b"numpy" not in before

@@ -1,8 +1,13 @@
 """Tests for the R+-tree (disjoint regions, clipped data rectangles)."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.geometry.rect import Rect
 from repro.sam.rplustree import RPlusTree, _Inner
 from repro.storage.pagestore import PageStore
+from repro.verify.fuzz import replay
 from tests.conftest import (
     STANDARD_POINTS,
     STANDARD_QUERIES,
@@ -92,3 +97,20 @@ class TestStructure:
             tree.point_query(probe)
             # One leaf per level plus boundary neighbours at most.
             assert tree.store.stats.total - before <= 2 * (tree.directory_height + 1)
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_choose_inner_plane ranks planes by (forced, |left - right|) "
+        "only: when one insert splits two children of a full page (fanout + 2 "
+        "entries) it takes a free 26 / 1 cut and nothing re-splits the 26; "
+        "ranking the planes that leave both halves within fanout first fixes "
+        "it but moves the R+ 512-byte golden (see ROADMAP)",
+    )
+    def test_inner_split_leaves_both_halves_within_fanout(self):
+        """Shrunk by ``python -m repro.verify.fuzz --structures R+ --ops
+        2000 --seed 7`` (op 619 of the stream, 70 inserts after shrinking;
+        present since the R+-tree was written): ``[rplus.fanout] inner
+        node 2 holds 26 children, fanout 25``."""
+        assert replay(Path(__file__).parent / "reproducers" / "Rplus-seed7.json") is None

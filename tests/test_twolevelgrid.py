@@ -1,7 +1,10 @@
 """Tests for GRID, the 2-level grid file."""
 
+import pickle
+
 from repro.geometry.rect import Rect
 from repro.pam.twolevelgrid import TwoLevelGridFile, _SubGrid
+from repro.storage.disk import _dumps
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
@@ -88,6 +91,19 @@ class TestStructure:
         grid.exact_match((0.123, 0.456))
         # Subgrid page + data page only; the first level is in memory.
         assert store.stats.total - before <= 2
+
+    def test_a_query_leaves_every_page_image_unchanged(self):
+        """The bounds snapshot a vectorised query caches on a sub-grid's
+        layer is derived state: it must not ride the page's image (the
+        durable store would re-log the page, and load it with arrays)."""
+        grid = build(make_points(800, seed=10))
+        store = grid.store
+        subgrids = [p for p in store.page_ids() if isinstance(store.peek(p), _SubGrid)]
+        images = {pid: _dumps(store.peek(pid)) for pid in store.page_ids()}
+        assert grid.range_query(Rect((0.1, 0.1), (0.9, 0.9)))
+        assert any(store.peek(p).layer._bounds is not None for p in subgrids)
+        assert {pid: _dumps(store.peek(pid)) for pid in store.page_ids()} == images
+        assert pickle.loads(images[subgrids[0]]).layer._bounds is None
 
 
 class TestPathological:

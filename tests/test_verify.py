@@ -13,12 +13,14 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.pam.buddytree import BuddyTree
+from repro.pam.gridfile import _GridLayer
 from repro.pam.mlgf import MultilevelGridFile
 from repro.pam.plop import QuantileHashing
 from repro.sam.rtree import RTree
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.verify import Audit, AuditError, Violation, run_audit
+from repro.verify.barrier import WriteBarrier
 from repro.verify.fuzz import (
     STRUCTURES,
     fuzz_structure,
@@ -297,6 +299,125 @@ class TestFuzzer:
 
         with pytest.raises(SystemExit):
             main(["--structures", "NOPE", "--out", str(tmp_path)])
+
+
+def _pack_without_directory_write(self):
+    """``BuddyTree.pack`` as it was before it wrote the directory pages
+    whose entries ``_fuse`` repoints."""
+    write = self.store.write
+    self.store.write = lambda pid: (
+        write(pid) if self.store.kind(pid) is PageKind.DATA else None
+    )
+    try:
+        return _REAL_PACK(self)
+    finally:
+        del self.store.write
+
+
+_REAL_PACK = BuddyTree.pack
+
+
+class TestWriteBarrier:
+    """The page-mutation contract: a page image changes only inside an
+    operation that calls write()/allocate()/free() on it."""
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_every_structure_keeps_the_contract(self, name):
+        spec = STRUCTURES[name]
+        ops = make_ops(spec, 300, structure_seed(name, 7))
+        assert run_ops(spec, ops, audit_every=0, store_factory=PageStore) is None
+
+    def test_the_barrier_sees_windows_not_calls(self):
+        store = PageStore()
+        barrier = WriteBarrier(store)
+        store.begin_operation()  # operation 0
+        pid = store.allocate(PageKind.DATA, [1])
+        store.read(pid).append(2)  # allocated in this window: no write needed
+        store.begin_operation()  # operation 1
+        store.read(pid).append(3)  # ahead of its write, in the same window
+        store.write(pid)
+        store.begin_operation()  # operation 2
+        doomed = store.allocate(PageKind.DIRECTORY, {})
+        store.begin_operation()  # operation 3
+        store.read(doomed)["x"] = 1
+        store.free(doomed)
+        store.begin_operation()  # operation 4
+        store.read(pid).append(4)  # and nobody calls write()
+        with pytest.raises(AuditError) as err:
+            store.begin_operation()
+        (violation,) = err.value.violations
+        assert violation.code == "contract.unwritten"
+        assert "page 0 (data, list)" in violation.message
+        assert "during operation 4 " in violation.message
+        barrier.check()  # reported once: the new image is the baseline now
+
+    def test_the_barrier_keeps_the_observer_it_replaced(self):
+        from repro.obs.tracer import Tracer
+
+        store = PageStore()
+        tracer = Tracer().attach(store)
+        WriteBarrier(store)
+        store.begin_operation()
+        store.write(store.allocate(PageKind.DATA, [1]))
+        store.begin_operation()
+        assert len(tracer.finish()) == 2 and tracer.stats() == store.stats
+
+    def test_a_forgetful_method_is_shrunk_to_a_reproducer(self, tmp_path, monkeypatch):
+        class _Scribbler(BuddyTree):
+            """Reorders the records of a data page on every range query:
+            the answers stay right, the image moves, nobody calls write()."""
+
+            def _range_query(self, rect):
+                store = self.store
+                for pid in store.page_ids():
+                    if store.kind(pid) is PageKind.DATA and len(store.peek(pid).records) > 1:
+                        store.read(pid).records.reverse()
+                        break
+                return super()._range_query(rect)
+
+        spec = {
+            "kind": "pam",
+            "factory": lambda s: _Scribbler(s, 2),
+            "deletes": False,
+            "pack_every": None,
+        }
+        monkeypatch.setitem(STRUCTURES, "SCRIBBLER", spec)
+        report = fuzz_structure("SCRIBBLER", 60, 0, 0, tmp_path, PageStore)
+        assert report["code"] == "audit" and "contract.unwritten" in report["detail"]
+        blob = json.loads((tmp_path / "SCRIBBLER-seed0.json").read_text())
+        kinds = [op[0] for op in blob["ops"]]  # a partial match runs as a range query
+        assert kinds[:2] == ["insert", "insert"] and kinds[2:] in (["range"], ["pm"])
+
+    def test_grid_without_its_getstate_is_caught(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(_GridLayer, "__getstate__")
+        report = fuzz_structure("GRID", 300, 7, 0, tmp_path, PageStore)
+        assert report["code"] == "audit" and report["shrunk_ops"] < 100
+        assert "contract.unwritten" in report["detail"] and "_SubGrid" in report["detail"]
+
+    def test_pack_without_its_directory_write_is_caught(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(BuddyTree, "pack", _pack_without_directory_write)
+        # Small pages: the root was written by the insert whose window
+        # pack() shares, so it takes a second directory level to show.
+        report = fuzz_structure("BUDDY+", 300, 7, 0, tmp_path, lambda: PageStore(192))
+        assert report["code"] == "audit" and report["op"] == ["pack"]
+        assert "contract.unwritten" in report["detail"] and "_DirNode" in report["detail"]
+
+    def test_unbracketed_pack_is_attributed_to_the_window_it_ran_in(self, monkeypatch):
+        points = make_clustered_points(150, seed=3)
+
+        def packed(pack):
+            monkeypatch.setattr(BuddyTree, "pack", pack)
+            store = PageStore(192)  # two directory levels by 150 records
+            WriteBarrier(store)
+            tree = BuddyTree(store, 2)
+            for rid, point in enumerate(points):
+                tree.insert(point, rid)  # operations 0 .. 149
+            assert tree.pack() > 0  # no bracket of its own: still operation 149
+            return tree
+
+        assert len(packed(_REAL_PACK).range_query(Rect.unit(2))) == 150
+        with pytest.raises(AuditError, match=r"_DirNode\) changed during operation 149 "):
+            packed(_pack_without_directory_write).range_query(Rect.unit(2))
 
 
 class TestExperimentWiring:
