@@ -57,8 +57,6 @@ def test_three_techniques(benchmark):
 
 def test_clipping_redundancy_sweep(benchmark):
     from repro.obs.ablation import build_clip_redundancy_document
-    from repro.config import RunConfig
-    from repro.obs.ledger import entry_from_bench_document, resolve_ledger
 
     rects = generate_rect_file("gaussian_square", max(bench_scale() // 4, 1000))
     rows = {}
@@ -106,9 +104,6 @@ def test_clipping_redundancy_sweep(benchmark):
         rows=doc_rows,
     )
     emit_json("ABL-CLIP-REDUNDANCY", doc)
-    ledger = resolve_ledger(RunConfig.from_env().ledger)
-    if ledger is not None:
-        ledger.record(entry_from_bench_document(doc))
     # More redundancy => strictly more stored regions.
     factors = [rows[b][0] for b in (1, 2, 4, 8)]
     assert factors == sorted(factors)

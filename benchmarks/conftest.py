@@ -36,11 +36,6 @@ Recording is passive — tables and totals stay bit-identical — and the
 per-query traces sum exactly to the measured access counts.  The
 directory travels to worker processes as an argument; warm-cache cells
 skip execution and therefore write no traces.
-
-**Performance ledger** — set ``REPRO_LEDGER=1`` (or a path) to append
-every bench cell's timings and access totals to the fingerprinted
-cross-run history in ``results/LEDGER.jsonl``; inspect and gate it with
-``python -m repro.obs.ledger``.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ from repro.core.comparison import (
     MethodResult,
     _explain_dir,
     build_pam,
-    record_experiment,
 )
 from repro.core.testbed import standard_pam_factories
 from repro.obs.export import RunReport
@@ -107,8 +101,8 @@ def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
     """Run every standard structure's cell on ``file_name``, once per session.
 
     The cells run through :mod:`repro.parallel` at any worker count —
-    inline at 1, pooled (and build-cached) above — so the tables, the
-    RunReport and the ledger entry come from the same outcome either way.
+    inline at 1, pooled (and build-cached) above — so the tables and the
+    RunReport come from the same outcome either way.
     """
     key = (kind, file_name)
     if key in _results_cache:
@@ -132,17 +126,6 @@ def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
         )
         _reports[key] = report
         report.save(RESULTS_DIR / f"RUN-{kind.upper()}-{file_name}.json")
-    record_experiment(
-        config.ledger,
-        outcome,
-        label=f"{kind}-bench {file_name}",
-        source="benchmarks/conftest.py",
-        kind=kind,
-        scale=bench_scale(),
-        seed=QUERY_SEEDS[kind],
-        workers=workers,
-        meta={"file": file_name},
-    )
     if kind == "pam":
         _pam_built.update(((file_name, n), m) for n, m in outcome.built.items())
     _results_cache[key] = outcome.results

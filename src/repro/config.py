@@ -47,8 +47,8 @@ def _flag(raw: str) -> bool:
 
 
 def parse_location(raw: str) -> Path | bool:
-    """A path-capable switch string (environment or CLI): an off word is
-    ``False``, an on word ``True`` (the default location), else the path."""
+    """A path-capable switch string (environment or ``explain=``): an off word
+    is ``False``, an on word ``True`` (the default location), else the path."""
     raw = raw.strip()
     value = _word(raw)
     return Path(raw) if value is None else value
@@ -101,8 +101,6 @@ class RunConfig:
     build_cache: Path | bool = _var(parse_location, True)
     #: Explain-trace directory (on: ``results/explain``).
     explain: Path | bool = _var(parse_location, False)
-    #: Performance-ledger file (on: ``results/LEDGER.jsonl``).
-    ledger: Path | bool = _var(parse_location, False)
     #: Slow-operation log threshold in milliseconds (``None`` = no log).
     slow_op_ms: float | None = _var(_millis, None)
     #: One of :data:`BACKENDS`.

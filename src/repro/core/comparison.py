@@ -41,7 +41,6 @@ __all__ = [
     "run_cell",
     "merge_outcomes",
     "run_experiment",
-    "record_experiment",
     "run_pam_experiment",
     "run_sam_experiment",
     "normalise",
@@ -346,15 +345,6 @@ class ExperimentOutcome:
             return result.metrics.records
         return 0
 
-    @property
-    def snapshots(self) -> dict[str, dict]:
-        """Per-structure snapshots carried by the results."""
-        return {
-            name: result.snapshot
-            for name, result in self.results.items()
-            if result.snapshot is not None
-        }
-
     def to_report(
         self,
         *,
@@ -453,55 +443,9 @@ def run_experiment(
     return outcome
 
 
-def record_experiment(
-    ledger,
-    outcome: ExperimentOutcome,
-    *,
-    label: str,
-    source: str,
-    kind: str,
-    scale: int,
-    seed: int | None,
-    workers: int = 1,
-    page_size: int = 512,
-    meta: dict | None = None,
-) -> None:
-    """Append an outcome's timings and totals to the performance ledger.
-
-    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`
-    (``None`` / ``False`` disable recording).  Snapshot
-    redundancy and durable-backend IO counters fold into the totals
-    (and the backend into the fingerprint) exactly as for a run report —
-    see :func:`repro.obs.ledger.entry_from_timers`.
-    """
-    from repro.obs.ledger import entry_from_timers, resolve_ledger
-
-    target = resolve_ledger(ledger)
-    if target is None:
-        return
-    target.record(
-        entry_from_timers(
-            label=label,
-            source=source,
-            kind=kind,
-            timers=outcome.timers,
-            totals=outcome.totals,
-            snapshots=outcome.snapshots,
-            storage=outcome.storage,
-            page_size=page_size,
-            scale=scale,
-            seed=seed,
-            workers=workers,
-            meta=meta,
-        )
-    )
-
-
-def _experiment_results(
-    kind, factories, data, seed, tracer, workers, audit, ledger, explain
-):
+def _experiment_results(kind, factories, data, seed, tracer, workers, audit, explain):
     config = RunConfig.from_env()
-    outcome = run_experiment(
+    return run_experiment(
         kind,
         factories,
         data,
@@ -510,18 +454,7 @@ def _experiment_results(
         workers=workers,
         audit=config.audit if audit is None else audit,
         explain=config.explain if explain is None else explain,
-    )
-    record_experiment(
-        config.ledger if ledger is None else ledger,
-        outcome,
-        label=f"{kind}-experiment",
-        source="repro.core.comparison",
-        kind=kind,
-        scale=len(data),
-        seed=seed,
-        workers=workers,
-    )
-    return outcome.results
+    ).results
 
 
 def run_pam_experiment(
@@ -531,7 +464,6 @@ def run_pam_experiment(
     tracer=None,
     workers: int = 1,
     audit: bool | None = None,
-    ledger=None,
     explain: bool | str | Path | None = None,
 ) -> dict[str, MethodResult]:
     """Build every PAM on the same data file and run the query files.
@@ -544,19 +476,17 @@ def run_pam_experiment(
     :func:`run_experiment` for what that requires of ``factories``,
     ``tracer`` and ``audit``.
 
-    ``audit``, ``ledger`` and ``explain`` left at ``None`` follow
+    ``audit`` and ``explain`` left at ``None`` follow
     :class:`repro.config.RunConfig`; an explicit value — ``False``
     included — wins.  ``audit=True`` audits every structure post-build.
-    ``ledger`` records the run (timings + access totals + per-structure
-    redundancy metrics) to the performance ledger.  ``explain`` writes
-    one :mod:`repro.obs.explain` trace file per structure
+    ``explain`` writes one :mod:`repro.obs.explain` trace file per structure
     (``PAM-<name>.json``) into the directory :func:`_explain_dir` names.
     Tracing chains the store observer, so costs are bit-identical with
     or without it, at any worker count; structures replayed from a warm
     build cache skip execution and therefore write no trace.
     """
     return _experiment_results(
-        "pam", factories, points, seed, tracer, workers, audit, ledger, explain
+        "pam", factories, points, seed, tracer, workers, audit, explain
     )
 
 
@@ -567,7 +497,6 @@ def run_sam_experiment(
     tracer=None,
     workers: int = 1,
     audit: bool | None = None,
-    ledger=None,
     explain: bool | str | Path | None = None,
 ) -> dict[str, MethodResult]:
     """Build every SAM on the same rectangle file and run the queries.
@@ -576,7 +505,7 @@ def run_sam_experiment(
     files are named ``SAM-<name>.json``).
     """
     return _experiment_results(
-        "sam", factories, rects, seed, tracer, workers, audit, ledger, explain
+        "sam", factories, rects, seed, tracer, workers, audit, explain
     )
 
 

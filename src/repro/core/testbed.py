@@ -68,7 +68,7 @@ def standard_factories(kind: str) -> dict[str, Callable]:
     return standard_pam_factories() if kind == "pam" else standard_sam_factories()
 
 
-def _traced_standard(kind, data, seed, label, page_size, workers, ledger, explain):
+def _traced_standard(kind, data, seed, label, page_size, workers, explain):
     # Imported lazily so plain testbed users never touch the observability layer.
     from repro.obs.runner import traced_run
 
@@ -80,7 +80,6 @@ def _traced_standard(kind, data, seed, label, page_size, workers, ledger, explai
         label=label,
         page_size=page_size,
         workers=RunConfig.from_env().bench_workers if workers is None else workers,
-        ledger=ledger,
         explain=explain,
     )
 
@@ -91,7 +90,6 @@ def run_standard_pam_testbed(
     label: str = "standard PAM testbed",
     page_size: int = 512,
     workers: int | None = None,
-    ledger=None,
     explain=None,
 ):
     """Traced run of the standard PAM comparison on ``points``.
@@ -100,14 +98,11 @@ def run_standard_pam_testbed(
     :func:`repro.obs.runner.traced_run`.  ``workers`` defaults to
     ``RunConfig.bench_workers``; more than one fans the structures out
     over a process pool — the same cells, so identical results.
-    ``ledger`` optionally records the run to the performance ledger.
     ``explain`` writes one :mod:`repro.obs.explain` trace per structure
     (``True`` for the default directory, a path for an explicit one) at
     any worker count, without changing results.
     """
-    return _traced_standard(
-        "pam", points, seed, label, page_size, workers, ledger, explain
-    )
+    return _traced_standard("pam", points, seed, label, page_size, workers, explain)
 
 
 def run_standard_sam_testbed(
@@ -116,13 +111,10 @@ def run_standard_sam_testbed(
     label: str = "standard SAM testbed",
     page_size: int = 512,
     workers: int | None = None,
-    ledger=None,
     explain=None,
 ):
     """Traced run of the standard SAM comparison on ``rects``."""
-    return _traced_standard(
-        "sam", rects, seed, label, page_size, workers, ledger, explain
-    )
+    return _traced_standard("sam", rects, seed, label, page_size, workers, explain)
 
 
 def standard_sam_factories() -> dict[str, Callable[..., SpatialAccessMethod]]:

@@ -18,10 +18,6 @@ package makes those counts observable at every granularity:
   tracer and produce a :class:`RunReport`.
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI that
   prints, validates and diffs run reports.
-* :mod:`repro.obs.ledger` — the append-only performance ledger
-  (``results/LEDGER.jsonl``) and its ``record``/``log``/``baseline``/
-  ``compare``/``gate`` CLI: fingerprinted cross-run history with a
-  noise-aware regression gate.
 * :mod:`repro.obs.profile` — deterministic cost attribution
   (:class:`CostAttribution`): per-structure/phase/operation wall-time
   and disk-access rollups whose totals match the tracer bit-exactly,
@@ -58,7 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
 )
-from repro.obs.runner import record_to_ledger, traced_pam_run, traced_sam_run
+from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.obs.tracer import (
     BUILD_OPS,
     AccessEvent,
@@ -76,12 +72,8 @@ __all__ = [
     "DEFAULT_ACCESS_BUCKETS",
     "EXPLAIN_SCHEMA",
     "ExplainRecorder",
-    "FingerprintMismatch",
     "Histogram",
     "JsonlTraceSink",
-    "LEDGER_SCHEMA",
-    "Ledger",
-    "LedgerEntry",
     "MetricsRegistry",
     "OpCost",
     "PageView",
@@ -94,21 +86,14 @@ __all__ = [
     "Tracer",
     "apportion",
     "build_run_report",
-    "collect_fingerprint",
     "compute_snapshot",
-    "entry_from_bench_document",
-    "entry_from_run_report",
-    "entry_from_timers",
-    "gate_run",
     "page_heatmap",
     "phase_of",
     "profile_to_collapsed",
     "profile_to_speedscope",
-    "record_to_ledger",
     "render_heatmap",
     "render_snapshot",
     "render_trace",
-    "resolve_ledger",
     "snapshot_to_json",
     "summarise_spans",
     "summarise_touches",
@@ -119,24 +104,10 @@ __all__ = [
     "validate_snapshot",
 ]
 
-# Ledger, profile and explain names resolve lazily (PEP 562): those
+# Profile and explain names resolve lazily (PEP 562): those
 # modules have ``python -m`` entry points, and an eager import here
 # would trigger runpy's found-in-sys.modules double-import warning on
 # every CLI call.  Structure names ride along for symmetry.
-_LEDGER_NAMES = frozenset(
-    {
-        "LEDGER_SCHEMA",
-        "FingerprintMismatch",
-        "Ledger",
-        "LedgerEntry",
-        "collect_fingerprint",
-        "entry_from_bench_document",
-        "entry_from_run_report",
-        "entry_from_timers",
-        "gate_run",
-            "resolve_ledger",
-    }
-)
 _PROFILE_NAMES = frozenset({"CostAttribution", "OpCost", "apportion"})
 _EXPLAIN_NAMES = frozenset(
     {
@@ -161,10 +132,6 @@ _STRUCTURE_NAMES = frozenset(
 
 
 def __getattr__(name: str):
-    if name in _LEDGER_NAMES:
-        from repro.obs import ledger
-
-        return getattr(ledger, name)
     if name in _PROFILE_NAMES:
         from repro.obs import profile
 

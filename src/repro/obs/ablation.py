@@ -6,9 +6,7 @@ bench closest to the source paper's subject — a machine-readable
 counterpart: a versioned JSON document carrying, per redundancy budget,
 the achieved duplication factor straight from the structure snapshot
 (:mod:`repro.obs.structure`), the measured query costs and the build
-shape.  :func:`repro.obs.ledger.entry_from_bench_document` understands
-the schema, so the document records into the performance ledger and its
-redundancy numbers are gated for drift like access totals.
+shape.  The bench writes it to ``results/ABL-CLIP-REDUNDANCY.json``.
 """
 
 from __future__ import annotations

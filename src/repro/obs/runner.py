@@ -21,7 +21,7 @@ from repro.geometry.rect import Rect
 from repro.obs.export import RunReport
 from repro.obs.tracer import Tracer
 
-__all__ = ["record_to_ledger", "traced_run", "traced_pam_run", "traced_sam_run"]
+__all__ = ["traced_run", "traced_pam_run", "traced_sam_run"]
 
 
 def traced_run(
@@ -35,12 +35,11 @@ def traced_run(
     record_events: bool = False,
     sink=None,
     meta: dict | None = None,
-    ledger=None,
     explain: bool | str | None = None,
     workers: int = 1,
     cache=None,
 ) -> tuple[dict[str, MethodResult], RunReport]:
-    """Run one comparison, report it, and record it to the ledger.
+    """Run one comparison under a tracer and report it.
 
     Returns ``(results, report)`` where ``results`` is exactly what
     :func:`repro.core.comparison.run_pam_experiment` /
@@ -54,8 +53,8 @@ def traced_run(
     only case ``record_events`` / ``sink`` (see
     :class:`~repro.obs.tracer.Tracer`) can serve; otherwise every job
     traces itself and the merged spans yield the same histograms.
-    ``ledger`` and ``explain`` left at ``None`` — and whether builds
-    are audited — follow :class:`repro.config.RunConfig`, as in
+    ``explain`` left at ``None`` — and whether builds are audited —
+    follows :class:`repro.config.RunConfig`, as in
     :func:`repro.core.comparison.run_pam_experiment`.
     """
     config = RunConfig.from_env()
@@ -88,25 +87,7 @@ def traced_run(
         seed=seed,
         meta=meta,
     )
-    record_to_ledger(
-        report, ledger=config.ledger if ledger is None else ledger, workers=workers
-    )
     return outcome.results, report
-
-
-def record_to_ledger(report: RunReport, *, ledger=None, workers: int = 1) -> None:
-    """Append ``report`` to the performance ledger, if one is active.
-
-    ``ledger`` follows :func:`repro.obs.ledger.resolve_ledger`:
-    ``True`` / a path / a ``Ledger`` enable it, ``None`` / ``False``
-    leave recording off.
-    """
-    from repro.obs.ledger import entry_from_run_report, resolve_ledger
-
-    target = resolve_ledger(ledger)
-    if target is None:
-        return
-    target.record(entry_from_run_report(report, workers=workers))
 
 
 def traced_pam_run(

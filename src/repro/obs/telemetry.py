@@ -609,10 +609,9 @@ IO_STATS_PAGEFILE_KEYS = ("reads", "writes", "bytes_read", "bytes_written")
 def validate_io_stats(stats: Mapping) -> list[str]:
     """Shape-check a ``DiskPageStore.io_stats()`` document.
 
-    Pins the keys the run-report ``storage`` block and the ledger
-    folding rely on; the ``latency`` / ``write_amplification`` /
-    ``slow_ops`` fields are additive (present only under telemetry) and
-    validated when present.
+    Pins the keys the run-report ``storage`` block relies on; the
+    ``latency`` / ``write_amplification`` / ``slow_ops`` fields are
+    additive (present only under telemetry) and validated when present.
     """
     problems: list[str] = []
     if not isinstance(stats, Mapping):

@@ -167,13 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="where to write the JSON (default: results/BENCH_PARALLEL.json)",
     )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="record the run to the performance ledger (a path, or '1' for "
-        "results/LEDGER.jsonl; default: off unless REPRO_LEDGER is set)",
-    )
     args = parser.parse_args(argv)
     config = RunConfig.from_env()
 
@@ -264,13 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")
-
-    from repro.obs.ledger import entry_from_bench_document, resolve_ledger
-
-    ledger = resolve_ledger(config.ledger if args.ledger is None else args.ledger)
-    if ledger is not None:
-        entry = ledger.record(entry_from_bench_document(document, path=str(output)))
-        print(f"ledger: recorded {entry.run_id} -> {ledger.path}")
     if speedup is not None:
         print(f"speedup: {speedup:.2f}x over serial")
     return 0 if verified in (True, None) else 1

@@ -68,9 +68,9 @@ def resolve_cache(value: Path | bool) -> "BuildCache | None":
 def default_results_root() -> Path:
     """The repo's ``results/`` directory when run from a checkout.
 
-    Shared by every artefact writer (build cache, benches, the
-    performance ledger) so they all agree on one location; falls back
-    to ``./results`` outside a checkout.
+    Shared by every artefact writer (build cache, benches, explain
+    traces) so they all agree on one location; falls back to
+    ``./results`` outside a checkout.
     """
     here = Path(__file__).resolve()
     for parent in here.parents:

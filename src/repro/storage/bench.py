@@ -10,19 +10,14 @@ the full §3/§7 query workload on both backends, and
 * reports wall-clock build/query times for both, plus the physical-IO
   profile of the disk run (pool hit rate, evictions, WAL bytes, page
   file reads/writes);
-* writes ``results/BENCH_STORAGE.json`` and, when a ledger is active
-  (``--ledger`` / ``REPRO_LEDGER``), records the disk-backend timings
-  under source ``storage-bench`` so the CI regression gate tracks the
-  out-of-core path like any other hot path;
+* writes ``results/BENCH_STORAGE.json``;
 * with ``--telemetry`` (or ``REPRO_TELEMETRY=1``), runs the whole bench
   under a :mod:`repro.obs.telemetry` flight recorder: the disk phase's
   per-call IO latencies land in histograms (the ``storage`` block of
   every record then carries fsync/pread/pwrite percentiles), a
   validated timeline JSONL and a Prometheus text export are written
   next to the bench JSON, and any slow operations
-  (``REPRO_SLOW_OP_MS``) are saved as their own log.  The ledger entry
-  gains the deterministic physical-IO totals and gated fsync
-  percentile leaves, fingerprinted as a disk-backend run.
+  (``REPRO_SLOW_OP_MS``) are saved as their own log.
 
 Usage::
 
@@ -163,11 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: results/BENCH_STORAGE.json)",
     )
     parser.add_argument(
-        "--ledger",
-        default=None,
-        help="ledger destination (1/0/path; default: REPRO_LEDGER)",
-    )
-    parser.add_argument(
         "--telemetry",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -263,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
 
-    fsync_summary = None
     if flight is not None:
         from repro.obs.telemetry import (
             set_telemetry,
@@ -304,57 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         set_telemetry(None)
 
-    from repro.obs.ledger import (
-        collect_fingerprint,
-        entry_from_timers,
-        resolve_ledger,
-        storage_io_totals,
-    )
-
-    ledger = resolve_ledger(config.ledger if args.ledger is None else args.ledger)
-    if ledger is not None and not failures:
-        timers = {}
-        totals = {}
-        for record in records:
-            timers[f"{record['structure']}/build"] = record["disk"]["build_seconds"]
-            timers[f"{record['structure']}/queries"] = record["disk"]["query_seconds"]
-            totals[record["structure"]] = {
-                **record["totals"],
-                "storage_io": storage_io_totals(record["storage"]),
-            }
-        entry = entry_from_timers(
-            label="storage-disk",
-            source="storage-bench",
-            kind="storage",
-            timers=timers,
-            totals=totals,
-            page_size=args.page_size,
-            scale=args.scale,
-            seed=args.seed,
-            fingerprint=collect_fingerprint(
-                page_size=args.page_size,
-                scale=args.scale,
-                seed=args.seed,
-                storage={
-                    "backend": "disk",
-                    "pool_frac": args.pool_frac,
-                    "fsync": bool(args.fsync),
-                },
-            ),
-            meta={
-                "pool_frac": args.pool_frac,
-                "fsync": args.fsync,
-                "storage": {r["structure"]: r["storage"] for r in records},
-            },
-        )
-        # The fsync distribution is process-wide (all stores share the
-        # telemetry), so it lands as top-level gated leaves rather than
-        # per-structure ones.
-        if fsync_summary and fsync_summary["count"]:
-            entry.metrics["fsync_p50_seconds"] = fsync_summary["p50"]
-            entry.metrics["fsync_p99_seconds"] = fsync_summary["p99"]
-        ledger.record(entry)
-        print(f"ledger: recorded {entry.run_id} to {ledger.path}")
     return 1 if failures else 0
 
 

@@ -1071,8 +1071,8 @@ class DiskPageStore(PageStore):
     # -- observability -------------------------------------------------------
 
     def io_stats(self) -> dict:
-        """Physical-IO counters for reports and the ledger (additive to
-        the charged :class:`AccessStats`, never a substitute).
+        """Physical-IO counters for reports (additive to the charged
+        :class:`AccessStats`, never a substitute).
 
         The core keys are pinned by
         :func:`repro.obs.telemetry.validate_io_stats`.

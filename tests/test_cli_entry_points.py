@@ -19,7 +19,6 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 MODULES = (
     "repro.obs.report",
-    "repro.obs.ledger",
     "repro.obs.profile",
     "repro.obs.explain",
     "repro.obs.telemetry",
@@ -70,10 +69,3 @@ class TestEntryPoints:
         assert proc.returncode == 1
         assert "UNREADABLE" in proc.stdout
         assert "Traceback" not in proc.stderr
-
-    def test_ledger_tolerates_missing_file(self, tmp_path):
-        proc = run_module(
-            "repro.obs.ledger", "--ledger", str(tmp_path / "L.jsonl"), "log"
-        )
-        assert proc.returncode == 0
-        assert "empty" in proc.stdout

@@ -19,7 +19,7 @@ from repro.storage.pagestore import PageStore
 OFF = ("", "0", "off", "no", "false", "none", "  OFF  ")
 ON = ("1", "on", "true", "yes", " True ")
 FLAGS = ("audit", "store_poison", "telemetry")
-LOCATIONS = ("build_cache", "explain", "ledger", "store_dir", "telemetry_dir")
+LOCATIONS = ("build_cache", "explain", "store_dir", "telemetry_dir")
 
 ROWS = [
     *((name, raw, False) for name in FLAGS + LOCATIONS for raw in OFF),
@@ -54,7 +54,6 @@ DEFECTS = {
     ("store_poison", "true"),
     ("audit", "none"),
     ("explain", "none"),
-    ("ledger", "true"),
     ("build_cache", "1"),
     ("slow_op_ms", "abc"),
     ("bench_workers", "four"),
@@ -88,7 +87,7 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 12
+    assert len(fields(RunConfig)) == 11
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():

@@ -1,7 +1,11 @@
 """Tests for the public access-method interfaces and their bookkeeping."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.geometry.rect import Rect
 from repro.pam.buddytree import BuddyTree
 from repro.sam.rtree import RTree
@@ -102,3 +106,15 @@ class TestSpatialAccessMethodContract:
         assert sam.intersection(Rect.unit(2)) == []
         assert sam.containment(Rect.unit(2)) == []
         assert sam.enclosure(Rect((0.4, 0.4), (0.6, 0.6))) == []
+
+
+MODULES = ["repro", *(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    """``__all__`` is a promise, also for the names ``repro.obs`` resolves
+    lazily through its PEP 562 tables."""
+    module = importlib.import_module(module_name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Tests for the clip-redundancy sweep document and its ledger path."""
+"""Tests for the clip-redundancy sweep document."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.obs.ablation import (
     build_clip_redundancy_document,
     validate_clip_redundancy,
 )
-from repro.obs.ledger import Ledger, entry_from_bench_document, gate_run
 
 REDUNDANCY = {
     "stored_entries": 1000,
@@ -74,45 +73,3 @@ class TestDocument:
             "sorted by budget" in p for p in validate_clip_redundancy(doc)
         )
 
-
-class TestLedgerPath:
-    def test_entry_carries_redundancy_totals(self):
-        entry = entry_from_bench_document(make_doc())
-        assert entry.label == "clip-redundancy-sweep"
-        assert set(entry.totals) == {"r1", "r2", "r4"}
-        assert entry.totals["r4"]["redundancy"]["duplication_factor"] == 4.0
-        assert entry.totals["r4"]["data_pages"] == 280
-        assert entry.metrics["budgets"]["r2"]["point_cost"] == 10.0
-        assert entry.fingerprint["scale"] == 1000
-
-    def test_entry_rejects_invalid_document(self):
-        doc = make_doc()
-        doc["rows"] = []
-        with pytest.raises(ValueError, match="rows"):
-            entry_from_bench_document(doc)
-
-    def test_gate_fails_on_redundancy_drift(self, tmp_path):
-        """Acceptance: redundancy metrics are gated like access totals."""
-        ledger = Ledger(tmp_path / "L.jsonl")
-        ledger.record(entry_from_bench_document(make_doc()))
-        drifted = make_doc(
-            rows=[
-                make_row(1),
-                make_row(2),
-                make_row(
-                    4,
-                    redundancy={**REDUNDANCY, "duplication_factor": 4.5},
-                ),
-            ]
-        )
-        ledger.record(entry_from_bench_document(drifted))
-        result = gate_run(ledger, max_regression=1000)
-        assert not result.ok
-        assert any("drifted" in failure for failure in result.failures)
-
-    def test_gate_passes_on_identity(self, tmp_path):
-        ledger = Ledger(tmp_path / "L.jsonl")
-        ledger.record(entry_from_bench_document(make_doc()))
-        ledger.record(entry_from_bench_document(make_doc()))
-        result = gate_run(ledger, max_regression=1000)
-        assert result.ok and not result.failures

@@ -168,26 +168,27 @@ class TestSnapshotDeterminism:
         assert validate_snapshot(json.loads(first)) == []
 
     def test_workers_do_not_change_snapshots(self):
-        serial = run_pam_file("uniform", scale=280, workers=1, cache=None)
-        parallel = run_pam_file("uniform", scale=280, workers=2, cache=None)
-        assert set(serial.snapshots) == set(parallel.snapshots)
-        assert serial.snapshots  # BUDDY+ included
-        for name, snap in serial.snapshots.items():
-            assert snapshot_to_json(snap) == snapshot_to_json(
-                parallel.snapshots[name]
+        serial = run_pam_file("uniform", scale=280, workers=1, cache=None).results
+        parallel = run_pam_file("uniform", scale=280, workers=2, cache=None).results
+        assert set(serial) == set(parallel)
+        assert "BUDDY+" in serial
+        for name, result in serial.items():
+            assert result.snapshot, name
+            assert snapshot_to_json(result.snapshot) == snapshot_to_json(
+                parallel[name].snapshot
             ), name
 
     def test_warm_cache_replays_identical_snapshots(self, tmp_path):
         cold = run_pam_file(
             "uniform", scale=280, workers=1, cache=BuildCache(tmp_path)
-        )
+        ).results
         warm_cache = BuildCache(tmp_path)
         warm = run_pam_file(
             "uniform", scale=280, workers=1, cache=warm_cache
-        )
+        ).results
         assert warm_cache.hits > 0 and warm_cache.misses == 0
-        assert set(cold.snapshots) == set(warm.snapshots)
-        for name, snap in cold.snapshots.items():
-            assert snapshot_to_json(snap) == snapshot_to_json(
-                warm.snapshots[name]
+        assert set(cold) == set(warm)
+        for name, result in cold.items():
+            assert snapshot_to_json(result.snapshot) == snapshot_to_json(
+                warm[name].snapshot
             ), name

@@ -412,7 +412,6 @@ class TestIoStatsSchema:
             make_points(150, seed=5),
             seed=23,
             label="telemetry-roundtrip",
-            ledger=False,
         )
         saved = report.save(tmp_path / "report.json")
         data = json.loads(saved.read_text())
