@@ -16,7 +16,7 @@ run through :mod:`repro.obs` and writes one machine-readable
 :class:`~repro.obs.RunReport` per data file to
 ``results/RUN-PAM-<file>.json`` / ``results/RUN-SAM-<file>.json``,
 alongside the usual text tables.  Inspect or diff them with
-``python -m repro.obs.report``.  Tracing is passive, so the tables are
+``python -m repro.obs report``.  Tracing is passive, so the tables are
 bit-identical with and without ``--report``.
 
 **Parallel execution** — set ``REPRO_BENCH_WORKERS=N`` to fan each data

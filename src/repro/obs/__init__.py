@@ -8,41 +8,49 @@ package makes those counts observable at every granularity:
   records one :class:`Span` per bracketed operation (insert / delete /
   query), optionally down to individual page-access events.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  fixed-bucket histograms with exact percentile summaries
-  (p50/p90/p99/max) and wall-clock timers.
+  gauges and fixed-bucket histograms with exact percentile summaries
+  (p50/p90/p99/max).
 * :mod:`repro.obs.export` — exporters: a JSONL trace sink, human-readable
   table rendering and the structured :class:`RunReport` JSON that every
   benchmark emits alongside its ``results/*.txt`` table.
 * :mod:`repro.obs.runner` — :func:`traced_pam_run` /
   :func:`traced_sam_run`, which wrap the §3/§7 experiment driver with a
   tracer and produce a :class:`RunReport`.
-* :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI that
-  prints, validates and diffs run reports.
-* :mod:`repro.obs.profile` — deterministic cost attribution
-  (:class:`CostAttribution`): per-structure/phase/operation wall-time
-  and disk-access rollups whose totals match the tracer bit-exactly,
-  a counted-vs-uncounted page-touch heatmap, and flamegraph export.
+* :mod:`repro.obs.report` — per-(structure, query) diffs of two run
+  reports.
 * :mod:`repro.obs.explain` — EXPLAIN-style per-query execution traces
   (:class:`ExplainRecorder`): the pages each query visits, in order,
   with candidates vs hits, prune decisions and duplicate elimination,
-  plus the ``python -m repro.obs.explain`` trace renderer.
+  and their renderers.
 * :mod:`repro.obs.structure` — uncharged structure snapshots
   (:func:`compute_snapshot`): occupancy and depth profiles plus
   first-class redundancy metrics (duplication factor, overlap volume,
   dead space, coverage).
+* :mod:`repro.obs.telemetry` — physical-IO latency histograms, the
+  flight-recorder timeline and the slow-operation log of the durable
+  backend.
+
+``python -m repro.obs report|explain|telemetry|validate`` is the one
+command line over all of these artefacts (:mod:`repro.obs.__main__`).
 
 Tracing is strictly additive: the observer hook never changes which
 accesses are charged, so an instrumented run reports exactly the same
 :class:`~repro.core.stats.AccessStats` as an uninstrumented one.
 """
 
+from repro.obs.explain import (
+    EXPLAIN_SCHEMA,
+    ExplainRecorder,
+    page_heatmap,
+    render_heatmap,
+    render_trace,
+    validate_explain,
+)
 from repro.obs.export import (
     RUN_REPORT_SCHEMA,
     JsonlTraceSink,
     RunReport,
     build_run_report,
-    profile_to_collapsed,
-    profile_to_speedscope,
     summarise_spans,
     summarise_touches,
     validate_run_report,
@@ -52,22 +60,27 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 from repro.obs.runner import traced_pam_run, traced_sam_run
+from repro.obs.structure import (
+    SNAPSHOT_SCHEMA,
+    PageView,
+    compute_snapshot,
+    render_snapshot,
+    snapshot_to_json,
+    validate_snapshot,
+)
 from repro.obs.tracer import (
     BUILD_OPS,
     AccessEvent,
     Span,
     StoreObserver,
     Tracer,
-    phase_of,
 )
 
 __all__ = [
     "AccessEvent",
     "BUILD_OPS",
-    "CostAttribution",
     "Counter",
     "DEFAULT_ACCESS_BUCKETS",
     "EXPLAIN_SCHEMA",
@@ -75,22 +88,16 @@ __all__ = [
     "Histogram",
     "JsonlTraceSink",
     "MetricsRegistry",
-    "OpCost",
     "PageView",
     "RUN_REPORT_SCHEMA",
     "RunReport",
     "SNAPSHOT_SCHEMA",
     "Span",
     "StoreObserver",
-    "Timer",
     "Tracer",
-    "apportion",
     "build_run_report",
     "compute_snapshot",
     "page_heatmap",
-    "phase_of",
-    "profile_to_collapsed",
-    "profile_to_speedscope",
     "render_heatmap",
     "render_snapshot",
     "render_trace",
@@ -103,45 +110,3 @@ __all__ = [
     "validate_run_report",
     "validate_snapshot",
 ]
-
-# Profile and explain names resolve lazily (PEP 562): those
-# modules have ``python -m`` entry points, and an eager import here
-# would trigger runpy's found-in-sys.modules double-import warning on
-# every CLI call.  Structure names ride along for symmetry.
-_PROFILE_NAMES = frozenset({"CostAttribution", "OpCost", "apportion"})
-_EXPLAIN_NAMES = frozenset(
-    {
-        "EXPLAIN_SCHEMA",
-        "ExplainRecorder",
-        "page_heatmap",
-        "render_heatmap",
-        "render_trace",
-        "validate_explain",
-    }
-)
-_STRUCTURE_NAMES = frozenset(
-    {
-        "SNAPSHOT_SCHEMA",
-        "PageView",
-        "compute_snapshot",
-        "render_snapshot",
-        "snapshot_to_json",
-        "validate_snapshot",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _PROFILE_NAMES:
-        from repro.obs import profile
-
-        return getattr(profile, name)
-    if name in _EXPLAIN_NAMES:
-        from repro.obs import explain
-
-        return getattr(explain, name)
-    if name in _STRUCTURE_NAMES:
-        from repro.obs import structure
-
-        return getattr(structure, name)
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

@@ -15,16 +15,14 @@ cost of that query, and :meth:`ExplainRecorder.end_file` asserts it.
 Candidate/hit counts are computed after the fact from uncharged page
 peeks, so explaining a run never changes its access statistics.
 
-The trace document (schema ``repro.obs/explain/v1``) is rendered by the
-``python -m repro.obs.explain`` CLI as an ASCII descent tree, markdown
-or JSON.
+The trace document (schema ``repro.obs/explain/v1``) is rendered by
+``python -m repro.obs explain`` as an ASCII descent tree, markdown,
+JSON or a per-page heatmap.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,7 +41,6 @@ __all__ = [
     "render_heatmap",
     "render_trace",
     "validate_explain",
-    "main",
 ]
 
 #: Schema identifier embedded in every explain trace.
@@ -530,59 +527,3 @@ def render_trace(trace: dict, fmt: str = "tree") -> str:
                 )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-# -- CLI --------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.explain",
-        description="Render and validate explain traces "
-        "(schema repro.obs/explain/v1).",
-    )
-    parser.add_argument("trace", help="path to an explain trace JSON file")
-    parser.add_argument(
-        "--format",
-        choices=("tree", "md", "json", "heatmap"),
-        default="tree",
-        help="output rendering (default: tree)",
-    )
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="only validate the trace; exit 1 on problems",
-    )
-    args = parser.parse_args(argv)
-
-    from pathlib import Path
-
-    path = Path(args.trace)
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 1
-    try:
-        trace = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    problems = validate_explain(trace)
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        return 1
-    if args.validate:
-        print(f"{path}: valid ({trace['structure']})")
-        return 0
-    try:
-        if args.format == "heatmap":
-            print(render_heatmap(trace), end="")
-        else:
-            print(render_trace(trace, args.format), end="")
-    except BrokenPipeError:
-        return 0
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

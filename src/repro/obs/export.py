@@ -50,8 +50,6 @@ __all__ = [
     "JsonlTraceSink",
     "RunReport",
     "build_run_report",
-    "profile_to_collapsed",
-    "profile_to_speedscope",
     "summarise_spans",
     "summarise_touches",
     "validate_run_report",
@@ -139,10 +137,11 @@ def summarise_spans(
 def summarise_touches(spans: Iterable[Span]) -> dict[str, dict[str, dict]]:
     """Exact per-operation touch counters: structure -> op -> summary.
 
-    Each summary carries the four charged counters, the free (uncharged)
-    touch count and the number of operations — everything the profiler
-    needs to rebuild a :class:`~repro.obs.profile.CostAttribution` from
-    a saved report without the original span stream.
+    Each summary carries the four charged counters, their sum
+    (``charged``), the free (uncharged) touch count and the number of
+    operations.  These land in the report as ``build.ops`` and
+    ``queries[*].touches``, and :meth:`RunReport.render` prints the
+    ``charged`` / ``free`` pair beside each operation's histogram.
     """
     out: dict[str, dict[str, dict]] = {}
     for span in spans:
@@ -278,26 +277,30 @@ class RunReport:
             f"{self.page_size} B pages, schema `{self.schema}`)",
             "",
             "| structure | op | ops | mean | p50 | p90 | p99 | max "
-            "| results | seconds |",
+            "| charged | free | results | seconds |",
             "| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: "
-            "| ---: | ---: |",
+            "| ---: | ---: | ---: | ---: |",
         ]
         for name, entry in self.structures.items():
             build = entry.get("build", {})
             hist = build.get("accesses_per_insert")
             if hist:
+                charged, free = _touch_pair(build.get("ops", {}).get("insert"))
                 lines.append(
                     f"| {name} | insert | {hist['count']} | {hist['mean']:.2f} "
                     f"| {hist['p50']:.0f} | {hist['p90']:.0f} "
-                    f"| {hist['p99']:.0f} | {hist['max']:.0f} | - "
+                    f"| {hist['p99']:.0f} | {hist['max']:.0f} "
+                    f"| {charged} | {free} | - "
                     f"| {build.get('seconds', 0.0):.3f} |"
                 )
             for label, q in entry.get("queries", {}).items():
                 h = q["accesses"]
+                charged, free = _touch_pair(q.get("touches"))
                 lines.append(
                     f"| {name} | {label} | {h['count']} | {h['mean']:.2f} "
                     f"| {h['p50']:.0f} | {h['p90']:.0f} | {h['p99']:.0f} "
-                    f"| {h['max']:.0f} | {q.get('results', 0)} "
+                    f"| {h['max']:.0f} | {charged} | {free} "
+                    f"| {q.get('results', 0)} "
                     f"| {q.get('seconds', 0.0):.3f} |"
                 )
         redundancy = self.redundancy_metrics()
@@ -394,29 +397,43 @@ class RunReport:
             if hist:
                 lines.append(
                     "  build   "
-                    + _histogram_row("insert", hist)
+                    + _histogram_row(
+                        "insert", hist, build.get("ops", {}).get("insert")
+                    )
                     + f"{build.get('seconds', 0.0):>10.3f}s"
                 )
             queries = entry.get("queries", {})
             if queries:
                 lines.append(
                     f"  queries {'op':14s}{'ops':>7s}{'mean':>9s}"
-                    f"{'p50':>7s}{'p90':>7s}{'p99':>7s}{'max':>7s}{'results':>9s}"
+                    f"{'p50':>7s}{'p90':>7s}{'p99':>7s}{'max':>7s}"
+                    f"{'charged':>10s}{'free':>9s}{'results':>9s}"
                 )
             for label, q in queries.items():
                 lines.append(
                     "          "
-                    + _histogram_row(label, q["accesses"])
+                    + _histogram_row(label, q["accesses"], q.get("touches"))
                     + f"{q.get('results', 0):>9d}"
                 )
         return "\n".join(lines)
 
 
-def _histogram_row(label: str, hist: Mapping) -> str:
+def _touch_pair(touch: Mapping | None) -> tuple[object, object]:
+    """``(charged, free)`` page touches of one per-op summary.
+
+    Reports written before touch summaries existed render ``-``.
+    """
+    if not isinstance(touch, Mapping):
+        return "-", "-"
+    return touch.get("charged", "-"), touch.get("free", "-")
+
+
+def _histogram_row(label: str, hist: Mapping, touch: Mapping | None) -> str:
+    charged, free = _touch_pair(touch)
     return (
         f"{label:14s}{hist['count']:>7d}{hist['mean']:>9.2f}"
         f"{hist['p50']:>7.0f}{hist['p90']:>7.0f}{hist['p99']:>7.0f}"
-        f"{hist['max']:>7.0f}"
+        f"{hist['max']:>7.0f}{charged:>10}{free:>9}"
     )
 
 
@@ -515,68 +532,6 @@ def build_run_report(
         structures=structures,
         meta=dict(meta or {}),
     )
-
-
-# -- flamegraph exporters ---------------------------------------------------
-
-
-def profile_to_speedscope(attribution, *, name: str, unit: str = "accesses") -> dict:
-    """A speedscope file (https://speedscope.app) from an attribution.
-
-    ``attribution`` is anything with a ``stacks(unit)`` method (duck-
-    typed to avoid importing :mod:`repro.obs.profile` here), e.g. a
-    :class:`~repro.obs.profile.CostAttribution`.  Each stack becomes a
-    weighted sample of a ``sampled`` profile; weights are charged disk
-    accesses (``unit="accesses"``, speedscope unit ``none``) or
-    attributed nanoseconds (``unit="wall"``).
-    """
-    stacks = attribution.stacks(unit)
-    frame_index: dict[str, int] = {}
-    frames: list[dict] = []
-    samples: list[list[int]] = []
-    weights: list[int] = []
-    for path, weight in stacks:
-        sample = []
-        for frame in path:
-            label = frame or "(setup)"
-            if label not in frame_index:
-                frame_index[label] = len(frames)
-                frames.append({"name": label})
-            sample.append(frame_index[label])
-        samples.append(sample)
-        weights.append(weight)
-    total = sum(weights)
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": f"{name} ({unit})",
-                "unit": "nanoseconds" if unit == "wall" else "none",
-                "startValue": 0,
-                "endValue": total,
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-        "name": name,
-        "exporter": "repro.obs.export",
-    }
-
-
-def profile_to_collapsed(attribution, *, unit: str = "accesses") -> str:
-    """Brendan Gregg collapsed-stack lines (``a;b;c weight`` per line).
-
-    Consumable by ``flamegraph.pl`` and most flamegraph viewers; same
-    duck-typed ``stacks(unit)`` contract as
-    :func:`profile_to_speedscope`.
-    """
-    lines = []
-    for path, weight in attribution.stacks(unit):
-        frames = ";".join(frame or "(setup)" for frame in path)
-        lines.append(f"{frames} {weight}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- validation ------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Counters, histograms and timers for the testbed.
+"""Counters, gauges and histograms for the testbed.
 
 The registry follows the usual metrics vocabulary: a :class:`Counter`
-is a monotone total, a :class:`Histogram` buckets observations into
-fixed upper bounds *and* retains the raw samples so the percentile
-summaries (p50/p90/p99/max) are exact rather than bucket-interpolated
-— the runs here observe at most a few hundred thousand small integers,
-so exactness is cheap.  A :class:`Timer` accumulates wall-clock seconds.
+is a monotone total, a :class:`Gauge` a point-in-time value, a
+:class:`Histogram` buckets observations into fixed upper bounds *and*
+retains the raw samples so the percentile summaries (p50/p90/p99/max)
+are exact rather than bucket-interpolated — the runs here observe at
+most a few hundred thousand small integers, so exactness is cheap.
 
 All objects are JSON-friendly via ``as_dict`` so they can be embedded
 in a :class:`repro.obs.export.RunReport`.
@@ -14,18 +14,15 @@ in a :class:`repro.obs.export.RunReport`.
 from __future__ import annotations
 
 import math
-import time
 
 __all__ = [
     "DEFAULT_ACCESS_BUCKETS",
     "LATENCY_BUCKETS_SECONDS",
-    "SIZE_BUCKETS_BYTES",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "SUMMARY_KEYS",
-    "Timer",
 ]
 
 #: Power-of-two upper bounds for page-access histograms: queries cost a
@@ -49,13 +46,6 @@ LATENCY_BUCKETS_SECONDS = (
     1e-2, 2.5e-2, 5e-2,
     0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
-)
-
-#: Power-of-four byte sizes from one sector to 64 MiB, for transfer and
-#: log-growth histograms (WAL appends, slot writes, checkpoint flushes).
-SIZE_BUCKETS_BYTES = (
-    256, 1024, 4096, 16384, 65536,
-    262144, 1048576, 4194304, 16777216, 67108864,
 )
 
 
@@ -219,41 +209,13 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.2f})"
 
 
-class Timer:
-    """Accumulating wall-clock timer, usable as a context manager."""
-
-    __slots__ = ("name", "seconds", "count", "_started")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.seconds = 0.0
-        self.count = 0
-        self._started: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds += time.perf_counter() - self._started
-        self.count += 1
-        self._started = None
-
-    def as_dict(self) -> dict:
-        return {"seconds": self.seconds, "count": self.count}
-
-    def __repr__(self) -> str:
-        return f"Timer({self.name!r}, seconds={self.seconds:.4f}, count={self.count})"
-
-
 class MetricsRegistry:
-    """Get-or-create registry of counters, histograms and timers."""
+    """Get-or-create registry of counters, gauges and histograms."""
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._timers: dict[str, Timer] = {}
 
     def counter(self, name: str) -> Counter:
         try:
@@ -282,17 +244,6 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(name, buckets)
             return histogram
 
-    def timer(self, name: str) -> Timer:
-        try:
-            return self._timers[name]
-        except KeyError:
-            timer = self._timers[name] = Timer(name)
-            return timer
-
-    def timers(self) -> dict[str, Timer]:
-        """A snapshot of all registered timers by name."""
-        return dict(self._timers)
-
     def counters(self) -> dict[str, Counter]:
         """A snapshot of all registered counters by name."""
         return dict(self._counters)
@@ -309,40 +260,9 @@ class MetricsRegistry:
         out = {
             "counters": {n: c.as_dict() for n, c in sorted(self._counters.items())},
             "histograms": {n: h.as_dict() for n, h in sorted(self._histograms.items())},
-            "timers": {n: t.as_dict() for n, t in sorted(self._timers.items())},
         }
         if self._gauges:
             out["gauges"] = {
                 n: g.as_dict() for n, g in sorted(self._gauges.items())
             }
         return out
-
-    def render(self) -> str:
-        """A human-readable dump of every registered metric."""
-        lines: list[str] = []
-        if self._counters:
-            lines.append(f"{'counter':40s}{'value':>12s}")
-            for name, counter in sorted(self._counters.items()):
-                lines.append(f"{name:40s}{counter.value:>12d}")
-        if self._gauges:
-            lines.append(f"{'gauge':40s}{'value':>12s}")
-            for name, gauge in sorted(self._gauges.items()):
-                lines.append(f"{name:40s}{gauge.value:>12.4g}")
-        if self._histograms:
-            header = (
-                f"{'histogram':40s}{'count':>8s}{'mean':>10s}"
-                f"{'p50':>8s}{'p90':>8s}{'p99':>8s}{'max':>8s}"
-            )
-            lines.append(header)
-            for name, hist in sorted(self._histograms.items()):
-                row = hist.summary()
-                lines.append(
-                    f"{name:40s}{row['count']:>8d}{row['mean']:>10.2f}"
-                    f"{row['p50']:>8.0f}{row['p90']:>8.0f}"
-                    f"{row['p99']:>8.0f}{row['max']:>8.0f}"
-                )
-        if self._timers:
-            lines.append(f"{'timer':40s}{'seconds':>12s}{'count':>8s}")
-            for name, timer in sorted(self._timers.items()):
-                lines.append(f"{name:40s}{timer.seconds:>12.4f}{timer.count:>8d}")
-        return "\n".join(lines)

@@ -1,30 +1,15 @@
-"""The run-report CLI: ``python -m repro.obs.report``.
+"""Diffing two run reports: what ``python -m repro.obs report OLD NEW`` prints.
 
-Usage::
-
-    python -m repro.obs.report RUN.json              # print the summary
-    python -m repro.obs.report --validate RUN.json   # schema check only
-    python -m repro.obs.report OLD.json NEW.json     # diff two reports
-    python -m repro.obs.report OLD.json NEW.json --fail-threshold 5
-
-With one report, prints per-structure build metrics and per-query-type
-access distributions (ops, mean, p50/p90/p99, max).  With two reports,
-prints per-(structure, query) mean-access deltas — new vs old — and,
-when ``--fail-threshold`` is given, exits with status 2 if any mean
-regressed by more than that percentage, which is how CI turns the
-repo's JSON perf trajectory into a regression gate.
+Per-(structure, query) mean-access deltas, new vs old; rows past a
+threshold are flagged, and with ``--fail-threshold`` the CLI exits 2 on
+any flagged row.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+from repro.obs.export import RunReport
 
-from repro.obs.export import RunReport, validate_run_report
-
-__all__ = ["diff_reports", "format_diff", "main"]
+__all__ = ["diff_reports", "format_diff"]
 
 
 def diff_reports(old: RunReport, new: RunReport) -> list[dict]:
@@ -98,77 +83,3 @@ def format_diff(
             f"{row['delta_pct']:>+8.1f}%{flag}"
         )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Print, validate or diff repro run reports.",
-    )
-    parser.add_argument(
-        "reports", nargs="+", metavar="RUN.json", help="one report, or OLD NEW"
-    )
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="only check the schema; print OK or the problems",
-    )
-    parser.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="with two reports: exit 2 if any query mean regressed more than PCT%%",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "markdown"),
-        default="text",
-        help="table style for render and diff output",
-    )
-    args = parser.parse_args(argv)
-    if len(args.reports) > 2:
-        parser.error("expected one report, or two to diff")
-
-    if args.validate:
-        status = 0
-        for path in args.reports:
-            try:
-                data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                status = 1
-                print(f"{path}: UNREADABLE ({exc})")
-                continue
-            problems = validate_run_report(data)
-            if problems:
-                status = 1
-                print(f"{path}: INVALID")
-                for problem in problems:
-                    print(f"  - {problem}")
-            else:
-                print(f"{path}: OK")
-        return status
-
-    try:
-        loaded = [RunReport.load(path) for path in args.reports]
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if len(loaded) == 1:
-        print(loaded[0].render(args.format))
-        return 0
-
-    old, new = loaded
-    print(f"diff: {args.reports[0]} -> {args.reports[1]}")
-    rows = diff_reports(old, new)
-    print(format_diff(rows, args.fail_threshold, args.format))
-    if args.fail_threshold is not None and any(
-        row["delta_pct"] > args.fail_threshold for row in rows
-    ):
-        print(f"FAIL: regressions above {args.fail_threshold:.1f}%", file=sys.stderr)
-        return 2
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

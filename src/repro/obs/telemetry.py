@@ -1,5 +1,5 @@
-"""Live storage telemetry: IO latency histograms, a flight recorder,
-a slow-operation log, and Prometheus exporters.
+"""Live storage telemetry: IO latency histograms, a flight recorder
+and a slow-operation log.
 
 Everything before this module measured *logical* cost — charged page
 accesses, deterministic under a fixed seed.  The durable backend
@@ -19,32 +19,29 @@ observatory:
   and structure snapshots are bit-identical with it on or off.
 * :class:`FlightRecorder` — a daemon thread sampling every registered
   metric at a fixed interval into a schema-versioned JSONL time series
-  (:data:`TIMELINE_SCHEMA`), so a long build or a serving process can
-  be watched while it runs and post-mortemed after.  Per-worker
-  timelines merge deterministically (:func:`merge_timelines`).
+  (:data:`TIMELINE_SCHEMA`), so a long build can be watched while it
+  runs and post-mortemed after.  Per-worker timelines merge
+  deterministically (:func:`merge_timelines`).
 * **Slow-operation log** — any commit / checkpoint / query whose wall
   clock crosses ``REPRO_SLOW_OP_MS`` is recorded with its operation
   span, the page ids it touched and the physical-IO breakdown that
   explains the time (:data:`SLOW_OP_SCHEMA`).
-* **Exporters** — Prometheus text format (:func:`to_prometheus`), both
-  as a one-shot file export and as a live stdlib ``/metrics`` endpoint
-  (:class:`MetricsServer`), plus the ``python -m repro.obs.telemetry``
-  CLI (``render`` a timeline as per-metric sparklines, ``validate``
-  against the schemas, ``diff`` two timelines).
+
+``python -m repro.obs telemetry`` renders a timeline as per-metric
+sparklines (:func:`render_timeline`) or diffs two
+(:func:`diff_timelines`); ``python -m repro.obs validate`` checks both
+file kinds against their schemas.
 """
 
 from __future__ import annotations
 
-import argparse
 import fnmatch
 import json
-import math
-import sys
 import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.config import RunConfig
 from repro.obs.metrics import (
@@ -58,18 +55,17 @@ __all__ = [
     "SLOW_OP_SCHEMA",
     "TIMELINE_SCHEMA",
     "FlightRecorder",
-    "MetricsServer",
     "Telemetry",
     "active_telemetry",
+    "diff_timelines",
     "merge_timelines",
-    "prometheus_name",
     "read_timeline",
+    "render_timeline",
     "set_telemetry",
-    "to_prometheus",
+    "timeline_parts",
     "validate_io_stats",
+    "validate_slow_op_log",
     "validate_timeline",
-    "write_prometheus",
-    "main",
 ]
 
 #: Schema of one flight-recorder timeline (JSONL: header, then samples).
@@ -441,29 +437,22 @@ class FlightRecorder:
 # -- timeline files ----------------------------------------------------------
 
 
-def read_timeline(path: str | Path) -> tuple[dict, list[dict]]:
+def timeline_parts(lines: Sequence[Mapping]) -> tuple[Mapping, list[Mapping]]:
+    """``(header, samples)`` of a timeline's parsed JSONL lines."""
+    if not lines:
+        return {}, []
+    return lines[0], [doc for doc in lines[1:] if doc.get("kind") == "sample"]
+
+
+def read_timeline(path: str | Path) -> tuple[Mapping, list[Mapping]]:
     """Parse one timeline file into ``(header, samples)``."""
-    header: dict = {}
-    samples: list[dict] = []
     with Path(path).open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            doc = json.loads(raw)
-            if lineno == 1:
-                header = doc
-            elif doc.get("kind") == "sample":
-                samples.append(doc)
-    return header, samples
+        return timeline_parts([json.loads(raw) for raw in fh if raw.strip()])
 
 
-def validate_timeline(path: str | Path) -> list[str]:
-    """Schema-check one timeline file; returns problems ([] when valid)."""
+def validate_timeline(header: Mapping, samples: Sequence[Mapping]) -> list[str]:
+    """Schema-check one parsed timeline; returns problems ([] when valid)."""
     problems: list[str] = []
-    try:
-        header, samples = read_timeline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable: {exc}"]
     if header.get("schema") != TIMELINE_SCHEMA:
         problems.append(
             f"header schema is {header.get('schema')!r}, "
@@ -512,17 +501,9 @@ def validate_timeline(path: str | Path) -> list[str]:
     return problems
 
 
-def validate_slow_op_log(path: str | Path) -> list[str]:
-    """Schema-check one slow-operation log file."""
+def validate_slow_op_log(lines: Sequence[Mapping]) -> list[str]:
+    """Schema-check the parsed JSONL lines of one slow-operation log."""
     problems: list[str] = []
-    try:
-        lines = [
-            json.loads(raw)
-            for raw in Path(path).read_text(encoding="utf-8").splitlines()
-            if raw.strip()
-        ]
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable: {exc}"]
     if not lines or lines[0].get("schema") != SLOW_OP_SCHEMA:
         return [f"first line is not a {SLOW_OP_SCHEMA} header"]
     header, records = lines[0], lines[1:]
@@ -658,174 +639,7 @@ def validate_io_stats(stats: Mapping) -> list[str]:
     return problems
 
 
-# -- Prometheus export -------------------------------------------------------
-
-
-def prometheus_name(name: str, prefix: str = "repro") -> str:
-    """A metric name in Prometheus form: ``storage.io.fsync_seconds``
-    becomes ``repro_storage_io_fsync_seconds``."""
-    cleaned = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name.lower()
-    )
-    while "__" in cleaned:
-        cleaned = cleaned.replace("__", "_")
-    return f"{prefix}_{cleaned.strip('_')}"
-
-
-def _fmt(value: float) -> str:
-    if value != value or value in (math.inf, -math.inf):  # NaN / Inf guards
-        return "0"
-    return f"{value:.10g}"
-
-
-def to_prometheus(source: Telemetry | MetricsRegistry) -> str:
-    """Render every registered metric in Prometheus text format (0.0.4).
-
-    Counters become ``<name>_total``; histograms emit the standard
-    cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``;
-    gauges are read through their callbacks at export time; timers
-    export their accumulated seconds as a counter.  Names follow the
-    Prometheus conventions: ``repro_`` namespace, base units (seconds,
-    bytes), ``_total`` on monotone series.
-    """
-    registry = source.registry if isinstance(source, Telemetry) else source
-    lines: list[str] = []
-
-    for name, counter in sorted(registry.counters().items()):
-        metric = prometheus_name(name)
-        if not metric.endswith("_total"):
-            metric += "_total"
-        lines.append(f"# HELP {metric} Monotone counter {name}.")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {counter.value}")
-
-    for name, gauge in sorted(registry.gauges().items()):
-        metric = prometheus_name(name)
-        lines.append(f"# HELP {metric} Gauge {name}.")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(gauge.value)}")
-
-    for name, hist in sorted(registry.histograms().items()):
-        metric = prometheus_name(name)
-        summary = hist.summary()
-        lines.append(f"# HELP {metric} Histogram {name}.")
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        bucket_counts = list(hist.bucket_counts)
-        for bound, count in zip(hist.buckets, bucket_counts):
-            cumulative += count
-            lines.append(
-                f'{metric}_bucket{{le="{_fmt(float(bound))}"}} {cumulative}'
-            )
-        cumulative += bucket_counts[-1]
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_fmt(summary['sum'])}")
-        lines.append(f"{metric}_count {summary['count']}")
-
-    for name, timer in sorted(registry.timers().items()):
-        metric = prometheus_name(name)
-        if not metric.endswith("_seconds"):
-            metric += "_seconds"
-        metric += "_total"
-        lines.append(f"# HELP {metric} Accumulated wall clock of {name}.")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(timer.seconds)}")
-
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(source: Telemetry | MetricsRegistry, path: str | Path) -> Path:
-    """One-shot Prometheus text export to a file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_prometheus(source), encoding="utf-8")
-    return path
-
-
-class MetricsServer:
-    """A live ``/metrics`` endpoint over the stdlib ``http.server``.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port` / :attr:`url`).  The handler renders
-    :func:`to_prometheus` per scrape, so gauges and histograms are
-    always current; anything but ``GET /metrics`` is a 404.  The server
-    runs on a daemon thread — :meth:`stop` (or the context manager)
-    shuts it down cleanly.
-    """
-
-    def __init__(
-        self,
-        telemetry: Telemetry,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.telemetry = telemetry
-        self.host = host
-        self._requested_port = port
-        self._server = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise ValueError("server is not running")
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        telemetry = self.telemetry
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                if self.path != "/metrics":
-                    self.send_error(404, "only /metrics is served")
-                    return
-                body = to_prometheus(telemetry).encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-request stderr spam
-                pass
-
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-# -- CLI ---------------------------------------------------------------------
+# -- timeline rendering ---------------------------------------------------
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -877,13 +691,16 @@ def _metric_series(samples: Sequence[Mapping]) -> dict[str, list[float]]:
 
 
 def render_timeline(
-    path: str | Path, *, metric_glob: str = "*", width: int = 48
+    header: Mapping,
+    samples: Sequence[Mapping],
+    *,
+    metric_glob: str = "*",
+    width: int = 48,
 ) -> str:
-    """Per-metric sparkline + summary table of one timeline file."""
-    header, samples = read_timeline(path)
+    """Per-metric sparkline + summary table of one parsed timeline."""
     duration = samples[-1].get("elapsed_seconds", 0.0) if samples else 0.0
     lines = [
-        f"timeline: {header.get('label') or Path(path).name} "
+        f"timeline: {header.get('label') or 'unlabelled'} "
         f"({len(samples)} samples, {duration:.2f}s, "
         f"interval {header.get('interval_seconds', 0)}s"
         + (f", merged from {len(header.get('sources', []))} workers" if header.get("merged") else "")
@@ -907,88 +724,16 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def diff_timelines(old: str | Path, new: str | Path) -> list[dict]:
-    """Final-sample metric deltas between two timelines."""
+def diff_timelines(
+    old: Sequence[Mapping], new: Sequence[Mapping]
+) -> list[dict]:
+    """Final-sample metric deltas between two timelines' samples."""
     rows: list[dict] = []
-    old_series = _metric_series(read_timeline(old)[1])
-    new_series = _metric_series(read_timeline(new)[1])
+    old_series = _metric_series(old)
+    new_series = _metric_series(new)
     for name in sorted(set(old_series) & set(new_series)):
         a = old_series[name][-1] if old_series[name] else 0.0
         b = new_series[name][-1] if new_series[name] else 0.0
         delta = 100.0 * (b - a) / a if a else 0.0
         rows.append({"metric": name, "old": a, "new": b, "delta_pct": delta})
     return rows
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.telemetry",
-        description="Render, validate or diff telemetry timelines.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("render", help="sparkline/summary table of a timeline")
-    p.add_argument("timeline", metavar="TIMELINE.jsonl")
-    p.add_argument("--metric", default="*", help="glob over metric names")
-    p.add_argument("--width", type=int, default=48, help="sparkline width")
-
-    p = sub.add_parser(
-        "validate", help="schema-check timelines and slow-op logs"
-    )
-    p.add_argument("files", nargs="+", metavar="FILE.jsonl")
-
-    p = sub.add_parser("diff", help="final-sample metric deltas, new vs old")
-    p.add_argument("old")
-    p.add_argument("new")
-
-    args = parser.parse_args(argv)
-
-    if args.command == "render":
-        try:
-            print(render_timeline(args.timeline, metric_glob=args.metric,
-                                  width=args.width))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command == "validate":
-        status = 0
-        for path in args.files:
-            try:
-                first = Path(path).read_text(encoding="utf-8").split("\n", 1)[0]
-                schema = json.loads(first).get("schema") if first.strip() else None
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"{path}: UNREADABLE ({exc})")
-                status = 1
-                continue
-            if schema == SLOW_OP_SCHEMA:
-                problems = validate_slow_op_log(path)
-            else:
-                problems = validate_timeline(path)
-            if problems:
-                status = 1
-                print(f"{path}: INVALID")
-                for problem in problems:
-                    print(f"  - {problem}")
-            else:
-                print(f"{path}: OK")
-        return status
-
-    # diff
-    try:
-        rows = diff_timelines(args.old, args.new)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{'metric':44s}{'old':>12s}{'new':>12s}{'delta':>9s}")
-    for row in rows:
-        print(
-            f"{row['metric']:44s}{row['old']:>12.6g}{row['new']:>12.6g}"
-            f"{row['delta_pct']:>+8.1f}%"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -32,22 +32,11 @@ __all__ = [
     "Span",
     "StoreObserver",
     "Tracer",
-    "phase_of",
 ]
 
 #: Operation labels that belong to the build phase.  ``""`` covers
 #: accesses outside any labelled context (implicit setup spans).
 BUILD_OPS = frozenset({"", "setup", "insert", "pack"})
-
-
-def phase_of(op: str) -> str:
-    """``"build"`` or ``"query"`` — the phase an operation label bills to.
-
-    Drivers time each structure with two timers (``<name>/build`` and
-    ``<name>/queries``); this is the span-side classification that lets
-    the profiler apportion those timers back onto operations.
-    """
-    return "build" if op in BUILD_OPS else "query"
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,7 @@ MODULES = ["repro", *(m.name for m in pkgutil.walk_packages(repro.__path__, "rep
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_exported_name_resolves(module_name):
-    """``__all__`` is a promise, also for the names ``repro.obs`` resolves
-    lazily through its PEP 562 tables."""
+    """``__all__`` is a promise."""
     module = importlib.import_module(module_name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []

@@ -14,11 +14,11 @@ from repro.core.comparison import (
     run_pam_queries,
     run_sam_queries,
 )
+from repro.obs.__main__ import main
 from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     ExplainRecorder,
     data_page_entries,
-    main,
     page_heatmap,
     render_heatmap,
     render_trace,
@@ -380,22 +380,22 @@ class TestCli:
     def test_render_ok(self, pam_trace, tmp_path, capsys):
         _, _, _, trace = pam_trace
         path = self.save(trace, tmp_path)
-        assert main([path]) == 0
+        assert main(["explain", path]) == 0
         assert "BUDDY" in capsys.readouterr().out
-        assert main([path, "--format", "heatmap"]) == 0
+        assert main(["explain", path, "--format", "heatmap"]) == 0
         assert "page heatmap" in capsys.readouterr().out
 
     def test_validate_flag(self, pam_trace, tmp_path, capsys):
         _, _, _, trace = pam_trace
-        assert main(["--validate", self.save(trace, tmp_path)]) == 0
-        assert "valid" in capsys.readouterr().out
+        assert main(["validate", self.save(trace, tmp_path)]) == 0
+        assert EXPLAIN_SCHEMA in capsys.readouterr().out
 
     def test_invalid_inputs_exit_1(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent.json")]) == 1
+        assert main(["explain", str(tmp_path / "absent.json")]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        assert main([str(bad)]) == 1
+        assert main(["explain", str(bad)]) == 1
         wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps({"schema": "nope"}))
-        assert main([str(wrong)]) == 1
+        wrong.write_text(json.dumps({"schema": EXPLAIN_SCHEMA, "structure": "X"}))
+        assert main(["explain", str(wrong)]) == 1
         assert "invalid" in capsys.readouterr().err

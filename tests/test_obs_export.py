@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (
     JsonlTraceSink,
     build_run_report,
     summarise_touches,
     validate_run_report,
 )
-from repro.obs.report import main as report_main
 from repro.obs.runner import traced_pam_run
 from repro.obs.tracer import Span, Tracer
 from repro.pam.twolevelgrid import TwoLevelGridFile
@@ -143,25 +143,42 @@ class TestTouchSummaries:
 
 
 class TestMarkdownRender:
+    @staticmethod
+    def touch_pairs(report):
+        """Row label -> the [charged, free] cells its render must show."""
+        entry = report.structures["GRID"]
+        rows = {label: q["touches"] for label, q in entry["queries"].items()}
+        rows["insert"] = entry["build"]["ops"]["insert"]
+        assert any(touch["free"] for touch in rows.values())
+        return {k: [str(t["charged"]), str(t["free"])] for k, t in rows.items()}
+
     def test_render_markdown_table(self, pam_report):
         md = pam_report.render(fmt="markdown")
         assert md.splitlines()[0].startswith("**")
         assert "| structure | op |" in md
         assert "| GRID |" in md
+        for label, pair in self.touch_pairs(pam_report).items():
+            row = next(r for r in md.splitlines() if f"| GRID | {label} |" in r)
+            assert [cell.strip() for cell in row.split("|")][9:11] == pair
 
     def test_render_text_unchanged_default(self, pam_report):
         assert pam_report.render() == pam_report.render(fmt="text")
         assert "GRID" in pam_report.render()
+        rows = [r.split() for r in pam_report.render().splitlines()]
+        cells = {r[-10]: r[-3:-1] for r in rows if len(r) >= 10}
+        for label, pair in self.touch_pairs(pam_report).items():
+            assert cells[label] == pair
 
     def test_cli_format_markdown(self, pam_report, tmp_path, capsys):
         saved = pam_report.save(tmp_path / "r.json")
-        assert report_main([str(saved), "--format", "markdown"]) == 0
+        assert obs_main(["report", str(saved), "--format", "markdown"]) == 0
         assert "| structure | op |" in capsys.readouterr().out
 
     def test_cli_diff_markdown(self, pam_report, tmp_path, capsys):
         saved = pam_report.save(tmp_path / "r.json")
-        code = report_main(
-            [str(saved), str(saved), "--format", "markdown", "--fail-threshold", "10"]
+        code = obs_main(
+            ["report", str(saved), str(saved), "--format", "markdown",
+             "--fail-threshold", "10"]
         )
         assert code == 0
         out = capsys.readouterr().out

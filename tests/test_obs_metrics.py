@@ -1,18 +1,14 @@
-"""Tests for counters, histograms, timers and the registry."""
-
-import math
+"""Tests for counters, gauges, histograms and the registry."""
 
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_ACCESS_BUCKETS,
     LATENCY_BUCKETS_SECONDS,
-    SIZE_BUCKETS_BYTES,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 
 
@@ -87,7 +83,6 @@ class TestHistogram:
         assert list(LATENCY_BUCKETS_SECONDS) == sorted(LATENCY_BUCKETS_SECONDS)
         assert LATENCY_BUCKETS_SECONDS[0] <= 1e-6  # SSD-cache-hit preads
         assert LATENCY_BUCKETS_SECONDS[-1] >= 10.0  # multi-second checkpoints
-        assert list(SIZE_BUCKETS_BYTES) == sorted(SIZE_BUCKETS_BYTES)
 
     def test_latency_preset_percentiles_stay_exact(self):
         """Bucket boundaries never coarsen percentiles: observations are
@@ -130,24 +125,11 @@ class TestGauge:
         assert g.value == 9.0
 
 
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer("build")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.seconds >= 0.0
-        assert math.isfinite(t.seconds)
-
-
 class TestRegistry:
     def test_get_or_create(self):
         r = MetricsRegistry()
         assert r.counter("a") is r.counter("a")
         assert r.histogram("h") is r.histogram("h")
-        assert r.timer("t") is r.timer("t")
         assert r.gauge("g") is r.gauge("g")
 
     def test_gauge_rebind_through_registry(self):
@@ -156,31 +138,16 @@ class TestRegistry:
         assert r.gauge("pool.resident", lambda: 5) is g
         assert g.value == 5.0
 
-    def test_as_dict_and_render_include_gauges(self):
+    def test_as_dict_includes_gauges(self):
         r = MetricsRegistry()
         assert "gauges" not in r.as_dict()  # additive: only when present
         r.gauge("pool.resident").set(4)
         assert r.as_dict()["gauges"]["pool.resident"]["value"] == 4.0
-        assert "pool.resident" in r.render()
 
     def test_as_dict_shape(self):
         r = MetricsRegistry()
         r.counter("ops").inc(3)
         r.histogram("accesses").observe(7)
-        with r.timer("wall"):
-            pass
         d = r.as_dict()
         assert d["counters"]["ops"]["value"] == 3
         assert d["histograms"]["accesses"]["count"] == 1
-        assert d["timers"]["wall"]["count"] == 1
-
-    def test_render_mentions_every_metric(self):
-        r = MetricsRegistry()
-        r.counter("splits").inc()
-        r.histogram("accesses_per_query").observe(3)
-        with r.timer("build_seconds"):
-            pass
-        text = r.render()
-        for name in ("splits", "accesses_per_query", "build_seconds"):
-            assert name in text
-        assert "p99" in text

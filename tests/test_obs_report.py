@@ -12,7 +12,8 @@ from repro.obs.export import (
     summarise_spans,
     validate_run_report,
 )
-from repro.obs.report import diff_reports, main
+from repro.obs.__main__ import main
+from repro.obs.report import diff_reports
 from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.obs.tracer import Span
 from repro.pam.buddytree import BuddyTree
@@ -194,7 +195,7 @@ class TestReportCli:
         """Acceptance: the CLI prints per-structure p50/p90/p99."""
         _, _, report = pam_run
         path = report.save(tmp_path / "run.json")
-        assert main([str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         for name in PAM_FACTORIES:
             assert name in out
@@ -205,12 +206,13 @@ class TestReportCli:
     def test_validate_flag(self, pam_run, tmp_path, capsys):
         _, _, report = pam_run
         path = report.save(tmp_path / "run.json")
-        assert main(["--validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
-        broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps({"schema": "nope"}), encoding="utf-8")
-        assert main(["--validate", str(broken)]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        broken = copy.deepcopy(report.to_dict())
+        del broken["structures"]["GRID"]["totals"]
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "totals must carry integer" in capsys.readouterr().err
 
     def test_diff_flags_regressions(self, pam_run, tmp_path, capsys):
         _, _, report = pam_run
@@ -220,8 +222,8 @@ class TestReportCli:
         new = tmp_path / "new.json"
         new.write_text(json.dumps(worse), encoding="utf-8")
 
-        assert main([str(old), str(new)]) == 0  # no threshold: report only
-        assert main([str(old), str(new), "--fail-threshold", "5"]) == 2
+        assert main(["report", str(old), str(new)]) == 0  # no threshold: report only
+        assert main(["report", str(old), str(new), "--fail-threshold", "5"]) == 2
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "+100.0%" in out
 

@@ -180,6 +180,12 @@ class TestParallelMatchesSerial:
         assert validate_run_report(parallel_report.to_dict()) == []
         assert parallel_report.access_totals() == serial_report.access_totals()
         assert list(parallel_results) == list(serial_results)
+        # Counted vs uncounted touches per (structure, op) are exact too.
+        for name, serial in serial_report.structures.items():
+            parallel = parallel_report.structures[name]
+            assert parallel["build"]["ops"] == serial["build"]["ops"], name
+            for label, query in serial["queries"].items():
+                assert parallel["queries"][label]["touches"] == query["touches"]
 
 
 # -- job specs --------------------------------------------------------------

@@ -5,8 +5,8 @@ The contract under test, in order of importance:
 1. **Bit-identity** — with telemetry on, every observable artefact
    (query results, charged stats, explain traces, structure snapshots)
    is identical to a telemetry-off run, on both store backends.
-2. The flight recorder, slow-operation log and Prometheus exports are
-   schema-valid and deterministic where they claim to be (merges).
+2. The flight recorder and slow-operation log are schema-valid and
+   deterministic where they claim to be (merges).
 3. ``DiskPageStore.io_stats()`` keeps its pinned key set, and the
    run-report ``storage`` block round-trips through the report CLI.
 """
@@ -14,12 +14,11 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import json
-import threading
-import urllib.request
 
 import pytest
 
-from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, MetricsRegistry
+from repro.obs.__main__ import main as obs_main
+from repro.obs.metrics import LATENCY_BUCKETS_SECONDS
 from repro.obs.telemetry import (
     IO_STATS_KEYS,
     IO_STATS_PAGEFILE_KEYS,
@@ -28,19 +27,14 @@ from repro.obs.telemetry import (
     SLOW_OP_SCHEMA,
     TIMELINE_SCHEMA,
     FlightRecorder,
-    MetricsServer,
     Telemetry,
     active_telemetry,
-    main as telemetry_main,
     merge_timelines,
-    prometheus_name,
     read_timeline,
     set_telemetry,
-    to_prometheus,
     validate_io_stats,
     validate_slow_op_log,
     validate_timeline,
-    write_prometheus,
 )
 from repro.storage.disk import DiskPageStore
 from repro.storage.io import DelayingIO
@@ -182,8 +176,8 @@ class TestSlowOps:
         telem.maybe_slow_op("commit", 0.2, pages=[3, 1])
         telem.maybe_slow_op("query", 0.3)
         path = telem.save_slow_ops(tmp_path / "slow.jsonl")
-        assert validate_slow_op_log(path) == []
         lines = [json.loads(l) for l in path.read_text().splitlines()]
+        assert validate_slow_op_log(lines) == []
         assert lines[0]["schema"] == SLOW_OP_SCHEMA
         assert lines[0]["count"] == 2
         assert [l["op"] for l in lines[1:]] == ["commit", "query"]
@@ -282,7 +276,7 @@ class TestFlightRecorder:
             for _ in range(50):
                 ops.inc()
                 telem.observe("x_seconds", 0.001)
-        assert validate_timeline(path) == []
+        assert validate_timeline(*read_timeline(path)) == []
         header, samples = read_timeline(path)
         assert header["schema"] == TIMELINE_SCHEMA
         assert header["interval_seconds"] == 0.01
@@ -300,7 +294,7 @@ class TestFlightRecorder:
         recorder.start()
         recorder.stop()
         assert recorder.samples_written == 1
-        assert validate_timeline(recorder.path) == []
+        assert validate_timeline(*read_timeline(recorder.path)) == []
 
     def test_pool_gauges_appear_in_samples(self, tmp_path):
         telem = Telemetry()
@@ -324,7 +318,7 @@ class TestFlightRecorder:
     def test_validator_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema":"nope","kind":"header"}\n')
-        assert validate_timeline(path)
+        assert validate_timeline(*read_timeline(path))
 
 
 class TestMergeTimelines:
@@ -348,7 +342,7 @@ class TestMergeTimelines:
         merge_timelines([a, b], out2)
         assert out1.read_bytes() == out2.read_bytes()
         assert header["sources"] == ["w-a", "w-b"]
-        assert validate_timeline(out1) == []
+        assert validate_timeline(*read_timeline(out1)) == []
         assert [s["worker"] for s in merged] == ["w-a", "w-b"]
         assert [s["seq"] for s in merged] == [0, 1]
         assert all("worker_seq" in s for s in merged)
@@ -399,7 +393,6 @@ class TestIoStatsSchema:
         self, tmp_path, monkeypatch, capsys
     ):
         from repro.obs.export import validate_run_report
-        from repro.obs.report import main as report_main
         from repro.obs.runner import traced_pam_run
         from repro.pam.twolevelgrid import TwoLevelGridFile
 
@@ -417,114 +410,12 @@ class TestIoStatsSchema:
         data = json.loads(saved.read_text())
         assert validate_run_report(data) == []
         assert data["structures"]["GRID"]["storage"]["backend"] == "disk"
-        assert report_main([str(saved)]) == 0
+        assert obs_main(["report", str(saved)]) == 0
         out = capsys.readouterr().out
         assert "storage disk" in out
         assert "hit_rate=" in out
-        assert report_main([str(saved), "--format", "markdown"]) == 0
+        assert obs_main(["report", str(saved), "--format", "markdown"]) == 0
         assert "| write amp |" in capsys.readouterr().out
-
-
-class TestPrometheus:
-    def test_name_sanitisation(self):
-        assert (
-            prometheus_name("storage.io.fsync_seconds")
-            == "repro_storage_io_fsync_seconds"
-        )
-        assert prometheus_name("a b/c-d") == "repro_a_b_c_d"
-        assert prometheus_name("UPPER.Case") == "repro_upper_case"
-
-    def test_counter_gauge_histogram_wire_format(self):
-        registry = MetricsRegistry()
-        registry.counter("storage.io.pread_bytes").inc(4096)
-        registry.gauge("storage.pool.resident", lambda: 7)
-        hist = registry.histogram("op_seconds", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            hist.observe(v)
-        text = to_prometheus(registry)
-        assert "# TYPE repro_storage_io_pread_bytes_total counter" in text
-        assert "repro_storage_io_pread_bytes_total 4096" in text
-        assert "# TYPE repro_storage_pool_resident gauge" in text
-        assert "repro_storage_pool_resident 7" in text
-        assert "# TYPE repro_op_seconds histogram" in text
-        # buckets are cumulative and +Inf equals the sample count
-        assert 'repro_op_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_op_seconds_bucket{le="1"} 2' in text
-        assert 'repro_op_seconds_bucket{le="+Inf"} 3' in text
-        assert "repro_op_seconds_count 3" in text
-        assert "repro_op_seconds_sum 5.55" in text
-
-    def test_storage_metric_set_matches_golden(self, tmp_path):
-        """The canonical disk workload exports a pinned metric catalogue
-        (names + types).  Values vary run to run; the *set* must not
-        drift silently — update the golden when adding metrics."""
-        from pathlib import Path
-
-        telem = Telemetry()
-        store, _ = _disk_workload(tmp_path, telem, fsync=True)
-        store.close()
-        type_lines = sorted(
-            line
-            for line in to_prometheus(telem).splitlines()
-            if line.startswith("# TYPE ")
-        )
-        golden = Path(__file__).parent / "goldens" / "telemetry_storage.prom"
-        assert type_lines == golden.read_text().splitlines(), (
-            "Prometheus metric catalogue drifted; regenerate "
-            "tests/goldens/telemetry_storage.prom if intentional"
-        )
-
-    def test_write_prometheus_file(self, tmp_path):
-        telem = Telemetry()
-        telem.counter("ops").inc(3)
-        path = write_prometheus(telem, tmp_path / "m.prom")
-        assert path.read_text().endswith("repro_ops_total 3\n")
-
-
-class TestMetricsServer:
-    def test_scrape_metrics_endpoint(self, tmp_path):
-        telem = Telemetry()
-        store, _ = _disk_workload(tmp_path, telem)
-        with MetricsServer(telem) as server:
-            with urllib.request.urlopen(server.url, timeout=10) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith("text/plain")
-                body = response.read().decode("utf-8")
-        assert "repro_storage_io_pwrite_seconds_bucket" in body
-        assert "repro_storage_pool_budget 8" in body
-        store.close()
-
-    def test_only_metrics_is_served(self):
-        telem = Telemetry()
-        with MetricsServer(telem) as server:
-            for other in ("/other", "/"):
-                url = server.url.replace("/metrics", other)
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    urllib.request.urlopen(url, timeout=10)
-                assert err.value.code == 404
-
-    def test_serves_concurrent_scrapes(self, tmp_path):
-        telem = Telemetry()
-        telem.counter("ops").inc()
-        errors = []
-
-        def scrape(url):
-            try:
-                with urllib.request.urlopen(url, timeout=10) as response:
-                    assert b"repro_ops_total" in response.read()
-            except Exception as exc:  # surfaced below, not swallowed
-                errors.append(exc)
-
-        with MetricsServer(telem) as server:
-            threads = [
-                threading.Thread(target=scrape, args=(server.url,))
-                for _ in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert errors == []
 
 
 class TestCli:
@@ -543,29 +434,29 @@ class TestCli:
         telem = Telemetry(slow_op_ms=1)
         telem.maybe_slow_op("commit", 1.0)
         slow = telem.save_slow_ops(tmp_path / "slow.jsonl")
-        assert telemetry_main(["validate", str(timeline), str(slow)]) == 0
+        assert obs_main(["validate", str(timeline), str(slow)]) == 0
         out = capsys.readouterr().out
         assert out.count("OK") == 2
 
     def test_validate_flags_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"nope"}\n')
-        assert telemetry_main(["validate", str(bad)]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        assert obs_main(["validate", str(bad)]) == 1
+        assert "unknown schema" in capsys.readouterr().err
 
     def test_render_sparklines(self, tmp_path, capsys):
         timeline = self._timeline(tmp_path)
-        assert telemetry_main(["render", str(timeline)]) == 0
+        assert obs_main(["telemetry", "render", str(timeline)]) == 0
         out = capsys.readouterr().out
         assert "ops" in out and "x_seconds.p50" in out
 
     def test_render_metric_glob(self, tmp_path, capsys):
         timeline = self._timeline(tmp_path)
-        assert telemetry_main(["render", str(timeline), "--metric", "zzz*"]) == 0
+        assert obs_main(["telemetry", "render", str(timeline), "--metric", "zzz*"]) == 0
         assert "no metrics match" in capsys.readouterr().out
 
     def test_render_missing_file_exits_one(self, tmp_path, capsys):
-        assert telemetry_main(["render", str(tmp_path / "absent.jsonl")]) == 1
+        assert obs_main(["telemetry", "render", str(tmp_path / "absent.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_diff_reports_deltas(self, tmp_path, capsys):
@@ -573,7 +464,7 @@ class TestCli:
         new_dir = tmp_path / "new"
         new_dir.mkdir()
         new = self._timeline(new_dir)
-        assert telemetry_main(["diff", str(old), str(new)]) == 0
+        assert obs_main(["telemetry", "diff", str(old), str(new)]) == 0
         assert "ops" in capsys.readouterr().out
 
 
@@ -614,7 +505,7 @@ class TestDriverAndParallelTelemetry:
         parts.remove(merged)
         assert len(parts) == 2
         for part in parts + [merged]:
-            assert validate_timeline(part) == []
+            assert validate_timeline(*read_timeline(part)) == []
         header, samples = read_timeline(merged)
         assert header["merged"] is True
         assert len(header["sources"]) == 2
