@@ -17,13 +17,6 @@ And one under every BANG / BUDDY insert:
   spread kernel (one packed code, unpacked a byte at a time) instead of
   a 48-step per-bit loop per address.
 
-And one under every BANG / BANG* / T-BANG query:
-
-* the nesting-coverage leaf filter reads its verdict off the leaf's
-  residual column (two fused comparisons and a set lookup per entry)
-  instead of clipping every entry block to the query and asking
-  :func:`~repro.geometry.regioncover.is_covered` about it.
-
 Each case times the shipped implementation against a straightforward
 reference written here, min-of-repeats, and asserts a modest win so a
 regression that silently reverts the optimisation fails the bench.  The
@@ -34,21 +27,9 @@ import math
 import timeit
 from random import Random
 
-import numpy as np
-
-from repro.geometry.blocks import (
-    MAX_DEPTH,
-    bits_of_point,
-    block_rect,
-    is_prefix,
-    min_enclosing_block,
-)
+from repro.geometry.blocks import MAX_DEPTH, bits_of_point, min_enclosing_block
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import is_covered
 from repro.geometry.zorder import z_value
-from repro.pam.bang import BangFile
-from repro.query.traverse import qvec_for
-from repro.storage.pagestore import PageStore
 
 from benchmarks.conftest import emit
 
@@ -101,83 +82,8 @@ def ref_min_enclosing_block(rect: Rect, dims: int) -> tuple:
     return lo[:n]
 
 
-def leaf_filter_case(dims: int):
-    """``(shipped, reference, queries, aligned)`` over the fullest leaf of
-    a fixed clustered ``dims``-d BANG file: 150 range and 150
-    partial-match boxes to time, 100 block-aligned boxes (the ones that
-    reach the oracle fallback, which generic query files never do) to
-    check agreement on as well.
-
-    ``shipped(q)`` is what a cold page costs in production — the block
-    gate and the residual rows as single-query fused comparisons, then
-    ``_keep_leaf_entries``; ``reference(q)`` clips each entry block and
-    asks ``is_covered`` about its nested siblings (found once, up front).
-    Both return the kept entry indices.
-    """
-    rng = Random(7 + dims)
-    bang = BangFile(PageStore(512), dims)
-    for rid in range(1500):
-        bang.insert(tuple(rng.gauss(0.4, 0.12) % 1.0 for _ in range(dims)), rid)
-    leaves = [
-        node.entries
-        for node in bang.store._objects.values()
-        if getattr(node, "is_leaf", False)
-    ]
-    entries = max(leaves, key=len)
-    cover = entries.view("blocks:cover", bang._build_blocks_cover)
-    residual = bang._build_residual_cover(entries)
-
-    def shipped(rect: Rect) -> list:
-        qvec = qvec_for("isect", rect)
-        b_row = np.flatnonzero((cover <= qvec).all(axis=1)).tolist()
-        r_row = np.flatnonzero((residual <= qvec).all(axis=1)).tolist()
-        return bang._keep_leaf_entries(entries, b_row, r_row, rect)
-
-    rects = [block_rect(e.bits, dims) for e in entries]
-    nested = [
-        [
-            rects[k]
-            for k, other in enumerate(entries)
-            if len(other.bits) > len(e.bits) and is_prefix(e.bits, other.bits)
-        ]
-        for e in entries
-    ]
-
-    def reference(rect: Rect) -> list:
-        out = []
-        for i, block in enumerate(rects):
-            overlap = block.intersection(rect)
-            if overlap is None or (nested[i] and is_covered(overlap, nested[i])):
-                continue
-            out.append(i)
-        return out
-
-    queries = []
-    for _ in range(150):
-        side = rng.choice((0.001, 0.01, 0.1)) ** (1.0 / dims)
-        lo = tuple(rng.uniform(0, 1 - side) for _ in range(dims))
-        queries.append(Rect(lo, tuple(c + side for c in lo)))
-    for _ in range(150):
-        axis, value = rng.randrange(dims), rng.random()
-        queries.append(
-            Rect(
-                tuple(value if a == axis else 0.0 for a in range(dims)),
-                tuple(value if a == axis else 1.0 for a in range(dims)),
-            )
-        )
-    cuts = [sorted({c for r in rects for c in (r.lo[a], r.hi[a])}) for a in range(dims)]
-    aligned = []
-    for _ in range(100):
-        bounds = [sorted((rng.choice(cuts[a]), rng.choice(cuts[a]))) for a in range(dims)]
-        aligned.append(Rect(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)))
-    # The rule has work to do on this leaf: it prunes some block hits, not all.
-    hits = sum(block.intersects(q) for q in queries for block in rects)
-    assert 0 < sum(len(reference(q)) for q in queries) < hits
-    return shipped, reference, queries, aligned
-
-
-def _best(fn, number: int = NUMBER) -> float:
-    return min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number
+def _best(fn) -> float:
+    return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER
 
 
 def test_micro_geometry(benchmark):
@@ -209,13 +115,6 @@ def test_micro_geometry(benchmark):
     for box in boxes:
         assert min_enclosing_block(box, 2) == ref_min_enclosing_block(box, 2)
 
-    leaf2, ref_leaf2, queries2, aligned2 = leaf_filter_case(2)
-    leaf4, ref_leaf4, queries4, aligned4 = leaf_filter_case(4)
-    for q in queries2 + aligned2:
-        assert leaf2(q) == ref_leaf2(q)
-    for q in queries4 + aligned4:
-        assert leaf4(q) == ref_leaf4(q)
-
     timings = {
         "intersects": (
             _best(lambda: [a.intersects(b) for a, b in pairs]),
@@ -241,14 +140,6 @@ def test_micro_geometry(benchmark):
             _best(lambda: [min_enclosing_block(b, 2) for b in boxes]),
             _best(lambda: [ref_min_enclosing_block(b, 2) for b in boxes]),
         ),
-        "leaf_filter 2-d": (
-            _best(lambda: [leaf2(q) for q in queries2], number=10),
-            _best(lambda: [ref_leaf2(q) for q in queries2], number=10),
-        ),
-        "leaf_filter 4-d": (
-            _best(lambda: [leaf4(q) for q in queries4], number=10),
-            _best(lambda: [ref_leaf4(q) for q in queries4], number=10),
-        ),
     }
     benchmark(lambda: [a.intersects(b) for a, b in pairs])
 
@@ -259,7 +150,7 @@ def test_micro_geometry(benchmark):
     emit(
         "BENCH-MICRO-GEO",
         "Geometry micro-optimisations (300 calls per sample, min of "
-        f"{REPEATS}x{NUMBER} repeats; leaf_filter {REPEATS}x10)\n"
+        f"{REPEATS}x{NUMBER} repeats)\n"
         f"{'':15s}{'optimised':>12s}{'reference':>12s}{'win':>7s}\n"
         + "\n".join(
             f"{name:15s}{opt:10.1f}us{ref:10.1f}us{win:6.2f}x"
@@ -275,6 +166,3 @@ def test_micro_geometry(benchmark):
     assert rows["bits_of_pt 2-d"][2] > 1.5
     assert rows["bits_of_pt 4-d"][2] > 1.5
     assert rows["min_encl_block"][2] > 1.5
-    # The column filter wins 7-20x locally.
-    assert rows["leaf_filter 2-d"][2] > 3
-    assert rows["leaf_filter 4-d"][2] > 3

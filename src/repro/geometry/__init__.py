@@ -8,8 +8,6 @@ The sub-modules are deliberately free of any storage concerns:
   file and the BUDDY hash tree.
 * :mod:`repro.geometry.zorder` — Morton (z-order) codes and z-region
   decomposition used by the z-B+-tree and the clipping technique.
-* :mod:`repro.geometry.regioncover` — the scalar rectangle-union
-  coverage oracle behind the BANG file's nested-region pruning.
 """
 
 from repro.geometry.rect import Rect

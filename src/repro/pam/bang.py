@@ -35,15 +35,12 @@ The ``ABL-BANG-MBR`` bench quantifies the §9 prediction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from repro.core.interfaces import PointAccessMethod
 from repro.geometry import blocks
 from repro.geometry.blocks import Bits
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import is_covered
 from repro.storage import layout
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
@@ -87,6 +84,15 @@ def _entry_codes(lst) -> list[tuple[int, int]]:
     return [
         (blocks.code_of_bits(e.bits), blocks.MAX_DEPTH - len(e.bits)) for e in lst
     ]
+
+
+def _meets_half_open(piece: Rect, rect: Rect) -> bool:
+    """Closed ``rect`` meets ``piece`` taken half-open: strict on the upper
+    face, except at 1.0, which the quantiser clamps inward."""
+    return all(
+        lo <= q_hi and (q_lo < hi or q_lo == hi == 1.0)
+        for lo, hi, q_lo, q_hi in zip(piece.lo, piece.hi, rect.lo, rect.hi)
+    )
 
 
 class _DirNode:
@@ -353,16 +359,19 @@ class BangFile(PointAccessMethod):
             if self.minimal_regions:
                 self._grow_region(page.bits, point)
             return
-        old_block = page.bits
-        self._split_data_page(pid, page)
+        new_block = self._split_data_page(pid, page)
         if self.minimal_regions:
-            self._refresh_region(old_block)
+            self._refresh_region(page.bits)
+            if new_block is not None:
+                # The new entry may have landed in another leaf.
+                self._recompute_regions_upward(self._locate_leaf_uncharged(new_block))
 
-    def _split_data_page(self, pid: int, page: _DataPage) -> None:
+    def _split_data_page(self, pid: int, page: _DataPage) -> Bits | None:
+        """Split an overfull page; returns the new block, if one was cut."""
         sub_block = self._choose_split_block(page)
         if sub_block is None:
             self.store.write(pid)  # duplicate-degenerate page: tolerate overflow
-            return
+            return None
         prefix = blocks.code_of_bits(sub_block)
         shift = blocks.MAX_DEPTH - len(sub_block)
         inner, outer = [], []
@@ -380,6 +389,7 @@ class BangFile(PointAccessMethod):
         if self.minimal_regions and inner:
             mbr = Rect.bounding_points([p for p, _ in inner])
         self._add_directory_entry(_Entry(sub_block, new_pid, mbr))
+        return sub_block
 
     def _choose_split_block(self, page: _DataPage) -> Bits | None:
         """Best-balance proper sub-block of the page's block.
@@ -569,7 +579,7 @@ class BangFile(PointAccessMethod):
         return leaf_pid, leaf, entry
 
     def _grow_region(self, block: Bits, point: tuple[float, ...]) -> None:
-        """Expand the regions on the path to ``block`` to cover ``point``."""
+        """Expand the region of ``block``, and those above it, to cover ``point``."""
         leaf_pid, leaf, entry = self._leaf_entry(block)
         if entry.mbr is not None and entry.mbr.contains_point(point):
             return
@@ -580,19 +590,7 @@ class BangFile(PointAccessMethod):
         )
         leaf.entries.touch("mbrs:cover")
         self.store.write(leaf_pid)
-        path = self._path_to(self._root_pid, leaf_pid) or []
-        for parent_pid, child_pid in zip(reversed(path[:-1]), reversed(path[1:])):
-            parent: _DirNode = self.store._objects[parent_pid]
-            parent_entry = next(e for e in parent.entries if e.pid == child_pid)
-            if parent_entry.mbr is not None and parent_entry.mbr.contains_point(point):
-                break
-            parent_entry.mbr = (
-                Rect.from_point(point)
-                if parent_entry.mbr is None
-                else parent_entry.mbr.expanded_to_point(point)
-            )
-            parent.entries.touch("mbrs:cover")
-            self.store.write(parent_pid)
+        self._recompute_regions_upward(leaf_pid)
 
     def _refresh_region(self, block: Bits) -> None:
         """Recompute the region of ``block`` (after a split shrank it)."""
@@ -611,15 +609,14 @@ class BangFile(PointAccessMethod):
         path = self._path_to(self._root_pid, leaf_pid) or []
         for parent_pid, child_pid in zip(reversed(path[:-1]), reversed(path[1:])):
             parent: _DirNode = self.store._objects[parent_pid]
-            child: _DirNode = self.store._objects[child_pid]
             parent_entry = next(e for e in parent.entries if e.pid == child_pid)
-            regions = [e.mbr for e in child.entries if e.mbr is not None]
-            new_mbr = Rect.bounding(regions) if regions else None
-            if new_mbr == parent_entry.mbr:
-                break
-            parent_entry.mbr = new_mbr
-            parent.entries.touch("mbrs:cover")
-            self.store.write(parent_pid)
+            new_mbr = self._node_region(self.store._objects[child_pid])
+            # No early exit: a directory split below may have just set
+            # this level while a stale one waits above it.
+            if new_mbr != parent_entry.mbr:
+                parent_entry.mbr = new_mbr
+                parent.entries.touch("mbrs:cover")
+                self.store.write(parent_pid)
 
     def _node_region(self, node: "_DirNode") -> Rect | None:
         regions = [e.mbr for e in node.entries if e.mbr is not None]
@@ -651,12 +648,13 @@ class BangFile(PointAccessMethod):
 
         The region of an entry with sibling blocks nested inside it is
         its block minus those blocks, tiled by disjoint dyadic *pieces*
-        (:func:`repro.geometry.blocks.nested_residuals`).  ``rows`` holds
-        every piece as a fused ``[lo, -hi]`` row twice: ``m`` closed rows,
-        then the same rows moved two ulps inward on every side that is
-        not on the owner's own boundary (nothing is nested across that).
-        ``owner[row]`` is the entry a row belongs to and ``nested`` the
-        set of entries that have nested siblings at all.  Depends on the
+        (:func:`repro.geometry.blocks.nested_residuals`); blocks are
+        half-open, so a record of the entry lies in exactly one piece.
+        ``rows`` holds each piece as one fused ``[lo, -hi]`` row with
+        ``hi`` replaced by its float predecessor (``q.lo < hi`` iff
+        ``q.lo <= pred(hi)``), except at 1.0, which the quantiser clamps
+        inward.  ``owner[row]`` is the entry a row belongs to, ``nested``
+        the set of entries with nested siblings at all.  Depends on the
         entry blocks only, so it lives until the entry list mutates.
         """
         dims = self.dims
@@ -668,59 +666,27 @@ class BangFile(PointAccessMethod):
                 nested.add(i)
                 owner.extend([i] * len(tiles))
                 pieces.extend([blocks.block_rect(t, dims) for t in tiles])
-        closed = np.array([r.lo + r.hi for r in pieces]).reshape(len(pieces), 2 * dims)
-        np.negative(closed[:, dims:], out=closed[:, dims:])
-        # In the fused encoding "inward" is "up" on all 2d columns.
-        inward = np.nextafter(np.nextafter(closed, np.inf), np.inf)
-        own = lst.view("blocks:cover", self._build_blocks_cover)[owner]
-        shrunk = np.where(closed > own, inward, closed)
-        return nested, owner * 2, np.concatenate([closed, shrunk])
+        rows = np.array([r.lo + r.hi for r in pieces]).reshape(len(pieces), 2 * dims)
+        neg_hi = rows[:, dims:]
+        np.negative(neg_hi, out=neg_hi)
+        # In the fused encoding the predecessor of hi is one float *up*.
+        np.nextafter(neg_hi, np.inf, out=neg_hi, where=neg_hi > -1.0)
+        return nested, owner, rows
 
     def _build_residual_cover(self, lst) -> "np.ndarray":
         """The fused rows of :meth:`_build_residual`, as the kernels take them."""
         return lst.view("residual", self._build_residual)[2]
 
-    def _keep_leaf_entries(self, entries, idx: list, r_row: list, rect: Rect) -> list:
-        """Filter a leaf's block/MBR hits by the nesting-coverage rule:
-        an entry whose overlap with the query is entirely covered by
-        sibling blocks nested inside it holds no reachable records.
-
-        ``r_row`` is the query's intersection verdict over the residual
-        rows.  No closed piece hit: the overlap lies wholly inside nested
-        blocks, every point :func:`is_covered` probes included — pruned.
-        A shrunk piece hit: the overlap reaches a point of a piece that no
-        nested block touches, and two ulps of margin keep the midpoint
-        ``is_covered`` probes next to it clear of them too — kept.  What
-        is left (a piece touched only within two ulps of an inner edge)
-        asks the oracle itself, so the verdict is the scalar one on every
-        input (DESIGN.md, "Query execution", has the argument).
-        """
+    def _keep_leaf_entries(self, entries, idx: list, r_row: list) -> list:
+        """Filter a leaf's block/MBR hits by the nesting rule: an entry
+        with sibling blocks nested inside it holds reachable records only
+        where the query meets one of its residual pieces.  ``r_row`` is
+        the query's intersection verdict over the residual rows."""
         nested, owner, _ = entries.view("residual", self._build_residual)
         if not nested:
             return idx
-        split = bisect_left(r_row, len(owner) >> 1)
-        kept = {owner[row] for row in r_row[split:]}
-        touched = {owner[row] for row in r_row[:split]}
-        return [
-            i
-            for i in idx
-            if i not in nested
-            or i in kept
-            or (i in touched and not self._covered_by_nested(entries, entries[i], rect))
-        ]
-
-    def _covered_by_nested(self, entries, entry: _Entry, rect: Rect) -> bool:
-        """The scalar oracle: is the part of ``rect`` inside the entry's
-        block entirely covered by sibling blocks nested in that block?
-        ``rect`` must meet the block."""
-        dims = self.dims
-        bits = entry.bits
-        nested = [
-            blocks.block_rect(other.bits, dims)
-            for other in entries
-            if len(other.bits) > len(bits) and blocks.is_prefix(bits, other.bits)
-        ]
-        return is_covered(blocks.block_rect(bits, dims).intersection(rect), nested)
+        kept = {owner[row] for row in r_row}
+        return [i for i in idx if i not in nested or i in kept]
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
@@ -758,7 +724,7 @@ class BangFile(PointAccessMethod):
                 idx = b_row
             entries = node.entries
             if node.is_leaf:
-                relevant[pid] = self._keep_leaf_entries(entries, idx, r_row, rect)
+                relevant[pid] = self._keep_leaf_entries(entries, idx, r_row)
             else:
                 kids = expansion[pid] = [entries[i].pid for i in idx]
                 nxt.extend(kids)
@@ -909,19 +875,24 @@ class BangFile(PointAccessMethod):
     def _relevant_data_entries_scalar(
         self, leaf: _DirNode, rect: Rect
     ) -> list[_Entry]:
-        """Data entries to read: the block overlaps the query and the
-        overlap is not entirely covered by sibling data blocks nested
-        inside it (records in the covered part live on those pages)."""
+        """Data entries to read: the block overlaps the query and, where
+        sibling data blocks are nested inside it, the query meets one of
+        the half-open pieces left over (records in the nested part live
+        on those pages)."""
+        dims = self.dims
         entries = leaf.entries
+        residuals = blocks.nested_residuals([e.bits for e in entries])
         out = []
-        for entry in entries:
+        for entry, tiles in zip(entries, residuals):
             if self.minimal_regions and (
                 entry.mbr is None or not entry.mbr.intersects(rect)
             ):
                 continue
-            if not blocks.block_rect(entry.bits, self.dims).intersects(rect):
+            if not blocks.block_rect(entry.bits, dims).intersects(rect):
                 continue
-            if self._covered_by_nested(entries, entry, rect):
+            if tiles is not None and not any(
+                _meets_half_open(blocks.block_rect(t, dims), rect) for t in tiles
+            ):
                 continue
             out.append(entry)
         return out

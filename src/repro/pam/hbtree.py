@@ -423,6 +423,11 @@ class HBTree(PointAccessMethod):
         self._parents[right_pid] = set(touched)
         self._refresh_leaf_mbrs(pid, True)
         self._refresh_leaf_mbrs(right_pid, True)
+        # The posted chains already carry exact regions, so the two
+        # refreshes find nothing to change in ``touched`` and stop there;
+        # the record that caused the split is news one level further up.
+        for parent_pid in touched:
+            self._refresh_leaf_mbrs(parent_pid, False)
         return touched
 
     # -- index node splits ------------------------------------------------------------

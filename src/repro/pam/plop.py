@@ -160,8 +160,9 @@ class _PlopGrid:
     def index_range(self, axis: int, lo: float, hi: float) -> range:
         """Slice indices of ``axis`` whose interval meets ``[lo, hi]``."""
         boundaries = self.slices[axis]
-        first = max(bisect.bisect_right(boundaries, lo) - 1, 0)
-        stop = min(bisect.bisect_right(boundaries, hi), len(boundaries) - 1)
+        last = len(boundaries) - 2  # 1.0 lies in the last slice, as in address()
+        first = min(max(bisect.bisect_right(boundaries, lo) - 1, 0), last)
+        stop = min(bisect.bisect_right(boundaries, hi), last + 1)
         return range(first, stop)
 
     # -- growth --------------------------------------------------------------------

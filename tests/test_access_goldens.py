@@ -11,11 +11,14 @@ and hit count through :func:`~repro.query.driver.run_query_file`, and the
 sha256 of the canonical structure snapshot.
 
 Regenerate (only when a change is *meant* to move charged counts) with
-``PYTHONPATH=src python tests/test_access_goldens.py``.
+``PYTHONPATH=src python tests/test_access_goldens.py``.  With ``--diff``
+nothing is written: every moved ``(structure, page size, field)`` is
+printed as old -> new — the table a PR that moves a golden must show.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,9 +109,27 @@ def test_charged_counts_match_golden(name, golden):
         )
 
 
+def _fields(tree, prefix=""):
+    """``{dotted field: value}`` over the leaves of a nested dict."""
+    if not isinstance(tree, dict):
+        return {prefix: tree}
+    flat = {}
+    for key, value in tree.items():
+        flat.update(_fields(value, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
 if __name__ == "__main__":
     measured = {
         name: {str(ps): measure(name, ps) for ps in PAGE_SIZES}
         for name in STRUCTURES
     }
-    GOLDEN.write_text(json.dumps(measured, indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--diff"]:
+        old, new = _fields(json.loads(GOLDEN.read_text())), _fields(measured)
+        moved = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+        for key in moved:
+            name, page_size, field = key.split(".", 2)
+            print(f"{name} @ {page_size} B  {field}: {old.get(key)} -> {new.get(key)}")
+        print(f"{len(moved)} row(s) moved" if moved else "no rows moved")
+    else:
+        GOLDEN.write_text(json.dumps(measured, indent=1, sort_keys=True) + "\n")

@@ -1,35 +1,29 @@
 """Tests for the BANG file (nested block regions, backtracking search)."""
 
+import json
 import math
 import random
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.testbed import standard_pam_factories, standard_sam_factories
 from repro.geometry import blocks
 from repro.geometry.rect import Rect
-from repro.pam import bang as bang_module
 from repro.pam.bang import BangFile
-from repro.query.driver import run_query_file
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
-from repro.workloads import (
-    generate_partial_match_queries,
-    generate_point_file,
-    generate_range_queries,
-    generate_rect_file,
-    generate_rect_query_workload,
-)
-from repro.workloads.queries import RANGE_QUERY_VOLUMES
+from repro.verify.fuzz import STRUCTURES, run_ops
+from repro.verify.oracle import PamOracle
 from tests.conftest import (
     STANDARD_QUERIES,
     check_pam_against_oracle,
     make_clustered_points,
     make_points,
 )
+
+REPRODUCERS = Path(__file__).parent / "reproducers"
 
 
 def build(points, **kwargs):
@@ -234,19 +228,16 @@ class TestMinimalRegions:
 
 
 class TestKnownDefects:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="nesting prune tests coverage by CLOSED nested rectangles, but a "
-        "record on a nested block's upper face belongs to the enclosing block "
-        "(half-open blocks); reference and column agree on the wrong verdict",
-    )
+    """Defects found in the wild, each pinned by its shrunk stream; all fixed."""
+
     @pytest.mark.parametrize("vector", [True, False])
     def test_record_on_a_nested_blocks_upper_face_is_found(self, vector):
         """Shrunk from a rare hypothesis failure of
-        ``test_properties.py::TestSamProperties::test_all_sams_point_query``
-        (present since the scalar reference was written): a range query
-        equal to the nested block's closed rectangle is "entirely covered"
-        by it, so the enclosing block's page is never read."""
+        ``test_properties.py::TestSamProperties::test_all_sams_point_query``:
+        blocks are half-open, so a record on a nested block's upper face
+        belongs to the enclosing block, and a range query equal to the
+        nested block's closed rectangle must still read that page (the
+        closed coverage test called it "entirely covered")."""
         bang = BangFile(PageStore(128, vector=vector), 2)
         for rid in range(10):
             bang.insert((0.05 * rid + 0.01, 0.05 * rid + 0.02), rid)
@@ -256,6 +247,21 @@ class TestKnownDefects:
         bang.insert(edge, 99)
         assert bang.exact_match(edge) == [99]
         assert (edge, 99) in bang.range_query(nested)
+
+    def test_minimal_regions_follow_an_entry_into_another_leaf(self):
+        """``BANG-MBR-seed2.json`` (41 uniform inserts at 128-byte pages):
+        a data split whose new entry landed in another leaf left that
+        leaf's ancestors with stale regions, and the upward recompute
+        stopped at the first unchanged level — six records unreachable
+        and ``bang.region`` violated."""
+        blob = json.loads((REPRODUCERS / "BANG-MBR-seed2.json").read_text())
+        failure = run_ops(
+            STRUCTURES[blob["structure"]],
+            blob["ops"],
+            audit_every=1,
+            store_factory=lambda: PageStore(blob["page_size"]),
+        )
+        assert failure is None, failure
 
 
 # -- the residual column against the scalar reference -------------------------
@@ -355,8 +361,10 @@ def interleaved_ops(draw):
 
 
 class TestResidualColumn:
-    """The leaf filter on page columns equals ``_relevant_data_entries_scalar``:
-    same results, same charged cost, whatever the query touches."""
+    """The leaf filter on page columns equals ``_relevant_data_entries_scalar``
+    — same results, same charged cost, whatever the query touches — and both
+    give the brute-force oracle's results, so column and reference cannot
+    agree on a wrong verdict."""
 
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -365,84 +373,20 @@ class TestResidualColumn:
     def test_adversarial_queries_match_the_scalar_twin(self, case):
         name, ops = case
         vec, ref = twins(**VARIANTS[name])
+        oracle = PamOracle(vec.dims)
         rid = 0
         for kind, arg in ops:
             if kind == "insert":
                 vec.insert(arg, rid)
                 ref.insert(arg, rid)
+                oracle.insert(arg, rid)
                 rid += 1
             else:
                 rect = adversarial_query(entry_cuts(vec), arg)
-                assert charged(vec, rect) == charged(ref, rect), rect
+                cost, result = charged(vec, rect)
+                assert (cost, result) == charged(ref, rect), rect
+                assert sorted(result, key=repr) == oracle.range_query(rect), rect
         assert vec.store.stats == ref.store.stats
-
-    @pytest.mark.parametrize("name", sorted(VARIANTS))
-    def test_aligned_queries_reach_the_fallback_and_still_agree(self, name):
-        """Boxes that end on a block cut leave the kernel undecided for
-        some entry; the oracle answers, and the twin agrees."""
-        variant = VARIANTS[name]
-        dims = variant["dims"]
-        vec, ref = twins(**variant)
-        rng = random.Random(17)
-        for rid in range(150):
-            point = tuple(rng.gauss(0.3, 0.05) % 1.0 for _ in range(dims))
-            vec.insert(point, rid)
-            ref.insert(point, rid)
-        cuts = entry_cuts(vec)
-        fallbacks = 0
-        for _ in range(200):
-            spec = [
-                (rng.choice(["point", "cuts", "ulp"]), rng.randrange(1000),
-                 rng.randrange(1000), 0, rng.choice([0, 1, -1]), 0.0)
-                for _ in range(dims)
-            ]  # fmt: skip
-            rect = adversarial_query(cuts, spec)
-            with mock.patch.object(
-                bang_module, "is_covered", wraps=bang_module.is_covered
-            ) as oracle:
-                got = charged(vec, rect)
-            fallbacks += oracle.call_count
-            assert got == charged(ref, rect), rect
-        assert fallbacks > 0
-
-    @pytest.mark.parametrize("page_size", [512, 8192])
-    def test_generic_query_files_never_fall_back(self, page_size):
-        """The random query files the end-to-end bench runs (``query_sim``
-        / ``testbed_sim`` shape) are decided by the column alone — clipped
-        boxes with a bound on 0.0 or 1.0 included — so the bench measures
-        the column, not the oracle."""
-        points = generate_point_file("uniform", 600, seed=3)
-        rects = generate_rect_file("uniform_small", 600, seed=4)
-        pam_files = [
-            ("range", generate_range_queries(volume, count=40, seed=9), "range_query")
-            for volume in RANGE_QUERY_VOLUMES
-        ] + [
-            ("pm", generate_partial_match_queries(axis, count=40, seed=9), "partial_match")
-            for axis in (0, 1)
-        ]  # fmt: skip
-        workload = generate_rect_query_workload(seed=9, queries_per_class=10)
-        sam_files = [("point", workload["points"], "point_query")] + [
-            (kind, workload["rectangles"], kind)
-            for kind in ("intersection", "enclosure", "containment")
-        ]
-        assert any(
-            0.0 in q.lo or 1.0 in q.hi for q in workload["rectangles"]
-        ), "the SAM file should hold clipped boxes"
-        built = [
-            (standard_pam_factories()["BANG"], points, pam_files),
-            (standard_pam_factories()["BANG*"], points, pam_files),
-            (standard_sam_factories()["BANG"], rects, sam_files),
-        ]
-        with mock.patch.object(
-            bang_module, "is_covered", wraps=bang_module.is_covered
-        ) as oracle:
-            for factory, data, files in built:
-                method = factory(PageStore(page_size, vector=True))
-                for rid, item in enumerate(data):
-                    method.insert(item, rid)
-                for kind, queries, attr in files:
-                    run_query_file(method, kind, queries, getattr(method, attr))
-        assert oracle.call_count == 0
 
     def test_residual_view_never_outlives_its_entry_list(self):
         """Across data-page splits (an entry appended to a leaf) and
@@ -470,6 +414,7 @@ class TestResidualColumn:
                 if cached is not None:
                     nested, owner, rows = vec._build_residual(node.entries)
                     assert cached[0] == len(node.entries)
+                    assert rows.shape[0] == len(owner)  # one row per piece
                     assert cached[1][:2] == (nested, owner)
                     assert np.array_equal(cached[1][2], rows)
         assert data_splits > 5 and dir_splits > 1

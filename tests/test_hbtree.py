@@ -1,5 +1,7 @@
 """Tests for the hB-tree (kd-tree nodes, holey bricks, duplicate entries)."""
 
+import random
+
 from repro.geometry.rect import Rect
 from repro.pam.hbtree import _EXT, _INTERNAL, _LEAF, HBTree
 from repro.storage.page import PageKind
@@ -175,6 +177,20 @@ class TestMinimalRegions:
             for kd in kd_slots(tree, pid):
                 if kd.kind == _LEAF:
                     assert kd.mbr == tree._node_mbr(kd.pid, kd.is_data)
+
+    def test_regions_reach_the_grandparent_after_a_split(self):
+        """A split posts kd-leaves that already carry exact regions, so
+        the refresh found nothing to change one level up and never told
+        the level above it: uniform inserts lost records from the third
+        index level on (here insert 196; at 512 B insert 1 477) until a
+        later insert happened to refresh the path."""
+        rng = random.Random(0)
+        tree = HBTree(PageStore(256), 2, minimal_regions=True)
+        for i in range(400):
+            point = (rng.random(), rng.random())
+            tree.insert(point, i)
+            assert tree.exact_match(point) == [i]
+        tree.audit()
 
     def test_empty_space_queries_become_cheap(self):
         from repro.geometry.rect import Rect

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.pam.plop import PlopHashing, _PlopGrid
+from repro.pam.plop import PlopHashing, QuantileHashing, _PlopGrid
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
@@ -84,6 +84,21 @@ class TestGridCore:
         assert list(grid.index_range(0, 0.3, 0.6)) == [1, 2]
         assert list(grid.index_range(0, 0.5, 0.5)) == [2]
         assert list(grid.index_range(0, 0.25, 0.25)) == [1]
+        assert list(grid.index_range(0, 1.0, 1.0)) == [3]
+
+    @pytest.mark.parametrize("cls", [PlopHashing, QuantileHashing])
+    def test_record_on_the_upper_face_is_found(self, cls):
+        """A query starting at 1.0 used to scan an empty slice range."""
+        points = make_points(300, seed=6) + [(1.0, 0.5), (0.25, 1.0), (1.0, 1.0)]
+        plop = cls(PageStore(128), 2)
+        for i, p in enumerate(points):
+            plop.insert(p, i)
+        assert sorted(plop.partial_match({0: 1.0})) == [
+            ((1.0, 0.5), 300),
+            ((1.0, 1.0), 302),
+        ]
+        assert plop.range_query(Rect((1.0, 0.0), (1.0, 0.75))) == [((1.0, 0.5), 300)]
+        assert plop.range_query(Rect((0.0, 1.0), (0.5, 1.0))) == [((0.25, 1.0), 301)]
 
     def test_read_chain_missing_bucket(self):
         grid = _PlopGrid(PageStore(), 2, 8, key_of=lambda r: r[0])
@@ -92,8 +107,6 @@ class TestGridCore:
 
 class TestQuantileHashing:
     def build(self, points):
-        from repro.pam.plop import QuantileHashing
-
         plop = QuantileHashing(PageStore(), 2)
         for i, p in enumerate(points):
             plop.insert(p, i)
