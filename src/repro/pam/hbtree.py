@@ -48,6 +48,14 @@ __all__ = ["HBTree"]
 #: the intra-node child slots.
 _KD_INTERNAL_BYTES = 8
 
+#: The fewest region-carrying kd-leaves an index page must hold: a posted
+#: two-plane chain (three leaves) beside one entry that is not part of
+#: it.  Below that every posting overflows the page it lands in and the
+#: split cascade posts faster than it drains (at three it never ends).
+#: Plain HB reaches four leaves at 52-byte pages, whose three-record data
+#: pages are outside anything measured; it is not checked.
+_MIN_INDEX_LEAVES = 4
+
 _LEAF = 0
 _INTERNAL = 1
 _EXT = 2
@@ -121,6 +129,15 @@ class HBTree(PointAccessMethod):
         self._leaf_bytes = layout.POINTER_SIZE + (
             2 * dims * layout.COORD_SIZE if minimal_regions else 0
         )
+        smallest = (
+            _MIN_INDEX_LEAVES * self._leaf_bytes + (_MIN_INDEX_LEAVES - 1) * _KD_INTERNAL_BYTES
+        )
+        if minimal_regions and self._index_payload < smallest:
+            raise ValueError(
+                f"a {store.page_size}-byte index page holds fewer than {_MIN_INDEX_LEAVES} "
+                f"kd-leaves of {self._leaf_bytes} bytes; the smallest usable page size is "
+                f"{store.page_size - self._index_payload + smallest} bytes"
+            )
         self._root_pid = store.allocate(PageKind.DATA, _DataNode())
         self._root_is_data = True
         store.pin(self._root_pid)
@@ -339,9 +356,12 @@ class HBTree(PointAccessMethod):
             self._refresh_leaf_mbrs(pid, True)
             return
         overflowed = self._split_data_node(pid, data)
-        # Posting may overflow index nodes anywhere up the graph.
+        # Posting may overflow index nodes anywhere up the graph, and by
+        # more than one split takes off: both halves are candidates again.
         while overflowed:
             index_pid = overflowed.pop()
+            if index_pid not in self.store._objects:
+                continue  # pruned since it was queued
             index: _IndexNode = self.store._objects[index_pid]
             if self._node_overflowed(index):
                 overflowed.extend(self._split_index_node(index_pid, index))
@@ -435,7 +455,9 @@ class HBTree(PointAccessMethod):
     def _split_index_node(self, pid: int, node: _IndexNode) -> list[int]:
         """Extract a 1/3–2/3 kd-subtree into a new index node and post it.
 
-        Returns index pids (parents, or the new root) that grew.
+        Returns the index pids that may overflow now: the parents (or the
+        new root) that grew, and both halves — a page that several posted
+        chains pushed far over its payload is not cured by one split.
         """
         total = len(self._kd_leaves(node.kd))
         if total < 3:
@@ -461,6 +483,8 @@ class HBTree(PointAccessMethod):
                 side = 0
             else:
                 side = 1
+            if not (right_count if side else left_count):
+                side = 1 - side  # only EXT markers there: nothing to extract
             child = current.left if side == 0 else current.right
             chain.append((axis, coord, side))
             parent_of_current, side_of_current = current, side
@@ -482,8 +506,21 @@ class HBTree(PointAccessMethod):
         new_pid = self.store.allocate(PageKind.DIRECTORY, new_node)
         self.store.write(pid)
         self.store.write(new_pid)
-        self._rewire_children(pid, new_pid, node, new_node)
         region = self._chain_region(chain)
+        if pid != self._root_pid:
+            touched = self._post_to_parents(pid, new_pid, False, chain, region)
+            if not touched:
+                # No parent routes a point into the extracted region: the
+                # subtree sat in a branch that is dead under this page's
+                # own reach (a chain posted into a page repeats tests its
+                # parents already made).  Nothing can reach the new page
+                # either, so the branch is pruned, not moved.
+                self.store.free(new_pid)
+                self._rewire_children(pid, None, node, new_node)
+                self._free_unreferenced(new_node)
+                self._refresh_leaf_mbrs(pid, False)
+                return [pid]
+        self._rewire_children(pid, new_pid, node, new_node)
         if pid == self._root_pid:
             root_kd = self._build_chain(chain, pid, False, new_pid, False)
             new_root = _IndexNode(root_kd)
@@ -495,23 +532,42 @@ class HBTree(PointAccessMethod):
             self._parents[new_pid] = {self._root_pid}
             self._refresh_leaf_mbrs(pid, False)
             self._refresh_leaf_mbrs(new_pid, False)
-            return [self._root_pid]
-        touched = self._post_to_parents(pid, new_pid, False, chain, region)
+            return [self._root_pid, pid, new_pid]
         self._parents[new_pid] = set(touched)
         self._refresh_leaf_mbrs(pid, False)
         self._refresh_leaf_mbrs(new_pid, False)
-        return touched
+        return [*touched, pid, new_pid]
 
     def _rewire_children(
-        self, old_pid: int, new_pid: int, old_node: _IndexNode, new_node: _IndexNode
+        self, old_pid: int, new_pid: "int | None", old_node: _IndexNode, new_node: _IndexNode
     ) -> None:
-        """Maintain the parent map after a subtree moved between pages."""
+        """Maintain the parent map after a subtree left ``old_pid`` — for
+        the page ``new_pid``, or for nowhere (``None``: it was pruned)."""
         moved = {leaf.pid for leaf in self._kd_leaves(new_node.kd)}
         remaining = {leaf.pid for leaf in self._kd_leaves(old_node.kd)}
         for child in moved:
-            self._parents.setdefault(child, set()).add(new_pid)
+            parents = self._parents.setdefault(child, set())
+            if new_pid is not None:
+                parents.add(new_pid)
             if child not in remaining:
-                self._parents[child].discard(old_pid)
+                parents.discard(old_pid)
+
+    def _free_unreferenced(self, pruned: _IndexNode) -> None:
+        """Free the index pages ``pruned`` held the last reference to, and
+        theirs in turn: splits of a dead branch post into dead branches,
+        so a whole dead subgraph can hang off one.  Data pages stay — one
+        that loses its last parent here is a finding for the audit."""
+        stack = [leaf.pid for leaf in self._kd_leaves(pruned.kd) if not leaf.is_data]
+        while stack:
+            pid = stack.pop()
+            if self._parents.get(pid) or pid not in self.store._objects:
+                continue  # still referenced, or already freed through another leaf
+            for leaf in self._kd_leaves(self.store._objects[pid].kd):
+                self._parents[leaf.pid].discard(pid)
+                if not leaf.is_data:
+                    stack.append(leaf.pid)
+            self._parents.pop(pid, None)
+            self.store.free(pid)
 
     def _chain_region(self, chain: list[tuple[int, float, int]]) -> Rect:
         """The rectangle described by a kd comparison chain."""
@@ -605,9 +661,12 @@ class HBTree(PointAccessMethod):
             if kd.kind == _LEAF and kd.pid == donor_pid:
                 if any(l > h for l, h in zip(lo, hi)):
                     return kd  # geometrically dead branch: unreachable leaf
-                leaf_rect = Rect(tuple(lo), tuple(hi))
-                overlap = leaf_rect.intersection(region)
-                if overlap is not None and overlap.area() > 0.0:
+                # Blocks are half-open below the domain's closed upper
+                # face: a plane at 1.0 extracts the points on that face.
+                if all(
+                    a < b or a == b == 1.0
+                    for a, b in zip(map(max, lo, region.lo), map(min, hi, region.hi))
+                ):
                     replaced = True
                     return self._build_chain(
                         chain, donor_pid, donor_is_data, new_pid, new_is_data

@@ -58,10 +58,14 @@ class SoAList(list):
     its items alone, so build-cache entries and page images never carry
     derived arrays: a container of :class:`Rect` rows travels as one flat
     coordinate tuple (:meth:`__reduce__`), any other row shape as the
-    plain list.  A container restored from the flat form keeps that tuple
-    in ``_flat`` — the box-view builders start from it instead of walking
-    the rows it was just decoded into — until the first mutator drops it
-    together with the views.
+    plain list.
+
+    ``_flat`` is ``None`` on every container that has rows.  Only a
+    :class:`_PackedBoxes` — what the flat form is restored to — sets it:
+    there ``(dims, flat)`` *is* the content and no row exists yet.  The
+    slot lives here because the decode turns that object into a plain
+    ``SoAList`` by ``__class__`` assignment, which needs one layout; no
+    method of this class reads or writes it.
     """
 
     __slots__ = ("_views", "_flat")
@@ -78,7 +82,7 @@ class SoAList(list):
         views = self._views
         if views is None:
             views = self._views = {}
-        n = list.__len__(self)
+        n = len(self)  # the C slot here, the row count of the flat when packed
         entry = views.get(tag)
         if entry is not None and entry[0] == n:
             return entry[1]
@@ -92,7 +96,6 @@ class SoAList(list):
         With a ``tag``, only that view is dropped — the per-array
         invalidation that lets unrelated views survive.
         """
-        self._flat = None
         views = self._views
         if views:
             if tag is None:
@@ -108,8 +111,7 @@ class SoAList(list):
     # -- pickling ---------------------------------------------------------
 
     def __reduce__(self):
-        # Always from the rows, never from ``_flat``: the durable store's
-        # silent-mutation CRC checks must see what the access method holds.
+        # From the rows: the store's silent-mutation CRCs must see what the method holds.
         boxes = _flatten_boxes(self)
         if boxes is not None:
             return (_restore_boxes, boxes)
@@ -120,73 +122,61 @@ class SoAList(list):
     def append(self, item):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.append(self, item)
 
     def extend(self, items):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.extend(self, items)
 
     def insert(self, index, item):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.insert(self, index, item)
 
     def remove(self, item):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.remove(self, item)
 
     def pop(self, index=-1):
         if self._views:
             self._views.clear()
-        self._flat = None
         return list.pop(self, index)
 
     def clear(self):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.clear(self)
 
     def sort(self, **kwargs):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.sort(self, **kwargs)
 
     def reverse(self):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.reverse(self)
 
     def __setitem__(self, index, value):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.__setitem__(self, index, value)
 
     def __delitem__(self, index):
         if self._views:
             self._views.clear()
-        self._flat = None
         list.__delitem__(self, index)
 
     def __iadd__(self, other):
         if self._views:
             self._views.clear()
-        self._flat = None
         return list.__iadd__(self, other)
 
     def __imul__(self, factor):
         if self._views:
             self._views.clear()
-        self._flat = None
         return list.__imul__(self, factor)
 
 
@@ -220,11 +210,12 @@ def _flatten_boxes(rows: list) -> "tuple[int, tuple] | None":
 
 
 def _restore_boxes(dims: int, flat: tuple) -> SoAList:
-    """Rebuild a container of :class:`Rect` rows from :func:`_flatten_boxes`.
+    """A packed container of the boxes :func:`_flatten_boxes` flattened.
 
     Keeps the check ``Rect.__init__`` made when every row was unpickled
     through it — an inverted interval is a ``ValueError`` — as ``dims``
-    strided passes over the tuple instead of one Python call per row.
+    strided passes over the tuple, and makes it here: a bad image is
+    refused by the load, not by whichever reader first asks for a row.
     """
     width = 2 * dims
     if dims < 1 or len(flat) % width:
@@ -232,12 +223,68 @@ def _restore_boxes(dims: int, flat: tuple) -> SoAList:
     for axis in range(dims):
         if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
             raise ValueError(f"inverted interval on axis {axis} of a stored box")
-    make = Rect._make
-    out = SoAList(
-        [make(flat[i : i + dims], flat[i + dims : i + width]) for i in range(0, len(flat), width)]
-    )
-    out._flat = flat
+    out = list.__new__(_PackedBoxes)
+    out._views, out._flat = None, (dims, flat)
     return out
+
+
+class _PackedBoxes(SoAList):
+    """Box rows restored from a page image and not decoded yet.
+
+    Holds ``(dims, flat)`` and no rows.  ``len`` / ``bool``, the box views
+    (:func:`_box_rows`) and the pickle image are answered from the tuple;
+    the first call of anything in :data:`_DECODES` builds the rows once
+    and turns the object into a plain :class:`SoAList`, views kept — the
+    rows they describe did not change.  A traversal that reads a missed
+    page for its view and its child list never pays for rows, and no
+    mutator can run while packed.
+    """
+
+    __slots__ = ()  # one layout with SoAList: what __class__ assignment needs
+
+    def __len__(self):
+        dims, flat = self._flat
+        return len(flat) // (2 * dims)
+
+    def __reduce__(self):
+        # No row exists, so there is none a caller could have changed.
+        return (_restore_boxes, self._flat)
+
+    def _decode(self) -> None:
+        dims, flat = self._flat
+        make, width = Rect._make, 2 * dims
+        starts = range(0, len(flat), width)
+        list.extend(self, [make(flat[i : i + dims], flat[i + dims : i + width]) for i in starts])
+        self._flat = None
+        self.__class__ = SoAList
+
+
+#: Every ``list`` / :class:`SoAList` method that needs rows: the readers,
+#: the twelve mutators, ``touch`` (its caller changed a held row), and
+#: ``__radd__`` — ``plain + packed`` is C-level ``list_concat`` reading the
+#: empty item array unless the right operand claims the operator first.
+_DECODES = tuple(
+    "__getitem__ __iter__ __reversed__ __contains__ __repr__ copy count index "
+    "__eq__ __ne__ __lt__ __le__ __gt__ __ge__ __add__ __radd__ __mul__ __rmul__ "
+    "append extend insert remove pop clear sort reverse "
+    "__setitem__ __delitem__ __iadd__ __imul__ touch".split()
+)
+
+
+def _decoding(name: str):
+    after = getattr(SoAList, name, None)  # list has no __radd__ to hand over to
+
+    def method(self, *args, **kwargs):
+        self._decode()
+        # NotImplemented sends ``plain + packed`` on to list_concat, which
+        # now finds the rows.
+        return NotImplemented if after is None else after(self, *args, **kwargs)
+
+    return method
+
+
+for _name in _DECODES:
+    setattr(_PackedBoxes, _name, _decoding(_name))
 
 
 class soa_field:
@@ -314,20 +361,14 @@ def fused_anti_values(lst: "SoAList") -> np.ndarray:
 def _box_rows(lst: "SoAList") -> "tuple[np.ndarray, int]":
     """A fresh ``(n, 2d)`` array of ``[lo, hi]`` rows, and ``d``.
 
-    Built from the flat coordinate tuple: the one a disk miss left on the
-    container when it still matches the rows, else one flattened here —
-    the simulated and the durable store share this single path.
+    Built from the flat coordinate tuple — the one a packed container is,
+    else one flattened from the rows here: both stores share this path.
     """
-    n = len(lst)
-    flat = getattr(lst, "_flat", None)  # plain lists of Rect build too
-    if flat is None or not n or len(flat) != n * 2 * len(lst[0].lo):
-        # No flat, or a bypassed mutator left it stale: walk the rows.
-        boxes = _flatten_boxes(lst)
-        if boxes is None:
-            raise TypeError("box view of a container that is not all Rect rows")
-        flat = boxes[1]
-    arr = np.array(flat, dtype=float).reshape(n, -1)
-    return arr, arr.shape[1] // 2
+    boxes = getattr(lst, "_flat", None) or _flatten_boxes(lst)  # plain lists build too
+    if boxes is None:
+        raise TypeError("box view of a container that is not all Rect rows")
+    dims, flat = boxes
+    return np.array(flat, dtype=float).reshape(-1, 2 * dims), dims
 
 
 def fused_cover_boxes(lst: "SoAList") -> np.ndarray:

@@ -1,11 +1,16 @@
 """Tests for the hB-tree (kd-tree nodes, holey bricks, duplicate entries)."""
 
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.geometry.rect import Rect
 from repro.pam.hbtree import _EXT, _INTERNAL, _LEAF, HBTree
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
+from repro.verify.fuzz import STRUCTURES, run_ops
 from tests.conftest import (
     STANDARD_QUERIES,
     check_pam_against_oracle,
@@ -224,3 +229,46 @@ class TestMinimalRegions:
         assert minimal.store.count_pages(PageKind.DIRECTORY) >= plain.store.count_pages(
             PageKind.DIRECTORY
         )
+
+
+class TestSmallPages:
+    """128-byte pages: four region-carrying kd-leaves per index page, so
+    posted chains overflow their parents by more than one split takes
+    off, and the dead branches chains leave behind dominate the page."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # A split extracted a branch no parent routes to (dead under
+            # the page's own reach): the new page was an orphan from birth.
+            "HB-MBR-dead-branch",
+            # Several chains posted into one page; one split left a half
+            # still over its payload and nothing looked at it again.
+            "HB-MBR-overfull-half",
+            # A data split at plane 1.0 extracts the zero-area upper face;
+            # "overlap area > 0" never posted it and five records vanished.
+            "HB-upper-face",
+        ],
+    )
+    def test_shrunk_reproducers(self, name):
+        blob = json.loads((Path(__file__).parent / "reproducers" / f"{name}.json").read_text())
+        failure = run_ops(
+            STRUCTURES[blob["structure"]],
+            blob["ops"],
+            audit_every=1,
+            store_factory=lambda: PageStore(blob["page_size"]),
+        )
+        assert failure is None, failure
+
+    def test_a_page_that_cannot_hold_a_posted_chain_is_refused(self):
+        """Below four region-carrying kd-leaves per index page the split
+        cascade posts faster than it drains; the constructor says which
+        size works, and that size does."""
+        with pytest.raises(ValueError, match="smallest usable page size is 116 bytes"):
+            HBTree(PageStore(115), 2, minimal_regions=True)
+        tree = HBTree(PageStore(116), 2, minimal_regions=True)
+        rng = random.Random(4)
+        for i in range(160):
+            tree.insert((rng.randrange(17) / 16, rng.random()), i)
+        tree.audit()
+        assert len(tree.range_query(Rect.unit(2))) == 160
