@@ -124,19 +124,19 @@ def build_method(
     (:mod:`repro.verify`) on the finished build and raises
     :class:`repro.verify.AuditError` on any violation.
 
-    ``vector=False`` builds the store without a columnar cache, which
-    puts every query on the scalar reference descents.  Builds are
-    identical either way — the cache only accelerates query-time
-    filtering.
+    ``vector`` is accepted for the callers that still pass it; ``True``
+    only (the scalar reference descents are ``tests/reference_query.py``).
 
     ``store_factory`` overrides store construction (it is called as
-    ``store_factory(page_size=..., vector=...)``); ``None`` defers to
+    ``store_factory(page_size=..., vector=True)``); ``None`` defers to
     :func:`repro.storage.factory.make_store` and thus to the
     configured backend.
     """
+    if vector is not True:
+        raise ValueError("vector must be True: the package has one query path")
     if store_factory is None:
         store_factory = make_store
-    store = store_factory(page_size=page_size, vector=vector)
+    store = store_factory(page_size=page_size, vector=True)
     if tracer is not None:
         tracer.set_context(op="setup").attach(store)
     method = factory(store, dims=dims)
@@ -186,8 +186,8 @@ def run_queries(
 
     With a ``tracer``, each query file's operations are recorded as
     spans labelled with the file's query type.  Each file runs through
-    :func:`repro.query.driver.run_query_file`, so a store with a
-    columnar cache evaluates the whole file as one batched workload.
+    :func:`repro.query.driver.run_query_file`, so the whole file is
+    evaluated as one batched workload.
 
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every

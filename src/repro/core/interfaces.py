@@ -143,18 +143,13 @@ class _AccessMethodBase(abc.ABC):
         each call, letting the traversal evaluate each hot page against
         the *entire* batch in one kernel call.  Registration is purely an
         evaluation hint: results and disk-access statistics are identical
-        with or without it, and it is a no-op when the store has no
-        columnar cache (``vector=False``, the scalar reference).
+        with or without it.
         """
-        cache = self.store.columnar
-        if cache is not None:
-            cache.begin_workload(self._workload_rects(kind, queries))
+        self.store.columnar.begin_workload(self._workload_rects(kind, queries))
 
     def end_query_workload(self) -> None:
         """Deregister the batch installed by :meth:`register_query_workload`."""
-        cache = self.store.columnar
-        if cache is not None:
-            cache.end_workload()
+        self.store.columnar.end_workload()
 
     def _workload_rects(self, kind: str, queries: Sequence) -> list:
         """Map a query file to the boxes the scan paths will be asked about.

@@ -16,10 +16,9 @@ results together with a machine-readable
 :class:`~repro.obs.export.RunReport` (per-operation access histograms,
 percentiles, timings and exact totals).
 
-Queries run through the batched execution layer (:mod:`repro.query`).
-The scalar reference descents stay reachable through ``vector=False`` on
-:func:`~repro.core.comparison.build_pam` / ``build_sam``; results and
-access counts are identical either way — only wall-clock time changes.
+Queries run through the batched execution layer (:mod:`repro.query`),
+whose results and access counts equal those of the scalar reference
+descents kept in ``tests/reference_query.py``.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ package makes those counts observable at every granularity:
   first-class redundancy metrics (duplication factor, overlap volume,
   dead space, coverage).
 * :mod:`repro.obs.telemetry` — physical-IO latency histograms, the
-  flight-recorder timeline and the slow-operation log of the durable
-  backend.
+  flight-recorder timeline and the slow-operation records of the
+  durable backend.
 
 ``python -m repro.obs report|explain|telemetry|validate`` is the one
 command line over all of these artefacts (:mod:`repro.obs.__main__`).

@@ -7,7 +7,7 @@ Usage::
     python -m repro.obs explain TRACE.json --format heatmap
     python -m repro.obs telemetry render TIMELINE.jsonl --metric 'storage.*'
     python -m repro.obs telemetry diff OLD.jsonl NEW.jsonl
-    python -m repro.obs validate FILE...                 # any of the five schemas
+    python -m repro.obs validate FILE...                 # any of the four schemas
 
 Every verb reads its inputs through :func:`load`, so all of them fail
 the same way.  Exit status: 0 ok; 1 an input is unreadable, is not the
@@ -35,12 +35,10 @@ from repro.obs.export import RUN_REPORT_SCHEMA, RunReport, validate_run_report
 from repro.obs.report import diff_reports, format_diff
 from repro.obs.structure import SNAPSHOT_SCHEMA, validate_snapshot
 from repro.obs.telemetry import (
-    SLOW_OP_SCHEMA,
     TIMELINE_SCHEMA,
     diff_timelines,
     render_timeline,
     timeline_parts,
-    validate_slow_op_log,
     validate_timeline,
 )
 
@@ -52,7 +50,6 @@ VALIDATORS: dict[str, Callable[[list[dict]], list[str]]] = {
     EXPLAIN_SCHEMA: lambda docs: validate_explain(docs[0]),
     SNAPSHOT_SCHEMA: lambda docs: validate_snapshot(docs[0]),
     TIMELINE_SCHEMA: lambda docs: validate_timeline(*timeline_parts(docs)),
-    SLOW_OP_SCHEMA: validate_slow_op_log,
 }
 
 
@@ -153,8 +150,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Render, diff and validate the observability artefacts: "
-        "run reports, explain traces, structure snapshots, telemetry "
-        "timelines and slow-operation logs.",
+        "run reports, explain traces, structure snapshots and telemetry "
+        "timelines.",
     )
     sub = parser.add_subparsers(metavar="VERB", required=True)
 
@@ -201,7 +198,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_telemetry_diff)
 
     p = sub.add_parser(
-        "validate", help="schema-check files of any of the five schemas"
+        "validate", help="schema-check files of any of the four schemas"
     )
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(run=_validate)

@@ -7,8 +7,8 @@ retains the raw samples so the percentile summaries (p50/p90/p99/max)
 are exact rather than bucket-interpolated — the runs here observe at
 most a few hundred thousand small integers, so exactness is cheap.
 
-All objects are JSON-friendly via ``as_dict`` so they can be embedded
-in a :class:`repro.obs.export.RunReport`.
+A histogram is JSON-friendly via ``as_dict`` so it can be embedded in
+a :class:`repro.obs.export.RunReport`.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += amount
 
-    def as_dict(self) -> dict:
-        return {"value": self.value}
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"
 
@@ -101,9 +98,6 @@ class Gauge:
         if self._fn is not None:
             return float(self._fn())
         return self._value
-
-    def as_dict(self) -> dict:
-        return {"value": self.value}
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, value={self.value})"
@@ -255,14 +249,3 @@ class MetricsRegistry:
     def histograms(self) -> dict[str, Histogram]:
         """A snapshot of all registered histograms by name."""
         return dict(self._histograms)
-
-    def as_dict(self) -> dict:
-        out = {
-            "counters": {n: c.as_dict() for n, c in sorted(self._counters.items())},
-            "histograms": {n: h.as_dict() for n, h in sorted(self._histograms.items())},
-        }
-        if self._gauges:
-            out["gauges"] = {
-                n: g.as_dict() for n, g in sorted(self._gauges.items())
-            }
-        return out

@@ -86,15 +86,6 @@ def _entry_codes(lst) -> list[tuple[int, int]]:
     ]
 
 
-def _meets_half_open(piece: Rect, rect: Rect) -> bool:
-    """Closed ``rect`` meets ``piece`` taken half-open: strict on the upper
-    face, except at 1.0, which the quantiser clamps inward."""
-    return all(
-        lo <= q_hi and (q_lo < hi or q_lo == hi == 1.0)
-        for lo, hi, q_lo, q_hi in zip(piece.lo, piece.hi, rect.lo, rect.hi)
-    )
-
-
 class _DirNode:
     """A directory page: its own block plus nested child entries."""
 
@@ -690,8 +681,6 @@ class BangFile(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        if store.columnar is None:
-            return self._range_query_scalar(rect)
         # Plan: level-at-a-time over uncharged views; block and MBR gates
         # of every cold directory page of a level — and, afterwards, every
         # cold data page — share one fused kernel call per op (see
@@ -840,62 +829,6 @@ class BangFile(PointAccessMethod):
             else:
                 stack.extend(expansion[pid])
         return result
-
-    def _range_query_scalar(
-        self, rect: Rect
-    ) -> list[tuple[tuple[float, ...], object]]:
-        """The scalar reference descent (stores built with ``vector=False``)."""
-        result: list[tuple[tuple[float, ...], object]] = []
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            node: _DirNode = self.store.read(pid)
-            if node.is_leaf:
-                for entry in self._relevant_data_entries_scalar(node, rect):
-                    page: _DataPage = self.store.read(entry.pid)
-                    result.extend(
-                        rec for rec in page.records if rect.contains_point(rec[0])
-                    )
-            else:
-                # Inner entries cannot be pruned by nesting: a data block
-                # shorter than a nested sibling may keep records inside
-                # the sibling's rectangle in a different subtree.  With
-                # minimal regions, an entry whose region misses the query
-                # can be pruned — the §9 improvement.
-                for entry in node.entries:
-                    if not blocks.block_rect(entry.bits, self.dims).intersects(rect):
-                        continue
-                    if self.minimal_regions and (
-                        entry.mbr is None or not entry.mbr.intersects(rect)
-                    ):
-                        continue
-                    stack.append(entry.pid)
-        return result
-
-    def _relevant_data_entries_scalar(
-        self, leaf: _DirNode, rect: Rect
-    ) -> list[_Entry]:
-        """Data entries to read: the block overlaps the query and, where
-        sibling data blocks are nested inside it, the query meets one of
-        the half-open pieces left over (records in the nested part live
-        on those pages)."""
-        dims = self.dims
-        entries = leaf.entries
-        residuals = blocks.nested_residuals([e.bits for e in entries])
-        out = []
-        for entry, tiles in zip(entries, residuals):
-            if self.minimal_regions and (
-                entry.mbr is None or not entry.mbr.intersects(rect)
-            ):
-                continue
-            if not blocks.block_rect(entry.bits, dims).intersects(rect):
-                continue
-            if tiles is not None and not any(
-                _meets_half_open(blocks.block_rect(t, dims), rect) for t in tiles
-            ):
-                continue
-            out.append(entry)
-        return out
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:
         pid = self._search_data_page(point, prune=True)

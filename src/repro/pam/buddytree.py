@@ -565,8 +565,6 @@ class BuddyTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        if store.columnar is None:
-            return self._range_query_scalar(rect)
         # Plan: level-at-a-time over uncharged views; all cold pages of a
         # level share one fused kernel call (see repro.query.traverse).
         # Property 4 lets several entries of one directory page share a
@@ -687,31 +685,6 @@ class BuddyTree(PointAccessMethod):
             else:
                 read(pid)
                 stack.extend(reversed(expansion[pid]))
-        return result
-
-    def _range_query_scalar(
-        self, rect: Rect
-    ) -> list[tuple[tuple[float, ...], object]]:
-        """The scalar reference descent (stores built with ``vector=False``)."""
-        result: list[tuple[tuple[float, ...], object]] = []
-        seen_data: set[int] = set()
-
-        def visit(pid: int, is_data: bool) -> None:
-            if is_data:
-                if pid in seen_data:
-                    return
-                seen_data.add(pid)
-                page: _DataPage = self.store.read(pid)
-                result.extend(
-                    rec for rec in page.records if rect.contains_point(rec[0])
-                )
-                return
-            node: _DirNode = self.store.read(pid)
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    visit(entry.pid, entry.is_data)
-
-        visit(self._root_pid, self._root_is_data)
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

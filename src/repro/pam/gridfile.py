@@ -117,27 +117,22 @@ class _GridLayer:
         """Payload responsible for ``point``."""
         return self.cells[self.cell_of_point(point)]
 
-    def payloads_in_rect(self, rect: Rect, vector: bool = False) -> list[object]:
+    def payloads_in_rect(self, rect: Rect) -> list[object]:
         """Distinct payloads whose box intersects the closed ``rect``.
 
         Uses the per-payload boxes rather than enumerating cells, so the
-        cost is proportional to the number of payloads, not cells.  With
-        ``vector=True`` (callers pass their store's columnar setting) the
+        cost is proportional to the number of payloads, not cells: the
         box rectangles are tested in one NumPy call over a cached bounds
-        snapshot; payload order — and therefore the order data pages are
-        read in — is the boxes-dict order either way.
+        snapshot.  Payload order — and therefore the order data pages are
+        read in — is the boxes-dict order.
         """
-        if vector and len(self.boxes) > 1:
+        if len(self.boxes) > 1:
             pids, lo, hi = self._box_bounds()
             mask = kernels.boxes_intersect(
                 lo, hi, np.asarray(rect.lo, dtype=float), np.asarray(rect.hi, dtype=float)
             )
             return [pids[i] for i in np.nonzero(mask)[0]]
-        result = []
-        for pid in self.boxes:
-            if self.box_rect(pid).intersects(rect):
-                result.append(pid)
-        return result
+        return [pid for pid in self.boxes if self.box_rect(pid).intersects(rect)]
 
     def _box_bounds(self) -> tuple[list[object], np.ndarray, np.ndarray]:
         """The cached ``(pids, lo, hi)`` snapshot of every payload box."""
@@ -488,15 +483,7 @@ class GridFile(PointAccessMethod):
             self.store.read(dpid)
         result = []
         store = self.store
-        vector = store.columnar is not None
-        pids = self._layer.payloads_in_rect(rect, vector=vector)
-        if not vector:
-            for pid in pids:
-                page: _DataPage = store.read(pid)
-                result.extend(
-                    rec for rec in page.records if rect.contains_point(rec[0])
-                )
-            return result
+        pids = self._layer.payloads_in_rect(rect)
         # Read-then-batch: the candidate set is content-independent, so
         # the pages are read in the original (charged) order first and
         # every cold page rides one fused kernel call.

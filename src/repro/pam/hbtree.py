@@ -704,8 +704,6 @@ class HBTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        if store.columnar is None:
-            return self._range_query_scalar(rect)
         # Plan: level-at-a-time over uncharged views.  Directory pruning
         # is the (scalar) kd-tree walk — run once per node here, reused by
         # the replay — and all cold data pages of a level share one fused
@@ -762,30 +760,6 @@ class HBTree(PointAccessMethod):
                 return
             read(pid)
             for child_pid, child_is_data in kids[pid]:
-                visit(child_pid, child_is_data)
-
-        visit(self._root_pid, self._root_is_data)
-        return result
-
-    def _range_query_scalar(
-        self, rect: Rect
-    ) -> list[tuple[tuple[float, ...], object]]:
-        """The scalar reference descent (stores built with ``vector=False``)."""
-        result: list[tuple[tuple[float, ...], object]] = []
-        seen: set[int] = set()
-
-        def visit(pid: int, is_data: bool) -> None:
-            if pid in seen:
-                return
-            seen.add(pid)
-            if is_data:
-                data: _DataNode = self.store.read(pid)
-                result.extend(
-                    rec for rec in data.records if rect.contains_point(rec[0])
-                )
-                return
-            node: _IndexNode = self.store.read(pid)
-            for child_pid, child_is_data in self._kd_children(node.kd, rect):
                 visit(child_pid, child_is_data)
 
         visit(self._root_pid, self._root_is_data)

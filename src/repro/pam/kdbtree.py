@@ -357,8 +357,6 @@ class KdBTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        if store.columnar is None:
-            return self._range_query_scalar(rect)
         # Plan: level-at-a-time over uncharged views, one fused kernel
         # call per level for all cold pages (see repro.query.traverse).
         objects = store._objects
@@ -420,26 +418,6 @@ class KdBTree(PointAccessMethod):
                 pids = node.pids
                 leaf = node.leaf_children
                 stack.extend((pids[i], leaf) for i in verdicts[pid])
-        return result
-
-    def _range_query_scalar(
-        self, rect: Rect
-    ) -> list[tuple[tuple[float, ...], object]]:
-        """The scalar reference descent (stores built with ``vector=False``)."""
-        result: list[tuple[tuple[float, ...], object]] = []
-        stack = [(self._root_pid, self._root_is_leaf)]
-        while stack:
-            pid, is_leaf = stack.pop()
-            if is_leaf:
-                page: _PointPage = self.store.read(pid)
-                result.extend(
-                    rec for rec in page.records if rect.contains_point(rec[0])
-                )
-                continue
-            node: _RegionPage = self.store.read(pid)
-            for region, child in zip(node.rects, node.pids):
-                if region.intersects(rect):
-                    stack.append((child, node.leaf_children))
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

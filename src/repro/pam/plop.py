@@ -304,19 +304,10 @@ class PlopHashing(PointAccessMethod):
             self._grid.index_range(axis, rect.lo[axis], rect.hi[axis])
             for axis in range(self.dims)
         ]
-        result = []
-        store = self.store
-        vector = store.columnar is not None
-        pages = [] if vector else None
+        pages = []
         idx = [r.start for r in ranges]
         while True:
-            for pid, records in self._grid.iter_chain_pages(tuple(idx)):
-                if vector:
-                    pages.append((pid, records))
-                else:
-                    result.extend(
-                        rec for rec in records if rect.contains_point(rec[0])
-                    )
+            pages.extend(self._grid.iter_chain_pages(tuple(idx)))
             axis = 0
             while axis < self.dims:
                 idx[axis] += 1
@@ -326,12 +317,12 @@ class PlopHashing(PointAccessMethod):
                 axis += 1
             if axis == self.dims:
                 break
-        if vector:
-            # Read-then-batch: chains were read in the original order
-            # above; evaluate every cold page in one fused kernel call.
-            rows = traverse.data_hit_rows(store, rect, pages)
-            for pid, records in pages:
-                result.extend([records[i] for i in rows[pid]])
+        # Read-then-batch: chains were read in the original order above;
+        # evaluate every cold page in one fused kernel call.
+        rows = traverse.data_hit_rows(self.store, rect, pages)
+        result = []
+        for pid, records in pages:
+            result.extend([records[i] for i in rows[pid]])
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

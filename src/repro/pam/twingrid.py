@@ -224,14 +224,7 @@ class TwinGridFile(PointAccessMethod):
             for dpid in touched:
                 self.store.read(dpid)
             store = self.store
-            pids = layer.payloads_in_rect(rect, vector=store.columnar is not None)
-            if store.columnar is None:
-                for pid in pids:
-                    page: _DataPage = store.read(pid)
-                    result.extend(
-                        rec for rec in page.records if rect.contains_point(rec[0])
-                    )
-                continue
+            pids = layer.payloads_in_rect(rect)
             # Read-then-batch: candidate pages are content-independent,
             # so read them in the original order, then evaluate every
             # cold page of the layer in one fused kernel call.

@@ -258,23 +258,13 @@ class TwoLevelGridFile(PointAccessMethod):
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         result = []
         store = self.store
-        vector = store.columnar is not None
-        if not vector:
-            for spid in self._root.payloads_in_rect(rect, vector=False):
-                subgrid: _SubGrid = store.read(spid)
-                for dpid in subgrid.layer.payloads_in_rect(rect, vector=False):
-                    page: _DataPage = store.read(dpid)
-                    result.extend(
-                        rec for rec in page.records if rect.contains_point(rec[0])
-                    )
-            return result
         # Read-then-batch: the visit set depends only on the directory
         # grids, so all data pages are read in the original (charged)
         # order, then evaluated in one fused kernel call.
         pages = []
-        for spid in self._root.payloads_in_rect(rect, vector=True):
+        for spid in self._root.payloads_in_rect(rect):
             subgrid: _SubGrid = store.read(spid)
-            for dpid in subgrid.layer.payloads_in_rect(rect, vector=True):
+            for dpid in subgrid.layer.payloads_in_rect(rect):
                 pages.append((dpid, store.read(dpid).records))
         rows = traverse.data_hit_rows(store, rect, pages)
         for dpid, records in pages:

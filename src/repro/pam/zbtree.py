@@ -310,17 +310,6 @@ class ZOrderBTree(PointAccessMethod):
         store = self.store
         max_depth = min(self.dims * Z_BITS_PER_AXIS, 20)
         regions = decompose_rect(rect, self.dims, self.query_regions, max_depth)
-        if store.columnar is None:
-            result = []
-            for bits in regions:
-                lo, hi = z_interval(bits, self.dims, Z_BITS_PER_AXIS)
-                for pid, leaf, start, stop in self._tree.scan_pages(lo, hi):
-                    result.extend(
-                        rec
-                        for rec in leaf.values[start:stop]
-                        if rect.contains_point(rec[0])
-                    )
-            return result
         # Read-then-batch: the z-interval leaf scans charge their reads in
         # the original order while only *collecting* (page, slice) visits;
         # all cold pages then share one fused kernel call, and the hit

@@ -6,9 +6,9 @@ struct-of-arrays views the pages carry (:mod:`repro.storage.soa`).  The
 invariant that makes this safe is spelled out in DESIGN.md: the batched
 path issues exactly the charged reads of the scalar reference descents, in
 the same order, so the set of pages touched — and every disk-access
-statistic the paper reports — is bit-identical.  There is one production
-path (this package) and one reference (the ``*_scalar`` descents, reached
-only through a store built with ``vector=False``).
+statistic the paper reports — is bit-identical.  This package is the
+only query path; the scalar reference descents it is checked against live
+in ``tests/reference_query.py``.
 
 Modules
 -------

@@ -15,9 +15,7 @@ evaluates each hot (page, predicate) pair against **all** queries in one
 ``(Q, n)`` kernel call and then answers every later query that touches
 the same page from the cached per-query hit-index lists without touching
 NumPy again.  Queries issued outside a workload (or whose box does not
-match the registered one) ride single-query kernels.  A store built with
-``vector=False`` has no cache at all and runs the scalar reference
-descents — behaviour, not just results, is unchanged.
+match the registered one) ride single-query kernels.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ kernel call, and each later query reuses its cached mask row.
 
 Registration is an evaluation hint only: the queries still execute one
 at a time through the method's public API, so the pages touched and the
-per-query disk-access statistics are bit-identical to the scalar
-reference.  The driver is duck-typed — any object with ``store``,
+per-query disk-access statistics are those of the same queries run
+unbatched.  The driver is duck-typed — any object with ``store``,
 ``register_query_workload`` and ``end_query_workload`` works — so it can
 be used without importing the core experiment machinery.
 """
@@ -35,8 +35,7 @@ def run_query_file(
     ``kind`` is the query-type tag understood by the method's
     ``_workload_rects`` (``range``, ``pm``, ``point``, ``intersection``,
     ``containment``, ``enclosure``); ``operation(query)`` must run exactly
-    one public query of ``method``.  On a store without a columnar cache
-    (``vector=False``) this degenerates to the plain per-query loop.
+    one public query of ``method``.
 
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every query
@@ -57,14 +56,12 @@ def run_query_file(
     # a raising start_file must not leave the batch installed.
     try:
         method.register_query_workload(kind, queries)
-        cache = method.store.columnar
-        workload = cache.workload if cache is not None else None
+        workload = method.store.columnar.workload
         if explain is not None:
             explain.start_file(method, kind)
             started_file = True
         for index, query in enumerate(queries):
-            if workload is not None:
-                workload.set_query(index)
+            workload.set_query(index)
             # ``stats.total`` spelled out: the per-query accounting runs
             # tens of thousands of times per file.
             before = (

@@ -33,11 +33,10 @@ defers the page into the current level's fused batch.  Its memo *is* the
 workload's per-query memo, so the inlined hot-page probes in the access
 methods and the planner share within-query revisit answers.
 
-The scalar descents (``*_scalar`` methods and the inline ``store.columnar
-is None`` branches) are the tested reference: a store built with
-``vector=False`` runs them, and ``tests/test_query_traversal.py`` compares
-the two access streams event for event.  :data:`SCALAR_PRED` holds the
-pairwise predicates they share.
+The scalar descents this replaced are the tested reference; they live
+in ``tests/reference_query.py``, and ``tests/test_query_traversal.py``
+compares the two access streams event for event.  :data:`SCALAR_PRED`
+holds the pairwise predicates the kernels must agree with.
 """
 
 from __future__ import annotations
@@ -109,7 +108,8 @@ def qvec_for(op: str, query: Rect) -> np.ndarray:
 
 
 #: The pairwise predicates the fused kernels must agree with (stored box
-#: first, query second) — what the scalar reference descents evaluate.
+#: first, query second) — what the scalar reference descents evaluate,
+#: and what the few-entry tails of the batched path still call.
 SCALAR_PRED = {
     "isect": lambda r, q: r.intersects(q),
     "within": lambda r, q: q.contains_rect(r),
@@ -136,7 +136,7 @@ class RowSource:
     __slots__ = ("workload", "rows", "query", "_pend", "_pend_keys", "_qvecs")
 
     def __init__(self, cache, query: Rect):
-        workload = cache.workload if cache is not None else None
+        workload = cache.workload
         if workload is not None:
             cur = workload.current
             if cur is None or not (cur is query or cur == query):
@@ -241,21 +241,17 @@ class RowSource:
 
 def data_hit_rows(
     store, query: Rect, pages: Sequence[tuple[int, Sequence]]
-) -> "dict[int, list[int]] | None":
+) -> dict[int, list[int]]:
     """Ascending record-hit rows for a set of data pages, batch-evaluated.
 
     ``pages`` is ``[(pid, records), ...]`` with ``records`` a
     struct-of-arrays container of ``(point, rid)`` rows
     (:class:`~repro.storage.soa.SoAList`).  All pages the workload cache
-    cannot answer are evaluated in **one** fused kernel call.  Returns
-    ``None`` when the store has no columnar cache — callers then run their
-    scalar loops.  Reading the pages (and the charging order) is entirely
-    the caller's business, so access statistics cannot change.
+    cannot answer are evaluated in **one** fused kernel call.  Reading the
+    pages (and the charging order) is entirely the caller's business, so
+    access statistics cannot change.
     """
-    cache = store.columnar
-    if cache is None:
-        return None
-    src = RowSource(cache, query)
+    src = RowSource(store.columnar, query)
     row = src.row
     fused_points = soa.fused_points
     for pid, records in pages:

@@ -128,34 +128,19 @@ class ClippingSAM(SpatialAccessMethod):
     def _query(self, query: Rect, op: str) -> list[object]:
         """Scan the query's z-regions and probe their ancestors."""
         query_regions = decompose_rect(query, self.dims, 8, _MAX_DEPTH)
-        seen: set[int] = set()
-        result: list[object] = []
-        predicate = traverse.SCALAR_PRED[op]
-
-        def offer(rect: Rect, rid: object) -> None:
-            if rid not in seen and predicate(rect, query):
-                seen.add(rid)
-                result.append(rid)
-
-        store = self.store
-        vector = store.columnar is not None
-        src = traverse.RowSource(store.columnar, query) if vector else None
+        src = traverse.RowSource(self.store.columnar, query)
         rowkey = "vrects:" + op
         vtag, vbuild = traverse.value_view(op)
-        # With a columnar cache the pass below only *charges* the reads
-        # (in the original interleaved scan/probe order) and records an
-        # action log; evaluation of all cold pages happens in one fused
-        # kernel call afterwards, and the log replays the first-seen
-        # dedup in the scalar order.
+        # The pass below only *charges* the reads (in the original
+        # interleaved scan/probe order) and records an action log;
+        # evaluation of all cold pages happens in one fused kernel call
+        # afterwards, and the log replays the first-seen dedup in the
+        # scalar order.
         actions: list = []
         probed: set[Bits] = set()
         for bits in query_regions:
             lo, hi = z_interval(bits, self.dims, _Z_BITS)
             for pid, leaf, start, stop in self._tree.scan_pages((lo, 0), (hi, 0)):
-                if not vector:
-                    for rect, rid in leaf.values[start:stop]:
-                        offer(rect, rid)
-                    continue
                 values = leaf.values
                 if not values:
                     continue
@@ -168,19 +153,19 @@ class ClippingSAM(SpatialAccessMethod):
                     continue
                 probed.add(ancestor)
                 items = self._tree.lookup(self._key(ancestor))
-                if not vector:
-                    for rect, rid in items:
-                        offer(rect, rid)
-                elif items:
+                if items:
                     actions.append((None, items, 0, 0))
-        if not vector:
-            return result
         rows = src.flush()
+        seen: set[int] = set()
+        result: list[object] = []
+        predicate = traverse.SCALAR_PRED[op]
         for pid, values, start, stop in actions:
             if pid is None:
                 # Ancestor probe: few entries, scalar predicate as before.
                 for rect, rid in values:
-                    offer(rect, rid)
+                    if rid not in seen and predicate(rect, query):
+                        seen.add(rid)
+                        result.append(rid)
                 continue
             row = rows[(pid, rowkey)]
             if start or stop != len(values):

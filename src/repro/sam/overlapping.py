@@ -91,9 +91,7 @@ class OverlappingPlop(SpatialAccessMethod):
         if any(r.start >= r.stop for r in ranges):
             return []
         store = self.store
-        vector = store.columnar is not None
-        src = traverse.RowSource(store.columnar, query) if vector else None
-        predicate = traverse.SCALAR_PRED[op]
+        src = traverse.RowSource(store.columnar, query)
         rowkey = "vrects:" + op
         vtag, vbuild = traverse.value_view(op)
         occurrences: list = []
@@ -108,7 +106,7 @@ class OverlappingPlop(SpatialAccessMethod):
         # so after promotion nearly all pages answer from the workload's
         # CSR verdicts — probe those directly and only route cold pages
         # through the RowSource (verdicts are the same lists either way).
-        workload = src.workload if vector else None
+        workload = src.workload
         hot = workload._rows if workload is not None else None
         qi = workload.index if workload is not None else -1
         while True:
@@ -117,26 +115,19 @@ class OverlappingPlop(SpatialAccessMethod):
                 records = read(pid).records
                 if not records:
                     continue
-                if vector:
-                    if hot is not None:
-                        entry = hot.get((pid, rowkey))
-                        if entry is not None:
-                            starts, cols = entry
-                            s = starts[qi]
-                            e = starts[qi + 1]
-                            if e > s:
-                                occurrences.append(
-                                    (pid, records, cols[s:e].tolist())
-                                )
-                            continue
-                    # Read-then-batch: reads stay in the original order;
-                    # evaluation is deferred into one fused call below.
-                    src.row(pid, rowkey, op, records, vtag, vbuild)
-                    occurrences.append((pid, records, None))
-                else:
-                    for rect, rid in records:
-                        if predicate(rect, query):
-                            result.append(rid)
+                if hot is not None:
+                    entry = hot.get((pid, rowkey))
+                    if entry is not None:
+                        starts, cols = entry
+                        s = starts[qi]
+                        e = starts[qi + 1]
+                        if e > s:
+                            occurrences.append((pid, records, cols[s:e].tolist()))
+                        continue
+                # Read-then-batch: reads stay in the original order;
+                # evaluation is deferred into one fused call below.
+                src.row(pid, rowkey, op, records, vtag, vbuild)
+                occurrences.append((pid, records, None))
             axis = 0
             while axis < self.dims:
                 idx[axis] += 1
@@ -146,12 +137,11 @@ class OverlappingPlop(SpatialAccessMethod):
                 axis += 1
             if axis == self.dims:
                 break
-        if vector:
-            rows = src.flush()
-            for pid, records, row in occurrences:
-                if row is None:
-                    row = rows[(pid, rowkey)]
-                result.extend([records[i][1] for i in row])
+        rows = src.flush()
+        for pid, records, row in occurrences:
+            if row is None:
+                row = rows[(pid, rowkey)]
+            result.extend([records[i][1] for i in row])
         return result
 
     def _expanded(self, query: Rect) -> tuple[list[float], list[float]]:

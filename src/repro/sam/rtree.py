@@ -332,8 +332,6 @@ class RTree(SpatialAccessMethod):
 
     def _collect(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
         store = self.store
-        if store.columnar is None:
-            return self._collect_scalar(inner_op, leaf_op, query)
         # Plan: level-at-a-time frontier expansion over uncharged page
         # views; every cold page of one level rides a single fused kernel
         # call (see repro.query.traverse).
@@ -419,23 +417,6 @@ class RTree(SpatialAccessMethod):
                     result.extend([children[i] for i in row])
             else:
                 stack.extend(expansion[pid])
-        return result
-
-    def _collect_scalar(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
-        """The scalar reference descent (stores built with ``vector=False``)."""
-        result: list[object] = []
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            node: _Node = self.store.read(pid)
-            op = leaf_op if node.is_leaf else inner_op
-            pred = traverse.SCALAR_PRED[op]
-            out = result if node.is_leaf else stack
-            out.extend(
-                child
-                for rect, child in zip(node.rects, node.children)
-                if pred(rect, query)
-            )
         return result
 
     def _point_query(self, point: tuple[float, ...]) -> list[object]:

@@ -166,7 +166,7 @@ class TransformationSAM(SpatialAccessMethod):
         if query_box is None:
             return []
         candidates = self.pam._range_query(query_box)
-        if self.store.columnar is None or len(candidates) < 2:
+        if len(candidates) < 2:
             predicate = traverse.SCALAR_PRED[op]
             return [
                 rid

@@ -629,6 +629,8 @@ class DiskPageStore(PageStore):
         docstring and :class:`BufferPool`).
     wal_checkpoint_bytes:
         Auto-checkpoint once the WAL grows past this size.
+    vector:
+        Accepted for the callers that still pass it; ``True`` only.
     telemetry:
         A :class:`repro.obs.telemetry.Telemetry` (duck-typed — this
         module never imports :mod:`repro.obs`).  When set, the IO
@@ -656,7 +658,9 @@ class DiskPageStore(PageStore):
         wal_checkpoint_bytes: int = 64 << 20,
         telemetry=None,
     ):
-        super().__init__(page_size, path_buffer_limit, vector)
+        if vector is not True:
+            raise ValueError("vector must be True: the package has one query path")
+        super().__init__(page_size, path_buffer_limit)
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.io = io if io is not None else OsFileIO()

@@ -62,8 +62,11 @@ def make_store(
     ``fsync``, ``paranoid``, ``poison``, ``slot_size``, ...) pass
     through to :class:`~repro.storage.disk.DiskPageStore`; the simulated
     backend rejects them so a misconfiguration cannot silently degrade
-    to in-memory.
+    to in-memory.  ``vector`` is accepted for the callers that still
+    pass it; ``True`` only.
     """
+    if vector is not True:
+        raise ValueError("vector must be True: the package has one query path")
     config = RunConfig.from_env()
     name = backend or config.store_backend
     if name not in BACKENDS:
@@ -73,7 +76,7 @@ def make_store(
             raise ValueError(
                 "pool_pages/directory/disk options require backend='disk'"
             )
-        return PageStore(page_size, vector=vector)
+        return PageStore(page_size)
     from repro.storage.disk import DiskPageStore
 
     base = _store_base_dir(config.store_dir if directory is None else directory)
@@ -90,6 +93,5 @@ def make_store(
         path,
         page_size,
         pool_pages=DEFAULT_POOL_PAGES if pool_pages is None else pool_pages,
-        vector=vector,
         **disk_kwargs,
     )

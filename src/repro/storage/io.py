@@ -24,7 +24,7 @@ Two further decorators compose around any provider:
 :class:`InstrumentedIO` times every ``pread``/``pwrite``/``fsync`` into
 a telemetry sink (:mod:`repro.obs.telemetry`), and :class:`DelayingIO`
 injects deterministic latency — the slow-disk model the slow-operation
-log is tested against.
+records are tested against.
 """
 
 from __future__ import annotations

@@ -52,12 +52,7 @@ class PageStore:
         are taken by the access methods via :mod:`repro.storage.layout`.
     """
 
-    def __init__(
-        self,
-        page_size: int = 512,
-        path_buffer_limit: int = 6,
-        vector: bool = True,
-    ):
+    def __init__(self, page_size: int = 512, path_buffer_limit: int = 6):
         self.page_size = page_size
         #: How many of the most recently accessed pages stay buffered
         #: across operations — the paper's "last accessed search path"
@@ -77,9 +72,7 @@ class PageStore:
         self._written_this_op: set[int] = set()
         self._next_id = 0
         #: Workload slot of the batched query path (:mod:`repro.query`).
-        #: ``vector=False`` leaves it ``None``, which keeps every access
-        #: method on its scalar reference descent.
-        self.columnar = ColumnarCache() if vector else None
+        self.columnar = ColumnarCache()
 
     # -- page lifecycle -------------------------------------------------
 
@@ -97,8 +90,7 @@ class PageStore:
 
     def free(self, pid: int) -> None:
         """Release a page (after a merge); freeing is not a disk access."""
-        if self.columnar is not None:
-            self.columnar.invalidate(pid)
+        self.columnar.invalidate(pid)
         del self._objects[pid]
         del self._kinds[pid]
         self._pinned.discard(pid)
@@ -219,8 +211,7 @@ class PageStore:
         # Invalidate before any charging decision: pinned and deduplicated
         # writes still mean the page object changed, so its cached verdict
         # rows must never survive a write.
-        if self.columnar is not None:
-            self.columnar.invalidate(pid)
+        self.columnar.invalidate(pid)
         if pid in self._pinned:
             if self.observer is not None:
                 self.observer.on_access(

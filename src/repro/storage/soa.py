@@ -17,8 +17,8 @@ instead of in a pid-keyed side cache.  Two consequences:
 
 Python row objects (``(point, rid)`` / ``(rect, rid)`` tuples) remain
 reachable through the ordinary list interface, which is what the scalar
-reference descents (stores built with ``vector=False``), the auditors,
-explain and snapshot walks iterate; the fused arrays are the
+reference descents (``tests/reference_query.py``), the auditors, explain
+and snapshot walks iterate; the fused arrays are the
 representation the batched read path actually evaluates.
 
 In-place mutation of *held objects* (e.g. rebinding ``entry.mbr`` on a

@@ -1,5 +1,6 @@
 """Tests for the BANG file (nested block regions, backtracking search)."""
 
+import contextlib
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from tests.conftest import (
     make_clustered_points,
     make_points,
 )
+from tests.reference_query import reference, scalar_only
 
 REPRODUCERS = Path(__file__).parent / "reproducers"
 
@@ -230,23 +232,26 @@ class TestMinimalRegions:
 class TestKnownDefects:
     """Defects found in the wild, each pinned by its shrunk stream; all fixed."""
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_record_on_a_nested_blocks_upper_face_is_found(self, vector):
+    @pytest.mark.parametrize("production", [True, False])
+    def test_record_on_a_nested_blocks_upper_face_is_found(self, production):
         """Shrunk from a rare hypothesis failure of
         ``test_properties.py::TestSamProperties::test_all_sams_point_query``:
         blocks are half-open, so a record on a nested block's upper face
         belongs to the enclosing block, and a range query equal to the
         nested block's closed rectangle must still read that page (the
         closed coverage test called it "entirely covered")."""
-        bang = BangFile(PageStore(128, vector=vector), 2)
+        bang = BangFile(PageStore(128), 2)
         for rid in range(10):
             bang.insert((0.05 * rid + 0.01, 0.05 * rid + 0.02), rid)
         (inner,) = [bits for bits in bang._data_blocks if bits]
         nested = blocks.block_rect(inner, 2)
         edge = (nested.hi[0], (nested.lo[1] + nested.hi[1]) / 2)
         bang.insert(edge, 99)
-        assert bang.exact_match(edge) == [99]
-        assert (edge, 99) in bang.range_query(nested)
+        if not production:
+            reference(bang)
+        with contextlib.nullcontext() if production else scalar_only():
+            assert bang.exact_match(edge) == [99]
+            assert (edge, 99) in bang.range_query(nested)
 
     def test_minimal_regions_follow_an_entry_into_another_leaf(self):
         """``BANG-MBR-seed2.json`` (41 uniform inserts at 128-byte pages):
@@ -278,8 +283,8 @@ VARIANTS = {
 def twins(dims, page, **kwargs):
     """The same file on the production path and on the scalar reference."""
     return (
-        BangFile(PageStore(page, vector=True), dims, **kwargs),
-        BangFile(PageStore(page, vector=False), dims, **kwargs),
+        BangFile(PageStore(page), dims, **kwargs),
+        reference(BangFile(PageStore(page), dims, **kwargs)),
     )
 
 
@@ -361,8 +366,9 @@ def interleaved_ops(draw):
 
 
 class TestResidualColumn:
-    """The leaf filter on page columns equals ``_relevant_data_entries_scalar``
-    — same results, same charged cost, whatever the query touches — and both
+    """The leaf filter on page columns equals the reference's per-entry
+    half-open test (``tests/reference_query.py``) — same results, same
+    charged cost, whatever the query touches — and both
     give the brute-force oracle's results, so column and reference cannot
     agree on a wrong verdict."""
 
@@ -384,7 +390,8 @@ class TestResidualColumn:
             else:
                 rect = adversarial_query(entry_cuts(vec), arg)
                 cost, result = charged(vec, rect)
-                assert (cost, result) == charged(ref, rect), rect
+                with scalar_only():
+                    assert (cost, result) == charged(ref, rect), rect
                 assert sorted(result, key=repr) == oracle.range_query(rect), rect
         assert vec.store.stats == ref.store.stats
 
@@ -398,7 +405,9 @@ class TestResidualColumn:
         data_splits = dir_splits = 0
         for rid in range(160):
             # Materialise the view on every leaf the probe reaches.
-            assert charged(vec, probe) == charged(ref, probe)
+            with scalar_only():
+                expected = charged(ref, probe)
+            assert charged(vec, probe) == expected
             blocks_before = len(vec._data_blocks)
             dirs_before = vec.store.count_pages(PageKind.DIRECTORY)
             point = (rng.gauss(0.25, 0.1) % 1.0, rng.random())

@@ -2,7 +2,7 @@
 
 ``--help`` exits 0 with empty stderr and names the invocation; argparse
 misuse exits 2.  ``python -m repro.obs`` adds one input contract for
-all its verbs: a valid file of any of the five schemas validates; an
+all its verbs: a valid file of any of the four schemas validates; an
 unreadable, non-object, unknown- or wrong-schema input exits 1 with a
 one-line diagnostic, never a traceback; a closed pipe is a clean exit.
 Run through ``python -m`` so runpy wiring and exit-time flushes count.
@@ -36,7 +36,7 @@ COMMANDS = (
     "repro.verify.fuzz",
     "repro.parallel.bench",
 )
-SCHEMAS = ("report", "explain", "snapshot", "timeline", "slow_ops")
+SCHEMAS = ("report", "explain", "snapshot", "timeline")
 BAD_INPUTS = ("missing", "directory", "empty", "list", "unknown")
 
 
@@ -58,11 +58,9 @@ def artefacts(tmp_path_factory) -> dict[str, Path]:
     pam, _, trace = traced_pam(make_points(200, seed=3))
     (root / "explain.json").write_text(json.dumps(trace))
     (root / "snapshot.json").write_text(snapshot_to_json(compute_snapshot(pam)))
-    telemetry = Telemetry(slow_op_ms=0)
+    telemetry = Telemetry()
     telemetry.observe("x_seconds", 0.01)
-    telemetry.maybe_slow_op("commit", 0.5)
     FlightRecorder(telemetry, root / "timeline.jsonl", interval_seconds=60.0).start().stop()
-    telemetry.save_slow_ops(root / "slow_ops.jsonl")
     (root / "directory").mkdir()
     (root / "empty").write_text("")
     (root / "list").write_text("[]\n")

@@ -1,5 +1,6 @@
 """Tests for explain traces: bit-identity, finalisation, rendering, CLI."""
 
+import contextlib
 import json
 import os
 
@@ -30,15 +31,21 @@ from repro.sam.clipping import ClippingSAM
 from repro.sam.rtree import RTree
 
 from tests.conftest import make_points, make_rects
+from tests.reference_query import reference, scalar_only
 
 PAM_FACTORY = lambda s, dims=2: BuddyTree(s, dims)  # noqa: E731
 SAM_FACTORY = lambda s, dims=2: RTree(s, dims)  # noqa: E731
 
 
-def traced_pam(points, seed=19, vector=True):
-    pam = build_pam(PAM_FACTORY, points, vector=vector)
+def traced_pam(points, seed=19, scalar=False):
+    """Build, then run the PAM query files under an explain recorder —
+    with ``scalar``, on the reference descent and off the batched path."""
+    pam = build_pam(PAM_FACTORY, points)
     recorder = ExplainRecorder("BUDDY")
-    result = run_pam_queries(pam, seed=seed, explain=recorder)
+    with scalar_only() if scalar else contextlib.nullcontext():
+        result = run_pam_queries(
+            reference(pam) if scalar else pam, seed=seed, explain=recorder
+        )
     return pam, result, recorder.to_trace()
 
 
@@ -76,16 +83,16 @@ class TestBitIdentity:
                 assert touched == sum(query["cost"].values())
 
     @pytest.mark.parametrize(
-        "vector", [pytest.param(False, id="0"), pytest.param(True, id="1")]
+        "scalar", [pytest.param(True, id="0"), pytest.param(False, id="1")]
     )
-    def test_both_vector_modes(self, vector):
+    def test_both_vector_modes(self, scalar):
         """The scalar reference and the batched path explain alike."""
         points = make_points(200, seed=5)
-        pam, result, trace = traced_pam(points, seed=29, vector=vector)
-        assert (pam.store.columnar is not None) is vector
+        _, result, trace = traced_pam(points, seed=29, scalar=scalar)
         plain = run_pam_queries(build_pam(PAM_FACTORY, points), seed=29)
         assert plain.query_costs == result.query_costs
         assert validate_explain(trace) == []
+        assert trace == traced_pam(points, seed=29, scalar=not scalar)[2]
 
     def test_mismatch_raises(self):
         """A forged cost makes finalisation fail loudly, not silently."""

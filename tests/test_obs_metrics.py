@@ -137,17 +137,3 @@ class TestRegistry:
         g = r.gauge("pool.resident", lambda: 1)
         assert r.gauge("pool.resident", lambda: 5) is g
         assert g.value == 5.0
-
-    def test_as_dict_includes_gauges(self):
-        r = MetricsRegistry()
-        assert "gauges" not in r.as_dict()  # additive: only when present
-        r.gauge("pool.resident").set(4)
-        assert r.as_dict()["gauges"]["pool.resident"]["value"] == 4.0
-
-    def test_as_dict_shape(self):
-        r = MetricsRegistry()
-        r.counter("ops").inc(3)
-        r.histogram("accesses").observe(7)
-        d = r.as_dict()
-        assert d["counters"]["ops"]["value"] == 3
-        assert d["histograms"]["accesses"]["count"] == 1

@@ -8,8 +8,6 @@ Covers the contracts the batched query path rests on, driven through
 * workload hit-row caches (batch promotion and the current-query memo)
   invalidate with the page on every ``write`` and ``free``;
 * promoted CSR rows equal the single-query rows;
-* a store built with ``vector=False`` has no cache — the one remaining
-  way onto the scalar reference descents;
 * a batched driver pass answers exactly what unbatched queries answer; and
 * the differential fuzzer (inserts, deletes, queries, invariant audits)
   stays green with the columnar caches enabled — invalidation under
@@ -21,7 +19,7 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.query import traverse
-from repro.query.columnar import ColumnarCache, QueryWorkload
+from repro.query.columnar import QueryWorkload
 from repro.query.driver import run_query_file
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
@@ -47,7 +45,7 @@ def isect_row(store, pid, values, query):
 
 class TestColumnarInvalidation:
     def test_workload_rows_invalidate_with_the_page(self):
-        store = PageStore(vector=True)
+        store = PageStore()
         values = SoAList(
             [
                 (Rect((0.0, 0.0), (0.3, 0.3)), 1),
@@ -69,7 +67,7 @@ class TestColumnarInvalidation:
         assert isect_row(store, pid, values, queries[1]) == [1, 2]
 
     def test_free_drops_cached_arrays(self):
-        store = PageStore(vector=True)
+        store = PageStore()
         values = SoAList([(Rect((0.0, 0.0), (0.4, 0.4)), 1)])
         pid = data_page(store, values)
         queries = [Rect((0.1, 0.1), (0.9, 0.9))]
@@ -84,7 +82,7 @@ class TestColumnarInvalidation:
         assert pid not in store.columnar._hot_pids
 
     def test_current_query_memo_resets_between_queries(self):
-        store = PageStore(vector=True)
+        store = PageStore()
         values = SoAList([(Rect((0.0, 0.0), (0.3, 0.3)), 1)])
         pid = data_page(store, values)
         queries = [Rect((0.0, 0.0), (0.6, 0.6)), Rect((0.7, 0.7), (1.0, 1.0))]
@@ -98,7 +96,7 @@ class TestColumnarInvalidation:
         assert isect_row(store, pid, values, queries[1]) == []
 
     def test_match_records_caches_and_rebuilds_on_write(self):
-        store = PageStore(vector=True)
+        store = PageStore()
         records = SoAList([((0.1, 0.1), "a"), ((0.6, 0.6), "b")])
         pid = data_page(store, records)
         q = Rect((0.0, 0.0), (0.5, 0.5))
@@ -112,7 +110,7 @@ class TestColumnarInvalidation:
     def test_in_place_mutation_without_write_is_caught_by_length_guard(self):
         # Every real mutation path goes through the SoAList mutators and
         # writes the page; the length guard is the net if one ever didn't.
-        store = PageStore(vector=True)
+        store = PageStore()
         records = SoAList([((0.1, 0.1), "a")])
         pid = data_page(store, records)
         q = Rect((0.0, 0.0), (1.0, 1.0))
@@ -132,9 +130,9 @@ class TestWorkloadPromotion:
             Rect(tuple(lo), tuple(lo + 0.3))
             for lo in rng.uniform(0, 0.7, size=(9, 2))
         ]
-        cold = PageStore(vector=True)
+        cold = PageStore()
         pid_c = data_page(cold, values)
-        hot = PageStore(vector=True)
+        hot = PageStore()
         pid_h = data_page(hot, values)
         wl = hot.columnar.begin_workload(queries)
         wl.promote_visits = 1
@@ -153,24 +151,6 @@ class TestWorkloadPromotion:
         assert QueryWorkload([None] * 160).promote_visits == 20
 
 
-class TestKillSwitch:
-    """``vector=False`` — the explicit keyword is the only switch left."""
-
-    def test_vector_disabled_store_has_no_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")  # the environment has no say
-        assert isinstance(PageStore().columnar, ColumnarCache)
-        assert PageStore(vector=False).columnar is None
-
-    def test_helpers_fall_back_to_scalar(self):
-        # ``None`` tells the caller to run its scalar reference loop.
-        store = PageStore(vector=False)
-        records = SoAList([((0.1, 0.2), "a"), ((0.8, 0.8), "b")])
-        pid = data_page(store, records)
-        q = Rect((0.0, 0.0), (0.5, 0.5))
-        assert traverse.data_hit_rows(store, q, [(pid, records)]) is None
-        assert records.view_builds == 0
-
-
 class TestScalarVectorIdentity:
     def test_driver_batches_equal_unbatched_queries(self):
         spec = STRUCTURES["GRID"]
@@ -180,7 +160,7 @@ class TestScalarVectorIdentity:
             Rect(tuple(lo), tuple(np.minimum(lo + 0.2, 1.0)))
             for lo in rng.uniform(0, 1, size=(12, 2))
         ]
-        store = PageStore(vector=True)
+        store = PageStore()
         pam = spec["factory"](store)
         for rid, p in enumerate(points):
             pam.insert(p, rid)
@@ -199,7 +179,7 @@ class TestScalarVectorIdentity:
             def end_file(self):
                 raise AssertionError("end_file without a started file")
 
-        store = PageStore(vector=True)
+        store = PageStore()
         pam = STRUCTURES["GRID"]["factory"](store)
         pam.insert((0.5, 0.5), 0)
         with pytest.raises(RuntimeError, match="refused"):

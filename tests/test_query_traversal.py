@@ -5,10 +5,11 @@ equal results: the *frontier* it derives at every directory level — and
 therefore the full ordered stream of page accesses the replay issues —
 must equal the scalar descent's, access for access.  These tests pin
 that oracle across the whole fuzz matrix: every structure is built
-twice from identical data (``PageStore(vector=False)``, the scalar
-reference, and ``vector=True``), every query file runs through the
-batched driver on both, and the two observer event streams (pid, kind,
-read/write, charged) are compared as ordered sequences.  A batched
+twice from identical data, once put on its scalar reference descent
+(``tests/reference_query.py``, which must not reach the batched path),
+every query file runs through the batched driver on both, and the two
+observer event streams (pid, kind, read/write, charged) are compared as
+ordered sequences.  A batched
 traversal that visited one extra page, skipped one, or reordered two
 reads fails immediately.
 
@@ -19,6 +20,7 @@ query — the paths a cold default threshold would leave underexercised
 at these tiny scales.
 """
 
+import contextlib
 from unittest import mock
 
 import pytest
@@ -31,6 +33,7 @@ from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
 from repro.workloads import generate_partial_match_queries
+from tests.reference_query import reference, scalar_only
 
 coordinate = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -58,25 +61,22 @@ class _PidTrace:
         self.events.append((pid, str(kind), rw, charged))
 
 
-def _traced_pass(name, spec, data, queries, vector, page_size=512):
+def _traced_pass(name, spec, data, queries, scalar, page_size=512):
     """Build one structure and run the query files under a pid trace."""
-    store = PageStore(page_size, vector=vector)
+    store = PageStore(page_size)
     method = spec["factory"](store)
     for rid, item in enumerate(data):
         method.insert(item, rid)
+    if scalar:
+        reference(method)
     trace = _PidTrace()
     store.observer = trace
-    outcomes = []
     if spec["kind"] == "pam":
-        outcomes.append(
-            run_query_file(method, "range", queries, method.range_query)
-        )
+        files = [("range", method.range_query)]
     else:
-        for kind, op in (
-            ("intersection", method.intersection),
-            ("enclosure", method.enclosure),
-        ):
-            outcomes.append(run_query_file(method, kind, queries, op))
+        files = [("intersection", method.intersection), ("enclosure", method.enclosure)]
+    with scalar_only() if scalar else contextlib.nullcontext():
+        outcomes = [run_query_file(method, kind, queries, op) for kind, op in files]
     return trace.events, outcomes, repr(store.stats.snapshot())
 
 
@@ -134,7 +134,7 @@ class TestWorkloadLifecycle:
             Rect((0.0, 0.5), (0.4, 0.9)),
         ]
         spec = STRUCTURES["BANG"]
-        store = PageStore(512, vector=True)
+        store = PageStore(512)
         method = spec["factory"](store)
         for rid, p in enumerate(points):
             method.insert(p, rid)
@@ -155,7 +155,7 @@ class TestWorkloadLifecycle:
         page goes cold.  Seen from inside the file (``end_query_workload``
         drops the batch): every scan box equals the registered one, and
         the batch was asked for rows."""
-        store = PageStore(512, vector=True)
+        store = PageStore(512)
         method = standard_pam_factories()[name](store)
         for rid, p in enumerate(_point_pool(300, 11)):
             method.insert(p, rid)
