@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.geometry.rect import Rect
 from repro.sam.rplustree import RPlusTree, _Inner
 from repro.storage.pagestore import PageStore
@@ -100,17 +98,15 @@ class TestStructure:
 
 
 class TestKnownDefects:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="_choose_inner_plane ranks planes by (forced, |left - right|) "
-        "only: when one insert splits two children of a full page (fanout + 2 "
-        "entries) it takes a free 26 / 1 cut and nothing re-splits the 26; "
-        "ranking the planes that leave both halves within fanout first fixes "
-        "it but moves the R+ 512-byte golden (see ROADMAP)",
-    )
+    """Defects found in the wild, each pinned by its shrunk stream; all fixed."""
+
     def test_inner_split_leaves_both_halves_within_fanout(self):
         """Shrunk by ``python -m repro.verify.fuzz --structures R+ --ops
         2000 --seed 7`` (op 619 of the stream, 70 inserts after shrinking;
         present since the R+-tree was written): ``[rplus.fanout] inner
-        node 2 holds 26 children, fanout 25``."""
+        node 2 holds 26 children, fanout 25``.  One insert split two
+        children of a full page (fanout + 2 entries) and the inner split
+        ranked planes by ``(forced, |left - right|)`` only, so it took a
+        free 26 / 1 cut that nothing re-split; planes that leave a half
+        over fanout now rank last."""
         assert replay(Path(__file__).parent / "reproducers" / "Rplus-seed7.json") is None
