@@ -1,17 +1,23 @@
 """Tests for the R-tree, its three split policies, and deletion."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.geometry.rect import Rect
 from repro.sam.rtree import RTree
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
+from repro.verify.fuzz import STRUCTURES, run_ops
 from tests.conftest import (
     STANDARD_POINTS,
     STANDARD_QUERIES,
     check_sam_against_oracle,
     make_rects,
 )
+
+REPRODUCERS = Path(__file__).parent / "reproducers"
 
 
 def build(rects, **kwargs):
@@ -154,6 +160,20 @@ class TestDeletion:
         for i, r in enumerate(rects):
             tree.insert(r, i)
         check_sam_against_oracle(tree, rects, STANDARD_QUERIES, STANDARD_POINTS)
+
+    def test_an_emptied_only_child_is_condensed(self):
+        """``R-128-empty-leaf.json`` (10 inserts and a delete at 128-byte
+        pages, minimum fill 1): the delete emptied a leaf that was its
+        parent's only child, and condensing kept it — an empty non-root
+        leaf under a stale parent rectangle."""
+        blob = json.loads((REPRODUCERS / "R-128-empty-leaf.json").read_text())
+        failure = run_ops(
+            STRUCTURES[blob["structure"]],
+            blob["ops"],
+            audit_every=1,
+            store_factory=lambda: PageStore(blob["page_size"]),
+        )
+        assert failure is None, failure
 
 
 class TestSplitPolicies:
