@@ -291,7 +291,7 @@ class BangFile(PointAccessMethod):
         stack = [self._root_pid]
         while stack:
             pid = stack.pop()
-            node: _DirNode = self.store._objects[pid]
+            node: _DirNode = self.store.peek(pid)
             if node.is_leaf:
                 if blocks.is_prefix(node.bits, bits) and len(node.bits) > best_len:
                     best_leaf, best_len = pid, len(node.bits)
@@ -308,9 +308,9 @@ class BangFile(PointAccessMethod):
             self.store.read(pid)
 
     def _path_to(self, pid: int, target: int) -> list[int] | None:
-        node: _DirNode = self.store._objects[pid]
         if pid == target:
             return [pid]
+        node: _DirNode = self.store.peek(pid)
         if node.is_leaf:
             return None
         for entry in node.entries:
@@ -434,7 +434,7 @@ class BangFile(PointAccessMethod):
     def _split_directory_if_needed(self, pid: int, node: _DirNode) -> None:
         if not self._node_overflowed(node):
             return
-        sub_block = self._choose_directory_split_block(node)
+        sub_block = self._choose_directory_split_block(pid, node)
         if sub_block is None:
             return  # cannot split (all entries share one block); tolerate
         inner = [e for e in node.entries if blocks.is_prefix(sub_block, e.bits)]
@@ -467,10 +467,10 @@ class BangFile(PointAccessMethod):
             self.store.write(parent_pid)
             self._split_directory_if_needed(parent_pid, parent)
 
-    def _choose_directory_split_block(self, node: _DirNode) -> Bits | None:
-        """Best-balance sub-block over the node's entry blocks."""
+    def _choose_directory_split_block(self, pid: int, node: _DirNode) -> Bits | None:
+        """Best-balance sub-block over the entry blocks of page ``pid``."""
         total = len(node.entries)
-        sibling_blocks = self._sibling_blocks(node)
+        sibling_blocks = self._sibling_blocks(pid)
         current = node.bits
         depth = len(current)
         prefix = blocks.code_of_bits(current)
@@ -509,24 +509,24 @@ class BangFile(PointAccessMethod):
                     best = current
         return best
 
-    def _sibling_blocks(self, node: _DirNode) -> set[Bits]:
-        """Blocks of all directory nodes at the same level as ``node``."""
-        level_nodes = [self.store._objects[self._root_pid]]
+    def _sibling_blocks(self, pid: int) -> set[Bits]:
+        """Blocks of all directory nodes at the same level as page ``pid``."""
+        level_nodes = [self.store.peek(self._root_pid)]
         depth = 0
-        target_depth = self._node_depth(node)
+        target_depth = self._node_depth(pid)
         while depth < target_depth:
             nxt = []
             for n in level_nodes:
-                nxt.extend(self.store._objects[e.pid] for e in n.entries)
+                nxt.extend(self.store.peek(e.pid) for e in n.entries)
             level_nodes = nxt
             depth += 1
         return {n.bits for n in level_nodes}
 
-    def _node_depth(self, node: _DirNode) -> int:
+    def _node_depth(self, target: int) -> int:
         def walk(pid: int, depth: int) -> int | None:
-            n: _DirNode = self.store._objects[pid]
-            if n is node:
+            if pid == target:
                 return depth
+            n: _DirNode = self.store.peek(pid)
             if n.is_leaf:
                 return None
             for e in n.entries:
@@ -541,31 +541,30 @@ class BangFile(PointAccessMethod):
         return found
 
     def _find_parent(self, pid: int) -> tuple[int, _DirNode]:
-        def walk(current: int) -> tuple[int, _DirNode] | None:
-            node: _DirNode = self.store._objects[current]
+        def walk(current: int) -> int | None:
+            node: _DirNode = self.store.peek(current)
             if node.is_leaf:
                 return None
             for e in node.entries:
                 if e.pid == pid:
-                    return current, node
+                    return current
                 found = walk(e.pid)
                 if found is not None:
                     return found
             return None
 
-        found = walk(self._root_pid)
-        if found is None:
+        parent_pid = walk(self._root_pid)
+        if parent_pid is None:
             raise RuntimeError("parent not found")
         # Reading the parent is charged: a real split must fetch it.
-        self.store.read(found[0])
-        return found
+        return parent_pid, self.store.read(parent_pid)
 
 
     # -- minimal regions (the §9 extension) --------------------------------------
 
     def _leaf_entry(self, block: Bits) -> tuple[int, "_DirNode", _Entry]:
         leaf_pid = self._locate_leaf_uncharged(block)
-        leaf: _DirNode = self.store._objects[leaf_pid]
+        leaf: _DirNode = self.store.held(leaf_pid)
         entry = next(e for e in leaf.entries if e.bits == block)
         return leaf_pid, leaf, entry
 
@@ -586,7 +585,7 @@ class BangFile(PointAccessMethod):
     def _refresh_region(self, block: Bits) -> None:
         """Recompute the region of ``block`` (after a split shrank it)."""
         leaf_pid, leaf, entry = self._leaf_entry(block)
-        page: _DataPage = self.store._objects[entry.pid]
+        page: _DataPage = self.store.held(entry.pid)
         entry.mbr = (
             Rect.bounding_points([p for p, _ in page.records])
             if page.records
@@ -599,9 +598,9 @@ class BangFile(PointAccessMethod):
     def _recompute_regions_upward(self, leaf_pid: int) -> None:
         path = self._path_to(self._root_pid, leaf_pid) or []
         for parent_pid, child_pid in zip(reversed(path[:-1]), reversed(path[1:])):
-            parent: _DirNode = self.store._objects[parent_pid]
+            parent: _DirNode = self.store.held(parent_pid)
             parent_entry = next(e for e in parent.entries if e.pid == child_pid)
-            new_mbr = self._node_region(self.store._objects[child_pid])
+            new_mbr = self._node_region(self.store.held(child_pid))
             # No early exit: a directory split below may have just set
             # this level while a stale one waits above it.
             if new_mbr != parent_entry.mbr:
@@ -686,7 +685,7 @@ class BangFile(PointAccessMethod):
         # cold data page — share one fused kernel call per op (see
         # repro.query.traverse).  The nesting-coverage leaf filter rides
         # along as a third gate: the leaf's residual rows.
-        objects = store._objects
+        held = store.held
         src = traverse.RowSource(store.columnar, rect)
         row_of = src.row
         minimal = self.minimal_regions
@@ -722,7 +721,7 @@ class BangFile(PointAccessMethod):
             nxt: list = []
             deferred: list = []
             for pid in level:
-                node = objects[pid]
+                node = held(pid)
                 entries = node.entries
                 if not entries:
                     if node.is_leaf:
@@ -794,10 +793,10 @@ class BangFile(PointAccessMethod):
         # All surviving data pages ride one last fused call.
         leaf_dpids: dict[int, list] = {}
         for pid, keep in relevant.items():
-            entries = objects[pid].entries
+            entries = held(pid).entries
             dpids = leaf_dpids[pid] = [entries[i].pid for i in keep]
             for dpid in dpids:
-                records = objects[dpid].records
+                records = held(dpid).records
                 if not records:
                     src.rows[(dpid, "pts")] = traverse._EMPTY_ROW
                     continue

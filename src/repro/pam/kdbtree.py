@@ -211,7 +211,7 @@ class KdBTree(PointAccessMethod):
         child_pid = node.pids[slot]
         child_split = self._insert_into(child_pid, node.leaf_children, point, rid)
         if node.leaf_children:
-            child: _PointPage = self.store._objects[child_pid]
+            child: _PointPage = self.store.held(child_pid)
             if len(child.records) > self._capacity:
                 self._split_child(node, slot)
         elif child_split is not None:
@@ -229,7 +229,7 @@ class KdBTree(PointAccessMethod):
         """Split an overflowing point page under ``node`` by a median plane."""
         pid = node.pids[slot]
         region = node.rects[slot]
-        page: _PointPage = self.store._objects[pid]
+        page: _PointPage = self.store.held(pid)
         plane = self._choose_point_plane(page.records, region)
         if plane is None:
             self.store.write(pid)
@@ -287,7 +287,7 @@ class KdBTree(PointAccessMethod):
                 right.rects.append(r_rect)
                 right.pids.append(r_pid)
         # Reuse the split page for the left half.
-        self.store._objects[pid] = left
+        node.rects, node.pids = left.rects, left.pids
         right_pid = self.store.allocate(PageKind.DIRECTORY, right)
         self.store.write(pid)
         self.store.write(right_pid)
@@ -347,7 +347,7 @@ class KdBTree(PointAccessMethod):
                 left.pids.append(l_pid)
                 right.rects.append(r_rect)
                 right.pids.append(r_pid)
-        self.store._objects[pid] = left
+        node.rects, node.pids = left.rects, left.pids
         right_pid = self.store.allocate(PageKind.DIRECTORY, right)
         self.store.write(pid)
         self.store.write(right_pid)
@@ -359,7 +359,7 @@ class KdBTree(PointAccessMethod):
         store = self.store
         # Plan: level-at-a-time over uncharged views, one fused kernel
         # call per level for all cold pages (see repro.query.traverse).
-        objects = store._objects
+        held = store.held
         src = traverse.RowSource(store.columnar, rect)
         row_of = src.row
         region_tag, region_build = traverse.box_view("isect")
@@ -370,7 +370,7 @@ class KdBTree(PointAccessMethod):
             deferred: list = []
             for pid, is_leaf in level:
                 if is_leaf:
-                    records = objects[pid].records
+                    records = held(pid).records
                     if not records:
                         verdicts[pid] = traverse._EMPTY_ROW
                         continue
@@ -380,7 +380,7 @@ class KdBTree(PointAccessMethod):
                     else:
                         verdicts[pid] = row
                     continue
-                node = objects[pid]
+                node = held(pid)
                 if not node.rects:
                     verdicts[pid] = traverse._EMPTY_ROW
                     continue
@@ -400,7 +400,7 @@ class KdBTree(PointAccessMethod):
                         (pid, "pts" if is_leaf else "regions:isect")
                     ]
                     if not is_leaf:
-                        node = objects[pid]
+                        node = held(pid)
                         pids = node.pids
                         nxt.extend([(pids[i], node.leaf_children) for i in row])
             level = nxt

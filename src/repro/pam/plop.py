@@ -228,7 +228,7 @@ class _PlopGrid:
             coords = []
             for idx in affected:
                 for pid in self.buckets[idx].chain:
-                    page = self.store._objects[pid]
+                    page = self.store.held(pid)
                     coords.extend(self.key_of(r)[axis] for r in page.records)
             coords.sort()
             if coords:

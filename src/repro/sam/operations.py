@@ -48,7 +48,7 @@ def rtree_join(left: RTree, right: RTree) -> list[tuple[object, object]]:
     result: list[tuple[object, object]] = []
 
     def node_mbr(tree: RTree, pid: int) -> Rect:
-        node: _Node = tree.store._objects[pid]
+        node: _Node = tree.store.held(pid)
         return Rect.bounding(node.rects) if node.rects else None
 
     def join(left_pid: int, right_pid: int) -> None:

@@ -80,7 +80,7 @@ class PolygonIndex:
         self.sam.insert(polygon.bounding_rect(), rid)
         if (
             not self._object_pages
-            or len(self.store._objects[self._object_pages[-1]].polygons)
+            or len(self.store.peek(self._object_pages[-1]).polygons)
             >= self._per_page
         ):
             pid = self.store.allocate(PageKind.DATA, _ObjectPage())

@@ -83,7 +83,7 @@ class RPlusTree(SpatialAccessMethod):
         redundancy factor paid for disjoint regions."""
         total = 0
         for pid in self.store.page_ids():
-            obj = self.store._objects[pid]
+            obj = self.store.peek(pid)
             if isinstance(obj, _Leaf):
                 total += len(obj.rects)
         return total
@@ -200,7 +200,7 @@ class RPlusTree(SpatialAccessMethod):
         axis, value = plane
         left_rect, right_rect = Rect.unit(self.dims).split_at(axis, value)
         left, right = self._distribute(leaf, axis, value)
-        self.store._objects[self._root_pid] = left
+        leaf.rects, leaf.rids = left.rects, left.rids
         right_pid = self.store.allocate(PageKind.DATA, right)
         self.store.unpin(self._root_pid)
         self.store.write(self._root_pid)
@@ -268,14 +268,14 @@ class RPlusTree(SpatialAccessMethod):
     def _split_leaf_under(self, node: _Inner, slot: int) -> bool:
         pid = node.pids[slot]
         region = node.regions[slot]
-        leaf: _Leaf = self.store._objects[pid]
+        leaf: _Leaf = self.store.held(pid)
         plane = self._choose_leaf_plane(leaf, region)
         if plane is None:
             return False  # unsplittable: tolerated overflow, the R+-tree caveat
         axis, value = plane
         left_region, right_region = region.split_at(axis, value)
         left, right = self._distribute(leaf, axis, value)
-        self.store._objects[pid] = left
+        leaf.rects, leaf.rids = left.rects, left.rids
         right_pid = self.store.allocate(PageKind.DATA, right)
         node.regions[slot] = left_region
         node.regions.insert(slot + 1, right_region)
@@ -306,7 +306,7 @@ class RPlusTree(SpatialAccessMethod):
                 left.pids.append(l_pid)
                 right.regions.append(r_region)
                 right.pids.append(r_pid)
-        self.store._objects[pid] = left
+        node.regions, node.pids = left.regions, left.pids
         right_pid = self.store.allocate(PageKind.DIRECTORY, right)
         self.store.write(pid)
         self.store.write(right_pid)
@@ -346,7 +346,7 @@ class RPlusTree(SpatialAccessMethod):
         if is_leaf:
             leaf: _Leaf = self.store.read(pid)
             left, right = self._distribute(leaf, axis, value)
-            self.store._objects[pid] = left
+            leaf.rects, leaf.rids = left.rects, left.rids
             right_pid = self.store.allocate(PageKind.DATA, right)
             self.store.write(pid)
             self.store.write(right_pid)
@@ -370,7 +370,7 @@ class RPlusTree(SpatialAccessMethod):
                 left.pids.append(l_pid)
                 right.regions.append(r_region)
                 right.pids.append(r_pid)
-        self.store._objects[pid] = left
+        node.regions, node.pids = left.regions, left.pids
         right_pid = self.store.allocate(PageKind.DIRECTORY, right)
         self.store.write(pid)
         self.store.write(right_pid)
@@ -382,7 +382,7 @@ class RPlusTree(SpatialAccessMethod):
         store = self.store
         # Plan: level-at-a-time over uncharged views; one fused kernel
         # call per level for all cold pages (see repro.query.traverse).
-        objects = store._objects
+        held = store.held
         src = traverse.RowSource(store.columnar, query)
         row_of = src.row
         entry_tag, entry_build = traverse.box_view(entry_op)
@@ -395,7 +395,7 @@ class RPlusTree(SpatialAccessMethod):
             deferred: list = []
             for pid, is_leaf in level:
                 if is_leaf:
-                    leaf = objects[pid]
+                    leaf = held(pid)
                     if not leaf.rects:
                         verdicts[pid] = traverse._EMPTY_ROW
                         continue
@@ -407,7 +407,7 @@ class RPlusTree(SpatialAccessMethod):
                     else:
                         verdicts[pid] = row
                     continue
-                node = objects[pid]
+                node = held(pid)
                 if not node.regions:
                     verdicts[pid] = traverse._EMPTY_ROW
                     continue
@@ -425,7 +425,7 @@ class RPlusTree(SpatialAccessMethod):
                 for pid, is_leaf in deferred:
                     row = verdicts[pid] = rows[(pid, entry_key if is_leaf else region_key)]
                     if not is_leaf:
-                        node = objects[pid]
+                        node = held(pid)
                         pids = node.pids
                         nxt.extend([(pids[i], node.leaf_children) for i in row])
             level = nxt

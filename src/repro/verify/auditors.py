@@ -277,7 +277,7 @@ def _audit_bang(a: Audit) -> None:
             )
         if am._node_bytes(node) > am._dir_payload:
             a.check(
-                am._choose_directory_split_block(node) is None,
+                am._choose_directory_split_block(pid, node) is None,
                 "bang.dir-capacity",
                 f"directory page {pid} overflows ({am._node_bytes(node)} "
                 f"bytes > {am._dir_payload}) although a split is possible",

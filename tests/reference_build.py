@@ -87,9 +87,9 @@ def bang_choose_split_block(bang, page) -> Bits | None:
     return best
 
 
-def bang_choose_directory_split_block(bang, node) -> Bits | None:
+def bang_choose_directory_split_block(bang, pid, node) -> Bits | None:
     total = len(node.entries)
-    sibling_blocks = bang._sibling_blocks(node)
+    sibling_blocks = bang._sibling_blocks(pid)
     current = node.bits
     best: Bits | None = None
     best_imbalance = total + 1

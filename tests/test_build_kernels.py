@@ -175,12 +175,13 @@ def built_bang(points, **kwargs) -> BangFile:
 
 
 def bang_pages(bang):
-    """``(directory nodes, data pages)`` reachable from the root."""
+    """``(directory (pid, node) pairs, data pages)`` reachable from the root."""
     nodes, pages = [], []
     stack = [bang._root_pid]
     while stack:
-        node = bang.store.peek(stack.pop())
-        nodes.append(node)
+        pid = stack.pop()
+        node = bang.store.peek(pid)
+        nodes.append((pid, node))
         for entry in node.entries:
             if node.is_leaf:
                 pages.append(bang.store.peek(entry.pid))
@@ -197,10 +198,10 @@ class TestBangChoosers:
         nodes, pages = bang_pages(bang)
         for page in pages:
             assert bang._choose_split_block(page) == ref.bang_choose_split_block(bang, page)
-        for node in nodes:
+        for pid, node in nodes:
             assert bang._choose_directory_split_block(
-                node
-            ) == ref.bang_choose_directory_split_block(bang, node)
+                pid, node
+            ) == ref.bang_choose_directory_split_block(bang, pid, node)
 
     @SETTINGS
     @given(bang_points, st.lists(st.tuples(coordinate, coordinate), max_size=8))
@@ -241,7 +242,7 @@ class TestBangChoosers:
 
     def test_entry_code_view_follows_the_entry_list(self):
         bang = built_bang([(i / 97.0, (i * 31 % 97) / 97.0) for i in range(97)])
-        leaf = next(n for n in bang_pages(bang)[0] if n.is_leaf)
+        leaf = next(n for _, n in bang_pages(bang)[0] if n.is_leaf)
         codes = leaf.entries.view("codes", bang_mod._entry_codes)
         assert codes == [
             (blocks.code_of_bits(e.bits), MAX_DEPTH - len(e.bits)) for e in leaf.entries

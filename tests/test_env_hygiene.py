@@ -1,7 +1,8 @@
 """Every ``REPRO_*`` switch is a ``RunConfig`` field, documented, and read
 in exactly one module — and the query path has no switch at all: no
 ``*_scalar`` twin, no ``columnar is None`` fork, no ``vector`` parameter on
-the store or the grid layer (the reference is ``tests/reference_query.py``)."""
+the store or the grid layer (the reference is ``tests/reference_query.py``).
+Outside ``storage/`` a page is reached through the store's methods only."""
 
 import ast
 import functools
@@ -108,6 +109,20 @@ def test_no_scalar_twin_or_store_switch_in_the_package():
         f"{path.relative_to(ROOT)}:{line}: {what}"
         for path in SOURCES
         for line, what in _second_paths(_tree(path))
+    ]
+    assert found == []
+
+
+def test_only_the_store_indexes_its_page_objects():
+    """``read``, ``held`` and ``peek`` are the ways to reach a page; a
+    lookup in ``store._objects`` would be an access the store never sees."""
+    storage = ROOT / "src" / "repro" / "storage"
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in SOURCES
+        if storage not in path.parents
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "_objects"
     ]
     assert found == []
 

@@ -8,6 +8,7 @@ Three angles: (1) every structure's auditor is green on honest builds,
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -350,6 +351,65 @@ class TestWriteBarrier:
         assert "page 0 (data, list)" in violation.message
         assert "during operation 4 " in violation.message
         barrier.check()  # reported once: the new image is the baseline now
+
+    def test_held_pages_are_paid_for_by_their_operation(self):
+        store = PageStore()
+        barrier = WriteBarrier(store)
+        root = store.allocate(PageKind.DIRECTORY, {})
+        store.pin(root)
+        page = store.allocate(PageKind.DATA, [1])
+        store.held(page)  # allocated in this window
+        store.begin_operation()  # operation 0
+        store.held(root)  # pinned: resident by definition, never read
+        store.held(page)  # a lookahead at a page the operation then reads
+        store.read(page)
+        store.begin_operation()  # operation 1
+        store.held(page).append(2)  # ahead of its write
+        store.write(page)
+        store.begin_operation()  # operation 2
+        store.held(page)  # and nothing reads, writes or allocates it
+        with pytest.raises(AuditError) as err:
+            store.begin_operation()
+        (violation,) = err.value.violations
+        assert violation.code == "contract.uncharged"
+        assert violation.message.startswith("page 1 (data, list) reached through held()")
+        assert "during operation 2," in violation.message
+        barrier.check()  # a window of its own
+
+    def test_a_method_that_reaches_past_its_reads_is_shrunk(self, tmp_path, monkeypatch):
+        class _Lookahead(RTree):
+            """Holds children of the root ahead of a point query: all of
+            them, or only those whose rectangle the replay descends into."""
+
+            everything = True
+
+            def _point_query(self, point):
+                root = self.store.held(self._root_pid)  # pinned
+                if not root.is_leaf:
+                    for rect, child in zip(root.rects, root.children):
+                        if self.everything or rect.contains_point(point):
+                            self.store.held(child)
+                return super()._point_query(point)
+
+        spec = {
+            "kind": "sam",
+            "factory": lambda s: _Lookahead(s),
+            "deletes": False,
+            "pack_every": None,
+        }
+        monkeypatch.setitem(STRUCTURES, "LOOKAHEAD", spec)
+        small = lambda: PageStore(128)  # noqa: E731 - a root split within a few inserts
+        report = fuzz_structure("LOOKAHEAD", 300, 0, 0, tmp_path, small)
+        assert report["code"] == "audit" and "contract.uncharged" in report["detail"]
+        assert "(data, _Node) reached through held()" in report["detail"]
+        ops = json.loads((tmp_path / "LOOKAHEAD-seed0.json").read_text())["ops"]
+        assert report["shrunk_ops"] == len(ops) < 40
+        op = int(re.search(r"during operation (\d+),", report["detail"])[1])
+        assert ops[op][0] == "point"
+        # A lookahead at exactly what the replay reads is the plan's contract.
+        monkeypatch.setattr(_Lookahead, "everything", False)
+        stream = make_ops(spec, 300, structure_seed("LOOKAHEAD", 0))
+        assert run_ops(spec, stream, audit_every=0, store_factory=small) is None
 
     def test_the_barrier_keeps_the_observer_it_replaced(self):
         from repro.obs.tracer import Tracer
