@@ -7,11 +7,19 @@ Python predicate per entry, one charged ``store.read`` per page, in the
 original visit order.  Each takes the structure as its first argument;
 :func:`reference` binds the right one onto one instance, and
 :func:`scalar_only` fails a block that still reaches the batched path.
+
+Run as a script (``PYTHONPATH=src:. python tests/reference_query.py``) it
+is the at-scale check: for six representative structures, the explain
+traces (visited pages, per-page hits, prunes) of one 800-record build
+must be byte-equal between the reference descent and the production
+traversal; exit status 1 otherwise.  Tier-1 compares full access streams
+at small scale.
 """
 
 from __future__ import annotations
 
 import contextlib
+import sys
 import types
 
 from repro.geometry import blocks, kernels
@@ -362,3 +370,49 @@ def scalar_only():
             setattr(module, name, fn)
         held.update(held_saved)
     assert not reached, f"a reference pass reached the batched path: {set(reached)}"
+
+
+def _explain_identity() -> list[str]:
+    """Failures of the at-scale explain-trace comparison (see the module
+    docstring); prints one line per structure that matches."""
+    from repro.obs.explain import ExplainRecorder, validate_explain
+    from repro.query.driver import run_query_file
+    from repro.storage.pagestore import PageStore
+    from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
+    from repro.workloads import queries as q
+
+    data = {"pam": _point_pool(800, 4242), "sam": _rect_pool(800, 4243)}
+    rect_qs = q.generate_rect_query_workload(seed=107)["rectangles"]
+    files = {
+        "pam": ("range", q.generate_range_queries(0.01, seed=101), "range_query"),
+        "sam": ("intersection", rect_qs, "intersection"),
+    }
+    failures = []
+    for name in ("GRID", "BANG", "BUDDY", "R", "T-BANG", "PLOP-SAM"):
+        spec = STRUCTURES[name]
+        kind, queries, op = files[spec["kind"]]
+        traces = {}
+        for scalar in (True, False):
+            method = spec["factory"](PageStore(512))
+            for rid, item in enumerate(data[spec["kind"]]):
+                method.insert(item, rid)
+            if scalar:
+                reference(method)
+            rec = ExplainRecorder(name)
+            with scalar_only() if scalar else contextlib.nullcontext():
+                run_query_file(method, kind, queries, getattr(method, op), explain=rec)
+            trace = traces[scalar] = rec.to_trace()
+            failures += [f"{name}/{scalar}: {p}" for p in validate_explain(trace)]
+        if traces[True] != traces[False]:
+            failures.append(f"{name}: explain traces diverge")
+        else:
+            n = sum(len(f["queries"]) for f in trace["files"])
+            print(f"{name}: {n} queries, traces bit-identical")
+    return failures
+
+
+if __name__ == "__main__":
+    failures = _explain_identity()
+    for failure in failures:
+        print(f"FAIL {failure}")
+    sys.exit(1 if failures else 0)
