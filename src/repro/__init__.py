@@ -22,7 +22,7 @@ evaluation section.  See ``DESIGN.md`` for the system inventory and
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import AccessStats, BuildMetrics
 from repro.geometry.rect import Rect
-from repro.obs import MetricsRegistry, RunReport, Tracer
+from repro.obs import RunReport, Tracer
 from repro.pam.bang import BangFile
 from repro.pam.buddytree import BuddyTree
 from repro.pam.gridfile import GridFile
@@ -49,7 +49,6 @@ __all__ = [
     "GridFile",
     "HBTree",
     "KdBTree",
-    "MetricsRegistry",
     "MultilevelGridFile",
     "OverlappingPlop",
     "PageStore",

@@ -12,13 +12,12 @@ plain values.  One vocabulary serves every variable:
   *the default location*, resolved where it is used;
 * anything else is a **path** for a path-capable switch and a
   :class:`ValueError` naming the variable for flags, numbers and the
-  backend.  Numbers are not flags: ``REPRO_SLOW_OP_MS=0`` is a 0 ms
-  threshold, and only ``""`` (or unset) is their default.
+  backend.  Numbers are not flags: ``REPRO_BENCH_WORKERS=0`` is an
+  error, not "off", and only ``""`` (or unset) is their default.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -62,18 +61,6 @@ def _count(raw: str) -> int | None:
     return int(raw)
 
 
-def _millis(raw: str) -> float | None:
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise ValueError("expected a number of milliseconds >= 0")
-    return value
-
-
 def _backend(raw: str) -> str | None:
     if not raw:
         return None
@@ -101,8 +88,6 @@ class RunConfig:
     build_cache: Path | bool = _var(parse_location, True)
     #: Explain-trace directory (on: ``results/explain``).
     explain: Path | bool = _var(parse_location, False)
-    #: Slow-operation log threshold in milliseconds (``None`` = no log).
-    slow_op_ms: float | None = _var(_millis, None)
     #: One of :data:`BACKENDS`.
     store_backend: str = _var(_backend, "sim")
     #: Base directory of disk stores (on or off: a per-process tmp dir).

@@ -7,9 +7,8 @@ package makes those counts observable at every granularity:
   to a :class:`~repro.storage.pagestore.PageStore` as its observer and
   records one :class:`Span` per bracketed operation (insert / delete /
   query), optionally down to individual page-access events.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and fixed-bucket histograms with exact percentile summaries
-  (p50/p90/p99/max).
+* :mod:`repro.obs.metrics` — :class:`Histogram`, with exact percentile
+  summaries (p50/p90/p99/max) and page-access buckets counted at export.
 * :mod:`repro.obs.export` — exporters: a JSONL trace sink, human-readable
   table rendering and the structured :class:`RunReport` JSON that every
   benchmark emits alongside its ``results/*.txt`` table.
@@ -26,9 +25,8 @@ package makes those counts observable at every granularity:
   (:func:`compute_snapshot`): occupancy and depth profiles plus
   first-class redundancy metrics (duplication factor, overlap volume,
   dead space, coverage).
-* :mod:`repro.obs.telemetry` — physical-IO latency histograms, the
-  flight-recorder timeline and the slow-operation records of the
-  durable backend.
+* :mod:`repro.obs.telemetry` — physical-IO latency histograms and the
+  flight-recorder timeline of the durable backend.
 
 ``python -m repro.obs report|explain|telemetry|validate`` is the one
 command line over all of these artefacts (:mod:`repro.obs.__main__`).
@@ -55,12 +53,7 @@ from repro.obs.export import (
     summarise_touches,
     validate_run_report,
 )
-from repro.obs.metrics import (
-    DEFAULT_ACCESS_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, Histogram
 from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.obs.structure import (
     SNAPSHOT_SCHEMA,
@@ -81,13 +74,11 @@ from repro.obs.tracer import (
 __all__ = [
     "AccessEvent",
     "BUILD_OPS",
-    "Counter",
     "DEFAULT_ACCESS_BUCKETS",
     "EXPLAIN_SCHEMA",
     "ExplainRecorder",
     "Histogram",
     "JsonlTraceSink",
-    "MetricsRegistry",
     "PageView",
     "RUN_REPORT_SCHEMA",
     "RunReport",

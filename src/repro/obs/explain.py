@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.stats import AccessStats
 from repro.geometry.rect import Rect
+from repro.query.traverse import SCALAR_PRED
 from repro.storage.page import PageKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,12 +56,6 @@ _RECT_OPS = {
     "intersection": "isect",
     "containment": "within",
     "enclosure": "encl",
-}
-
-_RECT_PRED = {
-    "isect": lambda r, q: r.intersects(q),
-    "within": lambda r, q: q.contains_rect(r),
-    "encl": lambda r, q: r.contains_rect(q),
 }
 
 
@@ -157,7 +152,7 @@ def _page_hits(method, kind: str, entries: list, qrect: Rect) -> int:
     """Entries on one data page satisfying the query's final predicate."""
     if kind in _POINT_KINDS:
         return sum(1 for geom, _ in entries if qrect.contains_point(geom))
-    pred = _RECT_PRED[_RECT_OPS[kind]]
+    pred = SCALAR_PRED[_RECT_OPS[kind]]
     to_rect = getattr(method, "_to_rect", None)
     hits = 0
     for geom, _ in entries:

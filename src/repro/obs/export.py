@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from repro.core.stats import AccessStats
-from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, SUMMARY_KEYS, Histogram
+from repro.obs.metrics import SUMMARY_KEYS, Histogram
 from repro.obs.tracer import BUILD_OPS, Span
 
 __all__ = [
@@ -117,10 +117,7 @@ class JsonlTraceSink:
             self.close()
 
 
-def summarise_spans(
-    spans: Iterable[Span],
-    buckets: tuple[float, ...] = DEFAULT_ACCESS_BUCKETS,
-) -> dict[str, dict[str, Histogram]]:
+def summarise_spans(spans: Iterable[Span]) -> dict[str, dict[str, Histogram]]:
     """Histogram of charged accesses per operation: structure -> op -> h."""
     out: dict[str, dict[str, Histogram]] = {}
     for span in spans:
@@ -128,7 +125,7 @@ def summarise_spans(
         hist = per_op.get(span.op)
         if hist is None:
             hist = per_op[span.op] = Histogram(
-                f"{span.structure}/{span.op}/accesses", buckets
+                f"{span.structure}/{span.op}/accesses"
             )
         hist.observe(span.accesses)
     return out
@@ -456,7 +453,6 @@ def build_run_report(
     timers: Mapping[str, float] | None = None,
     meta: Mapping | None = None,
     storage: Mapping[str, Mapping] | None = None,
-    buckets: tuple[float, ...] = DEFAULT_ACCESS_BUCKETS,
 ) -> RunReport:
     """Assemble a :class:`RunReport` from an experiment's artefacts.
 
@@ -479,7 +475,7 @@ def build_run_report(
     """
     timers = dict(timers or {})
     spans = list(spans)
-    histograms = summarise_spans(spans, buckets)
+    histograms = summarise_spans(spans)
     touches = summarise_touches(spans)
     structures: dict[str, dict] = {}
     for name, result in results.items():

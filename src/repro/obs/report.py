@@ -7,9 +7,20 @@ any flagged row.
 
 from __future__ import annotations
 
+import math
+
 from repro.obs.export import RunReport
 
-__all__ = ["diff_reports", "format_diff"]
+__all__ = ["delta_pct", "diff_reports", "format_diff"]
+
+
+def delta_pct(old: float, new: float) -> float:
+    """Percent change from ``old`` to ``new``.  From a zero baseline any
+    change is infinite (``+inf`` for a new cost) and no change is 0, so a
+    regression from nothing is always past the threshold."""
+    if old:
+        return 100.0 * (new - old) / old
+    return math.copysign(math.inf, new) if new else 0.0
 
 
 def diff_reports(old: RunReport, new: RunReport) -> list[dict]:
@@ -30,16 +41,13 @@ def diff_reports(old: RunReport, new: RunReport) -> list[dict]:
                 continue
             old_mean = old_queries[label]["accesses"]["mean"]
             new_mean = entry["accesses"]["mean"]
-            delta = (
-                100.0 * (new_mean - old_mean) / old_mean if old_mean else 0.0
-            )
             rows.append(
                 {
                     "structure": name,
                     "label": label,
                     "old": old_mean,
                     "new": new_mean,
-                    "delta_pct": delta,
+                    "delta_pct": delta_pct(old_mean, new_mean),
                 }
             )
     return rows

@@ -1,5 +1,4 @@
-"""Live storage telemetry: IO latency histograms, a flight recorder
-and slow-operation records.
+"""Live storage telemetry: IO latency histograms and a flight recorder.
 
 Everything before this module measured *logical* cost — charged page
 accesses, deterministic under a fixed seed.  The durable backend
@@ -9,24 +8,18 @@ whether a build takes 1.4 s or 42 s.  This module is the physical-cost
 observatory:
 
 * :class:`Telemetry` — a process-wide sink of latency
-  :class:`~repro.obs.metrics.Histogram`\\ s (buckets tuned for
-  microsecond-to-second timings), monotone counters and *callback
+  :class:`~repro.obs.metrics.Histogram`\\ s, byte counters and *callback
   gauges* (pool residency, dirty/pinned counts, WAL bytes) that cost
   nothing until read.  Enabled by ``REPRO_TELEMETRY=1``; when disabled,
   no instrumentation is installed anywhere and the hot paths are
   untouched.  Telemetry is strictly additive: charged
   :class:`~repro.core.stats.AccessStats`, query results, explain traces
   and structure snapshots are bit-identical with it on or off.
-* :class:`FlightRecorder` — a daemon thread sampling every registered
-  metric at a fixed interval into a schema-versioned JSONL time series
+* :class:`FlightRecorder` — a daemon thread sampling every series at a
+  fixed interval into a schema-versioned JSONL time series
   (:data:`TIMELINE_SCHEMA`), so a long build can be watched while it
   runs and post-mortemed after.  Per-worker timelines merge
   deterministically (:func:`merge_timelines`).
-* **Slow operations** — any commit / checkpoint / query whose wall
-  clock crosses ``REPRO_SLOW_OP_MS`` is recorded in
-  :attr:`Telemetry.slow_ops` with its operation span, the page ids it
-  touched and the physical-IO breakdown that explains the time; a disk
-  store's ``io_stats()`` counts them.
 
 ``python -m repro.obs telemetry`` renders a timeline as per-metric
 sparklines (:func:`render_timeline`) or diffs two
@@ -42,15 +35,11 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.config import RunConfig
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_SECONDS,
-    SUMMARY_KEYS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import SUMMARY_KEYS, Histogram
+from repro.obs.report import delta_pct
 
 __all__ = [
     "TIMELINE_SCHEMA",
@@ -72,7 +61,9 @@ TIMELINE_SCHEMA = "repro.obs/telemetry/v1"
 
 
 class Telemetry:
-    """The live metrics substrate: histograms, counters, gauges, slow ops.
+    """The live series, one dict per kind: name → latency
+    :class:`~repro.obs.metrics.Histogram`, name → byte count, and
+    name → gauge callback.
 
     One instance is typically process-wide (:func:`active_telemetry`);
     every durable store registers itself so the pool/WAL gauges
@@ -81,103 +72,33 @@ class Telemetry:
     are cheap enough for hot paths *when reached*, but the design rule
     is stronger: callers hold ``telemetry is None`` guards, so a
     disabled run never even branches into this module.
+
+    The flight recorder reads from its own thread while the workload
+    thread adds series, so readers iterate a copy of each dict (a dict
+    copy is atomic under the GIL), never the dict itself.
     """
 
-    def __init__(
-        self,
-        *,
-        registry: MetricsRegistry | None = None,
-        slow_op_ms: float | None = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.slow_op_seconds: float | None = (
-            slow_op_ms / 1000.0 if slow_op_ms is not None else None
-        )
-        self.slow_ops: list[dict] = []
-        self.started = time.perf_counter()
+    def __init__(self):
+        self.histograms: dict[str, Histogram] = {}
+        self.counters: dict[str, int] = {}
+        self.gauges: dict[str, Callable[[], float]] = {}
         self._stores: "weakref.WeakSet" = weakref.WeakSet()
-        self._store_gauges_registered = False
-        self._lock = threading.Lock()
 
     # -- observation --------------------------------------------------------
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] = LATENCY_BUCKETS_SECONDS
-    ) -> Histogram:
-        return self.registry.histogram(name, buckets)
-
-    def counter(self, name: str):
-        return self.registry.counter(name)
-
-    def gauge(self, name: str, fn=None):
-        return self.registry.gauge(name, fn)
-
     def observe(self, name: str, seconds: float) -> None:
         """Record one latency observation into ``name``'s histogram."""
-        self.registry.histogram(name, LATENCY_BUCKETS_SECONDS).observe(seconds)
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram(name)
+        hist.observe(seconds)
 
     def observe_io(self, op: str, seconds: float, nbytes: int) -> None:
         """The :class:`repro.storage.io.InstrumentedIO` sink."""
-        self.registry.histogram(
-            f"storage.io.{op}_seconds", LATENCY_BUCKETS_SECONDS
-        ).observe(seconds)
+        self.observe(f"storage.io.{op}_seconds", seconds)
         if nbytes:
-            self.registry.counter(f"storage.io.{op}_bytes").inc(nbytes)
-
-    def io_counts(self) -> dict[str, tuple[int, float]]:
-        """Per-op ``(count, total seconds)`` of the IO-latency
-        histograms — cheap to snapshot before and after an operation,
-        so the delta is that operation's physical-IO breakdown."""
-        out: dict[str, tuple[int, float]] = {}
-        prefix, suffix = "storage.io.", "_seconds"
-        for name, hist in self.registry.histograms().items():
-            if name.startswith(prefix) and name.endswith(suffix):
-                out[name[len(prefix):-len(suffix)]] = (hist.count, hist.sum)
-        return out
-
-    # -- slow operations -----------------------------------------------------
-
-    def maybe_slow_op(
-        self,
-        op: str,
-        seconds: float,
-        *,
-        pages: Sequence[int] | None = None,
-        io: Mapping | None = None,
-        detail: Mapping | None = None,
-    ) -> dict | None:
-        """Record ``op`` if it crossed the slow-operation threshold.
-
-        The record carries the operation span (start offset relative to
-        the telemetry epoch plus duration), the page ids the operation
-        touched, and the physical-IO breakdown handed in by the caller
-        — everything needed to answer "why was *this* commit slow"
-        without re-running anything.
-        """
-        threshold = self.slow_op_seconds
-        if threshold is None or seconds < threshold:
-            return None
-        now = time.perf_counter() - self.started
-        record: dict = {
-            "op": op,
-            "seconds": seconds,
-            "threshold_seconds": threshold,
-            "started_seconds": max(0.0, now - seconds),
-            "ended_seconds": now,
-        }
-        if pages is not None:
-            pages = sorted(pages)
-            record["page_count"] = len(pages)
-            record["pages"] = pages[:64]
-        if io:
-            record["io"] = dict(io)
-        if detail:
-            record["detail"] = dict(detail)
-        with self._lock:
-            record["seq"] = len(self.slow_ops)
-            self.slow_ops.append(record)
-        self.counter("telemetry.slow_ops").inc()
-        return record
+            name = f"storage.io.{op}_bytes"
+            self.counters[name] = self.counters.get(name, 0) + nbytes
 
     # -- store registration --------------------------------------------------
 
@@ -190,60 +111,51 @@ class Telemetry:
         the stores only at sampling/export time — zero hot-path cost.
         """
         self._stores.add(store)
-        if self._store_gauges_registered:
+        if "storage.stores" in self.gauges:
             return
-        self._store_gauges_registered = True
 
         def total(fn):
             return lambda: sum(fn(s) for s in list(self._stores))
 
         pool = lambda s: s.pool  # noqa: E731 - tiny local accessor
-        self.gauge("storage.stores", lambda: len(list(self._stores)))
-        self.gauge("storage.pool.resident", total(lambda s: len(pool(s).frames)))
-        self.gauge("storage.pool.pages", total(lambda s: len(pool(s).pages)))
-        self.gauge("storage.pool.dirty", total(lambda s: len(pool(s).dirty)))
-        self.gauge("storage.pool.pinned", total(lambda s: len(s._pinned)))
-        self.gauge(
-            "storage.pool.wal_only",
-            total(
-                lambda s: sum(
-                    1
-                    for m in list(pool(s).pages.values())
-                    if m.durable and not m.on_disk
-                )
-            ),
-        )
-        self.gauge("storage.pool.budget", total(lambda s: pool(s).budget))
-        self.gauge(
-            "storage.wal.bytes_since_checkpoint",
-            total(lambda s: s._wal.size - 8),
+        self.gauges.update(
+            {
+                "storage.stores": lambda: len(list(self._stores)),
+                "storage.pool.resident": total(lambda s: len(pool(s).frames)),
+                "storage.pool.pages": total(lambda s: len(pool(s).pages)),
+                "storage.pool.dirty": total(lambda s: len(pool(s).dirty)),
+                "storage.pool.pinned": total(lambda s: len(s._pinned)),
+                "storage.pool.wal_only": total(
+                    lambda s: sum(
+                        1
+                        for m in list(pool(s).pages.values())
+                        if m.durable and not m.on_disk
+                    )
+                ),
+                "storage.pool.budget": total(lambda s: pool(s).budget),
+                "storage.wal.bytes_since_checkpoint": total(
+                    lambda s: s._wal.size - 8
+                ),
+            }
         )
 
     # -- sampling and summaries ----------------------------------------------
 
     def sample(self) -> dict:
-        """One flight-recorder sample of every registered metric."""
-        registry = self.registry
+        """One flight-recorder sample of every series."""
         return {
-            "counters": {
-                name: counter.value
-                for name, counter in sorted(registry.counters().items())
-            },
+            "counters": dict(sorted(dict(self.counters).items())),
             "gauges": {
-                name: gauge.value
-                for name, gauge in sorted(registry.gauges().items())
+                name: float(fn()) for name, fn in sorted(dict(self.gauges).items())
             },
-            "histograms": {
-                name: hist.summary()
-                for name, hist in sorted(registry.histograms().items())
-            },
+            "histograms": self.latency_summaries(),
         }
 
     def latency_summaries(self) -> dict[str, dict]:
-        """End-of-run summaries of every latency histogram, by name."""
+        """Summaries of every latency histogram, by name."""
         return {
             name: hist.summary()
-            for name, hist in sorted(self.registry.histograms().items())
+            for name, hist in sorted(dict(self.histograms).items())
         }
 
 
@@ -268,19 +180,17 @@ def active_telemetry() -> Telemetry | None:
     """The process-wide telemetry, or ``None`` when disabled.
 
     Explicit (:func:`set_telemetry`) beats environment; with
-    ``REPRO_TELEMETRY=1`` a shared instance (slow-operation threshold
-    from ``REPRO_SLOW_OP_MS``) is created on first use so every store,
-    bench and query driver in the process reports into one registry —
-    which is exactly what the flight recorder samples.
+    ``REPRO_TELEMETRY=1`` a shared instance is created on first use so
+    every store, bench and query driver in the process reports into one
+    set of series — which is exactly what the flight recorder samples.
     """
     if _EXPLICIT is not None:
         return _EXPLICIT
-    config = RunConfig.from_env()
-    if not config.telemetry:
+    if not RunConfig.from_env().telemetry:
         return None
     global _ENV_INSTANCE
     if _ENV_INSTANCE is None:
-        _ENV_INSTANCE = Telemetry(slow_op_ms=config.slow_op_ms)
+        _ENV_INSTANCE = Telemetry()
     return _ENV_INSTANCE
 
 
@@ -516,8 +426,8 @@ def validate_io_stats(stats: Mapping) -> list[str]:
     """Shape-check a ``DiskPageStore.io_stats()`` document.
 
     Pins the keys the run-report ``storage`` block relies on; the
-    ``latency`` / ``write_amplification`` / ``slow_ops`` fields are
-    additive (present only under telemetry) and validated when present.
+    additive ``latency`` (present only under telemetry) and
+    ``write_amplification`` fields are validated when present.
     """
     problems: list[str] = []
     if not isinstance(stats, Mapping):
@@ -559,8 +469,6 @@ def validate_io_stats(stats: Mapping) -> list[str]:
         stats["write_amplification"], (int, float)
     ):
         problems.append("write_amplification is not numeric")
-    if "slow_ops" in stats and not isinstance(stats["slow_ops"], int):
-        problems.append("slow_ops is not an integer")
     return problems
 
 
@@ -659,6 +567,7 @@ def diff_timelines(
     for name in sorted(set(old_series) & set(new_series)):
         a = old_series[name][-1] if old_series[name] else 0.0
         b = new_series[name][-1] if new_series[name] else 0.0
-        delta = 100.0 * (b - a) / a if a else 0.0
-        rows.append({"metric": name, "old": a, "new": b, "delta_pct": delta})
+        rows.append(
+            {"metric": name, "old": a, "new": b, "delta_pct": delta_pct(a, b)}
+        )
     return rows

@@ -288,6 +288,15 @@ class RPlusTree(SpatialAccessMethod):
         """Split an inner page, force-splitting crossing children."""
         axis, value = self._choose_inner_plane(node, region)
         left_region, right_region = region.split_at(axis, value)
+        right_pid = self._split_inner_at(pid, node, axis, value)
+        return (left_region, pid), (right_region, right_pid)
+
+    def _split_inner_at(
+        self, pid: int, node: _Inner, axis: int, value: float
+    ) -> int:
+        """Split the already-held inner ``node`` at the plane; crossing
+        children are force-split.  ``node`` keeps the left half, and the
+        right half's new page id is returned."""
         left = _Inner(leaf_children=node.leaf_children)
         right = _Inner(leaf_children=node.leaf_children)
         for child_region, child_pid in zip(node.regions, node.pids):
@@ -310,7 +319,7 @@ class RPlusTree(SpatialAccessMethod):
         right_pid = self.store.allocate(PageKind.DIRECTORY, right)
         self.store.write(pid)
         self.store.write(right_pid)
-        return (left_region, pid), (right_region, right_pid)
+        return right_pid
 
     def _choose_inner_plane(self, node: _Inner, region: Rect) -> tuple[int, float]:
         best = None
@@ -352,29 +361,7 @@ class RPlusTree(SpatialAccessMethod):
             self.store.write(right_pid)
             return pid, right_pid
         node: _Inner = self.store.read(pid)
-        left = _Inner(leaf_children=node.leaf_children)
-        right = _Inner(leaf_children=node.leaf_children)
-        for child_region, child_pid in zip(node.regions, node.pids):
-            if child_region.hi[axis] <= value:
-                left.regions.append(child_region)
-                left.pids.append(child_pid)
-            elif child_region.lo[axis] >= value:
-                right.regions.append(child_region)
-                right.pids.append(child_pid)
-            else:
-                l_region, r_region = child_region.split_at(axis, value)
-                l_pid, r_pid = self._force_split(
-                    child_pid, node.leaf_children, axis, value
-                )
-                left.regions.append(l_region)
-                left.pids.append(l_pid)
-                right.regions.append(r_region)
-                right.pids.append(r_pid)
-        node.regions, node.pids = left.regions, left.pids
-        right_pid = self.store.allocate(PageKind.DIRECTORY, right)
-        self.store.write(pid)
-        self.store.write(right_pid)
-        return pid, right_pid
+        return pid, self._split_inner_at(pid, node, axis, value)
 
     # -- queries ------------------------------------------------------------------------
 

@@ -629,8 +629,8 @@ class DiskPageStore(PageStore):
         module never imports :mod:`repro.obs`).  When set, the IO
         provider is wrapped in :class:`~repro.storage.io.InstrumentedIO`
         so every pread/pwrite/fsync lands in a latency histogram,
-        commits/checkpoints/evictions are timed, the store's pool and
-        WAL state is exposed as gauges, and slow operations are logged.
+        commits/checkpoints/evictions are timed, and the store's pool
+        and WAL state is exposed as gauges.
         Telemetry is strictly additive: charged access statistics and
         query results are bit-identical with it on or off.
     """
@@ -672,7 +672,6 @@ class DiskPageStore(PageStore):
         self._pin_dirty = False
         self._closed = False
         self._in_checkpoint = False
-        self._last_commit_pages: list[int] = []
 
         # The sidecar is the store's existence ground truth: it lands
         # (atomically) only after the page file and WAL headers are
@@ -764,38 +763,14 @@ class DiskPageStore(PageStore):
         self._wal.append(*args)
         telem.observe("storage.wal.append_seconds", time.perf_counter() - start)
 
-    def _io_breakdown(self, wal_before: dict, io_before: dict) -> dict:
-        """What physically happened during an operation span: the delta
-        of the WAL counters and of every IO-latency histogram."""
-        wal_now = self._wal.stats()
-        out = {
-            "wal_records": wal_now["records"] - wal_before["records"],
-            "wal_bytes": wal_now["bytes"] - wal_before["bytes"],
-        }
-        for op, (count, seconds) in self._telemetry.io_counts().items():
-            before_count, before_seconds = io_before.get(op, (0, 0.0))
-            if count > before_count:
-                out[f"{op}s"] = count - before_count
-                out[f"{op}_seconds"] = seconds - before_seconds
-        return out
-
     def commit(self, meta: Any | None = None) -> bool:
         telem = self._telemetry
         if telem is None:
             return self._commit_inner(meta)
-        wal_before = self._wal.stats()
-        io_before = telem.io_counts()
         start = time.perf_counter()
         committed = self._commit_inner(meta)
         if committed:
-            seconds = time.perf_counter() - start
-            telem.observe("storage.commit_seconds", seconds)
-            telem.maybe_slow_op(
-                "commit",
-                seconds,
-                pages=self._last_commit_pages,
-                io=self._io_breakdown(wal_before, io_before),
-            )
+            telem.observe("storage.commit_seconds", time.perf_counter() - start)
         return committed
 
     def _commit_inner(self, meta: Any | None = None) -> bool:
@@ -830,7 +805,6 @@ class DiskPageStore(PageStore):
                 pool.silent_dirty += 1
                 pool.mark_dirty(pid)
                 payloads[pid] = payload
-        self._last_commit_pages = sorted(pool.dirty | pool.freed)
         for pid in sorted(pool.dirty):
             payload = payloads.get(pid)
             if payload is None:
@@ -878,25 +852,9 @@ class DiskPageStore(PageStore):
         if telem is None:
             self._checkpoint_inner()
             return
-        wal_before = self._wal.stats()
-        io_before = telem.io_counts()
-        # Every resident page whose slot image is stale (dirty or
-        # WAL-only) is what this checkpoint will push to the page file.
-        stale = [
-            pid
-            for pid in self.pool.frames
-            if not self.pool.pages[pid].on_disk
-        ]
         start = time.perf_counter()
         self._checkpoint_inner()
-        seconds = time.perf_counter() - start
-        telem.observe("storage.checkpoint_seconds", seconds)
-        telem.maybe_slow_op(
-            "checkpoint",
-            seconds,
-            pages=stale,
-            io=self._io_breakdown(wal_before, io_before),
-        )
+        telem.observe("storage.checkpoint_seconds", time.perf_counter() - start)
 
     def _checkpoint_inner(self) -> None:
         self._in_checkpoint = True
@@ -1076,8 +1034,8 @@ class DiskPageStore(PageStore):
         ``write_amplification`` — total physical bytes written (WAL plus
         page-file) over the live committed payload bytes — is always
         present and deterministic for a deterministic workload; the
-        ``latency`` summaries and ``slow_ops`` count are additive and
-        appear only when telemetry is attached.
+        ``latency`` summaries are additive and appear only when
+        telemetry is attached.
         """
         pool = self.pool
         live_bytes = sum(
@@ -1103,7 +1061,6 @@ class DiskPageStore(PageStore):
                 for name, summary in telem.latency_summaries().items()
                 if name.startswith("storage.")
             }
-            out["slow_ops"] = len(telem.slow_ops)
         return out
 
 

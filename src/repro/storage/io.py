@@ -20,11 +20,9 @@ provider.  All randomness comes from one seeded :class:`random.Random`,
 so a given ``(seed, fail_after, mode)`` triple always produces the same
 torn length / flipped bit — reproducers stay reproducible.
 
-Two further decorators compose around any provider:
+A further decorator composes around any provider:
 :class:`InstrumentedIO` times every ``pread``/``pwrite``/``fsync`` into
-a telemetry sink (:mod:`repro.obs.telemetry`), and :class:`DelayingIO`
-injects deterministic latency — the slow-disk model the slow-operation
-records are tested against.
+a telemetry sink (:mod:`repro.obs.telemetry`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from pathlib import Path
 from random import Random
 
 __all__ = [
-    "DelayingIO",
     "FaultInjectingIO",
     "FileHandle",
     "InjectedCrash",
@@ -201,72 +198,6 @@ class InstrumentedIO(IOProvider):
         start = time.perf_counter()
         self.base.replace(src, dst)
         self.sink.observe_io("replace", time.perf_counter() - start, 0)
-
-    def remove(self, path: str | Path) -> None:
-        self.base.remove(path)
-
-
-class _DelayingHandle(_ForwardingHandle):
-    """Sleeps before delegating — a deterministic slow device."""
-
-    def __init__(self, inner: FileHandle, provider: "DelayingIO"):
-        super().__init__(inner)
-        self._provider = provider
-
-    def pread(self, n: int, offset: int) -> bytes:
-        self._provider.sleep("pread")
-        return self._inner.pread(n, offset)
-
-    def pwrite(self, data: bytes, offset: int) -> int:
-        self._provider.sleep("pwrite")
-        return self._inner.pwrite(data, offset)
-
-    def fsync(self) -> None:
-        self._provider.sleep("fsync")
-        self._inner.fsync()
-
-
-class DelayingIO(IOProvider):
-    """Deterministic latency injection around a base :class:`IOProvider`.
-
-    The timing counterpart of :class:`FaultInjectingIO`: instead of
-    crashing at write *N*, every operation of a chosen kind is slowed by
-    a fixed delay, which is how tests manufacture a disk whose ``fsync``
-    reliably crosses the slow-operation threshold.  Delays are plain
-    ``time.sleep`` calls, so they are visible to any latency histogram
-    wrapped around this provider and to the wall clock alike.
-    """
-
-    def __init__(
-        self,
-        base: IOProvider | None = None,
-        *,
-        pread_delay: float = 0.0,
-        pwrite_delay: float = 0.0,
-        fsync_delay: float = 0.0,
-    ):
-        self.base = base if base is not None else OsFileIO()
-        self.delays = {
-            "pread": pread_delay,
-            "pwrite": pwrite_delay,
-            "fsync": fsync_delay,
-        }
-        self.slept = {"pread": 0, "pwrite": 0, "fsync": 0}
-
-    def sleep(self, op: str) -> None:
-        delay = self.delays.get(op, 0.0)
-        if delay > 0.0:
-            self.slept[op] += 1
-            time.sleep(delay)
-
-    def open(self, path: str | Path) -> FileHandle:
-        return _DelayingHandle(self.base.open(path), self)  # type: ignore[return-value]
-
-    def exists(self, path: str | Path) -> bool:
-        return self.base.exists(path)
-
-    def replace(self, src: str | Path, dst: str | Path) -> None:
-        self.base.replace(src, dst)
 
     def remove(self, path: str | Path) -> None:
         self.base.remove(path)

@@ -36,13 +36,6 @@ ROWS = [
     ("bench_workers", "-2", ValueError),
     ("bench_workers", "off", ValueError),
     ("bench_workers", "four", ValueError),
-    ("slow_op_ms", "", None),
-    ("slow_op_ms", "0", 0.0),
-    ("slow_op_ms", "2.5", 2.5),
-    ("slow_op_ms", "-1", ValueError),
-    ("slow_op_ms", "nan", ValueError),
-    ("slow_op_ms", "off", ValueError),
-    ("slow_op_ms", "abc", ValueError),
     ("store_backend", "", "sim"),
     ("store_backend", "sim", "sim"),
     ("store_backend", " DISK ", "disk"),
@@ -55,7 +48,6 @@ DEFECTS = {
     ("audit", "none"),
     ("explain", "none"),
     ("build_cache", "1"),
-    ("slow_op_ms", "abc"),
     ("bench_workers", "four"),
     ("bench_scale", "2k"),
 }
@@ -87,7 +79,7 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 11
+    assert len(fields(RunConfig)) == 10
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():

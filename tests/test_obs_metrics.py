@@ -1,43 +1,75 @@
-"""Tests for counters, gauges, histograms and the registry."""
+"""Tests for histograms: exact summaries and export-time bucketing."""
+
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    DEFAULT_ACCESS_BUCKETS,
-    LATENCY_BUCKETS_SECONDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
+from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, Histogram
+
+
+def _brute_force_buckets(samples) -> list[dict]:
+    """Count each sample into ``(prev, le]`` of the default ladder."""
+    bounds = [*DEFAULT_ACCESS_BUCKETS, math.inf]
+    counts = [0] * len(bounds)
+    for value in samples:
+        prev = -math.inf
+        for i, le in enumerate(bounds):
+            if prev < value <= le:
+                counts[i] += 1
+            prev = le
+    return [
+        {"le": "+Inf" if math.isinf(le) else float(le), "count": n}
+        for le, n in zip(bounds, counts)
+    ]
+
+
+#: Samples on every bound, just either side of it, 0, and past 4096.
+_EDGES = sorted(
+    {0, *DEFAULT_ACCESS_BUCKETS}
+    | {b + 1 for b in DEFAULT_ACCESS_BUCKETS}
+    | {b - 0.5 for b in DEFAULT_ACCESS_BUCKETS}
+    | {5000, 100_000}
 )
-
-
-class TestCounter:
-    def test_inc(self):
-        c = Counter("ops")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_monotone(self):
-        with pytest.raises(ValueError):
-            Counter("ops").inc(-1)
 
 
 class TestHistogram:
     def test_empty_summary(self):
-        h = Histogram("empty")
+        h = Histogram("x")
         s = h.summary()
         assert s["count"] == 0 and s["p99"] == 0.0 and s["mean"] == 0.0
+        assert all(b["count"] == 0 for b in h.as_dict()["buckets"])
 
     def test_bucketing(self):
-        h = Histogram("x", buckets=(1, 2, 4))
-        for v in (0, 1, 2, 3, 4, 100):
+        h = Histogram("x")
+        for v in (0, 1, 2, 3, 4, 100, 4096, 4097):
             h.observe(v)
-        # le=1: {0,1}, le=2: {2}, le=4: {3,4}, +Inf: {100}
-        assert h.bucket_counts == [2, 1, 2, 1]
-        bucket_dump = h.as_dict()["buckets"]
-        assert bucket_dump[-1]["le"] == "+Inf" and bucket_dump[-1]["count"] == 1
+        counts = {b["le"]: b["count"] for b in h.as_dict()["buckets"]}
+        # le=1: {0,1}, le=2: {2}, le=4: {3,4}, le=128: {100},
+        # le=4096: {4096}, +Inf: {4097}
+        assert counts == {
+            **{float(le): 0 for le in DEFAULT_ACCESS_BUCKETS},
+            1.0: 2, 2.0: 1, 4.0: 2, 128.0: 1, 4096.0: 1, "+Inf": 1,
+        }
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGES),
+                st.integers(min_value=0, max_value=10_000),
+                st.floats(min_value=0, max_value=10_000, allow_nan=False),
+            ),
+            max_size=60,
+        )
+    )
+    def test_export_buckets_match_brute_force(self, samples):
+        h = Histogram("x")
+        for v in samples:
+            h.observe(v)
+        out = h.as_dict()
+        assert out["buckets"] == _brute_force_buckets(samples)
+        assert sum(b["count"] for b in out["buckets"]) == out["count"] == len(samples)
 
     def test_exact_percentiles_nearest_rank(self):
         h = Histogram("x")
@@ -66,74 +98,9 @@ class TestHistogram:
         assert s["count"] == 3 and s["sum"] == 12 and s["mean"] == 4.0
         assert s["min"] == 2 and s["max"] == 6
 
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("x", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("x", buckets=(4, 2, 1))
-
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError):
             Histogram("x").percentile(101)
 
     def test_default_buckets_ascending(self):
         assert list(DEFAULT_ACCESS_BUCKETS) == sorted(DEFAULT_ACCESS_BUCKETS)
-
-    def test_latency_preset_ascending_and_spans_us_to_seconds(self):
-        assert list(LATENCY_BUCKETS_SECONDS) == sorted(LATENCY_BUCKETS_SECONDS)
-        assert LATENCY_BUCKETS_SECONDS[0] <= 1e-6  # SSD-cache-hit preads
-        assert LATENCY_BUCKETS_SECONDS[-1] >= 10.0  # multi-second checkpoints
-
-    def test_latency_preset_percentiles_stay_exact(self):
-        """Bucket boundaries never coarsen percentiles: observations are
-        kept verbatim, so p99 of a latency histogram is the exact
-        nearest-rank sample even between bucket bounds."""
-        h = Histogram("fsync_seconds", buckets=LATENCY_BUCKETS_SECONDS)
-        samples = [0.0000017 * (i + 1) for i in range(100)]  # off-boundary
-        for v in samples:
-            h.observe(v)
-        assert h.percentile(50) == samples[49]
-        assert h.percentile(99) == samples[98]
-        assert h.percentile(100) == samples[99]
-        # and the bucket counts add up to the sample count regardless
-        assert sum(h.bucket_counts) == 100
-
-
-class TestGauge:
-    def test_direct_set(self):
-        g = Gauge("pool.resident")
-        assert g.value == 0.0
-        g.set(7)
-        assert g.value == 7.0
-
-    def test_callback_gauge_reads_live_state(self):
-        frames = []
-        g = Gauge("pool.resident", fn=lambda: len(frames))
-        assert g.value == 0.0
-        frames.extend([1, 2, 3])
-        assert g.value == 3.0
-
-    def test_set_on_callback_gauge_rejected(self):
-        g = Gauge("x", fn=lambda: 1)
-        with pytest.raises(ValueError, match="callback"):
-            g.set(5)
-
-    def test_rebinding_latest_wins(self):
-        g = Gauge("x")
-        g.set(2)
-        g.set_function(lambda: 9)
-        assert g.value == 9.0
-
-
-class TestRegistry:
-    def test_get_or_create(self):
-        r = MetricsRegistry()
-        assert r.counter("a") is r.counter("a")
-        assert r.histogram("h") is r.histogram("h")
-        assert r.gauge("g") is r.gauge("g")
-
-    def test_gauge_rebind_through_registry(self):
-        r = MetricsRegistry()
-        g = r.gauge("pool.resident", lambda: 1)
-        assert r.gauge("pool.resident", lambda: 5) is g
-        assert g.value == 5.0

@@ -15,6 +15,7 @@ from repro.obs.export import (
 from repro.obs.__main__ import main
 from repro.obs.report import diff_reports
 from repro.obs.runner import traced_pam_run, traced_sam_run
+from repro.obs.telemetry import diff_timelines
 from repro.obs.tracer import Span
 from repro.pam.buddytree import BuddyTree
 from repro.pam.twolevelgrid import TwoLevelGridFile
@@ -231,3 +232,25 @@ class TestReportCli:
         _, _, report = pam_run
         rows = diff_reports(report, report)
         assert rows and all(row["delta_pct"] == 0.0 for row in rows)
+
+    def test_diff_flags_regression_from_zero_baseline(self, pam_run, tmp_path, capsys):
+        """A query that cost nothing before and something now is a
+        regression past any threshold, not a +0.0% change."""
+        _, _, report = pam_run
+        free = copy.deepcopy(report.to_dict())
+        free["structures"]["GRID"]["queries"]["range_1%"]["accesses"]["mean"] = 0.0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(free), encoding="utf-8")
+        costly = copy.deepcopy(free)
+        costly["structures"]["GRID"]["queries"]["range_1%"]["accesses"]["mean"] = 3.0
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(costly), encoding="utf-8")
+
+        assert main(["report", str(old), str(new), "--fail-threshold", "0"]) == 2
+        assert "+inf%  REGRESSION" in capsys.readouterr().out
+        rows = diff_reports(RunReport.from_dict(free), RunReport.from_dict(costly))
+        by_label = {(r["structure"], r["label"]): r["delta_pct"] for r in rows}
+        assert by_label["GRID", "range_1%"] == float("inf")
+        assert diff_timelines(
+            [{"counters": {"ops": 0}}], [{"counters": {"ops": 3}}]
+        ) == [{"metric": "ops", "old": 0.0, "new": 3.0, "delta_pct": float("inf")}]

@@ -6,8 +6,7 @@ The contract under test, in order of importance:
    (query results, charged stats, explain traces, structure snapshots)
    is identical to a telemetry-off run, on both store backends.
 2. The flight recorder is schema-valid and deterministic where it
-   claims to be (merges); slow operations are recorded with their span
-   and IO breakdown.
+   claims to be (merges).
 3. ``DiskPageStore.io_stats()`` keeps its pinned key set, and the
    run-report ``storage`` block round-trips through the report CLI.
 """
@@ -20,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs.__main__ import main as obs_main
-from repro.obs.metrics import LATENCY_BUCKETS_SECONDS
 from repro.obs.telemetry import (
     IO_STATS_KEYS,
     IO_STATS_PAGEFILE_KEYS,
@@ -37,7 +35,6 @@ from repro.obs.telemetry import (
     validate_timeline,
 )
 from repro.storage.disk import DiskPageStore
-from repro.storage.io import DelayingIO
 from repro.storage.page import PageKind
 from repro.verify.fuzz import STRUCTURES, make_ops
 
@@ -83,37 +80,24 @@ class TestTelemetryCore:
         telem.observe_io("pread", 0.002, 512)
         telem.observe_io("pread", 0.004, 512)
         telem.observe_io("fsync", 0.01, 0)
-        hists = telem.registry.histograms()
+        hists = telem.histograms
         assert hists["storage.io.pread_seconds"].count == 2
         assert hists["storage.io.fsync_seconds"].count == 1
-        counters = telem.registry.counters()
-        assert counters["storage.io.pread_bytes"].value == 1024
+        assert telem.counters["storage.io.pread_bytes"] == 1024
         # zero-byte ops (fsync) never create a bytes counter
-        assert "storage.io.fsync_bytes" not in counters
-
-    def test_io_counts_deltas_name_the_op(self):
-        telem = Telemetry()
-        telem.observe_io("pwrite", 0.001, 64)
-        telem.observe_io("pwrite", 0.003, 64)
-        counts = telem.io_counts()
-        assert counts["pwrite"][0] == 2
-        assert counts["pwrite"][1] == pytest.approx(0.004)
+        assert "storage.io.fsync_bytes" not in telem.counters
 
     def test_summary_matches_exact_percentiles(self):
         telem = Telemetry()
-        hist = telem.histogram("x")
         for v in range(1, 101):
-            hist.observe(float(v))
-        summary = hist.summary()
+            telem.observe("x", float(v))
+        hist = telem.histograms["x"]
+        summary = telem.latency_summaries()["x"]
         assert summary["count"] == 100
         assert summary["p50"] == hist.percentile(50) == 50
         assert summary["p90"] == hist.percentile(90) == 90
         assert summary["p99"] == hist.percentile(99) == 99
         assert summary["min"] == 1 and summary["max"] == 100
-
-    def test_default_buckets_are_the_latency_preset(self):
-        telem = Telemetry()
-        assert telem.histogram("anything").buckets == LATENCY_BUCKETS_SECONDS
 
     def test_explicit_instance_beats_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
@@ -129,74 +113,6 @@ class TestTelemetryCore:
         first = active_telemetry()
         assert first is not None
         assert active_telemetry() is first
-
-
-class TestSlowOps:
-    def test_disabled_without_threshold(self):
-        telem = Telemetry()  # no slow_op_ms, no env
-        assert telem.slow_op_seconds is None
-        assert telem.maybe_slow_op("commit", 100.0) is None
-        assert telem.slow_ops == []
-
-    def test_below_threshold_not_recorded(self):
-        telem = Telemetry(slow_op_ms=50)
-        assert telem.maybe_slow_op("commit", 0.01) is None
-
-    def test_record_shape_pages_and_io(self):
-        telem = Telemetry(slow_op_ms=10)
-        record = telem.maybe_slow_op(
-            "commit",
-            0.5,
-            pages=list(range(200, 0, -1)),
-            io={"fsyncs": 2, "fsync_seconds": 0.4},
-            detail={"kind": "range"},
-        )
-        assert record["op"] == "commit"
-        assert record["seconds"] == 0.5
-        assert record["threshold_seconds"] == pytest.approx(0.01)
-        # the span start clamps at the telemetry epoch
-        assert record["started_seconds"] == pytest.approx(
-            max(0.0, record["ended_seconds"] - 0.5)
-        )
-        assert record["page_count"] == 200
-        assert record["pages"] == list(range(1, 65))  # sorted, truncated
-        assert record["io"]["fsyncs"] == 2
-        assert record["detail"] == {"kind": "range"}
-        assert record["seq"] == 0
-
-    def test_slow_commit_names_its_fsync(self, tmp_path):
-        """ISSUE satellite: a deliberately slowed fsync must produce
-        exactly one slow-op record whose span and IO breakdown blame
-        the fsync."""
-        telem = Telemetry(slow_op_ms=10)
-        io = DelayingIO(fsync_delay=0.05)
-        store = DiskPageStore(
-            tmp_path / "store",
-            page_size=512,
-            pool_pages=8,
-            fsync=True,
-            io=io,
-            telemetry=telem,
-        )
-        pid = store.allocate(PageKind.DATA, {"x": 1})
-        store.commit()
-        commits = [r for r in telem.slow_ops if r["op"] == "commit"]
-        assert len(commits) == 1
-        record = commits[0]
-        assert record["seconds"] >= 0.05
-        assert pid in record["pages"]
-        assert record["io"]["fsyncs"] >= 1
-        assert record["io"]["fsync_seconds"] >= 0.05
-        assert record["io"]["wal_records"] >= 1
-        assert record["io"]["wal_bytes"] > 0
-        assert io.slept["fsync"] >= 1
-        store.close()
-
-    def test_fast_commit_records_nothing(self, tmp_path):
-        telem = Telemetry(slow_op_ms=60000)
-        store, _ = _disk_workload(tmp_path, telem)
-        assert [r for r in telem.slow_ops if r["op"] == "commit"] == []
-        store.close()
 
 
 IDENTITY_STRUCTURES = ("GRID-1", "BUDDY+", "R")
@@ -225,7 +141,7 @@ class TestBitIdentity:
             ops,
         )
 
-        telem = Telemetry(slow_op_ms=0.0)  # record *everything* as slow
+        telem = Telemetry()
         set_telemetry(telem)  # the query driver also observes
         on_sim = _run_backend(make_store(page_size, backend="sim"), spec, ops)
         disk = DiskPageStore(
@@ -242,10 +158,8 @@ class TestBitIdentity:
             assert on_disk[key] == baseline_disk[key], f"disk {key} diverged"
 
         # ...and the instrumentation genuinely measured the disk run.
-        counts = telem.io_counts()
-        assert counts.get("pwrite", (0, 0))[0] > 0
-        assert telem.registry.histograms()["storage.commit_seconds"].count > 0
-        assert any(r["op"] == "commit" for r in telem.slow_ops)
+        assert telem.histograms["storage.io.pwrite_seconds"].count > 0
+        assert telem.histograms["storage.commit_seconds"].count > 0
         disk.close()
 
 
@@ -253,10 +167,9 @@ class TestFlightRecorder:
     def test_records_validates_and_finalises(self, tmp_path):
         telem = Telemetry()
         path = tmp_path / "timeline.jsonl"
-        ops = telem.counter("ops")
         with FlightRecorder(telem, path, interval_seconds=0.01, label="unit"):
-            for _ in range(50):
-                ops.inc()
+            for i in range(50):
+                telem.counters["ops"] = i + 1
                 telem.observe("x_seconds", 0.001)
         assert validate_timeline(*read_timeline(path)) == []
         header, samples = read_timeline(path)
@@ -306,12 +219,11 @@ class TestFlightRecorder:
 class TestMergeTimelines:
     def _record(self, tmp_path, worker: str, n: int):
         telem = Telemetry()
-        counter = telem.counter("ops")
         path = tmp_path / f"timeline-{worker}.jsonl"
         recorder = FlightRecorder(
             telem, path, interval_seconds=60.0, label=worker, worker=worker
         ).start()
-        counter.inc(n)
+        telem.counters["ops"] = n
         recorder.stop()
         return path
 
@@ -355,12 +267,12 @@ class TestIoStatsSchema:
         assert "latency" not in stats  # additive: telemetry-only
         store.close()
 
-    def test_telemetry_adds_latency_and_slow_ops(self, tmp_path):
-        telem = Telemetry(slow_op_ms=0.0)
+    def test_telemetry_adds_latency(self, tmp_path):
+        telem = Telemetry()
         store, _ = _disk_workload(tmp_path, telem)
         stats = store.io_stats()
         assert validate_io_stats(stats) == []
-        assert stats["slow_ops"] == len(telem.slow_ops) > 0
+        assert set(stats) == {*IO_STATS_KEYS, "write_amplification", "latency"}
         latency = stats["latency"]
         assert latency["storage.commit_seconds"]["count"] >= 1
         assert latency["storage.io.pwrite_seconds"]["count"] >= 1
@@ -403,7 +315,7 @@ class TestIoStatsSchema:
 class TestCli:
     def _timeline(self, tmp_path):
         telem = Telemetry()
-        telem.counter("ops").inc(5)
+        telem.counters["ops"] = 5
         telem.observe("x_seconds", 0.01)
         recorder = FlightRecorder(
             telem, tmp_path / "t.jsonl", interval_seconds=60.0, label="cli"
@@ -450,6 +362,7 @@ class TestCli:
 
 class TestDriverAndParallelTelemetry:
     def test_query_driver_observes_latency_and_slow_queries(self):
+        """Every query lands in the latency histogram."""
         from repro.geometry.rect import Rect
         from repro.query.driver import run_query_file
         from repro.storage.factory import make_store
@@ -458,16 +371,11 @@ class TestDriverAndParallelTelemetry:
         am = spec["factory"](make_store(512, backend="sim"))
         for i in range(50):
             am.insert((i / 50.0, (i * 7 % 50) / 50.0), i)
-        telem = Telemetry(slow_op_ms=0.0)
+        telem = Telemetry()
         set_telemetry(telem)
         queries = [Rect((0.0, 0.0), (0.5, 0.5)), Rect((0.2, 0.2), (0.9, 0.9))]
         run_query_file(am, "range", queries, am.range_query)
-        assert telem.registry.histograms()["query.latency_seconds"].count == 2
-        slow = [r for r in telem.slow_ops if r["op"] == "query"]
-        assert len(slow) == 2
-        assert slow[0]["detail"]["kind"] == "range"
-        assert slow[0]["detail"]["index"] == 0
-        assert "cost" in slow[0]["detail"]
+        assert telem.histograms["query.latency_seconds"].count == 2
 
     def test_parallel_jobs_write_mergeable_timelines(self, tmp_path, monkeypatch):
         from repro.parallel.runner import run_parallel_experiment
