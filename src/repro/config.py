@@ -94,10 +94,8 @@ class RunConfig:
     store_dir: Path | bool = _var(parse_location, False)
     #: Destroy evicted page objects so stale references fail loudly.
     store_poison: bool = _var(_flag, False)
-    #: Live storage telemetry (:mod:`repro.obs.telemetry`).
+    #: Per-store IO latency in ``io_stats()`` (:mod:`repro.obs.telemetry`).
     telemetry: bool = _var(_flag, False)
-    #: Per-job timeline directory (on: ``results/telemetry``).
-    telemetry_dir: Path | bool = _var(parse_location, False)
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] = os.environ) -> "RunConfig":

@@ -6,12 +6,12 @@ package makes those counts observable at every granularity:
 * :mod:`repro.obs.tracer` — a low-overhead :class:`Tracer` that attaches
   to a :class:`~repro.storage.pagestore.PageStore` as its observer and
   records one :class:`Span` per bracketed operation (insert / delete /
-  query), optionally down to individual page-access events.
+  query).
 * :mod:`repro.obs.metrics` — :class:`Histogram`, with exact percentile
   summaries (p50/p90/p99/max) and page-access buckets counted at export.
-* :mod:`repro.obs.export` — exporters: a JSONL trace sink, human-readable
-  table rendering and the structured :class:`RunReport` JSON that every
-  benchmark emits alongside its ``results/*.txt`` table.
+* :mod:`repro.obs.export` — human-readable table rendering and the
+  structured :class:`RunReport` JSON that every benchmark emits
+  alongside its ``results/*.txt`` table.
 * :mod:`repro.obs.runner` — :func:`traced_pam_run` /
   :func:`traced_sam_run`, which wrap the §3/§7 experiment driver with a
   tracer and produce a :class:`RunReport`.
@@ -25,11 +25,11 @@ package makes those counts observable at every granularity:
   (:func:`compute_snapshot`): occupancy and depth profiles plus
   first-class redundancy metrics (duplication factor, overlap volume,
   dead space, coverage).
-* :mod:`repro.obs.telemetry` — physical-IO latency histograms and the
-  flight-recorder timeline of the durable backend.
+* :mod:`repro.obs.telemetry` — one durable store's physical-IO latency
+  histograms, reported in its ``io_stats()``, and that document's schema.
 
-``python -m repro.obs report|explain|telemetry|validate`` is the one
-command line over all of these artefacts (:mod:`repro.obs.__main__`).
+``python -m repro.obs report|explain|validate`` is the one command line
+over all of these artefacts (:mod:`repro.obs.__main__`).
 
 Tracing is strictly additive: the observer hook never changes which
 accesses are charged, so an instrumented run reports exactly the same
@@ -46,7 +46,6 @@ from repro.obs.explain import (
 )
 from repro.obs.export import (
     RUN_REPORT_SCHEMA,
-    JsonlTraceSink,
     RunReport,
     build_run_report,
     summarise_spans,
@@ -65,20 +64,17 @@ from repro.obs.structure import (
 )
 from repro.obs.tracer import (
     BUILD_OPS,
-    AccessEvent,
     Span,
     StoreObserver,
     Tracer,
 )
 
 __all__ = [
-    "AccessEvent",
     "BUILD_OPS",
     "DEFAULT_ACCESS_BUCKETS",
     "EXPLAIN_SCHEMA",
     "ExplainRecorder",
     "Histogram",
-    "JsonlTraceSink",
     "PageView",
     "RUN_REPORT_SCHEMA",
     "RunReport",

@@ -5,9 +5,7 @@ Usage::
     python -m repro.obs report RUN.json                  # per-op cost table
     python -m repro.obs report OLD.json NEW.json --fail-threshold 5
     python -m repro.obs explain TRACE.json --format heatmap
-    python -m repro.obs telemetry render TIMELINE.jsonl --metric 'storage.*'
-    python -m repro.obs telemetry diff OLD.jsonl NEW.jsonl
-    python -m repro.obs validate FILE...                 # any of the four schemas
+    python -m repro.obs validate FILE...                 # any of the three schemas
 
 Every verb reads its inputs through :func:`load`, so all of them fail
 the same way.  Exit status: 0 ok; 1 an input is unreadable, is not the
@@ -34,65 +32,53 @@ from repro.obs.explain import (
 from repro.obs.export import RUN_REPORT_SCHEMA, RunReport, validate_run_report
 from repro.obs.report import diff_reports, format_diff
 from repro.obs.structure import SNAPSHOT_SCHEMA, validate_snapshot
-from repro.obs.telemetry import (
-    TIMELINE_SCHEMA,
-    diff_timelines,
-    render_timeline,
-    timeline_parts,
-    validate_timeline,
-)
 
 __all__ = ["load", "main"]
 
-#: Schema -> validator over the documents :func:`load` returns.
-VALIDATORS: dict[str, Callable[[list[dict]], list[str]]] = {
-    RUN_REPORT_SCHEMA: lambda docs: validate_run_report(docs[0]),
-    EXPLAIN_SCHEMA: lambda docs: validate_explain(docs[0]),
-    SNAPSHOT_SCHEMA: lambda docs: validate_snapshot(docs[0]),
-    TIMELINE_SCHEMA: lambda docs: validate_timeline(*timeline_parts(docs)),
+#: Schema -> validator of the document :func:`load` returns.
+VALIDATORS: dict[str, Callable[[dict], list[str]]] = {
+    RUN_REPORT_SCHEMA: validate_run_report,
+    EXPLAIN_SCHEMA: validate_explain,
+    SNAPSHOT_SCHEMA: validate_snapshot,
 }
 
 
-def load(path: str, schema: str | None = None) -> list[dict]:
-    """Read ``path`` once and return the validated JSON objects in it.
+def load(path: str, schema: str | None = None) -> dict:
+    """Read ``path`` once and return the validated JSON object in it.
 
-    A JSON file yields one object, a JSONL file one per line; the first
-    carries the ``schema`` key that names the file's kind.  Raises
+    The object's ``schema`` key names the file's kind.  Raises
     ``OSError`` for an unreadable path and ``ValueError``, prefixed
     with the path, for anything that is not a valid document of
     ``schema`` (of any known schema when ``None``).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        try:
-            docs = [json.loads(text)]
-        except json.JSONDecodeError:
-            docs = [json.loads(raw) for raw in text.splitlines() if raw.strip()]
-        if not docs:
+        if not text.strip():
             raise ValueError("file is empty")
-        if not all(isinstance(doc, dict) for doc in docs):
-            raise ValueError("not a JSON object (one per line for JSONL)")
-        found = docs[0].get("schema")
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        found = doc.get("schema")
         if found not in VALIDATORS:
             raise ValueError(f"unknown schema {found!r}")
         if schema is not None and found != schema:
             raise ValueError(f"schema is {found!r}, expected {schema!r}")
-        problems = VALIDATORS[found](docs)
+        problems = VALIDATORS[found](doc)
         if problems:
             raise ValueError(
                 f"invalid {found}" + "".join(f"\n  - {p}" for p in problems)
             )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return docs
+    return doc
 
 
 def _report(args: argparse.Namespace) -> int:
-    old = RunReport.from_dict(load(args.old, RUN_REPORT_SCHEMA)[0])
+    old = RunReport.from_dict(load(args.old, RUN_REPORT_SCHEMA))
     if args.new is None:
         print(old.render(args.format))
         return 0
-    new = RunReport.from_dict(load(args.new, RUN_REPORT_SCHEMA)[0])
+    new = RunReport.from_dict(load(args.new, RUN_REPORT_SCHEMA))
     print(f"diff: {args.old} -> {args.new}")
     rows = diff_reports(old, new)
     print(format_diff(rows, args.fail_threshold, args.format))
@@ -105,7 +91,7 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _explain(args: argparse.Namespace) -> int:
-    trace = load(args.trace, EXPLAIN_SCHEMA)[0]
+    trace = load(args.trace, EXPLAIN_SCHEMA)
     if args.format == "heatmap":
         print(render_heatmap(trace), end="")
     else:
@@ -113,36 +99,16 @@ def _explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_render(args: argparse.Namespace) -> int:
-    header, samples = timeline_parts(load(args.timeline, TIMELINE_SCHEMA))
-    print(render_timeline(header, samples, metric_glob=args.metric, width=args.width))
-    return 0
-
-
-def _telemetry_diff(args: argparse.Namespace) -> int:
-    old, new = (
-        timeline_parts(load(path, TIMELINE_SCHEMA))[1]
-        for path in (args.old, args.new)
-    )
-    print(f"{'metric':44s}{'old':>12s}{'new':>12s}{'delta':>9s}")
-    for row in diff_timelines(old, new):
-        print(
-            f"{row['metric']:44s}{row['old']:>12.6g}{row['new']:>12.6g}"
-            f"{row['delta_pct']:>+8.1f}%"
-        )
-    return 0
-
-
 def _validate(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         try:
-            docs = load(path)
+            doc = load(path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = 1
         else:
-            print(f"{path}: OK ({docs[0]['schema']})")
+            print(f"{path}: OK ({doc['schema']})")
     return status
 
 
@@ -150,8 +116,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Render, diff and validate the observability artefacts: "
-        "run reports, explain traces, structure snapshots and telemetry "
-        "timelines.",
+        "run reports, explain traces and structure snapshots.",
     )
     sub = parser.add_subparsers(metavar="VERB", required=True)
 
@@ -185,20 +150,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(run=_explain)
 
-    p = sub.add_parser("telemetry", help="render or diff telemetry timelines")
-    verbs = p.add_subparsers(metavar="VERB", required=True)
-    p = verbs.add_parser("render", help="sparkline/summary table of a timeline")
-    p.add_argument("timeline", metavar="TIMELINE.jsonl")
-    p.add_argument("--metric", default="*", help="glob over metric names")
-    p.add_argument("--width", type=int, default=48, help="sparkline width")
-    p.set_defaults(run=_telemetry_render)
-    p = verbs.add_parser("diff", help="final-sample metric deltas, new vs old")
-    p.add_argument("old", metavar="OLD.jsonl")
-    p.add_argument("new", metavar="NEW.jsonl")
-    p.set_defaults(run=_telemetry_diff)
-
     p = sub.add_parser(
-        "validate", help="schema-check files of any of the four schemas"
+        "validate", help="schema-check files of any of the three schemas"
     )
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(run=_validate)

@@ -1,4 +1,4 @@
-"""Exporters: JSONL traces, run reports and table rendering.
+"""Exporters: run reports and table rendering.
 
 A :class:`RunReport` is the machine-readable counterpart of the
 ``results/*.txt`` tables — one JSON document per benchmark run holding,
@@ -35,11 +35,9 @@ Report layout (v1)::
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.stats import AccessStats
 from repro.obs.metrics import SUMMARY_KEYS, Histogram
@@ -47,7 +45,6 @@ from repro.obs.tracer import BUILD_OPS, Span
 
 __all__ = [
     "RUN_REPORT_SCHEMA",
-    "JsonlTraceSink",
     "RunReport",
     "build_run_report",
     "summarise_spans",
@@ -57,64 +54,6 @@ __all__ = [
 
 #: Schema identifier embedded in every report.
 RUN_REPORT_SCHEMA = "repro.obs/run-report/v1"
-
-
-class JsonlTraceSink:
-    """Stream spans to a file, one JSON object per line.
-
-    Usable directly as the ``sink`` of a :class:`repro.obs.tracer.Tracer`
-    and as a context manager::
-
-        with JsonlTraceSink(path) as sink:
-            tracer = Tracer(record_events=True, sink=sink)
-            ...
-
-    Writes are atomic at the whole-file level: spans stream to a
-    sibling temp file which only replaces ``path`` on :meth:`close`, so
-    an interrupted run never leaves a torn trace where a previous
-    complete one stood.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f"{self.path.name}.", suffix=".tmp"
-        )
-        self._tmp = Path(tmp_name)
-        self._fh: IO[str] | None = os.fdopen(fd, "w", encoding="utf-8")
-        self.spans_written = 0
-
-    def write_span(self, span: Span) -> None:
-        if self._fh is None:
-            raise ValueError("sink is closed")
-        self._fh.write(json.dumps(span.as_dict(), separators=(",", ":")) + "\n")
-        self.spans_written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            os.replace(self._tmp, self.path)
-
-    def abort(self) -> None:
-        """Discard the temp file without touching ``path``."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            try:
-                os.unlink(self._tmp)
-            except OSError:
-                pass
-
-    def __enter__(self) -> "JsonlTraceSink":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
 
 
 def summarise_spans(spans: Iterable[Span]) -> dict[str, dict[str, Histogram]]:

@@ -25,19 +25,13 @@ __all__ = [
 #: 100 000 records, so a geometric ladder keeps every regime resolved.
 DEFAULT_ACCESS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
-#: Keys of :meth:`Histogram.summary`, in order — the shape every
-#: timeline, ``io_stats`` and run-report validator checks.
+#: Keys of :meth:`Histogram.summary`, in order — the shape the
+#: ``io_stats`` and run-report validators check.
 SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 
 
 class Histogram:
-    """Verbatim observations with exact nearest-rank summaries.
-
-    The statistics only ever sort a *copy* of the samples (copying a
-    list is atomic under the GIL): the flight recorder summarises from
-    its own thread while the workload thread keeps observing, and an
-    in-place sort must never race with an append.
-    """
+    """Verbatim observations with exact nearest-rank summaries."""
 
     __slots__ = ("name", "_samples")
 

@@ -32,8 +32,6 @@ def traced_run(
     seed: int | None = None,
     label: str | None = None,
     page_size: int = 512,
-    record_events: bool = False,
-    sink=None,
     meta: dict | None = None,
     explain: bool | str | None = None,
     workers: int = 1,
@@ -49,10 +47,8 @@ def traced_run(
 
     ``factories``, ``workers`` and ``cache`` are those of
     :func:`~repro.core.comparison.run_experiment`: a mapping at
-    ``workers=1`` runs in this process under one tracer, which is the
-    only case ``record_events`` / ``sink`` (see
-    :class:`~repro.obs.tracer.Tracer`) can serve; otherwise every job
-    traces itself and the merged spans yield the same histograms.
+    ``workers=1`` runs in this process under one tracer; otherwise every
+    job traces itself and the merged spans yield the same histograms.
     ``explain`` left at ``None`` — and whether builds are audited —
     follows :class:`repro.config.RunConfig`, as in
     :func:`repro.core.comparison.run_pam_experiment`.
@@ -60,12 +56,7 @@ def traced_run(
     config = RunConfig.from_env()
     tracer = None
     if workers == 1 and isinstance(factories, Mapping):
-        tracer = Tracer(record_events=record_events, sink=sink)
-    elif record_events or sink is not None:
-        raise ValueError(
-            "record_events / sink need the single in-process tracer; run a "
-            "mapping of factories with workers=1"
-        )
+        tracer = Tracer()
     outcome = run_experiment(
         kind,
         factories,

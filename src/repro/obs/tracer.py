@@ -8,11 +8,11 @@ or free (pinned, path-buffered, write-deduplicated).  The tracer rolls
 these into one :class:`Span` per operation, labelled with the structure
 and operation currently set via :meth:`Tracer.set_context`.
 
-The default span only accumulates counters (a handful of integer adds
-per access); pass ``record_events=True`` to keep the individual
-:class:`AccessEvent` records, e.g. for a JSONL trace dump.  Observation
-never changes charging decisions, so a traced run reports exactly the
-same :class:`~repro.core.stats.AccessStats` as an untraced one.
+A span only accumulates counters (a handful of integer adds per
+access); the per-page event stream of a query is the explain trace
+(:mod:`repro.obs.explain`).  Observation never changes charging
+decisions, so a traced run reports exactly the same
+:class:`~repro.core.stats.AccessStats` as an untraced one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.storage.pagestore import PageStore
 
 __all__ = [
-    "AccessEvent",
     "BUILD_OPS",
     "Span",
     "StoreObserver",
@@ -39,40 +38,12 @@ __all__ = [
 BUILD_OPS = frozenset({"", "setup", "insert", "pack"})
 
 
-@dataclass(frozen=True)
-class AccessEvent:
-    """One page touch, as seen by the store.
-
-    ``charged`` is whether the touch counted as a disk access; ``reason``
-    explains a free touch (``pinned``, ``buffered`` — already read this
-    operation, ``path`` — on the previous operation's buffered search
-    path, ``dedup`` — page already written this operation) or is
-    ``charged`` for a counted one.
-    """
-
-    pid: int
-    kind: str  # "data" | "dir"
-    rw: str  # "read" | "write"
-    charged: bool
-    reason: str
-
-    def as_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "kind": self.kind,
-            "rw": self.rw,
-            "charged": self.charged,
-            "reason": self.reason,
-        }
-
-
 @dataclass
 class Span:
     """Aggregated accesses of one bracketed operation.
 
     ``index`` numbers the operations within one ``(structure, op)``
-    context, so the i-th query of a query file can be identified in a
-    trace dump.
+    context, so the i-th query of a query file can be identified.
     """
 
     structure: str
@@ -83,7 +54,6 @@ class Span:
     dir_reads: int = 0
     dir_writes: int = 0
     free_accesses: int = 0
-    events: list[AccessEvent] | None = None
 
     @property
     def reads(self) -> int:
@@ -104,22 +74,6 @@ class Span:
             self.data_reads, self.data_writes, self.dir_reads, self.dir_writes
         )
 
-    def as_dict(self) -> dict:
-        out = {
-            "structure": self.structure,
-            "op": self.op,
-            "index": self.index,
-            "data_reads": self.data_reads,
-            "data_writes": self.data_writes,
-            "dir_reads": self.dir_reads,
-            "dir_writes": self.dir_writes,
-            "free_accesses": self.free_accesses,
-            "accesses": self.accesses,
-        }
-        if self.events is not None:
-            out["events"] = [e.as_dict() for e in self.events]
-        return out
-
 
 class StoreObserver(Protocol):
     """What a :class:`~repro.storage.pagestore.PageStore` observer provides."""
@@ -138,22 +92,9 @@ class StoreObserver(Protocol):
 
 
 class Tracer:
-    """Collect one :class:`Span` per store operation.
+    """Collect one :class:`Span` per store operation."""
 
-    Parameters
-    ----------
-    record_events:
-        Keep every :class:`AccessEvent` inside its span (heavier; off by
-        default, where spans only carry counters).
-    sink:
-        Optional object with a ``write_span(span)`` method (e.g.
-        :class:`repro.obs.export.JsonlTraceSink`); each span is streamed
-        to it the moment it closes.
-    """
-
-    def __init__(self, record_events: bool = False, sink=None):
-        self.record_events = record_events
-        self.sink = sink
+    def __init__(self):
         self._spans: list[Span] = []
         self._open: Span | None = None
         self._structure = ""
@@ -189,12 +130,7 @@ class Tracer:
         key = (self._structure, self._op)
         index = self._op_counts.get(key, 0)
         self._op_counts[key] = index + 1
-        self._open = Span(
-            self._structure,
-            self._op,
-            index,
-            events=[] if self.record_events else None,
-        )
+        self._open = Span(self._structure, self._op, index)
 
     def on_access(
         self,
@@ -224,24 +160,12 @@ class Tracer:
                     span.dir_writes += 1
         else:
             span.free_accesses += 1
-        if span.events is not None:
-            span.events.append(
-                AccessEvent(
-                    pid,
-                    "data" if kind is PageKind.DATA else "dir",
-                    rw,
-                    charged,
-                    reason,
-                )
-            )
 
     # -- results -----------------------------------------------------------
 
     def _close(self) -> None:
         if self._open is not None:
             self._spans.append(self._open)
-            if self.sink is not None:
-                self.sink.write_span(self._open)
             self._open = None
 
     def finish(self) -> list[Span]:

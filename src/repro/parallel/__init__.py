@@ -43,7 +43,6 @@ from repro.parallel.runner import (
     run_parallel_experiment,
     run_sam_file,
     run_specs,
-    traced_parallel_run,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "run_sam_file",
     "run_specs",
     "sam_file_specs",
-    "traced_parallel_run",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "JobResult",
     "data_digest",
     "execute_job",
-    "job_timeline_dir",
     "load_job_data",
     "resolve_factory",
     "pam_file_specs",
@@ -144,50 +143,6 @@ def load_job_data(spec: JobSpec):
     return generate_rect_file(spec.file, spec.scale)
 
 
-def job_timeline_dir() -> Path | None:
-    """Where jobs of this process record their timelines (``None`` = nowhere).
-
-    Needs telemetry active here and ``RunConfig.telemetry_dir`` on; a
-    bare "on" means ``results/telemetry``.
-    """
-    from repro.obs.telemetry import active_telemetry
-    from repro.parallel.cache import default_results_root
-
-    directory = RunConfig.from_env().telemetry_dir
-    if directory is False or active_telemetry() is None:
-        return None
-    return default_results_root() / "telemetry" if directory is True else directory
-
-
-def _job_telemetry(spec: JobSpec):
-    """The process-wide telemetry plus (optionally) a per-job recorder.
-
-    Workers inherit ``REPRO_TELEMETRY`` through the environment, so a
-    parallel run instruments exactly like a serial one.  With a
-    :func:`job_timeline_dir`, each job records its own
-    ``timeline-<label>.jsonl`` flight-recorder file there —
-    label-derived names are deterministic, so the runner can merge the
-    per-worker timelines into one reproducible document afterwards.
-    """
-    from repro.obs.telemetry import FlightRecorder, active_telemetry
-
-    telem = active_telemetry()
-    directory = job_timeline_dir()
-    if directory is None:
-        return telem, None
-    safe = "".join(
-        ch if ch.isalnum() or ch in "+-." else "_" for ch in spec.label()
-    )
-    recorder = FlightRecorder(
-        telem,
-        directory / f"timeline-{safe}.jsonl",
-        interval_seconds=0.1,
-        label=spec.label(),
-        worker=safe,
-    )
-    return telem, recorder.start()
-
-
 def execute_job(
     spec: JobSpec, data: Sequence | None = None, explain_dir: Path | None = None
 ) -> JobResult:
@@ -195,10 +150,11 @@ def execute_job(
 
     This is the function a pool worker runs (and ``workers=1`` runs
     inline): resolve the factory by name, call
-    :func:`~repro.core.comparison.run_cell` under a private tracer,
-    wrap the flight recorder around it.  As a process's way in, it
-    reads audit and telemetry from :class:`repro.config.RunConfig`,
-    which workers inherit through the environment.  ``explain_dir`` is the
+    :func:`~repro.core.comparison.run_cell` under a private tracer.
+    As a process's way in, it reads audit from
+    :class:`repro.config.RunConfig`, which workers inherit through the
+    environment (as :func:`~repro.storage.factory.make_store` does the
+    store backend and telemetry).  ``explain_dir`` is the
     caller's resolved trace directory — an argument, not key material,
     so it never perturbs the build cache; cells of a named data file
     trace into a subdirectory of that name, or each file's traces
@@ -209,29 +165,20 @@ def execute_job(
     factory = resolve_factory(spec.kind, spec.structure)
     if explain_dir is not None and spec.file:
         explain_dir = Path(explain_dir) / spec.file
-    telem, flight = _job_telemetry(spec)
-    try:
-        tracer = Tracer()
-        rows, method = run_cell(
-            spec.kind,
-            spec.structure,
-            factory,
-            data,
-            page_size=spec.page_size,
-            seed=spec.query_seed,
-            tracer=tracer,
-            explain_dir=explain_dir,
-            audit=RunConfig.from_env().audit,
-            derive_packed=spec.derive_packed,
-        )
-        if telem is not None:
-            for row in rows:
-                telem.observe("bench.build_seconds", row.build_seconds)
-                telem.observe("bench.query_seconds", row.query_seconds)
-        return JobResult(spec, rows, tracer.finish(), built=method)
-    finally:
-        if flight is not None:
-            flight.stop()
+    tracer = Tracer()
+    rows, method = run_cell(
+        spec.kind,
+        spec.structure,
+        factory,
+        data,
+        page_size=spec.page_size,
+        seed=spec.query_seed,
+        tracer=tracer,
+        explain_dir=explain_dir,
+        audit=RunConfig.from_env().audit,
+        derive_packed=spec.derive_packed,
+    )
+    return JobResult(spec, rows, tracer.finish(), built=method)
 
 
 def _file_specs(kind: str, file_name: str, scale: int, structures, page_size, seed):

@@ -22,14 +22,12 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.comparison import QUERY_SEEDS, ExperimentOutcome, merge_outcomes
-from repro.obs.runner import traced_run as traced_parallel_run
 from repro.parallel.cache import BuildCache
 from repro.parallel.jobs import (
     JobResult,
     JobSpec,
     data_digest,
     execute_job,
-    job_timeline_dir,
     pam_file_specs,
     sam_file_specs,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "run_pam_file",
     "run_sam_file",
     "run_parallel_experiment",
-    "traced_parallel_run",
 ]
 
 
@@ -94,33 +91,8 @@ def run_specs(
             outcomes[i] = result
             if cache is not None:
                 cache.store(spec, result)
-        _merge_job_timelines()
 
     return [outcomes[i] for i in range(len(specs))]
-
-
-def _merge_job_timelines() -> None:
-    """Fold per-job flight-recorder files into one merged timeline.
-
-    Runs only where :func:`~repro.parallel.jobs.job_timeline_dir` made
-    each executed job record a ``timeline-<label>.jsonl``.  Sources are
-    taken in sorted filename order — a pure function of the job labels
-    — so the merged document is deterministic no matter how the pool
-    interleaved the workers.
-    """
-    from repro.obs.telemetry import merge_timelines
-
-    directory = job_timeline_dir()
-    if directory is None:
-        return
-    merged = directory / "timeline-merged.jsonl"
-    parts = sorted(
-        path
-        for path in directory.glob("timeline-*.jsonl")
-        if path != merged
-    )
-    if parts:
-        merge_timelines(parts, merged)
 
 
 def run_pam_file(

@@ -17,7 +17,6 @@ be used without importing the core experiment machinery.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Sequence
 
 __all__ = ["run_query_file"]
@@ -43,12 +42,6 @@ def run_query_file(
     Tracing chains the store's observer, so measured costs and results
     are identical with or without it.
     """
-    # The per-query timing below exists only when telemetry is active:
-    # the disabled path keeps the loop free of perf_counter calls, and
-    # the timing never feeds back into the charged cost accounting.
-    from repro.obs.telemetry import active_telemetry
-
-    telem = active_telemetry()
     out: list[tuple[int, Any]] = []
     stats = method.store.stats
     started_file = False
@@ -70,8 +63,6 @@ def run_query_file(
                 + stats.dir_reads
                 + stats.dir_writes
             )
-            if telem is not None:
-                started = time.perf_counter()
             result = operation(query)
             cost = (
                 stats.data_reads
@@ -80,8 +71,6 @@ def run_query_file(
                 + stats.dir_writes
                 - before
             )
-            if telem is not None:
-                telem.observe("query.latency_seconds", time.perf_counter() - started)
             out.append((cost, result))
             if explain is not None:
                 explain.finish_query(index, query, cost, result)

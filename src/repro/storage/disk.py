@@ -628,11 +628,12 @@ class DiskPageStore(PageStore):
         A :class:`repro.obs.telemetry.Telemetry` (duck-typed — this
         module never imports :mod:`repro.obs`).  When set, the IO
         provider is wrapped in :class:`~repro.storage.io.InstrumentedIO`
-        so every pread/pwrite/fsync lands in a latency histogram,
-        commits/checkpoints/evictions are timed, and the store's pool
-        and WAL state is exposed as gauges.
-        Telemetry is strictly additive: charged access statistics and
-        query results are bit-identical with it on or off.
+        so every pread/pwrite/fsync lands in a latency histogram, and
+        commits/checkpoints/evictions are timed; :meth:`io_stats`
+        reports the summaries.  Give each store its own instance, or its
+        latency is not its own.  Telemetry is strictly additive: charged
+        access statistics and query results are bit-identical with it on
+        or off.
     """
 
     def __init__(
@@ -701,8 +702,6 @@ class DiskPageStore(PageStore):
             if self._wal.size > len(WAL_MAGIC) + 4:
                 self._wal.reset()  # debris from a crashed creation
             self._write_sidecar()
-        if telemetry is not None:
-            telemetry.register_store(self)
 
     # -- paths -------------------------------------------------------------
 
@@ -1056,11 +1055,7 @@ class DiskPageStore(PageStore):
         }
         telem = self._telemetry
         if telem is not None:
-            out["latency"] = {
-                name: summary
-                for name, summary in telem.latency_summaries().items()
-                if name.startswith("storage.")
-            }
+            out["latency"] = telem.latency_summaries()
         return out
 
 

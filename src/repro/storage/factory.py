@@ -9,10 +9,10 @@ at ``None`` follow :class:`repro.config.RunConfig`: ``store_backend``
 (base directory; each disk store gets its own fresh subdirectory, by
 default under a per-process temporary directory removed at exit),
 ``store_poison`` (the storage-debug switch: evicted page objects are
-poisoned *and* the pool's ``paranoid`` re-pickle nets are on) and — through
-:func:`repro.obs.telemetry.active_telemetry` — ``telemetry``, which
-attaches the process-wide sink to every disk store built here without
-touching any call site or any charged statistic.
+poisoned *and* the pool's ``paranoid`` re-pickle nets are on) and
+``telemetry``, which gives every disk store built here its own
+:class:`repro.obs.telemetry.Telemetry` without touching any call site
+or any charged statistic.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ def make_store(
     path = base / f"store-{os.getpid()}-{next(_counter)}"
     disk_kwargs.setdefault("poison", config.store_poison)
     disk_kwargs.setdefault("paranoid", config.store_poison)
-    if "telemetry" not in disk_kwargs:
-        from repro.obs.telemetry import active_telemetry
+    if "telemetry" not in disk_kwargs and config.telemetry:
+        from repro.obs.telemetry import Telemetry
 
-        telemetry = active_telemetry()
-        if telemetry is not None:
-            disk_kwargs["telemetry"] = telemetry
+        disk_kwargs["telemetry"] = Telemetry()
     return DiskPageStore(
         path,
         page_size,

@@ -2,7 +2,7 @@
 
 ``--help`` exits 0 with empty stderr and names the invocation; argparse
 misuse exits 2.  ``python -m repro.obs`` adds one input contract for
-all its verbs: a valid file of any of the four schemas validates; an
+all its verbs: a valid file of any of the three schemas validates; an
 unreadable, non-object, unknown- or wrong-schema input exits 1 with a
 one-line diagnostic, never a traceback; a closed pipe is a clean exit.
 Run through ``python -m`` so runpy wiring and exit-time flushes count.
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs.structure import compute_snapshot, snapshot_to_json
-from repro.obs.telemetry import FlightRecorder, Telemetry
 
 from tests.conftest import make_points
 from tests.test_obs_explain import traced_pam
@@ -31,12 +30,11 @@ COMMANDS = (
     "repro.obs",
     "repro.obs report",
     "repro.obs explain",
-    "repro.obs telemetry",
     "repro.obs validate",
     "repro.verify.fuzz",
     "repro.parallel.bench",
 )
-SCHEMAS = ("report", "explain", "snapshot", "timeline")
+SCHEMAS = ("report", "explain", "snapshot")
 BAD_INPUTS = ("missing", "directory", "empty", "list", "unknown")
 
 
@@ -58,9 +56,6 @@ def artefacts(tmp_path_factory) -> dict[str, Path]:
     pam, _, trace = traced_pam(make_points(200, seed=3))
     (root / "explain.json").write_text(json.dumps(trace))
     (root / "snapshot.json").write_text(snapshot_to_json(compute_snapshot(pam)))
-    telemetry = Telemetry()
-    telemetry.observe("x_seconds", 0.01)
-    FlightRecorder(telemetry, root / "timeline.jsonl", interval_seconds=60.0).start().stop()
     (root / "directory").mkdir()
     (root / "empty").write_text("")
     (root / "list").write_text("[]\n")
@@ -108,8 +103,7 @@ class TestObsInputContract:
     @pytest.mark.parametrize(
         "verb, bad",
         [("validate", bad) for bad in BAD_INPUTS]
-        + [("report", "missing"), ("telemetry render", "list")]
-        + [("telemetry render", "empty"), ("explain", "directory")]
+        + [("report", "missing"), ("explain", "directory")]
         + [("explain", "report")],
     )
     def test_bad_input_exits_one(self, artefacts, verb, bad):
@@ -120,7 +114,7 @@ class TestObsInputContract:
 
     @pytest.mark.parametrize(
         "verb, schema",
-        [("report", "report"), ("explain", "explain"), ("telemetry render", "timeline")],
+        [("report", "report"), ("explain", "explain")],
     )
     def test_closed_pipe_is_a_clean_exit(self, artefacts, verb, schema):
         read_end, write_end = os.pipe()

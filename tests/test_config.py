@@ -19,7 +19,7 @@ from repro.storage.pagestore import PageStore
 OFF = ("", "0", "off", "no", "false", "none", "  OFF  ")
 ON = ("1", "on", "true", "yes", " True ")
 FLAGS = ("audit", "store_poison", "telemetry")
-LOCATIONS = ("build_cache", "explain", "store_dir", "telemetry_dir")
+LOCATIONS = ("build_cache", "explain", "store_dir")
 
 ROWS = [
     *((name, raw, False) for name in FLAGS + LOCATIONS for raw in OFF),
@@ -79,7 +79,7 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 10
+    assert len(fields(RunConfig)) == 9
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():

@@ -1,4 +1,4 @@
-"""Tests for the exporters: atomic trace sink, touch summaries, renders."""
+"""Tests for the exporters: touch summaries and renders."""
 
 import json
 
@@ -6,13 +6,12 @@ import pytest
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (
-    JsonlTraceSink,
     build_run_report,
     summarise_touches,
     validate_run_report,
 )
 from repro.obs.runner import traced_pam_run
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span
 from repro.pam.twolevelgrid import TwoLevelGridFile
 
 from tests.conftest import make_points
@@ -25,72 +24,6 @@ def pam_report():
     points = make_points(200, seed=5)
     _, report = traced_pam_run(PAM_FACTORIES, points, seed=23, label="unit")
     return report
-
-
-class TestJsonlTraceSinkAtomicity:
-    def make_span(self, i=0):
-        return Span("A", "insert", i, data_writes=1)
-
-    def test_nothing_visible_until_close(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = JsonlTraceSink(path)
-        sink.write_span(self.make_span())
-        assert not path.exists()  # still streaming to the temp file
-        assert any(tmp_path.glob("trace.jsonl.*.tmp"))
-        sink.close()
-        assert path.exists()
-        assert not any(tmp_path.glob("trace.jsonl.*.tmp"))
-        assert json.loads(path.read_text().splitlines()[0])["op"] == "insert"
-
-    def test_abort_discards_temp(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = JsonlTraceSink(path)
-        sink.write_span(self.make_span())
-        sink.abort()
-        assert not path.exists()
-        assert not any(tmp_path.glob("trace.jsonl.*.tmp"))
-
-    def test_exception_in_with_block_preserves_previous_trace(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTraceSink(path) as sink:
-            sink.write_span(self.make_span())
-        previous = path.read_text()
-        with pytest.raises(RuntimeError):
-            with JsonlTraceSink(path) as sink:
-                sink.write_span(self.make_span(1))
-                sink.write_span(self.make_span(2))
-                raise RuntimeError("interrupted mid-run")
-        assert path.read_text() == previous  # torn run never replaced it
-        assert not any(tmp_path.glob("trace.jsonl.*.tmp"))
-
-    def test_write_after_close_raises(self, tmp_path):
-        sink = JsonlTraceSink(tmp_path / "trace.jsonl")
-        sink.close()
-        with pytest.raises(ValueError, match="closed"):
-            sink.write_span(self.make_span())
-
-    def test_counts_spans(self, tmp_path):
-        with JsonlTraceSink(tmp_path / "trace.jsonl") as sink:
-            sink.write_span(self.make_span(0))
-            sink.write_span(self.make_span(1))
-            assert sink.spans_written == 2
-
-    def test_works_as_tracer_sink(self, tmp_path, store):
-        from repro.storage.page import PageKind
-
-        path = tmp_path / "trace.jsonl"
-        with JsonlTraceSink(path) as sink:
-            tracer = Tracer(record_events=True, sink=sink).attach(store)
-            tracer.set_context(structure="GRID", op="insert")
-            pid = store.allocate(PageKind.DATA, "x")
-            for _ in range(5):
-                store.begin_operation()
-                store.read(pid)
-            tracer.finish()
-            assert not path.exists()  # atomic: nothing visible inside the run
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        assert all(json.loads(line)["structure"] == "GRID" for line in lines)
 
 
 class TestTouchSummaries:

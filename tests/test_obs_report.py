@@ -15,7 +15,6 @@ from repro.obs.export import (
 from repro.obs.__main__ import main
 from repro.obs.report import diff_reports
 from repro.obs.runner import traced_pam_run, traced_sam_run
-from repro.obs.telemetry import diff_timelines
 from repro.obs.tracer import Span
 from repro.pam.buddytree import BuddyTree
 from repro.pam.twolevelgrid import TwoLevelGridFile
@@ -251,6 +250,3 @@ class TestReportCli:
         rows = diff_reports(RunReport.from_dict(free), RunReport.from_dict(costly))
         by_label = {(r["structure"], r["label"]): r["delta_pct"] for r in rows}
         assert by_label["GRID", "range_1%"] == float("inf")
-        assert diff_timelines(
-            [{"counters": {"ops": 0}}], [{"counters": {"ops": 3}}]
-        ) == [{"metric": "ops", "old": 0.0, "new": 3.0, "delta_pct": float("inf")}]

@@ -7,30 +7,10 @@ import pytest
 
 from repro.core.comparison import run_experiment
 from repro.core.testbed import run_standard_pam_testbed, standard_pam_factories
-from repro.obs.export import JsonlTraceSink
-from repro.obs.runner import traced_pam_run
+from repro.obs.runner import traced_pam_run, traced_run
 from repro.obs.telemetry import validate_io_stats
-from repro.pam.twolevelgrid import TwoLevelGridFile
 
 from tests.conftest import make_points
-
-PAM_FACTORIES = {"GRID": lambda s, dims=2: TwoLevelGridFile(s, dims)}
-
-
-class TestSinkPlumbing:
-    def test_runner_streams_spans_to_sink(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        points = make_points(100, seed=3)
-        with JsonlTraceSink(path) as sink:
-            traced_pam_run(
-                PAM_FACTORIES,
-                points,
-                seed=19,
-                record_events=True,
-                sink=sink,
-            )
-            assert sink.spans_written >= len(points)
-        assert path.exists()
 
 
 # -- every driver records a disk run as a disk run ---------------------------
@@ -54,12 +34,8 @@ def _traced_in_process(points, tmp_path, monkeypatch):
 
 
 def _traced_inline_jobs(points, tmp_path, monkeypatch):
-    from repro.parallel.runner import traced_parallel_run
-
     # Structure *names* go through run_specs even at workers=1.
-    return _report_blocks(
-        traced_parallel_run("pam", _NAMES, points, seed=19, workers=1)[1]
-    )
+    return _report_blocks(traced_run("pam", _NAMES, points, seed=19, workers=1)[1])
 
 
 def _traced_pooled(points, tmp_path, monkeypatch):

@@ -1,9 +1,6 @@
 """Tests for the operation-scoped tracer and the store observer hook."""
 
-import json
-
 from repro.core.comparison import build_pam, build_sam, run_pam_queries, run_sam_queries
-from repro.obs.export import JsonlTraceSink
 from repro.obs.tracer import Tracer
 from repro.pam.twolevelgrid import TwoLevelGridFile
 from repro.sam.rtree import RTree
@@ -86,37 +83,6 @@ class TestSpans:
             store.read(pid)
         assert tracer.stats() == store.stats
 
-    def test_record_events(self, store):
-        tracer = Tracer(record_events=True).attach(store)
-        pid = store.allocate(PageKind.DATA, "x")
-        store.begin_operation()
-        store.read(pid)
-        store.read(pid)
-        [span] = tracer.finish()
-        assert [e.reason for e in span.events] == ["charged", "buffered"]
-        assert all(e.pid == pid and e.kind == "data" for e in span.events)
-        assert span.as_dict()["events"][0]["rw"] == "read"
-
-
-class TestJsonlSink:
-    def test_spans_stream_to_jsonl(self, store, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTraceSink(path) as sink:
-            tracer = Tracer(record_events=True, sink=sink).attach(store)
-            tracer.set_context(structure="S", op="insert")
-            pid = store.allocate(PageKind.DATA, "x")
-            for _ in range(3):
-                store.begin_operation()
-                store.read(pid)
-            tracer.finish()
-            assert sink.spans_written == 3
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == 3
-        assert lines[0]["structure"] == "S"
-        assert lines[0]["events"][0]["charged"] is True
-        # The page stays on the buffered path across single-page operations.
-        assert lines[1]["events"][0]["reason"] == "path"
-
 
 class TestZeroBehaviourChange:
     """Satellite: tracing must not change a single charged access."""
@@ -144,7 +110,7 @@ class TestZeroBehaviourChange:
 
     def test_rtree_identical_with_and_without_tracer(self):
         untraced = self._sam_stats(None)
-        traced = self._sam_stats(Tracer(record_events=True))
+        traced = self._sam_stats(Tracer())
         assert traced == untraced
 
     def test_tracer_spans_sum_to_store_stats(self):
