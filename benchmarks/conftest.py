@@ -47,16 +47,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import RunConfig
-from repro.core.comparison import (
-    QUERY_SEEDS,
-    MethodResult,
-    _explain_dir,
-    build_pam,
-)
+from repro.core.comparison import MethodResult, build_pam
 from repro.core.testbed import standard_pam_factories
 from repro.obs.export import RunReport
 from repro.parallel.cache import resolve_cache
-from repro.parallel.runner import run_pam_file, run_sam_file
+from repro.parallel.runner import run_file
 from repro.workloads.distributions import generate_point_file
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -100,28 +95,25 @@ def bench_workers() -> int:
 def _results(kind: str, file_name: str) -> dict[str, MethodResult]:
     """Run every standard structure's cell on ``file_name``, once per session.
 
-    The cells run through :mod:`repro.parallel` at any worker count —
+    The cells run as :mod:`repro.parallel` jobs at any worker count —
     inline at 1, pooled (and build-cached) above — so the tables and the
-    RunReport come from the same outcome either way.
+    RunReport come from the same outcome either way; the jobs follow
+    ``REPRO_AUDIT`` and ``REPRO_EXPLAIN``.
     """
     key = (kind, file_name)
     if key in _results_cache:
         return _results_cache[key]
-    config = RunConfig.from_env()
     workers = bench_workers()
-    outcome = (run_pam_file if kind == "pam" else run_sam_file)(
+    outcome = run_file(
+        kind,
         file_name,
         scale=bench_scale(),
         workers=workers,
-        cache=resolve_cache(config.build_cache) if workers > 1 else None,
-        explain_dir=_explain_dir(config.explain),
+        cache=resolve_cache(RunConfig.from_env().build_cache) if workers > 1 else None,
     )
     if reports_enabled():
         report = outcome.to_report(
-            label=f"{kind.upper()} {file_name}",
-            kind=kind,
-            page_size=512,
-            seed=QUERY_SEEDS[kind],
+            f"{kind.upper()} {file_name}",
             meta={"file": file_name, "bench_scale": bench_scale()},
         )
         _reports[key] = report

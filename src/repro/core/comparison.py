@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro.config import RunConfig, parse_location
+from repro.config import parse_location
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import AccessStats, BuildMetrics
 from repro.geometry.rect import Rect
+from repro.obs.tracer import Tracer
 from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
 from repro.storage.pagestore import PageStore
@@ -247,28 +248,28 @@ def run_cell(
     *,
     page_size: int = 512,
     seed: int | None = None,
-    tracer=None,
     explain_dir: Path | None = None,
     audit: bool = False,
     derive_packed: bool = False,
-) -> tuple[list[StructureOutcome], object]:
+) -> tuple[list[StructureOutcome], object, list]:
     """One cell of the comparison grid: build, query files, snapshot, totals.
 
     This is the paper's standardised procedure for one (data file,
     structure) pair, and the only place it is written down; every
-    driver — serial, traced, pooled, bench session — calls it.  Returns
-    the cell's table rows and the built method (for in-process callers).
+    experiment runs each of its cells through it as one job
+    (:func:`repro.parallel.jobs.execute_job`).  Returns the cell's table
+    rows, the built method (for in-process callers) and the spans of
+    the cell's own :class:`~repro.obs.tracer.Tracer`, which observes
+    the build and labels each query file's spans.
 
-    ``tracer`` observes the build and labels each query file's spans;
     ``explain_dir`` (already resolved, see :func:`_explain_dir`) gets
-    one :mod:`repro.obs.explain` trace per row.  Both are passive.
+    one :mod:`repro.obs.explain` trace per row.  Tracing is passive.
     ``derive_packed`` adds the ``<name>+`` row the way the authors
     generated BUDDY+ "by computation and simulation": pack the built
     file and re-run the query files on the same store, charging only
     the delta from that point on.
     """
-    if tracer is not None:
-        tracer.set_context(structure=name)
+    tracer = Tracer().set_context(structure=name)
     started = time.perf_counter()
     method = build_method(
         factory, data, page_size=page_size, tracer=tracer, audit=audit
@@ -299,12 +300,11 @@ def run_cell(
     rows = [row(name, build_seconds)]
     if derive_packed:
         before = store.stats.snapshot()
-        if tracer is not None:
-            tracer.set_context(structure=f"{name}+", op="pack")
+        tracer.set_context(structure=f"{name}+", op="pack")
         started = time.perf_counter()
         method.pack()
         rows.append(row(f"{name}+", time.perf_counter() - started, before))
-    return rows, method
+    return rows, method, tracer.finish()
 
 
 @dataclass
@@ -313,10 +313,12 @@ class ExperimentOutcome:
 
     ``results`` preserves the order the cells were submitted in (with
     derived rows such as BUDDY+ directly after their parent), whichever
-    process ran them.  ``storage`` holds the durable backend's
-    ``io_stats()`` per structure (empty on the simulated backend);
-    ``built`` holds the built methods of cells that ran in this
-    process (pooled and cache-replayed cells have none).
+    process ran them.  ``spans`` are every cell's tracer spans, in the
+    same order.  ``storage`` holds the durable backend's ``io_stats()``
+    per structure (empty on the simulated backend); ``built`` holds the
+    built methods of cells that ran in this process (pooled and
+    cache-replayed cells have none).  ``kind``, ``page_size`` and
+    ``seed`` are the cells' common parameters, for the report.
     """
 
     results: dict[str, MethodResult] = field(default_factory=dict)
@@ -325,18 +327,9 @@ class ExperimentOutcome:
     spans: list = field(default_factory=list)
     storage: dict[str, dict] = field(default_factory=dict)
     built: dict[str, object] = field(default_factory=dict)
-
-    def add(self, rows: Sequence[StructureOutcome], built=None) -> None:
-        """Fold one cell's rows in."""
-        for row in rows:
-            self.results[row.name] = row.result
-            self.totals[row.name] = row.totals
-            self.timers[f"{row.name}/build"] = row.build_seconds
-            self.timers[f"{row.name}/queries"] = row.query_seconds
-            if row.storage is not None:
-                self.storage[row.name] = row.storage
-            if built is not None:
-                self.built[row.name] = built
+    kind: str = "pam"
+    page_size: int = 512
+    seed: int | None = None
 
     @property
     def records(self) -> int:
@@ -345,24 +338,16 @@ class ExperimentOutcome:
             return result.metrics.records
         return 0
 
-    def to_report(
-        self,
-        *,
-        label: str,
-        kind: str,
-        page_size: int,
-        seed: int | None,
-        meta: dict | None = None,
-    ):
+    def to_report(self, label: str | None = None, meta: dict | None = None):
         """Assemble the run's :class:`~repro.obs.export.RunReport`."""
         from repro.obs.export import build_run_report
 
         return build_run_report(
-            label=label,
-            kind=kind,
+            label=label or f"{self.kind.upper()} run",
+            kind=self.kind,
             scale=self.records,
-            page_size=page_size,
-            seed=seed,
+            page_size=self.page_size,
+            seed=self.seed,
             results=self.results,
             totals=self.totals,
             spans=self.spans,
@@ -376,7 +361,18 @@ def merge_outcomes(job_results: Sequence) -> ExperimentOutcome:
     """Fold per-job results (rows + spans) into one outcome, in order."""
     outcome = ExperimentOutcome()
     for job in job_results:
-        outcome.add(job.structures, job.built)
+        outcome.kind = job.spec.kind
+        outcome.page_size = job.spec.page_size
+        outcome.seed = job.spec.query_seed
+        for row in job.structures:
+            outcome.results[row.name] = row.result
+            outcome.totals[row.name] = row.totals
+            outcome.timers[f"{row.name}/build"] = row.build_seconds
+            outcome.timers[f"{row.name}/queries"] = row.query_seconds
+            if row.storage is not None:
+                outcome.storage[row.name] = row.storage
+            if job.built is not None:
+                outcome.built[row.name] = job.built
         outcome.spans.extend(job.spans)
     return outcome
 
@@ -388,125 +384,85 @@ def run_experiment(
     *,
     seed: int | None = None,
     page_size: int = 512,
-    tracer=None,
     workers: int = 1,
-    audit: bool = False,
-    explain: bool | str | Path = False,
+    audit: bool | None = None,
+    explain: bool | str | Path | None = None,
     cache=None,
 ) -> ExperimentOutcome:
-    """Run every structure's cell on the same data file.
+    """Run every structure's cell on the same data file, one job per cell.
 
-    ``factories`` maps table names to factories, which run in this
-    process one :func:`run_cell` after the other.  With ``workers > 1``
-    — or when ``factories`` is just a sequence of names — the cells go
-    through :func:`repro.parallel.runner.run_parallel_experiment`
-    instead: the names must then be registered standard-testbed
-    structures (job specs ship names, not closures), ``cache`` may name
-    a build cache, and neither a shared ``tracer`` nor a post-build
-    audit can follow the cells out of this process.
+    ``factories`` is a sequence of registered standard-testbed structure
+    names, which may fan out over ``workers`` processes and replay from
+    a build ``cache`` (job specs ship names, not closures), or a mapping
+    of table names to factories, whose cells run in this process.
+    Either way each cell is a :func:`repro.parallel.jobs.execute_job`
+    under its own tracer, so the outcome's spans — and the report
+    ``to_report()`` assembles from them — do not depend on where it ran.
+
+    ``audit`` and ``explain`` left at ``None`` follow
+    :class:`repro.config.RunConfig`; an explicit value — ``False``
+    included — wins (see :func:`repro.parallel.runner.run_specs`).
     """
-    explain_dir = _explain_dir(explain)
-    if workers > 1 or not isinstance(factories, Mapping):
-        if tracer is not None:
-            raise ValueError(
-                "a shared tracer cannot observe job execution; run a mapping "
-                "of factories with workers=1 (jobs return their own spans)"
-            )
-        if workers > 1 and audit:
-            raise ValueError("post-build audits run in-process; run with workers=1")
-        from repro.parallel.runner import run_parallel_experiment
+    from repro.parallel.jobs import JobSpec, data_digest
+    from repro.parallel.runner import run_specs
 
-        return run_parallel_experiment(
-            kind,
-            list(factories),
-            data,
-            seed=seed,
+    digest = data_digest(data)
+    specs = [
+        JobSpec(
+            kind=kind,
+            structure=name,
+            scale=len(data),
             page_size=page_size,
+            seed=seed,
+            digest=digest,
+        )
+        for name in factories
+    ]
+    return merge_outcomes(
+        run_specs(
+            specs,
             workers=workers,
             cache=cache,
-            explain_dir=explain_dir,
-        )
-    outcome = ExperimentOutcome()
-    for name, factory in factories.items():
-        rows, _ = run_cell(
-            kind,
-            name,
-            factory,
-            data,
-            page_size=page_size,
-            seed=seed,
-            tracer=tracer,
-            explain_dir=explain_dir,
+            data=data,
+            factories=factories if isinstance(factories, Mapping) else None,
             audit=audit,
+            explain=explain,
         )
-        outcome.add(rows)
-    return outcome
-
-
-def _experiment_results(kind, factories, data, seed, tracer, workers, audit, explain):
-    config = RunConfig.from_env()
-    return run_experiment(
-        kind,
-        factories,
-        data,
-        seed=seed,
-        tracer=tracer,
-        workers=workers,
-        audit=config.audit if audit is None else audit,
-        explain=config.explain if explain is None else explain,
-    ).results
+    )
 
 
 def run_pam_experiment(
     factories: dict[str, Callable[..., PointAccessMethod]],
     points: Sequence[tuple[float, ...]],
-    seed: int = 101,
-    tracer=None,
-    workers: int = 1,
-    audit: bool | None = None,
-    explain: bool | str | Path | None = None,
+    seed: int = QUERY_SEEDS["pam"],
+    **options,
 ) -> dict[str, MethodResult]:
     """Build every PAM on the same data file and run the query files.
 
-    A shared ``tracer`` attributes each structure's spans to its
-    factory name (see :func:`repro.obs.runner.traced_pam_run` for the
-    variant that also assembles a :class:`repro.obs.RunReport`).
-
-    ``workers > 1`` fans the structures out over a process pool — see
-    :func:`run_experiment` for what that requires of ``factories``,
-    ``tracer`` and ``audit``.
-
-    ``audit`` and ``explain`` left at ``None`` follow
-    :class:`repro.config.RunConfig`; an explicit value — ``False``
-    included — wins.  ``audit=True`` audits every structure post-build.
-    ``explain`` writes one :mod:`repro.obs.explain` trace file per structure
+    The ``results`` of :func:`run_experiment`, whose keyword ``options``
+    (``workers``, ``audit``, ``explain``, ...) it takes; that outcome
+    also holds the spans, totals and :class:`~repro.obs.RunReport`.
+    ``audit=True`` audits every structure post-build; ``explain`` writes
+    one :mod:`repro.obs.explain` trace file per structure
     (``PAM-<name>.json``) into the directory :func:`_explain_dir` names.
     Tracing chains the store observer, so costs are bit-identical with
-    or without it, at any worker count; structures replayed from a warm
-    build cache skip execution and therefore write no trace.
+    or without it, at any worker count.
     """
-    return _experiment_results(
-        "pam", factories, points, seed, tracer, workers, audit, explain
-    )
+    return run_experiment("pam", factories, points, seed=seed, **options).results
 
 
 def run_sam_experiment(
     factories: dict[str, Callable[..., SpatialAccessMethod]],
     rects: Sequence[Rect],
-    seed: int = 107,
-    tracer=None,
-    workers: int = 1,
-    audit: bool | None = None,
-    explain: bool | str | Path | None = None,
+    seed: int = QUERY_SEEDS["sam"],
+    **options,
 ) -> dict[str, MethodResult]:
     """Build every SAM on the same rectangle file and run the queries.
 
     Every parameter behaves as in :func:`run_pam_experiment` (trace
     files are named ``SAM-<name>.json``).
     """
-    return _experiment_results(
-        "sam", factories, rects, seed, tracer, workers, audit, explain
-    )
+    return run_experiment("sam", factories, rects, seed=seed, **options).results
 
 
 def normalise(

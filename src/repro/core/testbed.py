@@ -11,8 +11,8 @@ benches size their data files by ``RunConfig.bench_scale``, laptop
 scale by default and the paper's 100 000 records on demand.
 
 :func:`run_standard_pam_testbed` / :func:`run_standard_sam_testbed`
-run the whole standard comparison under a tracer and return the usual
-results together with a machine-readable
+run the whole standard comparison and return the usual results
+together with a machine-readable
 :class:`~repro.obs.export.RunReport` (per-operation access histograms,
 percentiles, timings and exact totals).
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.config import RunConfig
+from repro.core.comparison import run_experiment
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.pam.bang import BangFile
 from repro.pam.buddytree import BuddyTree
@@ -67,20 +68,17 @@ def standard_factories(kind: str) -> dict[str, Callable]:
     return standard_pam_factories() if kind == "pam" else standard_sam_factories()
 
 
-def _traced_standard(kind, data, seed, label, page_size, workers, explain):
-    # Imported lazily so plain testbed users never touch the observability layer.
-    from repro.obs.runner import traced_run
-
-    return traced_run(
+def _run_standard(kind, data, seed, label, page_size, workers, explain):
+    outcome = run_experiment(
         kind,
-        standard_factories(kind),
+        list(standard_factories(kind)),
         data,
         seed=seed,
-        label=label,
         page_size=page_size,
         workers=RunConfig.from_env().bench_workers if workers is None else workers,
         explain=explain,
     )
+    return outcome.results, outcome.to_report(label)
 
 
 def run_standard_pam_testbed(
@@ -91,17 +89,18 @@ def run_standard_pam_testbed(
     workers: int | None = None,
     explain=None,
 ):
-    """Traced run of the standard PAM comparison on ``points``.
+    """The standard PAM comparison on ``points``, with its run report.
 
-    Returns ``(results, report)`` — see
-    :func:`repro.obs.runner.traced_run`.  ``workers`` defaults to
+    Returns ``(results, report)``: the
+    :func:`~repro.core.comparison.run_experiment` outcome's results and
+    :class:`~repro.obs.export.RunReport`.  ``workers`` defaults to
     ``RunConfig.bench_workers``; more than one fans the structures out
     over a process pool — the same cells, so identical results.
     ``explain`` writes one :mod:`repro.obs.explain` trace per structure
     (``True`` for the default directory, a path for an explicit one) at
     any worker count, without changing results.
     """
-    return _traced_standard("pam", points, seed, label, page_size, workers, explain)
+    return _run_standard("pam", points, seed, label, page_size, workers, explain)
 
 
 def run_standard_sam_testbed(
@@ -112,8 +111,8 @@ def run_standard_sam_testbed(
     workers: int | None = None,
     explain=None,
 ):
-    """Traced run of the standard SAM comparison on ``rects``."""
-    return _traced_standard("sam", rects, seed, label, page_size, workers, explain)
+    """The standard SAM comparison on ``rects``, with its run report."""
+    return _run_standard("sam", rects, seed, label, page_size, workers, explain)
 
 
 def standard_sam_factories() -> dict[str, Callable[..., SpatialAccessMethod]]:

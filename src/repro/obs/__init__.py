@@ -11,10 +11,9 @@ package makes those counts observable at every granularity:
   summaries (p50/p90/p99/max) and page-access buckets counted at export.
 * :mod:`repro.obs.export` — human-readable table rendering and the
   structured :class:`RunReport` JSON that every benchmark emits
-  alongside its ``results/*.txt`` table.
-* :mod:`repro.obs.runner` — :func:`traced_pam_run` /
-  :func:`traced_sam_run`, which wrap the §3/§7 experiment driver with a
-  tracer and produce a :class:`RunReport`.
+  alongside its ``results/*.txt`` table; an experiment's outcome
+  assembles it (:meth:`repro.core.comparison.ExperimentOutcome.to_report`)
+  from the spans each cell's own tracer recorded.
 * :mod:`repro.obs.report` — per-(structure, query) diffs of two run
   reports.
 * :mod:`repro.obs.explain` — EXPLAIN-style per-query execution traces
@@ -53,7 +52,6 @@ from repro.obs.export import (
     validate_run_report,
 )
 from repro.obs.metrics import DEFAULT_ACCESS_BUCKETS, Histogram
-from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.obs.structure import (
     SNAPSHOT_SCHEMA,
     PageView,
@@ -91,8 +89,6 @@ __all__ = [
     "snapshot_to_json",
     "summarise_spans",
     "summarise_touches",
-    "traced_pam_run",
-    "traced_sam_run",
     "validate_explain",
     "validate_run_report",
     "validate_snapshot",

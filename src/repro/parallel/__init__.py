@@ -7,12 +7,13 @@ package exploits that independence three ways:
 
 * :mod:`repro.parallel.jobs` — picklable :class:`JobSpec` descriptions
   of one cell (names and seeds, never callables, so they survive a
-  ``spawn`` boundary) and the worker-side :func:`execute_job` that
-  runs the spec's :func:`~repro.core.comparison.run_cell`.
-* :mod:`repro.parallel.runner` — :func:`run_specs` fans specs out over
-  a process pool and :func:`merge_outcomes` folds job results back in
+  ``spawn`` boundary) and :func:`execute_job`, which runs the spec's
+  :func:`~repro.core.comparison.run_cell` under the cell's own tracer.
+* :mod:`repro.parallel.runner` — :func:`run_specs`, the one experiment
+  runner: every cell is a job, run inline, over a process pool or from
+  the cache, and :func:`merge_outcomes` folds job results back in
   deterministic spec order, yielding tables, totals, timers and tracer
-  spans identical to a serial session.
+  spans identical at any worker count.
 * :mod:`repro.parallel.cache` — a content-addressed on-disk
   :class:`BuildCache` keyed by the spec plus a fingerprint of every
   ``repro`` source file, so repeated bench sessions skip finished
@@ -33,17 +34,9 @@ from repro.parallel.jobs import (
     JobSpec,
     StructureOutcome,
     execute_job,
-    pam_file_specs,
-    sam_file_specs,
+    file_specs,
 )
-from repro.parallel.runner import (
-    ExperimentOutcome,
-    merge_outcomes,
-    run_pam_file,
-    run_parallel_experiment,
-    run_sam_file,
-    run_specs,
-)
+from repro.parallel.runner import ExperimentOutcome, merge_outcomes, run_file, run_specs
 
 __all__ = [
     "BuildCache",
@@ -53,12 +46,9 @@ __all__ = [
     "StructureOutcome",
     "code_fingerprint",
     "execute_job",
+    "file_specs",
     "merge_outcomes",
-    "pam_file_specs",
     "resolve_cache",
-    "run_pam_file",
-    "run_parallel_experiment",
-    "run_sam_file",
+    "run_file",
     "run_specs",
-    "sam_file_specs",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.config import RunConfig
 from repro.parallel.cache import BuildCache, default_results_root, resolve_cache
-from repro.parallel.jobs import JobSpec, pam_file_specs, sam_file_specs
+from repro.parallel.jobs import JobSpec, file_specs
 from repro.parallel.runner import ExperimentOutcome, merge_outcomes, run_specs
 
 __all__ = ["BENCH_SCHEMA", "build_grid", "compare_outcomes", "main"]
@@ -41,12 +41,11 @@ def build_grid(
     page_size: int,
 ) -> dict[str, list[JobSpec]]:
     """experiment id (``pam/uniform``, ``sam/diagonal`` …) -> its specs."""
-    grid: dict[str, list[JobSpec]] = {}
-    for name in pam_files:
-        grid[f"pam/{name}"] = pam_file_specs(name, scale, page_size=page_size)
-    for name in sam_files:
-        grid[f"sam/{name}"] = sam_file_specs(name, scale, page_size=page_size)
-    return grid
+    return {
+        f"{kind}/{name}": file_specs(kind, name, scale, page_size=page_size)
+        for kind, names in (("pam", pam_files), ("sam", sam_files))
+        for name in names
+    }
 
 
 def compare_outcomes(

@@ -7,12 +7,11 @@ Specs carry *names*, never callables, so they cross a ``spawn`` process
 boundary; the worker resolves the structure through the standard
 testbed registries and regenerates the data file from its deterministic
 generator.  :func:`execute_job` then runs the spec's
-:func:`~repro.core.comparison.run_cell` — the same function every
-in-process driver calls — under a private
-:class:`~repro.obs.tracer.Tracer`, so the merged spans,
-:class:`~repro.core.comparison.MethodResult` numbers and
-:class:`~repro.core.stats.AccessStats` totals are those of a
-single-process run.
+:func:`~repro.core.comparison.run_cell` — the one cell function, which
+traces the cell under its own :class:`~repro.obs.tracer.Tracer` — so
+the merged spans, :class:`~repro.core.comparison.MethodResult` numbers
+and :class:`~repro.core.stats.AccessStats` totals do not depend on
+which process ran the cell.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import RunConfig
 from repro.core.comparison import QUERY_SEEDS, StructureOutcome, run_cell
 from repro.core.testbed import standard_factories
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span
 
 __all__ = [
     "JobSpec",
@@ -36,8 +34,7 @@ __all__ = [
     "execute_job",
     "load_job_data",
     "resolve_factory",
-    "pam_file_specs",
-    "sam_file_specs",
+    "file_specs",
 ]
 
 @dataclass(frozen=True)
@@ -48,8 +45,8 @@ class JobSpec:
     for ad-hoc data shipped inline, ``file`` is ``None`` and
     ``digest`` content-addresses the pickled records instead, so the
     build cache stays sound either way.  ``derive_packed`` makes the
-    worker also produce the BUDDY+ row (pack + re-query on the same
-    store), which the serial bench derives from the built BUDDY file.
+    job also produce the BUDDY+ row (pack + re-query on the same
+    store).
     """
 
     kind: str  # "pam" | "sam"
@@ -144,44 +141,58 @@ def load_job_data(spec: JobSpec):
 
 
 def execute_job(
-    spec: JobSpec, data: Sequence | None = None, explain_dir: Path | None = None
+    spec: JobSpec,
+    data: Sequence | None = None,
+    explain_dir: Path | None = None,
+    audit: bool = False,
+    factory=None,
 ) -> JobResult:
     """Run the spec's cell and return its complete outcome.
 
     This is the function a pool worker runs (and ``workers=1`` runs
-    inline): resolve the factory by name, call
-    :func:`~repro.core.comparison.run_cell` under a private tracer.
-    As a process's way in, it reads audit from
-    :class:`repro.config.RunConfig`, which workers inherit through the
-    environment (as :func:`~repro.storage.factory.make_store` does the
-    store backend and telemetry).  ``explain_dir`` is the
-    caller's resolved trace directory — an argument, not key material,
-    so it never perturbs the build cache; cells of a named data file
-    trace into a subdirectory of that name, or each file's traces
-    would overwrite the last.
+    inline): resolve the factory by name — unless the caller, running
+    the job in its own process, hands one in — and call
+    :func:`~repro.core.comparison.run_cell`, which traces the cell with
+    its own tracer.  ``explain_dir`` and ``audit`` are the caller's
+    resolved values — arguments, not key material, so they never
+    perturb the build cache; cells of a named data file trace into a
+    subdirectory of that name, or each file's traces would overwrite
+    the last.
     """
     if data is None:
         data = load_job_data(spec)
-    factory = resolve_factory(spec.kind, spec.structure)
+    if factory is None:
+        factory = resolve_factory(spec.kind, spec.structure)
     if explain_dir is not None and spec.file:
         explain_dir = Path(explain_dir) / spec.file
-    tracer = Tracer()
-    rows, method = run_cell(
+    rows, method, spans = run_cell(
         spec.kind,
         spec.structure,
         factory,
         data,
         page_size=spec.page_size,
         seed=spec.query_seed,
-        tracer=tracer,
         explain_dir=explain_dir,
-        audit=RunConfig.from_env().audit,
+        audit=audit,
         derive_packed=spec.derive_packed,
     )
-    return JobResult(spec, rows, tracer.finish(), built=method)
+    return JobResult(spec, rows, spans, built=method)
 
 
-def _file_specs(kind: str, file_name: str, scale: int, structures, page_size, seed):
+def file_specs(
+    kind: str,
+    file_name: str,
+    scale: int,
+    *,
+    structures: Sequence[str] | None = None,
+    page_size: int = 512,
+    seed: int | None = None,
+) -> list[JobSpec]:
+    """One spec per standard structure of ``kind`` on ``file_name``.
+
+    The PAM BUDDY cell also derives BUDDY+; ``seed`` defaults to the
+    kind's query seed.
+    """
     names = structures if structures is not None else standard_factories(kind)
     return [
         JobSpec(
@@ -189,33 +200,9 @@ def _file_specs(kind: str, file_name: str, scale: int, structures, page_size, se
             structure=name,
             scale=scale,
             page_size=page_size,
-            seed=seed,
+            seed=QUERY_SEEDS[kind] if seed is None else seed,
             file=file_name,
             derive_packed=(kind == "pam" and name == "BUDDY"),
         )
         for name in names
     ]
-
-
-def pam_file_specs(
-    file_name: str,
-    scale: int,
-    *,
-    structures: Sequence[str] | None = None,
-    page_size: int = 512,
-    seed: int = QUERY_SEEDS["pam"],
-) -> list[JobSpec]:
-    """One spec per standard PAM on ``file_name`` (BUDDY derives BUDDY+)."""
-    return _file_specs("pam", file_name, scale, structures, page_size, seed)
-
-
-def sam_file_specs(
-    file_name: str,
-    scale: int,
-    *,
-    structures: Sequence[str] | None = None,
-    page_size: int = 512,
-    seed: int = QUERY_SEEDS["sam"],
-) -> list[JobSpec]:
-    """One spec per standard SAM on ``file_name``."""
-    return _file_specs("sam", file_name, scale, structures, page_size, seed)

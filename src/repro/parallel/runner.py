@@ -1,45 +1,32 @@
-"""The process-pool experiment runner and its deterministic merge.
+"""The one experiment runner: job specs in, job results out, in order.
 
 The paper's comparison grid is embarrassingly parallel: every
 ``(data file, structure)`` cell builds on its own
 :class:`~repro.storage.pagestore.PageStore` from fixed seeds, so cells
-share no state whatsoever.  :func:`run_specs` fans the cells out over a
-``spawn``-based :class:`~concurrent.futures.ProcessPoolExecutor`
-(consulting the :class:`~repro.parallel.cache.BuildCache` first) and
-:func:`merge_outcomes` folds the per-job results back **in spec order**,
-so the merged tables, totals, timers and tracer spans are identical to
-a serial run regardless of which worker finished first.
-
-``workers=1`` executes the specs inline in the calling process — no
-pool, no pickling; either way each spec runs the same
-:func:`~repro.core.comparison.run_cell`.
+share no state whatsoever.  Every experiment is therefore a list of
+:class:`~repro.parallel.jobs.JobSpec` cells, and :func:`run_specs` is
+the one place they execute: from the
+:class:`~repro.parallel.cache.BuildCache`, inline in the calling
+process at ``workers=1``, or over a ``spawn``-based
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Each cell is one
+:func:`~repro.parallel.jobs.execute_job` under its own tracer, and
+:func:`~repro.core.comparison.merge_outcomes` folds the results back
+**in spec order**, so tables, totals, timers and spans are identical
+whichever way a cell ran.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.core.comparison import QUERY_SEEDS, ExperimentOutcome, merge_outcomes
+from repro.config import RunConfig
+from repro.core.comparison import ExperimentOutcome, _explain_dir, merge_outcomes
 from repro.parallel.cache import BuildCache
-from repro.parallel.jobs import (
-    JobResult,
-    JobSpec,
-    data_digest,
-    execute_job,
-    pam_file_specs,
-    sam_file_specs,
-)
+from repro.parallel.jobs import JobResult, JobSpec, execute_job, file_specs
 
-__all__ = [
-    "ExperimentOutcome",
-    "run_specs",
-    "merge_outcomes",
-    "run_pam_file",
-    "run_sam_file",
-    "run_parallel_experiment",
-]
+__all__ = ["ExperimentOutcome", "run_specs", "merge_outcomes", "run_file"]
 
 
 def run_specs(
@@ -48,17 +35,34 @@ def run_specs(
     workers: int = 1,
     cache: BuildCache | None = None,
     data: Sequence | None = None,
-    explain_dir: Path | None = None,
+    factories: Mapping[str, Callable] | None = None,
+    audit: bool | None = None,
+    explain: bool | str | Path | None = None,
 ) -> list[JobResult]:
     """Execute the specs — cached, pooled, or inline — in spec order.
 
     ``cache`` is a :class:`BuildCache` or ``None`` (no caching).  ``data``
     ships an inline record sequence to every spec whose ``file`` is
-    ``None``; ``explain_dir`` ships the resolved explain-trace
-    directory to every executed job (cache hits write no trace).  The
-    returned list is ordered like ``specs`` no matter how execution
-    interleaved.
+    ``None``.  ``factories`` maps structure names to the factories the
+    cells run instead of the registered ones; callables neither cross a
+    process boundary nor key a cache, so they need ``workers=1`` and no
+    ``cache``.
+
+    ``audit`` and ``explain`` left at ``None`` follow
+    :class:`repro.config.RunConfig`; an explicit value — ``False``
+    included — wins.  Both travel to every executed job as arguments
+    (cache hits are neither audited nor traced).  The returned list is
+    ordered like ``specs`` no matter how execution interleaved.
     """
+    if factories is not None and (workers > 1 or cache is not None):
+        raise ValueError(
+            "factories run in this process: pass registered structure names "
+            "to use workers or a build cache"
+        )
+    config = RunConfig.from_env()
+    audit = config.audit if audit is None else audit
+    explain_dir = _explain_dir(config.explain if explain is None else explain)
+
     outcomes: dict[int, JobResult] = {}
     pending: list[tuple[int, JobSpec]] = []
     for i, spec in enumerate(specs):
@@ -69,7 +73,10 @@ def run_specs(
             pending.append((i, spec))
 
     if pending:
-        job_data = [data if spec.file is None else None for _, spec in pending]
+        jobs = [
+            (spec, data if spec.file is None else None, explain_dir, audit)
+            for _, spec in pending
+        ]
         if workers > 1 and len(pending) > 1:
             import multiprocessing
 
@@ -77,15 +84,12 @@ def run_specs(
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(pending)), mp_context=context
             ) as pool:
-                futures = [
-                    pool.submit(execute_job, spec, payload, explain_dir)
-                    for (_, spec), payload in zip(pending, job_data)
-                ]
+                futures = [pool.submit(execute_job, *job) for job in jobs]
                 finished = [future.result() for future in futures]
         else:
+            factories = factories or {}
             finished = [
-                execute_job(spec, payload, explain_dir)
-                for (_, spec), payload in zip(pending, job_data)
+                execute_job(*job, factories.get(job[0].structure)) for job in jobs
             ]
         for (i, spec), result in zip(pending, finished):
             outcomes[i] = result
@@ -95,77 +99,23 @@ def run_specs(
     return [outcomes[i] for i in range(len(specs))]
 
 
-def run_pam_file(
-    file_name: str,
-    *,
-    scale: int,
-    workers: int = 1,
-    page_size: int = 512,
-    seed: int = QUERY_SEEDS["pam"],
-    structures: Sequence[str] | None = None,
-    cache: BuildCache | None = None,
-    explain_dir: Path | None = None,
-) -> ExperimentOutcome:
-    """The full standard-PAM comparison on one data file (plus BUDDY+)."""
-    specs = pam_file_specs(
-        file_name, scale, structures=structures, page_size=page_size, seed=seed
-    )
-    return merge_outcomes(
-        run_specs(specs, workers=workers, cache=cache, explain_dir=explain_dir)
-    )
-
-
-def run_sam_file(
-    file_name: str,
-    *,
-    scale: int,
-    workers: int = 1,
-    page_size: int = 512,
-    seed: int = QUERY_SEEDS["sam"],
-    structures: Sequence[str] | None = None,
-    cache: BuildCache | None = None,
-    explain_dir: Path | None = None,
-) -> ExperimentOutcome:
-    """The full standard-SAM comparison on one rectangle file."""
-    specs = sam_file_specs(
-        file_name, scale, structures=structures, page_size=page_size, seed=seed
-    )
-    return merge_outcomes(
-        run_specs(specs, workers=workers, cache=cache, explain_dir=explain_dir)
-    )
-
-
-def run_parallel_experiment(
+def run_file(
     kind: str,
-    structures: Sequence[str],
-    data: Sequence,
+    file_name: str,
     *,
-    seed: int | None = None,
+    scale: int,
+    structures: Sequence[str] | None = None,
     page_size: int = 512,
-    workers: int = 1,
-    cache: BuildCache | None = None,
-    explain_dir: Path | None = None,
+    seed: int | None = None,
+    **options,
 ) -> ExperimentOutcome:
-    """Fan an in-memory experiment out by structure name.
+    """The full standard comparison of ``kind`` on one named data file.
 
-    What :func:`repro.core.comparison.run_experiment` calls for
-    ``workers > 1``: records are shipped to the workers and the cache
-    key uses their content digest instead of a file name.
+    PAM files add the derived BUDDY+ row.  The keyword ``options``
+    (``workers``, ``cache``, ``audit``, ``explain``) are those of
+    :func:`run_specs`; each job regenerates the file from its generator.
     """
-    digest = data_digest(data)
-    specs = [
-        JobSpec(
-            kind=kind,
-            structure=name,
-            scale=len(data),
-            page_size=page_size,
-            seed=seed,
-            digest=digest,
-        )
-        for name in structures
-    ]
-    return merge_outcomes(
-        run_specs(
-            specs, workers=workers, cache=cache, data=data, explain_dir=explain_dir
-        )
+    specs = file_specs(
+        kind, file_name, scale, structures=structures, page_size=page_size, seed=seed
     )
+    return merge_outcomes(run_specs(specs, **options))

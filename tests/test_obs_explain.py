@@ -355,21 +355,22 @@ class TestExplainWiring:
 
     def test_explain_dir_is_not_cache_key_material(self, tmp_path):
         from repro.parallel.cache import BuildCache
-        from repro.parallel.jobs import pam_file_specs, sam_file_specs
+        from repro.parallel.jobs import file_specs
         from repro.parallel.runner import run_specs
 
         fields = {
             "kind", "structure", "scale", "page_size",
             "seed", "file", "digest", "derive_packed",
         }  # fmt: skip
-        for spec in pam_file_specs("uniform", 100) + sam_file_specs("diagonal", 100):
+        specs = file_specs("pam", "uniform", 100) + file_specs("sam", "diagonal", 100)
+        for spec in specs:
             assert set(spec.cache_fields()) == fields
-        specs = pam_file_specs("uniform", 150, structures=["GRID", "BUDDY"])
+        specs = file_specs("pam", "uniform", 150, structures=["GRID", "BUDDY"])
         cache = BuildCache(tmp_path / "cache")
-        cold = run_specs(specs, cache=cache, explain_dir=tmp_path / "cold")
+        cold = run_specs(specs, cache=cache, explain=tmp_path / "cold")
         assert len(list((tmp_path / "cold" / "uniform").glob("*.json"))) == 3
         # A warm cache replays the cells: same rows, no execution, no trace.
-        warm = run_specs(specs, cache=cache, explain_dir=tmp_path / "warm")
+        warm = run_specs(specs, cache=cache, explain=tmp_path / "warm")
         assert cache.hits == len(specs)
         assert not (tmp_path / "warm").exists()
         for a, b in zip(cold, warm):

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.core.comparison import run_experiment
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (
     build_run_report,
     summarise_touches,
     validate_run_report,
 )
-from repro.obs.runner import traced_pam_run
 from repro.obs.tracer import Span
 from repro.pam.twolevelgrid import TwoLevelGridFile
 
@@ -22,8 +22,7 @@ PAM_FACTORIES = {"GRID": lambda s, dims=2: TwoLevelGridFile(s, dims)}
 @pytest.fixture(scope="module")
 def pam_report():
     points = make_points(200, seed=5)
-    _, report = traced_pam_run(PAM_FACTORIES, points, seed=23, label="unit")
-    return report
+    return run_experiment("pam", PAM_FACTORIES, points, seed=23).to_report("unit")
 
 
 class TestTouchSummaries:

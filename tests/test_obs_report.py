@@ -1,11 +1,17 @@
-"""Tests for run reports, their schema, the traced runners and the CLI."""
+"""Tests for run reports, their schema, the experiment runner and the CLI."""
 
 import copy
 import json
 
 import pytest
 
-from repro.core.comparison import build_pam, build_sam, run_pam_queries, run_sam_queries
+from repro.core.comparison import (
+    build_pam,
+    build_sam,
+    run_experiment,
+    run_pam_queries,
+    run_sam_queries,
+)
 from repro.obs.export import (
     RUN_REPORT_SCHEMA,
     RunReport,
@@ -14,7 +20,6 @@ from repro.obs.export import (
 )
 from repro.obs.__main__ import main
 from repro.obs.report import diff_reports
-from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.obs.tracer import Span
 from repro.pam.buddytree import BuddyTree
 from repro.pam.twolevelgrid import TwoLevelGridFile
@@ -32,8 +37,8 @@ SAM_FACTORIES = {"R-Tree": lambda s, dims=2: RTree(s, dims)}
 @pytest.fixture(scope="module")
 def pam_run():
     points = make_points(300, seed=3)
-    results, report = traced_pam_run(PAM_FACTORIES, points, seed=19, label="unit")
-    return points, results, report
+    outcome = run_experiment("pam", PAM_FACTORIES, points, seed=19)
+    return points, outcome.results, outcome.to_report("unit")
 
 
 class TestSummariseSpans:
@@ -85,7 +90,7 @@ class TestTracedRuns:
 
     def test_sam_run(self):
         rects = make_rects(150, seed=9)
-        results, report = traced_sam_run(SAM_FACTORIES, rects, seed=23)
+        report = run_experiment("sam", SAM_FACTORIES, rects, seed=23).to_report()
         sam = build_sam(SAM_FACTORIES["R-Tree"], rects)
         run_sam_queries(sam, seed=23)
         assert report.totals("R-Tree") == sam.store.stats

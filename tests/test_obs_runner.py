@@ -1,4 +1,4 @@
-"""Tests for the traced runners' artefact wiring."""
+"""Tests for the experiment runner's artefact wiring."""
 
 import importlib.util
 from pathlib import Path
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.comparison import run_experiment
 from repro.core.testbed import run_standard_pam_testbed, standard_pam_factories
-from repro.obs.runner import traced_pam_run, traced_run
 from repro.obs.telemetry import validate_io_stats
 
 from tests.conftest import make_points
@@ -30,12 +29,13 @@ def _experiment(points, tmp_path, monkeypatch):
 
 
 def _traced_in_process(points, tmp_path, monkeypatch):
-    return _report_blocks(traced_pam_run(_FACTORIES, points, seed=19)[1])
+    # Factories run their cells as inline jobs.
+    return _report_blocks(run_experiment("pam", _FACTORIES, points).to_report())
 
 
 def _traced_inline_jobs(points, tmp_path, monkeypatch):
-    # Structure *names* go through run_specs even at workers=1.
-    return _report_blocks(traced_run("pam", _NAMES, points, seed=19, workers=1)[1])
+    # Structure names resolve through the registry, here inline too.
+    return _report_blocks(run_experiment("pam", _NAMES, points).to_report())
 
 
 def _traced_pooled(points, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from repro.obs.structure import (
 )
 from repro.pam.buddytree import BuddyTree
 from repro.parallel.cache import BuildCache
-from repro.parallel.runner import run_pam_file
+from repro.parallel.runner import run_file
 from repro.sam.clipping import ClippingSAM
 from repro.sam.rtree import RTree
 from repro.storage.pagestore import PageStore
@@ -168,8 +168,8 @@ class TestSnapshotDeterminism:
         assert validate_snapshot(json.loads(first)) == []
 
     def test_workers_do_not_change_snapshots(self):
-        serial = run_pam_file("uniform", scale=280, workers=1, cache=None).results
-        parallel = run_pam_file("uniform", scale=280, workers=2, cache=None).results
+        serial = run_file("pam", "uniform", scale=280, workers=1, cache=None).results
+        parallel = run_file("pam", "uniform", scale=280, workers=2, cache=None).results
         assert set(serial) == set(parallel)
         assert "BUDDY+" in serial
         for name, result in serial.items():
@@ -179,12 +179,12 @@ class TestSnapshotDeterminism:
             ), name
 
     def test_warm_cache_replays_identical_snapshots(self, tmp_path):
-        cold = run_pam_file(
-            "uniform", scale=280, workers=1, cache=BuildCache(tmp_path)
+        cold = run_file(
+            "pam", "uniform", scale=280, workers=1, cache=BuildCache(tmp_path)
         ).results
         warm_cache = BuildCache(tmp_path)
-        warm = run_pam_file(
-            "uniform", scale=280, workers=1, cache=warm_cache
+        warm = run_file(
+            "pam", "uniform", scale=280, workers=1, cache=warm_cache
         ).results
         assert warm_cache.hits > 0 and warm_cache.misses == 0
         assert set(cold) == set(warm)

@@ -16,6 +16,7 @@ from repro.core.comparison import (
     build_pam,
     build_sam,
     normalise,
+    run_experiment,
     run_pam_experiment,
     run_pam_queries,
     run_sam_queries,
@@ -29,20 +30,8 @@ from repro.core.testbed import (
 from repro.obs.export import summarise_spans, validate_run_report
 from repro.obs.tracer import Tracer
 from repro.parallel.cache import BuildCache, code_fingerprint
-from repro.parallel.jobs import (
-    JobSpec,
-    data_digest,
-    execute_job,
-    pam_file_specs,
-    sam_file_specs,
-)
-from repro.parallel.runner import (
-    merge_outcomes,
-    run_pam_file,
-    run_parallel_experiment,
-    run_sam_file,
-    run_specs,
-)
+from repro.parallel.jobs import JobSpec, data_digest, execute_job, file_specs
+from repro.parallel.runner import merge_outcomes, run_file, run_specs
 from repro.workloads.distributions import generate_point_file
 from repro.workloads.rect_distributions import generate_rect_file
 
@@ -118,7 +107,7 @@ def assert_outcome_matches(results, totals, spans, outcome):
 @pytest.fixture(scope="module")
 def pam_parallel_outcome():
     """One 2-worker PAM run shared by the determinism assertions."""
-    return run_pam_file("uniform", scale=PAM_SCALE, workers=2, cache=None)
+    return run_file("pam", "uniform", scale=PAM_SCALE, workers=2, cache=None)
 
 
 class TestParallelMatchesSerial:
@@ -141,8 +130,8 @@ class TestParallelMatchesSerial:
 
     def test_sam_grid_cell(self):
         results, totals, spans = serial_sam_reference("uniform_small", SAM_SCALE)
-        outcome = run_sam_file(
-            "uniform_small", scale=SAM_SCALE, workers=2, cache=None
+        outcome = run_file(
+            "sam", "uniform_small", scale=SAM_SCALE, workers=2, cache=None
         )
         assert_outcome_matches(results, totals, spans, outcome)
 
@@ -151,25 +140,35 @@ class TestParallelMatchesSerial:
         serial = run_pam_experiment(
             {"GRID": standard_pam_factories()["GRID"]}, points
         )
-        outcome = run_parallel_experiment("pam", ["GRID"], points, workers=1)
+        outcome = run_experiment("pam", ["GRID"], points, workers=1)
         assert (
             outcome.results["GRID"].query_costs == serial["GRID"].query_costs
         )
 
     def test_comparison_api_workers(self):
-        """run_pam_experiment(workers=2) routes through the pool."""
+        """run_pam_experiment(names, workers=2) routes through the pool."""
         points = generate_point_file("uniform", 250)
         serial = run_pam_experiment(standard_pam_factories(), points)
-        parallel = run_pam_experiment(standard_pam_factories(), points, workers=2)
+        parallel = run_pam_experiment(list(serial), points, workers=2)
         assert list(parallel) == list(serial)
         for name in serial:
             assert parallel[name].query_costs == serial[name].query_costs
 
-    def test_comparison_api_rejects_tracer_with_workers(self):
-        with pytest.raises(ValueError, match="tracer"):
-            run_pam_experiment(
-                standard_pam_factories(), [(0.5, 0.5)], tracer=Tracer(), workers=2
-            )
+    def test_factories_and_pooled_names_trace_alike(self):
+        """Factories run inline and names run pooled, each cell under its
+        own tracer: the merged spans and the report agree exactly."""
+        points = generate_point_file("cluster", 250)
+        inline = run_experiment("pam", standard_pam_factories(), points)
+        pooled = run_experiment("pam", list(inline.results), points, workers=2)
+        reference = (inline.results, inline.totals, inline.spans)
+        assert_outcome_matches(*reference, pooled)
+        assert pooled.to_report().access_totals() == inline.to_report().access_totals()
+
+    def test_comparison_api_rejects_factories_with_workers(self):
+        """Callables cannot reach a worker process or key a cache."""
+        for options in ({"workers": 2}, {"cache": BuildCache("unused")}):
+            with pytest.raises(ValueError, match="structure names"):
+                run_pam_experiment(standard_pam_factories(), [(0.5, 0.5)], **options)
 
     def test_testbed_parallel_report_matches_serial(self):
         points = generate_point_file("uniform", 250)
@@ -206,10 +205,10 @@ class TestJobSpecs:
             execute_job(spec)
 
     def test_standard_grids(self):
-        pam = pam_file_specs("uniform", 100)
+        pam = file_specs("pam", "uniform", 100)
         assert [s.structure for s in pam] == ["HB", "BANG", "BANG*", "GRID", "BUDDY"]
         assert [s.derive_packed for s in pam] == [False] * 4 + [True]
-        sam = sam_file_specs("diagonal", 100)
+        sam = file_specs("sam", "diagonal", 100)
         assert [s.structure for s in sam] == ["R-Tree", "BANG", "BUDDY", "PLOP"]
         assert all(s.seed is not None for s in pam + sam)
 
@@ -219,7 +218,7 @@ class TestJobSpecs:
 
 class TestBuildCache:
     def specs(self):
-        return pam_file_specs("uniform", 120, structures=["GRID", "BUDDY"])
+        return file_specs("pam", "uniform", 120, structures=["GRID", "BUDDY"])
 
     def test_round_trip_skips_rebuilds(self, tmp_path):
         cache = BuildCache(tmp_path)
@@ -295,9 +294,9 @@ class TestBuildCache:
         assert digest == data_digest(list(points))
         assert digest != data_digest(points[:-1])
         cache = BuildCache(tmp_path)
-        run_parallel_experiment("pam", ["GRID"], points, cache=cache)
+        run_experiment("pam", ["GRID"], points, cache=cache)
         assert cache.stores == 1
         warm = BuildCache(tmp_path)
-        outcome = run_parallel_experiment("pam", ["GRID"], points, cache=warm)
+        outcome = run_experiment("pam", ["GRID"], points, cache=warm)
         assert warm.hits == 1
         assert outcome.results["GRID"].metrics.records == 150

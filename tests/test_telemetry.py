@@ -19,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.comparison import run_experiment
 from repro.core.testbed import standard_pam_factories
 from repro.obs.__main__ import main as obs_main
-from repro.obs.runner import traced_pam_run
 from repro.obs.telemetry import (
     IO_STATS_KEYS,
     IO_STATS_PAGEFILE_KEYS,
@@ -211,11 +211,7 @@ class TestIoStatsSchema:
         exactly its own store's commits."""
         factories = {n: standard_pam_factories()[n] for n in ("GRID", "HB")}
         points = make_points(200, seed=5)
-        reports = [traced_pam_run(factories, points, seed=23)[1] for _ in range(2)]
-        runs = [
-            {name: entry["storage"] for name, entry in report.structures.items()}
-            for report in reports
-        ]
+        runs = [run_experiment("pam", factories, points).storage for _ in range(2)]
         first, second = map(_latency_counts, runs)
         assert first and second == first
         for name, block in runs[1].items():
@@ -223,14 +219,10 @@ class TestIoStatsSchema:
             assert commits == block["commits"], name
 
     def test_parallel_jobs_report_the_serial_latency(self, disk_telemetry):
-        from repro.parallel.runner import run_parallel_experiment
-
         data = make_points(120, seed=7)
         serial, pooled = (
             _latency_counts(
-                run_parallel_experiment(
-                    "pam", ["GRID", "BUDDY"], data, workers=workers
-                ).storage
+                run_experiment("pam", ["GRID", "BUDDY"], data, workers=workers).storage
             )
             for workers in (1, 2)
         )
@@ -242,12 +234,12 @@ class TestIoStatsSchema:
         from repro.obs.export import validate_run_report
         from repro.pam.twolevelgrid import TwoLevelGridFile
 
-        _, report = traced_pam_run(
+        report = run_experiment(
+            "pam",
             {"GRID": lambda s, dims=2: TwoLevelGridFile(s, dims)},
             make_points(150, seed=5),
             seed=23,
-            label="telemetry-roundtrip",
-        )
+        ).to_report("telemetry-roundtrip")
         saved = report.save(tmp_path / "report.json")
         data = json.loads(saved.read_text())
         assert validate_run_report(data) == []

@@ -513,13 +513,30 @@ class TestExperimentWiring:
         run_pam_experiment(factories, points)  # the entry point follows it
         assert len(audits) == 1
 
-    def test_parallel_experiment_rejects_audit(self):
-        from repro.core.comparison import run_pam_experiment, run_sam_experiment
+    def test_audit_reaches_cells_run_by_name(self, monkeypatch):
+        """An explicit ``audit=True`` travels to every job, whether the
+        cell's structure comes from a factory or a registered name."""
+        from repro.core.comparison import run_experiment
 
-        with pytest.raises(ValueError, match="workers=1"):
-            run_pam_experiment({}, [], workers=2, audit=True)
-        with pytest.raises(ValueError, match="workers=1"):
-            run_sam_experiment({}, [], workers=2, audit=True)
+        audits = []
+        monkeypatch.setattr(BuddyTree, "audit", lambda self: audits.append(self))
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        run_experiment("pam", ["BUDDY"], make_points(40, seed=4), audit=True)
+        assert len(audits) == 1
+
+    def test_parallel_experiment_audits_in_workers(self):
+        from repro.core.comparison import run_pam_experiment, run_sam_experiment
+        from repro.core.testbed import standard_pam_factories, standard_sam_factories
+
+        points, rects = make_points(80, seed=6), make_rects(60, seed=6)
+        for run, names, data in (
+            (run_pam_experiment, list(standard_pam_factories())[:2], points),
+            (run_sam_experiment, list(standard_sam_factories())[:2], rects),
+        ):
+            audited = run(names, data, workers=2, audit=True)
+            plain = run(names, data, audit=False)
+            for name in names:
+                assert audited[name].query_costs == plain[name].query_costs
 
     def test_experiment_with_audit_enabled(self):
         from repro.core.comparison import run_pam_experiment
