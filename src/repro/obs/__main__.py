@@ -95,7 +95,7 @@ def _explain(args: argparse.Namespace) -> int:
     if args.format == "heatmap":
         print(render_heatmap(trace), end="")
     else:
-        print(render_trace(trace, args.format), end="")
+        print(render_trace(trace), end="")
     return 0
 
 
@@ -144,7 +144,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("trace", metavar="TRACE.json")
     p.add_argument(
         "--format",
-        choices=("tree", "md", "json", "heatmap"),
+        choices=("tree", "heatmap"),
         default="tree",
         help="output rendering (default: tree)",
     )

@@ -16,8 +16,8 @@ Candidate/hit counts are computed after the fact from uncharged page
 peeks, so explaining a run never changes its access statistics.
 
 The trace document (schema ``repro.obs/explain/v1``) is rendered by
-``python -m repro.obs explain`` as an ASCII descent tree, markdown,
-JSON or a per-page heatmap.
+``python -m repro.obs explain`` as an ASCII descent tree or a per-page
+heatmap.
 """
 
 from __future__ import annotations
@@ -491,34 +491,13 @@ def _render_query_tree(structure: str, label: str, query: dict) -> list[str]:
 
 
 def render_trace(trace: dict, fmt: str = "tree") -> str:
-    """Render a trace document as ``tree``, ``md`` or ``json`` text."""
-    if fmt == "json":
-        return json.dumps(trace, indent=2, sort_keys=True)
+    """Render a trace document as ``tree`` text, one descent per query."""
+    if fmt != "tree":
+        raise ValueError(f"unknown format {fmt!r}")
     structure = trace.get("structure", "?")
     lines: list[str] = []
-    if fmt == "tree":
-        for file in trace.get("files", []):
-            for query in file.get("queries", []):
-                lines.extend(_render_query_tree(structure, file["label"], query))
-                lines.append("")
-        return "\n".join(lines).rstrip("\n") + "\n"
-    if fmt == "md":
-        lines.append(f"# Explain trace: {structure}")
-        for file in trace.get("files", []):
+    for file in trace.get("files", []):
+        for query in file.get("queries", []):
+            lines.extend(_render_query_tree(structure, file["label"], query))
             lines.append("")
-            lines.append(f"## {file['label']}")
-            lines.append("")
-            lines.append(
-                "| # | accesses | free | results | hits/candidates "
-                "| duplicates | pages |"
-            )
-            lines.append("|--:|--:|--:|--:|--:|--:|--:|")
-            for query in file.get("queries", []):
-                lines.append(
-                    f"| {query['index']} | {query['accesses']} "
-                    f"| {query['free_accesses']} | {query['result_count']} "
-                    f"| {query['hits']}/{query['candidates']} "
-                    f"| {query['duplicates']} | {len(query['pages'])} |"
-                )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return "\n".join(lines).rstrip("\n") + "\n"

@@ -18,10 +18,6 @@ package exploits that independence three ways:
   :class:`BuildCache` keyed by the spec plus a fingerprint of every
   ``repro`` source file, so repeated bench sessions skip finished
   cells entirely and code edits invalidate stale entries.
-* :mod:`repro.parallel.bench` — ``python -m repro.parallel.bench`` runs
-  the whole paper grid serially and in parallel, verifies the outputs
-  match, and records the wall-clock speedup in
-  ``results/BENCH_PARALLEL.json``.
 
 The benches opt in via ``REPRO_BENCH_WORKERS=N`` (default 1 runs the
 same cells inline) and place the cache via

@@ -267,10 +267,6 @@ class PageFile:
             )
         return _BYTE_KINDS[kind_byte], payload
 
-    def read_raw(self) -> bytes:
-        """The whole file (for snapshot export)."""
-        return self._fh.pread(self._fh.size(), 0)
-
     def fsync(self) -> None:
         self._fh.fsync()
 
@@ -666,7 +662,6 @@ class DiskPageStore(PageStore):
         self.commits = 0
         self.checkpoints = 0
         self.recovered = False
-        self.recovered_torn_tail = False
         #: The opaque blob last committed via ``commit(meta=...)``; after
         #: recovery, the blob of the last committed transaction.
         self.meta_blob: Any = None
@@ -885,7 +880,7 @@ class DiskPageStore(PageStore):
     def __reduce__(self):
         raise TypeError(
             "DiskPageStore holds open file handles and cannot be pickled; "
-            "use export_snapshot() for a durable copy"
+            "close it and reopen its directory instead"
         )
 
     # -- sidecar and recovery ----------------------------------------------
@@ -955,8 +950,7 @@ class DiskPageStore(PageStore):
         if doc.get("meta"):
             self.meta_blob = pickle.loads(base64.b64decode(doc["meta"]))
 
-        committed, commit_end, torn = self._wal.replay()
-        self.recovered_torn_tail = torn
+        committed, commit_end, _ = self._wal.replay()
         for record in committed:
             if record.kind == "page":
                 pid, kind_value, payload = record.fields
@@ -994,33 +988,6 @@ class DiskPageStore(PageStore):
             if pid in pool.pages and pid not in pool.frames:
                 pool._admit(pid, pool._load(pid), dirty=False)
         self.recovered = True
-
-    # -- snapshot export -----------------------------------------------------
-
-    def export_snapshot(self, dest: str | Path) -> Path:
-        """Checkpoint, then atomically copy the store into ``dest``.
-
-        The copy (page file + sidecar) is a complete, WAL-free store: a
-        ``DiskPageStore(dest)`` opens it read-write as of this moment.
-        """
-        self.checkpoint()
-        dest = Path(dest)
-        dest.mkdir(parents=True, exist_ok=True)
-        for name, payload in (
-            ("pages.dat", self._pagefile.read_raw()),
-            ("store.meta", self._sidecar_document()),
-        ):
-            tmp = dest / (name + ".tmp")
-            self.io.remove(tmp)
-            handle = self.io.open(tmp)
-            try:
-                handle.pwrite(payload, 0)
-                handle.truncate(len(payload))
-                handle.fsync()
-            finally:
-                handle.close()
-            self.io.replace(tmp, dest / name)
-        return dest
 
     # -- observability -------------------------------------------------------
 

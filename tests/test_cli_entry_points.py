@@ -32,7 +32,6 @@ COMMANDS = (
     "repro.obs explain",
     "repro.obs validate",
     "repro.verify.fuzz",
-    "repro.parallel.bench",
 )
 SCHEMAS = ("report", "explain", "snapshot")
 BAD_INPUTS = ("missing", "directory", "empty", "list", "unknown")

@@ -3,7 +3,7 @@
 The crash *property* tests live in ``test_crash_recovery.py`` and the
 pool invariants in ``test_buffer_pool.py``; this file covers the
 mechanics those build on — framing, checksums, fault injection,
-lifecycle parity with the simulated store, checkpoint/snapshot export.
+lifecycle parity with the simulated store, checkpoints.
 """
 
 from __future__ import annotations
@@ -356,20 +356,6 @@ class TestDiskPageStore:
         assert store.checkpoints == 1
         store.close()
         assert _fresh(tmp_path).peek(a) == list(range(10))
-
-    def test_export_snapshot_is_a_complete_store(self, tmp_path):
-        store = _fresh(tmp_path)
-        store.begin_operation()
-        a = store.allocate(PageKind.DATA, ["snap"])
-        store.write(a)
-        store.export_snapshot(tmp_path / "snap")
-        store.begin_operation()
-        store.read(a).append("after")  # diverge the original
-        store.write(a)
-        store.close()
-
-        copy = DiskPageStore(tmp_path / "snap", pool_pages=8)
-        assert copy.peek(a) == ["snap"]
 
     def test_page_overflow_names_the_remedy(self, tmp_path):
         store = DiskPageStore(tmp_path / "store", pool_pages=8, slot_size=4096)

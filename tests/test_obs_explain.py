@@ -242,17 +242,6 @@ class TestRendering:
         assert "BUDDY range_0.1% #0" in text
         assert "└─" in text and "accesses" in text
 
-    def test_md_format(self, pam_trace):
-        _, _, _, trace = pam_trace
-        text = render_trace(trace, "md")
-        assert text.startswith("# Explain trace: BUDDY")
-        assert "## range_1%" in text
-        assert "| duplicates | pages |" in text
-
-    def test_json_format_round_trips(self, pam_trace):
-        _, _, _, trace = pam_trace
-        assert json.loads(render_trace(trace, "json")) == trace
-
     def test_unknown_format(self, pam_trace):
         _, _, _, trace = pam_trace
         with pytest.raises(ValueError, match="unknown format"):

@@ -240,6 +240,21 @@ class TestBuildCache:
         # Even the cached wall-clock timers ride along unchanged.
         assert merged_first.timers == merged_second.timers
 
+    def test_pooled_results_replay_from_cache(self, tmp_path):
+        """What the workers send back is what a warm session replays."""
+        pooled = run_file(
+            "pam", "uniform", scale=PAM_SCALE, workers=2, cache=BuildCache(tmp_path)
+        )
+        warm = BuildCache(tmp_path)
+        replayed = run_file("pam", "uniform", scale=PAM_SCALE, workers=2, cache=warm)
+        assert (warm.hits, warm.misses, warm.stores) == (
+            len(file_specs("pam", "uniform", PAM_SCALE)),
+            0,
+            0,
+        )
+        assert replayed.results == pooled.results
+        assert replayed.totals == pooled.totals
+
     def test_key_covers_every_parameter(self, tmp_path):
         cache = BuildCache(tmp_path)
         base = JobSpec(kind="pam", structure="GRID", scale=100, file="uniform")
