@@ -225,6 +225,10 @@ class BangFile(PointAccessMethod):
         ``code >> (MAX_DEPTH - len(b)) == code_of_bits(b)``."""
         return blocks.point_code(point, self.dims)
 
+    def _record_codes(self, lst) -> list[int]:
+        """``_point_code`` per record: one pass serves a split and its chooser."""
+        return [blocks.point_code(p, self.dims) for p, _ in lst]
+
     def _best_data_entry(self, bits: Bits) -> tuple[int, Bits]:
         """(data pid, block) of the longest data block that is a prefix of ``bits``.
 
@@ -366,9 +370,9 @@ class BangFile(PointAccessMethod):
         prefix = blocks.code_of_bits(sub_block)
         shift = blocks.MAX_DEPTH - len(sub_block)
         inner, outer = [], []
-        for record in page.records:
-            in_block = self._point_code(record[0]) >> shift == prefix
-            (inner if in_block else outer).append(record)
+        codes = page.records.view("codes", self._record_codes)
+        for record, code in zip(page.records, codes):
+            (inner if code >> shift == prefix else outer).append(record)
         page.records = outer
         new_page = _DataPage(sub_block)
         new_page.records = inner
@@ -397,11 +401,8 @@ class BangFile(PointAccessMethod):
         shift = blocks.MAX_DEPTH - depth
         # Record codes inside the current block; only the chosen half
         # survives each level, so one bit per code per level is tested.
-        inside = []
-        for p, _ in page.records:
-            code = self._point_code(p)
-            if code >> shift == prefix:
-                inside.append(code)
+        codes = page.records.view("codes", self._record_codes)
+        inside = [code for code in codes if code >> shift == prefix]
         best: Bits | None = None
         best_imbalance = total + 1
         while depth < blocks.MAX_DEPTH:

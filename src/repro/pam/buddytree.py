@@ -256,11 +256,13 @@ class BuddyTree(PointAccessMethod):
     def _insert_descend(
         self, pid: int, point: tuple[float, ...], rid: object, at_root: bool,
         depth: int = 1,
-    ) -> Rect:
-        """Insert below directory page ``pid``; returns the node's new MBR.
+    ) -> None:
+        """Insert below directory page ``pid``.
 
         Any overflow of ``pid`` itself is handled by the caller except at
-        the root, where a new root is created.
+        the root, where a new root is created.  An insert only adds
+        ``point``, so each level grows the chosen entry to it instead of
+        rebuilding its exact MBR (``buddy.mbr-exact``).
         """
         node: _DirNode = self.store.read(pid)
         entry = self._choose_entry(node, point)
@@ -285,19 +287,24 @@ class BuddyTree(PointAccessMethod):
         elif entry.is_data:
             page: _DataPage = self.store.read(entry.pid)
             page.records.append((point, rid))
-            entry.rect = entry.rect.expanded_to_point(point)
-            node.entries.touch()
+            if not entry.rect.contains_point(point):
+                entry.rect = entry.rect.expanded_to_point(point)
+                node.entries.touch()
             if len(page.records) > self._capacity:
                 self._split_data_entry(node, entry, page)
             else:
                 self.store.write(entry.pid)
         else:
-            child_mbr = self._insert_descend(
-                entry.pid, point, rid, at_root=False, depth=depth + 1
-            )
-            entry.rect = child_mbr
-            node.entries.touch()
+            self._insert_descend(entry.pid, point, rid, at_root=False, depth=depth + 1)
             child: _DirNode = self.store.held(entry.pid)
+            if self._packed:
+                # Unsharing a page re-minimises its sharers, and after a
+                # delete that can shrink the child's MBR: rebuild it.
+                entry.rect = Rect.bounding([e.rect for e in child.entries])
+                node.entries.touch()
+            elif not entry.rect.contains_point(point):
+                entry.rect = entry.rect.expanded_to_point(point)
+                node.entries.touch()
             if self._node_overflowed(child):
                 self._split_dir_entry(node, entry, child)
         self.store.write(pid)
@@ -307,7 +314,6 @@ class BuddyTree(PointAccessMethod):
                 if not self._node_overflowed(root_node):
                     break
                 self._grow_root(root_node)
-        return Rect.bounding([e.rect for e in node.entries])
 
     def _choose_entry(self, node: _DirNode, point: tuple[float, ...]) -> _Entry | None:
         """The unique entry responsible for ``point``, enlarged if needed.

@@ -2,7 +2,8 @@
 
 These are the implementations the integer Morton kernel
 (:mod:`repro.geometry.blocks`) and the code-list / fused-column choosers
-of BANG, BUDDY and the R-tree replaced, kept verbatim as the references
+of BANG, BUDDY and the R-tree replaced, and BUDDY's insert descent that
+rebuilt every directory MBR on the way up, kept verbatim as the references
 ``tests/test_build_kernels.py`` compares the shipped code against.  They
 work on ``Bits`` tuples and :class:`Rect` objects only — one per-bit
 loop per address, one tuple slice per prefix test, one ``union().area()``
@@ -17,6 +18,8 @@ import math
 from repro.geometry import blocks
 from repro.geometry.blocks import MAX_DEPTH, Bits, common_prefix, is_prefix
 from repro.geometry.rect import Rect
+from repro.pam import buddytree as buddy_mod
+from repro.storage.page import PageKind
 
 # -- geometry.blocks ---------------------------------------------------------
 
@@ -201,6 +204,52 @@ def buddy_split_entries(tree, entries):
         every.sort(key=lambda e: e.rect.area())
         return every[:-1], every[-1:]
     return lower, upper
+
+
+def buddy_insert_descend(tree, pid, point, rid, at_root, depth=1) -> Rect:
+    """The descent that rebuilt every directory MBR on the way up:
+    returns ``Rect.bounding`` of the node's entries, and rebinds the
+    chosen entry's region whether or not it grew."""
+    node = tree.store.read(pid)
+    entry = tree._choose_entry(node, point)
+    if entry is None:
+        new_page = buddy_mod._DataPage([(point, rid)])
+        new_pid = tree.store.allocate(PageKind.DATA, new_page)
+        tree.store.write(new_pid)
+        child_entry = buddy_mod._Entry(Rect.from_point(point), new_pid, True)
+        if tree.balanced:
+            for _ in range(tree._levels - depth):
+                chain = buddy_mod._DirNode([child_entry])
+                chain_pid = tree.store.allocate(PageKind.DIRECTORY, chain)
+                tree.store.write(chain_pid)
+                child_entry = buddy_mod._Entry(child_entry.rect, chain_pid, False)
+        node.entries.append(child_entry)
+    elif entry.is_data:
+        page = tree.store.read(entry.pid)
+        page.records.append((point, rid))
+        entry.rect = entry.rect.expanded_to_point(point)
+        node.entries.touch()
+        if len(page.records) > tree._capacity:
+            tree._split_data_entry(node, entry, page)
+        else:
+            tree.store.write(entry.pid)
+    else:
+        child_mbr = buddy_insert_descend(
+            tree, entry.pid, point, rid, at_root=False, depth=depth + 1
+        )
+        entry.rect = child_mbr
+        node.entries.touch()
+        child = tree.store.held(entry.pid)
+        if tree._node_overflowed(child):
+            tree._split_dir_entry(node, entry, child)
+    tree.store.write(pid)
+    if at_root:
+        while True:
+            root_node = tree.store.held(tree._root_pid)
+            if not tree._node_overflowed(root_node):
+                break
+            tree._grow_root(root_node)
+    return Rect.bounding([e.rect for e in node.entries])
 
 
 # -- sam.rtree ---------------------------------------------------------------

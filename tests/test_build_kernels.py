@@ -5,9 +5,12 @@ choosers of BANG, BUDDY and the R-tree that run on packed codes and
 fused page columns must decide *exactly* what their pure-Python
 predecessors (``tests/reference_build.py``) decide — same address, same
 split block, same entry, same partition in the same order — on ordinary
-pages and on the degenerate ones where every candidate ties.
+pages and on the degenerate ones where every candidate ties.  BUDDY's
+descent, which grows directory regions, must leave the same tree at the
+same cost as the one that rebuilt every region from its entries.
 """
 
+import functools
 import random
 
 import pytest
@@ -21,8 +24,10 @@ from repro.pam import bang as bang_mod
 from repro.pam import buddytree as buddy_mod
 from repro.pam.bang import BangFile
 from repro.pam.buddytree import BuddyTree
+from repro.query import traverse
 from repro.sam import rtree as rtree_mod
 from repro.sam.rtree import RTree
+from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.storage.soa import fused_cover_boxes
 
@@ -338,6 +343,109 @@ class TestBuddyChoosers:
         ]
 
 
+@st.composite
+def buddy_op_streams(draw):
+    """``(dims, page size, balanced, ops)``: inserts of a drawn point file,
+    at most one ``pack()``, and deletes of live records in between.
+
+    The balanced variant (MLGF) takes no deletes: collapsing a one-entry
+    directory page on delete breaks its ``buddy.balance`` invariant, as
+    it did before the descent grew its regions.
+    """
+    dims = draw(st.sampled_from([2, 4]))
+    page = draw(st.sampled_from([128, 512])) if dims == 2 else 512
+    balanced = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "clustered", "dyadic", "duplicates"]))
+    n = draw(st.integers(1, 500))
+    center = [rng.random() for _ in range(dims)]
+    few = [tuple(rng.random() for _ in range(dims)) for _ in range(3)]
+
+    def point():
+        if kind == "uniform":
+            return tuple(rng.random() for _ in range(dims))
+        if kind == "clustered":
+            return tuple(min(max(rng.gauss(c, 0.02), 0.0), 0.999999) for c in center)
+        if kind == "dyadic":
+            return tuple(rng.randrange(16) / 16 for _ in range(dims))
+        return rng.choice(few)
+
+    delete_rate = 0.0 if balanced else draw(st.sampled_from([0.0, 0.1, 0.4]))
+    pack_at = draw(st.one_of(st.none(), st.integers(0, n)))
+    ops, live = [], []
+    for i in range(n):
+        if i == pack_at:
+            ops.append(("pack",))
+        p = point()
+        ops.append(("insert", p, i))
+        live.append((p, i))
+        if rng.random() < delete_rate:
+            ops.append(("delete",) + live.pop(rng.randrange(len(live))))
+    return dims, page, balanced, ops
+
+
+def buddy_dump(tree):
+    """Every directory entry as ``(rect, pid, is_data)`` and every data
+    page's records, in one root-first walk."""
+    out = []
+    stack = [(tree._root_pid, tree._root_is_data)]
+    while stack:
+        pid, is_data = stack.pop()
+        page = tree.store.peek(pid)
+        if is_data:
+            out.append((pid, list(page.records)))
+            continue
+        out.append((pid, [(e.rect, e.pid, e.is_data) for e in page.entries]))
+        stack.extend((e.pid, e.is_data) for e in page.entries)
+    return out
+
+
+def assert_descents_agree(dims, page, balanced, ops):
+    """Replay ``ops`` on a tree with the shipped descent and one with the
+    reference descent; both must end equal, pay equal, and audit clean."""
+    shipped = BuddyTree(PageStore(page), dims=dims, balanced=balanced)
+    reference = BuddyTree(PageStore(page), dims=dims, balanced=balanced)
+    reference._insert_descend = functools.partial(ref.buddy_insert_descend, reference)
+    for op in ops:
+        for tree in (shipped, reference):
+            if op[0] == "insert":
+                tree.insert(op[1], op[2])
+            elif op[0] == "delete":
+                assert tree.delete(op[1], op[2])
+            else:
+                tree.pack()
+    assert buddy_dump(shipped) == buddy_dump(reference)
+    assert shipped.store.stats.as_dict() == reference.store.stats.as_dict()
+    assert shipped.check_invariants() == []
+
+
+class TestBuddyGrownRegions:
+    """The shipped descent grows each directory entry to the inserted
+    point; the reference rebuilt the MBR from the entries at every level."""
+
+    @SETTINGS
+    @given(buddy_op_streams())
+    def test_grown_mbrs_match_rebuilt_ones(self, stream):
+        assert_descents_agree(*stream)
+
+    def test_packed_file_after_deletes(self):
+        """A delete leaves a sharer's region larger than its own records;
+        unsharing that page on a later insert shrinks it, and with it the
+        MBR of every directory page above — which the descent of a
+        packed file therefore rebuilds."""
+        rng = random.Random(116)
+        ops, live = [], []
+        for i in range(80):
+            if i == 40:
+                ops.append(("pack",))
+            if i > 40 and rng.random() < 0.5:
+                ops.append(("delete",) + live.pop(rng.randrange(len(live))))
+            p = (rng.random(), rng.random())
+            ops.append(("insert", p, i))
+            live.append((p, i))
+        assert_descents_agree(2, 128, False, ops)
+
+
 # -- R-tree ----------------------------------------------------------------------
 
 
@@ -379,6 +487,12 @@ rect_pages = st.one_of(
         st.integers(2, 5),
     ),
 )
+
+
+@st.composite
+def rect_of(draw, dims, corner=coordinate):
+    a, b = draw(st.tuples(*[corner] * dims)), draw(st.tuples(*[corner] * dims))
+    return Rect(tuple(map(min, a, b)), tuple(map(max, a, b)))
 
 
 def node_of(rects):
@@ -454,12 +568,42 @@ class TestRTreeChoosers:
             entries = [(r, i) for i, r in enumerate(rects)]
             assert tree._pick_seeds(fused_cover_boxes(rects)) == ref.rtree_pick_seeds(entries)
 
-    def test_choosers_read_the_page_view_the_queries_read(self):
+    @SETTINGS
+    @given(st.data(), st.sampled_from([1, 3, 4]), st.sampled_from([0.1, 0.3, 0.5]))
+    def test_choosers_match_reference_in_d_dims(self, data, dims, min_fill):
+        """The chooser loops over the axes of any dimensionality, and the
+        seed pick and PickNext evaluate per-axis columns."""
+        corner = data.draw(st.sampled_from([coordinate, tenths]))
+        box = rect_of(dims, corner)
+        rects = data.draw(
+            st.one_of(
+                st.lists(box, min_size=2, max_size=30),
+                st.builds(lambda r, n: [r] * n, box, st.integers(2, 30)),
+            )
+        )
+        tree = RTree(PageStore(), dims=dims, min_fill=min_fill)
+        tree._min_entries = max(1, int(len(rects) * min_fill))
+        node = node_of(rects)
+        entries = list(zip(node.rects, node.children))
+        cover = fused_cover_boxes(node.rects)
+        for probe in (data.draw(box), rects[0]):
+            assert tree._choose_subtree(node, probe) == ref.rtree_choose_subtree(node, probe)
+        assert tree._pick_seeds(cover) == ref.rtree_pick_seeds(entries)
+        assert tree._split_guttman(entries, cover) == ref.rtree_split_guttman(tree, entries)
+
+    def test_only_the_split_builds_the_page_view(self):
+        """ChooseSubtree reads the rows; a split builds the one fused
+        ``boxes:cover`` view the queries read too."""
         tree = RTree(PageStore())
         node = node_of([Rect((0.1, 0.1), (0.2, 0.2)), Rect((0.5, 0.5), (0.9, 0.9))])
         node.is_leaf = False
         tree._choose_subtree(node, Rect((0.15, 0.15), (0.16, 0.16)))
-        assert node.rects.view_builds == 1
-        built = node.rects.view(*rtree_mod._COVER)
-        tree._choose_subtree(node, Rect((0.6, 0.6), (0.7, 0.7)))
-        assert node.rects.view(*rtree_mod._COVER) is built
+        assert node.rects.view_builds == 0
+        rng = random.Random(3)
+        full = node_of([Rect.from_point((rng.random(), rng.random())) for _ in range(tree._capacity + 1)])
+        pid = tree.store.allocate(PageKind.DATA, full)
+        rects = full.rects
+        tree._split(pid, full)
+        assert rects.view_builds == 1
+        rects.view(*traverse.box_view("isect"))  # the queries' view: no second one
+        assert rects.view_builds == 1
