@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.rect import Rect
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,12 +106,29 @@ def _rect_volume(rect: Rect) -> float:
 
 
 def _pairwise_overlap(regions: Sequence[Rect]) -> float:
+    """Summed intersection volume over every pair of ``regions``.
+
+    One NumPy pass over the pairs ``i < j``: ``Rect.intersection``'s
+    corners and its "disjoint when any ``lo > hi``" test, volumes
+    multiplied in axis order like ``Rect.area``.  The volumes are then
+    added one by one in row-major pair order, the order of the nested
+    loop this replaces, so the float total is bit-identical to it.
+    """
+    if len(regions) < 2:
+        return 0.0
+    lo = np.array([r.lo for r in regions], dtype=float)
+    hi = np.array([r.hi for r in regions], dtype=float)
+    i, j = np.triu_indices(len(regions), 1)
+    common_lo = np.maximum(lo[i], lo[j])
+    common_hi = np.minimum(hi[i], hi[j])
+    meets = ~(common_lo > common_hi).any(axis=1)
+    sides = (common_hi - common_lo)[meets]
+    volumes = sides[:, 0]
+    for axis in range(1, sides.shape[1]):
+        volumes = volumes * sides[:, axis]
     total = 0.0
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            common = regions[i].intersection(regions[j])
-            if common is not None:
-                total += common.area()
+    for volume in volumes.tolist():
+        total += volume
     return total
 
 

@@ -86,6 +86,21 @@ def _entry_codes(lst) -> list[tuple[int, int]]:
     ]
 
 
+def _entry_code_index(lst) -> list[tuple[int, dict[int, list[int]]]]:
+    """The ``"codes"`` view inverted: ``(shift, {packed block: [entry
+    index, ...]})`` per distinct shift, smallest shift (longest block)
+    first, indices in page order.
+
+    A point of packed address ``code`` lies in exactly the entries listed
+    under ``code >> shift`` of each shift, so a descent probes one dict
+    per block length instead of comparing with every entry.
+    """
+    by_shift: dict[int, dict[int, list[int]]] = {}
+    for i, (prefix, shift) in enumerate(lst.view("codes", _entry_codes)):
+        by_shift.setdefault(shift, {}).setdefault(prefix, []).append(i)
+    return sorted(by_shift.items())
+
+
 class _DirNode:
     """A directory page: its own block plus nested child entries."""
 
@@ -259,7 +274,36 @@ class BangFile(PointAccessMethod):
         code = self._point_code(point)
         if self.spanning:
             return self._spanning_descent(blocks.bits_of_code(code, blocks.MAX_DEPTH))
-        prune = prune and self.minimal_regions
+        if prune and self.minimal_regions:
+            return self._search_data_page_pruned(point, code)
+        read = self.store.read
+        best_pid, best_shift = -1, blocks.MAX_DEPTH + 1
+        stack = [self._root_pid]
+        while stack:
+            node: _DirNode = read(stack.pop())
+            entries = node.entries
+            index = entries.view("code_index", _entry_code_index)
+            if node.is_leaf:
+                # Longest block first: the first hit is this leaf's best,
+                # and the first entry listed under it wins a tie, as the
+                # page-order scan kept it.
+                for shift, owners in index:
+                    if shift >= best_shift:
+                        break
+                    hit = owners.get(code >> shift)
+                    if hit is not None:
+                        best_pid, best_shift = entries[hit[0]].pid, shift
+                        break
+            else:
+                # Every matching entry is probed; push them in page order.
+                hits = [i for shift, owners in index for i in owners.get(code >> shift, ())]
+                hits.sort()
+                stack.extend([entries[i].pid for i in hits])
+        return best_pid
+
+    def _search_data_page_pruned(self, point: tuple[float, ...], code: int) -> int:
+        """The multi-branch probe of a minimal-regions query: a branch also
+        needs its MBR to contain ``point``, so every entry is tested."""
         best_pid, best_shift = -1, blocks.MAX_DEPTH + 1
         stack = [self._root_pid]
         while stack:
@@ -268,7 +312,7 @@ class BangFile(PointAccessMethod):
             for entry, (prefix, shift) in zip(entries, entries.view("codes", _entry_codes)):
                 if code >> shift != prefix:
                     continue
-                if prune and (entry.mbr is None or not entry.mbr.contains_point(point)):
+                if entry.mbr is None or not entry.mbr.contains_point(point):
                     continue
                 if node.is_leaf:
                     if shift < best_shift:  # a longer block

@@ -326,7 +326,13 @@ class BuddyTree(PointAccessMethod):
         """
         entries = node.entries
         for entry in entries:
-            if entry.rect.contains_point(point):
+            # ``entry.rect.contains_point(point)``, inlined: the hottest
+            # test of a BUDDY build.
+            rect = entry.rect
+            for lo, c, hi in zip(rect.lo, point, rect.hi):
+                if not lo <= c <= hi:
+                    break
+            else:
                 return entry
         dims = self.dims
         # (b) tests the *closed* buddy rectangle, not prefix containment:
@@ -721,8 +727,9 @@ class BuddyTree(PointAccessMethod):
         """Remove one record, re-minimising regions along the path.
 
         Empty data pages disappear; a directory page left with a single
-        entry is collapsed into its parent (preserving property 1).
-        Returns ``True`` when the record existed.
+        entry is collapsed into its parent (preserving property 1) — in
+        the balanced variant only at the root, which then gives up a
+        level.  Returns ``True`` when the record existed.
         """
         self.store.begin_operation()
         point = tuple(float(c) for c in point)
@@ -740,13 +747,18 @@ class BuddyTree(PointAccessMethod):
         deleted = self._delete_descend(self._root_pid, point, rid)
         if deleted:
             self._records -= 1
-            root: _DirNode = self.store.held(self._root_pid)
-            if len(root.entries) == 1:
+            # A one-entry root gives way to its child, one level less.  In
+            # the balanced variant that child may itself hold one entry.
+            while not self._root_is_data:
+                root: _DirNode = self.store.held(self._root_pid)
+                if len(root.entries) != 1:
+                    break
                 only = root.entries[0]
                 self.store.unpin(self._root_pid)
                 self.store.free(self._root_pid)
                 self._root_pid = only.pid
                 self._root_is_data = only.is_data
+                self._levels -= 1
                 self.store.pin(self._root_pid)
         return deleted
 
@@ -776,7 +788,10 @@ class BuddyTree(PointAccessMethod):
                 if not self._delete_descend(entry.pid, point, rid):
                     continue
                 child: _DirNode = self.store.held(entry.pid)
-                if len(child.entries) == 1:
+                if len(child.entries) == 1 and not self.balanced:
+                    # Property (1): lift the only entry into this page.  The
+                    # balanced variant keeps the one-entry page instead, or
+                    # that entry would sit one level above its peers.
                     node.entries[node.entries.index(entry)] = child.entries[0]
                     self.store.free(entry.pid)
                 elif not child.entries:

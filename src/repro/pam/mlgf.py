@@ -35,13 +35,3 @@ class MultilevelGridFile(BuddyTree):
         raise NotImplementedError(
             "packing (property 4) belongs to the BUDDY hash tree"
         )
-
-    def delete(self, point, rid) -> bool:
-        """Deletion would collapse one-entry chains and unbalance the tree.
-
-        The paper's comparison only grows files; the balanced variant
-        keeps it that way.
-        """
-        raise NotImplementedError(
-            "deletion is not specified for the multilevel grid file variant"
-        )

@@ -162,10 +162,17 @@ class TransformationSAM(SpatialAccessMethod):
     }
 
     def _transformed_query(self, query_box: Rect | None, op: str, query: Rect) -> list[object]:
-        """Run one 2d-dim range query, post-filtering with the ``op`` predicate."""
+        """Run one 2d-dim range query, post-filtering with the ``op`` predicate.
+
+        The corner representation needs no filter: each of its query
+        boxes is the ``op`` predicate read out per coordinate (see
+        :meth:`_query_box`), so the PAM returns exactly the answers.
+        """
         if query_box is None:
             return []
         candidates = self.pam._range_query(query_box)
+        if self.representation == "corner":
+            return [rid for _, rid in candidates]
         if len(candidates) < 2:
             predicate = traverse.SCALAR_PRED[op]
             return [
@@ -174,16 +181,13 @@ class TransformationSAM(SpatialAccessMethod):
                 if predicate(self._to_rect(point), query)
             ]
         # Vectorized post-filter: undo the transform on the whole candidate
-        # set at once.  The center-representation arithmetic (c - e, c + e)
-        # is the same float64 operation as _to_rect, so verdicts are
-        # bit-identical to the scalar path.
+        # set at once.  The arithmetic (c - e, c + e) is the same float64
+        # operation as _to_rect, so verdicts are bit-identical to the
+        # scalar path.
         d = self.dims
         pts = np.array([point for point, _ in candidates], dtype=float)
-        if self.representation == "corner":
-            lo, hi = pts[:, :d], pts[:, d:]
-        else:
-            lo = pts[:, :d] - pts[:, d:]
-            hi = pts[:, :d] + pts[:, d:]
+        lo = pts[:, :d] - pts[:, d:]
+        hi = pts[:, :d] + pts[:, d:]
         mask = self._KERNELS[op](
             lo,
             hi,

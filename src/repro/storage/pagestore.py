@@ -163,8 +163,14 @@ class PageStore:
         """
         if self.observer is not None:
             self.observer.on_operation_begin(self)
-        tail = list(self._buffer_cur)[-self.path_buffer_limit :]
-        self._buffer_prev = set(tail)
+        touched = self._buffer_cur
+        limit = self.path_buffer_limit
+        # Most operations touch no more pages than the buffer holds; only
+        # a longer one needs its order listed to cut the tail.
+        if len(touched) <= limit:
+            self._buffer_prev = set(touched)
+        else:
+            self._buffer_prev = set(list(touched)[-limit:])
         self._buffer_cur = {}
         self._written_this_op = set()
 

@@ -98,7 +98,7 @@ STRUCTURES: dict[str, dict] = {
     "HB-MBR": _spec("pam", lambda s: HBTree(s, minimal_regions=True)),
     "BUDDY": _spec("pam", lambda s: BuddyTree(s), deletes=True),
     "BUDDY+": _spec("pam", lambda s: BuddyTree(s), pack_every=120),
-    "MLGF": _spec("pam", lambda s: MultilevelGridFile(s)),
+    "MLGF": _spec("pam", lambda s: MultilevelGridFile(s), deletes=True),
     "KDB": _spec("pam", lambda s: KdBTree(s)),
     "ZB": _spec("pam", lambda s: ZOrderBTree(s)),
     "PLOP": _spec("pam", lambda s: PlopHashing(s)),

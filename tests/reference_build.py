@@ -8,7 +8,9 @@ rebuilt every directory MBR on the way up, kept verbatim as the references
 work on ``Bits`` tuples and :class:`Rect` objects only — one per-bit
 loop per address, one tuple slice per prefix test, one ``union().area()``
 per pair — and take the structure as an argument where they need its
-configuration.
+configuration.  Two more are the page-order scans that indexed or
+vectorised code replaced: BANG's insert descent over every entry's packed
+code, and the snapshot's pair loop of ``Rect.intersection`` volumes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from repro.geometry import blocks
 from repro.geometry.blocks import MAX_DEPTH, Bits, common_prefix, is_prefix
 from repro.geometry.rect import Rect
+from repro.pam import bang as bang_mod
 from repro.pam import buddytree as buddy_mod
 from repro.storage.page import PageKind
 
@@ -129,6 +132,31 @@ def bang_search_data_page(bang, point, prune: bool = False) -> int:
             if node.is_leaf:
                 if len(entry.bits) > best_len:
                     best_pid, best_len = entry.pid, len(entry.bits)
+            else:
+                stack.append(entry.pid)
+    return best_pid
+
+
+def bang_search_data_page_scan(bang, point, prune: bool = False) -> int:
+    """The descent the ``"code_index"`` view replaced: every entry of every
+    page visited is compared with the point's packed code, in page order."""
+    code = bang._point_code(point)
+    if bang.spanning:
+        return bang._spanning_descent(blocks.bits_of_code(code, MAX_DEPTH))
+    prune = prune and bang.minimal_regions
+    best_pid, best_shift = -1, MAX_DEPTH + 1
+    stack = [bang._root_pid]
+    while stack:
+        node = bang.store.read(stack.pop())
+        entries = node.entries
+        for entry, (prefix, shift) in zip(entries, entries.view("codes", bang_mod._entry_codes)):
+            if code >> shift != prefix:
+                continue
+            if prune and (entry.mbr is None or not entry.mbr.contains_point(point)):
+                continue
+            if node.is_leaf:
+                if shift < best_shift:  # a longer block
+                    best_pid, best_shift = entry.pid, shift
             else:
                 stack.append(entry.pid)
     return best_pid
@@ -307,3 +335,17 @@ def rtree_split_guttman(tree, entries: list) -> tuple[list, list]:
             right.append((rect, child))
             right_rect = right_rect.union(rect)
     return left, right
+
+
+# -- obs.structure -----------------------------------------------------------
+
+
+def pairwise_overlap(regions) -> float:
+    """The snapshot's pair loop: one ``Rect.intersection`` per pair."""
+    total = 0.0
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            common = regions[i].intersection(regions[j])
+            if common is not None:
+                total += common.area()
+    return total

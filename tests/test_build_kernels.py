@@ -20,6 +20,7 @@ from repro.geometry import blocks
 from repro.geometry.blocks import MAX_DEPTH
 from repro.geometry.rect import Rect
 from repro.geometry.zorder import z_interval, z_value
+from repro.obs import structure as obs_structure
 from repro.pam import bang as bang_mod
 from repro.pam import buddytree as buddy_mod
 from repro.pam.bang import BangFile
@@ -27,11 +28,13 @@ from repro.pam.buddytree import BuddyTree
 from repro.query import traverse
 from repro.sam import rtree as rtree_mod
 from repro.sam.rtree import RTree
+from repro.sam.transformation import TransformationSAM
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.storage.soa import fused_cover_boxes
 
 from tests import reference_build as ref
+from tests.test_pagestore import RecordingObserver
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -248,12 +251,109 @@ class TestBangChoosers:
     def test_entry_code_view_follows_the_entry_list(self):
         bang = built_bang([(i / 97.0, (i * 31 % 97) / 97.0) for i in range(97)])
         leaf = next(n for _, n in bang_pages(bang)[0] if n.is_leaf)
+
+        def indexed():
+            """The ``"code_index"`` view flattened to ``(index, code, shift)``."""
+            index = leaf.entries.view("code_index", bang_mod._entry_code_index)
+            assert [s for s, _ in index] == sorted({s for s, _ in index})
+            return sorted(
+                (i, prefix, shift)
+                for shift, owners in index
+                for prefix, indices in owners.items()
+                for i in indices
+            )
+
         codes = leaf.entries.view("codes", bang_mod._entry_codes)
         assert codes == [
             (blocks.code_of_bits(e.bits), MAX_DEPTH - len(e.bits)) for e in leaf.entries
         ]
+        assert indexed() == [(i, prefix, shift) for i, (prefix, shift) in enumerate(codes)]
         leaf.entries.append(bang_mod._Entry((1, 1, 1), -1))
         assert len(leaf.entries.view("codes", bang_mod._entry_codes)) == len(leaf.entries)
+        assert indexed()[-1] == (len(leaf.entries) - 1, 0b111, MAX_DEPTH - 3)
+
+
+#: The BANG variants whose insert descent is the indexed one.
+BANG_VARIANTS = {
+    "BANG": {},
+    "BANG*": {"variable_length_entries": True},
+    "BANG-MBR": {"minimal_regions": True},
+}
+
+
+@st.composite
+def bang_insert_streams(draw):
+    """``(variant, dims, page size, points)``: dyadic grids (points on the
+    halving boundaries, blocks of every length side by side), duplicate-
+    heavy files, clusters and uniform files, in 2-D and 4-D."""
+    variant = draw(st.sampled_from(sorted(BANG_VARIANTS)))
+    dims = draw(st.sampled_from([2, 4]))
+    page = draw(st.sampled_from([128, 512])) if dims == 2 else 512
+    kind = draw(st.sampled_from(["dyadic", "duplicates", "clustered", "uniform"]))
+    n = draw(st.integers(1, 500))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    center = [rng.random() for _ in range(dims)]
+    few = [tuple(rng.randrange(8) / 8 for _ in range(dims)) for _ in range(4)]
+
+    def point():
+        if kind == "dyadic":
+            return tuple(rng.randrange(16) / 16 for _ in range(dims))
+        if kind == "duplicates":
+            return rng.choice(few)
+        if kind == "clustered":
+            return tuple(min(max(rng.gauss(c, 0.01), 0.0), 1.0) for c in center)
+        return tuple(rng.random() for _ in range(dims))
+
+    return variant, dims, page, [point() for _ in range(n)]
+
+
+def bang_dump(bang):
+    """Every directory page as ``(bits, leaf, [(bits, pid, mbr)])`` and every
+    data page's block and records, in one root-first walk."""
+    out = []
+    stack = [bang._root_pid]
+    while stack:
+        pid = stack.pop()
+        node = bang.store.peek(pid)
+        out.append((pid, node.bits, node.is_leaf, [(e.bits, e.pid, e.mbr) for e in node.entries]))
+        for entry in node.entries:
+            if node.is_leaf:
+                page = bang.store.peek(entry.pid)
+                out.append((entry.pid, page.bits, list(page.records)))
+            else:
+                stack.append(entry.pid)
+    return out
+
+
+class TestBangIndexedDescent:
+    """The insert descent probes each page's ``"code_index"`` view; the
+    reference compares the point with every entry in page order.  Both
+    must build the same file at the same cost."""
+
+    @SETTINGS
+    @given(bang_insert_streams())
+    def test_indexed_descent_builds_what_the_scan_built(self, stream):
+        variant, dims, page, points = stream
+        shipped = BangFile(PageStore(page), dims=dims, **BANG_VARIANTS[variant])
+        reference = BangFile(PageStore(page), dims=dims, **BANG_VARIANTS[variant])
+        reference._search_data_page = functools.partial(
+            ref.bang_search_data_page_scan, reference
+        )
+        shipped.store.observer = RecordingObserver()
+        reference.store.observer = RecordingObserver()
+        for rid, p in enumerate(points):
+            shipped.insert(p, rid)
+            reference.insert(p, rid)
+        for p in points[:20]:
+            assert shipped.exact_match(p) == reference.exact_match(p)
+        # Same pages touched in the same order: the path buffer keeps the
+        # last pages by first touch, so order is part of the cost.
+        assert shipped.store.observer.events == reference.store.observer.events
+        assert shipped.store.observer.operations == reference.store.observer.operations
+        assert bang_dump(shipped) == bang_dump(reference)
+        assert shipped._data_blocks == reference._data_blocks
+        assert shipped.store.stats.as_dict() == reference.store.stats.as_dict()
+        assert shipped.check_invariants() == []
 
 
 # -- BUDDY ---------------------------------------------------------------------
@@ -346,12 +446,9 @@ class TestBuddyChoosers:
 @st.composite
 def buddy_op_streams(draw):
     """``(dims, page size, balanced, ops)``: inserts of a drawn point file,
-    at most one ``pack()``, and deletes of live records in between.
-
-    The balanced variant (MLGF) takes no deletes: collapsing a one-entry
-    directory page on delete breaks its ``buddy.balance`` invariant, as
-    it did before the descent grew its regions.
-    """
+    at most one ``pack()``, and deletes of live records in between — for
+    the balanced variant (MLGF) too, whose deletes keep one-entry pages
+    below the root and lower the level count when the root collapses."""
     dims = draw(st.sampled_from([2, 4]))
     page = draw(st.sampled_from([128, 512])) if dims == 2 else 512
     balanced = draw(st.booleans())
@@ -370,7 +467,7 @@ def buddy_op_streams(draw):
             return tuple(rng.randrange(16) / 16 for _ in range(dims))
         return rng.choice(few)
 
-    delete_rate = 0.0 if balanced else draw(st.sampled_from([0.0, 0.1, 0.4]))
+    delete_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
     pack_at = draw(st.one_of(st.none(), st.integers(0, n)))
     ops, live = [], []
     for i in range(n):
@@ -607,3 +704,99 @@ class TestRTreeChoosers:
         assert rects.view_builds == 1
         rects.view(*traverse.box_view("isect"))  # the queries' view: no second one
         assert rects.view_builds == 1
+
+
+# -- snapshot overlap ----------------------------------------------------------
+
+#: Corners on a coarse grid (faces and corners shared, boxes nested, equal
+#: or flat) mixed with arbitrary floats.
+grid_or_float = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def region_lists(draw):
+    dims = draw(st.integers(1, 4))
+    return draw(st.lists(rect_of(dims, grid_or_float), max_size=60))
+
+
+def same_float(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+class TestSnapshotOverlap:
+    """The vectorised sibling overlap must add the same volumes in the same
+    order as the pair loop: the snapshot's ``overlap_volume`` is rounded
+    from it, so one different last bit can move a committed snapshot."""
+
+    @SETTINGS
+    @given(region_lists())
+    def test_matches_the_pair_loop_bit_for_bit(self, regions):
+        got = obs_structure._pairwise_overlap(regions)
+        assert same_float(got, ref.pairwise_overlap(regions))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 40, 120])
+    @pytest.mark.parametrize("dims", [2, 4])
+    def test_every_size_and_shape(self, n, dims):
+        rng = random.Random(n * 10 + dims)
+        shapes = [
+            # touching on a face or a corner, and zero-area slivers
+            lambda i: Rect(
+                tuple(float(i % 4) / 4 for _ in range(dims)),
+                tuple(float(i % 4 + 1) / 4 for _ in range(dims)),
+            ),
+            lambda i: Rect((i / max(n, 1),) * dims, (i / max(n, 1),) * dims),
+            # nested boxes around one center
+            lambda i: Rect((0.5 - i / (2 * n + 2),) * dims, (0.5 + i / (2 * n + 2),) * dims),
+            # arbitrary boxes with decimal corners
+            lambda i: Rect(
+                *zip(*(sorted((round(rng.random(), 1), round(rng.random(), 1))) for _ in range(dims)))
+            ),
+        ]
+        for shape in shapes:
+            regions = [shape(i) for i in range(n)]
+            got = obs_structure._pairwise_overlap(regions)
+            assert same_float(got, ref.pairwise_overlap(regions))
+
+
+# -- corner transformation ---------------------------------------------------
+
+#: Corners where the transformed box's faces and the stored points meet.
+corner = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+corner_rects = st.one_of(rect_of(2, corner), rect_of(2, grid_or_float))
+
+
+class TestCornerQueriesAreExact:
+    """In the corner representation each of the four query boxes is the
+    query predicate read out per coordinate, so the post-filter the
+    queries no longer run would keep every candidate."""
+
+    @SETTINGS
+    @given(
+        st.sampled_from(["BANG", "BUDDY"]),
+        st.lists(corner_rects, min_size=1, max_size=150),
+        st.lists(corner_rects, min_size=1, max_size=12),
+    )
+    def test_every_candidate_satisfies_the_predicate(self, pam, rects, queries):
+        factory = (
+            (lambda s, dims: BangFile(s, dims=dims, variable_length_entries=True))
+            if pam == "BANG"
+            else (lambda s, dims: BuddyTree(s, dims=dims))
+        )
+        sam = TransformationSAM(PageStore(256), factory)
+        for rid, rect in enumerate(rects):
+            sam.insert(rect, rid)
+        for query in queries:
+            for kind, op, target, public in (
+                ("point", "encl", Rect.from_point(query.lo), sam.point_query),
+                ("intersection", "isect", query, sam.intersection),
+                ("containment", "within", query, sam.containment),
+                ("enclosure", "encl", query, sam.enclosure),
+            ):
+                probe = query.lo if kind == "point" else query
+                candidates = sam.pam._range_query(sam._query_box(kind, probe))
+                predicate = traverse.SCALAR_PRED[op]
+                assert all(predicate(sam._to_rect(p), target) for p, _ in candidates)
+                want = [rid for rid, rect in enumerate(rects) if predicate(rect, target)]
+                assert sorted(public(probe)) == want

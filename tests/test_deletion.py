@@ -82,12 +82,18 @@ class TestPamDeletion:
         assert len(pam) == 50
         assert run_audit(pam) == [], name
 
-    def test_mlgf_refuses_deletion(self):
-        """The balanced variant documents deletion as unsupported; make
-        sure it refuses loudly rather than corrupting the file."""
-        mlgf = build_pam(MultilevelGridFile, make_points(40, seed=27))
-        with pytest.raises(NotImplementedError):
-            mlgf.delete((0.5, 0.5), 0)
+    def test_mlgf_delete_keeps_balance(self):
+        """The balanced variant deletes without lifting an entry out of
+        its level: every data entry stays at the same depth."""
+        points = make_points(300, seed=27)
+        mlgf = build_pam(MultilevelGridFile, points)
+        for rid, point in list(enumerate(points))[::2]:
+            assert mlgf.delete(point, rid)
+            assert mlgf.exact_match(point) == []
+        assert len(mlgf) == 150
+        assert sorted(mlgf.range_query(Rect.unit(2))) == sorted(
+            (p, i) for i, p in list(enumerate(points))[1::2]
+        )
         assert run_audit(mlgf) == []
 
     def test_buddy_clustered_delete_merges_pages(self):

@@ -10,6 +10,7 @@ from repro.geometry.rect import Rect
 from repro.pam.buddytree import BuddyTree
 from repro.sam.rtree import RTree
 from repro.storage.pagestore import PageStore
+from repro.verify.fuzz import STRUCTURES
 
 
 class TestPointAccessMethodContract:
@@ -106,6 +107,59 @@ class TestSpatialAccessMethodContract:
         assert sam.intersection(Rect.unit(2)) == []
         assert sam.containment(Rect.unit(2)) == []
         assert sam.enclosure(Rect((0.4, 0.4), (0.6, 0.6))) == []
+
+
+# -- insert validation, every structure --------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+#: Coordinates the unit cube refuses: NaN, ±inf, below 0, above 1.
+BAD = [NAN, INF, -INF, -1e-12, -0.5, 1.0 + 1e-12, 2.0]
+
+
+def _refused(am, key, message):
+    """``insert(key)`` raises ``ValueError(message)`` and changes nothing."""
+    before = am.store.stats.as_dict()
+    with pytest.raises(ValueError) as caught:
+        am.insert(key, 0)
+    assert str(caught.value) == message
+    assert len(am) == 0
+    assert am.store.stats.as_dict() == before
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_insert_refuses_what_lies_outside_the_unit_cube(name):
+    """Every public insert refuses a bad coordinate in any position and a
+    wrong dimensionality, before its operation starts, with one message
+    per kind of mistake."""
+    spec = STRUCTURES[name]
+    am = spec["factory"](PageStore())
+    if spec["kind"] == "pam":
+        for bad in BAD:
+            for point in ((bad, 0.5), (0.5, bad)):
+                _refused(am, point, f"point {point} outside the unit cube")
+        _refused(am, (0.5,), "point has 1 dims, index has 2")
+        _refused(am, (0.5, 0.5, 0.5), "point has 3 dims, index has 2")
+        am.insert((0.0, 1.0), 1)
+        am.insert((-0.0, 0.5), 2)
+    else:
+        for bad in BAD:
+            for lo, hi in (
+                ((bad, 0.2), (0.6, 0.6)),
+                ((0.2, bad), (0.6, 0.6)),
+                ((0.2, 0.2), (bad, 0.6)),
+                ((0.2, 0.2), (0.6, bad)),
+            ):
+                if any(l > h for l, h in zip(lo, hi)):
+                    continue  # Rect itself refuses an inverted interval
+                rect = Rect(lo, hi)
+                _refused(am, rect, f"{rect} outside the unit cube")
+        _refused(am, Rect((0.1,), (0.2,)), "rect has 1 dims, index has 2")
+        _refused(
+            am, Rect((0.1,) * 3, (0.2,) * 3), "rect has 3 dims, index has 2"
+        )
+        am.insert(Rect((0.0, 0.0), (1.0, 1.0)), 1)
+        am.insert(Rect((-0.0, 0.5), (0.5, 0.5)), 2)
+    assert len(am) == 2
 
 
 MODULES = ["repro", *(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))]

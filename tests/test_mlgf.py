@@ -1,17 +1,23 @@
 """Tests for the multilevel grid file (the balanced buddy variant)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.geometry.rect import Rect
 from repro.pam.buddytree import BuddyTree
 from repro.pam.mlgf import MultilevelGridFile
 from repro.storage.pagestore import PageStore
+from repro.verify.fuzz import STRUCTURES, run_ops
 from tests.conftest import (
     STANDARD_QUERIES,
     check_pam_against_oracle,
     make_clustered_points,
     make_points,
 )
+
+REPRODUCERS = Path(__file__).parent / "reproducers"
 
 
 def build(points):
@@ -87,8 +93,39 @@ class TestBalance:
         mlgf = build(make_points(100, seed=6))
         with pytest.raises(NotImplementedError):
             mlgf.pack()
-        with pytest.raises(NotImplementedError):
-            mlgf.delete((0.5, 0.5), 0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # A level-2 page left with one entry was lifted into the root,
+            # one level above every other data entry.
+            "MLGF-lifted-entry",
+            # The root gave way to its only child without giving up a level.
+            "MLGF-root-collapse",
+        ],
+    )
+    def test_shrunk_delete_reproducers(self, name):
+        blob = json.loads((REPRODUCERS / f"{name}.json").read_text())
+        failure = run_ops(
+            STRUCTURES[blob["structure"]],
+            blob["ops"],
+            audit_every=1,
+            store_factory=lambda: PageStore(blob["page_size"]),
+        )
+        assert failure is None, failure
+
+    def test_delete_to_empty_stays_balanced(self):
+        points = make_clustered_points(600, seed=8)
+        mlgf = MultilevelGridFile(PageStore(128), 2)
+        for i, p in enumerate(points):
+            mlgf.insert(p, i)
+        for i, p in enumerate(points):
+            assert mlgf.delete(p, i)
+            if i % 25 == 0:
+                assert len(data_entry_depths(mlgf)) <= 1
+                assert mlgf.check_invariants() == []
+        assert len(mlgf) == 0 and mlgf._root_is_data and mlgf._levels == 0
+        mlgf.audit()
 
     def test_buddy_updates_are_cheaper(self):
         """The paper claims property (1) improves "all operations
