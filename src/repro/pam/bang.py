@@ -101,6 +101,11 @@ def _entry_code_index(lst) -> list[tuple[int, dict[int, list[int]]]]:
     return sorted(by_shift.items())
 
 
+def _mbr_holds(entry: _Entry, point: tuple[float, ...]) -> bool:
+    """The minimal-regions gate of an exact match: the entry's MBR holds ``point``."""
+    return entry.mbr is not None and entry.mbr.contains_point(point)
+
+
 class _DirNode:
     """A directory page: its own block plus nested child entries."""
 
@@ -274,8 +279,8 @@ class BangFile(PointAccessMethod):
         code = self._point_code(point)
         if self.spanning:
             return self._spanning_descent(blocks.bits_of_code(code, blocks.MAX_DEPTH))
-        if prune and self.minimal_regions:
-            return self._search_data_page_pruned(point, code)
+        # A minimal-regions query also needs the branch's MBR to hold the point.
+        pruned = prune and self.minimal_regions
         read = self.store.read
         best_pid, best_shift = -1, blocks.MAX_DEPTH + 1
         stack = [self._root_pid]
@@ -290,35 +295,19 @@ class BangFile(PointAccessMethod):
                 for shift, owners in index:
                     if shift >= best_shift:
                         break
-                    hit = owners.get(code >> shift)
-                    if hit is not None:
+                    hit = owners.get(code >> shift, ())
+                    if pruned:
+                        hit = [i for i in hit if _mbr_holds(entries[i], point)]
+                    if hit:
                         best_pid, best_shift = entries[hit[0]].pid, shift
                         break
             else:
                 # Every matching entry is probed; push them in page order.
                 hits = [i for shift, owners in index for i in owners.get(code >> shift, ())]
+                if pruned:
+                    hits = [i for i in hits if _mbr_holds(entries[i], point)]
                 hits.sort()
                 stack.extend([entries[i].pid for i in hits])
-        return best_pid
-
-    def _search_data_page_pruned(self, point: tuple[float, ...], code: int) -> int:
-        """The multi-branch probe of a minimal-regions query: a branch also
-        needs its MBR to contain ``point``, so every entry is tested."""
-        best_pid, best_shift = -1, blocks.MAX_DEPTH + 1
-        stack = [self._root_pid]
-        while stack:
-            node: _DirNode = self.store.read(stack.pop())
-            entries = node.entries
-            for entry, (prefix, shift) in zip(entries, entries.view("codes", _entry_codes)):
-                if code >> shift != prefix:
-                    continue
-                if entry.mbr is None or not entry.mbr.contains_point(point):
-                    continue
-                if node.is_leaf:
-                    if shift < best_shift:  # a longer block
-                        best_pid, best_shift = entry.pid, shift
-                else:
-                    stack.append(entry.pid)
         return best_pid
 
     def _spanning_descent(self, bits: Bits) -> int:
@@ -725,153 +714,45 @@ class BangFile(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        # Plan: level-at-a-time over uncharged views; block and MBR gates
-        # of every cold directory page of a level — and, afterwards, every
-        # cold data page — share one fused kernel call per op (see
-        # repro.query.traverse).  The nesting-coverage leaf filter rides
-        # along as a third gate: the leaf's residual rows.
-        held = store.held
-        src = traverse.RowSource(store.columnar, rect)
-        row_of = src.row
-        minimal = self.minimal_regions
-        # Promoted pages answer straight from the workload's CSR verdicts;
-        # probing them inline skips the RowSource call for the common case
-        # (the rows are the same lists row() would return).
-        workload = src.workload
-        hot = workload._rows if workload is not None else None
-        qi = workload.index if workload is not None else -1
-        # Inner pages keep their expanded child-pid list and leaves the
-        # surviving data-pid list: the plan needs both for its frontier
-        # and the replay walks the same lists, decoded exactly once.
-        expansion: dict[int, list] = {}
-        relevant: dict[int, list] = {}
-        level = [self._root_pid]
-
-        def resolve(
-            pid: int, node: "_DirNode", b_row: list, m_row, r_row, nxt: list
-        ) -> None:
-            if minimal:
-                hits = set(m_row)
-                idx = [i for i in b_row if i in hits]
-            else:
-                idx = b_row
-            entries = node.entries
-            if node.is_leaf:
-                relevant[pid] = self._keep_leaf_entries(entries, idx, r_row)
-            else:
-                kids = expansion[pid] = [entries[i].pid for i in idx]
-                nxt.extend(kids)
-
-        while level:
-            nxt: list = []
-            deferred: list = []
-            for pid in level:
-                node = held(pid)
-                entries = node.entries
-                if not entries:
-                    if node.is_leaf:
-                        relevant[pid] = []
-                    else:
-                        expansion[pid] = traverse._EMPTY_ROW
-                    continue
-                leaf = node.is_leaf
-                b_row = m_row = r_row = None
-                if hot is not None:
-                    entry = hot.get((pid, "blocks:isect"))
-                    if entry is not None:
-                        starts, cols = entry
-                        s = starts[qi]
-                        e = starts[qi + 1]
-                        b_row = cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
-                    if minimal:
-                        entry = hot.get((pid, "mbrs:isect"))
-                        if entry is not None:
-                            starts, cols = entry
-                            s = starts[qi]
-                            e = starts[qi + 1]
-                            m_row = (
-                                cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
-                            )
-                    if leaf:
-                        entry = hot.get((pid, "residual:isect"))
-                        if entry is not None:
-                            starts, cols = entry
-                            s = starts[qi]
-                            e = starts[qi + 1]
-                            r_row = (
-                                cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
-                            )
-                if b_row is None:
-                    b_row = row_of(
-                        pid, "blocks:isect", "isect",
-                        entries, "blocks:cover", self._build_blocks_cover,
-                    )
-                if minimal and m_row is None:
-                    m_row = row_of(
-                        pid, "mbrs:isect", "isect",
-                        entries, "mbrs:cover", self._build_mbrs_cover,
-                    )
-                if leaf and r_row is None:
-                    r_row = row_of(
-                        pid, "residual:isect", "isect",
-                        entries, "residual:cover", self._build_residual_cover,
-                    )
-                if (
-                    b_row is None
-                    or (minimal and m_row is None)
-                    or (leaf and r_row is None)
-                ):
-                    deferred.append((pid, node, b_row, m_row, r_row))
-                else:
-                    resolve(pid, node, b_row, m_row, r_row, nxt)
-            if deferred:
-                rows = src.flush()
-                for pid, node, b_row, m_row, r_row in deferred:
-                    if b_row is None:
-                        b_row = rows[(pid, "blocks:isect")]
-                    if minimal and m_row is None:
-                        m_row = rows[(pid, "mbrs:isect")]
-                    if node.is_leaf and r_row is None:
-                        r_row = rows[(pid, "residual:isect")]
-                    resolve(pid, node, b_row, m_row, r_row, nxt)
-            level = nxt
-        # All surviving data pages ride one last fused call.
-        leaf_dpids: dict[int, list] = {}
-        for pid, keep in relevant.items():
-            entries = held(pid).entries
-            dpids = leaf_dpids[pid] = [entries[i].pid for i in keep]
-            for dpid in dpids:
-                records = held(dpid).records
-                if not records:
-                    src.rows[(dpid, "pts")] = traverse._EMPTY_ROW
-                    continue
-                if hot is not None:
-                    entry = hot.get((dpid, "pts"))
-                    if entry is not None:
-                        starts, cols = entry
-                        s = starts[qi]
-                        e = starts[qi + 1]
-                        src.rows[(dpid, "pts")] = (
-                            cols[s:e].tolist() if e > s else traverse._EMPTY_ROW
-                        )
-                        continue
-                row_of(dpid, "pts", "pts", records, "pts", fused_points)
-        rows = src.flush()
-        # Replay: the original descent order with charged reads.
-        result: list[tuple[tuple[float, ...], object]] = []
+        # One charged descent (see repro.query.traverse): the block and,
+        # with minimal regions, MBR gates of the page just read, and on a
+        # leaf the nesting-coverage gate over its residual rows; the
+        # surviving data pages are read in entry order.
         read = store.read
+        hits = traverse.RowSource(store.columnar, rect).hits
+        minimal = self.minimal_regions
+        result: list[tuple[tuple[float, ...], object]] = []
         stack = [self._root_pid]
         while stack:
             pid = stack.pop()
             node = read(pid)
-            if node.is_leaf:
-                for dpid in leaf_dpids[pid]:
-                    records = read(dpid).records
-                    row = rows[(dpid, "pts")]
+            entries = node.entries
+            if not entries:
+                continue
+            idx = hits(
+                pid, "blocks:isect", "isect",
+                entries, "blocks:cover", self._build_blocks_cover,
+            )
+            if minimal:
+                inside = set(hits(
+                    pid, "mbrs:isect", "isect",
+                    entries, "mbrs:cover", self._build_mbrs_cover,
+                ))
+                idx = [i for i in idx if i in inside]
+            if not node.is_leaf:
+                stack.extend([entries[i].pid for i in idx])
+                continue
+            r_row = hits(
+                pid, "residual:isect", "isect",
+                entries, "residual:cover", self._build_residual_cover,
+            )
+            for i in self._keep_leaf_entries(entries, idx, r_row):
+                dpid = entries[i].pid
+                records = read(dpid).records
+                if records:
+                    row = hits(dpid, "pts", "pts", records, "pts", fused_points)
                     if row:
                         result.extend([records[j] for j in row])
-            else:
-                stack.extend(expansion[pid])
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

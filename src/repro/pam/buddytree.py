@@ -577,126 +577,35 @@ class BuddyTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        # Plan: level-at-a-time over uncharged views; all cold pages of a
-        # level share one fused kernel call (see repro.query.traverse).
-        # Property 4 lets several entries of one directory page share a
-        # data page, so the frontier dedups pids exactly like the scalar
-        # path's seen_data set — set membership is order-independent.
-        held = store.held
-        src = traverse.RowSource(store.columnar, rect)
-        row_of = src.row
-        # Promoted pages answer straight from the workload's CSR verdicts;
-        # probing them inline skips the RowSource call for the common case
-        # (the rows are the same lists row() would return).
-        workload = src.workload
-        hot = workload._rows if workload is not None else None
-        qi = workload.index if workload is not None else -1
-        verdicts: dict[int, list] = {}
-        # Directory pages keep their expanded (child pid, is_data) pairs:
-        # the plan partitions them into the next frontier and the replay
-        # re-walks the same pairs, so entries are decoded exactly once.
-        expansion: dict[int, list] = {}
-        planned: set[int] = {self._root_pid}
-        dir_level: list[int] = []
-        data_level: list[int] = []
-        (data_level if self._root_is_data else dir_level).append(self._root_pid)
-
-        def expand(pid: int, row: list, nxt_dir: list, nxt_data: list) -> None:
-            entries = held(pid).entries
-            kids = expansion[pid] = []
-            for i in row:
-                e = entries[i]
-                cpid = e.pid
-                is_data = e.is_data
-                kids.append((cpid, is_data))
-                if cpid in planned:
-                    continue
-                planned.add(cpid)
-                (nxt_data if is_data else nxt_dir).append(cpid)
-
-        while dir_level or data_level:
-            nxt_dir: list[int] = []
-            nxt_data: list[int] = []
-            deferred_dir: list[int] = []
-            deferred_data: list[int] = []
-            for pid in dir_level:
-                entries = held(pid).entries
-                if not entries:
-                    verdicts[pid] = traverse._EMPTY_ROW
-                    expansion[pid] = traverse._EMPTY_ROW
-                    continue
-                row = None
-                if hot is not None:
-                    entry = hot.get((pid, "entries:isect"))
-                    if entry is not None:
-                        starts, cols = entry
-                        s = starts[qi]
-                        e = starts[qi + 1]
-                        if e == s:
-                            verdicts[pid] = traverse._EMPTY_ROW
-                            expansion[pid] = traverse._EMPTY_ROW
-                            continue
-                        row = cols[s:e].tolist()
-                if row is None:
-                    row = row_of(
-                        pid, "entries:isect", "isect",
-                        entries, "entries:cover", _entry_boxes_cover,
-                    )
-                if row is None:
-                    deferred_dir.append(pid)
-                else:
-                    verdicts[pid] = row
-                    expand(pid, row, nxt_dir, nxt_data)
-            for pid in data_level:
-                records = held(pid).records
-                if not records:
-                    verdicts[pid] = traverse._EMPTY_ROW
-                    continue
-                row = None
-                if hot is not None:
-                    entry = hot.get((pid, "pts"))
-                    if entry is not None:
-                        starts, cols = entry
-                        s = starts[qi]
-                        e = starts[qi + 1]
-                        if e == s:
-                            verdicts[pid] = traverse._EMPTY_ROW
-                            continue
-                        row = cols[s:e].tolist()
-                if row is None:
-                    row = row_of(pid, "pts", "pts", records, "pts", fused_points)
-                if row is None:
-                    deferred_data.append(pid)
-                else:
-                    verdicts[pid] = row
-            if deferred_dir or deferred_data:
-                rows = src.flush()
-                for pid in deferred_data:
-                    verdicts[pid] = rows[(pid, "pts")]
-                for pid in deferred_dir:
-                    row = verdicts[pid] = rows[(pid, "entries:isect")]
-                    expand(pid, row, nxt_dir, nxt_data)
-            dir_level, data_level = nxt_dir, nxt_data
-        # Replay: the original preorder descent with charged reads and
-        # the scalar seen_data dedup order (explicit stack, children
-        # pushed reversed, so the visit order matches the recursion).
+        # One charged descent (see repro.query.traverse), preorder as the
+        # recursion ran it: children pushed reversed.  Property 4 lets
+        # several entries of one directory page share a data page, so
+        # data pages are read once per query.
+        read = store.read
+        hits = traverse.RowSource(store.columnar, rect).hits
         result: list[tuple[tuple[float, ...], object]] = []
         seen_data: set[int] = set()
-        read = store.read
         stack = [(self._root_pid, self._root_is_data)]
         while stack:
             pid, is_data = stack.pop()
-            if is_data:
-                if pid in seen_data:
-                    continue
-                seen_data.add(pid)
-                records = read(pid).records
-                row = verdicts[pid]
+            if not is_data:
+                entries = read(pid).entries
+                if entries:
+                    row = hits(
+                        pid, "entries:isect", "isect",
+                        entries, "entries:cover", _entry_boxes_cover,
+                    )
+                    kids = [entries[i] for i in reversed(row)]
+                    stack.extend([(e.pid, e.is_data) for e in kids])
+                continue
+            if pid in seen_data:
+                continue
+            seen_data.add(pid)
+            records = read(pid).records
+            if records:
+                row = hits(pid, "pts", "pts", records, "pts", fused_points)
                 if row:
                     result.extend([records[i] for i in row])
-            else:
-                read(pid)
-                stack.extend(reversed(expansion[pid]))
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

@@ -671,7 +671,7 @@ class HBTree(PointAccessMethod):
 
         Purely structural — the walk prunes on the query box against the
         split coordinates (and the optional §5 MBRs), never on page
-        contents, so plan and replay agree by construction.
+        contents.
         """
         children: list[tuple[int, bool]] = []
         minimal = self.minimal_regions
@@ -692,65 +692,27 @@ class HBTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        # Plan: level-at-a-time over uncharged views.  Directory pruning
-        # is the (scalar) kd-tree walk — run once per node here, reused by
-        # the replay — and all cold data pages of a level share one fused
-        # kernel call (see repro.query.traverse).  hB-tree kd leaves may
-        # share children, so the frontier dedups pids like the scalar
-        # path's seen set.
-        held = store.held
-        src = traverse.RowSource(store.columnar, rect)
-        row_of = src.row
-        verdicts: dict[int, list] = {}
-        kids: dict[int, list[tuple[int, bool]]] = {}
-        planned: set[int] = {self._root_pid}
-        dir_level: list[int] = []
-        data_level: list[int] = []
-        (data_level if self._root_is_data else dir_level).append(self._root_pid)
-        while dir_level or data_level:
-            nxt_dir: list[int] = []
-            nxt_data: list[int] = []
-            deferred: list[int] = []
-            for pid in dir_level:
-                children = kids[pid] = self._kd_children(held(pid).kd, rect)
-                for cpid, is_data in children:
-                    if cpid in planned:
-                        continue
-                    planned.add(cpid)
-                    (nxt_data if is_data else nxt_dir).append(cpid)
-            for pid in data_level:
-                records = held(pid).records
-                if not records:
-                    verdicts[pid] = traverse._EMPTY_ROW
-                    continue
-                row = row_of(pid, "pts", "pts", records, "pts", fused_points)
-                if row is None:
-                    deferred.append(pid)
-                else:
-                    verdicts[pid] = row
-            if deferred:
-                rows = src.flush()
-                for pid in deferred:
-                    verdicts[pid] = rows[(pid, "pts")]
-            dir_level, data_level = nxt_dir, nxt_data
-        # Replay: the original preorder descent with charged reads.
+        # One charged descent (see repro.query.traverse), preorder as the
+        # recursion ran it: directory pruning is the structural kd-tree
+        # walk, data pages answer through one verdict row each.  hB-tree
+        # kd leaves may share children, so every page is visited once.
+        read = store.read
+        hits = traverse.RowSource(store.columnar, rect).hits
         result: list[tuple[tuple[float, ...], object]] = []
         seen: set[int] = set()
-        read = store.read
-
-        def visit(pid: int, is_data: bool) -> None:
+        stack = [(self._root_pid, self._root_is_data)]
+        while stack:
+            pid, is_data = stack.pop()
             if pid in seen:
-                return
+                continue
             seen.add(pid)
-            if is_data:
-                records = read(pid).records
-                result.extend([records[i] for i in verdicts[pid]])
-                return
-            read(pid)
-            for child_pid, child_is_data in kids[pid]:
-                visit(child_pid, child_is_data)
-
-        visit(self._root_pid, self._root_is_data)
+            if not is_data:
+                stack.extend(reversed(self._kd_children(read(pid).kd, rect)))
+                continue
+            records = read(pid).records
+            if records:
+                row = hits(pid, "pts", "pts", records, "pts", fused_points)
+                result.extend([records[i] for i in row])
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

@@ -357,67 +357,28 @@ class KdBTree(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        # Plan: level-at-a-time over uncharged views, one fused kernel
-        # call per level for all cold pages (see repro.query.traverse).
-        held = store.held
-        src = traverse.RowSource(store.columnar, rect)
-        row_of = src.row
-        region_tag, region_build = traverse.box_view("isect")
-        verdicts: dict[int, list] = {}
-        level = [(self._root_pid, self._root_is_leaf)]
-        while level:
-            nxt: list = []
-            deferred: list = []
-            for pid, is_leaf in level:
-                if is_leaf:
-                    records = held(pid).records
-                    if not records:
-                        verdicts[pid] = traverse._EMPTY_ROW
-                        continue
-                    row = row_of(pid, "pts", "pts", records, "pts", fused_points)
-                    if row is None:
-                        deferred.append((pid, True))
-                    else:
-                        verdicts[pid] = row
-                    continue
-                node = held(pid)
-                if not node.rects:
-                    verdicts[pid] = traverse._EMPTY_ROW
-                    continue
-                row = row_of(
-                    pid, "regions:isect", "isect", node.rects, region_tag, region_build
-                )
-                if row is None:
-                    deferred.append((pid, False))
-                else:
-                    verdicts[pid] = row
-                    pids = node.pids
-                    nxt.extend([(pids[i], node.leaf_children) for i in row])
-            if deferred:
-                rows = src.flush()
-                for pid, is_leaf in deferred:
-                    row = verdicts[pid] = rows[
-                        (pid, "pts" if is_leaf else "regions:isect")
-                    ]
-                    if not is_leaf:
-                        node = held(pid)
-                        pids = node.pids
-                        nxt.extend([(pids[i], node.leaf_children) for i in row])
-            level = nxt
-        # Replay: the original descent order with charged reads.
-        result: list[tuple[tuple[float, ...], object]] = []
+        # One charged descent (see repro.query.traverse).
         read = store.read
+        hits = traverse.RowSource(store.columnar, rect).hits
+        region_tag, region_build = traverse.box_view("isect")
+        result: list[tuple[tuple[float, ...], object]] = []
         stack = [(self._root_pid, self._root_is_leaf)]
         while stack:
             pid, is_leaf = stack.pop()
             if is_leaf:
                 records = read(pid).records
-                result.extend([records[i] for i in verdicts[pid]])
-            else:
-                node = read(pid)
+                if records:
+                    row = hits(pid, "pts", "pts", records, "pts", fused_points)
+                    result.extend([records[i] for i in row])
+                continue
+            node = read(pid)
+            if node.rects:
+                row = hits(
+                    pid, "regions:isect", "isect", node.rects, region_tag, region_build
+                )
                 pids = node.pids
                 leaf = node.leaf_children
-                stack.extend((pids[i], leaf) for i in verdicts[pid])
+                stack.extend([(pids[i], leaf) for i in row])
         return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:

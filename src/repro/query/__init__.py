@@ -13,7 +13,7 @@ in ``tests/reference_query.py``.
 Modules
 -------
 ``columnar``   per-store workload slot, batch verdict rows, hot-pid hints
-``traverse``   plan/replay level-at-a-time traversal and ``RowSource``
+``traverse``   ``RowSource``: verdict rows for the descents, plan/replay, scans
 ``driver``     batched query driver running a whole query file in one pass
 """
 

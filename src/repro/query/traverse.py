@@ -1,46 +1,47 @@
-"""Batched level-at-a-time traversal (plan / replay).
+"""Batched verdict rows for the query descents: three shapes, one source.
 
-At the paper's 512-byte pages a page holds ~20 rows, so a per-page
-Python call plus its own NumPy dispatch costs more than the predicate
-work it replaces.  This module batches the descent instead:
+At the paper's 512-byte pages a page holds ~20 rows, so a per-entry
+Python predicate costs more than one fused NumPy comparison over the
+page's struct-of-arrays rows (canonical on the page, see
+:mod:`repro.storage.soa`).  Every query path asks :class:`RowSource` for
+a page's ascending verdict row; the structures differ only in *when*
+they ask, and all three shapes issue the scalar path's charged reads in
+the scalar order, so disk-access statistics, search-path buffer state
+and the observer/explain event stream are bit-identical by construction.
 
-**Plan.**  A query walks the structure level by level over *uncharged*
-page views (:meth:`~repro.storage.pagestore.PageStore.peek`).  All cold
-pages of one level are evaluated against the query in **one fused kernel
-call** — their fused struct-of-arrays rows (canonical on the page, see
-:mod:`repro.storage.soa`) are concatenated and compared against a single
-query vector — producing each page's ascending verdict row; the verdict
-rows define the next level's frontier as index arrays.  Pages already
-answered by the batched workload cache skip even that.
+**One descent** (BANG, BUDDY, hB, k-d-B, R+).  The structure runs its
+scalar descent — ``read`` the page, take its verdict row from
+:meth:`RowSource.hits`, push the children — and nothing else.  A
+promoted page answers from the workload's cached rows; any other page
+is evaluated on the spot.  Their regions are disjoint or nearly so, so
+a level holds few cold pages and batching them buys nothing.
 
-**Replay.**  The structure then re-runs its original descent loop —
-identical visit order, identical :meth:`PageStore.read` calls — consuming
-the precomputed verdict rows instead of evaluating predicates per page.
-Because the replay issues the same charged accesses in the same order as
-the scalar path, the disk-access statistics, the search-path buffer state
-and the observer/explain event stream are bit-identical by construction,
-not merely by accounting.
+**Plan / replay** (R-tree).  Overlapping MBRs make a level wide: the
+query first walks the tree level by level over uncharged views
+(:meth:`~repro.storage.pagestore.PageStore.held`), deferring every cold
+page of a level with :meth:`RowSource.row` and evaluating them in **one**
+fused call per level with :meth:`RowSource.flush`; it then replays the
+original descent with charged reads over the precomputed rows.  At
+512 B on a 2 000-rectangle pool a one-descent R-tree answered ad-hoc
+queries ~1.5x slower (DESIGN.md, "Batched traversal"), which is why
+this shape stays where the levels are wide.
 
-Structures whose visited page set does not depend on page contents (the
-grid family, the z-ordered leaf scans) skip the plan phase entirely: they
-read their candidate pages in the original order first, then evaluate all
-cold pages in one fused call and assemble results — same accesses, same
-results, one kernel.
-
-:class:`RowSource` is the shared primitive: it answers per-page verdict
-rows from the workload's batch cache when the page is hot, and otherwise
-defers the page into the current level's fused batch.  Its memo *is* the
-workload's per-query memo, so the inlined hot-page probes in the access
-methods and the planner share within-query revisit answers.
+**Read then batch** (the grid family, the z-ordered scans, clipping,
+overlapping regions).  The visited page set does not depend on page
+contents, so the structure reads its candidate pages in the original
+order first and evaluates every cold one in one fused call
+(:func:`data_hit_rows` or ``row`` + ``flush``).
 
 The scalar descents this replaced are the tested reference; they live
 in ``tests/reference_query.py``, and ``tests/test_query_traversal.py``
-compares the two access streams event for event.  :data:`SCALAR_PRED`
-holds the pairwise predicates the kernels must agree with.
+compares the two access streams event for event, with and without a
+registered workload.  :data:`SCALAR_PRED` holds the pairwise predicates
+the kernels must agree with.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -80,8 +81,8 @@ def box_view(op: str) -> tuple:
     """``(view tag, builder)`` for containers of Rect rows under ``op``.
 
     Callers hoist this lookup out of their per-page loop and hand both
-    to :meth:`RowSource.row`, which materialises the view only when the
-    page cannot be answered from a cache.
+    to :meth:`RowSource.row` or :meth:`RowSource.hits`, which materialise
+    the view only when the page cannot be answered from a cache.
     """
     return _BOX_VIEWS[op]
 
@@ -120,17 +121,23 @@ SCALAR_PRED = {
 class RowSource:
     """Per-operation verdict rows with workload caching and level batching.
 
-    One instance serves one public query call.  ``row()`` returns the
-    ascending hit-index list of a ``(pid, rowkey)`` pair immediately when
-    it is memoised or the workload holds the page's batch mask, and
-    otherwise enqueues the page's fused rows into the current level's
-    batch, returning ``None``; ``flush()`` evaluates every enqueued page
-    in one kernel call per op family and memoises the rows.  After a
-    flush, ``rows[(pid, rowkey)]`` holds every row requested this level.
+    One instance serves one public query call; the workload's per-query
+    memo, when a batch is registered, is its memo.  Two ways to ask:
 
-    Verdicts are bit-identical to the scalar predicates: hot pages answer
-    from a ``(Q, n)`` batch mask, cold pages ride a concatenated
-    single-comparison kernel over the same fused arrays.
+    * :meth:`hits` — the row now.  The one-descent structures call only
+      this.
+    * :meth:`row` — the row if it is memoised or the workload holds the
+      page's batch mask, else ``None``: the page's fused rows join the
+      current level's batch.  :meth:`flush` then evaluates every deferred
+      page in one kernel call per op family and memoises the rows, so
+      ``rows[(pid, rowkey)]`` holds every row requested since.  The
+      R-tree's plan and the read-then-batch scans defer whole levels.
+
+    Either way an unpromoted visit is counted, and a page is promoted to
+    a ``(Q, n)`` batch mask once its count reaches the workload's
+    threshold.  Verdicts are bit-identical to the scalar predicates: hot
+    pages answer from the batch mask, cold pages ride the same fused
+    single-comparison kernel.
     """
 
     __slots__ = ("workload", "rows", "query", "_pend", "_pend_keys", "_qvecs")
@@ -144,8 +151,8 @@ class RowSource:
         self.workload = workload
         self.query = query
         #: Memoised rows of this operation; the workload's per-query memo
-        #: when a batch is registered, so the access methods' inlined
-        #: hot-page probes and the planner share within-query revisits.
+        #: when a batch is registered, so within-query revisits of a page
+        #: answer from one dict lookup.
         self.rows: dict = workload._cur if workload is not None else {}
         # op -> (keys, arrays): pages deferred into the level batch.
         self._pend: dict[str, tuple[list, list]] = {}
@@ -208,6 +215,28 @@ class RowSource:
         self._pend_keys.add(key)
         return None
 
+    def hits(self, pid: int, rowkey: str, op: str, lst, tag: str, build) -> list:
+        """The verdict row for ``(pid, rowkey)``, evaluated now.
+
+        The one-descent form of :meth:`row` (same arguments): a promoted
+        page answers from the workload's CSR verdicts, anything else goes
+        through :meth:`row` — visit counting and promotion included — and
+        a deferred page is flushed at once, alone.
+        """
+        workload = self.workload
+        if workload is not None:
+            entry = workload._rows.get((pid, rowkey))
+            if entry is not None:
+                starts, cols = entry
+                i = workload.index
+                s = starts[i]
+                e = starts[i + 1]
+                return cols[s:e].tolist() if e > s else _EMPTY_ROW
+        row = self.row(pid, rowkey, op, lst, tag, build)
+        if row is None:
+            row = self.flush()[(pid, rowkey)]
+        return row
+
     def flush(self) -> dict:
         """Evaluate every deferred page — one fused kernel call per op.
 
@@ -229,11 +258,15 @@ class RowSource:
                     else:
                         qvec = qvec_for(op, self.query)
                     self._qvecs[op] = qvec
-                flags = (fused <= qvec).all(axis=1).tolist()
-                pos = 0
+                # Ascending hit positions, cut at the page boundaries.
+                hit = (fused <= qvec).all(axis=1).nonzero()[0].tolist()
+                j = end = 0
                 for key, n in keys:
-                    rows[key] = [i for i in range(n) if flags[pos + i]]
-                    pos += n
+                    start = end
+                    end += n
+                    k = bisect_left(hit, end, j)
+                    rows[key] = [h - start for h in hit[j:k]] if start else hit[j:k]
+                    j = k
             pend.clear()
             self._pend_keys.clear()
         return rows

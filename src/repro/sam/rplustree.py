@@ -367,76 +367,38 @@ class RPlusTree(SpatialAccessMethod):
 
     def _collect(self, region_op: str, entry_op: str, query: Rect) -> list[object]:
         store = self.store
-        # Plan: level-at-a-time over uncharged views; one fused kernel
-        # call per level for all cold pages (see repro.query.traverse).
-        held = store.held
-        src = traverse.RowSource(store.columnar, query)
-        row_of = src.row
+        # One charged descent (see repro.query.traverse); clipped entries
+        # recur under several leaves, so first-seen dedup keeps the
+        # scalar result order.
+        read = store.read
+        hits = traverse.RowSource(store.columnar, query).hits
         entry_tag, entry_build = traverse.box_view(entry_op)
         region_tag, region_build = traverse.box_view(region_op)
         entry_key, region_key = "entries:" + entry_op, "regions:" + region_op
-        verdicts: dict[int, list] = {}
-        level = [(self._root_pid, self._root_is_leaf)]
-        while level:
-            nxt: list = []
-            deferred: list = []
-            for pid, is_leaf in level:
-                if is_leaf:
-                    leaf = held(pid)
-                    if not leaf.rects:
-                        verdicts[pid] = traverse._EMPTY_ROW
-                        continue
-                    row = row_of(
-                        pid, entry_key, entry_op, leaf.rects, entry_tag, entry_build
-                    )
-                    if row is None:
-                        deferred.append((pid, True))
-                    else:
-                        verdicts[pid] = row
-                    continue
-                node = held(pid)
-                if not node.regions:
-                    verdicts[pid] = traverse._EMPTY_ROW
-                    continue
-                row = row_of(
-                    pid, region_key, region_op, node.regions, region_tag, region_build
-                )
-                if row is None:
-                    deferred.append((pid, False))
-                else:
-                    verdicts[pid] = row
-                    pids = node.pids
-                    nxt.extend([(pids[i], node.leaf_children) for i in row])
-            if deferred:
-                rows = src.flush()
-                for pid, is_leaf in deferred:
-                    row = verdicts[pid] = rows[(pid, entry_key if is_leaf else region_key)]
-                    if not is_leaf:
-                        node = held(pid)
-                        pids = node.pids
-                        nxt.extend([(pids[i], node.leaf_children) for i in row])
-            level = nxt
-        # Replay: the original descent order with charged reads; clipped
-        # entries recur under several leaves, so first-seen dedup keeps
-        # the scalar result order.
         result: list[object] = []
         seen: set[object] = set()
-        read = store.read
         stack = [(self._root_pid, self._root_is_leaf)]
         while stack:
             pid, is_leaf = stack.pop()
+            node = read(pid)
             if is_leaf:
-                rids = read(pid).rids
-                for i in verdicts[pid]:
-                    rid = rids[i]
-                    if rid not in seen:
-                        seen.add(rid)
-                        result.append(rid)
-            else:
-                node = read(pid)
+                if node.rects:
+                    rids = node.rids
+                    for i in hits(
+                        pid, entry_key, entry_op, node.rects, entry_tag, entry_build
+                    ):
+                        rid = rids[i]
+                        if rid not in seen:
+                            seen.add(rid)
+                            result.append(rid)
+                continue
+            if node.regions:
+                row = hits(
+                    pid, region_key, region_op, node.regions, region_tag, region_build
+                )
                 pids = node.pids
                 leaf = node.leaf_children
-                stack.extend((pids[i], leaf) for i in verdicts[pid])
+                stack.extend([(pids[i], leaf) for i in row])
         return result
 
     def _point_query(self, point: tuple[float, ...]) -> list[object]:

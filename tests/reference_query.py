@@ -1,6 +1,6 @@
 """Scalar reference descents of the query path.
 
-The package answers every query through the batched plan/replay traversal
+The package answers every query through the batched traversal
 (:mod:`repro.query.traverse`).  These are the descents it replaced, kept
 as the references the tests compare it against access for access: one
 Python predicate per entry, one charged ``store.read`` per page, in the
@@ -9,7 +9,7 @@ original visit order.  Each takes the structure as its first argument;
 :func:`scalar_only` fails a block that still reaches the batched path.
 
 Run as a script (``PYTHONPATH=src:. python tests/reference_query.py``) it
-is the at-scale check: for six representative structures, the explain
+is the at-scale check: for nine representative structures, the explain
 traces (visited pages, per-page hits, prunes) of one 800-record build
 must be byte-equal between the reference descent and the production
 traversal; exit status 1 otherwise.  Tier-1 compares full access streams
@@ -388,7 +388,7 @@ def _explain_identity() -> list[str]:
         "sam": ("intersection", rect_qs, "intersection"),
     }
     failures = []
-    for name in ("GRID", "BANG", "BUDDY", "R", "T-BANG", "PLOP-SAM"):
+    for name in ("GRID", "BANG", "BUDDY", "HB", "KDB", "R", "R+", "T-BANG", "PLOP-SAM"):
         spec = STRUCTURES[name]
         kind, queries, op = files[spec["kind"]]
         traces = {}

@@ -171,6 +171,32 @@ class TestScalarVectorIdentity:
             expected = sorted((p, i) for i, p in enumerate(points) if q.contains_point(p))
             assert sorted(hits) == sorted(alone) == expected
 
+    def test_one_flush_cuts_rows_at_page_boundaries(self):
+        """Pages deferred into one kernel call each get their own
+        ascending row, equal to the scalar predicate and to what
+        ``hits`` answers for the page alone."""
+        rng = np.random.default_rng(11)
+        store = PageStore()
+        tag, build = traverse.value_view("isect")
+        pages = []
+        for n in (1, 7, 3, 12, 5):
+            values = SoAList(
+                (Rect(tuple(lo), tuple(lo + 0.2)), i)
+                for i, lo in enumerate(rng.uniform(0, 0.8, size=(n, 2)))
+            )
+            pages.append((data_page(store, values), values))
+        for lo in rng.uniform(0, 0.7, size=(20, 2)):
+            q = Rect(tuple(lo), tuple(lo + 0.3))
+            src = traverse.RowSource(store.columnar, q)
+            for pid, values in pages:
+                assert src.row(pid, ROWKEY, "isect", values, tag, build) is None
+            rows = src.flush()
+            for pid, values in pages:
+                expected = [j for j, (rect, _) in enumerate(values) if rect.intersects(q)]
+                assert rows[(pid, ROWKEY)] == expected
+                alone = traverse.RowSource(store.columnar, q)
+                assert alone.hits(pid, ROWKEY, "isect", values, tag, build) == expected
+
     def test_raising_start_file_leaves_no_workload_registered(self):
         class Exploding:
             def start_file(self, method, kind):

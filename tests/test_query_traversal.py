@@ -1,15 +1,17 @@
-"""Property tests for the batched level-at-a-time traversal.
+"""Property tests for the batched traversal.
 
-The batched planner (:mod:`repro.query.traverse`) promises more than
-equal results: the *frontier* it derives at every directory level — and
-therefore the full ordered stream of page accesses the replay issues —
-must equal the scalar descent's, access for access.  These tests pin
+The batched query path (:mod:`repro.query.traverse`: the R-tree's
+plan/replay, the other trees' one charged descent, the scans'
+read-then-batch) promises more than equal results: the full ordered
+stream of page accesses it issues must equal the scalar descent's,
+access for access.  These tests pin
 that oracle across the whole fuzz matrix: every structure is built
 twice from identical data, once put on its scalar reference descent
 (``tests/reference_query.py``, which must not reach the batched path),
-every query file runs through the batched driver on both, and the two
-observer event streams (pid, kind, read/write, charged) are compared as
-ordered sequences.  A batched
+every query file runs through the batched driver on both — and once
+more one public call at a time with no registered workload, the path
+ad-hoc queries take — and the two observer event streams (pid, kind,
+read/write, charged) are compared as ordered sequences.  A batched
 traversal that visited one extra page, skipped one, or reordered two
 reads fails immediately.
 
@@ -61,8 +63,10 @@ class _PidTrace:
         self.events.append((pid, str(kind), rw, charged))
 
 
-def _traced_pass(name, spec, data, queries, scalar, page_size=512):
-    """Build one structure and run the query files under a pid trace."""
+def _traced_pass(name, spec, data, queries, scalar, registered, page_size=512):
+    """Build one structure and run the query files under a pid trace —
+    through the batched driver when ``registered``, else one public call
+    per query with no workload on the store."""
     store = PageStore(page_size)
     method = spec["factory"](store)
     for rid, item in enumerate(data):
@@ -76,7 +80,10 @@ def _traced_pass(name, spec, data, queries, scalar, page_size=512):
     else:
         files = [("intersection", method.intersection), ("enclosure", method.enclosure)]
     with scalar_only() if scalar else contextlib.nullcontext():
-        outcomes = [run_query_file(method, kind, queries, op) for kind, op in files]
+        if registered:
+            outcomes = [run_query_file(method, kind, queries, op) for kind, op in files]
+        else:
+            outcomes = [[op(query) for query in queries] for _, op in files]
     return trace.events, outcomes, repr(store.stats.snapshot())
 
 
@@ -85,17 +92,23 @@ def _assert_frontier_identity(seed, scale, queries):
     rects = _rect_pool(scale, seed + 1)
     for name, spec in STRUCTURES.items():
         data = points if spec["kind"] == "pam" else rects
-        s_events, s_out, s_stats = _traced_pass(name, spec, data, queries, False)
-        v_events, v_out, v_stats = _traced_pass(name, spec, data, queries, True)
-        assert v_out == s_out, f"{name}: outcomes diverge"
-        assert v_stats == s_stats, f"{name}: store statistics diverge"
-        if v_events != s_events:
-            n = min(len(s_events), len(v_events))
-            idx = next((i for i in range(n) if s_events[i] != v_events[i]), n)
-            raise AssertionError(
-                f"{name}: access stream diverges at event {idx} "
-                f"(scalar {len(s_events)} events, vector {len(v_events)})"
+        for registered in (True, False):
+            label = name if registered else f"{name} (unregistered)"
+            v_events, v_out, v_stats = _traced_pass(
+                name, spec, data, queries, False, registered
             )
+            s_events, s_out, s_stats = _traced_pass(
+                name, spec, data, queries, True, registered
+            )
+            assert v_out == s_out, f"{label}: outcomes diverge"
+            assert v_stats == s_stats, f"{label}: store statistics diverge"
+            if v_events != s_events:
+                n = min(len(s_events), len(v_events))
+                idx = next((i for i in range(n) if s_events[i] != v_events[i]), n)
+                raise AssertionError(
+                    f"{label}: access stream diverges at event {idx} "
+                    f"(scalar {len(s_events)} events, vector {len(v_events)})"
+                )
 
 
 FUZZ_SETTINGS = settings(
