@@ -89,9 +89,10 @@ class _AccessMethodBase(abc.ABC):
         """Yield a :class:`~repro.obs.structure.PageView` per live page.
 
         Each structure overrides this with an uncharged walk of its own
-        page layout (via :meth:`PageStore.peek`), mirroring its
-        invariant auditor.  Shared pages (packed BUDDY) are yielded
-        exactly once.  The default refuses, so a structure without a
+        page layout (via :meth:`PageStore.peek`); snapshots, explain and
+        the auditors all read it (the auditors through
+        :func:`repro.verify.invariants.check_walk`).  Shared pages
+        (packed BUDDY) are yielded exactly once.  The default refuses, so a structure without a
         walk cannot silently return an empty snapshot.
         """
         raise NotImplementedError(

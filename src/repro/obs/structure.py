@@ -8,11 +8,16 @@ of sibling directory regions, dead space inside data-page regions, and
 per-level storage utilisation.
 
 Every structure contributes a ``_snapshot_pages()`` walk yielding
-:class:`PageView` records.  The walk uses only the page store's
-uncharged audit accessors (:meth:`~repro.storage.pagestore.PageStore.peek`
-and friends), so taking a snapshot never perturbs access counters or
-the search-path buffer — :func:`compute_snapshot` verifies this and
-raises if a walk charged anything.
+:class:`PageView` records: the one page model of the repro.  Snapshots,
+explain traces and the invariant auditors all read it — the auditors
+through :func:`repro.verify.invariants.check_walk`, which holds each
+walk to the store (every live page exactly once, with the kind the
+store records) and checks capacity, nesting and balance on the views.
+The walk uses only the page store's uncharged audit accessors
+(:meth:`~repro.storage.pagestore.PageStore.peek` and friends), so taking
+a snapshot never perturbs access counters or the search-path buffer —
+:func:`compute_snapshot` verifies this and raises if a walk charged
+anything.
 
 Metric definitions (all volumes are d-dimensional, in the unit cube):
 

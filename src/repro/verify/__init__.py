@@ -3,7 +3,9 @@
 ``repro.verify`` is the testing subsystem behind the paper repro: every
 access method exposes ``audit()`` / ``check_invariants()`` (see
 :mod:`repro.core.interfaces`), dispatched here to a per-structure
-auditor that walks the page store and asserts structural invariants.
+auditor that checks the structure's own page walk (the
+``_snapshot_pages()`` views snapshots and explain read) and asserts
+structural invariants.
 :mod:`repro.verify.fuzz` drives seeded operation sequences against each
 structure and a brute-force oracle, auditing along the way and shrinking
 failures to minimal reproducers.

@@ -1,17 +1,24 @@
 """Per-structure invariant auditors for every PAM and SAM.
 
-Each auditor walks its structure through the page store's uncharged
-audit accessors (:meth:`~repro.storage.pagestore.PageStore.peek` and
-friends) and checks the structural invariants documented in DESIGN.md.
-Auditors are looked up through the MRO, so subclasses inherit their base
-class's auditor (``MultilevelGridFile`` uses the BUDDY auditor,
+Each auditor starts with :func:`~repro.verify.invariants.check_walk`,
+which consumes the structure's own ``_snapshot_pages()`` walk — the one
+page model snapshots and explain also read — and checks what every
+structure owes (reachability, kinds, pins, capacity, nesting, tiling,
+exact MBRs, balance).  The auditor then loops over the views it returns
+and checks only what a view cannot say: routing, placement, block
+nesting, counters, the structure's own bookkeeping.  Pages are read
+through the page store's uncharged audit accessors
+(:meth:`~repro.storage.pagestore.PageStore.peek` and friends).
+Auditors are looked up through the MRO, so subclasses inherit their
+base class's auditor (``MultilevelGridFile`` uses the BUDDY auditor,
 ``QuantileHashing`` the PLOP one).
 
 Tolerated overflows — pages an implementation legitimately leaves over
-capacity because no admissible split exists — are re-derived here by
-calling the structure's own *pure* split chooser: a page may exceed its
-capacity only if the chooser returns "no split possible" for its current
-contents.
+capacity because no admissible split exists — are re-derived by the
+``tolerated`` callback each auditor hands :func:`check_walk`, which
+calls the structure's own *pure* split chooser: a page may exceed its
+capacity only if the chooser returns "no split possible" for its
+current contents.
 """
 
 from __future__ import annotations
@@ -36,13 +43,14 @@ from repro.sam.overlapping import OverlappingPlop
 from repro.sam.rplustree import RPlusTree
 from repro.sam.rtree import RTree
 from repro.sam.transformation import TransformationSAM
-from repro.storage.page import PageKind
 from repro.verify.invariants import (
     Audit,
     Violation,
+    WalkBroken,
     check_bplus_tree,
     check_grid_layer,
     check_plop_grid,
+    check_walk,
 )
 
 __all__ = ["AUDITORS", "register", "run_audit"]
@@ -59,54 +67,32 @@ def register(cls: type):
     return deco
 
 
-def run_audit(am) -> list[Violation]:
-    """Audit ``am`` with the auditor registered for its closest class."""
-    for klass in type(am).__mro__:
+def _audit_into(audit: Audit) -> None:
+    """Run the auditor of ``audit.am``'s closest class, then the record count.
+
+    A broken walk raises :class:`WalkBroken`, skipping the record count.
+    """
+    for klass in type(audit.am).__mro__:
         fn = AUDITORS.get(klass)
         if fn is not None:
-            audit = Audit(am)
             fn(audit)
             audit.check_record_count()
-            return audit.violations
-    return [
-        Violation(
-            "auditor.missing",
-            f"no auditor registered for {type(am).__name__}",
-        )
-    ]
-
-
-# -- shared geometric checks ----------------------------------------------
-
-#: Absolute slack for volume bookkeeping of region partitions.
-_AREA_EPS = 1e-9
-
-
-def _check_partition(audit: Audit, region: Rect, rects, prefix: str) -> None:
-    """``rects`` must tile ``region``: contained, interior-disjoint, complete."""
-    total = 0.0
-    for r in rects:
-        audit.check(
-            region.contains_rect(r),
-            f"{prefix}.containment",
-            f"child region {r} escapes its parent region {region}",
-        )
-        total += r.area()
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            inter = rects[i].intersection(rects[j])
-            audit.check(
-                inter is None or inter.area() <= _AREA_EPS,
-                f"{prefix}.disjoint",
-                f"sibling regions {rects[i]} and {rects[j]} overlap in "
-                f"{inter}",
-            )
+            return
     audit.check(
-        abs(total - region.area()) <= _AREA_EPS,
-        f"{prefix}.complete",
-        f"child regions cover volume {total}, parent region has "
-        f"{region.area()} (the partition must be complete)",
+        False,
+        "auditor.missing",
+        f"no auditor registered for {type(audit.am).__name__}",
     )
+
+
+def run_audit(am) -> list[Violation]:
+    """Audit ``am`` with the auditor registered for its closest class."""
+    audit = Audit(am)
+    try:
+        _audit_into(audit)
+    except WalkBroken:
+        pass  # already recorded; nothing after a broken walk is trusted
+    return audit.violations
 
 
 def _half_extents_bounded(audit: Audit, am, rect: Rect, code: str) -> None:
@@ -127,123 +113,68 @@ def _half_extents_bounded(audit: Audit, am, rect: Rect, code: str) -> None:
 def _audit_buddy(a: Audit) -> None:
     am = a.am
     dims = am.dims
-    pins = {am._root_pid}
-    if am._root_is_data:
-        a.check_kind(am._root_pid, PageKind.DATA, "buddy.kind")
-        page = a.store.peek(am._root_pid)
-        if len(page.records) > am._capacity:
-            a.check(
-                am._split_records(page.records) is None,
-                "buddy.data-capacity",
-                f"root data page holds {len(page.records)} records over "
-                f"capacity {am._capacity} although a split is possible",
-            )
-        a.check_page_accounting({am._root_pid}, pins)
-        return
-    dir_pids: set[int] = set()
-    data_refs: dict[int, list[tuple]] = {}  # pid -> [(entry, node pid, depth)]
-    stack = [(am._root_pid, 1, None)]
-    while stack:
-        pid, depth, ref_rect = stack.pop()
-        if not a.check(
-            pid not in dir_pids,
-            "buddy.dir-shared",
-            f"directory page {pid} is referenced more than once",
-        ):
-            continue
-        dir_pids.add(pid)
-        a.check_kind(pid, PageKind.DIRECTORY, "buddy.kind")
-        node = a.store.peek(pid)
-        a.check(
-            len(node.entries) <= am._fanout,
-            "buddy.fanout",
-            f"directory page {pid} holds {len(node.entries)} entries, "
-            f"fanout {am._fanout}",
+    holders: dict[int, set[int]] = {}  # data pid -> referencing directory pids
+
+    def tolerated(view) -> bool:
+        # A shared page is never tolerated: unsharing would split it.
+        return (
+            view.kind == "data"
+            and len(view.regions) <= 1
+            and am._split_records(a.store.peek(view.pid).records) is None
         )
-        least = 1 if am.balanced and pid != am._root_pid else 2
-        a.check(
-            len(node.entries) >= least,
-            "buddy.min-entries",
-            f"directory page {pid} holds {len(node.entries)} entries, "
-            f"minimum {least}",
-        )
-        if ref_rect is not None and node.entries:
-            got = Rect.bounding([e.rect for e in node.entries])
-            a.check(
-                ref_rect == got,
-                "buddy.mbr-exact",
-                f"entry region {ref_rect} for directory page {pid} is not "
-                f"the exact MBR {got} of its entries",
-            )
-        ref_block = (
-            blocks.min_enclosing_block(ref_rect, dims)
-            if ref_rect is not None
-            else ()
-        )
-        for e in node.entries:
-            a.check(
-                blocks.is_prefix(ref_block, e.block(dims)),
-                "buddy.nesting",
-                f"entry block {e.block(dims)} in page {pid} is not nested "
-                f"in the parent's buddy block {ref_block}",
-            )
-            if e.is_data:
-                data_refs.setdefault(e.pid, []).append((e, pid, depth))
-            else:
-                stack.append((e.pid, depth + 1, e.rect))
-    for pid, owners in data_refs.items():
-        a.check_kind(pid, PageKind.DATA, "buddy.kind")
+
+    for view in check_walk(
+        a,
+        {am._root_pid},
+        leaf_depth=am._levels if am.balanced else None,
+        exact=True,
+        tolerated=tolerated,
+    ):
+        pid = view.pid
         page = a.store.peek(pid)
-        points = [p for p, _ in page.records]
+        if view.kind == "directory":
+            least = 1 if am.balanced and pid != am._root_pid else 2
+            a.check(
+                len(page.entries) >= least,
+                "buddy.min-entries",
+                f"directory page {pid} holds {len(page.entries)} entries, "
+                f"minimum {least}",
+            )
+            block = (
+                blocks.min_enclosing_block(view.regions[0], dims)
+                if view.regions
+                else ()
+            )
+            for e in page.entries:
+                a.check(
+                    blocks.is_prefix(block, e.block(dims)),
+                    "buddy.nesting",
+                    f"entry block {e.block(dims)} in page {pid} is not "
+                    f"nested in the parent's buddy block {block}",
+                )
+                if e.is_data:
+                    holders.setdefault(e.pid, set()).add(pid)
+            continue
         a.check(
-            bool(points),
+            page.records or pid == am._root_pid,
             "buddy.data-empty",
             f"data page {pid} is empty (empty pages are freed)",
         )
-        if len(owners) == 1:
-            entry = owners[0][0]
-            if points:
-                got = Rect.bounding_points(points)
-                a.check(
-                    entry.rect == got,
-                    "buddy.mbr-exact",
-                    f"region {entry.rect} of data page {pid} is not the "
-                    f"exact MBR {got} of its records",
-                )
-        else:
-            holders = {npid for _, npid, _ in owners}
+        if len(view.regions) > 1:
             a.check(
-                len(holders) == 1,
+                len(holders[pid]) == 1,
                 "buddy.share-node",
                 f"data page {pid} is shared by entries of different "
-                f"directory pages {sorted(holders)} (property 4 allows "
+                f"directory pages {sorted(holders[pid])} (property 4 allows "
                 "sharing only within one page)",
             )
-            rects = [o[0].rect for o in owners]
-            for p in points:
+            for p, _rid in page.records:
                 a.check(
-                    any(r.contains_point(p) for r in rects),
+                    any(r.contains_point(p) for r in view.regions),
                     "buddy.share-cover",
                     f"record {p} on shared data page {pid} lies in no "
                     "sharing entry's region",
                 )
-        if len(page.records) > am._capacity:
-            a.check(
-                len(owners) == 1
-                and am._split_records(page.records) is None,
-                "buddy.data-capacity",
-                f"data page {pid} holds {len(page.records)} records over "
-                f"capacity {am._capacity} although a split is possible",
-            )
-        if am.balanced:
-            for _, _, depth in owners:
-                a.check(
-                    depth == am._levels,
-                    "buddy.balance",
-                    f"data entry for page {pid} sits at directory level "
-                    f"{depth}, expected {am._levels} (balanced variant)",
-                )
-    a.check_page_accounting(dir_pids | set(data_refs), pins)
 
 
 # -- BANG file ------------------------------------------------------------
@@ -252,74 +183,72 @@ def _audit_buddy(a: Audit) -> None:
 @register(BangFile)
 def _audit_bang(a: Audit) -> None:
     am = a.am
-    pins = {am._root_pid}
-    dir_pids: set[int] = set()
-    data_entries: dict[int, object] = {}  # data pid -> referencing entry
+    entry_of: dict[int, object] = {}  # child pid -> referencing entry
     leaf_blocks: dict[tuple, int] = {}
-    stack = [(am._root_pid, 1, None)]
-    while stack:
-        pid, depth, ref_bits = stack.pop()
-        if not a.check(
-            pid not in dir_pids,
-            "bang.dir-shared",
-            f"directory page {pid} is referenced more than once",
-        ):
-            continue
-        dir_pids.add(pid)
-        a.check_kind(pid, PageKind.DIRECTORY, "bang.kind")
-        node = a.store.peek(pid)
-        if ref_bits is not None:
+    for view in check_walk(
+        a,
+        {am._root_pid},
+        leaf_depth=am._height,
+        tolerated=lambda v: am._choose_split_block(a.store.peek(v.pid)) is None,
+    ):
+        pid = view.pid
+        page = a.store.peek(pid)
+        ref = entry_of.get(pid)
+        if ref is not None:
             a.check(
-                node.bits == ref_bits,
+                page.bits == ref.bits,
                 "bang.entry-block",
-                f"directory page {pid} has block {node.bits}, its parent "
-                f"entry says {ref_bits}",
+                f"{view.kind} page {pid} has block {page.bits}, its parent "
+                f"entry says {ref.bits}",
             )
-        if am._node_bytes(node) > am._dir_payload:
+        if view.kind == "data":
+            if am.minimal_regions:
+                a.check(
+                    ref.mbr == view.content,
+                    "bang.region",
+                    f"leaf entry for page {pid} carries region {ref.mbr}, "
+                    f"exact MBR is {view.content}",
+                )
+            for point, _rid in page.records:
+                best_pid, _ = am._best_data_entry(am._point_bits(point))
+                a.check(
+                    best_pid == pid,
+                    "bang.placement",
+                    f"record {point} lives on page {pid} but its longest "
+                    f"enclosing data block routes to page {best_pid} "
+                    "(nested block exclusion)",
+                )
+            continue
+        if ref is not None and am.minimal_regions:
+            want = am._node_region(page)
             a.check(
-                am._choose_directory_split_block(pid, node) is None,
+                ref.mbr == want,
+                "bang.region",
+                f"inner entry for page {pid} carries region {ref.mbr}, "
+                f"exact child region is {want}",
+            )
+        if am._node_bytes(page) > am._dir_payload:
+            a.check(
+                am._choose_directory_split_block(pid, page) is None,
                 "bang.dir-capacity",
-                f"directory page {pid} overflows ({am._node_bytes(node)} "
+                f"directory page {pid} overflows ({am._node_bytes(page)} "
                 f"bytes > {am._dir_payload}) although a split is possible",
             )
-        if node.is_leaf:
+        for e in page.entries:
+            entry_of[e.pid] = e
             a.check(
-                depth == am._height,
-                "bang.balance",
-                f"leaf directory page {pid} sits at level {depth}, "
-                f"expected {am._height} (the directory is balanced)",
-            )
-        for e in node.entries:
-            a.check(
-                blocks.is_prefix(node.bits, e.bits),
+                blocks.is_prefix(page.bits, e.bits),
                 "bang.nesting",
                 f"entry block {e.bits} is not nested in its directory "
-                f"page's block {node.bits}",
+                f"page's block {page.bits}",
             )
-            if node.is_leaf:
+            if page.is_leaf:
                 a.check(
                     e.bits not in leaf_blocks,
                     "bang.block-dup",
                     f"block {e.bits} appears in two leaf entries",
                 )
                 leaf_blocks[e.bits] = e.pid
-                a.check(
-                    e.pid not in data_entries,
-                    "bang.page-shared",
-                    f"data page {e.pid} is referenced by two leaf entries",
-                )
-                data_entries[e.pid] = e
-            else:
-                if am.minimal_regions:
-                    child = a.store.peek(e.pid)
-                    want = am._node_region(child)
-                    a.check(
-                        e.mbr == want,
-                        "bang.region",
-                        f"inner entry for page {e.pid} carries region "
-                        f"{e.mbr}, exact child region is {want}",
-                    )
-                stack.append((e.pid, depth + 1, e.bits))
     mirror = dict(am._data_blocks)
     a.check(
         leaf_blocks == mirror,
@@ -327,44 +256,6 @@ def _audit_bang(a: Audit) -> None:
         f"in-core block mirror disagrees with the directory: "
         f"{len(leaf_blocks)} leaf entries vs {len(mirror)} mirror entries",
     )
-    for pid, e in data_entries.items():
-        a.check_kind(pid, PageKind.DATA, "bang.kind")
-        page = a.store.peek(pid)
-        a.check(
-            page.bits == e.bits,
-            "bang.page-block",
-            f"data page {pid} carries block {page.bits}, its entry says "
-            f"{e.bits}",
-        )
-        if len(page.records) > am._capacity:
-            a.check(
-                am._choose_split_block(page) is None,
-                "bang.data-capacity",
-                f"data page {pid} holds {len(page.records)} records over "
-                f"capacity {am._capacity} although a split is possible",
-            )
-        if am.minimal_regions:
-            want = (
-                Rect.bounding_points([p for p, _ in page.records])
-                if page.records
-                else None
-            )
-            a.check(
-                e.mbr == want,
-                "bang.region",
-                f"leaf entry for page {pid} carries region {e.mbr}, exact "
-                f"MBR is {want}",
-            )
-        for point, _rid in page.records:
-            best_pid, _ = am._best_data_entry(am._point_bits(point))
-            a.check(
-                best_pid == pid,
-                "bang.placement",
-                f"record {point} lives on page {pid} but its longest "
-                f"enclosing data block routes to page {best_pid} (nested "
-                "block exclusion)",
-            )
-    a.check_page_accounting(dir_pids | set(data_entries), pins)
 
 
 # -- hB-tree --------------------------------------------------------------
@@ -384,53 +275,48 @@ def _hb_route(am: HBTree, point) -> int:
 @register(HBTree)
 def _audit_hb(a: Audit) -> None:
     am = a.am
-    pins = {am._root_pid}
-    if am._root_is_data:
-        a.check_kind(am._root_pid, PageKind.DATA, "hb.kind")
-        page = a.store.peek(am._root_pid)
-        if len(page.records) > am._capacity:
-            a.check(
-                am._choose_data_split(page.records) is None,
-                "hb.data-capacity",
-                f"root data page holds {len(page.records)} records over "
-                f"capacity {am._capacity} although a split is possible",
-            )
-        a.check_page_accounting({am._root_pid}, pins)
-        return
-    index_pids: set[int] = set()
-    data_pids: set[int] = set()
     refs: dict[int, set[int]] = {}
-    stack = [am._root_pid]
-    while stack:
-        pid = stack.pop()
-        if pid in index_pids:
-            continue
-        index_pids.add(pid)
-        a.check_kind(pid, PageKind.DIRECTORY, "hb.kind")
-        node = a.store.peek(pid)
-        leaves = am._kd_leaves(node.kd)
-        if am._kd_bytes(node.kd) > am._index_payload:
-            a.check(
-                len(leaves) < 3,
-                "hb.index-capacity",
-                f"index page {pid} overflows ({am._kd_bytes(node.kd)} "
-                f"bytes > {am._index_payload}) with {len(leaves)} kd-tree "
-                "leaves although a split needs only 3",
-            )
-        for leaf in leaves:
-            refs.setdefault(leaf.pid, set()).add(pid)
-            if leaf.is_data:
-                data_pids.add(leaf.pid)
-            else:
-                stack.append(leaf.pid)
-            if am.minimal_regions:
-                want = am._node_mbr(leaf.pid, leaf.is_data)
+    for view in check_walk(
+        a,
+        {am._root_pid},
+        tolerated=lambda v: am._choose_data_split(a.store.peek(v.pid).records)
+        is None,
+    ):
+        pid = view.pid
+        page = a.store.peek(pid)
+        if view.kind == "directory":
+            leaves = am._kd_leaves(page.kd)
+            if am._kd_bytes(page.kd) > am._index_payload:
                 a.check(
-                    leaf.mbr == want,
-                    "hb.region",
-                    f"kd-leaf for page {leaf.pid} carries region "
-                    f"{leaf.mbr}, exact region is {want}",
+                    len(leaves) < 3,
+                    "hb.index-capacity",
+                    f"index page {pid} overflows ({am._kd_bytes(page.kd)} "
+                    f"bytes > {am._index_payload}) with {len(leaves)} "
+                    "kd-tree leaves although a split needs only 3",
                 )
+            for leaf in leaves:
+                refs.setdefault(leaf.pid, set()).add(pid)
+                if am.minimal_regions:
+                    want = am._node_mbr(leaf.pid, leaf.is_data)
+                    a.check(
+                        leaf.mbr == want,
+                        "hb.region",
+                        f"kd-leaf for page {leaf.pid} carries region "
+                        f"{leaf.mbr}, exact region is {want}",
+                    )
+            continue
+        for point, _rid in page.records:
+            try:
+                home = _hb_route(am, point)
+            except RuntimeError as exc:
+                a.check(False, "hb.routing", f"routing {point}: {exc}")
+                continue
+            a.check(
+                home == pid,
+                "hb.routing",
+                f"record {point} lives on page {pid} but the kd-tree "
+                f"cascade routes it to page {home}",
+            )
     for child, parents in refs.items():
         recorded = am._parents.get(child, set())
         a.check(
@@ -446,29 +332,6 @@ def _audit_hb(a: Audit) -> None:
         f"parent registry holds entries for unreferenced pages "
         f"{sorted(stale)}",
     )
-    for pid in data_pids:
-        a.check_kind(pid, PageKind.DATA, "hb.kind")
-        data = a.store.peek(pid)
-        if len(data.records) > am._capacity:
-            a.check(
-                am._choose_data_split(data.records) is None,
-                "hb.data-capacity",
-                f"data page {pid} holds {len(data.records)} records over "
-                f"capacity {am._capacity} although a split is possible",
-            )
-        for point, _rid in data.records:
-            try:
-                home = _hb_route(am, point)
-            except RuntimeError as exc:
-                a.check(False, "hb.routing", f"routing {point}: {exc}")
-                continue
-            a.check(
-                home == pid,
-                "hb.routing",
-                f"record {point} lives on page {pid} but the kd-tree "
-                f"cascade routes it to page {home}",
-            )
-    a.check_page_accounting(index_pids | data_pids, pins)
 
 
 # -- kd-B-tree ------------------------------------------------------------
@@ -477,57 +340,31 @@ def _audit_hb(a: Audit) -> None:
 @register(KdBTree)
 def _audit_kdb(a: Audit) -> None:
     am = a.am
-    pins = {am._root_pid}
-    reachable: set[int] = set()
-    leaf_depths: set[int] = set()
-    stack = [(am._root_pid, am._root_is_leaf, Rect.unit(am.dims), 1)]
-    while stack:
-        pid, is_leaf, region, depth = stack.pop()
-        reachable.add(pid)
-        if is_leaf:
-            leaf_depths.add(depth)
-            a.check_kind(pid, PageKind.DATA, "kdb.kind")
-            page = a.store.peek(pid)
-            if len(page.records) > am._capacity:
-                a.check(
-                    am._choose_point_plane(page.records, region) is None,
-                    "kdb.data-capacity",
-                    f"point page {pid} holds {len(page.records)} records "
-                    f"over capacity {am._capacity} although a split is "
-                    "possible",
-                )
-            for point, _rid in page.records:
-                a.check(
-                    am._region_contains(region, point),
-                    "kdb.placement",
-                    f"record {point} lies outside its page's region "
-                    f"{region}",
-                )
-        else:
-            a.check_kind(pid, PageKind.DIRECTORY, "kdb.kind")
-            node = a.store.peek(pid)
+    for view in check_walk(
+        a,
+        {am._root_pid},
+        leaf_depth=am._height,
+        partition=True,
+        tolerated=lambda v: v.kind == "data"
+        and am._choose_point_plane(a.store.peek(v.pid).records, v.regions[0])
+        is None,
+    ):
+        page = a.store.peek(view.pid)
+        if view.kind == "directory":
             a.check(
-                len(node.rects) == len(node.pids),
+                len(page.rects) == len(page.pids),
                 "kdb.arity",
-                f"region page {pid} has {len(node.rects)} regions for "
-                f"{len(node.pids)} children",
+                f"region page {view.pid} has {len(page.rects)} regions for "
+                f"{len(page.pids)} children",
             )
+            continue
+        for point, _rid in page.records:
             a.check(
-                len(node.pids) <= am._fanout,
-                "kdb.fanout",
-                f"region page {pid} holds {len(node.pids)} children, "
-                f"fanout {am._fanout}",
+                am._region_contains(view.regions[0], point),
+                "kdb.placement",
+                f"record {point} lies outside its page's region "
+                f"{view.regions[0]}",
             )
-            _check_partition(a, region, node.rects, "kdb")
-            for rect, child in zip(node.rects, node.pids):
-                stack.append((child, node.leaf_children, rect, depth + 1))
-    a.check(
-        leaf_depths == {am._height + 1},
-        "kdb.balance",
-        f"point pages found at levels {sorted(leaf_depths)}, expected all "
-        f"at {am._height + 1}",
-    )
-    a.check_page_accounting(reachable, pins)
 
 
 # -- zkd-B-tree -----------------------------------------------------------
@@ -536,9 +373,7 @@ def _audit_kdb(a: Audit) -> None:
 @register(ZOrderBTree)
 def _audit_zb(a: Audit) -> None:
     am = a.am
-    reachable = check_bplus_tree(a, am._tree, "zb")
-    a.check_page_accounting(reachable, {am._tree.root_pid})
-    for key, (point, _rid) in am._tree.iter_items():
+    for key, (point, _rid) in check_bplus_tree(a, am._tree, "zb"):
         want = am._z(point)
         a.check(
             key == want,
@@ -553,80 +388,58 @@ def _audit_zb(a: Audit) -> None:
 
 @register(PlopHashing)
 def _audit_plop(a: Audit) -> None:
-    am = a.am
-    reachable = check_plop_grid(a, am._grid, "plop")
-    a.check_page_accounting(reachable, set())
+    check_plop_grid(a, a.am._grid, "plop")
 
 
 # -- grid files -----------------------------------------------------------
 
 
-def _audit_grid_pages(a: Audit, am, layer, prefix: str, where: str = "") -> set[int]:
-    """Data-page checks shared by the grid-file family; returns pids."""
+def _check_grid_placement(
+    a: Audit, layer, pid: int, prefix: str, where: str = ""
+) -> None:
     tag = f" {where}" if where else ""
-    pids = set(layer.boxes)
-    for pid in pids:
-        a.check_kind(pid, PageKind.DATA, f"{prefix}.kind")
-        page = a.store.peek(pid)
+    for point, _rid in a.store.peek(pid).records:
+        home = layer.payload_of_point(point)
         a.check(
-            len(page.records) <= am._capacity,
-            f"{prefix}.capacity",
-            f"data page {pid}{tag} holds {len(page.records)} records, "
-            f"capacity {am._capacity} (grid files always split on "
-            "overflow)",
+            home == pid,
+            f"{prefix}.placement",
+            f"record {point}{tag} lives on page {pid} but the grid "
+            f"routes it to page {home}",
         )
-        for point, _rid in page.records:
-            home = layer.payload_of_point(point)
-            a.check(
-                home == pid,
-                f"{prefix}.placement",
-                f"record {point}{tag} lives on page {pid} but the grid "
-                f"routes it to page {home}",
-            )
-    return pids
 
 
-def _ceil_div(n: int, d: int) -> int:
-    return -(-n // d)
+def _check_dir_count(a: Audit, am, layer, dir_pages, prefix: str) -> None:
+    want = -(-layer.total_cells() // am._dir_cells_per_page)
+    a.check(
+        len(dir_pages) == want,
+        f"{prefix}.dir-count",
+        f"{len(dir_pages)} directory pages for {layer.total_cells()} "
+        f"cells, expected {want}",
+    )
 
 
 @register(GridFile)
 def _audit_gridfile(a: Audit) -> None:
     am = a.am
-    layer = am._layer
-    check_grid_layer(a, layer, "grid")
-    data_pids = _audit_grid_pages(a, am, layer, "grid")
-    want_dir = _ceil_div(layer.total_cells(), am._dir_cells_per_page)
-    a.check(
-        len(am._dir_pages) == want_dir,
-        "grid.dir-count",
-        f"{len(am._dir_pages)} directory pages for "
-        f"{layer.total_cells()} cells, expected {want_dir}",
-    )
-    for pid in am._dir_pages:
-        a.check_kind(pid, PageKind.DIRECTORY, "grid.kind")
-    a.check_page_accounting(data_pids | set(am._dir_pages), set())
+    check_grid_layer(a, am._layer, "grid")
+    _check_dir_count(a, am, am._layer, am._dir_pages, "grid")
+    for view in check_walk(a, set()):
+        if view.kind == "data":
+            _check_grid_placement(a, am._layer, view.pid, "grid")
 
 
 @register(TwinGridFile)
 def _audit_twingrid(a: Audit) -> None:
     am = a.am
-    reachable: set[int] = set()
+    prefixes = ("twin.primary", "twin.twin")
     for which, layer in enumerate(am._layers):
-        prefix = "twin.primary" if which == 0 else "twin.twin"
-        check_grid_layer(a, layer, prefix)
-        reachable |= _audit_grid_pages(a, am, layer, prefix)
-        want_dir = _ceil_div(layer.total_cells(), am._dir_cells_per_page)
-        a.check(
-            len(am._dir_pages[which]) == want_dir,
-            f"{prefix}.dir-count",
-            f"{len(am._dir_pages[which])} directory pages for "
-            f"{layer.total_cells()} cells, expected {want_dir}",
-        )
-        for pid in am._dir_pages[which]:
-            a.check_kind(pid, PageKind.DIRECTORY, f"{prefix}.kind")
-        reachable |= set(am._dir_pages[which])
-    a.check_page_accounting(reachable, set())
+        check_grid_layer(a, layer, prefixes[which])
+        _check_dir_count(a, am, layer, am._dir_pages[which], prefixes[which])
+    # The walk puts grid ``which``'s data pages at depth 2 * which + 1.
+    for view in check_walk(a, set()):
+        if view.kind == "data":
+            which = view.depth // 2
+            _check_grid_placement(a, am._layers[which], view.pid, prefixes[which])
 
 
 @register(TwoLevelGridFile)
@@ -634,39 +447,33 @@ def _audit_twolevelgrid(a: Audit) -> None:
     am = a.am
     root = am._root
     check_grid_layer(a, root, "grid2.root")
-    reachable: set[int] = set()
-    for spid in root.boxes:
-        reachable.add(spid)
-        a.check_kind(spid, PageKind.DIRECTORY, "grid2.kind")
-        sub = a.store.peek(spid)
-        check_grid_layer(a, sub.layer, "grid2.sub", where=f"subgrid {spid}")
-        a.check(
-            root.box_rect(spid) == sub.layer.region,
-            "grid2.region",
-            f"root directory assigns subgrid {spid} the region "
-            f"{root.box_rect(spid)}, the subgrid covers "
-            f"{sub.layer.region}",
-        )
-        a.check(
-            sub.layer.byte_size() <= am._subgrid_payload,
-            "grid2.sub-size",
-            f"subgrid {spid} needs {sub.layer.byte_size()} bytes, one "
-            f"directory page holds {am._subgrid_payload}",
-        )
-        for dpid in _audit_grid_pages(
-            a, am, sub.layer, "grid2", where=f"subgrid {spid}"
-        ):
-            reachable.add(dpid)
-            page = a.store.peek(dpid)
-            for point, _rid in page.records:
-                a.check(
-                    root.payload_of_point(point) == spid,
-                    "grid2.routing",
-                    f"record {point} lives under subgrid {spid} but the "
-                    f"root directory routes it to subgrid "
-                    f"{root.payload_of_point(point)}",
-                )
-    a.check_page_accounting(reachable, set())
+    # The walk yields each subgrid's directory page, then its data pages.
+    for view in check_walk(a, set()):
+        if view.kind == "directory":
+            spid = view.pid
+            sub = a.store.peek(spid).layer
+            check_grid_layer(a, sub, "grid2.sub", where=f"subgrid {spid}")
+            a.check(
+                view.regions[0] == sub.region,
+                "grid2.region",
+                f"root directory assigns subgrid {spid} the region "
+                f"{view.regions[0]}, the subgrid covers {sub.region}",
+            )
+            a.check(
+                sub.byte_size() <= am._subgrid_payload,
+                "grid2.sub-size",
+                f"subgrid {spid} needs {sub.byte_size()} bytes, one "
+                f"directory page holds {am._subgrid_payload}",
+            )
+            continue
+        _check_grid_placement(a, sub, view.pid, "grid2", where=f"subgrid {spid}")
+        for point, _rid in a.store.peek(view.pid).records:
+            a.check(
+                root.payload_of_point(point) == spid,
+                "grid2.routing",
+                f"record {point} lives under subgrid {spid} but the root "
+                f"directory routes it to subgrid {root.payload_of_point(point)}",
+            )
 
 
 # -- R-tree ---------------------------------------------------------------
@@ -675,30 +482,14 @@ def _audit_twolevelgrid(a: Audit) -> None:
 @register(RTree)
 def _audit_rtree(a: Audit) -> None:
     am = a.am
-    pins = {am._root_pid}
-    reachable: set[int] = set()
-    leaf_depths: set[int] = set()
-    stack = [(am._root_pid, 1, None)]
-    while stack:
-        pid, depth, ref_rect = stack.pop()
-        reachable.add(pid)
+    for view in check_walk(a, {am._root_pid}, leaf_depth=am._height, exact=True):
+        pid = view.pid
         node = a.store.peek(pid)
-        a.check_kind(
-            pid,
-            PageKind.DATA if node.is_leaf else PageKind.DIRECTORY,
-            "rtree.kind",
-        )
         a.check(
             len(node.rects) == len(node.children),
             "rtree.arity",
             f"node {pid} has {len(node.rects)} rectangles for "
             f"{len(node.children)} children",
-        )
-        a.check(
-            len(node.rects) <= am._capacity,
-            "rtree.capacity",
-            f"node {pid} holds {len(node.rects)} entries, capacity "
-            f"{am._capacity}",
         )
         if pid != am._root_pid:
             a.check(
@@ -714,26 +505,6 @@ def _audit_rtree(a: Audit) -> None:
                 f"non-leaf root holds {len(node.children)} children "
                 "(a one-child root is collapsed)",
             )
-        if ref_rect is not None and node.rects:
-            got = Rect.bounding(node.rects)
-            a.check(
-                ref_rect == got,
-                "rtree.mbr-exact",
-                f"parent entry for node {pid} carries {ref_rect}, the "
-                f"exact MBR of the node is {got}",
-            )
-        if node.is_leaf:
-            leaf_depths.add(depth)
-        else:
-            for rect, child in zip(node.rects, node.children):
-                stack.append((child, depth + 1, rect))
-    a.check(
-        leaf_depths == {am._height + 1},
-        "rtree.balance",
-        f"leaves found at levels {sorted(leaf_depths)}, expected all at "
-        f"{am._height + 1}",
-    )
-    a.check_page_accounting(reachable, pins)
 
 
 # -- R+-tree --------------------------------------------------------------
@@ -776,74 +547,50 @@ def _rplus_required_leaves(am: RPlusTree, rect: Rect) -> list[int]:
 @register(RPlusTree)
 def _audit_rplus(a: Audit) -> None:
     am = a.am
-    pins = {am._root_pid}
-    reachable: set[int] = set()
-    leaf_depths: set[int] = set()
     leaf_rids: dict[int, set] = {}
     rid_rects: dict[object, Rect] = {}
-    stack = [(am._root_pid, am._root_is_leaf, Rect.unit(am.dims), 1)]
-    while stack:
-        pid, is_leaf, region, depth = stack.pop()
-        reachable.add(pid)
-        if is_leaf:
-            leaf_depths.add(depth)
-            a.check_kind(pid, PageKind.DATA, "rplus.kind")
-            leaf = a.store.peek(pid)
+    for view in check_walk(
+        a,
+        {am._root_pid},
+        leaf_depth=am._height,
+        partition=True,
+        tolerated=lambda v: v.kind == "data"
+        and am._choose_leaf_plane(a.store.peek(v.pid), v.regions[0]) is None,
+    ):
+        pid = view.pid
+        page = a.store.peek(pid)
+        if view.kind == "directory":
             a.check(
-                len(leaf.rects) == len(leaf.rids),
+                len(page.regions) == len(page.pids),
                 "rplus.arity",
-                f"leaf {pid} has {len(leaf.rects)} rectangles for "
-                f"{len(leaf.rids)} rids",
+                f"inner node {pid} has {len(page.regions)} regions for "
+                f"{len(page.pids)} children",
             )
-            if len(leaf.rects) > am._capacity:
-                a.check(
-                    am._choose_leaf_plane(leaf, region) is None,
-                    "rplus.capacity",
-                    f"leaf {pid} holds {len(leaf.rects)} entries over "
-                    f"capacity {am._capacity} although a split plane "
-                    "exists",
-                )
-            leaf_rids[pid] = set(leaf.rids)
-            for rect, rid in zip(leaf.rects, leaf.rids):
-                a.check(
-                    rect.intersects(region),
-                    "rplus.entry-region",
-                    f"entry {rect} in leaf {pid} does not meet the "
-                    f"leaf's region {region}",
-                )
-                if rid in rid_rects:
-                    a.check(
-                        rid_rects[rid] == rect,
-                        "rplus.rid-rect",
-                        f"rid {rid!r} is stored with different rectangles "
-                        f"({rid_rects[rid]} vs {rect})",
-                    )
-                else:
-                    rid_rects[rid] = rect
-        else:
-            a.check_kind(pid, PageKind.DIRECTORY, "rplus.kind")
-            node = a.store.peek(pid)
+            continue
+        a.check(
+            len(page.rects) == len(page.rids),
+            "rplus.arity",
+            f"leaf {pid} has {len(page.rects)} rectangles for "
+            f"{len(page.rids)} rids",
+        )
+        leaf_rids[pid] = set(page.rids)
+        region = view.regions[0]
+        for rect, rid in zip(page.rects, page.rids):
             a.check(
-                len(node.regions) == len(node.pids),
-                "rplus.arity",
-                f"inner node {pid} has {len(node.regions)} regions for "
-                f"{len(node.pids)} children",
+                rect.intersects(region),
+                "rplus.entry-region",
+                f"entry {rect} in leaf {pid} does not meet the leaf's "
+                f"region {region}",
             )
-            a.check(
-                len(node.pids) <= am._fanout,
-                "rplus.fanout",
-                f"inner node {pid} holds {len(node.pids)} children, "
-                f"fanout {am._fanout}",
-            )
-            _check_partition(a, region, node.regions, "rplus")
-            for child_region, child in zip(node.regions, node.pids):
-                stack.append((child, node.leaf_children, child_region, depth + 1))
-    a.check(
-        leaf_depths == {am._height + 1},
-        "rplus.balance",
-        f"leaves found at levels {sorted(leaf_depths)}, expected all at "
-        f"{am._height + 1}",
-    )
+            if rid in rid_rects:
+                a.check(
+                    rid_rects[rid] == rect,
+                    "rplus.rid-rect",
+                    f"rid {rid!r} is stored with different rectangles "
+                    f"({rid_rects[rid]} vs {rect})",
+                )
+            else:
+                rid_rects[rid] = rect
     for rid, rect in rid_rects.items():
         for pid in _rplus_required_leaves(am, rect):
             a.check(
@@ -852,7 +599,6 @@ def _audit_rplus(a: Audit) -> None:
                 f"rid {rid!r} with rect {rect} must appear in leaf {pid} "
                 "(its region open-overlaps the rect) but does not",
             )
-    a.check_page_accounting(reachable, pins)
 
 
 # -- transformation SAM ---------------------------------------------------
@@ -861,12 +607,16 @@ def _audit_rplus(a: Audit) -> None:
 @register(TransformationSAM)
 def _audit_transformation(a: Audit) -> None:
     am = a.am
-    for v in run_audit(am.pam):
-        a.violations.append(
+    inner = Audit(am.pam)
+    try:  # a broken inner walk ends this audit too
+        _audit_into(inner)
+    finally:
+        a.violations.extend(
             Violation(
                 f"transform.{v.code}",
                 f"(inner {type(am.pam).__name__}) {v.message}",
             )
+            for v in inner.violations
         )
     a.check(
         len(am) == len(am.pam),
@@ -901,9 +651,7 @@ def _audit_transformation(a: Audit) -> None:
 @register(ClippingSAM)
 def _audit_clipping(a: Audit) -> None:
     am = a.am
-    reachable = check_bplus_tree(a, am._tree, "clip")
-    a.check_page_accounting(reachable, {am._tree.root_pid})
-    pairs = list(am._tree.iter_items())
+    pairs = check_bplus_tree(a, am._tree, "clip")
     a.check(
         len(pairs) == am._region_entries,
         "clip.region-count",
@@ -949,7 +697,6 @@ def _audit_clipping(a: Audit) -> None:
 @register(OverlappingPlop)
 def _audit_overlapping(a: Audit) -> None:
     am = a.am
-    reachable = check_plop_grid(a, am._grid, "oplop")
-    a.check_page_accounting(reachable, set())
+    check_plop_grid(a, am._grid, "oplop")
     for rect, _rid in am._grid.iter_all():
         _half_extents_bounded(a, am, rect, "oplop.extent")

@@ -1,9 +1,17 @@
-"""Violation records, the audit collector and shared structural checks.
+"""Violation records, the audit collector and the one page-model check.
 
 An auditor receives an :class:`Audit` wrapping one access method and
 calls :meth:`Audit.check` for every invariant; failed checks accumulate
 as :class:`Violation` records instead of aborting, so one audit reports
-*all* broken invariants of a structure at once.  Checks read pages with
+*all* broken invariants of a structure at once.
+
+Every auditor starts with :func:`check_walk`, which consumes the
+structure's ``_snapshot_pages()`` walk — the same
+:class:`~repro.obs.structure.PageView` records snapshots and explain
+read — and checks what every structure owes: reachability, page kinds,
+pins, capacity, region nesting and tiling, exact MBRs and balance.  The
+auditor then loops over the views it returns and checks only what a
+view cannot say.  Checks read pages with
 :meth:`repro.storage.pagestore.PageStore.peek` and friends, which leave
 the access counters and the path buffer untouched.
 
@@ -16,9 +24,10 @@ quantile hashing, overlapping PLOP).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.storage.page import PageKind
+from repro.geometry.rect import Rect
+from repro.obs.structure import PageView, _pairwise_overlap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.interfaces import _AccessMethodBase
@@ -27,10 +36,15 @@ __all__ = [
     "Violation",
     "AuditError",
     "Audit",
+    "WalkBroken",
+    "check_walk",
     "check_grid_layer",
     "check_plop_grid",
     "check_bplus_tree",
 ]
+
+#: Absolute slack for volume bookkeeping of region partitions.
+_AREA_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,7 @@ class Violation:
     """One broken invariant.
 
     ``code`` is a stable machine-readable identifier of the invariant
-    (e.g. ``"rtree.mbr-exact"``); ``message`` is the human diagnosis.
+    (e.g. ``"pages.mbr-exact"``); ``message`` is the human diagnosis.
     """
 
     code: str
@@ -57,6 +71,16 @@ class AuditError(AssertionError):
         )
 
 
+class WalkBroken(Exception):
+    """The page walk raised or looped; nothing after it can be trusted.
+
+    :func:`check_walk` records ``pages.walk`` / ``pages.repeated`` and
+    raises this; ``run_audit`` stops the audit there, before the
+    auditor's own checks and before ``records.count`` (whose
+    ``iter_records()`` would follow the same broken links).
+    """
+
+
 class Audit:
     """Collects invariant violations while walking one access method."""
 
@@ -70,8 +94,6 @@ class Audit:
         if not ok:
             self.violations.append(Violation(code, message))
         return bool(ok)
-
-    # -- generic checks ----------------------------------------------------
 
     def check_record_count(self) -> None:
         """``iter_records()`` must enumerate exactly ``len(am)`` records."""
@@ -88,45 +110,142 @@ class Audit:
             f"iter_records() yields {walked} records, len() reports {len(self.am)}",
         )
 
-    def check_page_accounting(
-        self, reachable: set[int], pinned: set[int]
-    ) -> None:
-        """Reachable pages and pins must match the store exactly.
 
-        ``reachable`` is the set of page ids the structure's walk found;
-        ``pinned`` the set it expects to be pinned (always a subset of
-        reachable).  Orphaned store pages (allocated, never freed, no
-        longer referenced) and dangling references both surface here.
-        """
-        live = set(self.store.page_ids())
-        orphans = live - reachable
-        dangling = reachable - live
-        self.check(
-            not orphans,
-            "pages.orphan",
-            f"store holds {len(orphans)} page(s) the walk never reached: "
-            f"{sorted(orphans)[:8]}",
-        )
-        self.check(
-            not dangling,
-            "pages.dangling",
-            f"walk referenced {len(dangling)} page(s) not in the store: "
-            f"{sorted(dangling)[:8]}",
-        )
-        actual_pins = self.store.pinned_ids()
-        self.check(
-            actual_pins == pinned,
-            "pages.pins",
-            f"pinned pages {sorted(actual_pins)} != expected {sorted(pinned)}",
-        )
+# -- the page model ---------------------------------------------------------
 
-    def check_kind(self, pid: int, kind: PageKind, code: str) -> None:
-        actual = self.store.kind(pid)
-        self.check(
-            actual is kind,
-            code,
-            f"page {pid} has kind {actual.value}, expected {kind.value}",
+
+def check_walk(
+    audit: Audit,
+    pins: set[int],
+    *,
+    leaf_depth: int | None = None,
+    partition: bool = False,
+    exact: bool = False,
+    tolerated: Callable[[PageView], bool] | None = None,
+) -> list[PageView]:
+    """Check the structure's page walk; return its views of live pages.
+
+    Consumes ``am._snapshot_pages()`` once, lazily, and checks:
+
+    * ``pages.walk`` / ``pages.repeated`` — the walk raised, or reached
+      a page twice (a shared or cyclic link); both raise
+      :class:`WalkBroken` at once;
+    * ``pages.orphan`` / ``pages.dangling`` / ``pages.pins`` — the walk
+      reaches exactly the store's live pages, and exactly ``pins`` are
+      pinned;
+    * ``pages.kind`` — each page has the kind the store records;
+    * ``pages.capacity`` — a page holds at most ``capacity`` entries
+      unless ``tolerated(view)``: the structure's own pure split chooser
+      finds no split (byte-budget pages, capacity 0, are the auditor's);
+    * ``pages.nesting`` — a page's entry regions lie in its region and,
+      with ``partition``, tile it (``pages.disjoint``,
+      ``pages.complete``);
+    * ``pages.mbr-exact`` — with ``exact``, a page's single region is
+      the exact MBR of its records or entries;
+    * ``pages.balance`` — with ``leaf_depth``, every data page sits at
+      that depth.
+    """
+    views: list[PageView] = []
+    seen: set[int] = set()
+    repeated = None
+    try:
+        for view in audit.am._snapshot_pages():
+            if view.pid in seen:
+                repeated = view.pid
+                break
+            seen.add(view.pid)
+            views.append(view)
+    except Exception as exc:  # noqa: BLE001 - a broken walk is a finding
+        audit.check(False, "pages.walk", f"_snapshot_pages() raised {exc!r}")
+        raise WalkBroken from exc
+    if repeated is not None:
+        audit.check(
+            False,
+            "pages.repeated",
+            f"the walk reaches page {repeated} twice (a shared or cyclic link)",
         )
+        raise WalkBroken
+    store = audit.store
+    live = set(store.page_ids())
+    orphans = live - seen
+    dangling = seen - live
+    audit.check(
+        not orphans,
+        "pages.orphan",
+        f"store holds {len(orphans)} page(s) the walk never reached: "
+        f"{sorted(orphans)[:8]}",
+    )
+    audit.check(
+        not dangling,
+        "pages.dangling",
+        f"walk referenced {len(dangling)} page(s) not in the store: "
+        f"{sorted(dangling)[:8]}",
+    )
+    actual_pins = store.pinned_ids()
+    audit.check(
+        actual_pins == pins,
+        "pages.pins",
+        f"pinned pages {sorted(actual_pins)} != expected {sorted(pins)}",
+    )
+    views = [v for v in views if v.pid in live]
+    for view in views:
+        pid = view.pid
+        kind = store.kind(pid).value
+        audit.check(
+            kind == view.kind,
+            "pages.kind",
+            f"page {pid} has kind {kind}, the walk reaches it as {view.kind}",
+        )
+        if 0 < view.capacity < view.records:
+            audit.check(
+                tolerated is not None and tolerated(view),
+                "pages.capacity",
+                f"{view.kind} page {pid} holds {view.records} entries over "
+                f"capacity {view.capacity}"
+                + (" although a split is possible" if tolerated else ""),
+            )
+        if view.regions and view.entry_regions:
+            region = view.regions[0]
+            for rect in view.entry_regions:
+                audit.check(
+                    region.contains_rect(rect),
+                    "pages.nesting",
+                    f"entry region {rect} of page {pid} escapes the page's "
+                    f"region {region}",
+                )
+            if partition:
+                overlap = _pairwise_overlap(view.entry_regions)
+                audit.check(
+                    overlap <= _AREA_EPS,
+                    "pages.disjoint",
+                    f"entry regions of page {pid} overlap in volume {overlap}",
+                )
+                total = sum(rect.area() for rect in view.entry_regions)
+                audit.check(
+                    abs(total - region.area()) <= _AREA_EPS,
+                    "pages.complete",
+                    f"entry regions of page {pid} cover volume {total}, its "
+                    f"region {region} has {region.area()} (the partition "
+                    "must be complete)",
+                )
+        if exact and len(view.regions) == 1:
+            want = view.content
+            if view.kind == "directory" and view.entry_regions:
+                want = Rect.bounding(view.entry_regions)
+            audit.check(
+                want is None or view.regions[0] == want,
+                "pages.mbr-exact",
+                f"region {view.regions[0]} of {view.kind} page {pid} is not "
+                f"the exact MBR {want} of its contents",
+            )
+        if leaf_depth is not None and view.kind == "data":
+            audit.check(
+                view.depth == leaf_depth,
+                "pages.balance",
+                f"data page {pid} sits at depth {view.depth}, expected "
+                f"{leaf_depth} (the structure is balanced)",
+            )
+    return views
 
 
 # -- grid-file directory layer -------------------------------------------
@@ -207,16 +326,18 @@ def check_grid_layer(audit: Audit, layer, prefix: str, where: str = "") -> None:
 # -- PLOP grid ------------------------------------------------------------
 
 
-def check_plop_grid(audit: Audit, grid, prefix: str) -> set[int]:
-    """Structural checks for one ``_PlopGrid``; returns reachable pids.
+def check_plop_grid(audit: Audit, grid, prefix: str) -> None:
+    """Page walk plus the structural checks of one ``_PlopGrid``.
 
-    Invariants:
+    Invariants beyond :func:`check_walk` (whose capacity check holds
+    strictly: PLOP chains overflow pages instead of overfilling them):
 
     * slice boundaries per axis are strictly increasing from 0.0 to 1.0;
+    * every bucket index lies in the slice grid and has a page chain;
     * every record sits in the bucket its key hashes to (``address``);
-    * no page ever exceeds capacity (PLOP chains overflow pages instead);
     * the grid's page and record counters match the chains exactly.
     """
+    views = check_walk(audit, set())
     for axis, scale in enumerate(grid.slices):
         ok = (
             len(scale) >= 2
@@ -230,8 +351,6 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> set[int]:
             f"axis-{axis} slices are not a strictly increasing partition "
             f"of [0, 1]: {scale}",
         )
-    pids: list[int] = []
-    records = 0
     for idx, bucket in grid.buckets.items():
         audit.check(
             len(idx) == grid.dims
@@ -248,18 +367,7 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> set[int]:
             f"bucket {idx} has an empty page chain",
         )
         for pid in bucket.chain:
-            pids.append(pid)
-            audit.check_kind(pid, PageKind.DATA, f"{prefix}.page-kind")
-            page = audit.store.peek(pid)
-            audit.check(
-                len(page.records) <= grid.capacity,
-                f"{prefix}.capacity",
-                f"page {pid} of bucket {idx} holds {len(page.records)} "
-                f"records, capacity {grid.capacity} (PLOP pages never "
-                "overflow; chains grow instead)",
-            )
-            records += len(page.records)
-            for record in page.records:
+            for record in audit.store.peek(pid).records:
                 home = grid.address(grid.key_of(record))
                 audit.check(
                     home == idx,
@@ -268,131 +376,100 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> set[int]:
                     f"{home}, stored in {idx}",
                 )
     audit.check(
-        len(pids) == len(set(pids)),
-        f"{prefix}.chain-shared",
-        "a page appears in more than one bucket chain",
-    )
-    audit.check(
-        grid._pages == len(pids),
+        grid._pages == len(views),
         f"{prefix}.page-count",
-        f"grid counts {grid._pages} pages, chains hold {len(pids)}",
+        f"grid counts {grid._pages} pages, chains hold {len(views)}",
     )
+    records = sum(view.records for view in views)
     audit.check(
         grid._records == records,
         f"{prefix}.record-count",
         f"grid counts {grid._records} records, pages hold {records}",
     )
-    return set(pids)
 
 
 # -- B+-tree --------------------------------------------------------------
 
 
-def check_bplus_tree(audit: Audit, tree, prefix: str) -> set[int]:
-    """Structural checks for one ``_BPlusTree``; returns reachable pids.
+def check_bplus_tree(audit: Audit, tree, prefix: str) -> list[tuple]:
+    """Page walk plus the structural checks of one ``_BPlusTree``.
 
-    Invariants:
+    Returns the ``(key, value)`` items of the leaves, in key order.
 
-    * the root (and only the root) is pinned;
-    * inner nodes keep ``len(pids) == len(keys) + 1`` with keys in
-      non-decreasing order, at most ``inner_capacity`` children;
+    The walk pins the root alone, puts every leaf at depth ``height``
+    and lets a leaf overflow only when all its keys are equal (an
+    uncuttable equal-key run).  Beyond it:
+
+    * inner nodes keep ``len(pids) == len(keys) + 1``, leaves one value
+      per key (``arity``), and both keep their keys sorted (``sorted``);
     * every key in child ``i`` lies in the separator interval
       ``[keys[i-1], keys[i])`` — strictly below the right separator
       because equal-key runs are never cut by a leaf split;
-    * leaves hold sorted keys, at most ``leaf_capacity`` of them unless
-      all keys are equal (the tolerated oversized-leaf case);
-    * all leaves sit at the same depth and the sibling chain from the
-      leftmost leaf enumerates exactly the leaves in key order.
+    * the sibling chain from the leftmost leaf is acyclic, ascends, and
+      enumerates exactly the leaves in the walk's (left-to-right) order;
+      a chain that loops or leaves the leaves raises :class:`WalkBroken`,
+      since ``iter_items()`` (and so ``iter_records()``) follows it.
     """
     store = tree.store
-    audit.check(
-        store.pinned_ids() == {tree.root_pid},
-        f"{prefix}.pin",
-        f"pinned pages {sorted(store.pinned_ids())} != root {{{tree.root_pid}}}",
+    views = check_walk(
+        audit,
+        {tree.root_pid},
+        leaf_depth=tree.height,
+        tolerated=lambda v: v.kind == "data"
+        and len(set(store.peek(v.pid).keys)) == 1,
     )
-    inner_pids: set[int] = set()
-    leaf_order: list[int] = []
-    leaf_depths: set[int] = set()
-    # (pid, is_leaf, depth, lower bound incl. or None, upper bound excl. or None)
-    stack = [(tree.root_pid, tree.root_is_leaf, 1, None, None)]
-    while stack:
-        pid, is_leaf, depth, lo, hi = stack.pop()
-        if is_leaf:
-            leaf_order.append(pid)
-            leaf_depths.add(depth)
-            audit.check_kind(pid, PageKind.DATA, f"{prefix}.leaf-kind")
-            leaf = store.peek(pid)
-            audit.check(
-                all(a <= b for a, b in zip(leaf.keys, leaf.keys[1:])),
-                f"{prefix}.leaf-sorted",
-                f"leaf {pid} keys are not sorted",
-            )
-            audit.check(
-                len(leaf.keys) == len(leaf.values),
-                f"{prefix}.leaf-arity",
-                f"leaf {pid} has {len(leaf.keys)} keys, {len(leaf.values)} values",
-            )
-            if len(leaf.keys) > tree.leaf_capacity:
-                audit.check(
-                    len(set(leaf.keys)) == 1,
-                    f"{prefix}.leaf-capacity",
-                    f"leaf {pid} holds {len(leaf.keys)} keys, capacity "
-                    f"{tree.leaf_capacity}, and they are not all equal "
-                    "(only an uncuttable equal-key run may overflow)",
-                )
-            for key in leaf.keys:
-                audit.check(
-                    (lo is None or key >= lo) and (hi is None or key < hi),
-                    f"{prefix}.separators",
-                    f"leaf {pid} key {key!r} outside separator interval "
-                    f"[{lo!r}, {hi!r})",
-                )
-        else:
-            inner_pids.add(pid)
-            audit.check_kind(pid, PageKind.DIRECTORY, f"{prefix}.inner-kind")
-            node = store.peek(pid)
+    # The walk is breadth-first, so parents come before their children
+    # and the leaves of a balanced tree come in key order.
+    bounds: dict[int, tuple] = {tree.root_pid: (None, None)}
+    leaves: list[int] = []
+    items: list[tuple] = []
+    for view in views:
+        pid = view.pid
+        node = store.peek(pid)
+        lo, hi = bounds.get(pid, (None, None))
+        audit.check(
+            all(a <= b for a, b in zip(node.keys, node.keys[1:])),
+            f"{prefix}.sorted",
+            f"{view.kind} page {pid} keys are not sorted",
+        )
+        if view.kind == "directory":
             audit.check(
                 len(node.pids) == len(node.keys) + 1,
-                f"{prefix}.inner-arity",
+                f"{prefix}.arity",
                 f"inner {pid} has {len(node.pids)} children, "
                 f"{len(node.keys)} separators",
             )
-            audit.check(
-                len(node.pids) <= tree.inner_capacity,
-                f"{prefix}.inner-capacity",
-                f"inner {pid} has {len(node.pids)} children, capacity "
-                f"{tree.inner_capacity}",
-            )
-            audit.check(
-                all(a <= b for a, b in zip(node.keys, node.keys[1:])),
-                f"{prefix}.inner-sorted",
-                f"inner {pid} separators are not sorted",
-            )
-            # The tree tracks its height, so the children of a node at
-            # depth == height are the leaves.
-            children_are_leaves = depth == tree.height
-            bounds = [lo, *node.keys, hi]
+            edges = [lo, *node.keys, hi]
             for i, child in enumerate(node.pids):
-                stack.append(
-                    (child, children_are_leaves, depth + 1, bounds[i], bounds[i + 1])
-                )
-    audit.check(
-        len(leaf_depths) == 1,
-        f"{prefix}.balance",
-        f"leaves found at depths {sorted(leaf_depths)}; a B+-tree is balanced",
-    )
-    # The walk above pushes children right-to-left onto a stack, so
-    # leaf_order is not key order; recover key order by following the
-    # sibling chain and compare as sets plus chain-sortedness.
+                bounds[child] = (edges[i], edges[i + 1])
+            continue
+        leaves.append(pid)
+        items.extend(zip(node.keys, node.values))
+        audit.check(
+            len(node.keys) == len(node.values),
+            f"{prefix}.arity",
+            f"leaf {pid} has {len(node.keys)} keys, {len(node.values)} values",
+        )
+        for key in node.keys:
+            audit.check(
+                (lo is None or key >= lo) and (hi is None or key < hi),
+                f"{prefix}.separators",
+                f"leaf {pid} key {key!r} outside separator interval "
+                f"[{lo!r}, {hi!r})",
+            )
     chain: list[int] = []
-    pid = _leftmost_leaf(tree)
-    seen_chain: set[int] = set()
+    unvisited = set(leaves)
+    pid = leaves[0] if leaves else None
     prev_last = None
     while pid is not None:
-        if pid in seen_chain:
-            audit.check(False, f"{prefix}.chain-cycle", f"sibling chain revisits leaf {pid}")
-            break
-        seen_chain.add(pid)
+        if pid not in unvisited:
+            audit.check(
+                False,
+                f"{prefix}.chain-cycle",
+                f"sibling chain reaches page {pid} again or off the leaves",
+            )
+            raise WalkBroken  # iter_items() follows the same chain
+        unvisited.remove(pid)
         chain.append(pid)
         leaf = store.peek(pid)
         if leaf.keys:
@@ -404,20 +481,9 @@ def check_bplus_tree(audit: Audit, tree, prefix: str) -> set[int]:
             prev_last = leaf.keys[-1]
         pid = leaf.next_pid
     audit.check(
-        set(chain) == set(leaf_order),
+        chain == leaves,
         f"{prefix}.chain-coverage",
-        f"sibling chain covers {len(chain)} leaves, tree walk found "
-        f"{len(leaf_order)}",
+        f"sibling chain visits {len(chain)} leaves, the walk found "
+        f"{len(leaves)} (in another order)",
     )
-    return inner_pids | set(leaf_order)
-
-
-def _leftmost_leaf(tree):
-    pid, is_leaf = tree.root_pid, tree.root_is_leaf
-    depth = 1
-    while not is_leaf:
-        node = tree.store.peek(pid)
-        pid = node.pids[0]
-        is_leaf = depth == tree.height
-        depth += 1
-    return pid
+    return items

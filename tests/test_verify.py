@@ -7,8 +7,10 @@ Three angles: (1) every structure's auditor is green on honest builds,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import signal
 
 import pytest
 
@@ -124,7 +126,7 @@ class TestCorruptionDetection:
         dst = tree.store.peek(pages[1])
         dst.records.append(src.records.pop())
         codes = {v.code for v in run_audit(tree)}
-        assert "buddy.mbr-exact" in codes
+        assert "pages.mbr-exact" in codes
         with pytest.raises(AuditError) as err:
             tree.audit()
         assert err.value.violations
@@ -147,7 +149,7 @@ class TestCorruptionDetection:
         lo, hi = root.rects[0].lo, root.rects[0].hi
         root.rects[0] = Rect(lo, tuple(min(1.0, h + 0.25) for h in hi))
         codes = {v.code for v in run_audit(tree)}
-        assert "rtree.mbr-exact" in codes
+        assert "pages.mbr-exact" in codes
 
     def test_audit_error_message_lists_codes(self):
         tree = BuddyTree(PageStore(), 2)
@@ -156,7 +158,7 @@ class TestCorruptionDetection:
         pages = self._data_pages(tree.store)
         dst = tree.store.peek(pages[1])
         dst.records.append(tree.store.peek(pages[0]).records.pop())
-        with pytest.raises(AuditError, match=r"buddy\.mbr-exact"):
+        with pytest.raises(AuditError, match=r"pages\.mbr-exact"):
             tree.audit()
 
     def test_violation_is_hashable_value_object(self):
@@ -170,6 +172,513 @@ class TestCorruptionDetection:
         assert audit.check(True, "ok", "never recorded")
         assert not audit.check(False, "bad", "recorded")
         assert [v.code for v in audit.violations] == ["bad"]
+
+
+# -- one planted defect per violation code -----------------------------------
+
+
+def _built(name: str, n: int, page_size: int):
+    spec = STRUCTURES[name]
+    am = spec["factory"](PageStore(page_size=page_size))
+    items = make_points(n, seed=3) if spec["kind"] == "pam" else make_rects(n, seed=3)
+    for rid, item in enumerate(items):
+        am.insert(item, rid)
+    return am
+
+
+def _views(am, kind: str) -> list:
+    return [v for v in am._snapshot_pages() if v.kind == kind]
+
+
+def _leaves(am) -> list:
+    return [am.store.peek(v.pid) for v in _views(am, "data")]
+
+
+def _root(am):
+    return am.store.peek(am._root_pid)
+
+
+def _first_child(am):
+    return am.store.peek(_views(am, "directory")[0].children[0])
+
+
+def _move(src, dst) -> None:
+    dst.records.append(src.records.pop())
+
+
+def _move_record(am) -> None:
+    _move(_leaves(am)[0], _leaves(am)[1])
+
+
+def _set(path: str, change):
+    """Rebind one attribute, e.g. ``_set("_grid._pages", lambda v: v + 1)``."""
+
+    def corrupt(am) -> None:
+        *owners, attr = path.split(".")
+        for owner in owners:
+            am = getattr(am, owner)
+        setattr(am, attr, change(getattr(am, attr)))
+
+    return corrupt
+
+
+def _shrunk(rect: Rect) -> Rect:
+    return Rect(rect.lo, tuple((lo + hi) / 2 for lo, hi in zip(rect.lo, rect.hi)))
+
+
+def _grown(rect: Rect) -> Rect:
+    return Rect(rect.lo, tuple(min(1.0, hi + 1e-3) for hi in rect.hi))
+
+
+def _truncate(*lists, keep: int) -> None:
+    for lst in lists:
+        del lst[keep:]
+
+
+def _overfill(am) -> None:
+    leaf = _leaves(am)[0]
+    leaf.rects.extend(list(leaf.rects) * 3)
+    leaf.children.extend(list(leaf.children) * 3)
+
+
+def _buddy_share(across_nodes: bool):
+    """Point a second data entry at the first entry's data page."""
+
+    def corrupt(am) -> None:
+        nodes = [am.store.peek(v.pid) for v in _views(am, "directory")[1:3]]
+        first = nodes[0].entries[0]
+        second = nodes[1].entries[0] if across_nodes else nodes[0].entries[1]
+        second.pid = first.pid
+        if not across_nodes:  # and a record from a third entry's region
+            third = am.store.peek(nodes[0].entries[2].pid)
+            am.store.peek(first.pid).records.append(third.records[0])
+
+    return corrupt
+
+
+def _buddy_nesting(am) -> None:
+    child = _views(am, "directory")[1].pid
+    entry = next(e for e in _root(am).entries if e.pid == child)
+    entry.rect = Rect((0.0, 0.0), (1e-3, 1e-3))
+
+
+def _rplus_copy(am):
+    """(leaf, index) of an entry whose rid has another copy."""
+    seen = set()
+    for leaf in _leaves(am):
+        for i, rid in enumerate(leaf.rids):
+            if rid in seen:
+                return leaf, i
+            seen.add(rid)
+    raise AssertionError("no clipped entry")
+
+
+def _rplus_drop_copy(am) -> None:
+    leaf, i = _rplus_copy(am)
+    del leaf.rects[i], leaf.rids[i]
+
+
+def _rplus_rid_rect(am) -> None:
+    leaf, i = _rplus_copy(am)
+    leaf.rects[i] = _grown(leaf.rects[i])
+
+
+def _rplus_far_entry(am) -> None:
+    leaves = _views(am, "data")
+    home = leaves[0].regions[0]
+    far = next(v.regions[0] for v in leaves if not v.regions[0].intersects(home))
+    am.store.peek(leaves[0].pid).rects[0] = Rect(far.lo, far.lo)
+
+
+def _bplus_unsorted(am) -> None:
+    leaf = next(leaf for leaf in _leaves(am) if leaf.keys[0] != leaf.keys[1])
+    leaf.keys[0], leaf.keys[1] = leaf.keys[1], leaf.keys[0]
+
+
+def _bplus_low_key(am) -> None:
+    first, second = _leaves(am)[:2]
+    second.keys[0] = first.keys[0]
+
+
+def _bplus_link(source: int, target: int):
+    def corrupt(am) -> None:
+        leaves = _views(am, "data")
+        am.store.peek(leaves[source].pid).next_pid = leaves[target].pid
+
+    return corrupt
+
+
+def _zb_z_key(am) -> None:
+    leaf = _leaves(am)[0]
+    point, rid = leaf.values[0]
+    leaf.values[0] = (tuple(1.0 - c for c in point), rid)
+
+
+def _clip_rid_rect(am) -> None:
+    counts: dict = {}
+    for _, (_rect, rid) in am._tree.iter_items():
+        counts[rid] = counts.get(rid, 0) + 1
+    leaf, i = next(
+        (leaf, i)
+        for leaf in _leaves(am)
+        for i, (_rect, rid) in enumerate(leaf.values)
+        if counts[rid] > 1
+    )
+    rect, rid = leaf.values[i]
+    leaf.values[i] = (_grown(rect), rid)
+
+
+def _clip_decomposition(am) -> None:
+    leaf = _leaves(am)[0]
+    leaf.values[0] = (Rect.unit(2), leaf.values[0][1])
+
+
+def _plop_buckets(am) -> list:
+    return list(am._grid.buckets.values())
+
+
+def _plop_bucket_index(am) -> None:
+    grid = am._grid
+    # Indexed from the end, the slices still give the walk a region.
+    grid.buckets[(-2,) * grid.dims] = grid.buckets.pop(next(iter(grid.buckets)))
+
+
+def _plop_placement(am) -> None:
+    first, second = _plop_buckets(am)[:2]
+    _move(am.store.peek(first.chain[0]), am.store.peek(second.chain[0]))
+
+
+def _transformed_record(point):
+    """Replace one stored 4-d point of a transformation SAM's inner PAM."""
+
+    def corrupt(am) -> None:
+        page = next(p for p in _leaves(am.pam) if p.records)
+        page.records[0] = (point, page.records[0][1])
+
+    return corrupt
+
+
+def _twin_placement(am) -> None:
+    first, second = [am.store.peek(v.pid) for v in _views(am, "data") if v.depth == 3][:2]
+    _move(first, second)
+
+
+def _grid2_routing(am) -> None:
+    first, second = (am.store.peek(s).layer for s in list(am._root.boxes)[:2])
+    _move(
+        am.store.peek(next(iter(first.boxes))),
+        am.store.peek(next(iter(second.boxes))),
+    )
+
+
+def _grid2_region(am) -> None:
+    layer = am.store.peek(next(iter(am._root.boxes))).layer
+    layer.region = _shrunk(layer.region)
+
+
+def _dir_page(which=None):
+    def corrupt(am) -> None:
+        pages = am._dir_pages if which is None else am._dir_pages[which]
+        pages.append(10**6)
+
+    return corrupt
+
+
+#: Grid layers by violation-code prefix: (structure, layer of a build).
+_GRID_LAYERS = {
+    "grid": ("GRID-1", lambda am: am._layer),
+    "twin.primary": ("TWIN", lambda am: am._layers[0]),
+    "twin.twin": ("TWIN", lambda am: am._layers[1]),
+    "grid2.root": ("GRID", lambda am: am._root),
+    "grid2.sub": ("GRID", lambda am: am.store.peek(next(iter(am._root.boxes))).layer),
+}
+
+
+def _layer_scales(layer) -> None:
+    layer.scales[0][0] -= 1e-3
+
+
+def _layer_coverage(layer) -> None:
+    layer.cells[(10**6,) * layer.dims] = next(iter(layer.boxes))
+
+
+def _layer_box_range(layer) -> None:
+    # The last cell, indexed from the end: box_rect() still resolves it.
+    layer.boxes[next(iter(layer.boxes))] = ([-2] * layer.dims, [-2] * layer.dims)
+
+
+def _layer_box_cells(layer) -> None:
+    first, second = list(layer.boxes)[:2]
+    layer.cells[tuple(layer.boxes[first][0])] = second
+
+
+def _layer_partition(layer) -> None:
+    pid, (lo, _hi) = next((p, b) for p, b in layer.boxes.items() if b[0] != b[1])
+    layer.boxes[pid] = (lo, list(lo))
+
+
+def _on_layer(layer_of, corrupt):
+    return lambda am: corrupt(layer_of(am))
+
+
+_LAYER_DEFECTS = {
+    "scales": _layer_scales,
+    "coverage": _layer_coverage,
+    "box-range": _layer_box_range,
+    "box-cells": _layer_box_cells,
+    "partition": _layer_partition,
+}
+
+
+def _r_cycle(am) -> None:
+    _root(am).children[0] = am._root_pid
+
+
+def _kdb_entry_at_directory(am) -> None:
+    _first_child(am).pids[0] = am._root_pid
+
+
+def _buddy_entry_at_directory(am) -> None:
+    next(e for e in _first_child(am).entries if e.is_data).pid = am._root_pid
+
+
+def _orphan(am) -> None:
+    am.store.allocate(PageKind.DATA, _leaves(am)[0])
+
+
+def _retype(am) -> None:
+    am.store._kinds[_views(am, "data")[0].pid] = PageKind.DIRECTORY
+
+
+def _pin_data_page(am) -> None:
+    am.store.pin(_views(am, "data")[0].pid)
+
+
+def _grow_entry(am) -> None:
+    _first_child(am).rects[0] = Rect.unit(2)
+
+
+def _kdb_overlap(am) -> None:
+    rects = _root(am).rects
+    rects[1] = rects[0]
+
+
+def _kdb_gap(am) -> None:
+    rects = _root(am).rects
+    rects[0] = _shrunk(rects[0])
+
+
+def _lose_record(am) -> None:
+    _leaves(am)[0].records.pop()
+
+
+def _planted(name, n, page_size, corrupt, code):
+    return pytest.param(name, n, page_size, corrupt, code, id=f"{code}@{name}")
+
+
+
+
+def _set_root_bits(am) -> None:
+    _root(am).bits = (1,)
+
+
+def _extend_data_bits(am) -> None:
+    page = _leaves(am)[0]
+    page.bits = page.bits + (0,)
+
+
+def _bang_dup_block(am) -> None:
+    entries = _root(am).entries
+    entries[1].bits = entries[0].bits
+
+
+def _bang_mirror(am) -> None:
+    am._data_blocks.pop(next(bits for bits in am._data_blocks if bits))
+
+
+def _bang_region(am) -> None:
+    _root(am).entries[0].mbr = Rect.unit(2)
+
+
+def _hb_leaf(am):
+    return am._kd_leaves(_root(am).kd)[0]
+
+
+def _hb_region(am) -> None:
+    _hb_leaf(am).mbr = Rect.unit(2)
+
+
+def _hb_parents(am) -> None:
+    am._parents[_hb_leaf(am).pid] = {10**6}
+
+
+def _hb_parents_stale(am) -> None:
+    am._parents[10**6] = {am._root_pid}
+
+
+def _kdb_arity(am) -> None:
+    _root(am).rects.pop()
+
+
+def _r_arity(am) -> None:
+    _leaves(am)[0].children.pop()
+
+
+def _r_min_fill(am) -> None:
+    leaf = _leaves(am)[0]
+    _truncate(leaf.rects, leaf.children, keep=1)
+
+
+def _r_root(am) -> None:
+    root = _root(am)
+    _truncate(root.rects, root.children, keep=1)
+
+
+def _rplus_arity(am) -> None:
+    _leaves(am)[0].rids.pop()
+
+
+def _max_extent_zero(am) -> None:
+    am._max_extent = [0.0] * am.dims
+
+
+#: (structure, records, page size, one corruption, the code it must fire).
+#: Each code an auditor reports has a row.  The first three rows are
+#: corrupt links: before the page model the first looped forever and
+#: the other two crashed the audit with an AttributeError.
+PLANTED = [
+    # -- the page model (check_walk) and the record count
+    _planted("R", 400, 512, _r_cycle, "pages.repeated"),
+    _planted("KDB", 300, 256, _kdb_entry_at_directory, "pages.walk"),
+    _planted("BUDDY", 300, 256, _buddy_entry_at_directory, "pages.walk"),
+    _planted("R", 200, 512, _orphan, "pages.orphan"),
+    _planted("GRID-1", 200, 512, _dir_page(), "pages.dangling"),
+    _planted("PLOP", 200, 512, _pin_data_page, "pages.pins"),
+    _planted("PLOP", 200, 512, _retype, "pages.kind"),
+    _planted("R", 200, 512, _overfill, "pages.capacity"),
+    _planted("R", 300, 256, _grow_entry, "pages.nesting"),
+    _planted("KDB", 200, 512, _kdb_overlap, "pages.disjoint"),
+    _planted("KDB", 200, 512, _kdb_gap, "pages.complete"),
+    _planted("BUDDY", 200, 512, _move_record, "pages.mbr-exact"),
+    _planted("R", 200, 512, _set("_height", lambda h: h + 1), "pages.balance"),
+    _planted("BUDDY", 200, 512, _lose_record, "records.count"),
+    _planted("T-BUDDY", 200, 512, _transformed_record((0.5, 0.5, 0.4, 0.6)), "records.walk"),
+    # -- BUDDY / MLGF
+    _planted("BUDDY", 200, 512, lambda am: _truncate(_root(am).entries, keep=1), "buddy.min-entries"),
+    _planted("BUDDY", 300, 256, _buddy_nesting, "buddy.nesting"),
+    _planted("BUDDY", 200, 512, lambda am: _leaves(am)[0].records.clear(), "buddy.data-empty"),
+    _planted("BUDDY", 300, 256, _buddy_share(across_nodes=True), "buddy.share-node"),
+    _planted("BUDDY", 300, 256, _buddy_share(across_nodes=False), "buddy.share-cover"),
+    # -- BANG
+    _planted("BANG", 200, 512, _set("_dir_payload", lambda v: 1), "bang.dir-capacity"),
+    _planted("BANG", 200, 512, _set_root_bits, "bang.nesting"),
+    _planted("BANG", 200, 512, _extend_data_bits, "bang.entry-block"),
+    _planted("BANG", 200, 512, _bang_dup_block, "bang.block-dup"),
+    _planted("BANG", 200, 512, _bang_mirror, "bang.mirror"),
+    _planted("BANG-MBR", 200, 512, _bang_region, "bang.region"),
+    _planted("BANG", 200, 512, _move_record, "bang.placement"),
+    # -- hB-tree
+    _planted("HB", 200, 512, _set("_index_payload", lambda v: 1), "hb.index-capacity"),
+    _planted("HB-MBR", 200, 512, _hb_region, "hb.region"),
+    _planted("HB", 200, 512, _hb_parents, "hb.parents"),
+    _planted("HB", 200, 512, _hb_parents_stale, "hb.parents-stale"),
+    _planted("HB", 200, 512, _move_record, "hb.routing"),
+    # -- k-d-B-tree
+    _planted("KDB", 200, 512, _kdb_arity, "kdb.arity"),
+    _planted("KDB", 200, 512, _move_record, "kdb.placement"),
+    # -- R-tree
+    _planted("R", 200, 512, _r_arity, "rtree.arity"),
+    _planted("R", 200, 512, _r_min_fill, "rtree.min-fill"),
+    _planted("R", 200, 512, _r_root, "rtree.root"),
+    # -- R+-tree
+    _planted("R+", 300, 256, _rplus_arity, "rplus.arity"),
+    _planted("R+", 300, 256, _rplus_far_entry, "rplus.entry-region"),
+    _planted("R+", 300, 256, _rplus_rid_rect, "rplus.rid-rect"),
+    _planted("R+", 300, 256, _rplus_drop_copy, "rplus.clipping"),
+    # -- grid files (the layer checks follow, one row per layer)
+    _planted("GRID-1", 200, 512, _move_record, "grid.placement"),
+    _planted("GRID-1", 200, 512, _dir_page(), "grid.dir-count"),
+    _planted("TWIN", 300, 128, _move_record, "twin.primary.placement"),
+    _planted("TWIN", 300, 128, _twin_placement, "twin.twin.placement"),
+    _planted("TWIN", 300, 128, _dir_page(0), "twin.primary.dir-count"),
+    _planted("TWIN", 300, 128, _dir_page(1), "twin.twin.dir-count"),
+    _planted("GRID", 300, 128, _move_record, "grid2.placement"),
+    _planted("GRID", 300, 128, _grid2_routing, "grid2.routing"),
+    _planted("GRID", 300, 128, _grid2_region, "grid2.region"),
+    _planted("GRID", 300, 128, _set("_subgrid_payload", lambda v: 1), "grid2.sub-size"),
+    *(
+        _planted(name, 300, 128, _on_layer(layer_of, corrupt), f"{prefix}.{check}")
+        for prefix, (name, layer_of) in _GRID_LAYERS.items()
+        for check, corrupt in _LAYER_DEFECTS.items()
+    ),
+    # -- PLOP grids: PLOP / QUANTILE ("plop"), overlapping regions ("oplop")
+    *(
+        row
+        for name, prefix in (("PLOP", "plop"), ("PLOP-SAM", "oplop"))
+        for row in (
+            _planted(name, 200, 512, _set("_grid.slices", lambda s: [s[0][:-1] + [0.999], *s[1:]]), f"{prefix}.slices"),
+            _planted(name, 200, 512, _plop_bucket_index, f"{prefix}.bucket-index"),
+            _planted(name, 200, 512, lambda am: _plop_buckets(am)[0].chain.clear(), f"{prefix}.chain-empty"),
+            _planted(name, 200, 512, _plop_placement, f"{prefix}.placement"),
+            _planted(name, 200, 512, _set("_grid._pages", lambda v: v + 1), f"{prefix}.page-count"),
+            _planted(name, 200, 512, _set("_grid._records", lambda v: v + 1), f"{prefix}.record-count"),
+        )
+    ),
+    _planted("PLOP-SAM", 200, 512, _max_extent_zero, "oplop.extent"),
+    # -- B+-trees: z-order ("zb"), clipping ("clip")
+    *(
+        row
+        for name, prefix in (("ZB", "zb"), ("CLIP", "clip"))
+        for row in (
+            _planted(name, 300, 256, _bplus_unsorted, f"{prefix}.sorted"),
+            _planted(name, 300, 256, lambda am: _leaves(am)[0].values.pop(), f"{prefix}.arity"),
+            _planted(name, 300, 256, _bplus_low_key, f"{prefix}.separators"),
+            _planted(name, 300, 256, _bplus_low_key, f"{prefix}.chain-sorted"),
+            _planted(name, 300, 256, _bplus_link(-1, 0), f"{prefix}.chain-cycle"),
+            _planted(name, 300, 256, _bplus_link(0, 2), f"{prefix}.chain-coverage"),
+        )
+    ),
+    _planted("ZB", 300, 256, _zb_z_key, "zb.z-key"),
+    _planted("CLIP", 200, 512, _set("_region_entries", lambda v: v + 1), "clip.region-count"),
+    _planted("CLIP", 200, 512, _clip_rid_rect, "clip.rid-rect"),
+    _planted("CLIP", 200, 512, _set("redundancy", lambda v: 1), "clip.redundancy"),
+    _planted("CLIP", 200, 512, _clip_decomposition, "clip.decomposition"),
+    # -- transformation SAM (the inner PAM's codes come prefixed)
+    _planted("T-BUDDY", 200, 512, lambda am: _move_record(am.pam), "transform.pages.mbr-exact"),
+    _planted("T-BUDDY", 200, 512, _set("_records", lambda v: v + 1), "transform.count"),
+    _planted("T-BUDDY", 200, 512, _transformed_record((0.5, 0.5, 0.4, 0.6)), "transform.roundtrip"),
+    _planted("T-BUDDY", 200, 512, _transformed_record((0.2, 0.2, 1.5, 0.3)), "transform.unit"),
+    _planted("T-BUDDY", 200, 512, _max_extent_zero, "transform.extent"),
+]
+
+
+@contextlib.contextmanager
+def _time_bound(seconds: int):
+    """Fail, instead of hanging the suite, if the block outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the audit did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPlantedDefects:
+    """One corruption per violation code: the audit reports that code."""
+
+    @pytest.mark.parametrize("name, n, page_size, corrupt, code", PLANTED)
+    def test_the_audit_reports_the_planted_defect(self, name, n, page_size, corrupt, code):
+        am = _built(name, n, page_size)
+        assert run_audit(am) == []
+        corrupt(am)
+        with _time_bound(10):
+            codes = {v.code for v in run_audit(am)}
+        assert code in codes, sorted(codes)
 
 
 class TestOracles:
