@@ -92,8 +92,6 @@ class RunConfig:
     store_backend: str = _var(_backend, "sim")
     #: Base directory of disk stores (on or off: a per-process tmp dir).
     store_dir: Path | bool = _var(parse_location, False)
-    #: Destroy evicted page objects so stale references fail loudly.
-    store_poison: bool = _var(_flag, False)
     #: Per-store IO latency in ``io_stats()`` (:mod:`repro.obs.telemetry`).
     telemetry: bool = _var(_flag, False)
 

@@ -51,24 +51,12 @@ and derived caches never enter the image.  The store trusts that call —
 a clean victim whose slot is current is dropped without a look, and a
 commit pickles the dirty pages only.  The contract is enforced where it
 costs no measured time: :class:`repro.verify.barrier.WriteBarrier`
-audits every simulated fuzz run and tier-1.  What stays unconditional
-here is what costs nothing extra — the CRC check of every loaded slot,
-the drift check where a WAL-only page has to be pickled anyway to write
-its slot (eviction) and ``flush_to_slots``' :class:`AliasingError`
-(checkpoint).  Two storage-debug modes look harder:
-
-* **Silent-mutation detection** (``paranoid=True``).  Evictions
-  re-serialise *every* victim and commits re-serialise every clean
-  resident page handed out since the last commit, and compare CRCs; a
-  drifted page is counted (``silent_dirty``), re-classified dirty and
-  logged, never dropped.
-* **Poison mode** (``poison=True``) strips every attribute from an
-  evicted page object, so any access method that illegally retained a
-  reference across operations fails loudly (``AttributeError``)
-  instead of reading stale state.
-
-:func:`repro.storage.factory.make_store` turns both on together under
-``REPRO_STORE_POISON=1``.
+audits every fuzz run on both backends.  What stays here is what costs
+nothing extra — the CRC check of every loaded slot, the drift check
+where a WAL-only page has to be pickled anyway to write its slot
+(eviction; a drifted page is counted as ``silent_dirty``, re-classified
+dirty and logged, never dropped), and the :class:`AliasingError` of
+``write()`` and of ``flush_to_slots`` (checkpoint).
 """
 
 from __future__ import annotations
@@ -95,7 +83,6 @@ __all__ = [
     "PageFile",
     "PageOverflowError",
     "default_slot_size",
-    "poison_page",
     "restore_method",
     "snapshot_method",
 ]
@@ -142,20 +129,6 @@ def default_slot_size(page_size: int) -> int:
 
 def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
-
-
-def poison_page(obj: Any) -> None:
-    """Strip every attribute so stale references fail on first use."""
-    for cls in type(obj).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
-            if isinstance(slot, str) and not slot.startswith("__"):
-                try:
-                    delattr(obj, slot)
-                except AttributeError:
-                    pass
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        d.clear()
 
 
 # -- the page file -----------------------------------------------------------
@@ -331,39 +304,23 @@ class BufferPool:
       write-within-an-op contract survives unchanged;
     * a clean victim whose slot is current is simply dropped; a
       WAL-only victim is serialised to write its slot, and that image
-      is CRC-checked against the committed one for free.  ``paranoid``
-      mode (a debug net, off by default) re-serialises and checks
-      *every* victim: a page that was silently mutated is re-classified
-      dirty instead of evicted;
+      is CRC-checked against the committed one for free: a page that
+      was silently mutated is re-classified dirty instead of evicted;
     * if no frame at all is evictable the pool overflows (grows past
       its budget) rather than corrupt anything, and counts it — the
       budget bounds steady-state residency, a single operation's
       working set bounds the excursion.
     """
 
-    def __init__(
-        self,
-        store: "DiskPageStore",
-        pagefile: PageFile,
-        budget: int,
-        *,
-        paranoid: bool = False,
-        poison: bool = False,
-    ):
+    def __init__(self, store: "DiskPageStore", pagefile: PageFile, budget: int):
         if budget < 4:
             raise ValueError("pool budget must be at least 4 pages")
         self.store = store
         self.pagefile = pagefile
         self.budget = budget
-        self.paranoid = paranoid
-        self.poison = poison
         self.frames: dict[int, _Frame] = {}
         self.pages: dict[int, _PageMeta] = {}
         self.dirty: set[int] = set()
-        #: Pages handed out (mutably) since the last commit; a
-        #: ``paranoid`` commit CRC-checks the clean resident ones for
-        #: silent mutations.
-        self.touched: set[int] = set()
         #: Pages handed out during the *current operation*.  Their
         #: objects may be held (and mutated ahead of their ``write``)
         #: by the access method right now, so they are unevictable
@@ -391,19 +348,16 @@ class BufferPool:
         if frame is not None:
             frame.ref = True
             self.hits += 1
-            self.touched.add(pid)
             self.op_touched.add(pid)
             return frame.obj
         obj = self._load(pid)
         self.misses += 1
-        self.touched.add(pid)
         self.op_touched.add(pid)
         self._admit(pid, obj, dirty=False)
         return obj
 
     def __setitem__(self, pid: int, obj: Any) -> None:
         # Allocation only: page objects are mutated in place, never replaced.
-        self.touched.add(pid)
         self.op_touched.add(pid)
         self.pages[pid] = _PageMeta()
         self._admit(pid, obj, dirty=True)
@@ -412,7 +366,6 @@ class BufferPool:
         meta = self.pages.pop(pid)  # KeyError on a dead pid, like a dict
         self.frames.pop(pid, None)
         self.dirty.discard(pid)
-        self.touched.discard(pid)
         self.op_touched.discard(pid)
         if meta.durable:
             self.freed.add(pid)
@@ -530,25 +483,19 @@ class BufferPool:
     def _evict_inner(self, pid: int, frame: _Frame) -> bool:
         """Write back (if needed) and drop one clean frame.
 
-        Returns ``False`` — and re-classifies the page dirty — when the
-        serialise-and-check pass finds the object drifted from its
+        Returns ``False`` — and re-classifies the page dirty — when a
+        WAL-only victim, pickled to write its slot, has drifted from its
         committed image (a mutation the store was never told about).
-        The pass runs where the page must be pickled anyway (its slot is
-        stale) and, in ``paranoid`` mode, for every victim.
         """
         meta = self.pages[pid]
-        payload = None
-        if self.paranoid or not meta.on_disk:
+        if not meta.on_disk:
             payload = _dumps(frame.obj)
             if zlib.crc32(payload) != meta.crc or len(payload) != meta.length:
                 self.silent_dirty += 1
                 self.mark_dirty(pid)
                 return False
-        if not meta.on_disk:
             self.pagefile.write_slot(pid, self.store._kinds[pid], payload)
             meta.on_disk = True
-        if self.poison:
-            poison_page(frame.obj)
         del self.frames[pid]
         self.dirty.discard(pid)
         self.evictions += 1
@@ -611,11 +558,6 @@ class DiskPageStore(PageStore):
     fsync:
         Whether commits fsync the WAL.  Keep ``True`` wherever
         durability is the point; benches may trade it away.
-    paranoid / poison:
-        Storage-debug nets, both off by default: re-serialise and
-        CRC-check every eviction victim and every clean page a commit's
-        operations touched / strip evicted page objects (see the module
-        docstring and :class:`BufferPool`).
     wal_checkpoint_bytes:
         Auto-checkpoint once the WAL grows past this size.
     vector:
@@ -643,8 +585,6 @@ class DiskPageStore(PageStore):
         vector: bool = True,
         io: IOProvider | None = None,
         fsync: bool = True,
-        paranoid: bool = False,
-        poison: bool = False,
         wal_checkpoint_bytes: int = 64 << 20,
         telemetry=None,
     ):
@@ -687,10 +627,8 @@ class DiskPageStore(PageStore):
                 f"{self._pagefile.page_size}, not {page_size}"
             )
         self._wal = WriteAheadLog(self.path / "wal.log", self.io)
-        pool = BufferPool(
-            self, self._pagefile, pool_pages, paranoid=paranoid, poison=poison
-        )
-        self._objects = pool  # type: ignore[assignment]  (dict-like)
+        # The pool is dict-like: it stands in for the base class's dict.
+        self._objects = BufferPool(self, self._pagefile, pool_pages)  # type: ignore
         if had_meta:
             self._recover()
         else:
@@ -778,31 +716,8 @@ class DiskPageStore(PageStore):
         pool = self.pool
         if not (pool.dirty or pool.freed or self._pin_dirty or meta is not None):
             return False
-        payloads: dict[int, bytes] = {}
-        # Silent-mutation scan, paranoid mode only (the contract says
-        # there is nothing to find): any page handed out since the last
-        # commit may have been mutated without a write(); re-serialise the
-        # clean resident ones and promote drifted pages to dirty.
-        scan = pool.touched if pool.paranoid else ()
-        for pid in scan:
-            frame = pool.frames.get(pid)
-            if frame is None or frame.dirty:
-                continue
-            meta_entry = pool.pages.get(pid)
-            if meta_entry is None:
-                continue
-            payload = _dumps(frame.obj)
-            if (
-                zlib.crc32(payload) != meta_entry.crc
-                or len(payload) != meta_entry.length
-            ):
-                pool.silent_dirty += 1
-                pool.mark_dirty(pid)
-                payloads[pid] = payload
         for pid in sorted(pool.dirty):
-            payload = payloads.get(pid)
-            if payload is None:
-                payload = _dumps(pool.frames[pid].obj)
+            payload = _dumps(pool.frames[pid].obj)
             if len(payload) > self._pagefile.payload_capacity:
                 raise PageOverflowError(
                     f"page {pid}: pickled payload of {len(payload)} bytes "
@@ -828,7 +743,6 @@ class DiskPageStore(PageStore):
             pool.frames[pid].dirty = False
         pool.dirty.clear()
         pool.freed.clear()
-        pool.touched.clear()
         self._pin_dirty = False
         self.commits += 1
         if (
@@ -863,13 +777,16 @@ class DiskPageStore(PageStore):
             self._in_checkpoint = False
 
     def close(self) -> None:
-        """Checkpoint and release the file handles."""
+        """Checkpoint and release the file handles; they are released
+        even when the checkpoint raises."""
         if self._closed:
             return
-        self.checkpoint()
-        self._wal.close()
-        self._pagefile.close()
-        self._closed = True
+        try:
+            self.checkpoint()
+        finally:
+            self._wal.close()
+            self._pagefile.close()
+            self._closed = True
 
     def __enter__(self) -> "DiskPageStore":
         return self

@@ -7,9 +7,7 @@ at ``None`` follow :class:`repro.config.RunConfig`: ``store_backend``
 (``sim``, the counted in-memory store and the default everywhere, or
 ``disk``, :class:`repro.storage.disk.DiskPageStore`), ``store_dir``
 (base directory; each disk store gets its own fresh subdirectory, by
-default under a per-process temporary directory removed at exit),
-``store_poison`` (the storage-debug switch: evicted page objects are
-poisoned *and* the pool's ``paranoid`` re-pickle nets are on) and
+default under a per-process temporary directory removed at exit) and
 ``telemetry``, which gives every disk store built here its own
 :class:`repro.obs.telemetry.Telemetry` without touching any call site
 or any charged statistic.
@@ -59,7 +57,7 @@ def make_store(
     """A fresh page store on the configured backend.
 
     Explicit arguments beat the configuration.  ``disk_kwargs`` (``io``,
-    ``fsync``, ``paranoid``, ``poison``, ``slot_size``, ...) pass
+    ``fsync``, ``slot_size``, ``wal_checkpoint_bytes``, ...) pass
     through to :class:`~repro.storage.disk.DiskPageStore`; the simulated
     backend rejects them so a misconfiguration cannot silently degrade
     to in-memory.  ``vector`` is accepted for the callers that still
@@ -81,8 +79,6 @@ def make_store(
 
     base = _store_base_dir(config.store_dir if directory is None else directory)
     path = base / f"store-{os.getpid()}-{next(_counter)}"
-    disk_kwargs.setdefault("poison", config.store_poison)
-    disk_kwargs.setdefault("paranoid", config.store_poison)
     if "telemetry" not in disk_kwargs and config.telemetry:
         from repro.obs.telemetry import Telemetry
 

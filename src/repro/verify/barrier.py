@@ -8,12 +8,12 @@ simulated store cannot lose a write, so it never notices a breach; the
 durable store (:mod:`repro.storage.disk`) drops clean pages from its
 buffer pool on the strength of exactly this promise.
 
-:class:`WriteBarrier` makes a breach a test failure on the *simulated*
-backend.  It installs itself as the store's passive observer (see
+:class:`WriteBarrier` makes a breach a test failure on both backends.
+It installs itself as the store's passive observer (see
 :class:`repro.obs.tracer.StoreObserver` — observation can never change
 what is charged), serialises every live page with the durable store's
 own ``_dumps`` at each ``begin_operation()`` — the same boundary at
-which the durable store commits — and raises an
+which the durable store commits, just after it — and raises an
 :class:`~repro.verify.invariants.AuditError` for every page whose image
 moved since the previous boundary without a ``write()``.  A page that
 first appears in a window was allocated in it, and a page that vanished
@@ -28,9 +28,18 @@ page is an access no table counts (``contract.uncharged``).  The barrier
 wraps the instance's ``held`` to see the calls and stays off the
 observer stream, so explain traces do not change.
 
+On the durable store the barrier reads each page through ``peek``: a
+resident page's live object, a non-resident one's slot image; a peek
+neither admits a page nor moves the clock.  What it cannot see there is
+a mutation of an object that has left the pool in the same window (a
+``peek``-ed page evicted from a current slot, or an object retained
+across an eviction): the store holds no trace of it.  The simulated
+store, where every object stays live, sees the first; the oracle and
+the audit see the second.
+
 The cost is O(live pages) per operation.  That is a fuzz cost
-(:mod:`repro.verify.fuzz` installs the barrier on every simulated run),
-never a measured one.
+(:mod:`repro.verify.fuzz` installs the barrier on every run, on both
+backends), never a measured one.
 """
 
 from __future__ import annotations

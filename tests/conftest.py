@@ -37,8 +37,7 @@ def store() -> PageStore:
     """A fresh 512-byte page store.
 
     Honours ``REPRO_STORE_BACKEND``, so ``REPRO_STORE_BACKEND=disk``
-    (optionally with ``REPRO_STORE_POISON=1``) runs every fixture-based
-    test against the durable backend.
+    runs every fixture-based test against the durable backend.
     """
     return make_store()
 

@@ -18,7 +18,7 @@ from repro.storage.pagestore import PageStore
 
 OFF = ("", "0", "off", "no", "false", "none", "  OFF  ")
 ON = ("1", "on", "true", "yes", " True ")
-FLAGS = ("audit", "store_poison", "telemetry")
+FLAGS = ("audit", "telemetry")
 LOCATIONS = ("build_cache", "explain", "store_dir")
 
 ROWS = [
@@ -44,7 +44,6 @@ ROWS = [
 ]
 
 DEFECTS = {
-    ("store_poison", "true"),
     ("audit", "none"),
     ("explain", "none"),
     ("build_cache", "1"),
@@ -79,7 +78,7 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 9
+    assert len(fields(RunConfig)) == 8
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():
@@ -104,15 +103,6 @@ def test_from_env_reads_the_live_environment_uncached(monkeypatch):
 def test_make_store_follows_the_config_and_explicit_arguments_win(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORE_BACKEND", "disk")
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_STORE_POISON", "true")  # only "1" used to poison
-    with make_store() as store, make_store(poison=False) as plain:
-        assert store.path.parent == tmp_path and store.pool.poison
-        assert not plain.pool.poison
-        # One storage-debug switch: it also turns the re-pickle nets on.
-        assert store.pool.paranoid is True and plain.pool.paranoid is True
-    with make_store(paranoid=False) as quiet:
-        assert quiet.pool.poison and not quiet.pool.paranoid
-    monkeypatch.delenv("REPRO_STORE_POISON")
-    with make_store() as default:
-        assert not default.pool.poison and default.pool.paranoid is False
+    with make_store() as store, make_store(directory=tmp_path / "x") as other:
+        assert store.path.parent == tmp_path and other.path.parent == tmp_path / "x"
     assert type(make_store(backend="sim")) is PageStore

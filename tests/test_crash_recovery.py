@@ -25,8 +25,8 @@ Coverage knobs:
 Structures chosen to cover distinct storage behaviours: ``GRID-1``
 (pinned in-core directory + deletes), ``BUDDY+`` (``pack()`` fuses data
 pages and repoints directory entries outside any operation bracket; it
-writes every page it changes, so nothing here leans on the store's
-``paranoid`` nets, which are off), ``R`` (a SAM with deletes).
+writes every page it changes, as the write barrier checks in the fuzz
+on both backends), ``R`` (a SAM with deletes).
 """
 
 from __future__ import annotations

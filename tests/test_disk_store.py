@@ -22,7 +22,6 @@ from repro.storage.disk import (
     PageFile,
     PageOverflowError,
     default_slot_size,
-    poison_page,
     restore_method,
     snapshot_method,
 )
@@ -30,6 +29,8 @@ from repro.storage.io import FaultInjectingIO, InjectedCrash, InstrumentedIO, Os
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.storage.wal import _REPLAY_BLOCK, WriteAheadLog
+from repro.verify import AuditError
+from repro.verify.barrier import WriteBarrier
 
 
 class _CallCounter(Counter):
@@ -330,8 +331,9 @@ class TestDiskPageStore:
         with pytest.raises(AliasingError):
             store.write(a)
 
-    def test_silent_mutation_is_committed_not_lost(self, tmp_path):
-        store = _fresh(tmp_path, paranoid=True)  # the commit scan is a debug net
+    def test_silent_mutation_is_caught_at_the_next_boundary(self, tmp_path):
+        store = _fresh(tmp_path)
+        WriteBarrier(store)
         store.begin_operation()
         a = store.allocate(PageKind.DATA, ["v1"])
         b = store.allocate(PageKind.DATA, ["other"])
@@ -341,10 +343,16 @@ class TestDiskPageStore:
         store.begin_operation()
         store.read(a)[0] = "v2"  # mutate WITHOUT store.write(a)
         store.write(b)  # some other write makes the commit happen
-        store.commit()
-        assert store.pool.silent_dirty == 1
-        store.close()
-        assert _fresh(tmp_path).peek(a) == ["v2"]
+        with pytest.raises(AuditError) as err:
+            store.begin_operation()
+        (violation,) = err.value.violations
+        assert violation.code == "contract.unwritten"
+        assert violation.message.startswith(f"page {a} (data, list) changed")
+        # The commit logged b only; a's image is still only in the WAL,
+        # so the checkpoint's flush refuses the drift as well.
+        assert store.pool.silent_dirty == 0
+        with pytest.raises(AliasingError, match=f"page {a} drifted"):
+            store.checkpoint()
 
     def test_checkpoint_empties_wal_and_survives_reopen(self, tmp_path):
         store = _fresh(tmp_path)
@@ -468,46 +476,58 @@ class TestMissPath:
             store.peek(cut)
         assert store.pool.misses == 0 and store.pool.peek_loads == 0
 
-    def test_unwritten_rtree_mutation_is_caught_at_eviction_and_at_commit(self, tmp_path):
-        store, cold = self._spilled(tmp_path, paranoid=True)  # both debug nets
-        pool = store.pool
+    def test_unwritten_rtree_mutation_is_caught_at_the_next_boundary(self, tmp_path):
+        store, cold = self._spilled(tmp_path)
+        WriteBarrier(store)
         a, b, *rest = cold
         store.begin_operation()
         for pid in (a, b):  # off disk: each carries the flat it was decoded from
             assert store.read(pid).rects._flat is not None
+            assert store.pool.pages[pid].on_disk  # a current slot: eviction would drop it
         store.read(a).rects[0] = Rect((0.0, 0.0), (0.5, 0.5))  # no store.write(a)
         store.read(b).rects.append(Rect((0.1, 0.1), (0.2, 0.2)))  # nor store.write(b)
-        assert pool.silent_dirty == 0
-        # Nothing is dirty, so the next brackets' commits have nothing to
-        # scan; the clock meets `a` and `b` as clean eviction candidates.
-        for pid in [p for p in store.page_ids() if p not in (a, b)]:
+        with pytest.raises(AuditError) as err:
             store.begin_operation()
-            store.read(pid)
-        assert pool.silent_dirty == 2
-        # At commit: the scan re-serialises a touched clean page from its rows.
+        assert [v.code for v in err.value.violations] == ["contract.unwritten"] * 2
+        assert [v.message.split(" (")[0] for v in err.value.violations] == [
+            f"page {a}", f"page {b}",
+        ]  # fmt: skip
+        assert "(data, _Node)" in err.value.violations[0].message
+        assert store.pool.silent_dirty == 0
+
+    def test_a_drifted_wal_only_victim_is_counted_and_caught(self, tmp_path):
+        store, cold = self._spilled(tmp_path)
+        WriteBarrier(store)
+        pool = store.pool
         store.begin_operation()
-        c = next(p for p in store.page_ids() if p not in pool.frames and p not in (a, b))
-        store.read(c).rects.pop()  # unwritten, again
-        store.write(store.allocate(PageKind.DATA, _leaf(50)))  # makes the commit happen
-        store.commit()
-        assert pool.silent_dirty == 3
-        store.close()
-        back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
-        assert back.peek(a).rects[0] == Rect((0.0, 0.0), (0.5, 0.5))
-        assert len(back.peek(b).rects) == 4 and len(back.peek(c).rects) == 2
+        a = store.allocate(PageKind.DATA, _leaf(20))
+        store.write(a)
+        store.begin_operation()  # commits a: its image is in the WAL only
+        assert not pool.pages[a].on_disk and a in pool.frames
+        store.peek(a).rects.pop()  # a peek is not held: a stays evictable
+        for pid in cold:  # misses; the clock meets a and pickles it for its slot
+            store.read(pid)
+        # The store counts the drift and keeps a resident as dirty, so the
+        # barrier sees it at the very next boundary.
+        assert pool.silent_dirty == 1 and a in pool.dirty
+        with pytest.raises(AuditError) as err:
+            store.begin_operation()
+        (violation,) = err.value.violations
+        assert violation.code == "contract.unwritten"
+        assert violation.message.startswith(f"page {a} (data, _Node) changed")
 
     def test_the_default_store_pickles_nothing_it_was_not_told_to_write(
         self, tmp_path, monkeypatch
     ):
         """The page-mutation contract, trusted: a clean victim whose slot
         is current is a dict delete, and a commit pickles dirty pages only
-        (``paranoid=True`` re-pickles both, see the test above)."""
+        (the write barrier checks the trust, see the test above)."""
         from repro.storage import disk
 
         store, _ = self._spilled(tmp_path)
         store.checkpoint()  # every committed page now has a current slot
         pool = store.pool
-        assert not pool.paranoid and all(m.on_disk for m in pool.pages.values())
+        assert all(m.on_disk for m in pool.pages.values())
         dumped = []
         monkeypatch.setattr(
             disk, "_dumps", lambda obj: dumped.append(obj) or pickle.dumps(obj, 4)
@@ -547,23 +567,3 @@ def test_snapshot_and_restore_method(tmp_path):
     clone = restore_method(store, blob)
     assert sorted(clone.iter_records()) == sorted(grid.iter_records())
     clone.audit()
-
-
-def test_poison_page_strips_slots_and_dict():
-    class Slotted:
-        __slots__ = ("x", "y")
-
-    class Plain:
-        pass
-
-    s = Slotted()
-    s.x, s.y = 1, 2
-    poison_page(s)
-    with pytest.raises(AttributeError):
-        _ = s.x
-
-    p = Plain()
-    p.z = 3
-    poison_page(p)
-    with pytest.raises(AttributeError):
-        _ = p.z

@@ -8,7 +8,9 @@ Three angles: (1) every structure's auditor is green on honest builds,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import os
 import re
 import signal
 
@@ -16,10 +18,11 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.pam.buddytree import BuddyTree
-from repro.pam.gridfile import _GridLayer
+from repro.pam.gridfile import GridFile, _GridLayer
 from repro.pam.mlgf import MultilevelGridFile
 from repro.pam.plop import QuantileHashing
 from repro.sam.rtree import RTree
+from repro.storage.disk import DiskPageStore
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.verify import Audit, AuditError, Violation, run_audit
@@ -785,6 +788,38 @@ class TestFuzzer:
         assert report is not None
         assert (tmp_path / "BADstar-seed0.json").is_file()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_run_ops_closes_every_disk_store(self, tmp_path):
+        """Green runs and failed ones: a scribbled page is still in the
+        WAL only, so the failed run's checkpoint raises on close."""
+        green = STRUCTURES["GRID-1"], make_ops(STRUCTURES["GRID-1"], 40, 0)
+        failed = _SCRIBBLER, make_ops(_SCRIBBLER, 40, 0)
+        stores = _stores(tmp_path)["disk"]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            assert run_ops(*green, 0, stores) is None
+            assert run_ops(*failed, 0, stores)["code"] == "audit"
+        assert len(os.listdir("/proc/self/fd")) - before < 5  # two files a store
+
+    def test_a_close_that_raises_never_replaces_the_failure(self, tmp_path):
+        class _LostDisk(DiskPageStore):
+            def close(self):
+                super().close()
+                raise OSError("disk gone")
+
+        class _Broken(BuddyTree):
+            def exact_match(self, point):
+                return []
+
+        dirs = itertools.count()
+        store = lambda: _LostDisk(tmp_path / str(next(dirs)), pool_pages=8)  # noqa: E731
+        ops = [["insert", [0.5, 0.5], 0], ["exact", [0.5, 0.5]]]
+        failure = run_ops(STRUCTURES["BUDDY"], ops, 0, store)
+        assert failure["code"] == "exception" and "disk gone" in failure["detail"]
+        assert failure["op_index"] == 1
+        broken = {**STRUCTURES["BUDDY"], "factory": lambda s: _Broken(s, 2)}
+        assert run_ops(broken, ops, 0, store)["code"] == "mismatch"
+
     def test_cli_green_run(self, tmp_path, capsys):
         from repro.verify.fuzz import main
 
@@ -825,6 +860,67 @@ def _pack_without_directory_write(self):
 
 
 _REAL_PACK = BuddyTree.pack
+
+
+class _Scribbler(BuddyTree):
+    """Reorders the records of a data page on every range query: the
+    answers stay right, the image moves, nobody calls write()."""
+
+    def _range_query(self, rect):
+        store = self.store
+        for pid in store.page_ids():
+            if store.kind(pid) is PageKind.DATA and len(store.peek(pid).records) > 1:
+                store.read(pid).records.reverse()
+                break
+        return super()._range_query(rect)
+
+
+_SCRIBBLER = {
+    "kind": "pam",
+    "factory": lambda s: _Scribbler(s, 2),
+    "deletes": False,
+    "pack_every": None,
+}
+
+
+def _stores(tmp_path, page_size: int = 512, pool_pages: int = 8) -> dict:
+    """Store factories for both backends: the simulated store and a
+    small-pool durable one in a fresh directory per call."""
+    dirs = itertools.count()
+    return {
+        "sim": lambda: PageStore(page_size),
+        "disk": lambda: DiskPageStore(
+            tmp_path / f"store-{next(dirs)}", page_size, pool_pages=pool_pages, fsync=False
+        ),
+    }
+
+
+class _Hoarder(GridFile):
+    """GRID-1 keeping every data page object it reads across operations,
+    and inserting into the kept object."""
+
+    def _kept(self, point):
+        pid = self._locate(point)
+        return pid, self.__dict__.setdefault("_pages", {}).setdefault(pid, self.store.read(pid))
+
+    def _insert(self, point, rid):
+        pid, page = self._kept(point)
+        page.records.append((point, rid))
+        if len(page.records) > self._capacity:
+            self._split_data_page(pid, page)
+        else:
+            self.store.write(pid)
+
+
+class _KeptReader(_Hoarder):
+    """GRID-1 answering exact matches from page objects kept across
+    operations; its inserts are the real ones."""
+
+    _insert = GridFile._insert
+
+    def _exact_match(self, point):
+        _, page = self._kept(point)
+        return [rid for p, rid in page.records if p == point]
 
 
 class TestWriteBarrier:
@@ -932,44 +1028,56 @@ class TestWriteBarrier:
         assert len(tracer.finish()) == 2 and tracer.stats() == store.stats
 
     def test_a_forgetful_method_is_shrunk_to_a_reproducer(self, tmp_path, monkeypatch):
-        class _Scribbler(BuddyTree):
-            """Reorders the records of a data page on every range query:
-            the answers stay right, the image moves, nobody calls write()."""
-
-            def _range_query(self, rect):
-                store = self.store
-                for pid in store.page_ids():
-                    if store.kind(pid) is PageKind.DATA and len(store.peek(pid).records) > 1:
-                        store.read(pid).records.reverse()
-                        break
-                return super()._range_query(rect)
-
-        spec = {
-            "kind": "pam",
-            "factory": lambda s: _Scribbler(s, 2),
-            "deletes": False,
-            "pack_every": None,
-        }
-        monkeypatch.setitem(STRUCTURES, "SCRIBBLER", spec)
-        report = fuzz_structure("SCRIBBLER", 60, 0, 0, tmp_path, PageStore)
-        assert report["code"] == "audit" and "contract.unwritten" in report["detail"]
-        blob = json.loads((tmp_path / "SCRIBBLER-seed0.json").read_text())
-        kinds = [op[0] for op in blob["ops"]]  # a partial match runs as a range query
-        assert kinds[:2] == ["insert", "insert"] and kinds[2:] in (["range"], ["pm"])
+        monkeypatch.setitem(STRUCTURES, "SCRIBBLER", _SCRIBBLER)
+        for backend, stores in _stores(tmp_path).items():
+            report = fuzz_structure("SCRIBBLER", 60, 0, 0, tmp_path / backend, stores)
+            assert report["code"] == "audit", backend
+            assert "contract.unwritten" in report["detail"]
+            blob = json.loads((tmp_path / backend / "SCRIBBLER-seed0.json").read_text())
+            kinds = [op[0] for op in blob["ops"]]  # a partial match runs as a range query
+            assert kinds[:2] == ["insert", "insert"] and kinds[2:] in (["range"], ["pm"])
 
     def test_grid_without_its_getstate_is_caught(self, tmp_path, monkeypatch):
         monkeypatch.delattr(_GridLayer, "__getstate__")
-        report = fuzz_structure("GRID", 300, 7, 0, tmp_path, PageStore)
-        assert report["code"] == "audit" and report["shrunk_ops"] < 100
-        assert "contract.unwritten" in report["detail"] and "_SubGrid" in report["detail"]
+        for backend, stores in _stores(tmp_path).items():
+            report = fuzz_structure("GRID", 300, 7, 0, tmp_path / backend, stores)
+            assert report["code"] == "audit" and report["shrunk_ops"] < 100, backend
+            assert "contract.unwritten" in report["detail"] and "_SubGrid" in report["detail"]
 
     def test_pack_without_its_directory_write_is_caught(self, tmp_path, monkeypatch):
         monkeypatch.setattr(BuddyTree, "pack", _pack_without_directory_write)
         # Small pages: the root was written by the insert whose window
         # pack() shares, so it takes a second directory level to show.
-        report = fuzz_structure("BUDDY+", 300, 7, 0, tmp_path, lambda: PageStore(192))
-        assert report["code"] == "audit" and report["op"] == ["pack"]
-        assert "contract.unwritten" in report["detail"] and "_DirNode" in report["detail"]
+        for backend, stores in _stores(tmp_path, 192).items():
+            report = fuzz_structure("BUDDY+", 300, 7, 0, tmp_path / backend, stores)
+            assert report["code"] == "audit" and report["op"] == ["pack"], backend
+            assert "contract.unwritten" in report["detail"] and "_DirNode" in report["detail"]
+
+    @pytest.mark.parametrize("cls", [_Hoarder, _KeptReader], ids=lambda c: c.__name__)
+    def test_a_page_kept_across_operations_fails_on_disk_only(self, tmp_path, cls):
+        """A page object kept past its operation is the live one on the
+        simulated store.  On disk it goes stale once the pool evicts it:
+        the barrier sees nothing (the store holds no trace of the kept
+        object), and the oracle or the audit fails the run."""
+        spec = {**STRUCTURES["GRID-1"], "factory": cls}
+        ops = make_ops(spec, 300, structure_seed("GRID-1", 0))
+        stores = _stores(tmp_path, pool_pages=4)
+        assert run_ops(spec, ops, 0, stores["sim"]) is None
+        assert run_ops(spec, ops, 0, stores["disk"])["code"] == "mismatch"
+
+    def test_a_mutation_through_peek_is_caught(self):
+        """On the simulated store a peek is the live object.  On disk the
+        same defect, evicted from a current slot in its own operation,
+        leaves no trace for the barrier: this backend is the one that
+        kills it."""
+        store = PageStore()
+        WriteBarrier(store)
+        store.begin_operation()
+        pid = store.allocate(PageKind.DATA, [1])
+        store.begin_operation()
+        store.peek(pid).append(2)
+        with pytest.raises(AuditError, match=r"contract\.unwritten\] page 0 \(data, list\)"):
+            store.begin_operation()
 
     def test_unbracketed_pack_is_attributed_to_the_window_it_ran_in(self, monkeypatch):
         points = make_clustered_points(150, seed=3)
