@@ -5,7 +5,7 @@ concept of not partitioning empty data space.  With this and the median
 partition it might become very competitive."
 """
 
-from repro.core.comparison import build_pam, normalise, run_pam_queries
+from repro.core.comparison import build_pam, run_pam_queries
 from repro.pam.hbtree import HBTree
 from repro.pam.twolevelgrid import TwoLevelGridFile
 from repro.workloads.distributions import generate_point_file

@@ -6,7 +6,8 @@ be stable in the number of records.  The bench compares the BUDDY/GRID
 query-average ratio on the diagonal file at three scales.
 """
 
-from repro.core.comparison import normalise, run_pam_experiment
+from repro.bench.tables import normalise
+from repro.core.comparison import run_pam_experiment
 from repro.core.testbed import standard_pam_factories
 from repro.workloads.distributions import generate_point_file
 
@@ -23,7 +24,7 @@ def test_ranking_stable_across_scales(benchmark):
     for n in scales:
         points = generate_point_file("diagonal", n)
         results = run_pam_experiment(factories, points)
-        norm = normalise(results, "GRID")
+        norm = normalise({n: r.query_costs for n, r in results.items()}, "GRID")
         ratios[n] = {
             name: sum(norm[name].values()) / len(norm[name]) for name in factories
         }

@@ -6,84 +6,37 @@ print the series behind the bars (one row per structure) plus, for the
 cluster file, the side table of build metrics shown next to the figure.
 """
 
-from repro.bench.paper import PAM_QUERY_AVERAGE_PAPER, PAM_TABLE_PAPER
-from repro.core.comparison import PAM_QUERY_TYPES, normalise
+from repro.bench.tables import query_averages
 from repro.workloads.queries import generate_range_queries
 
-from benchmarks.conftest import built_pam, emit, pam_results, paper_vs_measured
+from benchmarks.conftest import built_pam, emit_table, run_report
 
 
-def figure_text(title: str, file_name: str, norm) -> str:
-    lines = [title, f"{'':8s}" + "".join(f"{q:>12s}" for q in PAM_QUERY_TYPES)
-             + f"{'avg':>10s}{'paper avg':>11s}"]
-    paper_avg = PAM_QUERY_AVERAGE_PAPER.get(file_name, {})
-    for name, costs in norm.items():
-        avg = sum(costs.values()) / len(costs)
-        reference = paper_avg.get(name)
-        reference_text = f"{reference:11.1f}" if reference is not None else f"{'-':>11s}"
-        lines.append(
-            f"{name:8s}"
-            + "".join(f"{costs[q]:12.1f}" for q in PAM_QUERY_TYPES)
-            + f"{avg:10.1f}"
-            + reference_text
-        )
-    return "\n".join(lines)
-
-
-def run_figure(benchmark, file_name: str, experiment_id: str, title: str):
-    results = pam_results(file_name)
-    norm = normalise(results, "GRID")
-    emit(experiment_id, figure_text(title, file_name, norm))
+def run_figure(benchmark, file_name: str, figure_id: str) -> dict[str, float]:
+    emit_table(figure_id)
     pam = built_pam(file_name, "BUDDY")
     queries = generate_range_queries(0.001)
     benchmark(lambda: [pam.range_query(q) for q in queries])
-    return results, norm
-
-
-def query_average(norm, name):
-    return sum(norm[name].values()) / len(norm[name])
+    return query_averages(run_report("pam", file_name))
 
 
 def test_fig_real_data(benchmark):
-    results, norm = run_figure(
-        benchmark, "real", "FIG-REAL", "Real Data figure series (GRID = 100)"
-    )
+    average = run_figure(benchmark, "real", "FIG-REAL")
     # Paper: GRID leads narrowly; BANG is the loser on cartography data.
-    assert query_average(norm, "BANG") > 100.0
-    assert query_average(norm, "BUDDY") < query_average(norm, "BANG")
+    assert average["BANG"] > 100.0
+    assert average["BUDDY"] < average["BANG"]
 
 
 def test_fig_diagonal(benchmark):
-    results, norm = run_figure(
-        benchmark, "diagonal", "FIG-DIAG", "Diagonal figure series (GRID = 100)"
-    )
+    average = run_figure(benchmark, "diagonal", "FIG-DIAG")
     # Paper: BUDDY at 28.4 % of GRID — the headline result.
-    assert query_average(norm, "BUDDY") < 50.0
-    assert query_average(norm, "BANG*") < query_average(norm, "BANG")
+    assert average["BUDDY"] < 50.0
+    assert average["BANG*"] < average["BANG"]
 
 
 def test_fig_cluster(benchmark):
-    results, norm = run_figure(
-        benchmark, "cluster", "FIG-CLUST", "Cluster Points figure series (GRID = 100)"
-    )
-    side_table = paper_vs_measured(
-        "Cluster Points build metrics",
-        {
-            name: row[5:]
-            for name, row in PAM_TABLE_PAPER["cluster"].items()
-        },
-        {
-            name: (
-                r.metrics.storage_utilization,
-                r.metrics.dir_data_ratio,
-                r.metrics.insert_cost,
-                r.metrics.height,
-            )
-            for name, r in results.items()
-        },
-        ("stor", "dir/data", "insert", "h"),
-    )
-    emit("FIG-CLUST-metrics", side_table)
+    average = run_figure(benchmark, "cluster", "FIG-CLUST")
+    emit_table("FIG-CLUST-metrics")
     # Paper: BUDDY and BANG beat GRID on clusters, HB is the loser.
-    assert query_average(norm, "BUDDY") < 100.0
-    assert query_average(norm, "HB") > query_average(norm, "BUDDY")
+    assert average["BUDDY"] < 100.0
+    assert average["HB"] > average["BUDDY"]

@@ -7,56 +7,15 @@ tables carry the paper's headline: *BUDDY wins with an at least 20 %
 better average query performance*.
 """
 
-import pytest
-
-from repro.bench.paper import PAM_QUERY_AVERAGE_PAPER, PAM_SUMMARY_PAPER
-from repro.core.comparison import normalise
-from repro.workloads.distributions import POINT_FILES
+from repro.bench.tables import PAM_FILES, query_averages, table_5_1_rows
 from repro.workloads.queries import generate_range_queries
 
-from benchmarks.conftest import (
-    built_pam,
-    emit,
-    pam_report,
-    pam_results,
-    paper_vs_measured,
-    reports_enabled,
-)
-
-ORDER = ("uniform", "sinus", "bit", "x_parallel", "real", "diagonal", "cluster")
-STRUCTURES = ("HB", "BANG", "BANG*", "GRID", "BUDDY", "BUDDY+")
-
-
-def all_query_averages() -> dict[str, dict[str, float]]:
-    """distribution -> structure -> query average (% of GRID)."""
-    table: dict[str, dict[str, float]] = {}
-    for file_name in ORDER:
-        results = pam_results(file_name)
-        norm = normalise(results, "GRID")
-        table[file_name] = {
-            name: sum(norm[name].values()) / len(norm[name]) for name in results
-        }
-    return table
+from benchmarks.conftest import built_pam, emit_table, run_report
 
 
 def test_table_5_2(benchmark):
-    table = all_query_averages()
-    measured = {
-        name: tuple(table[f][name] for f in ORDER) for name in STRUCTURES
-    }
-    paper = {
-        name: tuple(PAM_QUERY_AVERAGE_PAPER[f][name] for f in ORDER)
-        for name in STRUCTURES
-    }
-    emit(
-        "TAB-5.2",
-        paper_vs_measured(
-            "Table 5.2: query average per distribution (% of GRID)",
-            paper,
-            measured,
-            ORDER,
-        ),
-    )
+    emit_table("TAB-5.2")
+    table = {f: query_averages(run_report("pam", f)) for f in PAM_FILES}
     pam = built_pam("cluster", "BUDDY")
     queries = generate_range_queries(0.01)
     benchmark(lambda: [pam.range_query(q) for q in queries])
@@ -66,29 +25,8 @@ def test_table_5_2(benchmark):
 
 
 def test_table_5_1(benchmark):
-    table = all_query_averages()
-    measured = {}
-    for name in STRUCTURES:
-        query_avg = sum(table[f][name] for f in ORDER) / len(ORDER)
-        stors, inserts = [], []
-        for file_name in ORDER:
-            metrics = pam_results(file_name)[name].metrics
-            stors.append(metrics.storage_utilization)
-            inserts.append(metrics.insert_cost)
-        measured[name] = (
-            query_avg,
-            sum(stors) / len(stors),
-            sum(inserts) / len(inserts),
-        )
-    emit(
-        "TAB-5.1",
-        paper_vs_measured(
-            "Table 5.1: unweighted average over all 7 distributions",
-            PAM_SUMMARY_PAPER,
-            measured,
-            ("query avg", "stor", "insert"),
-        ),
-    )
+    emit_table("TAB-5.1")
+    measured = table_5_1_rows({f: run_report("pam", f) for f in PAM_FILES})
     pam = built_pam("uniform", "GRID")
     queries = generate_range_queries(0.10)
     benchmark(lambda: [pam.range_query(q) for q in queries])
@@ -99,24 +37,3 @@ def test_table_5_1(benchmark):
     assert measured["BUDDY"][0] < measured["HB"][0]
     assert measured["BUDDY+"][0] <= measured["BUDDY"][0] * 1.05
     assert measured["BUDDY+"][1] > measured["BUDDY"][1]
-
-
-def test_access_distributions():
-    """With --report: per-query access *distributions*, not just means.
-
-    The paper's tables only print averages; the run report records the
-    full accesses-per-query histogram, whose p50/p90/p99 expose tail
-    behaviour (e.g. directory skew) that an average hides.
-    """
-    if not reports_enabled():
-        pytest.skip("run the benches with --report to trace distributions")
-    report = pam_report("uniform")
-    emit("TAB-5.1-DIST", report.render())
-    # The traced histograms must agree exactly with the untraced means
-    # that feed the paper tables.
-    results = pam_results("uniform")
-    for name, result in results.items():
-        for label, cost in result.query_costs.items():
-            hist = report.structures[name]["queries"][label]["accesses"]
-            assert hist["mean"] == pytest.approx(cost)
-            assert hist["p50"] <= hist["p90"] <= hist["p99"] <= hist["max"]

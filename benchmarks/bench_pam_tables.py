@@ -5,82 +5,41 @@ plus storage utilisation, directory/data ratio, insertion cost and
 directory height, side by side with the paper's published rows.
 """
 
-from repro.bench.paper import PAM_TABLE_PAPER
-from repro.core.comparison import PAM_QUERY_TYPES, normalise
+from repro.bench.tables import query_averages
 from repro.workloads.queries import generate_range_queries
 
-from benchmarks.conftest import (
-    built_pam,
-    emit,
-    pam_report,
-    pam_results,
-    paper_vs_measured,
-    reports_enabled,
-)
-
-COLUMNS = ("rq.1%", "rq1%", "rq10%", "pm-x", "pm-y", "stor", "dir/dat", "insert", "h")
+from benchmarks.conftest import built_pam, emit_table, run_report
 
 
-def measured_rows(results, norm):
-    rows = {}
-    for name, result in results.items():
-        m = result.metrics
-        rows[name] = tuple(norm[name][q] for q in PAM_QUERY_TYPES) + (
-            m.storage_utilization,
-            m.dir_data_ratio,
-            m.insert_cost,
-            m.height,
-        )
-    return rows
-
-
-def run_table(benchmark, file_name: str, experiment_id: str, title: str):
-    results = pam_results(file_name)
-    norm = normalise(results, "GRID")
-    table = paper_vs_measured(
-        title, PAM_TABLE_PAPER.get(file_name, {}), measured_rows(results, norm), COLUMNS
-    )
-    emit(experiment_id, table)
-    if reports_enabled():
-        # Alongside the paper's means, the traced access distributions.
-        emit(f"{experiment_id}-DIST", pam_report(file_name).render())
+def run_table(benchmark, file_name: str, table_id: str) -> dict[str, float]:
+    emit_table(table_id)
     pam = built_pam(file_name, "GRID")
     queries = generate_range_queries(0.01)
     benchmark(lambda: [pam.range_query(q) for q in queries])
-    return results, norm
-
-
-def query_average(norm, name):
-    return sum(norm[name].values()) / len(norm[name])
+    return query_averages(run_report("pam", file_name))
 
 
 def test_table_uniform(benchmark):
-    results, norm = run_table(
-        benchmark, "uniform", "TAB-UNIF", "Uniform Distribution (GRID = 100)"
-    )
+    average = run_table(benchmark, "uniform", "TAB-UNIF")
     # Paper: GRID wins on uniform data; every competitor is within ~±20 %.
     for name in ("HB", "BANG", "BUDDY"):
-        assert query_average(norm, name) > 90.0
+        assert average[name] > 90.0
 
 
 def test_table_sinus(benchmark):
-    results, norm = run_table(
-        benchmark, "sinus", "TAB-SINUS", "Sinus Distribution (GRID = 100)"
-    )
+    average = run_table(benchmark, "sinus", "TAB-SINUS")
     # Paper: BUDDY edges out GRID on the sinus file.
-    assert query_average(norm, "BUDDY") < 100.0
+    assert average["BUDDY"] < 100.0
 
 
 def test_table_bit(benchmark):
-    results, norm = run_table(benchmark, "bit", "TAB-BIT", "Bit Distribution (GRID = 100)")
+    average = run_table(benchmark, "bit", "TAB-BIT")
     # Paper: bit(0.15) is BUDDY's worst case and HB's best case.
-    assert query_average(norm, "BUDDY") > query_average(norm, "HB")
-    assert query_average(norm, "HB") < 100.0
+    assert average["BUDDY"] > average["HB"]
+    assert average["HB"] < 100.0
 
 
 def test_table_x_parallel(benchmark):
-    results, norm = run_table(
-        benchmark, "x_parallel", "TAB-XPAR", "x-Parallel (GRID = 100)"
-    )
+    average = run_table(benchmark, "x_parallel", "TAB-XPAR")
     # Paper: BUDDY is the clear winner on x-parallel data.
-    assert query_average(norm, "BUDDY") < 100.0
+    assert average["BUDDY"] < 100.0

@@ -2,50 +2,14 @@
 rectangle files, normalised to the R-tree (= 100), plus the average
 storage utilisation and insertion cost."""
 
-import pytest
+from repro.bench.tables import SAM_FILES, sam_average_rows
 
-from repro.bench.paper import SAM_SUMMARY_PAPER
-from repro.core.comparison import SAM_QUERY_TYPES
-
-from benchmarks.conftest import (
-    emit,
-    paper_vs_measured,
-    reports_enabled,
-    sam_report,
-    sam_results,
-)
-
-FILES = ("uniform_small", "uniform_large", "gaussian_square", "gaussian_slim", "diagonal")
-STRUCTURES = ("R-Tree", "BANG", "BUDDY", "PLOP")
+from benchmarks.conftest import emit_table, run_report
 
 
 def test_table_sam_average(benchmark):
-    per_file = {file_name: sam_results(file_name) for file_name in FILES}
-    measured = {}
-    for name in STRUCTURES:
-        normalised = []
-        for query in SAM_QUERY_TYPES:
-            ratios = [
-                100.0
-                * per_file[f][name].query_costs[query]
-                / per_file[f]["R-Tree"].query_costs[query]
-                for f in FILES
-            ]
-            normalised.append(sum(ratios) / len(ratios))
-        stor = sum(
-            per_file[f][name].metrics.storage_utilization for f in FILES
-        ) / len(FILES)
-        insert = sum(per_file[f][name].metrics.insert_cost for f in FILES) / len(FILES)
-        measured[name] = tuple(normalised) + (stor, insert)
-    emit(
-        "TAB-SAM-AVG",
-        paper_vs_measured(
-            "SAM summary: average over the 5 rectangle files (R-tree = 100)",
-            SAM_SUMMARY_PAPER,
-            measured,
-            ("point", "intersect", "enclose", "contain", "stor", "insert"),
-        ),
-    )
+    emit_table("TAB-SAM-AVG")
+    measured = sam_average_rows({f: run_report("sam", f) for f in SAM_FILES})
     benchmark(lambda: measured)
     # The paper's strongest conclusion survives any implementation
     # tuning: the corner transformation wins rectangle containment by an
@@ -55,16 +19,3 @@ def test_table_sam_average(benchmark):
     assert measured["BANG"][3] < 50.0
     # PLOP does not beat the R-tree on intersection on average.
     assert measured["PLOP"][1] > 85.0
-
-
-def test_access_distributions():
-    """With --report: §8 per-query access distributions for one file."""
-    if not reports_enabled():
-        pytest.skip("run the benches with --report to trace distributions")
-    report = sam_report("uniform_small")
-    emit("TAB-SAM-AVG-DIST", report.render())
-    results = sam_results("uniform_small")
-    for name, result in results.items():
-        for label, cost in result.query_costs.items():
-            hist = report.structures[name]["queries"][label]["accesses"]
-            assert hist["mean"] == pytest.approx(cost)

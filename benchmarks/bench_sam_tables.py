@@ -6,95 +6,50 @@ point queries) against the R-tree, BANG and BUDDY via transformation,
 and PLOP via overlapping regions.
 """
 
-from repro.bench.paper import SAM_TABLE_PAPER
-from repro.core.comparison import SAM_QUERY_TYPES
+from repro.bench.tables import query_means
 
-from benchmarks.conftest import (
-    emit,
-    paper_vs_measured,
-    reports_enabled,
-    sam_report,
-    sam_results,
-)
-
-COLUMNS = ("point", "intersect", "enclose", "contain")
+from benchmarks.conftest import emit_table, run_report
 
 
-def measured_rows(results):
-    return {
-        name: tuple(result.query_costs[q] for q in SAM_QUERY_TYPES)
-        for name, result in results.items()
-    }
-
-
-def run_table(benchmark, file_name: str, experiment_id: str, title: str):
-    results = sam_results(file_name)
-    emit(
-        experiment_id,
-        paper_vs_measured(
-            title, SAM_TABLE_PAPER[file_name], measured_rows(results), COLUMNS
-        ),
-    )
-    if reports_enabled():
-        emit(f"{experiment_id}-DIST", sam_report(file_name).render())
-    benchmark(lambda: results)  # builds/queries are cached; time the lookup
-    return results
-
-
-def cost(results, name, query):
-    return results[name].query_costs[query]
+def run_table(benchmark, file_name: str, table_id: str) -> dict[str, dict[str, float]]:
+    emit_table(table_id)
+    report = run_report("sam", file_name)
+    benchmark(lambda: report)  # builds/queries ran once; time the lookup
+    return query_means(report)
 
 
 def test_table_gaussianslim(benchmark):
-    results = run_table(
-        benchmark, "gaussian_slim", "TAB-SAM-GSLIM", "Gaussianslim-Distribution"
-    )
+    cost = run_table(benchmark, "gaussian_slim", "TAB-SAM-GSLIM")
     # Paper: transformation containment is far below R-tree containment.
-    assert cost(results, "BUDDY", "containment") < cost(results, "R-Tree", "containment")
+    assert cost["BUDDY"]["containment"] < cost["R-Tree"]["containment"]
 
 
 def test_table_uniformsmall(benchmark):
-    results = run_table(
-        benchmark, "uniform_small", "TAB-SAM-USMALL", "Uniformsmall-Distribution"
-    )
+    cost = run_table(benchmark, "uniform_small", "TAB-SAM-USMALL")
     # Region minimisation makes BUDDY the better transformation
     # substrate.  (With near-point rectangles nearly every intersecting
     # rectangle is also contained, so the containment shortcut has
     # nothing to win on this file — see EXPERIMENTS.md.)
-    assert cost(results, "BUDDY", "point") < cost(results, "BANG", "point")
+    assert cost["BUDDY"]["point"] < cost["BANG"]["point"]
 
 
 def test_table_gaussiansquare(benchmark):
-    results = run_table(
-        benchmark, "gaussian_square", "TAB-SAM-GSQ", "Gaussiansquare-Distribution"
-    )
+    cost = run_table(benchmark, "gaussian_square", "TAB-SAM-GSQ")
     # "The technique of transformation was always best for the rectangle
     # containment query" (§8).
-    assert cost(results, "BUDDY", "containment") < cost(
-        results, "R-Tree", "containment"
-    )
-    assert cost(results, "BANG", "containment") < cost(
-        results, "R-Tree", "containment"
-    )
+    assert cost["BUDDY"]["containment"] < cost["R-Tree"]["containment"]
+    assert cost["BANG"]["containment"] < cost["R-Tree"]["containment"]
 
 
 def test_table_uniformlarge(benchmark):
-    results = run_table(
-        benchmark, "uniform_large", "TAB-SAM-ULARGE", "Uniformlarge-Distribution"
-    )
+    cost = run_table(benchmark, "uniform_large", "TAB-SAM-ULARGE")
     # Paper: large rectangles ruin the R-tree and PLOP; BANG/BUDDY
     # containment stays tiny thanks to the corner transformation.
-    assert cost(results, "BANG", "containment") < 0.2 * cost(
-        results, "R-Tree", "containment"
-    )
-    assert cost(results, "PLOP", "intersection") > 0.5 * cost(
-        results, "R-Tree", "intersection"
-    )
+    assert cost["BANG"]["containment"] < 0.2 * cost["R-Tree"]["containment"]
+    assert cost["PLOP"]["intersection"] > 0.5 * cost["R-Tree"]["intersection"]
 
 
 def test_table_sam_diagonal(benchmark):
-    results = run_table(
-        benchmark, "diagonal", "TAB-SAM-DIAG", "Diagonal-Distribution"
-    )
+    cost = run_table(benchmark, "diagonal", "TAB-SAM-DIAG")
     # Paper: PLOP is the clear loser on the diagonal rectangles.
-    assert cost(results, "PLOP", "intersection") > cost(results, "BUDDY", "intersection")
+    assert cost["PLOP"]["intersection"] > cost["BUDDY"]["intersection"]

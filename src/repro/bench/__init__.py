@@ -1,5 +1,1 @@
-"""Bench support: paper-style table formatting and experiment runners."""
-
-from repro.bench.tables import format_metrics_table, format_normalised_table
-
-__all__ = ["format_metrics_table", "format_normalised_table"]
+"""Bench support: the paper's published numbers and the tables rendered from run reports."""

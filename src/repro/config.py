@@ -7,7 +7,7 @@ it where an argument was left at ``None``; everything below them takes
 plain values.  One vocabulary serves every variable:
 
 * **off** — ``""``, ``0``, ``off``, ``no``, ``false``, ``none``; unset
-  keeps the field's default (off for all but the build cache);
+  keeps the field's default;
 * **on** — ``1``, ``on``, ``true``, ``yes``; for a path-capable switch
   *the default location*, resolved where it is used;
 * anything else is a **path** for a path-capable switch and a
@@ -84,8 +84,6 @@ class RunConfig:
     bench_scale: int = _var(_count, 10_000)
     #: Worker processes per experiment (1 = every cell inline).
     bench_workers: int = _var(_count, 1)
-    #: Build-cache directory (on: ``results/.build_cache``).
-    build_cache: Path | bool = _var(parse_location, True)
     #: Explain-trace directory (on: ``results/explain``).
     explain: Path | bool = _var(parse_location, False)
     #: One of :data:`BACKENDS`.

@@ -1,9 +1,10 @@
 """The paper's experiment driver.
 
 Builds each access method on a data file, runs the query files, and
-reports average disk accesses per query — optionally normalised to a
-measuring stick (GRID = 100 % in Part I, the R-tree in Part II), which
-is exactly how the paper's tables are laid out.
+reports average disk accesses per query; :mod:`repro.bench.tables`
+normalises them to a measuring stick (GRID = 100 % in Part I, the
+R-tree in Part II), which is exactly how the paper's tables are laid
+out.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "run_experiment",
     "run_pam_experiment",
     "run_sam_experiment",
-    "normalise",
 ]
 
 #: Query-type labels in the order of the paper's PAM tables.
@@ -83,6 +83,18 @@ def measure(store: PageStore, operation: Callable[[], object]) -> tuple[int, obj
     return store.stats.total - before, result
 
 
+def default_results_root() -> Path:
+    """The repo's ``results/`` directory when run from a checkout.
+
+    Falls back to ``./results`` outside a checkout.
+    """
+    here = Path(__file__).resolve()
+    for parent in here.parents:
+        if (parent / "results").is_dir() or (parent / "pyproject.toml").is_file():
+            return parent / "results"
+    return Path.cwd() / "results"
+
+
 def _explain_dir(explain: bool | str | Path) -> Path | None:
     """The trace directory an ``explain`` value names (``None`` = off).
 
@@ -93,8 +105,6 @@ def _explain_dir(explain: bool | str | Path) -> Path | None:
     if isinstance(explain, str):
         explain = parse_location(explain)
     if explain is True:
-        from repro.parallel.cache import default_results_root
-
         return default_results_root() / "explain"
     return explain or None
 
@@ -316,9 +326,9 @@ class ExperimentOutcome:
     process ran them.  ``spans`` are every cell's tracer spans, in the
     same order.  ``storage`` holds the durable backend's ``io_stats()``
     per structure (empty on the simulated backend); ``built`` holds the
-    built methods of cells that ran in this process (pooled and
-    cache-replayed cells have none).  ``kind``, ``page_size`` and
-    ``seed`` are the cells' common parameters, for the report.
+    built methods of cells that ran in this process (pooled cells have
+    none).  ``kind``, ``page_size`` and ``seed`` are the cells' common
+    parameters, for the report.
     """
 
     results: dict[str, MethodResult] = field(default_factory=dict)
@@ -387,14 +397,13 @@ def run_experiment(
     workers: int = 1,
     audit: bool | None = None,
     explain: bool | str | Path | None = None,
-    cache=None,
 ) -> ExperimentOutcome:
     """Run every structure's cell on the same data file, one job per cell.
 
     ``factories`` is a sequence of registered standard-testbed structure
-    names, which may fan out over ``workers`` processes and replay from
-    a build ``cache`` (job specs ship names, not closures), or a mapping
-    of table names to factories, whose cells run in this process.
+    names, which may fan out over ``workers`` processes (job specs ship
+    names, not closures), or a mapping of table names to factories,
+    whose cells run in this process.
     Either way each cell is a :func:`repro.parallel.jobs.execute_job`
     under its own tracer, so the outcome's spans — and the report
     ``to_report()`` assembles from them — do not depend on where it ran.
@@ -403,26 +412,17 @@ def run_experiment(
     :class:`repro.config.RunConfig`; an explicit value — ``False``
     included — wins (see :func:`repro.parallel.runner.run_specs`).
     """
-    from repro.parallel.jobs import JobSpec, data_digest
+    from repro.parallel.jobs import JobSpec
     from repro.parallel.runner import run_specs
 
-    digest = data_digest(data)
     specs = [
-        JobSpec(
-            kind=kind,
-            structure=name,
-            scale=len(data),
-            page_size=page_size,
-            seed=seed,
-            digest=digest,
-        )
+        JobSpec(kind=kind, structure=name, scale=len(data), page_size=page_size, seed=seed)
         for name in factories
     ]
     return merge_outcomes(
         run_specs(
             specs,
             workers=workers,
-            cache=cache,
             data=data,
             factories=factories if isinstance(factories, Mapping) else None,
             audit=audit,
@@ -463,17 +463,3 @@ def run_sam_experiment(
     files are named ``SAM-<name>.json``).
     """
     return run_experiment("sam", factories, rects, seed=seed, **options).results
-
-
-def normalise(
-    results: dict[str, MethodResult], stick: str
-) -> dict[str, dict[str, float]]:
-    """Express query costs as percentages of the measuring stick."""
-    reference = results[stick].query_costs
-    out: dict[str, dict[str, float]] = {}
-    for name, result in results.items():
-        out[name] = {
-            label: (100.0 * cost / reference[label]) if reference[label] else 0.0
-            for label, cost in result.query_costs.items()
-        }
-    return out

@@ -1,30 +1,24 @@
-"""Parallel experiment execution with a persistent build cache.
+"""Parallel experiment execution.
 
 The paper's Part I/II comparison is a grid of independent
 ``(data file, structure)`` cells — each builds its own
 :class:`~repro.storage.pagestore.PageStore` from fixed seeds.  This
-package exploits that independence three ways:
+package exploits that independence two ways:
 
 * :mod:`repro.parallel.jobs` — picklable :class:`JobSpec` descriptions
   of one cell (names and seeds, never callables, so they survive a
   ``spawn`` boundary) and :func:`execute_job`, which runs the spec's
   :func:`~repro.core.comparison.run_cell` under the cell's own tracer.
 * :mod:`repro.parallel.runner` — :func:`run_specs`, the one experiment
-  runner: every cell is a job, run inline, over a process pool or from
-  the cache, and :func:`merge_outcomes` folds job results back in
-  deterministic spec order, yielding tables, totals, timers and tracer
-  spans identical at any worker count.
-* :mod:`repro.parallel.cache` — a content-addressed on-disk
-  :class:`BuildCache` keyed by the spec plus a fingerprint of every
-  ``repro`` source file, so repeated bench sessions skip finished
-  cells entirely and code edits invalidate stale entries.
+  runner: every cell is a job, run inline or over a process pool, and
+  :func:`merge_outcomes` folds job results back in deterministic spec
+  order, yielding tables, totals, timers and tracer spans identical at
+  any worker count.
 
 The benches opt in via ``REPRO_BENCH_WORKERS=N`` (default 1 runs the
-same cells inline) and place the cache via
-``REPRO_BUILD_CACHE`` (a directory, or ``off`` to disable).
+same cells inline).
 """
 
-from repro.parallel.cache import BuildCache, code_fingerprint, resolve_cache
 from repro.parallel.jobs import (
     JobResult,
     JobSpec,
@@ -35,16 +29,13 @@ from repro.parallel.jobs import (
 from repro.parallel.runner import ExperimentOutcome, merge_outcomes, run_file, run_specs
 
 __all__ = [
-    "BuildCache",
     "ExperimentOutcome",
     "JobResult",
     "JobSpec",
     "StructureOutcome",
-    "code_fingerprint",
     "execute_job",
     "file_specs",
     "merge_outcomes",
-    "resolve_cache",
     "run_file",
     "run_specs",
 ]

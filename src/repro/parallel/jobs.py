@@ -16,8 +16,6 @@ which process ran the cell.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +28,6 @@ __all__ = [
     "JobSpec",
     "StructureOutcome",
     "JobResult",
-    "data_digest",
     "execute_job",
     "load_job_data",
     "resolve_factory",
@@ -42,11 +39,9 @@ class JobSpec:
     """Everything that determines one build+query cell, by value.
 
     ``file`` names a registered data file (regenerated in the worker);
-    for ad-hoc data shipped inline, ``file`` is ``None`` and
-    ``digest`` content-addresses the pickled records instead, so the
-    build cache stays sound either way.  ``derive_packed`` makes the
-    job also produce the BUDDY+ row (pack + re-query on the same
-    store).
+    it is ``None`` for ad-hoc data the runner ships inline.
+    ``derive_packed`` makes the job also produce the BUDDY+ row (pack +
+    re-query on the same store).
     """
 
     kind: str  # "pam" | "sam"
@@ -55,34 +50,15 @@ class JobSpec:
     page_size: int = 512
     seed: int | None = None
     file: str | None = None
-    digest: str | None = None
     derive_packed: bool = False
 
     def __post_init__(self):
         if self.kind not in ("pam", "sam"):
             raise ValueError(f"kind must be 'pam' or 'sam', not {self.kind!r}")
-        if self.file is None and self.digest is None:
-            raise ValueError("a JobSpec needs a file name or a data digest")
 
     @property
     def query_seed(self) -> int:
         return self.seed if self.seed is not None else QUERY_SEEDS[self.kind]
-
-    def cache_fields(self) -> dict:
-        """The key material for :class:`~repro.parallel.cache.BuildCache`."""
-        return {
-            "kind": self.kind,
-            "structure": self.structure,
-            "scale": self.scale,
-            "page_size": self.page_size,
-            "seed": self.query_seed,
-            "file": self.file,
-            "digest": self.digest,
-            "derive_packed": self.derive_packed,
-        }
-
-    def label(self) -> str:
-        return f"{self.kind}:{self.file or self.digest[:8]}:{self.structure}"
 
 
 @dataclass
@@ -90,8 +66,7 @@ class JobResult:
     """Everything a worker sends back for one spec.
 
     ``built`` is the built method, for callers in the executing
-    process; it is never pickled, so pooled and cache-replayed results
-    carry ``None``.
+    process; it is never pickled, so pooled results carry ``None``.
     """
 
     spec: JobSpec
@@ -101,13 +76,6 @@ class JobResult:
 
     def __getstate__(self):
         return {**self.__dict__, "built": None}
-
-
-def data_digest(data: Sequence) -> str:
-    """Content address of an inline data sequence (points or rects)."""
-    return hashlib.sha256(
-        pickle.dumps(list(data), protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()
 
 
 def resolve_factory(kind: str, structure: str):
@@ -130,7 +98,7 @@ def resolve_factory(kind: str, structure: str):
 def load_job_data(spec: JobSpec):
     """Regenerate the spec's data file from its deterministic generator."""
     if spec.file is None:
-        raise ValueError(f"spec {spec.label()} carries inline data, nothing to load")
+        raise ValueError(f"{spec.kind} {spec.structure} spec carries inline data, nothing to load")
     if spec.kind == "pam":
         from repro.workloads.distributions import generate_point_file
 
@@ -154,8 +122,7 @@ def execute_job(
     the job in its own process, hands one in — and call
     :func:`~repro.core.comparison.run_cell`, which traces the cell with
     its own tracer.  ``explain_dir`` and ``audit`` are the caller's
-    resolved values — arguments, not key material, so they never
-    perturb the build cache; cells of a named data file trace into a
+    resolved values; cells of a named data file trace into a
     subdirectory of that name, or each file's traces would overwrite
     the last.
     """

@@ -5,9 +5,8 @@ The paper's comparison grid is embarrassingly parallel: every
 :class:`~repro.storage.pagestore.PageStore` from fixed seeds, so cells
 share no state whatsoever.  Every experiment is therefore a list of
 :class:`~repro.parallel.jobs.JobSpec` cells, and :func:`run_specs` is
-the one place they execute: from the
-:class:`~repro.parallel.cache.BuildCache`, inline in the calling
-process at ``workers=1``, or over a ``spawn``-based
+the one place they execute: inline in the calling process at
+``workers=1``, or over a ``spawn``-based
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Each cell is one
 :func:`~repro.parallel.jobs.execute_job` under its own tracer, and
 :func:`~repro.core.comparison.merge_outcomes` folds the results back
@@ -23,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 from repro.config import RunConfig
 from repro.core.comparison import ExperimentOutcome, _explain_dir, merge_outcomes
-from repro.parallel.cache import BuildCache
 from repro.parallel.jobs import JobResult, JobSpec, execute_job, file_specs
 
 __all__ = ["ExperimentOutcome", "run_specs", "merge_outcomes", "run_file"]
@@ -33,70 +31,48 @@ def run_specs(
     specs: Sequence[JobSpec],
     *,
     workers: int = 1,
-    cache: BuildCache | None = None,
     data: Sequence | None = None,
     factories: Mapping[str, Callable] | None = None,
     audit: bool | None = None,
     explain: bool | str | Path | None = None,
 ) -> list[JobResult]:
-    """Execute the specs — cached, pooled, or inline — in spec order.
+    """Execute the specs — pooled or inline — in spec order.
 
-    ``cache`` is a :class:`BuildCache` or ``None`` (no caching).  ``data``
-    ships an inline record sequence to every spec whose ``file`` is
-    ``None``.  ``factories`` maps structure names to the factories the
-    cells run instead of the registered ones; callables neither cross a
-    process boundary nor key a cache, so they need ``workers=1`` and no
-    ``cache``.
+    ``data`` ships an inline record sequence to every spec whose ``file``
+    is ``None``.  ``factories`` maps structure names to the factories the
+    cells run instead of the registered ones; callables do not cross a
+    process boundary, so they need ``workers=1``.
 
     ``audit`` and ``explain`` left at ``None`` follow
     :class:`repro.config.RunConfig`; an explicit value — ``False``
-    included — wins.  Both travel to every executed job as arguments
-    (cache hits are neither audited nor traced).  The returned list is
-    ordered like ``specs`` no matter how execution interleaved.
+    included — wins.  Both travel to every job as arguments.  The
+    returned list is ordered like ``specs`` no matter how execution
+    interleaved.
     """
-    if factories is not None and (workers > 1 or cache is not None):
+    if factories is not None and workers > 1:
         raise ValueError(
             "factories run in this process: pass registered structure names "
-            "to use workers or a build cache"
+            "to use workers"
         )
     config = RunConfig.from_env()
     audit = config.audit if audit is None else audit
     explain_dir = _explain_dir(config.explain if explain is None else explain)
 
-    outcomes: dict[int, JobResult] = {}
-    pending: list[tuple[int, JobSpec]] = []
-    for i, spec in enumerate(specs):
-        cached = cache.load(spec) if cache is not None else None
-        if cached is not None:
-            outcomes[i] = cached
-        else:
-            pending.append((i, spec))
+    jobs = [
+        (spec, data if spec.file is None else None, explain_dir, audit)
+        for spec in specs
+    ]
+    if workers > 1 and len(jobs) > 1:
+        import multiprocessing
 
-    if pending:
-        jobs = [
-            (spec, data if spec.file is None else None, explain_dir, audit)
-            for _, spec in pending
-        ]
-        if workers > 1 and len(pending) > 1:
-            import multiprocessing
-
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)), mp_context=context
-            ) as pool:
-                futures = [pool.submit(execute_job, *job) for job in jobs]
-                finished = [future.result() for future in futures]
-        else:
-            factories = factories or {}
-            finished = [
-                execute_job(*job, factories.get(job[0].structure)) for job in jobs
-            ]
-        for (i, spec), result in zip(pending, finished):
-            outcomes[i] = result
-            if cache is not None:
-                cache.store(spec, result)
-
-    return [outcomes[i] for i in range(len(specs))]
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs)), mp_context=context
+        ) as pool:
+            futures = [pool.submit(execute_job, *job) for job in jobs]
+            return [future.result() for future in futures]
+    factories = factories or {}
+    return [execute_job(*job, factories.get(job[0].structure)) for job in jobs]
 
 
 def run_file(
@@ -112,7 +88,7 @@ def run_file(
     """The full standard comparison of ``kind`` on one named data file.
 
     PAM files add the derived BUDDY+ row.  The keyword ``options``
-    (``workers``, ``cache``, ``audit``, ``explain``) are those of
+    (``workers``, ``audit``, ``explain``) are those of
     :func:`run_specs`; each job regenerates the file from its generator.
     """
     specs = file_specs(

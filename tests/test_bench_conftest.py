@@ -23,43 +23,6 @@ def bench_conftest():
     return module
 
 
-class TestPaperVsMeasured:
-    def test_empty_columns_does_not_crash(self, bench_conftest):
-        """Regression: ``max(10, *(...))`` raised TypeError for ``()``."""
-        table = bench_conftest.paper_vs_measured(
-            "title", {}, {"GRID": ()}, columns=()
-        )
-        lines = table.splitlines()
-        assert lines[0] == "title"
-        assert "GRID" in table
-
-    def test_width_floor_is_ten(self, bench_conftest):
-        table = bench_conftest.paper_vs_measured(
-            "t", {}, {"X": (1.0,)}, columns=("c",)
-        )
-        header = table.splitlines()[1]
-        assert header.endswith(f"{'c':>10s}")
-
-    def test_wide_columns_stretch(self, bench_conftest):
-        table = bench_conftest.paper_vs_measured(
-            "t", {}, {"X": (1.0,)}, columns=("a-very-wide-column",)
-        )
-        header = table.splitlines()[1]
-        assert header.endswith(f"{'a-very-wide-column':>20s}")
-
-    def test_paper_row_above_measured_row(self, bench_conftest):
-        table = bench_conftest.paper_vs_measured(
-            "t",
-            {"GRID": (100.0, 50.0)},
-            {"GRID": (99.0, None)},
-            columns=("q1", "q2"),
-        )
-        lines = table.splitlines()
-        assert "paper" in lines[2] and "100.0" in lines[2]
-        # None cells render as '-' in the measured row.
-        assert "here" in lines[3] and lines[3].rstrip().endswith("-")
-
-
 class TestWorkersKnob:
     def test_default_is_serial(self, bench_conftest, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)

@@ -9,7 +9,6 @@ from repro.core.comparison import (
     build_pam,
     build_sam,
     measure,
-    normalise,
     run_pam_experiment,
     run_sam_experiment,
 )
@@ -111,32 +110,6 @@ class TestMethodResult:
 
     def test_query_average_single_type(self):
         assert _result("X", {"point": 7.5}).query_average == pytest.approx(7.5)
-
-
-class TestNormalise:
-    def test_stick_is_100(self):
-        points = generate_point_file("uniform", 600)
-        results = run_pam_experiment(standard_pam_factories(), points)
-        norm = normalise(results, "GRID")
-        for label in PAM_QUERY_TYPES:
-            assert norm["GRID"][label] == pytest.approx(100.0)
-        for name in results:
-            assert set(norm[name]) == set(PAM_QUERY_TYPES)
-
-    def test_zero_cost_reference_rows_stay_finite(self):
-        """A free query type in the measuring stick maps to 0, not inf."""
-        results = {
-            "STICK": _result("STICK", {"pm_x": 0.0, "pm_y": 4.0}),
-            "OTHER": _result("OTHER", {"pm_x": 3.0, "pm_y": 2.0}),
-        }
-        norm = normalise(results, "STICK")
-        assert norm["STICK"]["pm_x"] == 0.0
-        assert norm["OTHER"]["pm_x"] == 0.0
-        assert norm["OTHER"]["pm_y"] == pytest.approx(50.0)
-
-    def test_all_zero_stick(self):
-        results = {"STICK": _result("STICK", {"a": 0.0})}
-        assert normalise(results, "STICK") == {"STICK": {"a": 0.0}}
 
 
 class TestTestbed:

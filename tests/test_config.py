@@ -19,7 +19,7 @@ from repro.storage.pagestore import PageStore
 OFF = ("", "0", "off", "no", "false", "none", "  OFF  ")
 ON = ("1", "on", "true", "yes", " True ")
 FLAGS = ("audit", "telemetry")
-LOCATIONS = ("build_cache", "explain", "store_dir")
+LOCATIONS = ("explain", "store_dir")
 
 ROWS = [
     *((name, raw, False) for name in FLAGS + LOCATIONS for raw in OFF),
@@ -46,7 +46,6 @@ ROWS = [
 DEFECTS = {
     ("audit", "none"),
     ("explain", "none"),
-    ("build_cache", "1"),
     ("bench_workers", "four"),
     ("bench_scale", "2k"),
 }
@@ -78,17 +77,13 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 8
+    assert len(fields(RunConfig)) == 7
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():
     assert RunConfig.from_env({}) == RunConfig()
     assert RunConfig.from_env({"REPRO_CI": "1", "HOME": "/"}) == RunConfig()
-    # The build cache is the one switch that is on unless turned off.
-    assert RunConfig().build_cache is True
-    assert not any(
-        getattr(RunConfig(), name) for name in FLAGS + LOCATIONS if name != "build_cache"
-    )
+    assert not any(getattr(RunConfig(), name) for name in FLAGS + LOCATIONS)
 
 
 def test_from_env_reads_the_live_environment_uncached(monkeypatch):

@@ -44,14 +44,13 @@ def _traced_pooled(points, tmp_path, monkeypatch):
 
 def _bench_session(points, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "150")
-    monkeypatch.setenv("REPRO_RUN_REPORT", "1")
     monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
     spec = importlib.util.spec_from_file_location("bench_on_disk", _BENCH_CONFTEST)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
-    return _report_blocks(module.pam_report("uniform"))
+    return _report_blocks(module.run_report("pam", "uniform"))
 
 
 class TestDiskBackendDriversAgree:

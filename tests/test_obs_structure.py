@@ -21,7 +21,6 @@ from repro.obs.structure import (
     validate_snapshot,
 )
 from repro.pam.buddytree import BuddyTree
-from repro.parallel.cache import BuildCache
 from repro.parallel.runner import run_file
 from repro.sam.clipping import ClippingSAM
 from repro.sam.rtree import RTree
@@ -168,27 +167,12 @@ class TestSnapshotDeterminism:
         assert validate_snapshot(json.loads(first)) == []
 
     def test_workers_do_not_change_snapshots(self):
-        serial = run_file("pam", "uniform", scale=280, workers=1, cache=None).results
-        parallel = run_file("pam", "uniform", scale=280, workers=2, cache=None).results
+        serial = run_file("pam", "uniform", scale=280, workers=1).results
+        parallel = run_file("pam", "uniform", scale=280, workers=2).results
         assert set(serial) == set(parallel)
         assert "BUDDY+" in serial
         for name, result in serial.items():
             assert result.snapshot, name
             assert snapshot_to_json(result.snapshot) == snapshot_to_json(
                 parallel[name].snapshot
-            ), name
-
-    def test_warm_cache_replays_identical_snapshots(self, tmp_path):
-        cold = run_file(
-            "pam", "uniform", scale=280, workers=1, cache=BuildCache(tmp_path)
-        ).results
-        warm_cache = BuildCache(tmp_path)
-        warm = run_file(
-            "pam", "uniform", scale=280, workers=1, cache=warm_cache
-        ).results
-        assert warm_cache.hits > 0 and warm_cache.misses == 0
-        assert set(cold) == set(warm)
-        for name, result in cold.items():
-            assert snapshot_to_json(result.snapshot) == snapshot_to_json(
-                warm[name].snapshot
             ), name

@@ -1,21 +1,19 @@
-"""Tests for :mod:`repro.parallel` — determinism, caching, wiring.
+"""Tests for :mod:`repro.parallel` — determinism and wiring.
 
 The acceptance bar for the parallel runner is *bit-equivalence*: with
 any worker count, the merged :class:`MethodResult` numbers, the
 per-structure :class:`AccessStats` totals, the span histograms and the
 rendered tables must be indistinguishable from the serial bench loop.
-These tests pin that, plus the build cache's hit/miss/invalidation
-behaviour.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench.tables import normalise
 from repro.core.comparison import (
     build_pam,
     build_sam,
-    normalise,
     run_experiment,
     run_pam_experiment,
     run_pam_queries,
@@ -29,9 +27,8 @@ from repro.core.testbed import (
 )
 from repro.obs.export import summarise_spans, validate_run_report
 from repro.obs.tracer import Tracer
-from repro.parallel.cache import BuildCache, code_fingerprint
-from repro.parallel.jobs import JobSpec, data_digest, execute_job, file_specs
-from repro.parallel.runner import merge_outcomes, run_file, run_specs
+from repro.parallel.jobs import JobSpec, execute_job, file_specs
+from repro.parallel.runner import run_file
 from repro.workloads.distributions import generate_point_file
 from repro.workloads.rect_distributions import generate_rect_file
 
@@ -107,7 +104,7 @@ def assert_outcome_matches(results, totals, spans, outcome):
 @pytest.fixture(scope="module")
 def pam_parallel_outcome():
     """One 2-worker PAM run shared by the determinism assertions."""
-    return run_file("pam", "uniform", scale=PAM_SCALE, workers=2, cache=None)
+    return run_file("pam", "uniform", scale=PAM_SCALE, workers=2)
 
 
 class TestParallelMatchesSerial:
@@ -118,8 +115,9 @@ class TestParallelMatchesSerial:
     def test_pam_tables_identical(self, pam_parallel_outcome):
         """The paper-style normalised table derives identically."""
         results, _, _ = serial_pam_reference("uniform", PAM_SCALE)
-        assert normalise(results, "GRID") == normalise(
-            pam_parallel_outcome.results, "GRID"
+        pooled = pam_parallel_outcome.results
+        assert normalise({n: r.query_costs for n, r in results.items()}, "GRID") == (
+            normalise({n: r.query_costs for n, r in pooled.items()}, "GRID")
         )
 
     def test_pam_timers_cover_all_structures(self, pam_parallel_outcome):
@@ -130,9 +128,7 @@ class TestParallelMatchesSerial:
 
     def test_sam_grid_cell(self):
         results, totals, spans = serial_sam_reference("uniform_small", SAM_SCALE)
-        outcome = run_file(
-            "sam", "uniform_small", scale=SAM_SCALE, workers=2, cache=None
-        )
+        outcome = run_file("sam", "uniform_small", scale=SAM_SCALE, workers=2)
         assert_outcome_matches(results, totals, spans, outcome)
 
     def test_inline_data_experiment(self):
@@ -165,10 +161,9 @@ class TestParallelMatchesSerial:
         assert pooled.to_report().access_totals() == inline.to_report().access_totals()
 
     def test_comparison_api_rejects_factories_with_workers(self):
-        """Callables cannot reach a worker process or key a cache."""
-        for options in ({"workers": 2}, {"cache": BuildCache("unused")}):
-            with pytest.raises(ValueError, match="structure names"):
-                run_pam_experiment(standard_pam_factories(), [(0.5, 0.5)], **options)
+        """Callables cannot reach a worker process."""
+        with pytest.raises(ValueError, match="structure names"):
+            run_pam_experiment(standard_pam_factories(), [(0.5, 0.5)], workers=2)
 
     def test_testbed_parallel_report_matches_serial(self):
         points = generate_point_file("uniform", 250)
@@ -195,10 +190,6 @@ class TestJobSpecs:
         with pytest.raises(ValueError, match="kind"):
             JobSpec(kind="tree", structure="GRID", scale=10, file="uniform")
 
-    def test_needs_file_or_digest(self):
-        with pytest.raises(ValueError, match="file name or a data digest"):
-            JobSpec(kind="pam", structure="GRID", scale=10)
-
     def test_unknown_structure_lists_registry(self):
         spec = JobSpec(kind="pam", structure="ZORDER", scale=50, file="uniform")
         with pytest.raises(KeyError, match="registered structures"):
@@ -211,107 +202,3 @@ class TestJobSpecs:
         sam = file_specs("sam", "diagonal", 100)
         assert [s.structure for s in sam] == ["R-Tree", "BANG", "BUDDY", "PLOP"]
         assert all(s.seed is not None for s in pam + sam)
-
-
-# -- the build cache --------------------------------------------------------
-
-
-class TestBuildCache:
-    def specs(self):
-        return file_specs("pam", "uniform", 120, structures=["GRID", "BUDDY"])
-
-    def test_round_trip_skips_rebuilds(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        first = run_specs(self.specs(), cache=cache)
-        assert (cache.hits, cache.misses, cache.stores) == (0, 2, 2)
-
-        warm = BuildCache(tmp_path)
-        second = run_specs(self.specs(), cache=warm)
-        assert (warm.hits, warm.misses, warm.stores) == (2, 0, 0)
-        merged_first = merge_outcomes(first)
-        merged_second = merge_outcomes(second)
-        assert list(merged_first.results) == list(merged_second.results)
-        for name in merged_first.results:
-            assert (
-                merged_first.results[name].query_costs
-                == merged_second.results[name].query_costs
-            )
-            assert merged_first.totals[name] == merged_second.totals[name]
-        # Even the cached wall-clock timers ride along unchanged.
-        assert merged_first.timers == merged_second.timers
-
-    def test_pooled_results_replay_from_cache(self, tmp_path):
-        """What the workers send back is what a warm session replays."""
-        pooled = run_file(
-            "pam", "uniform", scale=PAM_SCALE, workers=2, cache=BuildCache(tmp_path)
-        )
-        warm = BuildCache(tmp_path)
-        replayed = run_file("pam", "uniform", scale=PAM_SCALE, workers=2, cache=warm)
-        assert (warm.hits, warm.misses, warm.stores) == (
-            len(file_specs("pam", "uniform", PAM_SCALE)),
-            0,
-            0,
-        )
-        assert replayed.results == pooled.results
-        assert replayed.totals == pooled.totals
-
-    def test_key_covers_every_parameter(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        base = JobSpec(kind="pam", structure="GRID", scale=100, file="uniform")
-        variants = [
-            JobSpec(kind="pam", structure="BUDDY", scale=100, file="uniform"),
-            JobSpec(kind="pam", structure="GRID", scale=101, file="uniform"),
-            JobSpec(kind="pam", structure="GRID", scale=100, file="sinus"),
-            JobSpec(
-                kind="pam", structure="GRID", scale=100, file="uniform", seed=7
-            ),
-            JobSpec(
-                kind="pam",
-                structure="GRID",
-                scale=100,
-                file="uniform",
-                page_size=1024,
-            ),
-            JobSpec(
-                kind="pam",
-                structure="GRID",
-                scale=100,
-                file="uniform",
-                derive_packed=True,
-            ),
-            JobSpec(kind="sam", structure="GRID", scale=100, file="uniform"),
-        ]
-        keys = {cache.key(spec) for spec in [base, *variants]}
-        assert len(keys) == len(variants) + 1
-
-    def test_code_fingerprint_invalidates(self, tmp_path):
-        spec = JobSpec(kind="pam", structure="GRID", scale=100, file="uniform")
-        old_code = BuildCache(tmp_path, fingerprint="aaaa")
-        new_code = BuildCache(tmp_path, fingerprint="bbbb")
-        assert old_code.key(spec) != new_code.key(spec)
-        current = BuildCache(tmp_path)
-        assert current.fingerprint == code_fingerprint()
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        spec = self.specs()[0]
-        run_specs([spec], cache=cache)
-        cache.path_for(spec).write_bytes(b"not a pickle")
-        rerun = BuildCache(tmp_path)
-        run_specs([spec], cache=rerun)
-        assert (rerun.hits, rerun.misses, rerun.stores) == (0, 1, 1)
-        fixed = BuildCache(tmp_path)
-        assert fixed.load(spec) is not None
-
-    def test_inline_data_is_content_addressed(self, tmp_path):
-        points = generate_point_file("uniform", 150)
-        digest = data_digest(points)
-        assert digest == data_digest(list(points))
-        assert digest != data_digest(points[:-1])
-        cache = BuildCache(tmp_path)
-        run_experiment("pam", ["GRID"], points, cache=cache)
-        assert cache.stores == 1
-        warm = BuildCache(tmp_path)
-        outcome = run_experiment("pam", ["GRID"], points, cache=warm)
-        assert warm.hits == 1
-        assert outcome.results["GRID"].metrics.records == 150
