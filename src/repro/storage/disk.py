@@ -99,7 +99,7 @@ class CorruptionError(RuntimeError):
 
 
 class PageOverflowError(ValueError):
-    """A pickled page payload does not fit its fixed-size slot."""
+    """A page image does not fit its fixed-size slot."""
 
 
 class AliasingError(RuntimeError):
@@ -114,13 +114,13 @@ class AliasingError(RuntimeError):
 def default_slot_size(page_size: int) -> int:
     """Slot bytes for a logical page size.
 
-    Pickled Python payloads are larger than the paper's packed binary
-    layout (§3 capacities are arithmetic, not physical): over the nine
-    standard structures at N = 3000 a page image is 1.6x the logical
-    page in the median and 4.5x at worst at 512 B (a BANG directory
-    page), 1.2x / 2.6x at 8 KiB; an R-tree page is 1.5x now that its
-    boxes travel as one flat tuple (1.8x before).  Slots default to 16x
-    the logical page, rounded up to a 4 KiB multiple — headroom for
+    Page images are larger than the paper's packed binary layout (§3
+    capacities are arithmetic, not physical): over the nine standard
+    structures at N = 3000 a page image is 1.5x the logical page in the
+    median and 4.6x at worst at 512 B (a BANG directory page), 1.2x /
+    2.4x at 8 KiB; an R-tree page is 1.4x now that its boxes travel as a
+    byte column (1.6x as a flat tuple).  Slots default to 16x the
+    logical page, rounded up to a 4 KiB multiple — headroom for
     unbalanced directory pages, paid in sparse file only.
     """
     raw = 16 * page_size + PageFile.SLOT_HEADER
@@ -195,7 +195,7 @@ class PageFile:
         """Write one page image; returns the payload's CRC32."""
         if len(payload) > self.payload_capacity:
             raise PageOverflowError(
-                f"page {pid}: pickled payload of {len(payload)} bytes exceeds "
+                f"page {pid}: page image of {len(payload)} bytes exceeds "
                 f"the {self.payload_capacity}-byte slot capacity; reopen the "
                 f"store with a larger slot_size"
             )
@@ -330,10 +330,6 @@ class BufferPool:
         self.freed: set[int] = set()
         self._ring: list[int] = []
         self._hand = 0
-        #: Page currently being faulted in; the caller is about to
-        #: receive its object, so the clock must never pick it — even
-        #: when every other frame is unevictable and the sweep wraps.
-        self._admitting: int | None = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -353,7 +349,7 @@ class BufferPool:
         obj = self._load(pid)
         self.misses += 1
         self.op_touched.add(pid)
-        self._admit(pid, obj, dirty=False)
+        self._admit(pid, obj, False)
         return obj
 
     def __setitem__(self, pid: int, obj: Any) -> None:
@@ -410,63 +406,56 @@ class BufferPool:
         self.dirty.add(pid)
 
     def _admit(self, pid: int, obj: Any, dirty: bool) -> None:
-        self.frames[pid] = _Frame(obj, dirty)
+        """Make ``pid`` resident, then run the clock until the pool fits.
+
+        Dirty, pinned and op-touched frames are never victims, nor is
+        ``pid`` (its caller is about to get the object).  A sweep looks at
+        ``2 * len(ring) + 1`` frames; one that evicts nothing overflows.
+        """
+        frames = self.frames
+        frames[pid] = _Frame(obj, dirty)
         if dirty:
             self.dirty.add(pid)
-        self._ring.append(pid)
-        self._admitting = pid
+        ring = self._ring
+        ring.append(pid)
+        budget = self.budget
+        if len(frames) <= budget:
+            return
+        touched, pinned = self.op_touched, self.store._pinned
+        evict = self._evict_inner if self.store._telemetry is None else self._evict
+        hand = self._hand
         try:
-            while len(self.frames) > self.budget:
-                if not self._evict_one():
-                    break
+            while len(frames) > budget:
+                steps, max_steps = 0, 2 * len(ring) + 1
+                while ring and steps < max_steps:
+                    if hand >= len(ring):
+                        hand = 0
+                    victim = ring[hand]
+                    frame = frames.get(victim)
+                    if frame is None:  # freed or already evicted; drop the stale entry
+                        ring.pop(hand)
+                        continue
+                    steps += 1
+                    if frame.dirty or victim == pid or victim in touched or victim in pinned:
+                        hand += 1
+                    elif frame.ref:
+                        frame.ref = False
+                        hand += 1
+                    elif evict(victim, frame):
+                        ring.pop(hand)
+                        break
+                    else:
+                        hand += 1
+                else:  # a whole sweep without a victim
+                    self.overflows += 1
+                    return
         finally:
-            self._admitting = None
+            self._hand = hand
 
     def begin_op(self) -> None:
         """New operation bracket: the previous operation's working set
         becomes evictable again."""
         self.op_touched.clear()
-
-    def _unevictable(self, pid: int, frame: _Frame) -> bool:
-        return (
-            frame.dirty
-            or pid == self._admitting
-            or pid in self.op_touched
-            or pid in self.store._pinned
-        )
-
-    def _evict_one(self) -> bool:
-        if self._sweep():
-            return True
-        self.overflows += 1
-        return False
-
-    def _sweep(self) -> bool:
-        ring = self._ring
-        frames = self.frames
-        steps = 0
-        max_steps = 2 * len(ring) + 1
-        while ring and steps < max_steps:
-            if self._hand >= len(ring):
-                self._hand = 0
-            pid = ring[self._hand]
-            frame = frames.get(pid)
-            if frame is None:  # freed or already evicted; drop the stale entry
-                ring.pop(self._hand)
-                continue
-            steps += 1
-            if self._unevictable(pid, frame):
-                self._hand += 1
-                continue
-            if frame.ref:
-                frame.ref = False
-                self._hand += 1
-                continue
-            if self._evict(pid, frame):
-                ring.pop(self._hand)
-                return True
-            self._hand += 1
-        return False
 
     def _evict(self, pid: int, frame: _Frame) -> bool:
         telem = self.store._telemetry
@@ -549,7 +538,7 @@ class DiskPageStore(PageStore):
     pool_pages:
         Buffer-pool budget in pages.
     slot_size:
-        On-disk bytes per page slot (pickled payloads are larger than
+        On-disk bytes per page slot (page images are larger than
         the logical ``page_size``); adopted from the existing file when
         reopening.  Defaults to :func:`default_slot_size`.
     io:
@@ -720,7 +709,7 @@ class DiskPageStore(PageStore):
             payload = _dumps(pool.frames[pid].obj)
             if len(payload) > self._pagefile.payload_capacity:
                 raise PageOverflowError(
-                    f"page {pid}: pickled payload of {len(payload)} bytes "
+                    f"page {pid}: page image of {len(payload)} bytes "
                     f"exceeds the slot capacity "
                     f"{self._pagefile.payload_capacity}; reopen with a "
                     f"larger slot_size"

@@ -31,7 +31,10 @@ degrades to a rebuild, never to a stale verdict.
 
 from __future__ import annotations
 
+import functools
 import operator
+import struct
+from struct import pack
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -55,25 +58,24 @@ class SoAList(list):
     Views are keyed by tag (``"pts"``, ``"entries:cover"``, …) and built
     on first use by a caller-supplied function of the container; every
     mutating list method invalidates them.  The container pickles from
-    its items alone, so build-cache entries and page images never carry
-    derived arrays: a container of :class:`Rect` rows travels as one flat
-    coordinate tuple (:meth:`__reduce__`), any other row shape as the
-    plain list.
+    its items alone, so page images never carry derived arrays: a
+    container of float :class:`Rect` rows or of ``(point, rid)`` records
+    travels as byte columns (:func:`_columns`), any other row shape as
+    the plain list.
 
-    ``_flat`` is ``None`` on every container that has rows.  Only a
-    :class:`_PackedBoxes` — what the flat form is restored to — sets it:
-    there ``(dims, flat)`` *is* the content and no row exists yet.  The
+    ``_image`` is ``(rows, columns)`` of the last image, or ``None``; a
+    :class:`_Packed` holds ``(None, columns)``: no row exists yet.  The
     slot lives here because the decode turns that object into a plain
     ``SoAList`` by ``__class__`` assignment, which needs one layout; no
-    method of this class reads or writes it.
+    mutator reads or writes it.
     """
 
-    __slots__ = ("_views", "_flat")
+    __slots__ = ("_views", "_image")
 
     def __init__(self, items: Iterable = ()):
         super().__init__(items)
         self._views: "dict[str, tuple[int, Any]] | None" = None
-        self._flat: "tuple | None" = None
+        self._image: "tuple | None" = None
 
     # -- columnar views ---------------------------------------------------
 
@@ -82,7 +84,7 @@ class SoAList(list):
         views = self._views
         if views is None:
             views = self._views = {}
-        n = len(self)  # the C slot here, the row count of the flat when packed
+        n = len(self)  # the C slot here, the row count of the columns when packed
         entry = views.get(tag)
         if entry is not None and entry[0] == n:
             return entry[1]
@@ -112,9 +114,9 @@ class SoAList(list):
 
     def __reduce__(self):
         # From the rows: the store's silent-mutation CRCs must see what the method holds.
-        boxes = _flatten_boxes(self)
-        if boxes is not None:
-            return (_restore_boxes, boxes)
+        cols = _image(self)
+        if cols is not None:
+            return (_restore_columns, cols)
         return (type(self), (list(self),))
 
     # -- mutators (each invalidates this container's views only) ----------
@@ -180,22 +182,13 @@ class SoAList(list):
         return list.__imul__(self, factor)
 
 
-def _flatten_boxes(rows: list) -> "tuple[int, tuple] | None":
+def _flatten_boxes(rows) -> "tuple[int, list] | None":
     """``(dims, flat)`` for rows that are all :class:`Rect` of one
-    dimensionality, else ``None``.
-
-    ``flat`` is the rows' ``lo + hi`` coordinates end to end, elements
-    untouched (an ``int`` stays an ``int``, ``-0.0`` keeps its sign): no
-    nested tuples for pickle to memoise and no per-row reduce call, which
-    is what made a page of boxes dearer to move than a page of points.
-    Rows of ``(point, rid)`` tuples measured *slower* flattened and keep
-    the list form.
-    """
+    dimensionality, else ``None``: ``flat`` is the rows' ``lo + hi``
+    coordinates end to end, elements untouched."""
     if not rows or type(rows[0]) is not Rect:
         return None
     dims = len(rows[0].lo)
-    if not dims:
-        return None
     flat: list = []
     extend = flat.extend
     for row in rows:
@@ -206,57 +199,150 @@ def _flatten_boxes(rows: list) -> "tuple[int, tuple] | None":
             return None
         extend(lo)
         extend(row.hi)
-    return dims, tuple(flat)
+    return dims, flat
 
 
-def _restore_boxes(dims: int, flat: tuple) -> SoAList:
-    """A packed container of the boxes :func:`_flatten_boxes` flattened.
+def _columns(rows) -> "tuple[int, bytes, bytes | None] | None":
+    """``(dims, coords, rids)``: the byte columns of ``rows``, or ``None``.
 
-    Keeps the check ``Rect.__init__`` made when every row was unpickled
-    through it — an inverted interval is a ``ValueError`` — as ``dims``
-    strided passes over the tuple, and makes it here: a bad image is
+    :class:`Rect` rows of one dimensionality: ``coords`` holds each row's
+    ``lo + hi``, ``rids`` is ``None``.  ``(point, rid)`` records: ``coords``
+    holds the points, ``rids`` one int64 each.  Machine-order float64 /
+    int64, what ``np.frombuffer`` reads.  Loaded rows come back from the
+    columns, so only ``float`` coordinates and ``int`` rids (no ``bool``)
+    within int64 qualify; anything else keeps the list form.
+    """
+    if not rows:
+        return None
+    first = rows[0]
+    if type(first) is Rect:
+        boxes = _flatten_boxes(rows)
+        if boxes is None:
+            return None
+        (dims, flat), rids = boxes, None
+    elif type(first) is tuple and len(first) == 2 and type(first[0]) is tuple:
+        dims = len(first[0])
+        flat, ids = [], []
+        extend, add = flat.extend, ids.append
+        for row in rows:
+            if type(row) is not tuple or len(row) != 2:
+                return None
+            point, rid = row
+            if type(point) is not tuple or len(point) != dims or type(rid) is not int:
+                return None
+            extend(point)
+            add(rid)
+        try:
+            rids = pack(f"{len(ids)}q", *ids)
+        except struct.error:  # a rid past int64
+            return None
+    else:
+        return None
+    if not dims or set(map(type, flat)) != _FLOAT:
+        return None
+    return dims, pack(f"{len(flat)}d", *flat), rids
+
+
+_FLOAT = {float}
+
+
+def _image(lst: SoAList) -> "tuple[int, bytes, bytes | None] | None":
+    """:func:`_columns` of ``lst``, re-using the bytes of its last image.
+
+    Rows are immutable and compared by identity.  While the rows the last
+    image was written from lead the container as the same objects, their
+    bytes are kept and only the rows after them are written: none for an
+    eviction's re-image of a committed page, one for a commit after an
+    ``append``.  Any other change, a row swapped behind the mutators'
+    back included, writes every row again.
+    """
+    last = lst._image
+    if last is not None:
+        seen, cols = last
+        grown = len(lst) - len(seen)
+        if grown >= 0 and all(map(operator.is_, lst, seen)):
+            if not grown:
+                return cols
+            dims, coords, rids = cols
+            tail = _columns(lst[len(seen) :])
+            if tail is not None and tail[0] == dims and (tail[2] is None) == (rids is None):
+                cols = dims, coords + tail[1], None if rids is None else rids + tail[2]
+                lst._image = (tuple(lst), cols)
+                return cols
+    rows = tuple(lst)
+    cols = _columns(rows)
+    lst._image = None if cols is None else (rows, cols)
+    return cols
+
+
+def _restore_columns(dims: int, coords: bytes, rids: "bytes | None") -> SoAList:
+    """A packed container of the rows :func:`_columns` wrote.
+
+    Ragged columns, and an inverted interval on a stored box (the check
+    ``Rect.__init__`` makes), are a ``ValueError`` here: a bad image is
     refused by the load, not by whichever reader first asks for a row.
     """
-    width = 2 * dims
-    if dims < 1 or len(flat) % width:
-        raise ValueError(f"dimension mismatch: {len(flat)} coordinates, {dims} dims")
-    for axis in range(dims):
-        if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
-            raise ValueError(f"inverted interval on axis {axis} of a stored box")
-    out = list.__new__(_PackedBoxes)
-    out._views, out._flat = None, (dims, flat)
+    width = 2 * dims if rids is None else dims
+    ragged = rids is not None and len(rids) * width != len(coords)
+    if dims < 1 or not coords or len(coords) % (8 * width) or ragged:
+        raise ValueError(f"ragged columns: {len(coords)} coordinate bytes, {dims} dims")
+    if rids is None:
+        flat = memoryview(coords).cast("d")
+        for axis in range(dims):
+            if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
+                raise ValueError(f"inverted interval on axis {axis} of a stored box")
+    out = list.__new__(_Packed)
+    out._views, out._image = None, (None, (dims, coords, rids))
     return out
 
 
-class _PackedBoxes(SoAList):
-    """Box rows restored from a page image and not decoded yet.
+def _restore_boxes(dims: int, flat: tuple) -> SoAList:
+    """The rows of a box image written before the byte columns: one flat
+    tuple of coordinates, rebuilt as they were by the validating ``Rect``."""
+    width = 2 * dims
+    if dims < 1 or len(flat) % width:
+        raise ValueError(f"dimension mismatch: {len(flat)} coordinates, {dims} dims")
+    starts = range(0, len(flat), width)
+    return SoAList(Rect(flat[i : i + dims], flat[i + dims : i + width]) for i in starts)
 
-    Holds ``(dims, flat)`` and no rows.  ``len`` / ``bool``, the box views
-    (:func:`_box_rows`) and the pickle image are answered from the tuple;
-    the first call of anything in :data:`_DECODES` builds the rows once
-    and turns the object into a plain :class:`SoAList`, views kept — the
-    rows they describe did not change.  A traversal that reads a missed
-    page for its view and its child list never pays for rows, and no
-    mutator can run while packed.
+
+class _Packed(SoAList):
+    """Rows restored from a page image and not decoded yet.
+
+    ``_image`` is ``(None, columns)``: the columns of :func:`_columns`
+    and no rows.  ``len`` / ``bool``, the fused views
+    (:func:`fused_points`, :func:`fused_cover_boxes`,
+    :func:`fused_anti_boxes`) and the pickle image are answered from the
+    columns; the first call of anything in :data:`_DECODES` builds the
+    rows once and turns the object into a plain :class:`SoAList`, views
+    and image kept — the rows they describe did not change.  A traversal
+    that reads a missed page for its view and its child list never pays
+    for rows, and no mutator can run while packed.
     """
 
     __slots__ = ()  # one layout with SoAList: what __class__ assignment needs
 
     def __len__(self):
-        dims, flat = self._flat
-        return len(flat) // (2 * dims)
+        dims, coords, rids = self._image[1]
+        return len(coords) // (8 * dims if rids is not None else 16 * dims)
 
     def __reduce__(self):
         # No row exists, so there is none a caller could have changed.
-        return (_restore_boxes, self._flat)
+        return (_restore_columns, self._image[1])
 
     def _decode(self) -> None:
-        dims, flat = self._flat
-        make, width = Rect._make, 2 * dims
-        starts = range(0, len(flat), width)
-        list.extend(self, [make(flat[i : i + dims], flat[i + dims : i + width]) for i in starts])
-        self._flat = None
+        cols = self._image[1]
+        dims, coords, rids = cols
+        # Consecutive coordinate tuples; the boxes' lo and hi alternate,
+        # and map pulls its two arguments from the one iterator in turn.
+        tuples = zip(*[iter(memoryview(coords).cast("d").tolist())] * dims)
+        if rids is None:
+            rows = map(Rect._make, tuples, tuples)
+        else:
+            rows = zip(tuples, memoryview(rids).cast("q").tolist())
+        list.extend(self, rows)
         self.__class__ = SoAList
+        self._image = (tuple(self), cols)
 
 
 #: Every ``list`` / :class:`SoAList` method that needs rows: the readers,
@@ -275,7 +361,8 @@ def _decoding(name: str):
     after = getattr(SoAList, name, None)  # list has no __radd__ to hand over to
 
     def method(self, *args, **kwargs):
-        self._decode()
+        if type(self) is _Packed:  # else an argument (``lst[0]``) decoded it already
+            self._decode()
         # NotImplemented sends ``plain + packed`` on to list_concat, which
         # now finds the rows.
         return NotImplemented if after is None else after(self, *args, **kwargs)
@@ -284,7 +371,7 @@ def _decoding(name: str):
 
 
 for _name in _DECODES:
-    setattr(_PackedBoxes, _name, _decoding(_name))
+    setattr(_Packed, _name, _decoding(_name))
 
 
 class soa_field:
@@ -340,7 +427,11 @@ class soa_field:
 
 def fused_points(lst: "SoAList") -> np.ndarray:
     """``[-p, p]`` rows for a container of ``(point, rid)`` records."""
-    pts = np.array([rec[0] for rec in lst], dtype=float)
+    if type(lst) is _Packed:
+        dims, coords, _ = lst._image[1]
+        pts = np.frombuffer(coords).reshape(-1, dims)
+    else:
+        pts = np.array([rec[0] for rec in lst], dtype=float)
     return np.concatenate([-pts, pts], axis=1)
 
 
@@ -358,30 +449,36 @@ def fused_anti_values(lst: "SoAList") -> np.ndarray:
     return np.concatenate([-lo, hi], axis=1)
 
 
-def _box_rows(lst: "SoAList") -> "tuple[np.ndarray, int]":
-    """A fresh ``(n, 2d)`` array of ``[lo, hi]`` rows, and ``d``.
+def _signed_boxes(lst: "SoAList", lo: float) -> np.ndarray:
+    """``[lo * row.lo, -lo * row.hi]`` for every :class:`Rect` row.
 
-    Built from the flat coordinate tuple — the one a packed container is,
-    else one flattened from the rows here: both stores share this path.
+    A packed container multiplies its coordinate column in place of a
+    copy; rows are flattened here (plain lists build too).
     """
-    boxes = getattr(lst, "_flat", None) or _flatten_boxes(lst)  # plain lists build too
-    if boxes is None:
-        raise TypeError("box view of a container that is not all Rect rows")
-    dims, flat = boxes
-    return np.array(flat, dtype=float).reshape(-1, 2 * dims), dims
+    if type(lst) is _Packed:
+        dims, coords, _ = lst._image[1]
+        arr = np.frombuffer(coords).reshape(-1, 2 * dims)
+    else:
+        boxes = _flatten_boxes(lst)
+        if boxes is None:
+            raise TypeError("box view of a container that is not all Rect rows")
+        dims, flat = boxes
+        arr = np.array(flat, dtype=float).reshape(-1, 2 * dims)
+    return arr * _signs(dims, lo)
+
+
+@functools.lru_cache(maxsize=None)
+def _signs(dims: int, lo: float) -> np.ndarray:
+    signs = np.repeat((lo, -lo), dims)
+    signs.flags.writeable = False  # one array for every caller
+    return signs
 
 
 def fused_cover_boxes(lst: "SoAList") -> np.ndarray:
     """``[lo, -hi]`` rows for a container of :class:`Rect` (isect/encl)."""
-    arr, dims = _box_rows(lst)
-    hi = arr[:, dims:]
-    np.negative(hi, out=hi)
-    return arr
+    return _signed_boxes(lst, 1.0)
 
 
 def fused_anti_boxes(lst: "SoAList") -> np.ndarray:
     """``[-lo, hi]`` rows for a container of :class:`Rect` (containment)."""
-    arr, dims = _box_rows(lst)
-    lo = arr[:, :dims]
-    np.negative(lo, out=lo)
-    return arr
+    return _signed_boxes(lst, -1.0)

@@ -481,8 +481,8 @@ class TestMissPath:
         WriteBarrier(store)
         a, b, *rest = cold
         store.begin_operation()
-        for pid in (a, b):  # off disk: each carries the flat it was decoded from
-            assert store.read(pid).rects._flat is not None
+        for pid in (a, b):  # off disk: each still packed, columns and no rows
+            assert store.read(pid).rects._image[0] is None
             assert store.pool.pages[pid].on_disk  # a current slot: eviction would drop it
         store.read(a).rects[0] = Rect((0.0, 0.0), (0.5, 0.5))  # no store.write(a)
         store.read(b).rects.append(Rect((0.1, 0.1), (0.2, 0.2)))  # nor store.write(b)
@@ -567,3 +567,102 @@ def test_snapshot_and_restore_method(tmp_path):
     clone = restore_method(store, blob)
     assert sorted(clone.iter_records()) == sorted(grid.iter_records())
     clone.audit()
+
+
+# -- images written before the byte columns ----------------------------------
+
+
+def _parent_reduce(self):
+    """``SoAList.__reduce__`` as it was before the byte columns: Rect rows
+    of one dimensionality as ``(dims, flat tuple)``, every other row
+    shape (``(point, rid)`` records included) as the list."""
+    from repro.storage.soa import SoAList, _restore_boxes
+
+    rows = list(self)
+    if rows and type(rows[0]) is Rect and rows[0].dims:
+        dims = rows[0].dims
+        if all(type(r) is Rect and r.dims == dims for r in rows):
+            return (_restore_boxes, (dims, tuple(c for r in rows for c in r.lo + r.hi)))
+    return (SoAList, (rows,))
+
+
+class TestParentImages:
+    """A store written before the byte columns reopens, recovers and
+    answers exactly as one written with them; its pages then take the
+    new images."""
+
+    @staticmethod
+    def _crashed_store(path, cls, data, reduce, monkeypatch):
+        """Build, close, reopen, insert more, commit, crash: the slots and
+        the WAL both hold images made by ``reduce``."""
+        from repro.storage.soa import SoAList
+
+        with monkeypatch.context() as m:
+            m.setattr(SoAList, "__reduce__", reduce)
+            store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
+            am = cls(store)
+            for rid, item in enumerate(data[:250]):
+                am.insert(item, rid)
+            store.commit(meta=snapshot_method(am))
+            store.close()
+            store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
+            am = restore_method(store, store.meta_blob)
+            for rid, item in enumerate(data[250:], 250):
+                am.insert(item, rid)
+            store.commit(meta=snapshot_method(am))
+            store._wal.close()  # a crash: no checkpoint
+            store._pagefile.close()
+
+    def test_a_parent_store_recovers_and_answers_alike(self, tmp_path, monkeypatch):
+        from repro.core.comparison import query_files
+        from repro.pam.twolevelgrid import TwoLevelGridFile
+        from repro.query.driver import run_query_file
+        from repro.sam.rtree import RTree
+        from repro.storage.soa import SoAList
+        from tests.conftest import make_points, make_rects
+
+        rects, points = make_rects(300, seed=3), make_points(300, seed=4)
+        for kind, cls, data in (("sam", RTree, rects), ("pam", TwoLevelGridFile, points)):
+            answers = {}
+            for name, reduce in (("parent", _parent_reduce), ("columns", SoAList.__reduce__)):
+                path = tmp_path / kind / name
+                self._crashed_store(path, cls, data, reduce, monkeypatch)
+                log = WriteAheadLog(path / "wal.log", OsFileIO())
+                wal = b"".join(r.fields[2] for r in log.replay()[0] if r.kind == "page")
+                log.close()
+                store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
+                assert store.recovered
+                slots = b"".join(store._pagefile.read_slot(p)[1] for p in store.page_ids())
+                for image in (wal, slots):
+                    assert (b"_restore_columns" in image) == (name == "columns")
+                    assert (b"_restore_boxes" in image) == ((name, kind) == ("parent", "sam"))
+                am = restore_method(store, store.meta_blob)
+                answers[name] = [
+                    run_query_file(am, qkind, queries, op)
+                    for _, qkind, queries, op in query_files(kind, am)
+                ]
+                if name == "parent":
+                    parent = store, am
+                else:
+                    store.close()
+            # Results and charged counts, query by query.
+            assert answers["parent"] == answers["columns"]
+            store, am = parent
+            # Read and decode every row, write through the decoded pages, let
+            # the clock evict them (a WAL-only victim is re-imaged and compared
+            # with its committed image), then checkpoint (which re-images every
+            # WAL-only page and refuses one that drifted).
+            want = sorted(((item, rid) for rid, item in enumerate(data)), key=repr)
+            assert sorted(am.iter_records(), key=repr) == want
+            for rid, item in enumerate(data[:40], len(data)):
+                am.insert(item, rid)
+                want.append((item, rid))
+            for pid in store.page_ids():
+                store.begin_operation()
+                store.read(pid)
+            store.checkpoint()
+            assert store.pool.silent_dirty == 0 and store.pool.evictions
+            slots = b"".join(store._pagefile.read_slot(p)[1] for p in store.page_ids())
+            assert b"_restore_columns" in slots
+            assert sorted(am.iter_records(), key=repr) == sorted(want, key=repr)
+            store.close()
