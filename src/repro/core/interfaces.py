@@ -73,27 +73,32 @@ class _AccessMethodBase(abc.ABC):
     # -- structural verification ------------------------------------------
 
     def iter_records(self):
-        """Yield every stored ``(key, rid)`` pair by walking the pages.
+        """Yield every stored ``(key, rid)`` pair, uncharged.
 
-        Each structure overrides this with an uncharged walk of its own
-        page layout (via :meth:`PageStore.peek`); redundant schemes
-        (packed BUDDY, clipping) deduplicate so every logical record is
-        yielded exactly once.  The default refuses, so a structure
-        without a walk cannot silently pass a record-count audit.
+        The one record walk: the ``entries`` of the data views of
+        :meth:`_snapshot_pages`, page by page in walk order.  A shared
+        (packed BUDDY) page is walked once, so its records come once.
+        Two kinds of structure override it: one that stores an object
+        more than once (clipping, R+) keeps the first copy of each rid,
+        and the transformation SAM maps its stored points back to
+        rectangles.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement iter_records()"
-        )
+        for view in self._snapshot_pages():
+            if view.kind == "data":
+                yield from view.entries
 
     def _snapshot_pages(self):
         """Yield a :class:`~repro.obs.structure.PageView` per live page.
 
         Each structure overrides this with an uncharged walk of its own
-        page layout (via :meth:`PageStore.peek`); snapshots, explain and
-        the auditors all read it (the auditors through
-        :func:`repro.verify.invariants.check_walk`).  Shared pages
-        (packed BUDDY) are yielded exactly once.  The default refuses, so a structure without a
-        walk cannot silently return an empty snapshot.
+        page layout (via :meth:`PageStore.peek`); snapshots, explain,
+        :meth:`iter_records` and the auditors all read it (the auditors
+        through :func:`repro.verify.invariants.check_walk`).  A data
+        page's view carries the ``(key, rid)`` entries it stores
+        (:meth:`PageView.data <repro.obs.structure.PageView.data>`).
+        Shared pages (packed BUDDY) are yielded exactly once.  The
+        default refuses, so a structure without a walk cannot silently
+        return an empty snapshot or no records.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement _snapshot_pages()"

@@ -76,12 +76,12 @@ def load(path: str, schema: str | None = None) -> dict:
 def _report(args: argparse.Namespace) -> int:
     old = RunReport.from_dict(load(args.old, RUN_REPORT_SCHEMA))
     if args.new is None:
-        print(old.render(args.format))
+        print(old.render())
         return 0
     new = RunReport.from_dict(load(args.new, RUN_REPORT_SCHEMA))
     print(f"diff: {args.old} -> {args.new}")
     rows = diff_reports(old, new)
-    print(format_diff(rows, args.fail_threshold, args.format))
+    print(format_diff(rows, args.fail_threshold))
     if args.fail_threshold is not None and any(
         row["delta_pct"] > args.fail_threshold for row in rows
     ):
@@ -131,12 +131,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PCT",
         help="with two reports: exit 2 if any query mean regressed more than PCT%%",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "markdown"),
-        default="text",
-        help="table style for render and diff output",
     )
     p.set_defaults(run=_report)
 

@@ -12,8 +12,9 @@ chains the store's existing observer (usually the
 stream that feeds :class:`~repro.core.stats.AccessStats` — the charged
 events of a query's trace therefore sum bit-identically to the measured
 cost of that query, and :meth:`ExplainRecorder.end_file` asserts it.
-Candidate/hit counts are computed after the fact from uncharged page
-peeks, so explaining a run never changes its access statistics.
+Candidate/hit counts are computed after the fact from the entries of
+the structure's uncharged page walk (``_snapshot_pages()``), so
+explaining a run never changes its access statistics.
 
 The trace document (schema ``repro.obs/explain/v1``) is rendered by
 ``python -m repro.obs explain`` as an ASCII descent tree or a per-page
@@ -37,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EXPLAIN_SCHEMA",
     "ExplainRecorder",
-    "data_page_entries",
     "page_heatmap",
     "render_heatmap",
     "render_trace",
@@ -115,27 +115,6 @@ class _Collector:
         out = self.events
         self.events = []
         return out
-
-
-def data_page_entries(obj) -> list | None:
-    """The ``(geometry, rid)`` entries stored on a data page, or ``None``.
-
-    Covers every leaf shape in the repro: plain record pages
-    (``.records``), B+-tree leaves (``.keys``/``.values``), R+-tree
-    leaves (``.rects``/``.rids``) and R-tree leaves
-    (``.rects``/``.children``).
-    """
-    if obj is None:
-        return None
-    if hasattr(obj, "records"):
-        return list(obj.records)
-    if hasattr(obj, "keys") and hasattr(obj, "values"):
-        return list(obj.values)
-    if hasattr(obj, "rids") and hasattr(obj, "rects"):
-        return list(zip(obj.rects, obj.rids))
-    if hasattr(obj, "children") and hasattr(obj, "rects"):
-        return list(zip(obj.rects, obj.children))
-    return None
 
 
 def _query_rect(method, kind: str, query) -> Rect:
@@ -231,14 +210,11 @@ class ExplainRecorder:
 
         pages = list(method._snapshot_pages())
         parents = page_parents(pages)
-        children = {p.pid: p.children for p in pages}
-        depths = {p.pid: p.depth for p in pages}
+        views = {p.pid: p for p in pages}
 
         queries = []
         for record in records:
-            queries.append(
-                self._finalise(method, kind, record, parents, children, depths)
-            )
+            queries.append(self._finalise(method, kind, record, parents, views))
         self.files.append(
             {"label": self.label or kind, "kind": kind, "queries": queries}
         )
@@ -247,7 +223,7 @@ class ExplainRecorder:
     # -- finalisation ------------------------------------------------------
 
     def _finalise(
-        self, method, kind: str, record: _QueryRecord, parents, children, depths
+        self, method, kind: str, record: _QueryRecord, parents, views
     ) -> dict:
         stats = AccessStats()
         visits: dict[int, dict] = {}
@@ -286,27 +262,25 @@ class ExplainRecorder:
         qrect = _query_rect(method, kind, record.query)
         candidates_total = 0
         hits_total = 0
-        store = method.store
         page_list = []
         for visit in sorted(visits.values(), key=lambda v: v["order"]):
             pid = visit["pid"]
             parent = parents.get(pid)
             visit["parent"] = parent if parent in visits else None
-            if pid in depths:
-                visit["depth"] = depths[pid]
-            if visit["kind"] == "data":
-                entries = data_page_entries(store.peek(pid))
-                if entries is not None:
-                    visit["candidates"] = len(entries)
-                    visit["hits"] = _page_hits(method, kind, entries, qrect)
-                    candidates_total += visit["candidates"]
-                    hits_total += visit["hits"]
-            elif pid in children:
-                visit["pruned_children"] = sum(
-                    1 for child in children[pid] if child not in visits
-                )
+            view = views.get(pid)
             # Pages outside the snapshot graph (e.g. freed during the
             # walk window) keep only their access counters.
+            if view is not None:
+                visit["depth"] = view.depth
+                if visit["kind"] == "data":
+                    visit["candidates"] = len(view.entries)
+                    visit["hits"] = _page_hits(method, kind, view.entries, qrect)
+                    candidates_total += visit["candidates"]
+                    hits_total += visit["hits"]
+                else:
+                    visit["pruned_children"] = sum(
+                        1 for child in view.children if child not in visits
+                    )
             page_list.append(visit)
 
         return {

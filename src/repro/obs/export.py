@@ -197,93 +197,10 @@ class RunReport:
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self, fmt: str = "text") -> str:
-        """Human-readable summary: one block per structure.
-
-        ``fmt="markdown"`` emits a pasteable pipe table instead of the
-        fixed-width layout.
-        """
-        if fmt == "markdown":
-            return self._render_markdown()
-        return self._render_text()
-
-    def _render_markdown(self) -> str:
-        lines = [
-            f"**{self.label}** ({self.kind}, {self.scale} records, "
-            f"{self.page_size} B pages, schema `{self.schema}`)",
-            "",
-            "| structure | op | ops | mean | p50 | p90 | p99 | max "
-            "| charged | free | results | seconds |",
-            "| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: "
-            "| ---: | ---: | ---: | ---: |",
-        ]
-        for name, entry in self.structures.items():
-            build = entry.get("build", {})
-            hist = build.get("accesses_per_insert")
-            if hist:
-                charged, free = _touch_pair(build.get("ops", {}).get("insert"))
-                lines.append(
-                    f"| {name} | insert | {hist['count']} | {hist['mean']:.2f} "
-                    f"| {hist['p50']:.0f} | {hist['p90']:.0f} "
-                    f"| {hist['p99']:.0f} | {hist['max']:.0f} "
-                    f"| {charged} | {free} | - "
-                    f"| {build.get('seconds', 0.0):.3f} |"
-                )
-            for label, q in entry.get("queries", {}).items():
-                h = q["accesses"]
-                charged, free = _touch_pair(q.get("touches"))
-                lines.append(
-                    f"| {name} | {label} | {h['count']} | {h['mean']:.2f} "
-                    f"| {h['p50']:.0f} | {h['p90']:.0f} | {h['p99']:.0f} "
-                    f"| {h['max']:.0f} | {charged} | {free} "
-                    f"| {q.get('results', 0)} "
-                    f"| {q.get('seconds', 0.0):.3f} |"
-                )
-        redundancy = self.redundancy_metrics()
-        if redundancy:
-            lines += [
-                "",
-                "| structure | duplication | overlap | dead space "
-                "| coverage | utilisation |",
-                "| --- | ---: | ---: | ---: | ---: | ---: |",
-            ]
-            for name, red in redundancy.items():
-                lines.append(
-                    f"| {name} | {red.get('duplication_factor', 0.0):.3f} "
-                    f"| {red.get('overlap_volume', 0.0):.4f} "
-                    f"| {red.get('dead_space', 0.0):.4f} "
-                    f"| {red.get('coverage', 0.0):.4f} "
-                    f"| {red.get('utilisation', 0.0):.3f} |"
-                )
-        storage_rows = [
-            (name, entry["storage"])
-            for name, entry in self.structures.items()
-            if isinstance(entry.get("storage"), Mapping)
-        ]
-        if storage_rows:
-            lines += [
-                "",
-                "| structure | backend | hit rate | evictions | reads "
-                "| writes | wal bytes | commits | write amp |",
-                "| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: "
-                "| ---: |",
-            ]
-            for name, st in storage_rows:
-                pool = st.get("pool", {})
-                pagefile = st.get("pagefile", {})
-                lines.append(
-                    f"| {name} | {st.get('backend', '?')} "
-                    f"| {pool.get('hit_rate', 0.0):.4f} "
-                    f"| {pool.get('evictions', 0)} "
-                    f"| {pagefile.get('reads', 0)} "
-                    f"| {pagefile.get('writes', 0)} "
-                    f"| {st.get('wal', {}).get('bytes', 0)} "
-                    f"| {st.get('commits', 0)} "
-                    f"| {st.get('write_amplification', 0.0):.2f} |"
-                )
-        return "\n".join(lines)
-
-    def _render_text(self) -> str:
+    def render(self) -> str:
+        """Human-readable summary: one block per structure, with its
+        redundancy, storage and per-op cost rows (charged and free page
+        touches, results and wall seconds)."""
         lines = [
             f"run report: {self.label} ({self.kind}, {self.scale} records, "
             f"{self.page_size} B pages, schema {self.schema})"
@@ -336,7 +253,7 @@ class RunReport:
                     + _histogram_row(
                         "insert", hist, build.get("ops", {}).get("insert")
                     )
-                    + f"{build.get('seconds', 0.0):>10.3f}s"
+                    + f"{'-':>9s}{build.get('seconds', 0.0):>10.3f}s"
                 )
             queries = entry.get("queries", {})
             if queries:
@@ -344,12 +261,14 @@ class RunReport:
                     f"  queries {'op':14s}{'ops':>7s}{'mean':>9s}"
                     f"{'p50':>7s}{'p90':>7s}{'p99':>7s}{'max':>7s}"
                     f"{'charged':>10s}{'free':>9s}{'results':>9s}"
+                    f"{'seconds':>11s}"
                 )
             for label, q in queries.items():
                 lines.append(
                     "          "
                     + _histogram_row(label, q["accesses"], q.get("touches"))
                     + f"{q.get('results', 0):>9d}"
+                    + f"{q.get('seconds', 0.0):>10.3f}s"
                 )
         return "\n".join(lines)
 

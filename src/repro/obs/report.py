@@ -53,29 +53,8 @@ def diff_reports(old: RunReport, new: RunReport) -> list[dict]:
     return rows
 
 
-def format_diff(
-    rows: list[dict], threshold: float | None = None, fmt: str = "text"
-) -> str:
-    """Render a diff table; rows past ``threshold`` %% are flagged.
-
-    ``fmt="markdown"`` emits a pipe table ready to paste into a PR.
-    """
-    if fmt == "markdown":
-        lines = [
-            "| structure | query | old | new | delta |",
-            "| --- | --- | ---: | ---: | ---: |",
-        ]
-        for row in rows:
-            flag = (
-                " **REGRESSION**"
-                if threshold is not None and row["delta_pct"] > threshold
-                else ""
-            )
-            lines.append(
-                f"| {row['structure']} | {row['label']} | {row['old']:.2f} "
-                f"| {row['new']:.2f} | {row['delta_pct']:+.1f}%{flag} |"
-            )
-        return "\n".join(lines)
+def format_diff(rows: list[dict], threshold: float | None = None) -> str:
+    """Render a diff table; rows past ``threshold`` %% are flagged."""
     lines = [
         f"{'structure':12s}{'query':14s}{'old':>10s}{'new':>10s}{'delta':>9s}"
     ]

@@ -8,10 +8,11 @@ of sibling directory regions, dead space inside data-page regions, and
 per-level storage utilisation.
 
 Every structure contributes a ``_snapshot_pages()`` walk yielding
-:class:`PageView` records: the one page model of the repro.  Snapshots,
-explain traces and the invariant auditors all read it — the auditors
-through :func:`repro.verify.invariants.check_walk`, which holds each
-walk to the store (every live page exactly once, with the kind the
+:class:`PageView` records: the one page model of the repro.  A data
+page's view carries the ``(key, rid)`` entries it stores.  Snapshots,
+explain traces, ``iter_records()`` and the invariant auditors all read
+it — the auditors through :func:`repro.verify.invariants.check_walk`,
+which holds each walk to the store (every live page exactly once, with the kind the
 store records) and checks capacity, nesting and balance on the views.
 The walk uses only the page store's uncharged audit accessors
 (:meth:`~repro.storage.pagestore.PageStore.peek` and friends), so taking
@@ -84,8 +85,11 @@ class PageView:
     entries on a directory page.  ``capacity`` is the page's entry
     budget, or 0 for byte-budget pages with no fixed slot count.
     ``entry_regions`` are the per-entry regions stored *in* a directory
-    page (used for sibling-overlap accounting); ``content`` is the MBR
-    of a data page's stored records.
+    page (used for sibling-overlap accounting).  ``entries`` are the
+    ``(key, rid)`` rows a data page stores, taken from the page when
+    the view is built (the page's own sequence where it has one); a
+    data view is made by :meth:`data`, which counts ``records`` from
+    them, and :attr:`content` is their MBR.
     """
 
     pid: int
@@ -96,7 +100,30 @@ class PageView:
     capacity: int
     children: tuple[int, ...] = ()
     entry_regions: tuple[Rect, ...] = ()
-    content: Rect | None = None
+    entries: Sequence = ()
+
+    @classmethod
+    def data(
+        cls,
+        pid: int,
+        depth: int,
+        regions: tuple[Rect, ...],
+        capacity: int,
+        entries: Sequence,
+    ) -> "PageView":
+        """The view of a data page storing the ``(key, rid)`` ``entries``."""
+        return cls(pid, "data", depth, regions, len(entries), capacity, entries=entries)
+
+    @property
+    def content(self) -> Rect | None:
+        """MBR of the stored keys (points or rectangles); ``None`` when
+        the page stores nothing or is a directory page."""
+        if not self.entries:
+            return None
+        keys = [key for key, _ in self.entries]
+        if isinstance(keys[0], Rect):
+            return Rect.bounding(keys)
+        return Rect.bounding_points(keys)
 
 
 def _occupancy_bucket(records: int, capacity: int) -> str:
@@ -215,8 +242,9 @@ def compute_snapshot(am: "_AccessMethodBase") -> dict:
             continue
         vol = sum(_rect_volume(r) for r in page.regions)
         coverage += vol
-        if page.content is not None:
-            dead += max(0.0, vol - _rect_volume(page.content))
+        content = page.content
+        if content is not None:
+            dead += max(0.0, vol - _rect_volume(content))
         elif page.records == 0:
             dead += vol
     slots = sum(p.capacity for p in data_pages)

@@ -160,17 +160,6 @@ class BangFile(PointAccessMethod):
         """Number of directory levels (the tree is balanced)."""
         return self._height
 
-    def iter_records(self):
-        """Uncharged walk of every record via the directory tree."""
-        stack = [self._root_pid]
-        while stack:
-            node: _DirNode = self.store.peek(stack.pop())
-            for entry in node.entries:
-                if node.is_leaf:
-                    yield from self.store.peek(entry.pid).records
-                else:
-                    stack.append(entry.pid)
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -204,18 +193,8 @@ class BangFile(PointAccessMethod):
             for e in node.entries:
                 if node.is_leaf:
                     page: _DataPage = self.store.peek(e.pid)
-                    yield PageView(
-                        pid=e.pid,
-                        kind="data",
-                        depth=depth + 1,
-                        regions=(region_of(e),),
-                        records=len(page.records),
-                        capacity=self._capacity,
-                        content=(
-                            Rect.bounding_points([p for p, _ in page.records])
-                            if page.records
-                            else None
-                        ),
+                    yield PageView.data(
+                        e.pid, depth + 1, (region_of(e),), self._capacity, page.records
                     )
                 else:
                     queue.append((e.pid, depth + 1))

@@ -159,20 +159,6 @@ class BuddyTree(PointAccessMethod):
         """True once :meth:`pack` has turned the file into BUDDY+."""
         return self._packed
 
-    def iter_records(self):
-        """Uncharged walk of every record; shared (packed) pages once."""
-        seen: set[int] = set()
-        stack = [(self._root_pid, self._root_is_data)]
-        while stack:
-            pid, is_data = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            if is_data:
-                yield from self.store.peek(pid).records
-            else:
-                stack.extend((e.pid, e.is_data) for e in self.store.peek(pid).entries)
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -183,19 +169,7 @@ class BuddyTree(PointAccessMethod):
 
         if self._root_is_data:
             page = self.store.peek(self._root_pid)
-            yield PageView(
-                pid=self._root_pid,
-                kind="data",
-                depth=0,
-                regions=(),
-                records=len(page.records),
-                capacity=self._capacity,
-                content=(
-                    Rect.bounding_points([p for p, _ in page.records])
-                    if page.records
-                    else None
-                ),
-            )
+            yield PageView.data(self._root_pid, 0, (), self._capacity, page.records)
             return
         queue: list[tuple[int, int, Rect | None]] = [(self._root_pid, 0, None)]
         data_order: list[int] = []
@@ -226,19 +200,7 @@ class BuddyTree(PointAccessMethod):
         for pid in data_order:
             depth, rects = data_owned[pid]
             page = self.store.peek(pid)
-            yield PageView(
-                pid=pid,
-                kind="data",
-                depth=depth,
-                regions=tuple(rects),
-                records=len(page.records),
-                capacity=self._capacity,
-                content=(
-                    Rect.bounding_points([p for p, _ in page.records])
-                    if page.records
-                    else None
-                ),
-            )
+            yield PageView.data(pid, depth, tuple(rects), self._capacity, page.records)
 
     # -- insertion -------------------------------------------------------------
 

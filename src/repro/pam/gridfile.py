@@ -369,11 +369,6 @@ class GridFile(PointAccessMethod):
     def record_capacity(self) -> int:
         return self._capacity
 
-    def iter_records(self):
-        """Uncharged walk of every record over the page boxes."""
-        for pid in self._layer.boxes:
-            yield from self.store.peek(pid).records
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
         from repro.obs.structure import PageView
@@ -399,18 +394,8 @@ class GridFile(PointAccessMethod):
             )
         for pid in self._layer.boxes:
             page: _DataPage = self.store.peek(pid)
-            yield PageView(
-                pid=pid,
-                kind="data",
-                depth=1,
-                regions=(self._layer.box_rect(pid),),
-                records=len(page.records),
-                capacity=self._capacity,
-                content=(
-                    Rect.bounding_points([p for p, _ in page.records])
-                    if page.records
-                    else None
-                ),
+            yield PageView.data(
+                pid, 1, (self._layer.box_rect(pid),), self._capacity, page.records
             )
 
     def _sync_directory_pages(self) -> None:

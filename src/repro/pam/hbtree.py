@@ -177,24 +177,6 @@ class HBTree(PointAccessMethod):
 
         return depth(self._root_pid, False)
 
-    def iter_records(self):
-        """Uncharged walk of every record (the directory is a graph, so
-        data pages reached through several parents are read once)."""
-        seen: set[int] = set()
-        stack = [(self._root_pid, self._root_is_data)]
-        while stack:
-            pid, is_data = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            if is_data:
-                yield from self.store.peek(pid).records
-            else:
-                node: _IndexNode = self.store.peek(pid)
-                stack.extend(
-                    (leaf.pid, leaf.is_data) for leaf in self._kd_leaves(node.kd)
-                )
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -206,15 +188,7 @@ class HBTree(PointAccessMethod):
 
         if self._root_is_data:
             page = self.store.peek(self._root_pid)
-            yield PageView(
-                pid=self._root_pid,
-                kind="data",
-                depth=0,
-                regions=(),
-                records=len(page.records),
-                capacity=self._capacity,
-                content=page.mbr(),
-            )
+            yield PageView.data(self._root_pid, 0, (), self._capacity, page.records)
             return
         queue: list[tuple[int, int]] = [(self._root_pid, 0)]
         seen_index: set[int] = set([self._root_pid])
@@ -251,15 +225,7 @@ class HBTree(PointAccessMethod):
         for pid in data_order:
             depth, rects = data_owned[pid]
             page = self.store.peek(pid)
-            yield PageView(
-                pid=pid,
-                kind="data",
-                depth=depth,
-                regions=tuple(rects),
-                records=len(page.records),
-                capacity=self._capacity,
-                content=page.mbr(),
-            )
+            yield PageView.data(pid, depth, tuple(rects), self._capacity, page.records)
 
     # -- kd-tree helpers -------------------------------------------------------
 

@@ -77,17 +77,6 @@ class KdBTree(PointAccessMethod):
         """Region-page levels above the point pages (uniform: balanced)."""
         return self._height
 
-    def iter_records(self):
-        """Uncharged walk of every record through the region pages."""
-        stack = [(self._root_pid, self._root_is_leaf)]
-        while stack:
-            pid, is_leaf = stack.pop()
-            if is_leaf:
-                yield from self.store.peek(pid).records
-            else:
-                node: _RegionPage = self.store.peek(pid)
-                stack.extend((child, node.leaf_children) for child in node.pids)
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
         from repro.obs.structure import PageView
@@ -101,19 +90,7 @@ class KdBTree(PointAccessMethod):
             i += 1
             if is_leaf:
                 page: _PointPage = self.store.peek(pid)
-                yield PageView(
-                    pid=pid,
-                    kind="data",
-                    depth=depth,
-                    regions=(region,),
-                    records=len(page.records),
-                    capacity=self._capacity,
-                    content=(
-                        Rect.bounding_points([p for p, _ in page.records])
-                        if page.records
-                        else None
-                    ),
-                )
+                yield PageView.data(pid, depth, (region,), self._capacity, page.records)
                 continue
             node: _RegionPage = self.store.peek(pid)
             yield PageView(

@@ -131,12 +131,6 @@ class _PlopGrid:
         while self._records > _EXPANSION_LOAD * self._pages * self.capacity:
             self._partial_expansion()
 
-    def iter_all(self):
-        """Every stored record over all bucket chains, uncharged."""
-        for bucket in self.buckets.values():
-            for pid in bucket.chain:
-                yield from self.store.peek(pid).records
-
     def read_chain(self, idx: tuple[int, ...]) -> list[tuple]:
         """All records of one bucket, charging every page of the chain."""
         records: list[tuple] = []
@@ -238,7 +232,7 @@ class _PlopGrid:
         return (lo + hi) / 2.0
 
 
-def snapshot_plop_pages(grid: _PlopGrid, content_of=None):
+def snapshot_plop_pages(grid: _PlopGrid):
     """Uncharged :class:`~repro.obs.structure.PageView` walk of a PLOP grid.
 
     Shared by the PAM and the overlapping-regions SAM.  Every page is a
@@ -254,14 +248,12 @@ def snapshot_plop_pages(grid: _PlopGrid, content_of=None):
         region = Rect(lo, hi)
         for position, pid in enumerate(bucket.chain):
             page: _PlopPage = grid.store.peek(pid)
-            yield PageView(
-                pid=pid,
-                kind="data",
-                depth=position,
-                regions=(region,) if position == 0 else (),
-                records=len(page.records),
-                capacity=grid.capacity,
-                content=content_of(page.records) if content_of else None,
+            yield PageView.data(
+                pid,
+                position,
+                (region,) if position == 0 else (),
+                grid.capacity,
+                page.records,
             )
 
 
@@ -282,19 +274,9 @@ class PlopHashing(PointAccessMethod):
         """PLOP has no directory; addresses are computed arithmetically."""
         return 0
 
-    def iter_records(self):
-        """Uncharged walk of every record over the bucket chains."""
-        return self._grid.iter_all()
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
-
-        def content_of(records):
-            if not records:
-                return None
-            return Rect.bounding_points([p for p, _ in records])
-
-        yield from snapshot_plop_pages(self._grid, content_of)
+        yield from snapshot_plop_pages(self._grid)
 
     def _insert(self, point: tuple[float, ...], rid: object) -> None:
         self._grid.insert((point, rid))

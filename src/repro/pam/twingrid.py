@@ -59,12 +59,6 @@ class TwinGridFile(PointAccessMethod):
         """One level per grid file; both are searched."""
         return 2
 
-    def iter_records(self):
-        """Uncharged walk over both grids' page boxes."""
-        for layer in self._layers:
-            for pid in layer.boxes:
-                yield from self.store.peek(pid).records
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -95,18 +89,12 @@ class TwinGridFile(PointAccessMethod):
                 )
             for pid in layer.boxes:
                 page: _DataPage = self.store.peek(pid)
-                yield PageView(
-                    pid=pid,
-                    kind="data",
-                    depth=2 * layer_index + 1,
-                    regions=(layer.box_rect(pid),),
-                    records=len(page.records),
-                    capacity=self._capacity,
-                    content=(
-                        Rect.bounding_points([p for p, _ in page.records])
-                        if page.records
-                        else None
-                    ),
+                yield PageView.data(
+                    pid,
+                    2 * layer_index + 1,
+                    (layer.box_rect(pid),),
+                    self._capacity,
+                    page.records,
                 )
 
     def _sync_directory_pages(self, layer_index: int) -> None:

@@ -85,13 +85,6 @@ class TwoLevelGridFile(PointAccessMethod):
         """Table metrics; pinned pages are the in-core first level."""
         return replace(super().metrics(), pinned_pages=self.first_level_pages)
 
-    def iter_records(self):
-        """Uncharged walk: first level, subgrids, data pages."""
-        for spid in self._root.boxes:
-            subgrid: _SubGrid = self.store.peek(spid)
-            for dpid in subgrid.layer.boxes:
-                yield from self.store.peek(dpid).records
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -115,18 +108,8 @@ class TwoLevelGridFile(PointAccessMethod):
             )
             for dpid in layer.boxes:
                 page: _DataPage = self.store.peek(dpid)
-                yield PageView(
-                    pid=dpid,
-                    kind="data",
-                    depth=1,
-                    regions=(layer.box_rect(dpid),),
-                    records=len(page.records),
-                    capacity=self._capacity,
-                    content=(
-                        Rect.bounding_points([p for p, _ in page.records])
-                        if page.records
-                        else None
-                    ),
+                yield PageView.data(
+                    dpid, 1, (layer.box_rect(dpid),), self._capacity, page.records
                 )
 
     # -- operations --------------------------------------------------------

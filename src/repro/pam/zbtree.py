@@ -153,18 +153,6 @@ class _BPlusTree:
 
     # -- scans ------------------------------------------------------------
 
-    def iter_items(self) -> Iterator[tuple]:
-        """Every ``(key, value)`` pair along the leaf chain, uncharged."""
-        pid, is_leaf = self.root_pid, self.root_is_leaf
-        while not is_leaf:
-            node: _Inner = self.store.peek(pid)
-            pid = node.pids[0]
-            is_leaf = self.store.kind(pid) is PageKind.DATA
-        while pid is not None:
-            leaf: _Leaf = self.store.peek(pid)
-            yield from zip(leaf.keys, leaf.values)
-            pid = leaf.next_pid
-
     def _leaf_for(self, key) -> int:
         pid, is_leaf = self.root_pid, self.root_is_leaf
         while not is_leaf:
@@ -215,12 +203,13 @@ class _BPlusTree:
         return out
 
 
-def snapshot_bplus_pages(tree: _BPlusTree, content_of=None):
+def snapshot_bplus_pages(tree: _BPlusTree):
     """Uncharged :class:`~repro.obs.structure.PageView` walk of a B+-tree.
 
     Shared by every structure built on :class:`_BPlusTree` (the z-order
     PAM and the clipping SAM).  B+-tree pages have no geometric regions;
-    ``content_of(leaf)`` may supply a data-page content MBR.
+    a leaf's entries are its values, the ``(key, rid)`` records stored
+    under its z-value keys.
     """
     from repro.obs.structure import PageView
 
@@ -231,15 +220,7 @@ def snapshot_bplus_pages(tree: _BPlusTree, content_of=None):
         i += 1
         if is_leaf:
             leaf: _Leaf = tree.store.peek(pid)
-            yield PageView(
-                pid=pid,
-                kind="data",
-                depth=depth,
-                regions=(),
-                records=len(leaf.keys),
-                capacity=tree.leaf_capacity,
-                content=content_of(leaf) if content_of else None,
-            )
+            yield PageView.data(pid, depth, (), tree.leaf_capacity, leaf.values)
             continue
         node: _Inner = tree.store.peek(pid)
         yield PageView(
@@ -285,20 +266,9 @@ class ZOrderBTree(PointAccessMethod):
     def directory_height(self) -> int:
         return self._tree.height
 
-    def iter_records(self):
-        """Uncharged walk of every record along the leaf chain."""
-        for _, (point, rid) in self._tree.iter_items():
-            yield point, rid
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
-
-        def content_of(leaf: _Leaf):
-            if not leaf.values:
-                return None
-            return Rect.bounding_points([point for point, _ in leaf.values])
-
-        yield from snapshot_bplus_pages(self._tree, content_of)
+        yield from snapshot_bplus_pages(self._tree)
 
     def _z(self, point: tuple[float, ...]) -> int:
         return z_value(point, self.dims, Z_BITS_PER_AXIS)

@@ -81,10 +81,10 @@ class ClippingSAM(SpatialAccessMethod):
         return self._region_entries
 
     def iter_records(self):
-        """Uncharged walk yielding one ``(rect, rid)`` per distinct rid
+        """One ``(rect, rid)`` per distinct rid of the shared walk
         (each rid is stored under up to ``redundancy`` z-region keys)."""
         seen: set[object] = set()
-        for _, (rect, rid) in self._tree.iter_items():
+        for rect, rid in super().iter_records():
             if rid not in seen:
                 seen.add(rid)
                 yield rect, rid
@@ -96,13 +96,7 @@ class ClippingSAM(SpatialAccessMethod):
         snapshot's ``duplication_factor`` reports the achieved clipping
         redundancy directly.
         """
-
-        def content_of(leaf):
-            if not leaf.values:
-                return None
-            return Rect.bounding([rect for rect, _ in leaf.values])
-
-        yield from snapshot_bplus_pages(self._tree, content_of)
+        yield from snapshot_bplus_pages(self._tree)
 
     def metrics(self):
         """Slot utilisation counts region entries (objects are redundant)."""

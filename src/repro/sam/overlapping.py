@@ -50,10 +50,6 @@ class OverlappingPlop(SpatialAccessMethod):
         """No directory: bucket addresses are computed arithmetically."""
         return 0
 
-    def iter_records(self):
-        """Uncharged walk of every stored ``(rect, rid)`` entry."""
-        return self._grid.iter_all()
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`).
 
@@ -63,13 +59,7 @@ class OverlappingPlop(SpatialAccessMethod):
         the technique's overlap, visible as ``dead_space`` staying 0
         while coverage misses the content.
         """
-
-        def content_of(records):
-            if not records:
-                return None
-            return Rect.bounding([rect for rect, _ in records])
-
-        yield from snapshot_plop_pages(self._grid, content_of)
+        yield from snapshot_plop_pages(self._grid)
 
     # -- operations ------------------------------------------------------------
 

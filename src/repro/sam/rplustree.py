@@ -77,33 +77,14 @@ class RPlusTree(SpatialAccessMethod):
     def directory_height(self) -> int:
         return self._height
 
-    @property
-    def stored_entries(self) -> int:
-        """Total leaf entries; ``stored_entries / len(self)`` is the
-        redundancy factor paid for disjoint regions."""
-        total = 0
-        for pid in self.store.page_ids():
-            obj = self.store.peek(pid)
-            if isinstance(obj, _Leaf):
-                total += len(obj.rects)
-        return total
-
     def iter_records(self):
-        """Uncharged walk yielding one ``(rect, rid)`` per distinct rid
+        """One ``(rect, rid)`` per distinct rid of the shared walk
         (clipping stores a rid in every leaf its rectangle meets)."""
         seen: set[object] = set()
-        stack = [(self._root_pid, self._root_is_leaf)]
-        while stack:
-            pid, is_leaf = stack.pop()
-            if is_leaf:
-                leaf: _Leaf = self.store.peek(pid)
-                for rect, rid in zip(leaf.rects, leaf.rids):
-                    if rid not in seen:
-                        seen.add(rid)
-                        yield rect, rid
-            else:
-                node: _Inner = self.store.peek(pid)
-                stack.extend((child, node.leaf_children) for child in node.pids)
+        for rect, rid in super().iter_records():
+            if rid not in seen:
+                seen.add(rid)
+                yield rect, rid
 
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
@@ -118,14 +99,12 @@ class RPlusTree(SpatialAccessMethod):
             i += 1
             if is_leaf:
                 leaf: _Leaf = self.store.peek(pid)
-                yield PageView(
-                    pid=pid,
-                    kind="data",
-                    depth=depth,
-                    regions=(region,),
-                    records=len(leaf.rects),
-                    capacity=self._capacity,
-                    content=Rect.bounding(leaf.rects) if leaf.rects else None,
+                yield PageView.data(
+                    pid,
+                    depth,
+                    (region,),
+                    self._capacity,
+                    list(zip(leaf.rects, leaf.rids)),
                 )
                 continue
             node: _Inner = self.store.peek(pid)

@@ -109,16 +109,6 @@ class RTree(SpatialAccessMethod):
         """Number of inner levels above the leaves."""
         return self._height
 
-    def iter_records(self):
-        """Uncharged walk of every stored ``(rect, rid)`` entry."""
-        stack = [self._root_pid]
-        while stack:
-            node: _Node = self.store.peek(stack.pop())
-            if node.is_leaf:
-                yield from zip(node.rects, node.children)
-            else:
-                stack.extend(node.children)
-
     def _snapshot_pages(self):
         """Uncharged :class:`PageView` walk (see :mod:`repro.obs.structure`)."""
         from repro.obs.structure import PageView
@@ -130,14 +120,12 @@ class RTree(SpatialAccessMethod):
             i += 1
             node: _Node = self.store.peek(pid)
             if node.is_leaf:
-                yield PageView(
-                    pid=pid,
-                    kind="data",
-                    depth=depth,
-                    regions=(region,) if region is not None else (),
-                    records=len(node.rects),
-                    capacity=self._capacity,
-                    content=Rect.bounding(node.rects) if node.rects else None,
+                yield PageView.data(
+                    pid,
+                    depth,
+                    (region,) if region is not None else (),
+                    self._capacity,
+                    list(zip(node.rects, node.children)),
                 )
                 continue
             yield PageView(

@@ -92,8 +92,9 @@ class TransformationSAM(SpatialAccessMethod):
         return self.pam.directory_height
 
     def iter_records(self):
-        """Uncharged walk: the PAM's points mapped back to rectangles."""
-        for point, rid in self.pam.iter_records():
+        """The shared walk over the PAM's pages, points mapped back to
+        rectangles."""
+        for point, rid in super().iter_records():
             yield self._to_rect(point), rid
 
     def _snapshot_pages(self):

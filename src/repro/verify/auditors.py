@@ -6,9 +6,11 @@ page model snapshots and explain also read — and checks what every
 structure owes (reachability, kinds, pins, capacity, nesting, tiling,
 exact MBRs, balance).  The auditor then loops over the views it returns
 and checks only what a view cannot say: routing, placement, block
-nesting, counters, the structure's own bookkeeping.  Pages are read
+nesting, counters, the structure's own bookkeeping.  A data page's
+records come from its view's ``entries``; any other page field is read
 through the page store's uncharged audit accessors
-(:meth:`~repro.storage.pagestore.PageStore.peek` and friends).
+(:meth:`~repro.storage.pagestore.PageStore.peek` and friends).  After
+the auditor, ``records.count`` holds the walk's records to ``len()``.
 Auditors are looked up through the MRO, so subclasses inherit their
 base class's auditor (``MultilevelGridFile`` uses the BUDDY auditor,
 ``QuantileHashing`` the PLOP one).
@@ -70,6 +72,7 @@ def register(cls: type):
 def _audit_into(audit: Audit) -> None:
     """Run the auditor of ``audit.am``'s closest class, then the record count.
 
+    The count reads ``audit.records``, which the auditor's walk filled.
     A broken walk raises :class:`WalkBroken`, skipping the record count.
     """
     for klass in type(audit.am).__mro__:
@@ -120,7 +123,7 @@ def _audit_buddy(a: Audit) -> None:
         return (
             view.kind == "data"
             and len(view.regions) <= 1
-            and am._split_records(a.store.peek(view.pid).records) is None
+            and am._split_records(view.entries) is None
         )
 
     for view in check_walk(
@@ -131,8 +134,8 @@ def _audit_buddy(a: Audit) -> None:
         tolerated=tolerated,
     ):
         pid = view.pid
-        page = a.store.peek(pid)
         if view.kind == "directory":
+            page = a.store.peek(pid)
             least = 1 if am.balanced and pid != am._root_pid else 2
             a.check(
                 len(page.entries) >= least,
@@ -156,7 +159,7 @@ def _audit_buddy(a: Audit) -> None:
                     holders.setdefault(e.pid, set()).add(pid)
             continue
         a.check(
-            page.records or pid == am._root_pid,
+            view.entries or pid == am._root_pid,
             "buddy.data-empty",
             f"data page {pid} is empty (empty pages are freed)",
         )
@@ -168,7 +171,7 @@ def _audit_buddy(a: Audit) -> None:
                 f"directory pages {sorted(holders[pid])} (property 4 allows "
                 "sharing only within one page)",
             )
-            for p, _rid in page.records:
+            for p, _rid in view.entries:
                 a.check(
                     any(r.contains_point(p) for r in view.regions),
                     "buddy.share-cover",
@@ -209,7 +212,7 @@ def _audit_bang(a: Audit) -> None:
                     f"leaf entry for page {pid} carries region {ref.mbr}, "
                     f"exact MBR is {view.content}",
                 )
-            for point, _rid in page.records:
+            for point, _rid in view.entries:
                 best_pid, _ = am._best_data_entry(am._point_bits(point))
                 a.check(
                     best_pid == pid,
@@ -276,15 +279,16 @@ def _hb_route(am: HBTree, point) -> int:
 def _audit_hb(a: Audit) -> None:
     am = a.am
     refs: dict[int, set[int]] = {}
-    for view in check_walk(
+    kd_leaves = []
+    views = check_walk(
         a,
         {am._root_pid},
-        tolerated=lambda v: am._choose_data_split(a.store.peek(v.pid).records)
-        is None,
-    ):
+        tolerated=lambda v: am._choose_data_split(v.entries) is None,
+    )
+    for view in views:
         pid = view.pid
-        page = a.store.peek(pid)
         if view.kind == "directory":
+            page = a.store.peek(pid)
             leaves = am._kd_leaves(page.kd)
             if am._kd_bytes(page.kd) > am._index_payload:
                 a.check(
@@ -296,16 +300,9 @@ def _audit_hb(a: Audit) -> None:
                 )
             for leaf in leaves:
                 refs.setdefault(leaf.pid, set()).add(pid)
-                if am.minimal_regions:
-                    want = am._node_mbr(leaf.pid, leaf.is_data)
-                    a.check(
-                        leaf.mbr == want,
-                        "hb.region",
-                        f"kd-leaf for page {leaf.pid} carries region "
-                        f"{leaf.mbr}, exact region is {want}",
-                    )
+            kd_leaves.extend(leaves)
             continue
-        for point, _rid in page.records:
+        for point, _rid in view.entries:
             try:
                 home = _hb_route(am, point)
             except RuntimeError as exc:
@@ -316,6 +313,19 @@ def _audit_hb(a: Audit) -> None:
                 "hb.routing",
                 f"record {point} lives on page {pid} but the kd-tree "
                 f"cascade routes it to page {home}",
+            )
+    if am.minimal_regions:
+        content = {v.pid: v.content for v in views if v.kind == "data"}
+        for leaf in kd_leaves:
+            if leaf.is_data:
+                want = content.get(leaf.pid)
+            else:
+                want = am._node_mbr(leaf.pid, False)
+            a.check(
+                leaf.mbr == want,
+                "hb.region",
+                f"kd-leaf for page {leaf.pid} carries region "
+                f"{leaf.mbr}, exact region is {want}",
             )
     for child, parents in refs.items():
         recorded = am._parents.get(child, set())
@@ -346,11 +356,10 @@ def _audit_kdb(a: Audit) -> None:
         leaf_depth=am._height,
         partition=True,
         tolerated=lambda v: v.kind == "data"
-        and am._choose_point_plane(a.store.peek(v.pid).records, v.regions[0])
-        is None,
+        and am._choose_point_plane(v.entries, v.regions[0]) is None,
     ):
-        page = a.store.peek(view.pid)
         if view.kind == "directory":
+            page = a.store.peek(view.pid)
             a.check(
                 len(page.rects) == len(page.pids),
                 "kdb.arity",
@@ -358,7 +367,7 @@ def _audit_kdb(a: Audit) -> None:
                 f"{len(page.pids)} children",
             )
             continue
-        for point, _rid in page.records:
+        for point, _rid in view.entries:
             a.check(
                 am._region_contains(view.regions[0], point),
                 "kdb.placement",
@@ -395,15 +404,15 @@ def _audit_plop(a: Audit) -> None:
 
 
 def _check_grid_placement(
-    a: Audit, layer, pid: int, prefix: str, where: str = ""
+    a: Audit, layer, view, prefix: str, where: str = ""
 ) -> None:
     tag = f" {where}" if where else ""
-    for point, _rid in a.store.peek(pid).records:
+    for point, _rid in view.entries:
         home = layer.payload_of_point(point)
         a.check(
-            home == pid,
+            home == view.pid,
             f"{prefix}.placement",
-            f"record {point}{tag} lives on page {pid} but the grid "
+            f"record {point}{tag} lives on page {view.pid} but the grid "
             f"routes it to page {home}",
         )
 
@@ -425,7 +434,7 @@ def _audit_gridfile(a: Audit) -> None:
     _check_dir_count(a, am, am._layer, am._dir_pages, "grid")
     for view in check_walk(a, set()):
         if view.kind == "data":
-            _check_grid_placement(a, am._layer, view.pid, "grid")
+            _check_grid_placement(a, am._layer, view, "grid")
 
 
 @register(TwinGridFile)
@@ -439,7 +448,7 @@ def _audit_twingrid(a: Audit) -> None:
     for view in check_walk(a, set()):
         if view.kind == "data":
             which = view.depth // 2
-            _check_grid_placement(a, am._layers[which], view.pid, prefixes[which])
+            _check_grid_placement(a, am._layers[which], view, prefixes[which])
 
 
 @register(TwoLevelGridFile)
@@ -466,8 +475,8 @@ def _audit_twolevelgrid(a: Audit) -> None:
                 f"directory page holds {am._subgrid_payload}",
             )
             continue
-        _check_grid_placement(a, sub, view.pid, "grid2", where=f"subgrid {spid}")
-        for point, _rid in a.store.peek(view.pid).records:
+        _check_grid_placement(a, sub, view, "grid2", where=f"subgrid {spid}")
+        for point, _rid in view.entries:
             a.check(
                 root.payload_of_point(point) == spid,
                 "grid2.routing",
@@ -573,9 +582,9 @@ def _audit_rplus(a: Audit) -> None:
             f"leaf {pid} has {len(page.rects)} rectangles for "
             f"{len(page.rids)} rids",
         )
-        leaf_rids[pid] = set(page.rids)
+        leaf_rids[pid] = {rid for _, rid in view.entries}
         region = view.regions[0]
-        for rect, rid in zip(page.rects, page.rids):
+        for rect, rid in view.entries:
             a.check(
                 rect.intersects(region),
                 "rplus.entry-region",
@@ -591,6 +600,7 @@ def _audit_rplus(a: Audit) -> None:
                 )
             else:
                 rid_rects[rid] = rect
+    a.records = [(rect, rid) for rid, rect in rid_rects.items()]
     for rid, rect in rid_rects.items():
         for pid in _rplus_required_leaves(am, rect):
             a.check(
@@ -624,7 +634,8 @@ def _audit_transformation(a: Audit) -> None:
         f"SAM counts {len(am)} rectangles, the inner PAM holds "
         f"{len(am.pam)} points",
     )
-    for point, _rid in am.pam.iter_records():
+    a.records = inner.records
+    for point, _rid in inner.records:
         try:
             rect = am._to_rect(point)
         except Exception as exc:  # noqa: BLE001 - an invalid point is a finding
@@ -670,6 +681,7 @@ def _audit_clipping(a: Audit) -> None:
             by_rid[rid][1].append(key)
         else:
             by_rid[rid] = (rect, [key])
+    a.records = [(rect, rid) for rid, (rect, _keys) in by_rid.items()]
     for rid, (rect, keys) in by_rid.items():
         a.check(
             1 <= len(keys) <= am.redundancy,
@@ -697,6 +709,6 @@ def _audit_clipping(a: Audit) -> None:
 @register(OverlappingPlop)
 def _audit_overlapping(a: Audit) -> None:
     am = a.am
-    check_plop_grid(a, am._grid, "oplop")
-    for rect, _rid in am._grid.iter_all():
-        _half_extents_bounded(a, am, rect, "oplop.extent")
+    for view in check_plop_grid(a, am._grid, "oplop"):
+        for rect, _rid in view.entries:
+            _half_extents_bounded(a, am, rect, "oplop.extent")

@@ -5,9 +5,11 @@
 distributions) per structure, applies it both to the structure and to a
 brute-force oracle, compares every query answer and delete outcome, and
 runs the structure's invariant auditor after every ``--audit-every``
-mutations.  A failure is shrunk to a minimal operation sequence with a
-greedy delta-debugging pass and written to ``results/fuzz/`` as a
-self-contained JSON reproducer ``{structure, seed, ops, failure}``.
+mutations.  At the end, the records ``iter_records()`` yields must be
+the oracle's live records.  A failure is shrunk to a minimal operation
+sequence with a greedy delta-debugging pass and written to
+``results/fuzz/`` as a self-contained JSON reproducer ``{structure,
+seed, ops, failure}``.
 
 Operation sequences are precomputed from ``--seed`` alone, so a run is
 fully reproducible; per-structure seeds are derived with a stable CRC
@@ -20,6 +22,7 @@ import argparse
 import json
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 from random import Random
 from typing import Any, Callable
@@ -415,6 +418,19 @@ def _differential(
         am.audit()
     except AuditError as err:
         return _failure(*_last(ops), "audit", str(err))
+    # The audit passed, so the walk is sound; its records must be the
+    # oracle's, not just as many.
+    stored = sorted(am.iter_records(), key=repr)
+    live = sorted(oracle.records, key=repr)
+    if stored != live:
+        held, want = Counter(map(repr, stored)), Counter(map(repr, live))
+        return _failure(
+            *_last(ops),
+            "records",
+            f"iter_records() yields {len(stored)} records, the oracle holds "
+            f"{len(live)}; missing {sorted(want - held)[:3]}, extra "
+            f"{sorted(held - want)[:3]}",
+        )
     return None
 
 

@@ -11,7 +11,9 @@ structure's ``_snapshot_pages()`` walk — the same
 read — and checks what every structure owes: reachability, page kinds,
 pins, capacity, region nesting and tiling, exact MBRs and balance.  The
 auditor then loops over the views it returns and checks only what a
-view cannot say.  Checks read pages with
+view cannot say, reading a data page's records from its view's
+``entries``; ``records.count`` counts the same entries, so an audit
+walks each structure's pages once.  Checks read pages with
 :meth:`repro.storage.pagestore.PageStore.peek` and friends, which leave
 the access counters and the path buffer untouched.
 
@@ -76,18 +78,26 @@ class WalkBroken(Exception):
 
     :func:`check_walk` records ``pages.walk`` / ``pages.repeated`` and
     raises this; ``run_audit`` stops the audit there, before the
-    auditor's own checks and before ``records.count`` (whose
-    ``iter_records()`` would follow the same broken links).
+    auditor's own checks and before ``records.count`` (which counts the
+    walk's entries).  A B+-tree sibling chain that loops raises it too
+    (:func:`check_bplus_tree`).
     """
 
 
 class Audit:
-    """Collects invariant violations while walking one access method."""
+    """Collects invariant violations while walking one access method.
+
+    ``records`` holds the ``(key, rid)`` records the walk found, one per
+    logical record: :func:`check_walk` sets it to the entries of the
+    data views, and the auditor of a structure that stores an object
+    more than once (clipping, R+) keeps one per rid.
+    """
 
     def __init__(self, am: "_AccessMethodBase"):
         self.am = am
         self.store = am.store
         self.violations: list[Violation] = []
+        self.records: list[tuple] = []
 
     def check(self, ok: object, code: str, message: str) -> bool:
         """Record a violation unless ``ok`` is truthy; returns ``bool(ok)``."""
@@ -96,18 +106,13 @@ class Audit:
         return bool(ok)
 
     def check_record_count(self) -> None:
-        """``iter_records()`` must enumerate exactly ``len(am)`` records."""
-        try:
-            walked = sum(1 for _ in self.am.iter_records())
-        except Exception as exc:  # noqa: BLE001 - a broken walk is a finding
-            self.check(
-                False, "records.walk", f"iter_records() raised {exc!r}"
-            )
-            return
+        """The walk must hold exactly ``len(am)`` records."""
+        walked = len(self.records)
         self.check(
             walked == len(self.am),
             "records.count",
-            f"iter_records() yields {walked} records, len() reports {len(self.am)}",
+            f"the walk's data pages hold {walked} records, len() reports "
+            f"{len(self.am)}",
         )
 
 
@@ -125,7 +130,8 @@ def check_walk(
 ) -> list[PageView]:
     """Check the structure's page walk; return its views of live pages.
 
-    Consumes ``am._snapshot_pages()`` once, lazily, and checks:
+    Consumes ``am._snapshot_pages()`` once, lazily, sets
+    ``audit.records`` to the entries of the live data views, and checks:
 
     * ``pages.walk`` / ``pages.repeated`` — the walk raised, or reached
       a page twice (a shared or cyclic link); both raise
@@ -188,6 +194,7 @@ def check_walk(
         f"pinned pages {sorted(actual_pins)} != expected {sorted(pins)}",
     )
     views = [v for v in views if v.pid in live]
+    audit.records = [e for v in views if v.kind == "data" for e in v.entries]
     for view in views:
         pid = view.pid
         kind = store.kind(pid).value
@@ -326,8 +333,10 @@ def check_grid_layer(audit: Audit, layer, prefix: str, where: str = "") -> None:
 # -- PLOP grid ------------------------------------------------------------
 
 
-def check_plop_grid(audit: Audit, grid, prefix: str) -> None:
+def check_plop_grid(audit: Audit, grid, prefix: str) -> list[PageView]:
     """Page walk plus the structural checks of one ``_PlopGrid``.
+
+    Returns the walk's views of the live pages.
 
     Invariants beyond :func:`check_walk` (whose capacity check holds
     strictly: PLOP chains overflow pages instead of overfilling them):
@@ -338,6 +347,7 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> None:
     * the grid's page and record counters match the chains exactly.
     """
     views = check_walk(audit, set())
+    entries = {view.pid: view.entries for view in views}
     for axis, scale in enumerate(grid.slices):
         ok = (
             len(scale) >= 2
@@ -367,7 +377,7 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> None:
             f"bucket {idx} has an empty page chain",
         )
         for pid in bucket.chain:
-            for record in audit.store.peek(pid).records:
+            for record in entries.get(pid, ()):
                 home = grid.address(grid.key_of(record))
                 audit.check(
                     home == idx,
@@ -386,6 +396,7 @@ def check_plop_grid(audit: Audit, grid, prefix: str) -> None:
         f"{prefix}.record-count",
         f"grid counts {grid._records} records, pages hold {records}",
     )
+    return views
 
 
 # -- B+-tree --------------------------------------------------------------
@@ -406,9 +417,10 @@ def check_bplus_tree(audit: Audit, tree, prefix: str) -> list[tuple]:
       ``[keys[i-1], keys[i])`` — strictly below the right separator
       because equal-key runs are never cut by a leaf split;
     * the sibling chain from the leftmost leaf is acyclic, ascends, and
-      enumerates exactly the leaves in the walk's (left-to-right) order;
-      a chain that loops or leaves the leaves raises :class:`WalkBroken`,
-      since ``iter_items()`` (and so ``iter_records()``) follows it.
+      enumerates exactly the leaves in the walk's (left-to-right) order.
+      The walk itself descends from the root, but range scans follow
+      the chain (``scan_pages``), so a chain that loops or leaves the
+      leaves raises :class:`WalkBroken`: nothing after it is trusted.
     """
     store = tree.store
     views = check_walk(
@@ -468,7 +480,7 @@ def check_bplus_tree(audit: Audit, tree, prefix: str) -> list[tuple]:
                 f"{prefix}.chain-cycle",
                 f"sibling chain reaches page {pid} again or off the leaves",
             )
-            raise WalkBroken  # iter_items() follows the same chain
+            raise WalkBroken  # a range scan would follow the same chain
         unvisited.remove(pid)
         chain.append(pid)
         leaf = store.peek(pid)

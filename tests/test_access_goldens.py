@@ -7,8 +7,10 @@ moves both.  This test pins absolute numbers instead: for every entry of
 at 8 KiB, one small fixed build and one query file per query type must
 reproduce ``tests/goldens/access_counts.json`` exactly — the build's
 :class:`~repro.core.stats.AccessStats`, each file's summed charged cost
-and hit count through :func:`~repro.query.driver.run_query_file`, and the
-sha256 of the canonical structure snapshot.
+and hit count through :func:`~repro.query.driver.run_query_file`, the
+sha256 of the canonical structure snapshot, and the sha256 of the
+canonical explain trace of every query file (so a change to how explain
+reads the pages cannot move a trace byte unnoticed).
 
 Regenerate (only when a change is *meant* to move charged counts) with
 ``PYTHONPATH=src python tests/test_access_goldens.py``.  With ``--diff``
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.explain import ExplainRecorder
 from repro.obs.structure import snapshot_to_json
 from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
@@ -83,14 +86,17 @@ def measure(name, page_size):
     if spec["pack_every"]:
         method.pack()
     out = {"build": store.stats.as_dict(), "queries": {}}
+    explain = ExplainRecorder(name)
     for kind, queries, operation in _query_files(spec["kind"], method):
-        outcomes = run_query_file(method, kind, queries, operation)
+        outcomes = run_query_file(method, kind, queries, operation, explain)
         out["queries"][kind] = {
             "cost": sum(cost for cost, _ in outcomes),
             "hits": sum(len(hits) for _, hits in outcomes),
         }
     text = snapshot_to_json(method.snapshot())
     out["snapshot_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    trace = json.dumps(explain.to_trace(), sort_keys=True, separators=(",", ":"))
+    out["explain_sha256"] = hashlib.sha256(trace.encode()).hexdigest()
     return out
 
 

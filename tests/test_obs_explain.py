@@ -19,7 +19,6 @@ from repro.obs.__main__ import main
 from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     ExplainRecorder,
-    data_page_entries,
     page_heatmap,
     render_heatmap,
     render_trace,
@@ -176,18 +175,6 @@ class TestTraceContents:
                 recorder.start_file(pam, "range")
         finally:
             pam.store.observer = recorder._collector.inner
-
-
-class TestDataPageEntries:
-    def test_unknown_shape_is_none(self):
-        assert data_page_entries(None) is None
-        assert data_page_entries(object()) is None
-
-    def test_record_page_shape(self):
-        class Page:
-            records = [((0.1, 0.2), 0), ((0.3, 0.4), 1)]
-
-        assert len(data_page_entries(Page())) == 2
 
 
 class TestHeatmap:

@@ -75,6 +75,9 @@ class TestTouchSummaries:
 
 
 class TestMarkdownRender:
+    """The run report's one render: the text layout (its markdown twin
+    and ``report --format`` are gone)."""
+
     @staticmethod
     def touch_pairs(report):
         """Row label -> the [charged, free] cells its render must show."""
@@ -84,35 +87,24 @@ class TestMarkdownRender:
         assert any(touch["free"] for touch in rows.values())
         return {k: [str(t["charged"]), str(t["free"])] for k, t in rows.items()}
 
-    def test_render_markdown_table(self, pam_report):
-        md = pam_report.render(fmt="markdown")
-        assert md.splitlines()[0].startswith("**")
-        assert "| structure | op |" in md
-        assert "| GRID |" in md
-        for label, pair in self.touch_pairs(pam_report).items():
-            row = next(r for r in md.splitlines() if f"| GRID | {label} |" in r)
-            assert [cell.strip() for cell in row.split("|")][9:11] == pair
-
     def test_render_text_unchanged_default(self, pam_report):
-        assert pam_report.render() == pam_report.render(fmt="text")
         assert "GRID" in pam_report.render()
         rows = [r.split() for r in pam_report.render().splitlines()]
-        cells = {r[-10]: r[-3:-1] for r in rows if len(r) >= 10}
+        cells = {r[-11]: r[-4:-2] for r in rows if len(r) >= 11}
         for label, pair in self.touch_pairs(pam_report).items():
             assert cells[label] == pair
 
-    def test_cli_format_markdown(self, pam_report, tmp_path, capsys):
-        saved = pam_report.save(tmp_path / "r.json")
-        assert obs_main(["report", str(saved), "--format", "markdown"]) == 0
-        assert "| structure | op |" in capsys.readouterr().out
+    def test_render_prints_query_seconds(self, pam_report):
+        rows = {
+            r.split()[0]: r.split()
+            for r in pam_report.render().splitlines()
+            if r.startswith(" " * 10)
+        }
+        for label, q in pam_report.structures["GRID"]["queries"].items():
+            assert rows[label][-1] == f"{q['seconds']:.3f}s"
 
-    def test_cli_diff_markdown(self, pam_report, tmp_path, capsys):
+    def test_report_has_one_layout(self, pam_report, tmp_path):
         saved = pam_report.save(tmp_path / "r.json")
-        code = obs_main(
-            ["report", str(saved), str(saved), "--format", "markdown",
-             "--fail-threshold", "10"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "| structure | query | old | new | delta |" in out
-        assert "REGRESSION" not in out
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["report", str(saved), "--format", "markdown"])
+        assert exc.value.code == 2

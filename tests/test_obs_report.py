@@ -146,11 +146,6 @@ class TestSnapshotFields:
         _, _, report = pam_run
         assert "redundancy dup=" in report.render()
 
-    def test_markdown_render_includes_redundancy_table(self, pam_run):
-        _, _, report = pam_run
-        out = report.render("markdown")
-        assert "| structure | duplication" in out
-
     def test_pre_snapshot_reports_render_without_snapshots(self, pam_run):
         """Acceptance: pre-v6 reports (no snapshot field) never KeyError."""
         _, _, report = pam_run
@@ -161,7 +156,6 @@ class TestSnapshotFields:
         assert validate_run_report(data) == []
         assert old.redundancy_metrics() == {}
         assert "redundancy dup=" not in old.render()
-        assert "| duplication" not in old.render("markdown")
 
     def test_validate_flags_broken_snapshot(self, pam_run):
         _, _, report = pam_run
@@ -190,7 +184,6 @@ class TestCommittedReports:
                 report.to_dict()
             ).to_dict(), path.name
             assert report.render(), path.name
-            assert report.render("markdown"), path.name
             assert report.access_totals(), path.name
             report.redundancy_metrics()  # absent snapshots: no KeyError
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.comparison import build_pam, build_sam
+from repro.geometry.rect import Rect
 from repro.obs.structure import (
     SNAPSHOT_SCHEMA,
     PageView,
@@ -134,6 +135,31 @@ class TestPageParents:
         b = PageView(2, "directory", 0, (), 2, 4, children=(3,))
         assert page_parents([a, b]) == {3: 1}
         assert page_parents([b, a]) == {3: 2}
+
+
+class TestDataViews:
+    def test_records_and_content_come_from_entries(self):
+        points = PageView.data(7, 1, (), 4, [((0.1, 0.4), 0), ((0.3, 0.2), 1)])
+        assert (points.kind, points.records) == ("data", 2)
+        assert points.content == Rect((0.1, 0.2), (0.3, 0.4))
+        rects = PageView.data(
+            8,
+            1,
+            (),
+            4,
+            [(Rect((0.1, 0.1), (0.2, 0.5)), "a"), (Rect((0.0, 0.2), (0.3, 0.3)), "b")],
+        )
+        assert rects.content == Rect((0.0, 0.1), (0.3, 0.5))
+        assert PageView.data(9, 1, (), 4, []).content is None
+        assert PageView(1, "directory", 0, (), 2, 4, children=(3, 4)).content is None
+
+    def test_iter_records_is_the_walk_of_the_data_views(self, buddy_snapshot):
+        points, pam, _ = buddy_snapshot
+        views = [v for v in pam._snapshot_pages() if v.kind == "data"]
+        assert list(pam.iter_records()) == [e for v in views for e in v.entries]
+        assert sorted(pam.iter_records()) == sorted(
+            (point, rid) for rid, point in enumerate(points)
+        )
 
 
 def build_config(name: str, cfg: dict):

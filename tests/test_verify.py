@@ -101,9 +101,6 @@ class TestAuditorsGreen:
         class NotAnAccessMethod:
             store = PageStore()
 
-            def iter_records(self):
-                return iter(())
-
             def __len__(self):
                 return 0
 
@@ -319,8 +316,9 @@ def _zb_z_key(am) -> None:
 
 def _clip_rid_rect(am) -> None:
     counts: dict = {}
-    for _, (_rect, rid) in am._tree.iter_items():
-        counts[rid] = counts.get(rid, 0) + 1
+    for leaf in _leaves(am):
+        for _rect, rid in leaf.values:
+            counts[rid] = counts.get(rid, 0) + 1
     leaf, i = next(
         (leaf, i)
         for leaf in _leaves(am)
@@ -475,6 +473,24 @@ def _lose_record(am) -> None:
     _leaves(am)[0].records.pop()
 
 
+def _roomy_leaf(am):
+    """A data page holding records with room for one more."""
+    return next(
+        am.store.peek(v.pid) for v in _views(am, "data") if 0 < v.records < v.capacity
+    )
+
+
+def _duplicate_record(am) -> None:
+    page = _roomy_leaf(am)
+    page.records.append(page.records[0])
+
+
+def _bplus_duplicate_record(am) -> None:
+    leaf = _roomy_leaf(am)
+    leaf.keys.insert(0, leaf.keys[0])
+    leaf.values.insert(0, leaf.values[0])
+
+
 def _planted(name, n, page_size, corrupt, code):
     return pytest.param(name, n, page_size, corrupt, code, id=f"{code}@{name}")
 
@@ -565,7 +581,10 @@ PLANTED = [
     _planted("BUDDY", 200, 512, _move_record, "pages.mbr-exact"),
     _planted("R", 200, 512, _set("_height", lambda h: h + 1), "pages.balance"),
     _planted("BUDDY", 200, 512, _lose_record, "records.count"),
-    _planted("T-BUDDY", 200, 512, _transformed_record((0.5, 0.5, 0.4, 0.6)), "records.walk"),
+    # A record stored twice where each object is stored once: the shared
+    # record walk must count the copy, not fold it.
+    _planted("GRID-1", 200, 512, _duplicate_record, "records.count"),
+    _planted("ZB", 300, 256, _bplus_duplicate_record, "records.count"),
     # -- BUDDY / MLGF
     _planted("BUDDY", 200, 512, lambda am: _truncate(_root(am).entries, keep=1), "buddy.min-entries"),
     _planted("BUDDY", 300, 256, _buddy_nesting, "buddy.nesting"),
@@ -719,7 +738,10 @@ class TestFuzzer:
         seeds = {structure_seed(name, 0) for name in STRUCTURES}
         assert len(seeds) == len(STRUCTURES)
 
-    @pytest.mark.parametrize("name", ["GRID-1", "BUDDY", "BUDDY+", "R", "CLIP"])
+    @pytest.mark.parametrize(
+        "name",
+        ["GRID-1", "BUDDY", "BUDDY+", "R", "CLIP", "R+", "ZB", "PLOP-SAM", "T-BUDDY"],
+    )
     def test_run_ops_green_smoke(self, name):
         spec = STRUCTURES[name]
         ops = make_ops(spec, 150, structure_seed(name, 0))
