@@ -65,6 +65,11 @@ class MethodResult:
     metrics: BuildMetrics
     query_costs: dict[str, float] = field(default_factory=dict)
     query_results: dict[str, int] = field(default_factory=dict)
+    #: Wall seconds of each query file, timed around its
+    #: ``run_query_file`` call.  A result without them (one built by
+    #: hand) reports its structure's query time split evenly over its
+    #: files.
+    query_seconds: dict[str, float] = field(default_factory=dict)
     #: Structure snapshot (:mod:`repro.obs.structure`) taken after the
     #: build — occupancy, depth profile, redundancy metrics.  ``None``
     #: for results produced before snapshots existed.
@@ -211,9 +216,11 @@ def run_queries(
             tracer.set_context(op=label)
         if explain is not None:
             explain.label = label
+        start = time.perf_counter()
         outcomes = run_query_file(
             method, query_kind, queries, operation, explain=explain
         )
+        result.query_seconds[label] = time.perf_counter() - start
         result.query_costs[label] = sum(c for c, _ in outcomes) / len(queries)
         result.query_results[label] = sum(len(hits) for _, hits in outcomes)
     return result

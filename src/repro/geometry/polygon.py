@@ -11,6 +11,7 @@ used by every MBR-based access method of §6.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from repro.geometry.rect import Rect
@@ -25,7 +26,12 @@ def convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, floa
         return list(pts)
 
     def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        # Exact over the float inputs: in floats the products can round,
+        # or underflow on subnormal coordinates, to the wrong sign.
+        ox, oy = Fraction(o[0]), Fraction(o[1])
+        return (Fraction(a[0]) - ox) * (Fraction(b[1]) - oy) - (
+            Fraction(a[1]) - oy
+        ) * (Fraction(b[0]) - ox)
 
     lower: list[tuple[float, float]] = []
     for p in pts:

@@ -318,7 +318,10 @@ def build_run_report(
     :class:`~repro.core.comparison.MethodResult`; ``totals`` maps it to
     the structure's final store counters (use ``store.stats.snapshot()``,
     or a delta when several structures share one store); ``timers`` maps
-    ``"<structure>/build"`` / ``"<structure>/queries"`` to seconds.
+    ``"<structure>/build"`` / ``"<structure>/queries"`` to seconds.  A
+    query file's ``seconds`` is the result's ``query_seconds`` entry for
+    it; a result without one gets the structure's query time split evenly
+    over its files.
 
     Results carrying a structure ``snapshot`` (occupancy / depth /
     redundancy, see :mod:`repro.obs.structure`) contribute it as the
@@ -362,7 +365,7 @@ def build_run_report(
         }
         if build_ops:
             entry["build"]["ops"] = build_ops
-        query_seconds = timers.get(f"{name}/queries", 0.0)
+        even_split = timers.get(f"{name}/queries", 0.0) / max(1, len(result.query_costs))
         for q_label, cost in result.query_costs.items():
             hist = per_op.get(q_label)
             if hist is None:
@@ -370,7 +373,7 @@ def build_run_report(
             entry["queries"][q_label] = {
                 "accesses": hist.as_dict(),
                 "results": result.query_results.get(q_label, 0),
-                "seconds": query_seconds / max(1, len(result.query_costs)),
+                "seconds": result.query_seconds.get(q_label, even_split),
                 "mean": cost,
             }
             touch = per_op_touches.get(q_label)

@@ -13,12 +13,11 @@ bit for bit; anything after the crash point must be gone.
 
 Coverage knobs:
 
-* the deterministic sweep tests walk fail points ``1, 1+stride, ...``
-  through the whole write budget of the stream; ``stride`` defaults to
-  ``writes // 25`` and ``REPRO_CRASH_STRIDE=1`` runs the exhaustive
-  every-write-index fail-stop sweep (about 40 s on a 2-CPU box, a step
-  of CI's storage job); torn writes, bit flips and mid-checkpoint
-  crashes stay sampled;
+* the deterministic tests sample fail points through the whole write
+  budget of their stream: fail-stop every ``writes // 25``-th index,
+  torn writes and bit flips every ``writes // 8``-th, mid-checkpoint
+  crashes every ``writes // 12``-th.  ``REPRO_CRASH_STRIDE=1`` makes all
+  of them sweep every write index (a step of CI's storage job);
 * the hypothesis test samples random ``(structure, seed, fail point,
   mode)`` tuples on a shorter stream, so every run explores new crash
   points beyond the deterministic grid.
@@ -154,11 +153,11 @@ def _count_writes(tmp, spec, ops) -> int:
     return io.writes
 
 
-def _sweep_points(writes: int) -> list[int]:
+def _sweep_points(writes: int, sampled: range) -> list[int]:
+    """``sampled`` by default; every ``REPRO_CRASH_STRIDE``-th index of
+    ``1 .. writes`` when that is set."""
     stride = int(os.environ.get("REPRO_CRASH_STRIDE", "0") or 0)
-    if stride <= 0:
-        stride = max(1, writes // 25)
-    return list(range(1, writes + 1, stride))
+    return list(range(1, writes + 1, stride) if stride > 0 else sampled)
 
 
 @pytest.mark.parametrize("name", CRASH_STRUCTURES)
@@ -170,7 +169,9 @@ def test_crash_sweep_recovers_committed_prefix(name, tmp_path):
     writes = _count_writes(tmp_path / "dry", spec, ops)
     assert writes > 200  # the stream must actually stress the WAL
     recovered_counts = set()
-    for i, fail_after in enumerate(_sweep_points(writes)):
+    for i, fail_after in enumerate(
+        _sweep_points(writes, range(1, writes + 1, max(1, writes // 25)))
+    ):
         applied = _crash_cycle(
             tmp_path / f"run{i}", spec, ops, expected, fail_after, "stop", seed=1
         )
@@ -184,13 +185,15 @@ def test_crash_sweep_recovers_committed_prefix(name, tmp_path):
 @pytest.mark.parametrize("mode", ["torn", "flip"])
 @pytest.mark.parametrize("name", CRASH_STRUCTURES)
 def test_corrupting_crashes_never_surface_bad_data(name, mode, tmp_path):
-    """Torn writes and bit flips at sampled indices: the damaged tail is
-    detected (checksums) and dropped, never replayed."""
+    """Torn writes and bit flips at sampled indices (every index under
+    ``REPRO_CRASH_STRIDE=1``): the damaged tail is detected (checksums)
+    and dropped, never replayed."""
     spec = STRUCTURES[name]
     ops = make_ops(spec, 120, seed=9)
     expected = _committed_records(spec["kind"], ops)
     writes = _count_writes(tmp_path / "dry", spec, ops)
-    for i, fail_after in enumerate(range(3, writes, max(1, writes // 8))):
+    sampled = range(3, writes, max(1, writes // 8))
+    for i, fail_after in enumerate(_sweep_points(writes, sampled)):
         _crash_cycle(
             tmp_path / f"{mode}{i}", spec, ops, expected, fail_after, mode, seed=i
         )
@@ -198,7 +201,8 @@ def test_corrupting_crashes_never_surface_bad_data(name, mode, tmp_path):
 
 def test_crash_during_checkpoint_is_recoverable(tmp_path):
     """The checkpoint path (slot flush + sidecar rename + WAL reset) has
-    its own write pattern; crash through all of it."""
+    its own write pattern; crash through all of it (at sampled indices,
+    or every one under ``REPRO_CRASH_STRIDE=1``)."""
     spec = STRUCTURES["GRID-1"]
     ops = make_ops(spec, 60, seed=5)
     expected = _committed_records(spec["kind"], ops)
@@ -219,7 +223,8 @@ def test_crash_during_checkpoint_is_recoverable(tmp_path):
 
     shutil.rmtree(tmp_path / "ckpt")
     run(writes)
-    for i, fail_after in enumerate(range(5, writes.writes, max(1, writes.writes // 12))):
+    sampled = range(5, writes.writes, max(1, writes.writes // 12))
+    for i, fail_after in enumerate(_sweep_points(writes.writes, sampled)):
         shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
         io = FaultInjectingIO(fail_after=fail_after, mode="stop", seed=i)
         try:

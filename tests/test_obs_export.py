@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.comparison import run_experiment
+from repro.core.stats import AccessStats
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (
     build_run_report,
@@ -108,3 +109,45 @@ class TestMarkdownRender:
         with pytest.raises(SystemExit) as exc:
             obs_main(["report", str(saved), "--format", "markdown"])
         assert exc.value.code == 2
+
+
+class TestQuerySeconds:
+    """Each query file's ``seconds`` is that file's own wall time."""
+
+    def test_a_costly_file_reports_more_seconds_than_a_cheap_one(self, monkeypatch):
+        from repro.core import comparison
+
+        real = comparison.query_files
+
+        def two_files(kind, method, seed=None):
+            label, query_kind, queries, operation = real(kind, method, seed)[2]
+            return [
+                ("cheap", query_kind, queries[:1], operation),
+                ("costly", query_kind, list(queries) * 10, operation),
+            ]
+
+        monkeypatch.setattr(comparison, "query_files", two_files)
+        points = make_points(200, seed=5)
+        report = run_experiment("pam", PAM_FACTORIES, points, seed=23).to_report("unit")
+        queries = report.structures["GRID"]["queries"]
+        assert 0 < queries["cheap"]["seconds"] < queries["costly"]["seconds"] / 5
+
+    def test_a_result_without_file_times_splits_evenly(self):
+        from repro.core.comparison import MethodResult
+        from repro.core.stats import BuildMetrics
+
+        metrics = BuildMetrics(0.0, 0.0, 0.0, 0, 0, 0, 0, 0)
+        result = MethodResult("A", metrics, query_costs={"q1": 1.0, "q2": 2.0})
+        report = build_run_report(
+            label="hand-built",
+            kind="pam",
+            scale=0,
+            page_size=512,
+            seed=None,
+            results={"A": result},
+            totals={"A": AccessStats()},
+            spans=[Span("A", "q1", 0, data_reads=1), Span("A", "q2", 0, data_reads=2)],
+            timers={"A/queries": 3.0},
+        )
+        queries = report.structures["A"]["queries"]
+        assert queries["q1"]["seconds"] == queries["q2"]["seconds"] == 1.5

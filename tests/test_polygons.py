@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.polygon import ConvexPolygon, convex_hull
 from repro.geometry.rect import Rect
@@ -32,6 +32,7 @@ class TestConvexHull:
         assert area > 0
 
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=3, max_size=30))
+    @example(points=[(0.0, 0.75), (1.0, 0.0), (5e-324, 1.0), (5e-324, 0.5)])  # subnormal x
     def test_hull_contains_all_points(self, points):
         hull = convex_hull(points)
         if len(hull) < 3:
