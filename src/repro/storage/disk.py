@@ -16,8 +16,10 @@ On disk a store is a directory of three files:
 
 * ``pages.dat`` — fixed-size slots, one per page id (``offset =
   header + pid * slot_size``); each slot holds a length/CRC32/kind
-  header plus the pickled page payload.  Page ids are never reused, so
-  the file is sparse where pages were freed.
+  header plus the page's image (:mod:`repro.storage.pagecodec`: a
+  header naming the page class, then its fields in a fixed layout).
+  Page ids are never reused, so the file is sparse where pages were
+  freed.
 * ``wal.log`` — the write-ahead log (:mod:`repro.storage.wal`).  A
   commit logs the full after-image of every page dirtied since the last
   commit whose bytes are not already durable, then a commit record, in
@@ -51,11 +53,11 @@ the **page-mutation contract**: a page's image may change only inside an
 operation that calls ``write()``, ``allocate()`` or ``free()`` on it,
 and derived caches never enter the image.  The store trusts that call —
 a clean victim whose slot is current is dropped without a look, and a
-commit pickles the dirty pages only.  The contract is enforced where it
+commit encodes the dirty pages only.  The contract is enforced where it
 costs no measured time: :class:`repro.verify.barrier.WriteBarrier`
 audits every fuzz run on both backends.  What stays here is what costs
 nothing extra — the CRC check of every loaded slot, the drift check
-where a WAL-only page has to be pickled anyway to write its slot
+where a WAL-only page has to be encoded anyway to write its slot
 (eviction; a drifted page is counted as ``silent_dirty``, re-classified
 dirty and logged, never dropped), and the :class:`AliasingError` of
 ``write()`` and of ``flush_to_slots`` (checkpoint).
@@ -74,6 +76,8 @@ from typing import Any, Iterator
 
 from repro.storage.io import FileHandle, InstrumentedIO, IOProvider, OsFileIO
 from repro.storage.page import PageKind
+from repro.storage.pagecodec import CorruptionError, decode
+from repro.storage.pagecodec import encode as _dumps
 from repro.storage.pagestore import PageStore
 from repro.storage.wal import WriteAheadLog
 
@@ -89,15 +93,7 @@ __all__ = [
     "snapshot_method",
 ]
 
-#: Pickle protocol for page payloads; fixed so that the image of an
-#: unchanged object is reproducible within a process and across runs.
-_PICKLE_PROTOCOL = 4
-
 META_FORMAT = "repro.storage/disk-meta/v1"
-
-
-class CorruptionError(RuntimeError):
-    """A page failed its checksum and no WAL record can heal it."""
 
 
 class PageOverflowError(ValueError):
@@ -118,19 +114,21 @@ def default_slot_size(page_size: int) -> int:
 
     Page images are larger than the paper's packed binary layout (§3
     capacities are arithmetic, not physical): over the nine standard
-    structures at N = 3000 a page image is 1.5x the logical page in the
-    median and 4.6x at worst at 512 B (a BANG directory page), 1.2x /
-    2.4x at 8 KiB; an R-tree page is 1.4x now that its boxes travel as a
-    byte column (1.6x as a flat tuple).  Slots default to 16x the
-    logical page, rounded up to a 4 KiB multiple — headroom for
-    unbalanced directory pages, paid in sparse file only.
+    structures at N = 3000 a codec image is 1.4x the logical page in the
+    median and 4.8x at worst at 512 B (a BANG directory page, whose
+    entries are still pickled), 1.1x / 2.5x at 8 KiB; an R-tree page is
+    1.25x at 512 B (its boxes and child ids are fixed-width columns).
+    Slots default to 16x the logical page, rounded up to a 4 KiB
+    multiple — headroom for unbalanced directory pages, paid in sparse
+    file only.
     """
     raw = 16 * page_size + PageFile.SLOT_HEADER
     return max(4096, -(-raw // 4096) * 4096)
 
 
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
+def _dump_meta(blob: Any) -> bytes:
+    """The application blob's bytes: a pickle, fixed at protocol 4."""
+    return pickle.dumps(blob, protocol=4)
 
 
 # -- the page file -----------------------------------------------------------
@@ -398,7 +396,7 @@ class BufferPool:
         # their slot as part of eviction) — so the page table's length
         # is the slot's, and header and payload come in one pread.
         _, payload = self.pagefile.read_slot(pid, meta.crc, meta.length)
-        return pickle.loads(payload), payload
+        return decode(payload), payload
 
     def peek(self, pid: int) -> Any:
         """The page object without promotion: no clock touch, no admission."""
@@ -482,7 +480,7 @@ class BufferPool:
         """Write back (if needed) and drop one clean frame.
 
         Returns ``False`` — and re-classifies the page dirty — when a
-        WAL-only victim, pickled to write its slot, has drifted from its
+        WAL-only victim, encoded to write its slot, has drifted from its
         committed image (a mutation the store was never told about).
         """
         meta = self.pages[pid]
@@ -729,7 +727,7 @@ class DiskPageStore(PageStore):
         for pid in sorted(pool.freed):
             self._wal_append("free", pid)
         if meta is not None:
-            self._wal_append("meta", _dumps(meta))
+            self._wal_append("meta", _dump_meta(meta))
             self.meta_blob = meta
         self._wal.commit(self._next_id, self._pinned, fsync=self.fsync_on_commit)
         for pid in pool.dirty:
@@ -810,7 +808,7 @@ class DiskPageStore(PageStore):
             "pinned": sorted(self._pinned),
             "pages": pages,
             "meta": (
-                base64.b64encode(_dumps(self.meta_blob)).decode("ascii")
+                base64.b64encode(_dump_meta(self.meta_blob)).decode("ascii")
                 if self.meta_blob is not None
                 else None
             ),

@@ -16,8 +16,10 @@ Coverage knobs:
 * the deterministic tests sample fail points through the whole write
   budget of their stream: fail-stop every ``writes // 25``-th index,
   torn writes and bit flips every ``writes // 8``-th, mid-checkpoint
-  crashes every ``writes // 12``-th.  ``REPRO_CRASH_STRIDE=1`` makes all
-  of them sweep every write index (a step of CI's storage job);
+  crashes every ``writes // 12``-th, and fail-stop and torn writes
+  every ``writes // 8``-th write of a reopen's recovery (plus a crash at
+  its WAL reset).  ``REPRO_CRASH_STRIDE=1`` makes all of them sweep
+  every write index (a step of CI's storage job);
 * the hypothesis test samples random ``(structure, seed, fail point,
   mode)`` tuples on a shorter stream, so every run explores new crash
   points beyond the deterministic grid.
@@ -32,6 +34,7 @@ on both backends), ``R`` (a SAM with deletes).
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,7 @@ from hypothesis import strategies as st
 from repro.geometry.rect import Rect
 from repro.storage.disk import DiskPageStore, restore_method, snapshot_method
 from repro.storage.io import FaultInjectingIO, InjectedCrash
+from repro.storage.wal import WriteAheadLog
 from repro.verify.fuzz import STRUCTURES, make_ops
 
 CRASH_STRUCTURES = ("GRID-1", "BUDDY+", "R")
@@ -219,8 +223,6 @@ def test_crash_during_checkpoint_is_recoverable(tmp_path):
 
     run(FaultInjectingIO(fail_after=None))
     writes = FaultInjectingIO(fail_after=None)
-    import shutil
-
     shutil.rmtree(tmp_path / "ckpt")
     run(writes)
     sampled = range(5, writes.writes, max(1, writes.writes // 12))
@@ -232,6 +234,52 @@ def test_crash_during_checkpoint_is_recoverable(tmp_path):
         except InjectedCrash:
             pass
         _recover_and_check(tmp_path / "ckpt", spec, expected)
+
+
+@pytest.mark.parametrize("mode", ["stop", "torn"])
+@pytest.mark.parametrize("name", CRASH_STRUCTURES)
+def test_crash_during_recovery_is_recoverable(name, mode, tmp_path, monkeypatch):
+    """A reopen writes each page's last committed image into its slot,
+    then the sidecar (tmp write + rename), then resets the WAL.  Crash
+    it at sampled write indices (every one under
+    ``REPRO_CRASH_STRIDE=1``) and at the reset, reopen again, and find
+    the committed prefix a clean reopen finds."""
+    spec = STRUCTURES[name]
+    ops = make_ops(spec, 600, seed=42)
+    expected = _committed_records(spec["kind"], ops)
+    # A stream that dies just before its end: the WAL holds every commit.
+    crashed = tmp_path / "crashed"
+    stream_writes = _count_writes(tmp_path / "dry", spec, ops)
+    with pytest.raises(InjectedCrash):
+        _run_until_crash(crashed, spec, ops, FaultInjectingIO(fail_after=stream_writes - 2))
+    shutil.copytree(crashed, tmp_path / "clean")
+    counting = FaultInjectingIO(fail_after=None)
+    store = DiskPageStore(tmp_path / "clean", pool_pages=POOL, io=counting)
+    writes = counting.writes  # the reopen's own: slot writes, sidecar write and rename
+    store.close()
+    applied = _recover_and_check(tmp_path / "clean", spec, expected)
+    assert applied >= 600 and writes > 10  # every op committed; pages to write
+
+    def reopen_crashes(path, io) -> None:
+        with pytest.raises(InjectedCrash):
+            DiskPageStore(path, pool_pages=POOL, io=io)
+
+    points = _sweep_points(writes, range(1, writes + 1, max(1, writes // 8)))
+    for fail_after in [*points, writes, "reset"]:
+        run = tmp_path / f"run{fail_after}"
+        shutil.copytree(crashed, run)
+        if fail_after == "reset":
+            with monkeypatch.context() as m:
+                m.setattr(WriteAheadLog, "reset", _crash_now)
+                reopen_crashes(run, FaultInjectingIO(fail_after=None))
+        else:
+            reopen_crashes(run, FaultInjectingIO(fail_after=fail_after, mode=mode, seed=fail_after))
+        assert _recover_and_check(run, spec, expected) == applied
+        shutil.rmtree(run)
+
+
+def _crash_now(*args) -> None:
+    raise InjectedCrash("injected crash at the WAL reset")
 
 
 # -- randomized exploration --------------------------------------------------

@@ -29,6 +29,7 @@ from repro.storage.disk import (
 from repro.storage.io import FaultInjectingIO, InjectedCrash, InstrumentedIO, OsFileIO
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
+from repro.storage.soa import SoAList
 from repro.storage.wal import _REPLAY_BLOCK, WriteAheadLog
 from repro.verify import AuditError
 from repro.verify.barrier import WriteBarrier
@@ -704,10 +705,8 @@ class TestMissPath:
         store.checkpoint()  # every committed page now has a current slot
         pool = store.pool
         assert all(m.on_disk for m in pool.pages.values())
-        dumped = []
-        monkeypatch.setattr(
-            disk, "_dumps", lambda obj: dumped.append(obj) or pickle.dumps(obj, 4)
-        )
+        dumped, encode = [], disk._dumps
+        monkeypatch.setattr(disk, "_dumps", lambda obj: dumped.append(obj) or encode(obj))
         before = pool.evictions, pool.misses
         for _ in range(2):  # a query-only phase: misses and evictions, no writes
             for pid in store.page_ids():
@@ -745,7 +744,7 @@ def test_snapshot_and_restore_method(tmp_path):
     clone.audit()
 
 
-# -- images written before the byte columns ----------------------------------
+# -- images written before the page codec ------------------------------------
 
 
 def _parent_reduce(self):
@@ -763,18 +762,25 @@ def _parent_reduce(self):
 
 
 class TestParentImages:
-    """A store written before the byte columns reopens, recovers and
-    answers exactly as one written with them; its pages then take the
-    new images."""
+    """A store whose slots and WAL hold whole-page pickles — with boxes
+    as flat tuples (``_restore_boxes``) or as byte columns
+    (``_restore_columns``) — reopens, recovers and answers exactly as one
+    written with the page codec; its changed pages then take codec
+    images."""
 
     @staticmethod
     def _crashed_store(path, cls, data, reduce, monkeypatch):
         """Build, close, reopen, insert more, commit, crash: the slots and
-        the WAL both hold images made by ``reduce``."""
+        the WAL both hold images of the format under test (``reduce``
+        ``None``: the codec; else a whole-page pickle whose containers
+        reduce by ``reduce``)."""
+        from repro.storage import disk
         from repro.storage.soa import SoAList
 
         with monkeypatch.context() as m:
-            m.setattr(SoAList, "__reduce__", reduce)
+            if reduce is not None:
+                m.setattr(SoAList, "__reduce__", reduce)
+                m.setattr(disk, "_dumps", lambda page: pickle.dumps(page, 4))
             store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
             am = cls(store)
             for rid, item in enumerate(data[:250]):
@@ -793,51 +799,53 @@ class TestParentImages:
         from repro.pam.twolevelgrid import TwoLevelGridFile
         from repro.query.driver import run_query_file
         from repro.sam.rtree import RTree
-        from repro.storage.soa import SoAList
+        from repro.storage.pagecodec import MAGIC
         from tests.conftest import make_points, make_rects
 
         rects, points = make_rects(300, seed=3), make_points(300, seed=4)
+        formats = (("boxes", _parent_reduce), ("columns", SoAList.__reduce__), ("codec", None))
         for kind, cls, data in (("sam", RTree, rects), ("pam", TwoLevelGridFile, points)):
-            answers = {}
-            for name, reduce in (("parent", _parent_reduce), ("columns", SoAList.__reduce__)):
+            answers, parents = {}, []
+            for name, reduce in formats:
                 path = tmp_path / kind / name
                 self._crashed_store(path, cls, data, reduce, monkeypatch)
                 log = WriteAheadLog(path / "wal.log", OsFileIO())
-                wal = b"".join(r.fields[2] for r in log.replay()[0] if r.kind == "page")
+                wal = [r.fields[2] for r in log.replay()[0] if r.kind == "page"]
                 log.close()
                 store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
-                assert store.recovered
-                slots = b"".join(store._pagefile.read_slot(p)[1] for p in store.page_ids())
-                for image in (wal, slots):
+                assert store.recovered and wal
+                slots = [store._pagefile.read_slot(p)[1] for p in store.page_ids()]
+                assert {image[0] == MAGIC for image in wal + slots} == {name == "codec"}
+                for image in (b"".join(wal), b"".join(slots)):
                     assert (b"_restore_columns" in image) == (name == "columns")
-                    assert (b"_restore_boxes" in image) == ((name, kind) == ("parent", "sam"))
+                    assert (b"_restore_boxes" in image) == ((name, kind) == ("boxes", "sam"))
                 am = restore_method(store, store.meta_blob)
                 answers[name] = [
                     run_query_file(am, qkind, queries, op)
                     for _, qkind, queries, op in query_files(kind, am)
                 ]
-                if name == "parent":
-                    parent = store, am
-                else:
+                if name == "codec":
                     store.close()
+                else:
+                    parents.append((store, am))
             # Results and charged counts, query by query.
-            assert answers["parent"] == answers["columns"]
-            store, am = parent
-            # Read and decode every row, write through the decoded pages, let
-            # the clock evict them (a WAL-only victim is re-imaged and compared
-            # with its committed image), then checkpoint (which re-images every
-            # WAL-only page and refuses one that drifted).
-            want = sorted(((item, rid) for rid, item in enumerate(data)), key=repr)
-            assert sorted(am.iter_records(), key=repr) == want
-            for rid, item in enumerate(data[:40], len(data)):
-                am.insert(item, rid)
-                want.append((item, rid))
-            for pid in store.page_ids():
-                store.begin_operation()
-                store.read(pid)
-            store.checkpoint()
-            assert store.pool.silent_dirty == 0 and store.pool.evictions
-            slots = b"".join(store._pagefile.read_slot(p)[1] for p in store.page_ids())
-            assert b"_restore_columns" in slots
-            assert sorted(am.iter_records(), key=repr) == sorted(want, key=repr)
-            store.close()
+            assert answers["boxes"] == answers["columns"] == answers["codec"]
+            for store, am in parents:
+                # Read and decode every row, write through the decoded pages,
+                # let the clock evict them (a WAL-only victim is re-imaged and
+                # compared with its committed image), then checkpoint (which
+                # re-images every WAL-only page and refuses one that drifted).
+                want = sorted(((item, rid) for rid, item in enumerate(data)), key=repr)
+                assert sorted(am.iter_records(), key=repr) == want
+                for rid, item in enumerate(data[:40], len(data)):
+                    am.insert(item, rid)
+                    want.append((item, rid))
+                for pid in store.page_ids():
+                    store.begin_operation()
+                    store.read(pid)
+                store.checkpoint()
+                assert store.pool.silent_dirty == 0 and store.pool.evictions
+                slots = [store._pagefile.read_slot(p)[1] for p in store.page_ids()]
+                assert any(image[0] == MAGIC for image in slots)
+                assert sorted(am.iter_records(), key=repr) == sorted(want, key=repr)
+                store.close()

@@ -5,7 +5,7 @@ import pytest
 from repro.geometry.rect import Rect
 from repro.pam.gridfile import GridFile, _GridLayer
 from repro.pam.twingrid import TwinGridFile
-from repro.storage.disk import _dumps, snapshot_method
+from repro.storage.disk import _dump_meta, snapshot_method
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
     STANDARD_QUERIES,
@@ -175,7 +175,7 @@ def test_a_query_leaves_the_method_blob_unchanged(cls):
     for rid, point in enumerate(make_points(400, seed=12)):
         grid.insert(point, rid)
     layers = [grid._layer] if cls is GridFile else grid._layers
-    before = _dumps(snapshot_method(grid))
+    before = _dump_meta(snapshot_method(grid))
     assert grid.range_query(Rect((0.1, 0.1), (0.9, 0.9)))
     assert any(layer._bounds is not None for layer in layers)
-    assert _dumps(snapshot_method(grid)) == before and b"numpy" not in before
+    assert _dump_meta(snapshot_method(grid)) == before and b"numpy" not in before

@@ -1,11 +1,10 @@
 """Tests for GRID, the 2-level grid file."""
 
-import pickle
-
 from repro.geometry.rect import Rect
 from repro.pam.twolevelgrid import TwoLevelGridFile, _SubGrid
 from repro.storage.disk import _dumps
 from repro.storage.page import PageKind
+from repro.storage.pagecodec import decode
 from repro.storage.pagestore import PageStore
 from tests.conftest import (
     STANDARD_QUERIES,
@@ -103,7 +102,7 @@ class TestStructure:
         assert grid.range_query(Rect((0.1, 0.1), (0.9, 0.9)))
         assert any(store.peek(p).layer._bounds is not None for p in subgrids)
         assert {pid: _dumps(store.peek(pid)) for pid in store.page_ids()} == images
-        assert pickle.loads(images[subgrids[0]]).layer._bounds is None
+        assert decode(images[subgrids[0]]).layer._bounds is None
 
 
 class TestPathological:
