@@ -8,13 +8,15 @@ page class and the encoding of each field, then the fields::
     magic 0xC5 | u8 name length | u8 field count | name | one tag per field
     | struct of the fields' fixed parts | the fields' bodies, in order
 
-A page whose class keeps its state in ``__slots__`` (every page class of
-the package) is named ``module:qualname`` and has one field per slot, in
-the slot order pickle uses; any other object (``None`` grid directory
-pages, the plain values tests store) has an empty name and is its own
-one field.  The fields are what pickle's slot state holds, so the image
-of a page changes exactly when that state does — the promise the write
-barrier (:class:`repro.verify.barrier.WriteBarrier`) and the commit's
+A page whose class keeps its state in ``__slots__`` and leaves its
+pickling to the default (every page class of the package) is named
+``module:qualname`` and has one field per slot, in the slot order pickle
+uses; any other object (``None`` grid directory pages, the plain values
+tests store, a class with its own pickling hook) has an empty name and
+is its own one field, so its hook still runs.  The fields are what
+pickle's slot state holds, so the image of a page changes exactly when
+that state does — the promise the write barrier
+(:class:`repro.verify.barrier.WriteBarrier`) and the commit's
 equal-bytes skip rest on.  Each field is tagged by one byte:
 
 * ``U`` an unset slot, ``N`` ``None``, ``T`` / ``F`` a ``bool``: no bytes;
@@ -25,9 +27,9 @@ equal-bytes skip rest on.  Each field is tagged by one byte:
   ``(point, rid)`` records: ``dims`` and the column byte lengths in the
   fixed part, the float64 (and int64 rid) columns of
   :func:`repro.storage.soa._image` in the body;
-* ``S`` any other ``SoAList`` and ``P`` any other value (BANG / BUDDY
-  ``_Entry`` rows, HB ``_Kd`` trees, GRID ``_GridLayer``): the byte
-  length, then the pickle of the row list / of the value.
+* ``P`` any other value (a ``SoAList`` of BANG / BUDDY ``_Entry`` rows,
+  HB ``_Kd`` trees, GRID ``_GridLayer``): the byte length, then the
+  pickle of the value.
 
 Element types survive: a column holds only ``float`` coordinates and
 ``int`` rids and pids within int64, and anything else takes the pickled
@@ -129,10 +131,7 @@ def _enc_soa(value, heads, bodies) -> int:
     cols = _image(value)
     if cols is not None:
         return _enc_columns(cols, heads, bodies)
-    body = pickle.dumps(list(value), _PICKLE_PROTOCOL)
-    heads.append(len(body))
-    bodies.append(body)
-    return 0x53  # S
+    return _enc_pickled(value, heads, bodies)
 
 
 def _enc_packed(value, heads, bodies) -> int:
@@ -172,13 +171,6 @@ def _unpickle(body: bytes):
         raise CorruptionError(f"page image holds an unreadable pickled field: {exc!r}") from exc
 
 
-def _rows(body: bytes) -> SoAList:
-    rows = _unpickle(body)
-    if type(rows) is not list:
-        raise CorruptionError(f"SoAList field holds a {type(rows).__name__}, not a row list")
-    return SoAList(rows)
-
-
 def _misfit(buf: bytes, end: int) -> CorruptionError:
     if end > len(buf):
         return CorruptionError(f"page image truncated: its fields end at byte {end} of {len(buf)}")
@@ -197,7 +189,6 @@ _TAGS = {
     0x4C: ("I", 1, "_ints({b0})"),
     0x42: ("II", 1, "_restore_columns({h0}, {b0}, None)"),
     0x52: ("III", 2, "_restore_columns({h0}, {b0}, {b1})"),
-    0x53: ("I", 1, "_rows({b0})"),
     0x50: ("I", 1, "_unpickle({b0})"),
 }
 
@@ -205,22 +196,24 @@ _TAGS = {
 # -- per-class layouts ---------------------------------------------------------
 
 
+#: The methods by which a class takes over its own pickling.
+_PICKLE_HOOKS = (
+    "__reduce_ex__", "__reduce__", "__getstate__", "__setstate__",
+    "__getnewargs_ex__", "__getnewargs__",
+)  # fmt: skip
+
+
 def _slot_names(cls: type) -> "list[str] | None":
     """The slots pickle saves for ``cls``, in its order, or ``None`` when
     ``cls`` is not a plain slotted class (a builtin, a class with a
-    ``__dict__``, or one that customises its pickling): such an object
-    is stored as a value."""
+    ``__dict__``, or one that defines or registers a pickling hook):
+    such an object is stored as a value."""
     mro = cls.__mro__
-    if len(mro) < 2 or cls.__dictoffset__:
+    if len(mro) < 2 or cls.__dictoffset__ or cls in copyreg.dispatch_table:
         return None
-    if not all("__slots__" in c.__dict__ for c in mro[:-1]):
-        return None
-    if (
-        cls.__reduce_ex__ is not object.__reduce_ex__
-        or cls.__reduce__ is not object.__reduce__
-        or cls.__getstate__ is not object.__getstate__
-    ):
-        return None
+    for c in mro[:-1]:
+        if "__slots__" not in c.__dict__ or any(hook in c.__dict__ for hook in _PICKLE_HOOKS):
+            return None
     return copyreg._slotnames(cls)
 
 
@@ -328,12 +321,12 @@ def _compile(header: bytes) -> Callable:
         lines += [f"_set{i}(obj, {v})" for i, v in enumerate(values) if v is not None]
         lines.append("return obj")
         scope = {f"_set{i}": getattr(cls, slot).__set__ for i, slot in enumerate(slots)}
-        scope.update(_new=object.__new__, _cls=cls)
+        scope.update(_new=cls.__new__, _cls=cls)
     else:
         lines.append(f"return {values[0]}")
         scope = {}
     scope.update(
-        _unpack=fixed.unpack_from, _misfit=_misfit, _ints=_ints, _rows=_rows,
+        _unpack=fixed.unpack_from, _misfit=_misfit, _ints=_ints,
         _unpickle=_unpickle, _restore_columns=_restore_columns,
     )  # fmt: skip
     source = "def decode(buf):\n" + "".join(f"    {line}\n" for line in lines)

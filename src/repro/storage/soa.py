@@ -32,7 +32,6 @@ degrades to a rebuild, never to a stale verdict.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import struct
 from struct import pack
@@ -251,64 +250,30 @@ _FLOAT = {float}
 def _image(lst: SoAList) -> "tuple[int, bytes, bytes | None] | None":
     """:func:`_columns` of ``lst``, re-using the bytes of its last image.
 
-    Rows are immutable and compared by identity, position by position
-    with the rows the last image was written from.  The columns of that
-    image are copied and only the rows whose identity changed are packed
-    into them: none for an eviction's re-image of a committed page, one
-    for a commit after an ``append`` or after a directory entry's box
-    was grown in place.  A row that no longer fits the columns (another
-    shape, dimensionality or type) writes every row again.
+    Rows are immutable and compared by identity.  While the rows the last
+    image was written from lead the container as the same objects, their
+    bytes are kept and only the rows after them are written: none for an
+    eviction's re-image of a committed page, one for a commit after an
+    ``append``.  Any other change, a row swapped behind the mutators'
+    back included, writes every row again.
     """
     last = lst._image
     if last is not None:
         seen, cols = last
-        if len(lst) == len(seen) and all(map(operator.is_, lst, seen)):
-            return cols
-        cols = _repack(lst, seen, cols)
-        if cols is not None:
-            lst._image = (tuple(lst), cols)
-            return cols
+        grown = len(lst) - len(seen)
+        if grown >= 0 and all(map(operator.is_, lst, seen)):
+            if not grown:
+                return cols
+            dims, coords, rids = cols
+            tail = _columns(lst[len(seen) :])
+            if tail is not None and tail[0] == dims and (tail[2] is None) == (rids is None):
+                cols = dims, coords + tail[1], None if rids is None else rids + tail[2]
+                lst._image = (tuple(lst), cols)
+                return cols
     rows = tuple(lst)
     cols = _columns(rows)
     lst._image = None if cols is None else (rows, cols)
     return cols
-
-
-def _repack(lst: SoAList, seen: tuple, cols) -> "tuple[int, bytes, bytes | None] | None":
-    """``cols`` (the columns of ``seen``) with every row of ``lst`` whose
-    identity differs from ``seen``'s at its position packed over it, the
-    rows past ``seen`` appended and those past ``lst`` cut; ``None`` when
-    a packed row does not fit the columns or ``lst`` is empty."""
-    if not lst:
-        return None
-    dims, coords, rids = cols
-    keep = min(len(lst), len(seen))
-    changed = list(itertools.compress(range(keep), map(operator.is_not, lst, seen)))
-    fresh = [lst[i] for i in changed]
-    fresh += lst[keep:]
-    if fresh:
-        part = _columns(fresh)
-        if part is None or part[0] != dims or (part[2] is None) != (rids is None):
-            return None
-        _, new_coords, new_rids = part
-    else:
-        new_coords = new_rids = b""
-    width = 8 * dims if rids is not None else 16 * dims
-    coords = _splice(coords, width, keep, changed, new_coords)
-    return dims, coords, None if rids is None else _splice(rids, 8, keep, changed, new_rids)
-
-
-def _splice(column: bytes, width: int, keep: int, changed: list, new: bytes) -> bytes:
-    """``column`` cut to ``keep`` rows of ``width`` bytes, its row
-    ``changed[j]`` replaced by row ``j`` of ``new``, the rest of ``new``
-    appended."""
-    if not changed:
-        return column[: keep * width] + new
-    out = bytearray(column[: keep * width])
-    for j, i in enumerate(changed):
-        out[i * width : i * width + width] = new[j * width : j * width + width]
-    out += new[len(changed) * width :]
-    return bytes(out)
 
 
 def _restore_columns(dims: int, coords: bytes, rids: "bytes | None") -> SoAList:

@@ -19,7 +19,7 @@ from repro.pam.zbtree import _Leaf
 from repro.sam.rtree import _Node
 from repro.storage.disk import CorruptionError, DiskPageStore
 from repro.storage.page import PageKind
-from repro.storage.pagecodec import MAGIC, decode, encode
+from repro.storage.pagecodec import MAGIC, _slot_names, decode, encode
 from repro.storage.soa import SoAList, _columns, _Packed
 from repro.verify.fuzz import STRUCTURES
 from tests.conftest import make_points, make_rects
@@ -128,6 +128,65 @@ def test_a_value_page_is_its_own_one_field(value):
     image = encode(value)
     assert image[:3] == bytes((MAGIC, 0, 1))
     assert _exact(decode(image), value) and encode(decode(image)) == image
+
+
+# -- classes that take over their own pickling ------------------------------------
+
+
+class _SetStateOnly:
+    """Slotted, with only a ``__setstate__``: its hook must still run."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self.a, self.b = slots["a"], ("restored", slots["b"])
+
+
+class _InheritsTheHook(_SetStateOnly):
+    __slots__ = ("c",)
+
+
+class _GetNewArgs:
+    __slots__ = ("a",)
+
+    def __new__(cls, a=None):
+        obj = object.__new__(cls)
+        obj.a = ("new", a)
+        return obj
+
+    def __getnewargs__(self):
+        return (self.a[1],)
+
+
+@pytest.mark.parametrize("cls", [_SetStateOnly, _InheritsTheHook, _GetNewArgs])
+def test_a_class_with_a_pickling_hook_is_stored_as_a_value(cls):
+    page = cls(1) if cls is _GetNewArgs else cls(1, [2.5])
+    assert _slot_names(cls) is None
+    image = encode(page)
+    assert image[:3] == bytes((MAGIC, 0, 1)) and image[3:4] == b"P"
+    back = decode(image)
+    assert type(back) is cls
+    if cls is _GetNewArgs:
+        assert back.a == ("new", 1)
+    else:
+        assert (back.a, back.b) == (1, ("restored", [2.5]))  # the hook ran
+    # A codec image that names the class with slot fields is refused: a
+    # slot-by-slot decode would bypass the hook.
+    name = f"{cls.__module__}:{cls.__qualname__}".encode()
+    fields = len(cls.__slots__)
+    forged = bytes((MAGIC, len(name), fields)) + name + b"N" * fields
+    with pytest.raises(CorruptionError):
+        decode(forged)
+
+
+def test_plain_slotted_page_classes_are_laid_out_slot_by_slot():
+    assert _slot_names(_Node) == list(_Node.__slots__)
+    assert _slot_names(_Leaf) == list(_Leaf.__slots__)
+    assert encode(_node(is_leaf=True, rects=[BOX], children=[1]))[1] > 0  # named
 
 
 # -- refusals ----------------------------------------------------------------------

@@ -363,30 +363,6 @@ class TestFlatRectReduce:
     def test_reduce_reads_the_records_never_the_kept_columns(self, rows, swapped):
         self._swap_behind_the_mutators(rows, swapped)
 
-    def test_an_image_packs_only_the_rows_whose_identity_changed(self, monkeypatch):
-        """A grown directory box (``rects[slot] = grown``) re-packs one row;
-        a pop from the end packs none; the bytes always equal a fresh
-        image of the rows."""
-        from repro.storage import soa
-
-        boxes = [Rect((0.1 * i, 0.0), (0.1 * i + 0.05, 0.5)) for i in range(8)]
-        lst = SoAList(boxes)
-        soa._image(lst)
-        packed = []
-        columns = soa._columns
-        monkeypatch.setattr(soa, "_columns", lambda rows: packed.append(len(rows)) or columns(rows))
-        for mutate, rows in (
-            (lambda: lst.__setitem__(5, Rect((0.5, 0.0), (0.6, 0.7))), 1),
-            (lambda: lst.pop(), 0),
-            (lambda: (lst.__setitem__(0, boxes[2]), lst.append(boxes[0])), 2),
-        ):
-            mutate()
-            packed.clear()
-            assert soa._image(lst) == columns(list(lst)) and sum(packed) == rows
-        lst.append(((0.5, 0.5), 9))  # a row that does not fit: every row again
-        packed.clear()
-        assert soa._image(lst) is None and packed == [1, len(lst)]
-
     @staticmethod
     def _swap_behind_the_mutators(rows, swapped):
         clone = pickle.loads(pickle.dumps(SoAList(rows), _PROTOCOL))
