@@ -19,7 +19,6 @@ Additional structures used as substrates or baselines:
   the substrate of the overlapping-regions SAM.
 * :class:`repro.pam.zbtree.ZOrderBTree` — B+-tree over z-values (class
   C4 baseline, substrate of the clipping SAM).
-* :class:`repro.pam.kdtree.KdTreeOracle` — in-memory oracle for tests.
 * :class:`repro.pam.kdbtree.KdBTree` — the classic class-C1 k-d-B tree.
 * :class:`repro.pam.mlgf.MultilevelGridFile` — BUDDY's balanced
   predecessor (class C3), used by the ABL-MLGF bench.
@@ -34,7 +33,6 @@ from repro.pam.buddytree import BuddyTree
 from repro.pam.gridfile import GridFile
 from repro.pam.hbtree import HBTree
 from repro.pam.kdbtree import KdBTree
-from repro.pam.kdtree import KdTreeOracle
 from repro.pam.mlgf import MultilevelGridFile
 from repro.pam.plop import PlopHashing, QuantileHashing
 from repro.pam.twingrid import TwinGridFile
@@ -47,7 +45,6 @@ __all__ = [
     "GridFile",
     "HBTree",
     "KdBTree",
-    "KdTreeOracle",
     "MultilevelGridFile",
     "PlopHashing",
     "QuantileHashing",

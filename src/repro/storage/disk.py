@@ -19,7 +19,7 @@ On disk a store is a directory of three files:
   header plus the page's image (:mod:`repro.storage.pagecodec`: a
   header naming the page class, then its fields in a fixed layout).
   Page ids are never reused, so the file is sparse where pages were
-  freed.
+  freed.  A file of another format version is refused at open.
 * ``wal.log`` — the write-ahead log (:mod:`repro.storage.wal`).  A
   commit logs the full after-image of every page dirtied since the last
   commit whose bytes are not already durable, then a commit record, in
@@ -142,7 +142,7 @@ class PageFile:
     """Fixed-size slotted page file: ``slot(pid) = header + pid * slot_size``."""
 
     MAGIC = b"RPGF"
-    VERSION = 1
+    VERSION = 2  # page-codec images only; a version-1 file may hold whole-page pickles
     _FILE_HEADER = struct.Struct("<4sIII")
     HEADER_SIZE = 16
     #: Per-slot header: payload length, CRC32, kind byte, 7 pad bytes.
@@ -179,8 +179,12 @@ class PageFile:
         else:
             header = self._fh.pread(self._FILE_HEADER.size, 0)
             magic, version, file_slot, file_page = self._FILE_HEADER.unpack(header)
-            if magic != self.MAGIC or version != self.VERSION:
+            if magic != self.MAGIC:
                 raise CorruptionError(f"{self.path}: not a page file")
+            if version != self.VERSION:
+                raise CorruptionError(
+                    f"{self.path}: page file version {version}, not {self.VERSION}"
+                )
             self.slot_size = file_slot
             self.page_size = file_page
 

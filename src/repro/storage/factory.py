@@ -16,8 +16,6 @@ or any charged statistic.
 from __future__ import annotations
 
 import atexit
-import itertools
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -30,7 +28,6 @@ __all__ = ["make_store"]
 #: Buffer-pool budget of a disk store built without ``pool_pages=``.
 DEFAULT_POOL_PAGES = 256
 
-_counter = itertools.count()
 _process_tempdir: str | None = None
 
 
@@ -78,7 +75,10 @@ def make_store(
     from repro.storage.disk import DiskPageStore
 
     base = _store_base_dir(config.store_dir if directory is None else directory)
-    path = base / f"store-{os.getpid()}-{next(_counter)}"
+    base.mkdir(parents=True, exist_ok=True)
+    # A name that cannot already exist: a store left under a persistent
+    # base is never recovered in place of a fresh one.
+    path = tempfile.mkdtemp(prefix="store-", dir=base)
     if "telemetry" not in disk_kwargs and config.telemetry:
         from repro.obs.telemetry import Telemetry
 

@@ -38,9 +38,9 @@ form.  A ``B`` / ``R`` field decodes through
 columns and inverted boxes with a ``ValueError``; every other bad image
 (truncated, trailing bytes, an unknown tag, class or slot count, an
 unreadable pickled field) is a :class:`CorruptionError`.  Either way no
-page object is returned.  An image whose first byte is ``0x80`` is a
-whole-page pickle, the format of stores written before this codec; it
-is read as one and re-imaged by the next commit that changes the page.
+page object is returned.  So is an image not starting with ``0xC5``,
+such as the whole-page pickle (``0x80``) of a store written before this
+codec, which the page file's version refuses at open anyway.
 
 Each page class's layout (its slot getter) is built on its first
 encode, and each header met on a load is compiled once into
@@ -63,8 +63,7 @@ from repro.storage.soa import SoAList, _image, _Packed, _restore_columns
 __all__ = ["CorruptionError", "MAGIC", "decode", "encode"]
 
 MAGIC = 0xC5
-_PICKLE = 0x80  # first byte of a protocol-2+ pickle: a parent-format image
-_PICKLE_PROTOCOL = 4  # fixed: the image of an unchanged value is reproducible
+_PROTOCOL = 4  # fixed: the image of an unchanged value is reproducible
 
 
 class _Unset:
@@ -96,7 +95,7 @@ def _enc_bool(value, heads, bodies) -> int:
 
 def _enc_int(value, heads, bodies) -> int:
     if value not in _INT64:
-        return _enc_pickled(value, heads, bodies)
+        return _enc_opaque(value, heads, bodies)
     heads.append(value)
     return 0x71  # q
 
@@ -106,11 +105,11 @@ def _enc_list(value, heads, bodies) -> int:
         try:
             column = struct.pack(f"{len(value)}q", *value)
         except struct.error:  # an int past int64
-            return _enc_pickled(value, heads, bodies)
+            return _enc_opaque(value, heads, bodies)
         heads.append(len(column))
         bodies.append(column)
         return 0x4C  # L
-    return _enc_pickled(value, heads, bodies)
+    return _enc_opaque(value, heads, bodies)
 
 
 _INT = {int}
@@ -131,15 +130,15 @@ def _enc_soa(value, heads, bodies) -> int:
     cols = _image(value)
     if cols is not None:
         return _enc_columns(cols, heads, bodies)
-    return _enc_pickled(value, heads, bodies)
+    return _enc_opaque(value, heads, bodies)
 
 
 def _enc_packed(value, heads, bodies) -> int:
     return _enc_columns(value._image[1], heads, bodies)
 
 
-def _enc_pickled(value, heads, bodies) -> int:
-    body = pickle.dumps(value, _PICKLE_PROTOCOL)
+def _enc_opaque(value, heads, bodies) -> int:
+    body = pickle.dumps(value, _PROTOCOL)
     heads.append(len(body))
     bodies.append(body)
     return 0x50  # P
@@ -197,7 +196,7 @@ _TAGS = {
 
 
 #: The methods by which a class takes over its own pickling.
-_PICKLE_HOOKS = (
+_HOOKS = (
     "__reduce_ex__", "__reduce__", "__getstate__", "__setstate__",
     "__getnewargs_ex__", "__getnewargs__",
 )  # fmt: skip
@@ -212,7 +211,7 @@ def _slot_names(cls: type) -> "list[str] | None":
     if len(mro) < 2 or cls.__dictoffset__ or cls in copyreg.dispatch_table:
         return None
     for c in mro[:-1]:
-        if "__slots__" not in c.__dict__ or any(hook in c.__dict__ for hook in _PICKLE_HOOKS):
+        if "__slots__" not in c.__dict__ or any(hook in c.__dict__ for hook in _HOOKS):
             return None
     return copyreg._slotnames(cls)
 
@@ -240,7 +239,7 @@ class _Layout:
         heads: list = []
         bodies: list = [b""]
         get = _ENCODERS.get
-        tags = bytes([get(type(v), _enc_pickled)(v, heads, bodies) for v in self.values(obj)])
+        tags = bytes([get(type(v), _enc_opaque)(v, heads, bodies) for v in self.values(obj)])
         fixed = _STRUCTS.get(tags)
         if fixed is None:
             fixed = _STRUCTS[tags] = struct.Struct("<" + "".join(_TAGS[t][0] for t in tags))
@@ -351,15 +350,12 @@ def decode(image: bytes) -> Any:
     """The page object of ``image``: the one decoder of page state."""
     if len(image) < 3:
         raise CorruptionError(f"page image truncated: {len(image)} bytes")
-    first = image[0]
-    if first == MAGIC:
-        end = 3 + image[1] + image[2]
-        decoder = _DECODERS.get(image[:end])
-        if decoder is None:
-            if len(image) < end:
-                raise CorruptionError("page image truncated inside its header")
-            decoder = _DECODERS[image[:end]] = _compile(image[:end])
-        return decoder(image)
-    if first == _PICKLE:
-        return pickle.loads(image)
-    raise CorruptionError(f"page image starts with {first:#04x}, not a known format")
+    if image[0] != MAGIC:
+        raise CorruptionError(f"page image starts with {image[0]:#04x}, not a known format")
+    end = 3 + image[1] + image[2]
+    decoder = _DECODERS.get(image[:end])
+    if decoder is None:
+        if len(image) < end:
+            raise CorruptionError("page image truncated inside its header")
+        decoder = _DECODERS[image[:end]] = _compile(image[:end])
+    return decoder(image)

@@ -297,16 +297,6 @@ def _restore_columns(dims: int, coords: bytes, rids: "bytes | None") -> SoAList:
     return out
 
 
-def _restore_boxes(dims: int, flat: tuple) -> SoAList:
-    """The rows of a box image written before the byte columns: one flat
-    tuple of coordinates, rebuilt as they were by the validating ``Rect``."""
-    width = 2 * dims
-    if dims < 1 or len(flat) % width:
-        raise ValueError(f"dimension mismatch: {len(flat)} coordinates, {dims} dims")
-    starts = range(0, len(flat), width)
-    return SoAList(Rect(flat[i : i + dims], flat[i + dims : i + width]) for i in starts)
-
-
 class _Packed(SoAList):
     """Rows restored from a page image and not decoded yet.
 

@@ -8,8 +8,6 @@
   paper's real cartography file (see DESIGN.md, substitutions).
 * :mod:`repro.workloads.queries` — the query files: (RQ1)–(RQ3),
   (PMQ1)/(PMQ2) and the 160+20 rectangle-query workload of §7.
-* :mod:`repro.workloads.files` — plain-text save/load so the testbed
-  files can be exchanged, as the authors offer in the paper.
 """
 
 from repro.workloads.distributions import POINT_FILES, generate_point_file

@@ -7,13 +7,17 @@ parsers this module replaced got wrong (silently ignored, read as a
 path, or a bare ``int()`` traceback).
 """
 
+import itertools
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.config import RunConfig
+from repro.storage import factory
 from repro.storage.factory import make_store
+from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 
 OFF = ("", "0", "off", "no", "false", "none", "  OFF  ")
@@ -101,3 +105,23 @@ def test_make_store_follows_the_config_and_explicit_arguments_win(monkeypatch, t
     with make_store() as store, make_store(directory=tmp_path / "x") as other:
         assert store.path.parent == tmp_path and other.path.parent == tmp_path / "x"
     assert type(make_store(backend="sim")) is PageStore
+
+
+def test_make_store_never_recovers_a_store_left_under_its_base(monkeypatch, tmp_path):
+    """A persistent base directory outlives the process that wrote it; a
+    later one whose store names repeat must still get fresh stores."""
+
+    def repeat_names():
+        # What a later process with this pid meets: a pid-and-counter
+        # name repeats, and so does every name drawn at random here.
+        monkeypatch.setattr(factory, "_counter", itertools.count(), raising=False)
+        monkeypatch.setattr(tempfile, "_get_candidate_names", lambda: iter("ab"))
+
+    repeat_names()
+    with make_store(backend="disk", directory=tmp_path) as old:
+        old.begin_operation()
+        old.write(old.allocate(PageKind.DATA, ["old"]))
+    repeat_names()
+    with make_store(backend="disk", directory=tmp_path) as new:
+        assert new.path != old.path
+        assert not new.recovered and new.page_ids() == []

@@ -29,7 +29,6 @@ from repro.storage.disk import (
 from repro.storage.io import FaultInjectingIO, InjectedCrash, InstrumentedIO, OsFileIO
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
-from repro.storage.soa import SoAList
 from repro.storage.wal import _REPLAY_BLOCK, WriteAheadLog
 from repro.verify import AuditError
 from repro.verify.barrier import WriteBarrier
@@ -429,6 +428,21 @@ class TestDiskPageStore:
         with pytest.raises(PageOverflowError, match="slot_size"):
             store.commit()
 
+    def test_a_page_file_of_another_version_is_refused_at_open(self, tmp_path):
+        """A version-1 page file may hold whole-page pickles: the store
+        refuses it when opened, sidecar present, before any miss."""
+        store = _fresh(tmp_path)
+        store.begin_operation()
+        store.write(store.allocate(PageKind.DATA, ["kept"]))
+        store.close()
+        path = tmp_path / "store" / "pages.dat"
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")  # the header's version field
+        path.write_bytes(raw)
+        assert (tmp_path / "store" / "store.meta").exists()
+        with pytest.raises(CorruptionError, match="version 1"):
+            _fresh(tmp_path)
+
     def test_page_size_mismatch_is_rejected(self, tmp_path):
         _fresh(tmp_path).close()
         with pytest.raises(ValueError, match="page_size"):
@@ -653,6 +667,20 @@ class TestMissPath:
             store.peek(cut)
         assert store.pool.misses == 0 and store.pool.peek_loads == 0
 
+    def test_a_whole_page_pickle_is_refused_and_counts_no_miss(self, tmp_path):
+        """A CRC-valid slot whose image is a whole-page pickle (``0x80``),
+        the format before the page codec, is corrupt to both loads."""
+        store, cold = self._spilled(tmp_path)
+        pid = cold[0]
+        payload = pickle.dumps(_leaf(pid), 4)
+        meta = store.pool.pages[pid]
+        meta.crc = store._pagefile.write_slot(pid, PageKind.DATA, payload)
+        meta.length = len(payload)
+        for load in (store.read, store.peek):
+            with pytest.raises(CorruptionError, match="starts with 0x80"):
+                load(pid)
+        assert store.pool.misses == 0 and store.pool.peek_loads == 0
+
     def test_unwritten_rtree_mutation_is_caught_at_the_next_boundary(self, tmp_path):
         store, cold = self._spilled(tmp_path)
         WriteBarrier(store)
@@ -742,110 +770,3 @@ def test_snapshot_and_restore_method(tmp_path):
     clone = restore_method(store, blob)
     assert sorted(clone.iter_records()) == sorted(grid.iter_records())
     clone.audit()
-
-
-# -- images written before the page codec ------------------------------------
-
-
-def _parent_reduce(self):
-    """``SoAList.__reduce__`` as it was before the byte columns: Rect rows
-    of one dimensionality as ``(dims, flat tuple)``, every other row
-    shape (``(point, rid)`` records included) as the list."""
-    from repro.storage.soa import SoAList, _restore_boxes
-
-    rows = list(self)
-    if rows and type(rows[0]) is Rect and rows[0].dims:
-        dims = rows[0].dims
-        if all(type(r) is Rect and r.dims == dims for r in rows):
-            return (_restore_boxes, (dims, tuple(c for r in rows for c in r.lo + r.hi)))
-    return (SoAList, (rows,))
-
-
-class TestParentImages:
-    """A store whose slots and WAL hold whole-page pickles — with boxes
-    as flat tuples (``_restore_boxes``) or as byte columns
-    (``_restore_columns``) — reopens, recovers and answers exactly as one
-    written with the page codec; its changed pages then take codec
-    images."""
-
-    @staticmethod
-    def _crashed_store(path, cls, data, reduce, monkeypatch):
-        """Build, close, reopen, insert more, commit, crash: the slots and
-        the WAL both hold images of the format under test (``reduce``
-        ``None``: the codec; else a whole-page pickle whose containers
-        reduce by ``reduce``)."""
-        from repro.storage import disk
-        from repro.storage.soa import SoAList
-
-        with monkeypatch.context() as m:
-            if reduce is not None:
-                m.setattr(SoAList, "__reduce__", reduce)
-                m.setattr(disk, "_dumps", lambda page: pickle.dumps(page, 4))
-            store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
-            am = cls(store)
-            for rid, item in enumerate(data[:250]):
-                am.insert(item, rid)
-            store.commit(meta=snapshot_method(am))
-            store.close()
-            store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
-            am = restore_method(store, store.meta_blob)
-            for rid, item in enumerate(data[250:], 250):
-                am.insert(item, rid)
-            store.commit(meta=snapshot_method(am))
-            _crash(store)
-
-    def test_a_parent_store_recovers_and_answers_alike(self, tmp_path, monkeypatch):
-        from repro.core.comparison import query_files
-        from repro.pam.twolevelgrid import TwoLevelGridFile
-        from repro.query.driver import run_query_file
-        from repro.sam.rtree import RTree
-        from repro.storage.pagecodec import MAGIC
-        from tests.conftest import make_points, make_rects
-
-        rects, points = make_rects(300, seed=3), make_points(300, seed=4)
-        formats = (("boxes", _parent_reduce), ("columns", SoAList.__reduce__), ("codec", None))
-        for kind, cls, data in (("sam", RTree, rects), ("pam", TwoLevelGridFile, points)):
-            answers, parents = {}, []
-            for name, reduce in formats:
-                path = tmp_path / kind / name
-                self._crashed_store(path, cls, data, reduce, monkeypatch)
-                log = WriteAheadLog(path / "wal.log", OsFileIO())
-                wal = [r.fields[2] for r in log.replay()[0] if r.kind == "page"]
-                log.close()
-                store = DiskPageStore(path, 512, pool_pages=8, fsync=False)
-                assert store.recovered and wal
-                slots = [store._pagefile.read_slot(p)[1] for p in store.page_ids()]
-                assert {image[0] == MAGIC for image in wal + slots} == {name == "codec"}
-                for image in (b"".join(wal), b"".join(slots)):
-                    assert (b"_restore_columns" in image) == (name == "columns")
-                    assert (b"_restore_boxes" in image) == ((name, kind) == ("boxes", "sam"))
-                am = restore_method(store, store.meta_blob)
-                answers[name] = [
-                    run_query_file(am, qkind, queries, op)
-                    for _, qkind, queries, op in query_files(kind, am)
-                ]
-                if name == "codec":
-                    store.close()
-                else:
-                    parents.append((store, am))
-            # Results and charged counts, query by query.
-            assert answers["boxes"] == answers["columns"] == answers["codec"]
-            for store, am in parents:
-                # Read and decode every row, write through the decoded pages,
-                # let the clock evict them (a WAL-only victim is re-imaged and
-                # compared with its committed image), then checkpoint (which
-                # re-images every WAL-only page and refuses one that drifted).
-                want = sorted(((item, rid) for rid, item in enumerate(data)), key=repr)
-                assert sorted(am.iter_records(), key=repr) == want
-                for rid, item in enumerate(data[:40], len(data)):
-                    am.insert(item, rid)
-                    want.append((item, rid))
-                for pid in store.page_ids():
-                    store.begin_operation()
-                    store.read(pid)
-                store.checkpoint()
-                assert store.pool.silent_dirty == 0 and store.pool.evictions
-                slots = [store._pagefile.read_slot(p)[1] for p in store.page_ids()]
-                assert any(image[0] == MAGIC for image in slots)
-                assert sorted(am.iter_records(), key=repr) == sorted(want, key=repr)
-                store.close()

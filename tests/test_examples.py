@@ -15,7 +15,6 @@ SCRIPTS = {
     "cad_layout.py": ["800"],
     "testbed_comparison.py": ["400"],
     "physical_design_advisor.py": [],
-    "polygon_regions.py": ["600"],
 }
 
 

@@ -23,7 +23,6 @@ from repro.storage.soa import (
     SoAList,
     _columns,
     _Packed,
-    _restore_boxes,
     _restore_columns,
     fused_anti_boxes,
     fused_cover_boxes,
@@ -438,32 +437,14 @@ class TestFlatRectReduce:
         with pytest.raises(ValueError):
             _restore_columns(dims, coords, rids)
 
-
-    @pytest.mark.parametrize(
-        "dims, flat",
-        [
-            (2, (0.0, 0.0, 1.0, 1.0, 0.5, 0.9, 0.6, 0.8)),  # second row: lo[1] > hi[1]
-            (1, (1, 0)),
-            (2, (0.0, 0.0, 1.0)),  # not a whole number of rows
-            (0, ()),
-        ],
-    )
-    def test_a_bad_flat_is_refused_like_a_bad_rect(self, dims, flat):
-        """The flat tuple of an image written before the byte columns."""
-        with pytest.raises(ValueError):
-            _restore_boxes(dims, flat)
-
     @given(_rect_rows(min_size=1))
     def test_pre_flat_pickles_still_load(self, rows):
-        """Images written before the byte columns load as rows, exact:
-        box rows as a flat tuple, and the list form of every other shape."""
-        dims = rows[0].dims
-        flat = tuple(c for r in rows for c in r.lo + r.hi)
-        for old in ((_restore_boxes, (dims, flat)), (SoAList, (rows,))):
-            func, args = pickle.loads(pickle.dumps(old, _PROTOCOL))
-            clone = func(*args)
-            assert type(clone) is SoAList and _same_rows(clone, rows)
-            assert fused_cover_boxes(clone).tobytes() == _old_cover(rows).tobytes()
+        """The list form ``(SoAList, (rows,))``, what a pickled container
+        field of a page image holds, loads as rows, exact."""
+        cls, args = pickle.loads(pickle.dumps((SoAList, (rows,)), _PROTOCOL))
+        clone = cls(*args)
+        assert type(clone) is SoAList and _same_rows(clone, rows)
+        assert fused_cover_boxes(clone).tobytes() == _old_cover(rows).tobytes()
         records = [((0.5, 0.25), 7), ((0.125, -0.0), 9)]
         cls, args = pickle.loads(pickle.dumps((SoAList, (records,)), _PROTOCOL))
         clone = cls(*args)

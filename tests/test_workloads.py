@@ -5,7 +5,6 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.geometry.zorder import z_value
-from repro.workloads import files
 from repro.workloads.distributions import POINT_FILES, generate_point_file
 from repro.workloads.queries import (
     RANGE_QUERY_VOLUMES,
@@ -176,17 +175,3 @@ class TestQueries:
         a = generate_rect_query_workload()
         b = generate_rect_query_workload()
         assert a == b
-
-
-class TestFiles:
-    def test_point_roundtrip(self, tmp_path):
-        points = generate_point_file("uniform", 50)
-        path = tmp_path / "points.txt"
-        files.save_points(path, points)
-        assert files.load_points(path) == points
-
-    def test_rect_roundtrip(self, tmp_path):
-        rects = generate_rect_file("uniform_small", 50)
-        path = tmp_path / "rects.txt"
-        files.save_rects(path, rects)
-        assert files.load_rects(path) == rects
