@@ -19,7 +19,8 @@ the charged counters stay bit-identical to the simulated store:
 * :mod:`repro.storage.wal` — the write-ahead log (length+CRC framed
   records, fsynced commit boundaries, redo-only replay).
 * :mod:`repro.storage.disk` — :class:`~repro.storage.disk.DiskPageStore`:
-  a slotted page file behind a bounded CLOCK buffer pool.
+  a slotted page file behind a bounded buffer pool kept least
+  recently touched first.
 * :mod:`repro.storage.factory` — environment-switched store
   construction (``REPRO_STORE_BACKEND=sim|disk``).
 """

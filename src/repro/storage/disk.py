@@ -95,6 +95,9 @@ __all__ = [
 
 META_FORMAT = "repro.storage/disk-meta/v1"
 
+#: A commit that leaves the WAL at least this long checkpoints.
+WAL_CHECKPOINT_BYTES = 64 << 20
+
 
 class PageOverflowError(ValueError):
     """A page image does not fit its fixed-size slot."""
@@ -266,26 +269,24 @@ class PageFile:
 
 
 class _Frame:
-    """One resident page: the live object, its clock bit, its dirt and
-    its durable image (the bytes its slot or last WAL record holds;
-    ``None`` before its first commit)."""
+    """One resident page: the live object, the number of the operation
+    that last touched it and its durable image (the bytes its slot or
+    last WAL record holds; ``None`` before its first commit)."""
 
-    __slots__ = ("obj", "ref", "dirty", "image")
+    __slots__ = ("obj", "op", "image")
 
-    def __init__(self, obj: Any, dirty: bool, image: bytes | None):
+    def __init__(self, obj: Any, op: int, image: bytes | None):
         self.obj = obj
-        self.ref = True
-        self.dirty = dirty
+        self.op = op
         self.image = image
 
 
 class _PageMeta:
     """Page-table entry: where the page's durable image lives."""
 
-    __slots__ = ("kind", "crc", "length", "on_disk", "durable")
+    __slots__ = ("crc", "length", "on_disk", "durable")
 
     def __init__(self):
-        self.kind: PageKind | None = None
         self.crc: int | None = None
         self.length: int = 0
         #: The page-file slot holds the latest committed image.
@@ -296,7 +297,7 @@ class _PageMeta:
 
 
 class BufferPool:
-    """A bounded, dict-like page cache with CLOCK eviction.
+    """A bounded, dict-like page cache kept least recently touched first.
 
     The pool *is* the store's ``_objects`` mapping: its keys are every
     live page id (the full page table), its values the page objects,
@@ -304,20 +305,22 @@ class BufferPool:
     ``in`` therefore see all live pages, exactly like the simulated
     store's plain dict — only *residency* is bounded.
 
-    Eviction rules, in order:
+    ``frames`` is the one order: a hit or an admission puts its frame at
+    the end, stamped with the current operation's number, so the current
+    operation's frames are always the tail.  Eviction rules, in order:
 
     * pinned pages and dirty (uncommitted) pages are never evicted;
-    * pages touched by the current operation are never evicted either:
-      the access method may hold their objects right now (and mutate
-      them ahead of the ``write`` call), so they stay resident until
-      the next operation bracket — the simulated store's read-mutate-
-      write-within-an-op contract survives unchanged;
+    * pages touched by the current operation — the tail — are never
+      evicted either: the access method may hold their objects right now
+      (and mutate them ahead of the ``write`` call), so they stay
+      resident until the next operation bracket — the simulated store's
+      read-mutate-write-within-an-op contract survives unchanged;
     * a clean victim whose slot is current is simply dropped; a
       WAL-only victim is serialised to write its slot, and that image
       is compared with the committed one its frame keeps: a page that
       was silently mutated is re-classified dirty instead of evicted;
-    * if no frame at all is evictable the pool overflows (grows past
-      its budget) rather than corrupt anything, and counts it — the
+    * if no frame before the tail is evictable the pool overflows (grows
+      past its budget) rather than corrupt anything, and counts it — the
       budget bounds steady-state residency, a single operation's
       working set bounds the excursion.
     """
@@ -328,18 +331,14 @@ class BufferPool:
         self.store = store
         self.pagefile = pagefile
         self.budget = budget
+        #: Resident frames, least recently touched first.
         self.frames: dict[int, _Frame] = {}
         self.pages: dict[int, _PageMeta] = {}
         self.dirty: set[int] = set()
-        #: Pages handed out during the *current operation*.  Their
-        #: objects may be held (and mutated ahead of their ``write``)
-        #: by the access method right now, so they are unevictable
-        #: until the next operation bracket clears the set.
-        self.op_touched: set[int] = set()
         #: Durable pages freed since the last commit.
         self.freed: set[int] = set()
-        self._ring: list[int] = []
-        self._hand = 0
+        #: The current operation's number; ``begin_op`` advances it.
+        self.op = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -350,29 +349,28 @@ class BufferPool:
     # -- mapping protocol (what PageStore and access methods use) ----------
 
     def __getitem__(self, pid: int) -> Any:
-        frame = self.frames.get(pid)
+        frames = self.frames
+        frame = frames.pop(pid, None)
         if frame is not None:
-            frame.ref = True
+            frames[pid] = frame
+            frame.op = self.op
             self.hits += 1
-            self.op_touched.add(pid)
             return frame.obj
         obj, image = self._load(pid)
         self.misses += 1
-        self.op_touched.add(pid)
-        self._admit(pid, obj, False, image)
+        self._admit(pid, obj, image)
         return obj
 
     def __setitem__(self, pid: int, obj: Any) -> None:
         # Allocation only: page objects are mutated in place, never replaced.
-        self.op_touched.add(pid)
         self.pages[pid] = _PageMeta()
-        self._admit(pid, obj, True, None)
+        self.dirty.add(pid)
+        self._admit(pid, obj, None)
 
     def __delitem__(self, pid: int) -> None:
         meta = self.pages.pop(pid)  # KeyError on a dead pid, like a dict
         self.frames.pop(pid, None)
         self.dirty.discard(pid)
-        self.op_touched.discard(pid)
         if meta.durable:
             self.freed.add(pid)
 
@@ -403,7 +401,8 @@ class BufferPool:
         return decode(payload), payload
 
     def peek(self, pid: int) -> Any:
-        """The page object without promotion: no clock touch, no admission."""
+        """The page object without promotion: its frame keeps its place
+        and stamp, and a non-resident page is not admitted."""
         frame = self.frames.get(pid)
         if frame is not None:
             return frame.obj
@@ -411,62 +410,34 @@ class BufferPool:
         self.peek_loads += 1
         return obj
 
-    def mark_dirty(self, pid: int) -> None:
-        frame = self.frames[pid]
-        frame.dirty = True
-        self.dirty.add(pid)
+    def _admit(self, pid: int, obj: Any, image: bytes | None) -> None:
+        """Make ``pid`` resident at the tail, then evict from the front
+        until the pool fits.
 
-    def _admit(self, pid: int, obj: Any, dirty: bool, image: bytes | None) -> None:
-        """Make ``pid`` resident, then run the clock until the pool fits.
-
-        Dirty, pinned and op-touched frames are never victims, nor is
-        ``pid`` (its caller is about to get the object).  A sweep looks at
-        ``2 * len(ring) + 1`` frames; one that evicts nothing overflows.
+        The scan skips dirty and pinned frames and evicts the first other
+        one.  It stops at the first frame of the current operation (every
+        frame after it belongs to the same operation, ``pid`` included)
+        and counts an overflow.
         """
         frames = self.frames
-        frames[pid] = _Frame(obj, dirty, image)
-        if dirty:
-            self.dirty.add(pid)
-        ring = self._ring
-        ring.append(pid)
+        frames[pid] = _Frame(obj, self.op, image)
         budget = self.budget
         if len(frames) <= budget:
             return
-        touched, pinned = self.op_touched, self.store._pinned
+        op, dirty, pinned = self.op, self.dirty, self.store._pinned
         evict = self._evict_inner if self.store._telemetry is None else self._evict
-        hand = self._hand
-        try:
-            while len(frames) > budget:
-                steps, max_steps = 0, 2 * len(ring) + 1
-                while ring and steps < max_steps:
-                    if hand >= len(ring):
-                        hand = 0
-                    victim = ring[hand]
-                    frame = frames.get(victim)
-                    if frame is None:  # freed or already evicted; drop the stale entry
-                        ring.pop(hand)
-                        continue
-                    steps += 1
-                    if frame.dirty or victim == pid or victim in touched or victim in pinned:
-                        hand += 1
-                    elif frame.ref:
-                        frame.ref = False
-                        hand += 1
-                    elif evict(victim, frame):
-                        ring.pop(hand)
-                        break
-                    else:
-                        hand += 1
-                else:  # a whole sweep without a victim
+        while len(frames) > budget:
+            for victim, frame in frames.items():
+                if frame.op == op:
                     self.overflows += 1
                     return
-        finally:
-            self._hand = hand
+                if victim not in dirty and victim not in pinned and evict(victim, frame):
+                    break  # frames changed: rescan from the front
 
     def begin_op(self) -> None:
         """New operation bracket: the previous operation's working set
         becomes evictable again."""
-        self.op_touched.clear()
+        self.op += 1
 
     def _evict(self, pid: int, frame: _Frame) -> bool:
         telem = self.store._telemetry
@@ -492,12 +463,11 @@ class BufferPool:
             payload = _dumps(frame.obj)
             if payload != frame.image:
                 self.silent_dirty += 1
-                self.mark_dirty(pid)
+                self.dirty.add(pid)
                 return False
             self.pagefile.write_slot(pid, self.store._kinds[pid], payload)
             meta.on_disk = True
         del self.frames[pid]
-        self.dirty.discard(pid)
         self.evictions += 1
         return True
 
@@ -505,7 +475,7 @@ class BufferPool:
         """Write every WAL-only resident page into its slot (checkpoint)."""
         for pid, frame in self.frames.items():
             meta = self.pages[pid]
-            if meta.on_disk or frame.dirty:
+            if meta.on_disk or pid in self.dirty:
                 continue
             payload = _dumps(frame.obj)
             if payload != frame.image:
@@ -558,8 +528,6 @@ class DiskPageStore(PageStore):
     fsync:
         Whether commits fsync the WAL.  Keep ``True`` wherever
         durability is the point; benches may trade it away.
-    wal_checkpoint_bytes:
-        Auto-checkpoint once the WAL grows past this size.
     vector:
         Accepted for the callers that still pass it; ``True`` only.
     telemetry:
@@ -585,7 +553,6 @@ class DiskPageStore(PageStore):
         vector: bool = True,
         io: IOProvider | None = None,
         fsync: bool = True,
-        wal_checkpoint_bytes: int = 64 << 20,
         telemetry=None,
     ):
         if vector is not True:
@@ -598,7 +565,6 @@ class DiskPageStore(PageStore):
         if telemetry is not None:
             self.io = InstrumentedIO(self.io, telemetry)
         self.fsync_on_commit = fsync
-        self.wal_checkpoint_bytes = wal_checkpoint_bytes
         self.commits = 0
         self.checkpoints = 0
         self.recovered = False
@@ -658,7 +624,7 @@ class DiskPageStore(PageStore):
                 f"a page object it retained across operations"
             )
         super().write(pid)
-        pool.mark_dirty(pid)
+        pool.dirty.add(pid)
 
     def peek(self, pid: int) -> Any:
         return self.pool.peek(pid)
@@ -723,10 +689,10 @@ class DiskPageStore(PageStore):
             if payload == frame.image:
                 continue  # a slot or an earlier WAL record holds these bytes
             self._pagefile.check_fits(pid, payload)
-            kind, entry = self._kinds[pid], pool.pages[pid]
-            self._wal_append("page", pid, kind.value, payload)
+            entry = pool.pages[pid]
+            self._wal_append("page", pid, self._kinds[pid].value, payload)
             frame.image = payload
-            entry.kind, entry.crc, entry.length = kind, zlib.crc32(payload), len(payload)
+            entry.crc, entry.length = zlib.crc32(payload), len(payload)
             entry.on_disk, entry.durable = False, True
         for pid in sorted(pool.freed):
             self._wal_append("free", pid)
@@ -734,16 +700,11 @@ class DiskPageStore(PageStore):
             self._wal_append("meta", _dump_meta(meta))
             self.meta_blob = meta
         self._wal.commit(self._next_id, self._pinned, fsync=self.fsync_on_commit)
-        for pid in pool.dirty:
-            pool.frames[pid].dirty = False
         pool.dirty.clear()
         pool.freed.clear()
         self._pin_dirty = False
         self.commits += 1
-        if (
-            not self._in_checkpoint
-            and self._wal.size >= self.wal_checkpoint_bytes
-        ):
+        if not self._in_checkpoint and self._wal.size >= WAL_CHECKPOINT_BYTES:
             self.checkpoint()
         return True
 
@@ -803,7 +764,7 @@ class DiskPageStore(PageStore):
         for pid, entry in pool.pages.items():
             if not entry.durable:
                 continue  # never committed: invisible to recovery, like the WAL
-            pages[str(pid)] = [entry.kind.value, entry.crc, entry.length]
+            pages[str(pid)] = [self._kinds[pid].value, entry.crc, entry.length]
         doc = {
             "format": META_FORMAT,
             "page_size": self.page_size,
@@ -850,7 +811,7 @@ class DiskPageStore(PageStore):
 
         def in_slot(pid: int, kind: PageKind, crc: int, length: int) -> None:
             entry = pool.pages.setdefault(pid, _PageMeta())
-            entry.kind = self._kinds[pid] = kind
+            self._kinds[pid] = kind
             entry.crc, entry.length = crc, length
             entry.on_disk = entry.durable = True
 
@@ -896,7 +857,7 @@ class DiskPageStore(PageStore):
         for pid in sorted(self._pinned):
             if pid in pool.pages and pid not in pool.frames:
                 obj, image = pool._load(pid)
-                pool._admit(pid, obj, False, image)
+                pool._admit(pid, obj, image)
         self.recovered = True
 
     # -- observability -------------------------------------------------------

@@ -54,10 +54,10 @@ def make_store(
     """A fresh page store on the configured backend.
 
     Explicit arguments beat the configuration.  ``disk_kwargs`` (``io``,
-    ``fsync``, ``slot_size``, ``wal_checkpoint_bytes``, ...) pass
-    through to :class:`~repro.storage.disk.DiskPageStore`; the simulated
-    backend rejects them so a misconfiguration cannot silently degrade
-    to in-memory.  ``vector`` is accepted for the callers that still
+    ``fsync``, ``slot_size``, ...) pass through to
+    :class:`~repro.storage.disk.DiskPageStore`; the simulated backend
+    rejects them so a misconfiguration cannot silently degrade to
+    in-memory.  ``vector`` is accepted for the callers that still
     pass it; ``True`` only.
     """
     if vector is not True:

@@ -30,12 +30,12 @@ observer stream, so explain traces do not change.
 
 On the durable store the barrier reads each page through ``peek``: a
 resident page's live object, a non-resident one's slot image; a peek
-neither admits a page nor moves the clock.  What it cannot see there is
-a mutation of an object that has left the pool in the same window (a
-``peek``-ed page evicted from a current slot, or an object retained
-across an eviction): the store holds no trace of it.  The simulated
-store, where every object stays live, sees the first; the oracle and
-the audit see the second.
+neither admits a page nor moves its frame in the pool's order.  What it
+cannot see there is a mutation of an object that has left the pool in
+the same window (a ``peek``-ed page evicted from a current slot, or an
+object retained across an eviction): the store holds no trace of it.
+The simulated store, where every object stays live, sees the first; the
+oracle and the audit see the second.
 
 The cost is O(live pages) per operation.  That is a fuzz cost
 (:mod:`repro.verify.fuzz` installs the barrier on every run, on both

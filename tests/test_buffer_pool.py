@@ -9,12 +9,15 @@ Four guarantees, each pinned by a test:
 * an uncharged ``peek`` never promotes a page into the pool and never
   perturbs hit/miss accounting;
 * a scripted access sequence produces exactly the hit/miss/eviction
-  counts the CLOCK policy predicts — the numbers in
-  ``test_scripted_sequence_counts`` are hand-traced, so an accidental
-  policy change shows up as a counter diff, not a vague slowdown.
+  counts the pool's order predicts — frames kept least recently touched
+  first, a hit moved to the end, the first clean unpinned frame before
+  the current operation's tail evicted.  The numbers in
+  ``TestScriptedCounts`` are hand-traced, so an accidental policy
+  change shows up as a counter diff, not a vague slowdown.
 
 A hypothesis shadow-dict test then drives random op streams against the
-store and checks contents, residency and recovery all at once.
+store and checks contents, the order, residency and recovery all at
+once.
 """
 
 from __future__ import annotations
@@ -47,38 +50,54 @@ class TestScriptedCounts:
     def test_scripted_sequence_counts(self, store):
         pool = store.pool
         # Phase 1: fill the pool exactly.  Writes are neither hits nor
-        # misses; nothing is evictable while dirty.
+        # misses; nothing is evictable while dirty.  Order: a b c d.
         store.begin_operation()
         a, b, c, d = (_alloc(store, v) for v in "abcd")
         store.commit()
         assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
+        assert list(pool.frames) == [a, b, c, d]
 
-        # Phase 2: admit a fifth page.  The clock clears every ref bit
-        # on its first lap (e itself is mid-admission, so exempt) and
-        # evicts `a` — the oldest frame — on the second.
+        # Phase 2: admit a fifth page at the end (e is the operation's
+        # tail, so exempt); `a`, at the front, goes.  Order: b c d e.
         store.begin_operation()
         e = _alloc(store, "e")
         store.commit()
         assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 1)
         assert a not in pool.frames
 
-        # Phase 3: fault `a` back in (miss, evicts `b` whose ref bit is
-        # already clear), then re-read `a` and `e` (hits).
+        # Phase 3: fault `a` back in (miss, evicts `b` from the front),
+        # then re-read `a` and `e` (hits, each moved to the end).
+        # Order: c d a e.
         store.begin_operation()
         assert store.read(a) == ["a"]
         assert store.read(a) == ["a"]
         assert store.read(e) == ["e"]
         assert (pool.hits, pool.misses, pool.evictions) == (2, 1, 2)
-        assert b not in pool.frames
+        assert list(pool.frames) == [c, d, a, e]
 
-        # Phase 4: fault `b` back (miss); the hand is parked on `c`,
-        # whose ref bit is clear, so `c` goes.
+        # Phase 4: fault `b` back (miss); `c` is at the front, so `c`
+        # goes.  Order: d a e b.
         store.begin_operation()
         assert store.read(b) == ["b"]
         assert (pool.hits, pool.misses, pool.evictions) == (2, 2, 3)
-        assert set(pool.frames) == {d, e, a, b}
-        assert len(pool.frames) == POOL
+        assert list(pool.frames) == [d, a, e, b]
         assert (pool.peek_loads, pool.overflows) == (0, 0)
+
+    def test_a_reread_page_outlives_older_ones(self, store):
+        """A hit moves its frame to the end: `a`, read again one operation
+        after its admission, outlives `b`, the oldest frame untouched
+        since."""
+        pool = store.pool
+        store.begin_operation()
+        a, b, c, d = (_alloc(store, v) for v in "abcd")
+        store.begin_operation()
+        assert store.read(a) == ["a"]
+        assert list(pool.frames) == [b, c, d, a]
+        store.begin_operation()
+        e = _alloc(store, "e")
+        store.commit()
+        assert (pool.hits, pool.misses, pool.evictions) == (1, 0, 1)
+        assert list(pool.frames) == [c, d, a, e]
 
     def test_hit_rate(self, store):
         store.begin_operation()
@@ -212,6 +231,7 @@ def test_pool_matches_shadow_dict(tmp_path_factory, ops):
     try:
         for op in ops:
             store.begin_operation()
+            misses = store.pool.misses
             live = sorted(shadow)
             if op[0] == "alloc":
                 pid = store.allocate(PageKind.DATA, [counter])
@@ -244,6 +264,19 @@ def test_pool_matches_shadow_dict(tmp_path_factory, ops):
             assert all(p in pool.frames for p in store._pinned)
             assert all(p in pool.frames for p in pool.dirty)
             assert sorted(pool.pages) == sorted(shadow)
+            # The current operation's frames are the order's tail ...
+            stamps = [frame.op for frame in pool.frames.values()]
+            older = stamps.index(pool.op) if pool.op in stamps else len(stamps)
+            assert all(stamp == pool.op for stamp in stamps[older:])
+            # ... and right after an admission the pool is over budget only
+            # when nothing before the tail could go.  (A later step that
+            # admits nothing, say a hit, can find a frame committed since
+            # then still over budget: the next admission evicts it.)
+            if op[0] == "alloc" or pool.misses > misses:
+                assert len(pool.frames) <= POOL or all(
+                    p in pool.dirty or p in store._pinned
+                    for p in list(pool.frames)[:older]
+                )
         # Everything survives a full close/reopen cycle.
         store.close()
         store = DiskPageStore(tmp / "store", pool_pages=POOL, fsync=False)

@@ -382,7 +382,6 @@ class TestDiskPageStore:
         store.commit()
         store.begin_operation()
         del store.pool.frames[a]  # simulate an eviction of the held page
-        store.pool._ring.remove(a)
         with pytest.raises(AliasingError):
             store.write(a)
 
@@ -569,6 +568,67 @@ class TestCommitProtocol:
         store.close()
         assert _fresh(tmp_path).peek(a) == ["new"]
 
+    def test_a_long_wal_checkpoints_inside_commits(self, tmp_path, monkeypatch):
+        from repro.storage import disk
+
+        monkeypatch.setattr(disk, "WAL_CHECKPOINT_BYTES", 4096)
+        store = _fresh(tmp_path)
+        header = store._wal.size
+        depth, deepest, wal_after = 0, 0, []
+        inner = store._checkpoint_inner
+
+        def nested_checkpoint():
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                inner()
+            finally:
+                depth -= 1
+            wal_after.append(store._wal.size)
+
+        store._checkpoint_inner = nested_checkpoint
+        shadow: dict[int, list] = {}
+        for n in range(40):
+            store.begin_operation()
+            pid = store.allocate(PageKind.DATA, ["x" * 200, n])
+            store.write(pid)
+            shadow[pid] = ["x" * 200, n]
+            if n:
+                old = min(shadow)
+                store.read(old)[1] = -n
+                store.write(old)
+                shadow[old][1] = -n
+            store.commit()
+        assert store.checkpoints >= 2  # each fired inside a commit
+        # A checkpoint whose own commit passes the threshold does not
+        # start another one.
+        store.begin_operation()
+        for n in range(20):
+            pid = store.allocate(PageKind.DATA, ["y" * 200, n])
+            store.write(pid)
+            shadow[pid] = ["y" * 200, n]
+        store.checkpoint()
+        assert deepest == 1
+        assert wal_after == [header] * store.checkpoints
+        # Commits after the last checkpoint, then changes never committed.
+        for n in range(3):
+            store.begin_operation()
+            pid = store.allocate(PageKind.DATA, ["z", n])
+            store.write(pid)
+            shadow[pid] = ["z", n]
+            store.commit()
+        assert store._wal.size > header
+        store.begin_operation()
+        store.write(store.allocate(PageKind.DATA, ["lost"]))
+        store.read(min(shadow))[1] = "lost"
+        store.write(min(shadow))
+        _crash(store)
+        store = _fresh(tmp_path)
+        assert store.recovered
+        assert sorted(store.page_ids()) == sorted(shadow)
+        assert all(store.peek(pid) == value for pid, value in shadow.items())
+
     def test_a_torn_header_left_by_a_crashed_creation_is_reset(self, tmp_path):
         (tmp_path / "store").mkdir()
         (tmp_path / "store" / "wal.log").write_bytes(b"RW")
@@ -710,7 +770,7 @@ class TestMissPath:
         store.begin_operation()  # commits a: its image is in the WAL only
         assert not pool.pages[a].on_disk and a in pool.frames
         store.peek(a).rects.pop()  # a peek is not held: a stays evictable
-        for pid in cold:  # misses; the clock meets a and pickles it for its slot
+        for pid in cold:  # misses; the scan meets a and encodes it for its slot
             store.read(pid)
         # The store counts the drift and keeps a resident as dirty, so the
         # barrier sees it at the very next boundary.
