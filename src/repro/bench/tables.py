@@ -4,10 +4,11 @@ Every committed ``results/TAB-*`` / ``FIG-*`` file is a pure function of
 the ``results/RUN-*.json`` run reports of one bench session.
 :data:`TABLES` maps each table id to its title, the data files it reads
 and its renderer, which prints the paper's published row
-(:mod:`repro.bench.paper`) above the measured one.  The benches emit
-:func:`render` and assert the paper's claims over the same rows; the
-tier-1 drift check renders each committed file from the committed
-reports, byte for byte.
+(:mod:`repro.bench.paper`) above the measured one.  :data:`CLAIMS` are
+the paper's statements as predicates over the same reports.
+``python -m repro.bench`` writes :func:`render` of every table and
+checks every claim; tier-1 renders each committed file from the
+committed reports, byte for byte, and checks the claims on them.
 
 The PAM tables give the five query types as percentages of GRID
 (= 100.0), then ``stor``, ``dir/data``, ``insert`` and ``h``, as in §4.
@@ -30,6 +31,8 @@ from repro.core.comparison import PAM_QUERY_TYPES, SAM_QUERY_TYPES
 from repro.obs.export import RunReport
 
 __all__ = [
+    "CLAIMS",
+    "Claim",
     "PAM_FILES",
     "SAM_FILES",
     "TABLES",
@@ -281,3 +284,138 @@ def render(table_id: str, report: Callable[[str, str], RunReport]) -> str:
     """The text of ``table_id``; ``report(kind, file)`` supplies each run report."""
     table = TABLES[table_id]
     return table.renderer(table.title, {f: report(table.kind, f) for f in table.files})
+
+
+# -- the paper's claims over the same reports -------------------------------
+
+
+def _averages(report: Callable[[str, str], RunReport], file_name: str) -> dict[str, float]:
+    return query_averages(report("pam", file_name))
+
+
+def _costs(report: Callable[[str, str], RunReport], file_name: str) -> dict[str, dict]:
+    return query_means(report("sam", file_name))
+
+
+def _table_5_1(report: Callable[[str, str], RunReport]) -> dict[str, tuple]:
+    return table_5_1_rows({f: report("pam", f) for f in PAM_FILES})
+
+
+def _sam_summary(report: Callable[[str, str], RunReport]) -> dict[str, tuple]:
+    return sam_average_rows({f: report("sam", f) for f in SAM_FILES})
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One statement of the paper that the measured table must bear out.
+
+    ``holds(report)`` reads run reports the way :func:`render` does.
+    """
+
+    table: str
+    sentence: str
+    holds: Callable[[Callable[[str, str], RunReport]], bool]
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim(
+        "TAB-UNIF",
+        "GRID wins on uniform data; every competitor is within ~±20 %.",
+        lambda r: all(_averages(r, "uniform")[n] > 90.0 for n in ("HB", "BANG", "BUDDY")),
+    ),
+    Claim(
+        "TAB-SINUS",
+        "BUDDY edges out GRID on the sinus file.",
+        lambda r: _averages(r, "sinus")["BUDDY"] < 100.0,
+    ),
+    Claim(
+        "TAB-BIT",
+        "bit(0.15) is BUDDY's worst case and HB's best case.",
+        lambda r: _averages(r, "bit")["BUDDY"] > _averages(r, "bit")["HB"]
+        and _averages(r, "bit")["HB"] < 100.0,
+    ),
+    Claim(
+        "TAB-XPAR",
+        "BUDDY is the clear winner on x-parallel data.",
+        lambda r: _averages(r, "x_parallel")["BUDDY"] < 100.0,
+    ),
+    Claim(
+        "FIG-REAL",
+        "GRID leads narrowly; BANG is the loser on cartography data.",
+        lambda r: _averages(r, "real")["BANG"] > 100.0
+        and _averages(r, "real")["BUDDY"] < _averages(r, "real")["BANG"],
+    ),
+    Claim(
+        "FIG-DIAG",
+        "BUDDY at 28.4 % of GRID — the headline result.",
+        lambda r: _averages(r, "diagonal")["BUDDY"] < 50.0
+        and _averages(r, "diagonal")["BANG*"] < _averages(r, "diagonal")["BANG"],
+    ),
+    Claim(
+        "FIG-CLUST",
+        "BUDDY and BANG beat GRID on clusters, HB is the loser.",
+        lambda r: _averages(r, "cluster")["BUDDY"] < 100.0
+        and _averages(r, "cluster")["HB"] > _averages(r, "cluster")["BUDDY"],
+    ),
+    Claim(
+        "TAB-5.2",
+        "The robustness ranking on skewed files: BUDDY < BANG* < GRID.",
+        lambda r: all(
+            _averages(r, f)["BUDDY"] < _averages(r, f)["BANG*"] < 110.0
+            for f in ("diagonal", "cluster")
+        ),
+    ),
+    Claim(
+        "TAB-5.1",
+        "BUDDY is the overall winner; BUDDY+ at least as good; packing lifts "
+        "BUDDY+'s storage utilisation above plain BUDDY's.",
+        lambda r: (rows := _table_5_1(r))["BUDDY"][0]
+        < min(rows["GRID"][0], rows["BANG"][0], rows["HB"][0])
+        and rows["BUDDY+"][0] <= rows["BUDDY"][0] * 1.05
+        and rows["BUDDY+"][1] > rows["BUDDY"][1],
+    ),
+    Claim(
+        "TAB-SAM-AVG",
+        "The corner transformation wins rectangle containment by an order of "
+        "magnitude (paper: 14 % of the R-tree).",
+        lambda r: (rows := _sam_summary(r))["BUDDY"][3] < 50.0 and rows["BANG"][3] < 50.0,
+    ),
+    Claim(
+        "TAB-SAM-AVG",
+        "PLOP does not beat the R-tree on intersection on average.",
+        lambda r: _sam_summary(r)["PLOP"][1] > 85.0,
+    ),
+    Claim(
+        "TAB-SAM-GSLIM",
+        "Transformation containment is far below R-tree containment.",
+        lambda r: (c := _costs(r, "gaussian_slim"))["BUDDY"]["containment"]
+        < c["R-Tree"]["containment"],
+    ),
+    Claim(
+        "TAB-SAM-USMALL",
+        "Region minimisation makes BUDDY the better transformation substrate.",
+        lambda r: (c := _costs(r, "uniform_small"))["BUDDY"]["point"] < c["BANG"]["point"],
+    ),
+    Claim(
+        "TAB-SAM-GSQ",
+        "The technique of transformation was always best for the rectangle "
+        "containment query (§8).",
+        lambda r: (c := _costs(r, "gaussian_square"))["BUDDY"]["containment"]
+        < c["R-Tree"]["containment"]
+        and c["BANG"]["containment"] < c["R-Tree"]["containment"],
+    ),
+    Claim(
+        "TAB-SAM-ULARGE",
+        "Large rectangles ruin the R-tree and PLOP; BANG/BUDDY containment stays "
+        "tiny thanks to the corner transformation.",
+        lambda r: (c := _costs(r, "uniform_large"))["BANG"]["containment"]
+        < 0.2 * c["R-Tree"]["containment"]
+        and c["PLOP"]["intersection"] > 0.5 * c["R-Tree"]["intersection"],
+    ),
+    Claim(
+        "TAB-SAM-DIAG",
+        "PLOP is the clear loser on the diagonal rectangles.",
+        lambda r: (c := _costs(r, "diagonal"))["PLOP"]["intersection"]
+        > c["BUDDY"]["intersection"],
+    ),
+)

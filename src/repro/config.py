@@ -12,7 +12,7 @@ plain values.  One vocabulary serves every variable:
   *the default location*, resolved where it is used;
 * anything else is a **path** for a path-capable switch and a
   :class:`ValueError` naming the variable for flags, numbers and the
-  backend.  Numbers are not flags: ``REPRO_BENCH_WORKERS=0`` is an
+  backend.  Numbers are not flags: ``REPRO_BENCH_SCALE=0`` is an
   error, not "off", and only ``""`` (or unset) is their default.
 """
 
@@ -82,8 +82,6 @@ class RunConfig:
     audit: bool = _var(_flag, False)
     #: Records per data file in benches; the paper uses 100 000.
     bench_scale: int = _var(_count, 10_000)
-    #: Worker processes per experiment (1 = every cell inline).
-    bench_workers: int = _var(_count, 1)
     #: Explain-trace directory (on: ``results/explain``).
     explain: Path | bool = _var(parse_location, False)
     #: One of :data:`BACKENDS`.

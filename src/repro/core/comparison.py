@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro.config import parse_location
+from repro.config import RunConfig, parse_location
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import AccessStats, BuildMetrics
 from repro.geometry.rect import Rect
@@ -22,12 +22,14 @@ from repro.obs.tracer import Tracer
 from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
 from repro.storage.pagestore import PageStore
+from repro.workloads.distributions import generate_point_file
 from repro.workloads.queries import (
     RANGE_QUERY_VOLUMES,
     generate_partial_match_queries,
     generate_range_queries,
     generate_rect_query_workload,
 )
+from repro.workloads.rect_distributions import generate_rect_file
 
 __all__ = [
     "PAM_QUERY_TYPES",
@@ -41,8 +43,8 @@ __all__ = [
     "build_sam",
     "query_files",
     "run_cell",
-    "merge_outcomes",
     "run_experiment",
+    "run_file",
     "run_pam_experiment",
     "run_sam_experiment",
 ]
@@ -268,16 +270,15 @@ def run_cell(
     explain_dir: Path | None = None,
     audit: bool = False,
     derive_packed: bool = False,
-) -> tuple[list[StructureOutcome], object, list]:
+) -> tuple[list[StructureOutcome], list]:
     """One cell of the comparison grid: build, query files, snapshot, totals.
 
     This is the paper's standardised procedure for one (data file,
     structure) pair, and the only place it is written down; every
-    experiment runs each of its cells through it as one job
-    (:func:`repro.parallel.jobs.execute_job`).  Returns the cell's table
-    rows, the built method (for in-process callers) and the spans of
-    the cell's own :class:`~repro.obs.tracer.Tracer`, which observes
-    the build and labels each query file's spans.
+    experiment runs each of its cells through it.  Returns the cell's
+    table rows and the spans of the cell's own
+    :class:`~repro.obs.tracer.Tracer`, which observes the build and
+    labels each query file's spans.
 
     ``explain_dir`` (already resolved, see :func:`_explain_dir`) gets
     one :mod:`repro.obs.explain` trace per row.  Tracing is passive.
@@ -321,21 +322,19 @@ def run_cell(
         started = time.perf_counter()
         method.pack()
         rows.append(row(f"{name}+", time.perf_counter() - started, before))
-    return rows, method, tracer.finish()
+    return rows, tracer.finish()
 
 
 @dataclass
 class ExperimentOutcome:
     """Every cell of one comparison, folded in table order.
 
-    ``results`` preserves the order the cells were submitted in (with
-    derived rows such as BUDDY+ directly after their parent), whichever
-    process ran them.  ``spans`` are every cell's tracer spans, in the
-    same order.  ``storage`` holds the durable backend's ``io_stats()``
-    per structure (empty on the simulated backend); ``built`` holds the
-    built methods of cells that ran in this process (pooled cells have
-    none).  ``kind``, ``page_size`` and ``seed`` are the cells' common
-    parameters, for the report.
+    ``results`` keeps the order the cells ran in (with derived rows
+    such as BUDDY+ directly after their parent); ``spans`` are every
+    cell's tracer spans, in the same order.  ``storage`` holds the
+    durable backend's ``io_stats()`` per structure (empty on the
+    simulated backend).  ``kind``, ``page_size`` and ``seed`` are the
+    cells' common parameters, for the report.
     """
 
     results: dict[str, MethodResult] = field(default_factory=dict)
@@ -343,7 +342,6 @@ class ExperimentOutcome:
     timers: dict[str, float] = field(default_factory=dict)
     spans: list = field(default_factory=list)
     storage: dict[str, dict] = field(default_factory=dict)
-    built: dict[str, object] = field(default_factory=dict)
     kind: str = "pam"
     page_size: int = 512
     seed: int | None = None
@@ -374,23 +372,43 @@ class ExperimentOutcome:
         )
 
 
-def merge_outcomes(job_results: Sequence) -> ExperimentOutcome:
-    """Fold per-job results (rows + spans) into one outcome, in order."""
-    outcome = ExperimentOutcome()
-    for job in job_results:
-        outcome.kind = job.spec.kind
-        outcome.page_size = job.spec.page_size
-        outcome.seed = job.spec.query_seed
-        for row in job.structures:
+def _run_cells(kind, factories, data, seed, page_size, audit, explain, file_name=None):
+    """Run one cell per ``factories`` entry on ``data`` and fold the rows in order.
+
+    ``audit`` and ``explain`` left at ``None`` follow
+    :class:`repro.config.RunConfig`; an explicit value — ``False``
+    included — wins.  A named data file (``file_name``) traces into a
+    subdirectory of that name, so each file's traces keep their own
+    directory, and its PAM BUDDY cell also derives the BUDDY+ row.
+    """
+    config = RunConfig.from_env()
+    audit = config.audit if audit is None else audit
+    explain_dir = _explain_dir(config.explain if explain is None else explain)
+    if explain_dir is not None and file_name is not None:
+        explain_dir = explain_dir / file_name
+    outcome = ExperimentOutcome(
+        kind=kind, page_size=page_size, seed=QUERY_SEEDS[kind] if seed is None else seed
+    )
+    for name, factory in factories.items():
+        rows, spans = run_cell(
+            kind,
+            name,
+            factory,
+            data,
+            page_size=page_size,
+            seed=outcome.seed,
+            explain_dir=explain_dir,
+            audit=audit,
+            derive_packed=file_name is not None and kind == "pam" and name == "BUDDY",
+        )
+        for row in rows:
             outcome.results[row.name] = row.result
             outcome.totals[row.name] = row.totals
             outcome.timers[f"{row.name}/build"] = row.build_seconds
             outcome.timers[f"{row.name}/queries"] = row.query_seconds
             if row.storage is not None:
                 outcome.storage[row.name] = row.storage
-            if job.built is not None:
-                outcome.built[row.name] = job.built
-        outcome.spans.extend(job.spans)
+        outcome.spans.extend(spans)
     return outcome
 
 
@@ -401,41 +419,54 @@ def run_experiment(
     *,
     seed: int | None = None,
     page_size: int = 512,
-    workers: int = 1,
     audit: bool | None = None,
     explain: bool | str | Path | None = None,
 ) -> ExperimentOutcome:
-    """Run every structure's cell on the same data file, one job per cell.
+    """Run every structure's cell on the same data, one after the other.
 
-    ``factories`` is a sequence of registered standard-testbed structure
-    names, which may fan out over ``workers`` processes (job specs ship
-    names, not closures), or a mapping of table names to factories,
-    whose cells run in this process.
-    Either way each cell is a :func:`repro.parallel.jobs.execute_job`
-    under its own tracer, so the outcome's spans — and the report
-    ``to_report()`` assembles from them — do not depend on where it ran.
+    ``factories`` is a mapping of table names to factories, or a
+    sequence of registered standard-testbed structure names.  Each cell
+    is a :func:`run_cell` under its own tracer, and ``to_report()`` on
+    the outcome assembles the run report from their spans.
 
     ``audit`` and ``explain`` left at ``None`` follow
     :class:`repro.config.RunConfig`; an explicit value — ``False``
-    included — wins (see :func:`repro.parallel.runner.run_specs`).
+    included — wins.
     """
-    from repro.parallel.jobs import JobSpec
-    from repro.parallel.runner import run_specs
+    if not isinstance(factories, Mapping):
+        from repro.core.testbed import standard_factories
 
-    specs = [
-        JobSpec(kind=kind, structure=name, scale=len(data), page_size=page_size, seed=seed)
-        for name in factories
-    ]
-    return merge_outcomes(
-        run_specs(
-            specs,
-            workers=workers,
-            data=data,
-            factories=factories if isinstance(factories, Mapping) else None,
-            audit=audit,
-            explain=explain,
-        )
-    )
+        registry = standard_factories(kind)
+        factories = {name: registry[name] for name in factories}
+    return _run_cells(kind, factories, data, seed, page_size, audit, explain)
+
+
+def run_file(
+    kind: str,
+    file_name: str,
+    *,
+    scale: int,
+    page_size: int = 512,
+    seed: int | None = None,
+    audit: bool | None = None,
+    explain: bool | str | Path | None = None,
+) -> ExperimentOutcome:
+    """The full standard comparison of ``kind`` on one named data file.
+
+    The file is generated once at ``scale`` records and every standard
+    structure runs its cell on it; PAM files add the derived BUDDY+
+    row.  ``audit`` and ``explain`` are
+    those of :func:`run_experiment`; explain traces go to a
+    subdirectory named after the file.
+    """
+    from repro.core.testbed import standard_factories
+
+    if kind == "pam":
+        data = generate_point_file(file_name, scale)
+    else:
+        data = generate_rect_file(file_name, scale)
+    factories = standard_factories(kind)
+    return _run_cells(kind, factories, data, seed, page_size, audit, explain, file_name)
 
 
 def run_pam_experiment(
@@ -447,13 +478,13 @@ def run_pam_experiment(
     """Build every PAM on the same data file and run the query files.
 
     The ``results`` of :func:`run_experiment`, whose keyword ``options``
-    (``workers``, ``audit``, ``explain``, ...) it takes; that outcome
+    (``audit``, ``explain``, ``page_size``) it takes; that outcome
     also holds the spans, totals and :class:`~repro.obs.RunReport`.
     ``audit=True`` audits every structure post-build; ``explain`` writes
     one :mod:`repro.obs.explain` trace file per structure
     (``PAM-<name>.json``) into the directory :func:`_explain_dir` names.
     Tracing chains the store observer, so costs are bit-identical with
-    or without it, at any worker count.
+    or without it.
     """
     return run_experiment("pam", factories, points, seed=seed, **options).results
 

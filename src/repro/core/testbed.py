@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.config import RunConfig
 from repro.core.comparison import run_experiment
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.pam.bang import BangFile
@@ -68,15 +67,9 @@ def standard_factories(kind: str) -> dict[str, Callable]:
     return standard_pam_factories() if kind == "pam" else standard_sam_factories()
 
 
-def _run_standard(kind, data, seed, label, page_size, workers, explain):
+def _run_standard(kind, data, seed, label, page_size, explain):
     outcome = run_experiment(
-        kind,
-        list(standard_factories(kind)),
-        data,
-        seed=seed,
-        page_size=page_size,
-        workers=RunConfig.from_env().bench_workers if workers is None else workers,
-        explain=explain,
+        kind, list(standard_factories(kind)), data, seed=seed, page_size=page_size, explain=explain
     )
     return outcome.results, outcome.to_report(label)
 
@@ -86,21 +79,18 @@ def run_standard_pam_testbed(
     seed: int = 101,
     label: str = "standard PAM testbed",
     page_size: int = 512,
-    workers: int | None = None,
     explain=None,
 ):
     """The standard PAM comparison on ``points``, with its run report.
 
     Returns ``(results, report)``: the
     :func:`~repro.core.comparison.run_experiment` outcome's results and
-    :class:`~repro.obs.export.RunReport`.  ``workers`` defaults to
-    ``RunConfig.bench_workers``; more than one fans the structures out
-    over a process pool — the same cells, so identical results.
-    ``explain`` writes one :mod:`repro.obs.explain` trace per structure
-    (``True`` for the default directory, a path for an explicit one) at
-    any worker count, without changing results.
+    :class:`~repro.obs.export.RunReport`.  ``explain`` writes one
+    :mod:`repro.obs.explain` trace per structure (``True`` for the
+    default directory, a path for an explicit one) without changing
+    results.
     """
-    return _run_standard("pam", points, seed, label, page_size, workers, explain)
+    return _run_standard("pam", points, seed, label, page_size, explain)
 
 
 def run_standard_sam_testbed(
@@ -108,11 +98,10 @@ def run_standard_sam_testbed(
     seed: int = 107,
     label: str = "standard SAM testbed",
     page_size: int = 512,
-    workers: int | None = None,
     explain=None,
 ):
     """The standard SAM comparison on ``rects``, with its run report."""
-    return _run_standard("sam", rects, seed, label, page_size, workers, explain)
+    return _run_standard("sam", rects, seed, label, page_size, explain)
 
 
 def standard_sam_factories() -> dict[str, Callable[..., SpatialAccessMethod]]:

@@ -171,8 +171,8 @@ class RunReport:
     def access_totals(self) -> dict[str, dict[str, int]]:
         """Per-structure exact access counters, for cross-run comparison.
 
-        Two runs of the same experiment — serial or parallel, traced or
-        not — must agree on this projection exactly; it deliberately
+        Two runs of the same experiment — in one process or two, traced
+        or not — must agree on this projection exactly; it deliberately
         excludes the wall-clock timers that legitimately differ.
         """
         return {

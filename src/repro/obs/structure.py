@@ -65,7 +65,7 @@ __all__ = [
 SNAPSHOT_SCHEMA = "repro.obs/structure/v1"
 
 #: Decimal places kept on every float in a snapshot, so re-serialised
-#: snapshots are byte-identical across runs and worker counts.
+#: snapshots are byte-identical across runs and processes.
 _ROUND = 10
 
 #: Occupancy histogram bucket labels (percent of capacity, deciles).
@@ -274,8 +274,8 @@ def compute_snapshot(am: "_AccessMethodBase") -> dict:
 def snapshot_to_json(snapshot: dict) -> str:
     """Canonical JSON text of a snapshot (sorted keys, no whitespace).
 
-    Two snapshots of the same build — whatever the worker count or
-    cache temperature — must serialise to byte-identical text.
+    Two snapshots of the same build — whichever process built it —
+    must serialise to byte-identical text.
     """
     import json
 

@@ -2,18 +2,24 @@
 
 The drift check renders every committed ``results/TAB-*`` / ``FIG-*``
 file from the committed ``results/RUN-*.json`` reports, byte for byte,
-so a table can no longer disagree with the session that produced it.
-The rest runs the renderers on small synthetic reports.
+so a table can no longer disagree with the session that produced it,
+and every paper claim must hold on those reports.  ``python -m
+repro.bench`` must write the same reports, traces and tables at one
+process and at two.  The rest runs the renderers on small synthetic
+reports.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.bench.__main__ import run_bench
 from repro.bench.tables import (
+    CLAIMS,
     PAM_FILES,
     SAM_FILES,
     TABLES,
@@ -26,6 +32,7 @@ from repro.bench.tables import (
     sam_table,
     table_5_1_rows,
 )
+from repro.config import RunConfig
 from repro.core.comparison import PAM_QUERY_TYPES, SAM_QUERY_TYPES
 from repro.obs.export import RunReport
 
@@ -62,6 +69,11 @@ def test_reports_come_from_one_session():
     assert len({RunReport.load(p).meta["bench_scale"] for p in REPORTS}) == 1
 
 
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.table)
+def test_paper_claim_holds_on_committed_reports(claim):
+    assert claim.holds(committed), claim.sentence
+
+
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)
 def test_report_means_match_their_histograms(path):
     report = RunReport.load(path)
@@ -71,6 +83,43 @@ def test_report_means_match_their_histograms(path):
             hist = query["accesses"]
             assert query["mean"] == pytest.approx(hist["mean"]), (name, label)
             assert hist["p50"] <= hist["p90"] <= hist["p99"] <= hist["max"], (name, label)
+
+
+# -- the bench program: processes change no number --------------------------
+
+
+def _without_seconds(value):
+    if isinstance(value, dict):
+        return {k: _without_seconds(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [_without_seconds(v) for v in value]
+    return value
+
+
+def test_processes_change_no_report_trace_or_table(tmp_path):
+    """Every session audited and explained, at one process and at two:
+    reports equal but for ``seconds``, traces and tables byte-identical."""
+    written = {}
+    for processes in (1, 2):
+        root = tmp_path / str(processes)
+        config = RunConfig(bench_scale=300, audit=True, explain=root / "explain")
+        run_bench(root, processes, config)
+        written[processes] = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*.*")
+        }
+    one, two = written[1], written[2]
+    assert one.keys() == two.keys()
+    assert sum(name.startswith("RUN-") for name in one) == len(PAM_FILES) + len(SAM_FILES)
+    assert sum(name.startswith("explain/") for name in one) == 6 * 7 + 4 * 5
+    assert {name[:-4] for name in one if name.endswith(".txt")} == set(TABLES)
+    for name, data in one.items():
+        if name.startswith("RUN-"):
+            assert _without_seconds(json.loads(data)) == _without_seconds(
+                json.loads(two[name])
+            ), name
+        else:
+            assert data == two[name], name
 
 
 # -- the renderers on synthetic reports -------------------------------------

@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 COMMANDS = (
+    "repro.bench",
     "repro.obs",
     "repro.obs report",
     "repro.obs explain",

@@ -34,12 +34,8 @@ ROWS = [
     ("bench_scale", "", 10_000),
     ("bench_scale", "4321", 4321),
     ("bench_scale", "0", ValueError),
+    ("bench_scale", "off", ValueError),
     ("bench_scale", "2k", ValueError),
-    ("bench_workers", "", 1),
-    ("bench_workers", " 4 ", 4),
-    ("bench_workers", "-2", ValueError),
-    ("bench_workers", "off", ValueError),
-    ("bench_workers", "four", ValueError),
     ("store_backend", "", "sim"),
     ("store_backend", "sim", "sim"),
     ("store_backend", " DISK ", "disk"),
@@ -50,7 +46,6 @@ ROWS = [
 DEFECTS = {
     ("audit", "none"),
     ("explain", "none"),
-    ("bench_workers", "four"),
     ("bench_scale", "2k"),
 }
 
@@ -81,7 +76,7 @@ def test_every_defect_has_a_row():
 
 def test_table_covers_every_field():
     assert {name for name, _, _ in ROWS} == {f.name for f in fields(RunConfig)}
-    assert len(fields(RunConfig)) == 7
+    assert len(fields(RunConfig)) == 6
 
 
 def test_unset_is_the_default_and_other_variables_are_ignored():

@@ -2,7 +2,6 @@
 
 import contextlib
 import json
-import os
 
 import pytest
 
@@ -304,39 +303,12 @@ class TestExplainWiring:
         for result in results.values():
             assert result.snapshot is not None
 
-    def test_testbed_threads_explain_to_workers(self, tmp_path, monkeypatch):
-        from repro.core.testbed import run_standard_pam_testbed
-
-        monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
-        points = make_points(200, seed=3)
-        run_standard_pam_testbed(points, workers=1, explain=tmp_path / "s")
-        environ = dict(os.environ)
-        run_standard_pam_testbed(points, workers=2, explain=tmp_path / "w")
-        # The directory travels to spawn workers as a job argument; the
-        # parent's environment is never written, not even transiently.
-        assert dict(os.environ) == environ
-        traces = sorted(p.name for p in (tmp_path / "w").glob("*.json"))
-        assert traces == [
-            "PAM-BANG-star.json",
-            "PAM-BANG.json",
-            "PAM-BUDDY.json",
-            "PAM-GRID.json",
-            "PAM-HB.json",
-        ]
-        for name in traces:  # byte for byte what the in-process run wrote
-            assert (tmp_path / "w" / name).read_bytes() == (
-                tmp_path / "s" / name
-            ).read_bytes()
-            assert validate_explain(json.loads((tmp_path / "w" / name).read_text())) == []
-
     def test_named_file_cells_trace_per_file(self, tmp_path):
-        from repro.parallel.jobs import file_specs
-        from repro.parallel.runner import run_specs
+        from repro.core.comparison import run_file
 
-        specs = file_specs("pam", "uniform", 150, structures=["GRID", "BUDDY"])
-        run_specs(specs, explain=tmp_path)
-        # GRID, BUDDY and the derived BUDDY+, under the file's own name.
-        assert len(list((tmp_path / "uniform").glob("*.json"))) == 3
+        run_file("pam", "uniform", scale=150, explain=tmp_path)
+        # The five structures and the derived BUDDY+, under the file's own name.
+        assert len(list((tmp_path / "uniform").glob("*.json"))) == 6
 
 class TestCli:
     def save(self, trace, tmp_path):

@@ -1,12 +1,12 @@
 """Tests for the experiment runner's artefact wiring."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
+from repro.bench.__main__ import report_path, run_session
+from repro.config import RunConfig
 from repro.core.comparison import run_experiment
-from repro.core.testbed import run_standard_pam_testbed, standard_pam_factories
+from repro.core.testbed import standard_pam_factories
+from repro.obs.export import RunReport
 from repro.obs.telemetry import validate_io_stats
 
 from tests.conftest import make_points
@@ -14,7 +14,6 @@ from tests.conftest import make_points
 
 # -- every driver records a disk run as a disk run ---------------------------
 
-_BENCH_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
 _NAMES = ["GRID", "BUDDY"]
 _FACTORIES = {name: standard_pam_factories()[name] for name in _NAMES}
 
@@ -29,39 +28,29 @@ def _experiment(points, tmp_path, monkeypatch):
 
 
 def _traced_in_process(points, tmp_path, monkeypatch):
-    # Factories run their cells as inline jobs.
+    # Factories run their cells in this process.
     return _report_blocks(run_experiment("pam", _FACTORIES, points).to_report())
 
 
 def _traced_inline_jobs(points, tmp_path, monkeypatch):
-    # Structure names resolve through the registry, here inline too.
+    # Structure names resolve through the registry.
     return _report_blocks(run_experiment("pam", _NAMES, points).to_report())
 
 
-def _traced_pooled(points, tmp_path, monkeypatch):
-    return _report_blocks(run_standard_pam_testbed(points, seed=19, workers=2)[1])
-
-
 def _bench_session(points, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "150")
-    monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
-    spec = importlib.util.spec_from_file_location("bench_on_disk", _BENCH_CONFTEST)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
-    return _report_blocks(module.run_report("pam", "uniform"))
+    # One session of ``python -m repro.bench``, saved and read back.
+    run_session("pam", "uniform", tmp_path, RunConfig(bench_scale=150))
+    return _report_blocks(RunReport.load(report_path(tmp_path, "pam", "uniform")))
 
 
 class TestDiskBackendDriversAgree:
     """Every driver carries each structure's physical-IO ``storage``
-    block out of a disk run, whichever process built the structure."""
+    block out of a disk run, whichever driver built the structure."""
 
     DRIVERS = [
         _experiment,
         _traced_in_process,
         _traced_inline_jobs,
-        _traced_pooled,
         _bench_session,
     ]
 

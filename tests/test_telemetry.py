@@ -218,16 +218,6 @@ class TestIoStatsSchema:
             commits = block["latency"]["storage.commit_seconds"]["count"]
             assert commits == block["commits"], name
 
-    def test_parallel_jobs_report_the_serial_latency(self, disk_telemetry):
-        data = make_points(120, seed=7)
-        serial, pooled = (
-            _latency_counts(
-                run_experiment("pam", ["GRID", "BUDDY"], data, workers=workers).storage
-            )
-            for workers in (1, 2)
-        )
-        assert serial and pooled == serial
-
     def test_storage_block_round_trips_through_report(
         self, tmp_path, disk_telemetry, capsys
     ):

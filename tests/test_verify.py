@@ -1163,7 +1163,7 @@ class TestExperimentWiring:
         run_experiment("pam", ["BUDDY"], make_points(40, seed=4), audit=True)
         assert len(audits) == 1
 
-    def test_parallel_experiment_audits_in_workers(self):
+    def test_audit_leaves_experiment_costs_unchanged(self):
         from repro.core.comparison import run_pam_experiment, run_sam_experiment
         from repro.core.testbed import standard_pam_factories, standard_sam_factories
 
@@ -1172,7 +1172,7 @@ class TestExperimentWiring:
             (run_pam_experiment, list(standard_pam_factories())[:2], points),
             (run_sam_experiment, list(standard_sam_factories())[:2], rects),
         ):
-            audited = run(names, data, workers=2, audit=True)
+            audited = run(names, data, audit=True)
             plain = run(names, data, audit=False)
             for name in names:
                 assert audited[name].query_costs == plain[name].query_costs
