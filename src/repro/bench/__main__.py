@@ -41,13 +41,16 @@ def report_path(results: Path, kind: str, file_name: str) -> Path:
 
 
 def run_session(kind: str, file_name: str, results: Path, config: RunConfig) -> None:
-    """One data file's standard comparison, saved as its run report."""
+    """One data file's standard comparison, saved as its run report.
+
+    ``explain=True`` traces into ``results/explain``, beside the reports.
+    """
     outcome = run_file(
         kind,
         file_name,
         scale=config.bench_scale,
         audit=config.audit,
-        explain=config.explain,
+        explain=results / "explain" if config.explain is True else config.explain,
     )
     report = outcome.to_report(
         f"{kind.upper()} {file_name}",

@@ -51,7 +51,7 @@ class Telemetry:
         """The :class:`repro.storage.io.InstrumentedIO` sink.
 
         ``nbytes`` is part of the sink signature; the bytes themselves
-        are counted by the page file and the WAL (``io_stats()``).
+        are counted by the store's logs (``io_stats()``).
         """
         self.observe(f"storage.io.{op}_seconds", seconds)
 

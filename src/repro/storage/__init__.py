@@ -16,10 +16,11 @@ the charged counters stay bit-identical to the simulated store:
 
 * :mod:`repro.storage.io` — the file-IO seam, with deterministic fault
   injection (fail-stop, torn writes, bit flips) for crash testing.
-* :mod:`repro.storage.wal` — the write-ahead log (length+CRC framed
+* :mod:`repro.storage.wal` — the log format (length+CRC framed
   records, fsynced commit boundaries, redo-only replay).
 * :mod:`repro.storage.disk` — :class:`~repro.storage.disk.DiskPageStore`:
-  a slotted page file behind a bounded buffer pool kept least
+  pages kept in the log records that committed them (a compacted base
+  and a write-ahead log) behind a bounded buffer pool kept least
   recently touched first.
 * :mod:`repro.storage.factory` — environment-switched store
   construction (``REPRO_STORE_BACKEND=sim|disk``).

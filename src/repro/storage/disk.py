@@ -1,4 +1,4 @@
-"""Durable on-disk page store: page file, buffer manager, WAL recovery.
+"""Durable on-disk page store: two logs, a page table, a buffer pool.
 
 :class:`DiskPageStore` implements the :class:`~repro.storage.pagestore.PageStore`
 interface over real files, so builds and queries can run
@@ -12,95 +12,88 @@ charging logic (pinned pages, the search-path buffer, write
 deduplication, observer events) is touched, so whether an access is
 *charged* never depends on whether it was *physical*.
 
-On disk a store is a directory of three files:
+On disk a store is a directory of two logs of one format
+(:mod:`repro.storage.wal`: framed, checksummed records), and a page's
+only durable copy is the record that committed it — a header naming the
+page, then its image (:mod:`repro.storage.pagecodec`: a header naming
+the page class, then its fields in a fixed layout):
 
-* ``pages.dat`` — fixed-size slots, one per page id (``offset =
-  header + pid * slot_size``); each slot holds a length/CRC32/kind
-  header plus the page's image (:mod:`repro.storage.pagecodec`: a
-  header naming the page class, then its fields in a fixed layout).
-  Page ids are never reused, so the file is sparse where pages were
-  freed.  A file of another format version is refused at open.
-* ``wal.log`` — the write-ahead log (:mod:`repro.storage.wal`).  A
-  commit logs the full after-image of every page dirtied since the last
-  commit whose bytes are not already durable, then a commit record, in
-  one ``pwrite`` and one fsync.
-* ``store.meta`` — the checkpoint sidecar: the page table (pid →
-  kind, CRC, length), the allocation cursor, the pinned set and an
-  opaque application blob, rewritten atomically (tmp + rename) at
-  every checkpoint.
+* ``pages.dat`` — the compacted base: every live page's committed
+  image, the application blob, then a commit record carrying the
+  allocation cursor, the pinned set and the page size.  It is only ever
+  replaced whole (tmp + rename), so its existence says the store was
+  created; a store of another format version is refused at open.
+* ``wal.log`` — every commit since that base.  A commit appends the
+  image of every page dirtied since the last commit whose bytes changed,
+  then a commit record, in one ``pwrite`` and one fsync.
+
+The page table maps each live page id to the ``(log, offset, length,
+crc)`` of the record holding its committed image.
 
 Write ordering (no-steal / redo-only):
 
 1. Uncommitted dirty pages live only in the buffer pool; they are
-   never evicted and never reach the page file.
-2. ``commit()`` logs their after-images to the WAL and fsyncs; a page
-   whose image is byte-equal to its durable one (kept on its frame) is
-   not logged again.  The change is durable; frames are clean.
-3. Clean committed pages may be evicted; eviction writes the page into
-   its slot (no fsync needed — the WAL already covers it).
-4. ``checkpoint()`` flushes every WAL-only page to its slot, fsyncs the
-   page file, atomically rewrites ``store.meta`` and truncates the WAL.
+   never evicted.
+2. ``commit()`` logs their images to the WAL and fsyncs; a page whose
+   image is byte-equal to its committed one (kept on its frame) is not
+   logged again.  The page table points at the new records; frames are
+   clean.
+3. Eviction writes nothing: a clean page's image is already in its
+   record, and a miss reads that record back (one ``pread``, its CRC
+   checked against the page table's).
+4. ``checkpoint()`` compacts: it writes every live page's committed
+   image, the blob and a commit record to ``pages.dat.tmp`` in one
+   ``pwrite``, fsyncs it, renames it over ``pages.dat``, repoints the
+   page table and empties the WAL.
 
-Recovery writes each page's last committed WAL image into its slot once
-(none for a page a later record frees), truncates any torn or
-uncommitted tail, restores the allocation cursor and pinned set from the
-last commit record and ends with a checkpoint, so a recovered store is
-indistinguishable from one that shut down cleanly at its last commit.
+Reopening replays ``pages.dat``, then ``wal.log``, through the same
+scan (last record wins, a free drops the page), truncates the WAL's
+torn or uncommitted tail and writes nothing else.  A crash between a
+compaction's rename and its WAL reset leaves a WAL every record of
+which the new base already holds; replaying them over it rebuilds the
+same state.
 
 The one behaviour a real buffer manager adds over the simulated store is
 that page objects can *leave* memory, and it does so on the strength of
 the **page-mutation contract**: a page's image may change only inside an
 operation that calls ``write()``, ``allocate()`` or ``free()`` on it,
 and derived caches never enter the image.  The store trusts that call —
-a clean victim whose slot is current is dropped without a look, and a
+a clean victim read from its record is dropped without a look, and a
 commit encodes the dirty pages only.  The contract is enforced where it
 costs no measured time: :class:`repro.verify.barrier.WriteBarrier`
-audits every fuzz run on both backends.  What stays here is what costs
-nothing extra — the CRC check of every loaded slot, the drift check
-where a WAL-only page has to be encoded anyway to write its slot
-(eviction; a drifted page is counted as ``silent_dirty``, re-classified
-dirty and logged, never dropped), and the :class:`AliasingError` of
-``write()`` and of ``flush_to_slots`` (checkpoint).
+audits every fuzz run on both backends.  What stays here is the CRC
+check of every loaded record, the drift check of a victim a commit
+logged while it was resident (eviction; a drifted page is counted as
+``silent_dirty``, re-classified dirty and logged, never dropped), and
+the :class:`AliasingError` of ``write()`` and of a compaction that
+finds such a page drifted.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import pickle
-import struct
 import time
-import zlib
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.storage.io import FileHandle, InstrumentedIO, IOProvider, OsFileIO
+from repro.storage.io import InstrumentedIO, IOProvider, OsFileIO
 from repro.storage.page import PageKind
 from repro.storage.pagecodec import CorruptionError, decode
 from repro.storage.pagecodec import encode as _dumps
 from repro.storage.pagestore import PageStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WAL_VERSION, WriteAheadLog
 
 __all__ = [
     "AliasingError",
     "BufferPool",
     "CorruptionError",
     "DiskPageStore",
-    "PageFile",
-    "PageOverflowError",
-    "default_slot_size",
     "restore_method",
     "snapshot_method",
 ]
 
-META_FORMAT = "repro.storage/disk-meta/v1"
-
 #: A commit that leaves the WAL at least this long checkpoints.
 WAL_CHECKPOINT_BYTES = 64 << 20
-
-
-class PageOverflowError(ValueError):
-    """A page image does not fit its fixed-size slot."""
 
 
 class AliasingError(RuntimeError):
@@ -112,157 +105,9 @@ class AliasingError(RuntimeError):
     """
 
 
-def default_slot_size(page_size: int) -> int:
-    """Slot bytes for a logical page size.
-
-    Page images are larger than the paper's packed binary layout (§3
-    capacities are arithmetic, not physical): over the nine standard
-    structures at N = 3000 a codec image is 1.4x the logical page in the
-    median and 4.8x at worst at 512 B (a BANG directory page, whose
-    entries are still pickled), 1.1x / 2.5x at 8 KiB; an R-tree page is
-    1.25x at 512 B (its boxes and child ids are fixed-width columns).
-    Slots default to 16x the logical page, rounded up to a 4 KiB
-    multiple — headroom for unbalanced directory pages, paid in sparse
-    file only.
-    """
-    raw = 16 * page_size + PageFile.SLOT_HEADER
-    return max(4096, -(-raw // 4096) * 4096)
-
-
 def _dump_meta(blob: Any) -> bytes:
     """The application blob's bytes: a pickle, fixed at protocol 4."""
     return pickle.dumps(blob, protocol=4)
-
-
-# -- the page file -----------------------------------------------------------
-
-
-_KIND_BYTES = {PageKind.DATA: 1, PageKind.DIRECTORY: 2}
-_BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
-
-
-class PageFile:
-    """Fixed-size slotted page file: ``slot(pid) = header + pid * slot_size``."""
-
-    MAGIC = b"RPGF"
-    VERSION = 2  # page-codec images only; a version-1 file may hold whole-page pickles
-    _FILE_HEADER = struct.Struct("<4sIII")
-    HEADER_SIZE = 16
-    #: Per-slot header: payload length, CRC32, kind byte, 7 pad bytes.
-    _SLOT_HEADER = struct.Struct("<IIB7x")
-    SLOT_HEADER = 16
-
-    def __init__(
-        self,
-        path: str | Path,
-        io: IOProvider,
-        slot_size: int,
-        page_size: int,
-        fresh: bool = False,
-    ):
-        self.path = Path(path)
-        self.io = io
-        self._fh: FileHandle = io.open(self.path)
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        if fresh and self._fh.size() != 0:
-            # A crashed creation can leave a partial (even bit-flipped)
-            # header behind; the caller says nothing here was ever
-            # committed, so start over instead of validating garbage.
-            self._fh.truncate(0)
-        if self._fh.size() == 0:
-            self.slot_size = slot_size
-            self.page_size = page_size
-            header = self._FILE_HEADER.pack(
-                self.MAGIC, self.VERSION, slot_size, page_size
-            )
-            self._fh.pwrite(header, 0)
-        else:
-            header = self._fh.pread(self._FILE_HEADER.size, 0)
-            magic, version, file_slot, file_page = self._FILE_HEADER.unpack(header)
-            if magic != self.MAGIC:
-                raise CorruptionError(f"{self.path}: not a page file")
-            if version != self.VERSION:
-                raise CorruptionError(
-                    f"{self.path}: page file version {version}, not {self.VERSION}"
-                )
-            self.slot_size = file_slot
-            self.page_size = file_page
-
-    @property
-    def payload_capacity(self) -> int:
-        return self.slot_size - self.SLOT_HEADER
-
-    def _offset(self, pid: int) -> int:
-        return self.HEADER_SIZE + pid * self.slot_size
-
-    def check_fits(self, pid: int, payload: bytes) -> None:
-        if len(payload) > self.payload_capacity:
-            raise PageOverflowError(
-                f"page {pid}: page image of {len(payload)} bytes exceeds "
-                f"the {self.payload_capacity}-byte slot capacity; reopen the "
-                f"store with a larger slot_size"
-            )
-
-    def write_slot(self, pid: int, kind: PageKind, payload: bytes) -> int:
-        """Write one page image; returns the payload's CRC32."""
-        self.check_fits(pid, payload)
-        crc = zlib.crc32(payload)
-        slot = self._SLOT_HEADER.pack(len(payload), crc, _KIND_BYTES[kind]) + payload
-        self._fh.pwrite(slot, self._offset(pid))
-        self.writes += 1
-        self.bytes_written += len(slot)
-        return crc
-
-    def read_slot(
-        self, pid: int, expected_crc: int | None = None, length: int = 0
-    ) -> tuple[PageKind, bytes]:
-        """Read and checksum one page image.
-
-        ``length`` is the payload length the caller's page table records
-        (``0``: unknown).  Header and payload then arrive in one
-        ``pread``; when the slot header names a different length the
-        payload is read again by the header's, so a wrong hint costs a
-        second read and never changes what is returned or refused.
-        """
-        offset = self._offset(pid)
-        head = self.SLOT_HEADER
-        slot = self._fh.pread(head + length, offset)
-        if len(slot) < head:
-            raise CorruptionError(f"page {pid}: slot missing from {self.path}")
-        slot_length, crc, kind_byte = self._SLOT_HEADER.unpack_from(slot)
-        if kind_byte not in _BYTE_KINDS or slot_length > self.payload_capacity:
-            raise CorruptionError(f"page {pid}: slot header corrupted")
-        if slot_length == length:
-            payload = slot[head:]
-        else:
-            payload = self._fh.pread(slot_length, offset + head)
-        self.reads += 1
-        self.bytes_read += head + slot_length
-        if len(payload) < slot_length or zlib.crc32(payload) != crc:
-            raise CorruptionError(f"page {pid}: payload checksum mismatch (torn write?)")
-        if expected_crc is not None and crc != expected_crc:
-            raise CorruptionError(
-                f"page {pid}: slot holds stale or foreign image "
-                f"(crc {crc:#x}, page table expects {expected_crc:#x})"
-            )
-        return _BYTE_KINDS[kind_byte], payload
-
-    def fsync(self) -> None:
-        self._fh.fsync()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
 
 
 # -- the buffer pool ---------------------------------------------------------
@@ -270,30 +115,32 @@ class PageFile:
 
 class _Frame:
     """One resident page: the live object, the number of the operation
-    that last touched it and its durable image (the bytes its slot or
-    last WAL record holds; ``None`` before its first commit)."""
+    that last touched it, its committed image (``None`` before its first
+    commit) and whether a commit logged that image while the page was
+    resident — the frames eviction and compaction check for drift."""
 
-    __slots__ = ("obj", "op", "image")
+    __slots__ = ("obj", "op", "image", "logged")
 
     def __init__(self, obj: Any, op: int, image: bytes | None):
         self.obj = obj
         self.op = op
         self.image = image
+        self.logged = False
 
 
 class _PageMeta:
-    """Page-table entry: where the page's durable image lives."""
+    """Page-table entry: the record holding the page's committed image
+    (``log`` is ``None`` before its first commit)."""
 
-    __slots__ = ("crc", "length", "on_disk", "durable")
+    __slots__ = ("log", "offset", "length", "crc")
 
-    def __init__(self):
-        self.crc: int | None = None
-        self.length: int = 0
-        #: The page-file slot holds the latest committed image.
-        self.on_disk = False
-        #: Some durable image exists (slot or WAL) — freeing the page
-        #: must therefore be logged.
-        self.durable = False
+    def __init__(
+        self, log: WriteAheadLog | None = None, offset: int = 0, length: int = 0, crc: int = 0
+    ):
+        self.log = log
+        self.offset = offset
+        self.length = length
+        self.crc = crc
 
 
 class BufferPool:
@@ -301,7 +148,7 @@ class BufferPool:
 
     The pool *is* the store's ``_objects`` mapping: its keys are every
     live page id (the full page table), its values the page objects,
-    faulted in from the page file on demand.  Iteration, ``len`` and
+    faulted in from their records on demand.  Iteration, ``len`` and
     ``in`` therefore see all live pages, exactly like the simulated
     store's plain dict — only *residency* is bounded.
 
@@ -315,21 +162,20 @@ class BufferPool:
       (and mutate them ahead of the ``write`` call), so they stay
       resident until the next operation bracket — the simulated store's
       read-mutate-write-within-an-op contract survives unchanged;
-    * a clean victim whose slot is current is simply dropped; a
-      WAL-only victim is serialised to write its slot, and that image
-      is compared with the committed one its frame keeps: a page that
-      was silently mutated is re-classified dirty instead of evicted;
+    * a victim read from its record is simply dropped; a victim a commit
+      logged while it was resident is encoded and compared with the
+      committed image its frame keeps: a page that was silently mutated
+      is re-classified dirty instead of evicted;
     * if no frame before the tail is evictable the pool overflows (grows
       past its budget) rather than corrupt anything, and counts it — the
       budget bounds steady-state residency, a single operation's
       working set bounds the excursion.
     """
 
-    def __init__(self, store: "DiskPageStore", pagefile: PageFile, budget: int):
+    def __init__(self, store: "DiskPageStore", budget: int):
         if budget < 4:
             raise ValueError("pool budget must be at least 4 pages")
         self.store = store
-        self.pagefile = pagefile
         self.budget = budget
         #: Resident frames, least recently touched first.
         self.frames: dict[int, _Frame] = {}
@@ -345,6 +191,9 @@ class BufferPool:
         self.peek_loads = 0
         self.overflows = 0
         self.silent_dirty = 0
+        #: Page records read back (misses, peeks, compaction) and their bytes.
+        self.reads = 0
+        self.bytes_read = 0
 
     # -- mapping protocol (what PageStore and access methods use) ----------
 
@@ -371,7 +220,7 @@ class BufferPool:
         meta = self.pages.pop(pid)  # KeyError on a dead pid, like a dict
         self.frames.pop(pid, None)
         self.dirty.discard(pid)
-        if meta.durable:
+        if meta.log is not None:
             self.freed.add(pid)
 
     def __contains__(self, pid: object) -> bool:
@@ -388,17 +237,30 @@ class BufferPool:
 
     # -- faulting and eviction ---------------------------------------------
 
-    def _load(self, pid: int) -> tuple[Any, bytes]:
-        """The page object and the slot image it was decoded from."""
+    def image(self, pid: int) -> bytes:
+        """The committed image of ``pid``, read from its record.
+
+        Invariant: a non-resident page always has a record (dirty pages
+        are unevictable), and the page table names its exact bytes — so
+        a load is one ``pread``.
+        """
         meta = self.pages.get(pid)
         if meta is None:
             raise KeyError(pid)
-        # Invariant: a non-resident page always has a current slot image
-        # (dirty pages are unevictable; WAL-only pages are written to
-        # their slot as part of eviction) — so the page table's length
-        # is the slot's, and header and payload come in one pread.
-        _, payload = self.pagefile.read_slot(pid, meta.crc, meta.length)
-        return decode(payload), payload
+        record = meta.log.read(meta.offset, meta.length, meta.crc)
+        if record[:2] != ("page", pid):
+            raise CorruptionError(
+                f"page {pid}: the record at {meta.offset} of {meta.log.path} "
+                f"is not its image"
+            )
+        self.reads += 1
+        self.bytes_read += meta.length
+        return record[3]
+
+    def _load(self, pid: int) -> tuple[Any, bytes]:
+        """The page object and the image it was decoded from."""
+        image = self.image(pid)
+        return decode(image), image
 
     def peek(self, pid: int) -> Any:
         """The page object without promotion: its frame keeps its place
@@ -452,39 +314,19 @@ class BufferPool:
         return evicted
 
     def _evict_inner(self, pid: int, frame: _Frame) -> bool:
-        """Write back (if needed) and drop one clean frame.
+        """Drop one clean frame; nothing is written.
 
         Returns ``False`` — and re-classifies the page dirty — when a
-        WAL-only victim, encoded to write its slot, has drifted from its
-        committed image (a mutation the store was never told about).
+        victim a commit logged while it was resident has drifted from
+        that image (a mutation the store was never told about).
         """
-        meta = self.pages[pid]
-        if not meta.on_disk:
-            payload = _dumps(frame.obj)
-            if payload != frame.image:
-                self.silent_dirty += 1
-                self.dirty.add(pid)
-                return False
-            self.pagefile.write_slot(pid, self.store._kinds[pid], payload)
-            meta.on_disk = True
+        if frame.logged and _dumps(frame.obj) != frame.image:
+            self.silent_dirty += 1
+            self.dirty.add(pid)
+            return False
         del self.frames[pid]
         self.evictions += 1
         return True
-
-    def flush_to_slots(self) -> None:
-        """Write every WAL-only resident page into its slot (checkpoint)."""
-        for pid, frame in self.frames.items():
-            meta = self.pages[pid]
-            if meta.on_disk or pid in self.dirty:
-                continue
-            payload = _dumps(frame.obj)
-            if payload != frame.image:
-                raise AliasingError(
-                    f"page {pid} drifted from its committed image during a "
-                    f"checkpoint flush; a mutation bypassed write()"
-                )
-            self.pagefile.write_slot(pid, self.store._kinds[pid], payload)
-            meta.on_disk = True
 
     def stats(self) -> dict[str, int]:
         return {
@@ -509,25 +351,22 @@ class BufferPool:
 
 
 class DiskPageStore(PageStore):
-    """A :class:`PageStore` whose pages live in a real file behind a pool.
+    """A :class:`PageStore` whose pages live in two logs behind a pool.
 
     Parameters
     ----------
     path:
-        Directory holding the store's three files; created when absent.
-        Reopening a non-empty directory recovers it (WAL replay).
+        Directory holding the store's two files; created when absent.
+        Reopening a directory that holds a store recovers it (replay).
     pool_pages:
         Buffer-pool budget in pages.
-    slot_size:
-        On-disk bytes per page slot (page images are larger than
-        the logical ``page_size``); adopted from the existing file when
-        reopening.  Defaults to :func:`default_slot_size`.
     io:
         An :class:`~repro.storage.io.IOProvider`; tests pass
         :class:`~repro.storage.io.FaultInjectingIO`.
     fsync:
         Whether commits fsync the WAL.  Keep ``True`` wherever
-        durability is the point; benches may trade it away.
+        durability is the point; benches may trade it away.  A
+        compaction always fsyncs.
     vector:
         Accepted for the callers that still pass it; ``True`` only.
     telemetry:
@@ -548,7 +387,6 @@ class DiskPageStore(PageStore):
         page_size: int = 512,
         *,
         pool_pages: int = 128,
-        slot_size: int | None = None,
         path_buffer_limit: int = 6,
         vector: bool = True,
         io: IOProvider | None = None,
@@ -574,39 +412,35 @@ class DiskPageStore(PageStore):
         self._pin_dirty = False
         self._closed = False
         self._in_checkpoint = False
+        #: Bases written (creation and compactions) and their bytes.
+        self._base_writes = self._base_bytes = 0
 
-        # The sidecar is the store's existence ground truth: it lands
-        # (atomically) only after the page file and WAL headers are
-        # durable, so without it any pages.dat / wal.log content is
-        # debris from a creation that crashed mid-flight.
-        had_meta = self.io.exists(self._meta_path)
-        self._pagefile = PageFile(
-            self.path / "pages.dat",
-            self.io,
-            slot_size if slot_size is not None else default_slot_size(page_size),
-            page_size,
-            fresh=not had_meta,
-        )
-        if self._pagefile.page_size != page_size:
-            raise ValueError(
-                f"{self.path}: store was created with page_size="
-                f"{self._pagefile.page_size}, not {page_size}"
+        if self.io.exists(self.path / "store.meta"):
+            raise CorruptionError(
+                f"{self.path}: a version-2 store (slotted pages.dat and a "
+                f"store.meta sidecar); this store reads version {WAL_VERSION}"
             )
-        self._wal = WriteAheadLog(self.path / "wal.log", self.io)
         # The pool is dict-like: it stands in for the base class's dict.
-        self._objects = BufferPool(self, self._pagefile, pool_pages)  # type: ignore
-        if had_meta:
-            self._recover()
-        else:
-            if self._wal.version is None:
-                self._wal.reset()  # debris from a crashed creation
-            self._write_sidecar()
-
-    # -- paths -------------------------------------------------------------
+        self._objects = BufferPool(self, pool_pages)  # type: ignore
+        self._wal = WriteAheadLog(self.path / "wal.log", self.io)
+        self._base: WriteAheadLog | None = None
+        try:
+            if self.io.exists(self._base_path):
+                self._base = WriteAheadLog(self._base_path, self.io)
+                self._recover()
+            else:
+                # No base: anything else here is debris from a creation
+                # that crashed before its base landed.  The WAL gets a
+                # durable header first, so no base lands beside a torn one.
+                self._wal.reset()
+                self._compact()
+        except BaseException:
+            self._release()
+            raise
 
     @property
-    def _meta_path(self) -> Path:
-        return self.path / "store.meta"
+    def _base_path(self) -> Path:
+        return self.path / "pages.dat"
 
     @property
     def pool(self) -> BufferPool:
@@ -652,15 +486,15 @@ class DiskPageStore(PageStore):
 
     # -- durability ---------------------------------------------------------
 
-    def _wal_append(self, *args) -> None:
+    def _wal_append(self, *args) -> tuple[int, int, int]:
         # ``storage.wal.append_seconds`` times framing; the commit writes.
         telem = self._telemetry
         if telem is None:
-            self._wal.append(*args)
-            return
+            return self._wal.append(*args)
         start = time.perf_counter()
-        self._wal.append(*args)
+        location = self._wal.append(*args)
         telem.observe("storage.wal.append_seconds", time.perf_counter() - start)
+        return location
 
     def commit(self, meta: Any | None = None) -> bool:
         telem = self._telemetry
@@ -687,13 +521,10 @@ class DiskPageStore(PageStore):
             frame = pool.frames[pid]
             payload = _dumps(frame.obj)
             if payload == frame.image:
-                continue  # a slot or an earlier WAL record holds these bytes
-            self._pagefile.check_fits(pid, payload)
-            entry = pool.pages[pid]
-            self._wal_append("page", pid, self._kinds[pid].value, payload)
-            frame.image = payload
-            entry.crc, entry.length = zlib.crc32(payload), len(payload)
-            entry.on_disk, entry.durable = False, True
+                continue  # an earlier record holds these bytes
+            location = self._wal_append("page", pid, self._kinds[pid].value, payload)
+            pool.pages[pid] = _PageMeta(self._wal, *location)
+            frame.image, frame.logged = payload, True
         for pid in sorted(pool.freed):
             self._wal_append("free", pid)
         if meta is not None:
@@ -709,9 +540,8 @@ class DiskPageStore(PageStore):
         return True
 
     def checkpoint(self) -> None:
-        """Flush everything to the page file, rewrite the sidecar, reset
-        the WAL.  After a checkpoint the WAL is empty and every live
-        page's slot holds its committed image."""
+        """Commit, then compact: after a checkpoint ``pages.dat`` holds
+        every live page's committed image and the WAL is empty."""
         telem = self._telemetry
         if telem is None:
             self._checkpoint_inner()
@@ -724,13 +554,55 @@ class DiskPageStore(PageStore):
         self._in_checkpoint = True
         try:
             self.commit()
-            self.pool.flush_to_slots()
-            self._pagefile.fsync()
-            self._write_sidecar()
-            self._wal.reset()
+            self._compact()
             self.checkpoints += 1
         finally:
             self._in_checkpoint = False
+
+    def _compact(self) -> None:
+        """Write the committed state as a new base, then empty the WAL.
+
+        Every live page's committed image — a resident page's from its
+        frame, any other's from its record — goes to ``pages.dat.tmp``
+        with the blob and a commit record in one ``pwrite``; the file is
+        fsynced and renamed over ``pages.dat``, and the page table
+        repointed into it.  A crash before the rename leaves the old
+        base and WAL; one after it, a WAL the new base already holds.
+        """
+        pool = self.pool
+        for pid, frame in pool.frames.items():
+            if frame.logged and _dumps(frame.obj) != frame.image:
+                raise AliasingError(
+                    f"page {pid} drifted from its committed image before a "
+                    f"compaction; a mutation bypassed write()"
+                )
+        tmp = self.path / "pages.dat.tmp"
+        self.io.remove(tmp)
+        base = WriteAheadLog(tmp, self.io)
+        try:
+            table = {}
+            for pid in pool.pages:
+                frame = pool.frames.get(pid)
+                image = frame.image if frame is not None else pool.image(pid)
+                table[pid] = base.append("page", pid, self._kinds[pid].value, image)
+            if self.meta_blob is not None:
+                base.append("meta", _dump_meta(self.meta_blob))
+            base.commit(self._next_id, self._pinned, self.page_size)
+            self.io.replace(tmp, self._base_path)
+        except BaseException:
+            base.close()
+            raise
+        base.path = self._base_path  # the handle follows its file
+        if self._base is not None:
+            self._base.close()
+        self._base = base
+        self._base_writes += 1
+        self._base_bytes += base.size
+        for pid, location in table.items():
+            pool.pages[pid] = _PageMeta(base, *location)
+        for frame in pool.frames.values():
+            frame.logged = False
+        self._wal.reset()
 
     def close(self) -> None:
         """Checkpoint and release the file handles; they are released
@@ -740,9 +612,13 @@ class DiskPageStore(PageStore):
         try:
             self.checkpoint()
         finally:
-            self._wal.close()
-            self._pagefile.close()
-            self._closed = True
+            self._release()
+
+    def _release(self) -> None:
+        self._wal.close()
+        if self._base is not None:
+            self._base.close()
+        self._closed = True
 
     def __enter__(self) -> "DiskPageStore":
         return self
@@ -756,102 +632,47 @@ class DiskPageStore(PageStore):
             "close it and reopen its directory instead"
         )
 
-    # -- sidecar and recovery ----------------------------------------------
-
-    def _sidecar_document(self) -> bytes:
-        pool = self.pool
-        pages = {}
-        for pid, entry in pool.pages.items():
-            if not entry.durable:
-                continue  # never committed: invisible to recovery, like the WAL
-            pages[str(pid)] = [self._kinds[pid].value, entry.crc, entry.length]
-        doc = {
-            "format": META_FORMAT,
-            "page_size": self.page_size,
-            "slot_size": self._pagefile.slot_size,
-            "next_id": self._next_id,
-            "pinned": sorted(self._pinned),
-            "pages": pages,
-            "meta": (
-                base64.b64encode(_dump_meta(self.meta_blob)).decode("ascii")
-                if self.meta_blob is not None
-                else None
-            ),
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
-
-    def _write_sidecar(self) -> None:
-        tmp = self._meta_path.with_suffix(".meta.tmp")
-        self.io.remove(tmp)
-        handle = self.io.open(tmp)
-        try:
-            payload = self._sidecar_document()
-            handle.pwrite(payload, 0)
-            handle.truncate(len(payload))
-            handle.fsync()
-        finally:
-            handle.close()
-        self.io.replace(tmp, self._meta_path)
+    # -- recovery ------------------------------------------------------------
 
     def _recover(self) -> None:
-        handle = self.io.open(self._meta_path)
-        try:
-            raw = handle.pread(handle.size(), 0)
-        finally:
-            handle.close()
-        doc = json.loads(raw.decode("utf-8"))
-        if doc.get("format") != META_FORMAT:
-            raise CorruptionError(f"{self._meta_path}: unknown sidecar format")
-        if doc["page_size"] != self.page_size:
+        """Replay the base, then the WAL; truncate the WAL's torn tail.
+
+        The page table points each page at the last committed record of
+        its image, across both logs.  Nothing is written but the
+        truncation.
+        """
+        base, _, torn = self._base.replay()
+        if torn or not base:
+            raise CorruptionError(f"{self._base_path}: base is damaged")
+        _, _, page_size = base[-1].fields
+        if page_size != self.page_size:
             raise ValueError(
                 f"{self.path}: store was created with page_size="
-                f"{doc['page_size']}, not {self.page_size}"
+                f"{page_size}, not {self.page_size}"
             )
+        wal, end, _ = self._wal.replay()
         pool = self.pool
-
-        def in_slot(pid: int, kind: PageKind, crc: int, length: int) -> None:
-            entry = pool.pages.setdefault(pid, _PageMeta())
-            self._kinds[pid] = kind
-            entry.crc, entry.length = crc, length
-            entry.on_disk = entry.durable = True
-
-        for pid_str, (kind_value, crc, length) in doc["pages"].items():
-            in_slot(int(pid_str), PageKind(kind_value), crc, length)
-        self._next_id = doc["next_id"]
-        self._pinned = set(doc["pinned"])
-        blob = base64.b64decode(doc["meta"]) if doc.get("meta") else None
-
-        # Last image wins: each page's slot is written once, with the
-        # image of its last committed record, and not at all when a later
-        # committed record frees the page.
-        committed, commit_end, _ = self._wal.replay()
-        images: dict[int, tuple[str, bytes]] = {}
-        for record in committed:
-            if record.kind == "page":
-                pid, kind_value, payload = record.fields
-                images[pid] = (kind_value, payload)
-            elif record.kind == "free":
-                (pid,) = record.fields
-                images.pop(pid, None)
-                pool.pages.pop(pid, None)
-                self._kinds.pop(pid, None)
-            elif record.kind == "meta":
-                (blob,) = record.fields
-            elif record.kind == "commit":
-                next_id, pinned = record.fields
-                self._next_id = next_id
-                self._pinned = set(pinned)
-        for pid, (kind_value, payload) in sorted(images.items()):
-            kind = PageKind(kind_value)
-            in_slot(pid, kind, self._pagefile.write_slot(pid, kind, payload), len(payload))
+        blob = None
+        for log, records in ((self._base, base), (self._wal, wal)):
+            for record in records:
+                if record.kind == "page":
+                    pid, kind_value, _ = record.fields
+                    pool.pages[pid] = _PageMeta(
+                        log, record.offset, record.end_offset - record.offset, record.crc
+                    )
+                    self._kinds[pid] = PageKind(kind_value)
+                elif record.kind == "free":
+                    (pid,) = record.fields
+                    pool.pages.pop(pid, None)
+                    self._kinds.pop(pid, None)
+                elif record.kind == "meta":
+                    (blob,) = record.fields
+                elif record.kind == "commit":
+                    self._next_id, pinned = record.fields[:2]
+                    self._pinned = set(pinned)
         if blob is not None:
             self.meta_blob = pickle.loads(blob)
-        self._wal.truncate_to(commit_end)
-        # End recovery at a checkpoint: page file current and durable,
-        # sidecar rewritten, WAL empty.
-        self._pagefile.fsync()
-        self._write_sidecar()
-        self._wal.reset()
+        self._wal.truncate_to(end)
         # Pinned pages are resident by invariant; fault them in without
         # touching the access statistics (nothing is charged yet anyway).
         for pid in sorted(self._pinned):
@@ -867,24 +688,31 @@ class DiskPageStore(PageStore):
         :class:`AccessStats`, never a substitute).
 
         The core keys are pinned by
-        :func:`repro.obs.telemetry.validate_io_stats`.
+        :func:`repro.obs.telemetry.validate_io_stats`.  ``pagefile``
+        counts the page records read back (from either log) and the
+        bases written (creation and compactions).
         ``write_amplification`` — total physical bytes written (WAL plus
-        page-file) over the live committed payload bytes — is always
+        bases) over the live committed record bytes — is always
         present and deterministic for a deterministic workload; the
         ``latency`` summaries are additive and appear only when
         telemetry is attached.
         """
         pool = self.pool
         live_bytes = sum(
-            entry.length for entry in pool.pages.values() if entry.durable
+            entry.length for entry in pool.pages.values() if entry.log is not None
         )
         wal_stats = self._wal.stats()
-        physical = wal_stats["bytes"] + self._pagefile.bytes_written
+        physical = wal_stats["bytes"] + self._base_bytes
         out = {
             "backend": "disk",
             "pool": {**pool.stats(), "hit_rate": round(pool.hit_rate, 6)},
             "wal": wal_stats,
-            "pagefile": self._pagefile.stats(),
+            "pagefile": {
+                "reads": pool.reads,
+                "writes": self._base_writes,
+                "bytes_read": pool.bytes_read,
+                "bytes_written": self._base_bytes,
+            },
             "commits": self.commits,
             "checkpoints": self.checkpoints,
             "write_amplification": round(physical / live_bytes, 4)

@@ -1,8 +1,8 @@
 """Page images: one fixed-layout codec for every page class.
 
-The durable store (:mod:`repro.storage.disk`) writes a page to its slot
-and to the WAL as an *image*; :func:`encode` makes it and :func:`decode`
-turns it back into the page object.  An image is a header naming the
+The durable store (:mod:`repro.storage.disk`) logs a page as an
+*image*; :func:`encode` makes it and :func:`decode` turns it back into
+the page object.  An image is a header naming the
 page class and the encoding of each field, then the fields::
 
     magic 0xC5 | u8 name length | u8 field count | name | one tag per field
@@ -40,7 +40,7 @@ columns and inverted boxes with a ``ValueError``; every other bad image
 unreadable pickled field) is a :class:`CorruptionError`.  Either way no
 page object is returned.  So is an image not starting with ``0xC5``,
 such as the whole-page pickle (``0x80``) of a store written before this
-codec, which the page file's version refuses at open anyway.
+codec, which the store's format version refuses at open anyway.
 
 Each page class's layout (its slot getter) is built on its first
 encode, and each header met on a load is compiled once into
@@ -75,7 +75,7 @@ _INT64 = range(-(1 << 63), 1 << 63)
 
 
 class CorruptionError(RuntimeError):
-    """A page image or slot failed its checks and no WAL record can heal it."""
+    """A page image or log record failed its checks; nothing can heal it."""
 
 
 # -- field encoders: ``(value, heads, bodies) -> tag`` -------------------------

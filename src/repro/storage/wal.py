@@ -1,7 +1,8 @@
-"""Write-ahead log: length+CRC framed records, redo-only recovery.
+"""Append-only logs: length+CRC framed records, redo-only replay.
 
-The durable store (:mod:`repro.storage.disk`) logs every committed
-change here *before* it may touch the page file.  The log is a single
+The durable store (:mod:`repro.storage.disk`) keeps every page in a log
+of this format and nowhere else: ``wal.log`` holds each commit since the
+last compaction, ``pages.dat`` the compacted base.  A log is a single
 append-only file of framed records::
 
     +--------+-----------------+----------------+
@@ -19,13 +20,17 @@ Payloads are pickled tuples; four record types exist:
 * ``("free", pid)`` — the page was released;
 * ``("meta", blob)`` — an opaque application blob (the crash harness
   stores pickled access-method state here);
-* ``("commit", next_id, pinned)`` — a commit boundary carrying the
-  store's allocation cursor and pinned-page set.
+* ``("commit", next_id, pinned, ...)`` — a commit boundary carrying the
+  store's allocation cursor and pinned-page set (a base's also carries
+  the store's page size).
 
-:meth:`WriteAheadLog.append` frames a record in memory;
-:meth:`WriteAheadLog.commit` writes the group and its commit record
-with one ``pwrite`` before its fsync, so a group without its commit
-record never reaches the file.
+:meth:`WriteAheadLog.append` frames a record in memory and returns where
+it will land; :meth:`WriteAheadLog.commit` writes the group and its
+commit record with one ``pwrite`` before its fsync, so a group without
+its commit record never reaches the file.  A new log's header goes out
+with its first group; :meth:`WriteAheadLog.reset` writes it on its own
+when the file has none.  :meth:`WriteAheadLog.read` fetches one record
+back by the ``(offset, length, crc)`` the append returned.
 
 Recovery (:meth:`WriteAheadLog.replay`) is redo-only: scan frames in
 order, buffer each group until its ``commit`` record, apply only
@@ -33,8 +38,8 @@ complete groups, and stop at the first torn frame — a short header, a
 length pointing past EOF, a CRC mismatch or a payload that does not
 unpickle.  Everything from the last commit boundary onward is then
 truncated, so a torn tail can never resurrect a half-written
-transaction.  Full-page redo is idempotent, which is what makes "replay
-over whatever the page file holds" safe.
+transaction.  Full-page redo is idempotent: replaying records whose
+effects a state already holds leaves that state as it is.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.storage.io import FileHandle, IOProvider, OsFileIO
+from repro.storage.pagecodec import CorruptionError
 
 __all__ = ["WalRecord", "WriteAheadLog", "WAL_MAGIC", "WAL_VERSION"]
 
 WAL_MAGIC = b"RWAL"
-WAL_VERSION = 1
+#: 3: the page store is two logs; version 2 was a slotted page file
+#: (``RPGF``) beside a version-1 WAL and a ``store.meta`` sidecar.
+WAL_VERSION = 3
 _HEADER = struct.Struct("<4sI")
 _FRAME = struct.Struct("<II")
 
@@ -66,14 +74,16 @@ _REPLAY_BLOCK = 1 << 16
 
 
 class WalRecord:
-    """One decoded record plus the file offset just past its frame."""
+    """One decoded record, where its frame starts and ends, and its CRC."""
 
-    __slots__ = ("kind", "fields", "end_offset")
+    __slots__ = ("kind", "fields", "offset", "end_offset", "crc")
 
-    def __init__(self, kind: str, fields: tuple, end_offset: int):
+    def __init__(self, kind: str, fields: tuple, offset: int, end_offset: int, crc: int):
         self.kind = kind
         self.fields = fields
+        self.offset = offset
         self.end_offset = end_offset
+        self.crc = crc
 
 
 class WriteAheadLog:
@@ -82,43 +92,39 @@ class WriteAheadLog:
     def __init__(self, path: str | Path, io: IOProvider | None = None):
         self.path = Path(path)
         self.io = io if io is not None else OsFileIO()
-        existed = self.io.exists(self.path)
         self._fh: FileHandle = self.io.open(self.path)
         #: Frames of the group being built, written by the next commit.
         self._pending: list[bytes] = []
         self.records_written = self.commits = self.bytes_written = 0
-        #: The header's version once written or read here (else ``None``).
+        #: The header's version once queued, written or read here.
         self.version: int | None = None
-        if not existed or self._fh.size() == 0:
-            self._write_header()
-        else:
-            #: Where the next group goes; ``_end`` adds the pending frames.
-            self.committed_end = self._end = self._fh.size()
+        #: Where the next group goes; ``_end`` adds the pending frames.
+        self.committed_end = self._end = self._fh.size()
+        if self._end == 0:
+            self._pending.append(_HEADER.pack(WAL_MAGIC, WAL_VERSION))
+            self._end = _HEADER.size
+            self.version = WAL_VERSION
 
     # -- appending ---------------------------------------------------------
 
-    def _write_header(self) -> None:
-        # Keep a current header: rewriting it is a write a crash can tear.
-        if self.version == WAL_VERSION:
-            self._fh.truncate(_HEADER.size)
-        else:
-            self._fh.truncate(0)
-            self._fh.pwrite(_HEADER.pack(WAL_MAGIC, WAL_VERSION), 0)
-            self.version = WAL_VERSION
-        self.committed_end = self._end = _HEADER.size
-
-    def append(self, kind: str, *fields: Any) -> None:
-        """Frame one record into the pending group (see :meth:`commit`)."""
+    def append(self, kind: str, *fields: Any) -> tuple[int, int, int]:
+        """Frame one record into the pending group (see :meth:`commit`);
+        returns the ``(offset, length, crc)`` of its frame in the file."""
         payload = pickle.dumps((kind, *fields), protocol=4)
-        self._pending += (_FRAME.pack(len(payload), zlib.crc32(payload)), payload)
-        self._end += _FRAME.size + len(payload)
+        crc = zlib.crc32(payload)
+        offset, length = self._end, _FRAME.size + len(payload)
+        self._pending += (_FRAME.pack(len(payload), crc), payload)
+        self._end += length
         self.records_written += 1
-        self.bytes_written += _FRAME.size + len(payload)
+        self.bytes_written += length
+        return offset, length, crc
 
-    def commit(self, next_id: int, pinned: Iterable[int], fsync: bool = True) -> None:
-        """Append the commit boundary, write the group in one ``pwrite``
-        and (optionally) make it durable."""
-        self.append("commit", next_id, sorted(pinned))
+    def commit(
+        self, next_id: int, pinned: Iterable[int], *more: Any, fsync: bool = True
+    ) -> None:
+        """Append the commit boundary (``more`` rides on it), write the
+        group in one ``pwrite`` and (optionally) make it durable."""
+        self.append("commit", next_id, sorted(pinned), *more)
         self._fh.pwrite(b"".join(self._pending), self.committed_end)
         self._pending.clear()
         if fsync:
@@ -130,6 +136,26 @@ class WriteAheadLog:
     def size(self) -> int:
         """Bytes of log, including the header and the pending frames."""
         return self._end
+
+    # -- reading -----------------------------------------------------------
+
+    def read(self, offset: int, length: int, crc: int) -> tuple:
+        """The record whose frame is the ``length`` bytes at ``offset``,
+        in one ``pread``; refused unless the frame names ``crc`` and its
+        payload checks."""
+        frame = self._fh.pread(length, offset)
+        if len(frame) < length:
+            raise CorruptionError(f"{self.path}: record at {offset} cut short")
+        size, frame_crc = _FRAME.unpack_from(frame)
+        if frame_crc != crc or _FRAME.size + size != length:
+            raise CorruptionError(
+                f"{self.path}: record at {offset} is stale or foreign "
+                f"(crc {frame_crc:#x}, page table expects {crc:#x})"
+            )
+        payload = memoryview(frame)[_FRAME.size :]
+        if zlib.crc32(payload) != crc:
+            raise CorruptionError(f"{self.path}: record at {offset} fails its checksum")
+        return pickle.loads(payload)
 
     # -- replay ------------------------------------------------------------
 
@@ -164,8 +190,9 @@ class WriteAheadLog:
             return [], _HEADER.size, len(header) not in (0, _HEADER.size)
         magic, version = _HEADER.unpack(header)
         if magic != WAL_MAGIC or version != WAL_VERSION:
-            raise ValueError(
-                f"{self.path}: not a WAL file (magic {magic!r}, version {version})"
+            raise CorruptionError(
+                f"{self.path}: not a version-{WAL_VERSION} log "
+                f"(magic {bytes(magic)!r}, version {version})"
             )
         self.version = version
         records: list[WalRecord] = []
@@ -182,8 +209,9 @@ class WriteAheadLog:
                 kind, *fields = pickle.loads(payload)
             except Exception:  # corrupted but CRC-colliding payloads
                 break
-            offset += _FRAME.size + length
-            records.append(WalRecord(kind, tuple(fields), offset))
+            end = offset + _FRAME.size + length
+            records.append(WalRecord(kind, tuple(fields), offset, end, crc))
+            offset = end
             if kind == "commit":
                 committed.extend(records)
                 records.clear()
@@ -198,8 +226,16 @@ class WriteAheadLog:
         self.committed_end = self._end = offset
 
     def reset(self) -> None:
-        """Empty the log after a checkpoint: header only, made durable."""
-        self._write_header()
+        """Empty the log: header only, made durable."""
+        self._pending.clear()
+        if self.version == WAL_VERSION and self.committed_end >= _HEADER.size:
+            # Keep a current header: rewriting it is a write a crash can tear.
+            self._fh.truncate(_HEADER.size)
+        else:
+            self._fh.truncate(0)
+            self._fh.pwrite(_HEADER.pack(WAL_MAGIC, WAL_VERSION), 0)
+            self.version = WAL_VERSION
+        self.committed_end = self._end = _HEADER.size
         self._fh.fsync()
 
     def close(self) -> None:

@@ -29,11 +29,12 @@ wraps the instance's ``held`` to see the calls and stays off the
 observer stream, so explain traces do not change.
 
 On the durable store the barrier reads each page through ``peek``: a
-resident page's live object, a non-resident one's slot image; a peek
-neither admits a page nor moves its frame in the pool's order.  What it
-cannot see there is a mutation of an object that has left the pool in
-the same window (a ``peek``-ed page evicted from a current slot, or an
-object retained across an eviction): the store holds no trace of it.
+resident page's live object, a non-resident one's image, read from the
+log record that committed it; a peek neither admits a page nor moves
+its frame in the pool's order.  What it cannot see there is a mutation
+of an object that has left the pool in the same window (a ``peek``-ed
+page evicted unread, or an object retained across an eviction): the
+store holds no trace of it.
 The simulated store, where every object stays live, sees the first; the
 oracle and the audit see the second.
 

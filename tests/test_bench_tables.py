@@ -33,7 +33,7 @@ from repro.bench.tables import (
     table_5_1_rows,
 )
 from repro.config import RunConfig
-from repro.core.comparison import PAM_QUERY_TYPES, SAM_QUERY_TYPES
+from repro.core.comparison import PAM_QUERY_TYPES, SAM_QUERY_TYPES, default_results_root
 from repro.obs.export import RunReport
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -98,12 +98,15 @@ def _without_seconds(value):
 
 def test_processes_change_no_report_trace_or_table(tmp_path):
     """Every session audited and explained, at one process and at two:
-    reports equal but for ``seconds``, traces and tables byte-identical."""
+    reports equal but for ``seconds``, traces and tables byte-identical.
+    ``explain=True`` puts the traces under the results directory given,
+    never under the checkout's."""
+    checkout = default_results_root()
+    before = set(checkout.rglob("*"))
     written = {}
     for processes in (1, 2):
         root = tmp_path / str(processes)
-        config = RunConfig(bench_scale=300, audit=True, explain=root / "explain")
-        run_bench(root, processes, config)
+        run_bench(root, processes, RunConfig(bench_scale=300, audit=True, explain=True))
         written[processes] = {
             path.relative_to(root).as_posix(): path.read_bytes()
             for path in root.rglob("*.*")
@@ -112,6 +115,7 @@ def test_processes_change_no_report_trace_or_table(tmp_path):
     assert one.keys() == two.keys()
     assert sum(name.startswith("RUN-") for name in one) == len(PAM_FILES) + len(SAM_FILES)
     assert sum(name.startswith("explain/") for name in one) == 6 * 7 + 4 * 5
+    assert set(checkout.rglob("*")) == before
     assert {name[:-4] for name in one if name.endswith(".txt")} == set(TABLES)
     for name, data in one.items():
         if name.startswith("RUN-"):

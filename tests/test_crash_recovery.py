@@ -15,11 +15,12 @@ Coverage knobs:
 
 * the deterministic tests sample fail points through the whole write
   budget of their stream: fail-stop every ``writes // 25``-th index,
-  torn writes and bit flips every ``writes // 8``-th, mid-checkpoint
-  crashes every ``writes // 12``-th, and fail-stop and torn writes
-  every ``writes // 8``-th write of a reopen's recovery (plus a crash at
-  its WAL reset).  ``REPRO_CRASH_STRIDE=1`` makes all of them sweep
-  every write index (a step of CI's storage job);
+  torn writes and bit flips every ``writes // 8``-th, and
+  mid-checkpoint crashes every ``writes // 12``-th, plus a crash between
+  each compaction's rename and its WAL reset.  ``REPRO_CRASH_STRIDE=1``
+  makes all of them sweep every write index (a step of CI's storage
+  job).  A reopen writes nothing, so it has no write index to crash at:
+  its one crash point is the WAL's tail truncation;
 * the hypothesis test samples random ``(structure, seed, fail point,
   mode)`` tuples on a shorter stream, so every run explores new crash
   points beyond the deterministic grid.
@@ -119,7 +120,7 @@ def _recover_and_check(path, spec, expected) -> int:
         blob = store.meta_blob
         if blob is None:
             # Died before the first op's commit (possibly even before
-            # the initial sidecar landed): no method to restore, but
+            # the store's first base landed): no method to restore, but
             # reopening must still have succeeded cleanly.
             assert store.page_ids() == sorted(store.page_ids())
             return 0
@@ -203,16 +204,20 @@ def test_corrupting_crashes_never_surface_bad_data(name, mode, tmp_path):
         )
 
 
-def test_crash_during_checkpoint_is_recoverable(tmp_path):
-    """The checkpoint path (slot flush + sidecar rename + WAL reset) has
-    its own write pattern; crash through all of it (at sampled indices,
-    or every one under ``REPRO_CRASH_STRIDE=1``)."""
+def test_crash_during_checkpoint_is_recoverable(tmp_path, monkeypatch):
+    """A checkpoint compacts: the new base goes to ``pages.dat.tmp`` in
+    one write, is renamed over ``pages.dat``, then the WAL is emptied.
+    Crash at sampled write indices (every one under
+    ``REPRO_CRASH_STRIDE=1``), the renames included, and between every
+    rename and its WAL reset, where the old WAL is replayed over a base
+    that already holds it."""
     spec = STRUCTURES["GRID-1"]
     ops = make_ops(spec, 60, seed=5)
     expected = _committed_records(spec["kind"], ops)
+    path = tmp_path / "ckpt"
 
     def run(io):
-        store = DiskPageStore(tmp_path / "ckpt", pool_pages=POOL, io=io)
+        store = DiskPageStore(path, pool_pages=POOL, io=io)
         am = spec["factory"](store)
         for i, op in enumerate(ops):
             _apply(am, spec["kind"], op)
@@ -221,65 +226,79 @@ def test_crash_during_checkpoint_is_recoverable(tmp_path):
                 store.checkpoint()
         store.close()
 
-    run(FaultInjectingIO(fail_after=None))
     writes = FaultInjectingIO(fail_after=None)
-    shutil.rmtree(tmp_path / "ckpt")
     run(writes)
     sampled = range(5, writes.writes, max(1, writes.writes // 12))
     for i, fail_after in enumerate(_sweep_points(writes.writes, sampled)):
-        shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
+        shutil.rmtree(path, ignore_errors=True)
         io = FaultInjectingIO(fail_after=fail_after, mode="stop", seed=i)
         try:
             run(io)
         except InjectedCrash:
             pass
-        _recover_and_check(tmp_path / "ckpt", spec, expected)
+        _recover_and_check(path, spec, expected)
+
+    # Creation's own reset comes before its base; every later one follows
+    # a rename (creation's, then each checkpoint's and close()'s).
+    resets = 2 + len(ops) // 10 + 1
+    recovered = set()
+    for crash_at in range(2, resets + 1):
+        shutil.rmtree(path, ignore_errors=True)
+        with monkeypatch.context() as m:
+            m.setattr(WriteAheadLog, "reset", _crash_at_call(crash_at, WriteAheadLog.reset))
+            with pytest.raises(InjectedCrash):
+                run(FaultInjectingIO(fail_after=None))
+        recovered.add(_recover_and_check(path, spec, expected))
+    assert recovered == {0, *range(10, len(ops) + 1, 10)}
 
 
 @pytest.mark.parametrize("mode", ["stop", "torn"])
 @pytest.mark.parametrize("name", CRASH_STRUCTURES)
 def test_crash_during_recovery_is_recoverable(name, mode, tmp_path, monkeypatch):
-    """A reopen writes each page's last committed image into its slot,
-    then the sidecar (tmp write + rename), then resets the WAL.  Crash
-    it at sampled write indices (every one under
-    ``REPRO_CRASH_STRIDE=1``) and at the reset, reopen again, and find
-    the committed prefix a clean reopen finds."""
+    """A reopen replays the base and the WAL and truncates the WAL's
+    torn tail; it writes nothing.  A 600-op stream dies at its last
+    commit (``mode``: fail-stop, or a torn write that leaves a tail to
+    cut); its reopen makes no write and finds the committed prefix, and
+    a crash at the truncation still reopens to that prefix."""
     spec = STRUCTURES[name]
     ops = make_ops(spec, 600, seed=42)
     expected = _committed_records(spec["kind"], ops)
-    # A stream that dies just before its end: the WAL holds every commit.
+    # A stream that dies at its last commit, the write before close()'s
+    # compaction (the base and its rename): the WAL holds every other.
     crashed = tmp_path / "crashed"
     stream_writes = _count_writes(tmp_path / "dry", spec, ops)
     with pytest.raises(InjectedCrash):
-        _run_until_crash(crashed, spec, ops, FaultInjectingIO(fail_after=stream_writes - 2))
+        _run_until_crash(
+            crashed, spec, ops, FaultInjectingIO(fail_after=stream_writes - 2, mode=mode)
+        )
     shutil.copytree(crashed, tmp_path / "clean")
     counting = FaultInjectingIO(fail_after=None)
     store = DiskPageStore(tmp_path / "clean", pool_pages=POOL, io=counting)
-    writes = counting.writes  # the reopen's own: slot writes, sidecar write and rename
-    store.close()
+    assert counting.writes == 0
+    store._wal.close()
+    store._base.close()
     applied = _recover_and_check(tmp_path / "clean", spec, expected)
-    assert applied >= 600 and writes > 10  # every op committed; pages to write
+    assert applied == len(ops) - 1
 
-    def reopen_crashes(path, io) -> None:
+    with monkeypatch.context() as m:
+        m.setattr(WriteAheadLog, "truncate_to", _crash_at_call(1, WriteAheadLog.truncate_to))
         with pytest.raises(InjectedCrash):
-            DiskPageStore(path, pool_pages=POOL, io=io)
-
-    points = _sweep_points(writes, range(1, writes + 1, max(1, writes // 8)))
-    for fail_after in [*points, writes, "reset"]:
-        run = tmp_path / f"run{fail_after}"
-        shutil.copytree(crashed, run)
-        if fail_after == "reset":
-            with monkeypatch.context() as m:
-                m.setattr(WriteAheadLog, "reset", _crash_now)
-                reopen_crashes(run, FaultInjectingIO(fail_after=None))
-        else:
-            reopen_crashes(run, FaultInjectingIO(fail_after=fail_after, mode=mode, seed=fail_after))
-        assert _recover_and_check(run, spec, expected) == applied
-        shutil.rmtree(run)
+            DiskPageStore(crashed, pool_pages=POOL, io=FaultInjectingIO(fail_after=None))
+    assert _recover_and_check(crashed, spec, expected) == applied
 
 
-def _crash_now(*args) -> None:
-    raise InjectedCrash("injected crash at the WAL reset")
+def _crash_at_call(n: int, method):
+    """``method``, but its ``n``-th call (1-based) crashes instead."""
+    calls = 0
+
+    def crashing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise InjectedCrash(f"injected crash at call {n} of {method.__name__}")
+        return method(*args)
+
+    return crashing
 
 
 # -- randomized exploration --------------------------------------------------

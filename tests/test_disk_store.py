@@ -1,4 +1,4 @@
-"""Units for the durable storage stack: IO shim, WAL, page file, store.
+"""Units for the durable storage stack: IO shim, logs, store.
 
 The crash *property* tests live in ``test_crash_recovery.py`` and the
 pool invariants in ``test_buffer_pool.py``; this file covers the
@@ -8,7 +8,9 @@ lifecycle parity with the simulated store, checkpoints.
 
 from __future__ import annotations
 
+import json
 import pickle
+import struct
 import zlib
 from collections import Counter
 
@@ -20,9 +22,7 @@ from repro.storage.disk import (
     AliasingError,
     CorruptionError,
     DiskPageStore,
-    PageFile,
-    PageOverflowError,
-    default_slot_size,
+    _PageMeta,
     restore_method,
     snapshot_method,
 )
@@ -44,6 +44,14 @@ class _CallCounter(Counter):
 def _counting_io():
     calls = _CallCounter()
     return InstrumentedIO(OsFileIO(), calls), calls
+
+
+def plant_image(store, pid: int, image: bytes) -> None:
+    """Commit ``image`` as page ``pid``'s record behind the store's back
+    and point the page table at it: the record and the table agree."""
+    location = store._wal.append("page", pid, store.kind(pid).value, image)
+    store._wal.commit(store._next_id, store._pinned, fsync=False)
+    store.pool.pages[pid] = _PageMeta(store._wal, *location)
 
 
 # -- fault-injecting IO ----------------------------------------------------
@@ -193,7 +201,7 @@ class TestWriteAheadLog:
 
     def test_rejects_foreign_file(self, tmp_path):
         (tmp_path / "wal").write_bytes(b"NOTAWAL!")
-        with pytest.raises(ValueError, match="not a WAL"):
+        with pytest.raises(CorruptionError, match="not a version-3 log"):
             WriteAheadLog(tmp_path / "wal").replay()
 
     def test_every_record_type_round_trips(self, tmp_path):
@@ -220,18 +228,33 @@ class TestWriteAheadLog:
     def test_a_group_is_one_write_and_a_reset_none(self, tmp_path):
         io, calls = _counting_io()
         wal = WriteAheadLog(tmp_path / "wal", io)
-        header_only = (tmp_path / "wal").stat().st_size
         for pid in range(5):
             wal.append("page", pid, "data", b"x" * 100)
         wal.append("free", 9)
-        assert calls["pwrite"] == 1  # the header
-        assert (tmp_path / "wal").stat().st_size == header_only
+        assert calls["pwrite"] == 0  # a new log's header waits for its first group
+        assert (tmp_path / "wal").stat().st_size == 0
         wal.commit(next_id=10, pinned=[1])
-        assert calls["pwrite"] == 2 and calls["fsync"] == 1
+        assert calls["pwrite"] == 1 and calls["fsync"] == 1
         assert (tmp_path / "wal").stat().st_size == wal.size == wal.committed_end
         wal.reset()  # keeps the current header: no write a crash could tear
-        assert calls["pwrite"] == 2
-        assert (tmp_path / "wal").stat().st_size == header_only
+        assert calls["pwrite"] == 1
+        assert (tmp_path / "wal").stat().st_size == 8
+        # A log without a header on disk gets one from its reset, alone.
+        fresh = WriteAheadLog(tmp_path / "fresh", io)
+        fresh.reset()
+        assert calls["pwrite"] == 2 and (tmp_path / "fresh").stat().st_size == 8
+
+    def test_a_record_reads_back_by_its_location(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        first = wal.append("page", 4, "data", b"four")
+        second = wal.append("page", 5, "directory", b"five" * 100)
+        wal.commit(next_id=6, pinned=[])
+        assert wal.read(*first) == ("page", 4, "data", b"four")
+        assert wal.read(*second) == ("page", 5, "directory", b"five" * 100)
+        replayed = [r for r in wal.replay()[0] if r.kind == "page"]
+        assert [(r.offset, r.end_offset - r.offset, r.crc) for r in replayed] == [
+            first, second,
+        ]  # fmt: skip
 
     def test_a_torn_group_is_dropped_whole(self, tmp_path):
         io = FaultInjectingIO()
@@ -249,53 +272,6 @@ class TestWriteAheadLog:
         records, end, torn = WriteAheadLog(tmp_path / "wal").replay()
         assert torn and end == first_end
         assert [(r.kind, r.fields[0]) for r in records] == [("page", 1), ("commit", 2)]
-
-
-# -- the page file ----------------------------------------------------------
-
-
-class TestPageFile:
-    def test_roundtrip_and_crc(self, tmp_path):
-        pf = PageFile(tmp_path / "pages", OsFileIO(), 4096, 512)
-        crc = pf.write_slot(3, PageKind.DATA, b"payload")
-        kind, payload = pf.read_slot(3, expected_crc=crc)
-        assert kind is PageKind.DATA and payload == b"payload"
-
-    def test_overflow_is_loud(self, tmp_path):
-        pf = PageFile(tmp_path / "pages", OsFileIO(), 4096, 512)
-        with pytest.raises(PageOverflowError):
-            pf.write_slot(0, PageKind.DATA, b"x" * 4096)
-
-    def test_corrupted_payload_is_detected(self, tmp_path):
-        pf = PageFile(tmp_path / "pages", OsFileIO(), 4096, 512)
-        pf.write_slot(0, PageKind.DIRECTORY, b"sensitive")
-        raw = bytearray((tmp_path / "pages").read_bytes())
-        raw[PageFile.HEADER_SIZE + PageFile.SLOT_HEADER] ^= 0x01
-        (tmp_path / "pages").write_bytes(raw)
-        pf2 = PageFile(tmp_path / "pages", OsFileIO(), 4096, 512)
-        with pytest.raises(CorruptionError, match="checksum"):
-            pf2.read_slot(0)
-
-    def test_stale_slot_vs_page_table(self, tmp_path):
-        pf = PageFile(tmp_path / "pages", OsFileIO(), 4096, 512)
-        pf.write_slot(0, PageKind.DATA, b"old")
-        with pytest.raises(CorruptionError, match="stale"):
-            pf.read_slot(0, expected_crc=0xDEAD)
-
-    def test_length_hint_is_one_pread_and_a_wrong_hint_only_costs_a_second(self, tmp_path):
-        io, calls = _counting_io()
-        pf = PageFile(tmp_path / "pages", io, 4096, 512)
-        crc = pf.write_slot(2, PageKind.DATA, b"payload")
-        for hint, preads in ((7, 1), (0, 2), (3, 2), (4000, 2)):
-            before = calls["pread"]
-            assert pf.read_slot(2, crc, hint) == (PageKind.DATA, b"payload")
-            assert calls["pread"] - before == preads, hint
-        assert pf.bytes_read == 4 * (PageFile.SLOT_HEADER + 7)
-
-    def test_default_slot_size_scales_with_page_size(self):
-        assert default_slot_size(512) >= 16 * 512
-        assert default_slot_size(8192) >= 16 * 8192
-        assert default_slot_size(512) % 4096 == 0
 
 
 # -- the durable store ------------------------------------------------------
@@ -402,8 +378,8 @@ class TestDiskPageStore:
         (violation,) = err.value.violations
         assert violation.code == "contract.unwritten"
         assert violation.message.startswith(f"page {a} (data, list) changed")
-        # The commit logged b only; a's image is still only in the WAL,
-        # so the checkpoint's flush refuses the drift as well.
+        # The commit logged b only; a's frame still holds the image a
+        # commit logged, so the compaction refuses the drift as well.
         assert store.pool.silent_dirty == 0
         with pytest.raises(AliasingError, match=f"page {a} drifted"):
             store.checkpoint()
@@ -419,27 +395,41 @@ class TestDiskPageStore:
         store.close()
         assert _fresh(tmp_path).peek(a) == list(range(10))
 
-    def test_page_overflow_names_the_remedy(self, tmp_path):
-        store = DiskPageStore(tmp_path / "store", pool_pages=8, slot_size=4096)
+    def test_an_image_larger_than_a_page_survives_every_path(self, tmp_path):
+        """A record holds an image of any length: 8 000 bytes at a 512 B
+        page survive commit, eviction, reopen and compaction."""
+        store = DiskPageStore(tmp_path / "store", pool_pages=4)
         store.begin_operation()
-        a = store.allocate(PageKind.DATA, ["x" * 8000])
-        store.write(a)
-        with pytest.raises(PageOverflowError, match="slot_size"):
-            store.commit()
+        big = store.allocate(PageKind.DATA, ["x" * 8000])
+        store.write(big)
+        for i in range(6):  # later operations push the page out of the pool
+            store.begin_operation()
+            store.write(store.allocate(PageKind.DATA, [i]))
+        store.begin_operation()
+        assert big not in store.pool.frames
+        assert store.read(big) == ["x" * 8000]
+        _crash(store)
+        store = _fresh(tmp_path, pool_pages=4)
+        assert store.peek(big) == ["x" * 8000]
+        store.checkpoint()
+        store.close()
+        assert _fresh(tmp_path).peek(big) == ["x" * 8000]
 
     def test_a_page_file_of_another_version_is_refused_at_open(self, tmp_path):
-        """A version-1 page file may hold whole-page pickles: the store
-        refuses it when opened, sidecar present, before any miss."""
-        store = _fresh(tmp_path)
-        store.begin_operation()
-        store.write(store.allocate(PageKind.DATA, ["kept"]))
-        store.close()
-        path = tmp_path / "store" / "pages.dat"
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = (1).to_bytes(4, "little")  # the header's version field
-        path.write_bytes(raw)
-        assert (tmp_path / "store" / "store.meta").exists()
-        with pytest.raises(CorruptionError, match="version 1"):
+        """The slotted layout (a version-2 ``RPGF`` page file beside a
+        ``store.meta`` sidecar) is refused at open, before any replay,
+        whichever of its two files is found."""
+        directory = tmp_path / "store"
+        directory.mkdir()
+        (directory / "pages.dat").write_bytes(struct.pack("<4sIII", b"RPGF", 2, 8192, 512))
+        (directory / "wal.log").write_bytes(struct.pack("<4sI", b"RWAL", 1))
+        (directory / "store.meta").write_text(
+            json.dumps({"format": "repro.storage/disk-meta/v1", "page_size": 512})
+        )
+        with pytest.raises(CorruptionError, match="version-2 store"):
+            _fresh(tmp_path)
+        (directory / "store.meta").unlink()
+        with pytest.raises(CorruptionError, match="version 2"):
             _fresh(tmp_path)
 
     def test_page_size_mismatch_is_rejected(self, tmp_path):
@@ -465,12 +455,12 @@ class TestDiskPageStore:
 def _crash(store) -> None:
     """Drop the store's handles without a checkpoint."""
     store._wal.close()
-    store._pagefile.close()
+    store._base.close()
 
 
 class TestCommitProtocol:
-    """One record per changed page, one write per commit, one slot write
-    per page at recovery."""
+    """One record per changed page, one write per commit, no write at
+    recovery."""
 
     def test_an_unchanged_write_logs_nothing_and_still_recovers(self, tmp_path):
         store = _fresh(tmp_path)
@@ -480,7 +470,7 @@ class TestCommitProtocol:
         store.write(a)
         store.write(b)
         store.commit()
-        for checkpoint in (False, True):  # image in the WAL, then in the slot
+        for checkpoint in (False, True):  # image in the WAL, then in the base
             if checkpoint:
                 store.checkpoint()
             records = store._wal.records_written
@@ -501,7 +491,7 @@ class TestCommitProtocol:
         assert store.peek(a) == ["v1"] and store.peek(b) == ["b3"]
         assert store.meta_blob == "unchanged"
 
-    def test_recovery_writes_each_page_once(self, tmp_path):
+    def test_recovery_writes_nothing(self, tmp_path):
         store = _fresh(tmp_path)
         store.begin_operation()
         a = store.allocate(PageKind.DATA, [0])
@@ -522,10 +512,15 @@ class TestCommitProtocol:
             r.fields[0] for r in store._wal.replay()[0] if r.kind == "page"
         )
         assert logged == {a: 6, b: 6}
+        last_a = [r for r in store._wal.replay()[0] if r.kind == "page"][-2]
         _crash(store)
-        store = _fresh(tmp_path)
-        assert store._pagefile.writes == 1  # a's last image; b's none
+        io = FaultInjectingIO()
+        store = _fresh(tmp_path, io=io)
+        assert io.writes == 0
         assert store.page_ids() == [a] and store.peek(a) == [5]
+        # a's page-table entry names its last committed record; b has none.
+        meta = store.pool.pages[a]
+        assert (meta.log, meta.offset, meta.crc) == (store._wal, last_a.offset, last_a.crc)
 
     def test_a_torn_commit_recovers_the_previous_one(self, tmp_path):
         io = FaultInjectingIO()
@@ -553,7 +548,7 @@ class TestCommitProtocol:
         a = store.allocate(PageKind.DATA, ["old"])
         store.write(a)
         store.commit()
-        for checkpoint in (False, True):  # durable in the WAL, then in the slot
+        for checkpoint in (False, True):  # durable in the WAL, then in the base
             if checkpoint:
                 store.checkpoint()
             records = store._wal.records_written
@@ -692,50 +687,45 @@ class TestMissPath:
             before[0] + 1, before[1] + 1, before[2],
         )  # fmt: skip
 
-    def test_a_length_only_stale_page_table_reads_the_slot_it_names(self, tmp_path):
-        io, calls = _counting_io()
-        store, cold = self._spilled(tmp_path, io=io)
-        store.pool.pages[cold[0]].length += 3  # the CRC still names the slot's image
-        before = calls["pread"]
-        assert store.peek(cold[0]).children == [_rid(cold[0])]
-        assert calls["pread"] == before + 2
-
     def test_stale_truncated_and_flipped_slots_are_still_refused(self, tmp_path):
+        """A miss checks the record it reads (a page's slot is now its
+        log record) against the page table: a flipped image byte, a
+        page-table entry naming another record's CRC or length, and a
+        log cut inside the record are each refused, by ``read`` and by
+        ``peek``, and count no miss."""
         store, cold = self._spilled(tmp_path)
-        stale, flipped, cut = cold[0], cold[1], max(cold)
-        pagefile = store._pagefile
-        # A slot rewritten behind the page table's back: other length, other CRC.
-        pagefile.write_slot(stale, PageKind.DATA, pickle.dumps(_leaf(99, rows=5), 4))
-        with pytest.raises(CorruptionError, match="stale"):
-            store.read(stale)
-        with pytest.raises(CorruptionError, match="stale"):
-            store.peek(stale)
-        # One flipped payload bit, length and header intact.
-        path = store.path / "pages.dat"
+        flipped, stale, short, cut = cold[0], cold[1], cold[2], max(cold)
+        pages = store.pool.pages
+        assert all(pages[pid].log is store._wal for pid in cold)
+        path = store.path / "wal.log"
+        # One flipped image bit, frame header intact.
         raw = bytearray(path.read_bytes())
-        raw[pagefile._offset(flipped) + PageFile.SLOT_HEADER + 20] ^= 0x10
+        meta = pages[flipped]
+        raw[meta.offset + meta.length - 20] ^= 0x10
         path.write_bytes(raw)
-        with pytest.raises(CorruptionError, match="checksum"):
-            store.read(flipped)
-        # The file ends inside the last cold slot's payload, then before its header.
-        handle = pagefile._fh
-        handle.truncate(pagefile._offset(cut) + PageFile.SLOT_HEADER + 10)
-        with pytest.raises(CorruptionError, match="checksum"):
-            store.read(cut)
-        handle.truncate(pagefile._offset(cut) + 4)
-        with pytest.raises(CorruptionError, match="slot missing"):
-            store.peek(cut)
+        # A page table naming another image's CRC, then another length.
+        pages[stale].crc = pages[cold[3]].crc
+        pages[short].length -= 3
+        # The log ends inside the last cold page's record.
+        store._wal._fh.truncate(pages[cut].offset + pages[cut].length - 10)
+        for pid, message in (
+            (flipped, "fails its checksum"),
+            (stale, "stale or foreign"),
+            (short, "stale or foreign"),
+            (cut, "cut short"),
+        ):
+            for load in (store.read, store.peek):
+                with pytest.raises(CorruptionError, match=message):
+                    load(pid)
         assert store.pool.misses == 0 and store.pool.peek_loads == 0
 
     def test_a_whole_page_pickle_is_refused_and_counts_no_miss(self, tmp_path):
-        """A CRC-valid slot whose image is a whole-page pickle (``0x80``),
-        the format before the page codec, is corrupt to both loads."""
+        """A CRC-valid record whose image is a whole-page pickle
+        (``0x80``), the format before the page codec, is corrupt to both
+        loads."""
         store, cold = self._spilled(tmp_path)
         pid = cold[0]
-        payload = pickle.dumps(_leaf(pid), 4)
-        meta = store.pool.pages[pid]
-        meta.crc = store._pagefile.write_slot(pid, PageKind.DATA, payload)
-        meta.length = len(payload)
+        plant_image(store, pid, pickle.dumps(_leaf(pid), 4))
         for load in (store.read, store.peek):
             with pytest.raises(CorruptionError, match="starts with 0x80"):
                 load(pid)
@@ -748,7 +738,7 @@ class TestMissPath:
         store.begin_operation()
         for pid in (a, b):  # off disk: each still packed, columns and no rows
             assert store.read(pid).rects._image[0] is None
-            assert store.pool.pages[pid].on_disk  # a current slot: eviction would drop it
+            assert not store.pool.frames[pid].logged  # eviction would drop it unread
         store.read(a).rects[0] = Rect((0.0, 0.0), (0.5, 0.5))  # no store.write(a)
         store.read(b).rects.append(Rect((0.1, 0.1), (0.2, 0.2)))  # nor store.write(b)
         with pytest.raises(AuditError) as err:
@@ -767,10 +757,10 @@ class TestMissPath:
         store.begin_operation()
         a = store.allocate(PageKind.DATA, _leaf(20))
         store.write(a)
-        store.begin_operation()  # commits a: its image is in the WAL only
-        assert not pool.pages[a].on_disk and a in pool.frames
+        store.begin_operation()  # commits a: logged while resident
+        assert pool.frames[a].logged
         store.peek(a).rects.pop()  # a peek is not held: a stays evictable
-        for pid in cold:  # misses; the scan meets a and encodes it for its slot
+        for pid in cold:  # misses; the scan meets a and checks it for drift
             store.read(pid)
         # The store counts the drift and keeps a resident as dirty, so the
         # barrier sees it at the very next boundary.
@@ -784,15 +774,15 @@ class TestMissPath:
     def test_the_default_store_pickles_nothing_it_was_not_told_to_write(
         self, tmp_path, monkeypatch
     ):
-        """The page-mutation contract, trusted: a clean victim whose slot
-        is current is a dict delete, and a commit pickles dirty pages only
+        """The page-mutation contract, trusted: a clean victim read from
+        its record is a dict delete, and a commit pickles dirty pages only
         (the write barrier checks the trust, see the test above)."""
         from repro.storage import disk
 
         store, _ = self._spilled(tmp_path)
-        store.checkpoint()  # every committed page now has a current slot
+        store.checkpoint()  # the base now holds every committed page
         pool = store.pool
-        assert all(m.on_disk for m in pool.pages.values())
+        assert not any(frame.logged for frame in pool.frames.values())
         dumped, encode = [], disk._dumps
         monkeypatch.setattr(disk, "_dumps", lambda obj: dumped.append(obj) or encode(obj))
         before = pool.evictions, pool.misses
@@ -812,6 +802,63 @@ class TestMissPath:
         store.close()
         back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
         assert back.peek(b).children == [_rid(b), 7]
+
+
+class TestPageFile:
+    """``pages.dat``, the base a checkpoint compacts the committed state
+    into: its page records read back, and are refused, like the WAL's."""
+
+    POOL = TestMissPath.POOL
+    _spilled = TestMissPath._spilled
+
+    def _compacted(self, tmp_path):
+        """A checkpointed store whose non-resident pages live in the base."""
+        store, cold = self._spilled(tmp_path)
+        store.checkpoint()
+        assert all(store.pool.pages[pid].log is store._base for pid in cold)
+        return store, cold
+
+    def test_roundtrip_and_crc(self, tmp_path):
+        store, cold = self._compacted(tmp_path)
+        pages = store.pool.pages
+        replayed = {r.fields[0]: r for r in store._base.replay()[0] if r.kind == "page"}
+        for pid in cold:
+            meta = pages[pid]
+            record = replayed[pid]
+            assert (meta.offset, meta.length, meta.crc) == (
+                record.offset, record.end_offset - record.offset, record.crc,
+            )  # fmt: skip
+            assert store._base.read(meta.offset, meta.length, meta.crc)[:3] == (
+                "page", pid, "data",
+            )  # fmt: skip
+            assert store.read(pid).children == [_rid(pid)]
+        store.close()
+        back = DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
+        assert all(back.peek(pid).children == [_rid(pid)] for pid in cold)
+
+    def test_corrupted_payload_is_detected(self, tmp_path):
+        store, cold = self._compacted(tmp_path)
+        pid = cold[0]
+        meta = store.pool.pages[pid]
+        path = store.path / "pages.dat"
+        raw = bytearray(path.read_bytes())
+        raw[meta.offset + meta.length - 20] ^= 0x10
+        path.write_bytes(raw)
+        for load in (store.read, store.peek):
+            with pytest.raises(CorruptionError, match="fails its checksum"):
+                load(pid)
+        assert store.pool.misses == 0 and store.pool.peek_loads == 0
+        _crash(store)
+        with pytest.raises(CorruptionError, match="base is damaged"):
+            DiskPageStore(tmp_path / "store", pool_pages=self.POOL, fsync=False)
+
+    def test_stale_slot_vs_page_table(self, tmp_path):
+        store, cold = self._compacted(tmp_path)
+        store.pool.pages[cold[0]].crc = store.pool.pages[cold[1]].crc
+        for load in (store.read, store.peek):
+            with pytest.raises(CorruptionError, match="stale or foreign"):
+                load(cold[0])
+        assert store.read(cold[1]).children == [_rid(cold[1])]
 
 
 # -- method persistence helpers ---------------------------------------------

@@ -23,6 +23,7 @@ from repro.storage.pagecodec import MAGIC, _slot_names, decode, encode
 from repro.storage.soa import SoAList, _columns, _Packed
 from repro.verify.fuzz import STRUCTURES
 from tests.conftest import make_points, make_rects
+from tests.test_disk_store import plant_image
 
 
 def _exact(a, b) -> bool:
@@ -47,7 +48,7 @@ def test_every_page_of_every_structure_round_trips(name, tmp_path):
     store.checkpoint()
     assert store.pool.evictions
     for pid in store.page_ids():
-        image = store._pagefile.read_slot(pid)[1]
+        image = store.pool.image(pid)
         assert image[0] == MAGIC
         page = decode(image)
         assert encode(page) == image
@@ -283,7 +284,7 @@ def test_a_bad_image_with_a_matching_crc_is_refused_by_the_load(case, tmp_path):
     with pytest.raises(error) as raised:
         decode(bad)
     assert type(raised.value) in (CorruptionError, ValueError)
-    # Through the store: the slot and the page table agree on the CRC.
+    # Through the store: the record and the page table agree on the CRC.
     store = DiskPageStore(tmp_path / "store", 512, pool_pages=4, fsync=False)
     pids = []
     for i in range(8):
@@ -293,8 +294,7 @@ def test_a_bad_image_with_a_matching_crc_is_refused_by_the_load(case, tmp_path):
     store.checkpoint()
     store.begin_operation()
     cold = next(p for p in pids if p not in store.pool.frames)
-    meta = store.pool.pages[cold]
-    meta.crc, meta.length = store._pagefile.write_slot(cold, PageKind.DATA, bad), len(bad)
+    plant_image(store, cold, bad)
     misses, loads = store.pool.misses, store.pool.peek_loads
     for load in (store.peek, store.read):
         with pytest.raises(error) as raised:
@@ -303,4 +303,4 @@ def test_a_bad_image_with_a_matching_crc_is_refused_by_the_load(case, tmp_path):
     assert (store.pool.misses, store.pool.peek_loads) == (misses, loads)
     assert cold not in store.pool.frames
     store._wal.close()
-    store._pagefile.close()
+    store._base.close()

@@ -67,7 +67,7 @@ def _disk_workload(tmp_path, telemetry=None, *, fsync=False):
         store.begin_operation()
         store.read(pid)
     store.checkpoint()
-    for pid in pids:  # post-checkpoint: misses pread the page file, clean
+    for pid in pids:  # post-checkpoint: misses pread the base, clean
         store.begin_operation()  # frames evict
         store.read(pid)
     return store, pids
