@@ -21,18 +21,22 @@ Each case times the shipped implementation against a straightforward
 reference written here, min-of-repeats, and asserts a modest win so a
 regression that silently reverts the optimisation fails the bench.  The
 reference implementations are first checked to agree exactly.
+
+Run ``PYTHONPATH=src python benchmarks/bench_micro_geometry.py``: it
+prints the timings, writes them to ``results/BENCH-MICRO-GEO.txt`` and
+exits non-zero on a failed check.
 """
 
 import math
 import timeit
+from pathlib import Path
 from random import Random
 
 from repro.geometry.blocks import MAX_DEPTH, bits_of_point, min_enclosing_block
 from repro.geometry.rect import Rect
 from repro.geometry.zorder import z_value
 
-from benchmarks.conftest import emit
-
+RESULT = Path(__file__).resolve().parent.parent / "results" / "BENCH-MICRO-GEO.txt"
 REPEATS = 7
 NUMBER = 200
 
@@ -86,7 +90,7 @@ def _best(fn) -> float:
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER
 
 
-def test_micro_geometry(benchmark):
+def main() -> None:
     rng = Random(42)
 
     def rect(size):
@@ -141,22 +145,21 @@ def test_micro_geometry(benchmark):
             _best(lambda: [ref_min_enclosing_block(b, 2) for b in boxes]),
         ),
     }
-    benchmark(lambda: [a.intersects(b) for a, b in pairs])
-
     rows = {
         name: (opt * 1e6, ref * 1e6, ref / opt)
         for name, (opt, ref) in timings.items()
     }
-    emit(
-        "BENCH-MICRO-GEO",
+    text = (
         "Geometry micro-optimisations (300 calls per sample, min of "
         f"{REPEATS}x{NUMBER} repeats)\n"
         f"{'':15s}{'optimised':>12s}{'reference':>12s}{'win':>7s}\n"
         + "\n".join(
             f"{name:15s}{opt:10.1f}us{ref:10.1f}us{win:6.2f}x"
             for name, (opt, ref, win) in rows.items()
-        ),
+        )
     )
+    print(text)
+    RESULT.write_text(text + "\n", encoding="utf-8")
 
     # Modest margins: the wins are ~1.5-4x locally, but CI boxes are noisy.
     assert rows["intersects"][2] > 1.05
@@ -166,3 +169,7 @@ def test_micro_geometry(benchmark):
     assert rows["bits_of_pt 2-d"][2] > 1.5
     assert rows["bits_of_pt 4-d"][2] > 1.5
     assert rows["min_encl_block"][2] > 1.5
+
+
+if __name__ == "__main__":
+    main()

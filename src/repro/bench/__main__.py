@@ -1,14 +1,16 @@
-"""``python -m repro.bench [--processes N]``: the paper's tables from one run.
+"""``python -m repro.bench [--processes N]``: every committed result from one run.
 
 Every ``(kind, data file)`` of the comparison is one serial session:
 :func:`~repro.core.comparison.run_file`, then its run report saved as
-``results/RUN-<KIND>-<file>.json``.  The twelve sessions share nothing,
-so with ``--processes N`` above 1 they run in a ``spawn`` process pool,
-the SAM files first (their sessions are the longest); at 1 they run in
-this process.  Every ``TAB-*`` / ``FIG-*`` is then rendered from the
-reports on disk (:mod:`repro.bench.tables`) and written beside them,
-and the paper's claims (:data:`~repro.bench.tables.CLAIMS`) are checked
-on the same reports: the exit status is 1 if any fails, each named on
+``results/RUN-<KIND>-<file>.json``.  Every ablation and extension
+(:data:`~repro.bench.ablations.EXPERIMENTS`) is one job too, its rows
+saved as ``results/<ID>.json``.  The jobs share nothing, so with
+``--processes N`` above 1 they run in a ``spawn`` process pool, longest
+first (the SAM sessions, the PAM sessions, then the experiments); at 1
+they run in this process.  Every table is then rendered from the
+documents on disk (:mod:`repro.bench.tables`) and written beside them,
+and the claims (:data:`~repro.bench.tables.CLAIMS`) are checked on the
+same documents: the exit status is 1 if any fails, each named on
 stderr.
 
 ``REPRO_BENCH_SCALE``, ``REPRO_AUDIT`` and ``REPRO_EXPLAIN`` are read
@@ -22,12 +24,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.bench.tables import CLAIMS, PAM_FILES, SAM_FILES, TABLES, Claim, render
+from repro.bench.ablations import EXPERIMENTS
+from repro.bench.tables import CLAIMS, PAM_FILES, SAM_FILES, TABLES, Claim, Load, render
 from repro.config import RunConfig
 from repro.core.comparison import default_results_root, run_file
 from repro.obs.export import RunReport
@@ -36,8 +40,24 @@ from repro.obs.export import RunReport
 SESSIONS = [("sam", f) for f in SAM_FILES] + [("pam", f) for f in PAM_FILES]
 
 
-def report_path(results: Path, kind: str, file_name: str) -> Path:
-    return results / f"RUN-{kind.upper()}-{file_name}.json"
+def report_path(results: Path, kind: str, name: str) -> Path:
+    """Where the document ``render`` reads as ``report(kind, name)`` lives."""
+    if kind == "ablation":
+        return results / f"{name}.json"
+    return results / f"RUN-{kind.upper()}-{name}.json"
+
+
+def loader(results: Path) -> Load:
+    """``report(kind, name)`` over the documents in ``results``, each read once."""
+
+    @functools.cache
+    def report(kind: str, name: str):
+        path = report_path(results, kind, name)
+        if kind == "ablation":
+            return json.loads(path.read_text(encoding="utf-8"))
+        return RunReport.load(path)
+
+    return report
 
 
 def run_session(kind: str, file_name: str, results: Path, config: RunConfig) -> None:
@@ -59,27 +79,34 @@ def run_session(kind: str, file_name: str, results: Path, config: RunConfig) -> 
     report.save(report_path(results, kind, file_name))
 
 
+def run_experiment(result_id: str, results: Path, config: RunConfig) -> None:
+    """One ablation or extension, its rows saved as ``results/<result_id>.json``."""
+    rows = EXPERIMENTS[result_id](config.bench_scale)
+    doc = {"bench_scale": config.bench_scale, "rows": rows}
+    path = report_path(results, "ablation", result_id)
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def run_bench(results: Path, processes: int = 1, config: RunConfig | None = None) -> list[Claim]:
-    """Run every session into ``results``, write every table; return the failed claims.
+    """Run every job into ``results``, write every table; return the failed claims.
 
     ``config`` defaults to :meth:`RunConfig.from_env`.
     """
     config = RunConfig.from_env() if config is None else config
     results.mkdir(parents=True, exist_ok=True)
-    jobs = [(kind, file_name, results, config) for kind, file_name in SESSIONS]
+    jobs = [(run_session, kind, file_name) for kind, file_name in SESSIONS]
+    jobs += [(run_experiment, result_id) for result_id in EXPERIMENTS]
     if processes > 1:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(processes, mp_context=context) as pool:
-            for future in [pool.submit(run_session, *job) for job in jobs]:
+            futures = [pool.submit(*job, results, config) for job in jobs]
+            for future in futures:
                 future.result()
     else:
-        for job in jobs:
-            run_session(*job)
+        for function, *args in jobs:
+            function(*args, results, config)
 
-    @functools.cache
-    def report(kind: str, file_name: str) -> RunReport:
-        return RunReport.load(report_path(results, kind, file_name))
-
+    report = loader(results)
     for table_id in TABLES:
         text = render(table_id, report)
         print(f"\n{text}")
@@ -96,14 +123,15 @@ def _processes(raw: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the paper's comparison, one session per data file, "
-        "write results/RUN-*.json and every table, and check the paper's claims.",
+        description="Run the paper's comparison, one session per data file, and "
+        "every ablation and extension; write their JSON and every table, and check "
+        "the claims.",
     )
     parser.add_argument(
         "--processes",
         type=_processes,
         default=1,
-        help="sessions run at once in a spawn process pool (default 1: in this process)",
+        help="jobs run at once in a spawn process pool (default 1: in this process)",
     )
     args = parser.parse_args(argv)
     failed = run_bench(default_results_root(), args.processes)

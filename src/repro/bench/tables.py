@@ -1,14 +1,16 @@
-"""The paper's tables and figures, rendered from run reports.
+"""Every committed result table, rendered from the session's JSON.
 
 Every committed ``results/TAB-*`` / ``FIG-*`` file is a pure function of
-the ``results/RUN-*.json`` run reports of one bench session.
-:data:`TABLES` maps each table id to its title, the data files it reads
-and its renderer, which prints the paper's published row
-(:mod:`repro.bench.paper`) above the measured one.  :data:`CLAIMS` are
-the paper's statements as predicates over the same reports.
-``python -m repro.bench`` writes :func:`render` of every table and
-checks every claim; tier-1 renders each committed file from the
-committed reports, byte for byte, and checks the claims on them.
+the ``results/RUN-*.json`` run reports of one bench session, and every
+``ABL-*`` / ``EXT-*`` file of its own ``results/<ID>.json`` rows
+(:mod:`repro.bench.ablations`).  :data:`TABLES` maps each table id to
+its title, the documents it reads and its renderer; a paper table
+prints the paper's published row (:mod:`repro.bench.paper`) above the
+measured one.  :data:`CLAIMS` are the paper's statements as predicates
+over the same documents.  ``python -m repro.bench`` writes
+:func:`render` of every table and checks every claim; tier-1 renders
+each committed file from the committed documents, byte for byte, and
+checks the claims on them.
 
 The PAM tables give the five query types as percentages of GRID
 (= 100.0), then ``stor``, ``dir/data``, ``insert`` and ``h``, as in §4.
@@ -18,7 +20,7 @@ The SAM tables give absolute disk accesses per query type, as in §8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.bench.paper import (
     PAM_QUERY_AVERAGE_PAPER,
@@ -57,7 +59,11 @@ _PAM_SUMMARY = ("HB", "BANG", "BANG*", "GRID", "BUDDY", "BUDDY+")
 _SAM_SUMMARY = ("R-Tree", "BANG", "BUDDY", "PLOP")
 _BUILD_COLUMNS = ("storage_utilization", "dir_data_ratio", "insert_cost", "height")
 
-Reports = Mapping[str, RunReport]
+Reports = Mapping[str, Any]
+#: ``report(kind, name)``: the run report of ``RUN-<KIND>-<name>.json``
+#: for ``kind`` "pam" / "sam", the document of ``<name>.json`` for
+#: "ablation".
+Load = Callable[[str, str], Any]
 
 
 def paper_vs_measured(
@@ -237,14 +243,103 @@ def _sam_average(title: str, reports: Reports) -> str:
     return paper_vs_measured(title, SAM_SUMMARY_PAPER, sam_average_rows(reports), columns)
 
 
+# -- the ablation and extension tables: (title, rows) -> text ---------------
+
+
+def _columns(title: str, rows: dict, first: int, *columns: tuple[str, str, int, str]) -> str:
+    """One line per ``name: row``, the name in ``first`` characters, then
+    per ``(header, key, width, format)`` column ``row[key]`` in ``width``."""
+    lines = [f"{'':{first}s}" + "".join(f"{header:>{width}s}" for header, _, width, _ in columns)]
+    for name, row in rows.items():
+        cells = "".join(f"{row[key]:{width}{fmt}}" for _, key, width, fmt in columns)
+        lines.append(f"{name:{first}s}{cells}")
+    return "\n".join([title, *lines])
+
+
+_STORAGE = ("stor", "storage_utilization", 8, ".1f")
+_QUERY_AVERAGE = ("query avg", "query_average", 12, ".1f")
+_SAM_COSTS = (
+    ("point", "point", 8, ".1f"),
+    ("intersect", "intersection", 10, ".1f"),
+    ("enclose", "enclosure", 9, ".1f"),
+    ("contain", "containment", 9, ".1f"),
+)
+
+
+def _packing_bit(title: str, rows: dict) -> str:
+    pages = ("data pages", "data_pages", 12, "d")
+    table = _columns(title, rows, 10, _STORAGE, _QUERY_AVERAGE, pages)
+    return f"{table}\npages saved: {rows['BUDDY+']['pages_saved']}"
+
+
+def _totals(title: str, rows: dict) -> str:
+    return "\n".join([title, *(f"{label:>20s}{n:10d}" for label, n in rows.items())])
+
+
+def _counts(title: str, rows: dict) -> str:
+    return "\n".join([title, *(f"{label:20s}{n:>10.0f}" for label, n in rows.items())])
+
+
+def _variants(title: str, rows: dict) -> str:
+    """One query average per variant (columns) and data file (rows)."""
+    header = f"{'':12s}" + "".join(f"{name:>10s}" for name in next(iter(rows.values())))
+    lines = [f"{f:12s}" + "".join(f"{v:10.1f}" for v in row.values()) for f, row in rows.items()]
+    return "\n".join([title, header, *lines])
+
+
+def _page_sizes(title: str, rows: list) -> str:
+    lines = [f"{'':8s}{'page':>6s}{'h':>4s}{'pages':>8s}{'query avg':>11s}"]
+    for row in rows:
+        lines.append(
+            f"{row['structure']:8s}{row['page_size']:6d}{row['height']:4d}"
+            f"{row['pages']:8d}{row['query_average']:11.1f}"
+        )
+    return "\n".join([title, *lines])
+
+
+def _scale(title: str, rows: dict) -> str:
+    header = f"{'n':>8s}" + "".join(f"{name:>10s}" for name in next(iter(rows.values())))
+    lines = [f"{n:>8s}" + "".join(f"{v:10.1f}" for v in row.values()) for n, row in rows.items()]
+    return "\n".join([title, header, *lines])
+
+
+def _rtree(title: str, rows: dict, label: Callable[[str], str]) -> str:
+    return "\n".join(
+        [title]
+        + [
+            f"{label(key)}{row['query_average']:10.1f}  stor={row['storage_utilization']:5.1f}"
+            for key, row in rows.items()
+        ]
+    )
+
+
+def _clip_redundancy(title: str, rows: list) -> str:
+    lines = [f"{'budget':>8s}{'regions/obj':>13s}{'point cost':>12s}{'data pages':>12s}"]
+    for row in rows:
+        lines.append(
+            f"{row['budget']:8d}{row['regions_per_object']:13.2f}"
+            f"{row['point_cost']:12.1f}{row['data_pages']:12d}"
+        )
+    return "\n".join([title, *lines])
+
+
 @dataclass(frozen=True)
 class Table:
-    """One committed table: its title, the reports it reads, its renderer."""
+    """One committed table: its title, the documents it reads, its renderer."""
 
     title: str
-    kind: str  # "pam" | "sam"
+    kind: str  # "pam" | "sam" | "ablation"
     files: tuple[str, ...]
     renderer: Callable[[str, Reports], str]
+
+
+def _ablation(title: str, result_id: str, renderer: Callable[..., str], *args) -> Table:
+    """The table of ``results/<result_id>.json``: ``renderer(title, rows, *args)``."""
+
+    def render_rows(title: str, reports: Reports) -> str:
+        return renderer(title, reports[result_id]["rows"], *args)
+
+    return Table(title, "ablation", (result_id,), render_rows)
 
 
 TABLES: dict[str, Table] = {
@@ -279,9 +374,112 @@ TABLES: dict[str, Table] = {
     ),
 }
 
+_ABLATIONS = (
+    _ablation(
+        "BANG spanning-property ablation (total exact-match accesses)",
+        "ABL-BANG-SPANNING",
+        _totals,
+    ),
+    _ablation(
+        "BANG fixed vs variable-length directory entries",
+        "ABL-BANG-ENTRIES",
+        _columns,
+        14,
+        ("query avg", "query_average", 10, ".1f"),
+        ("dir pages", "directory_pages", 10, "d"),
+    ),
+    _ablation("BANG with minimal regions (the paper's §9 suggestion)", "ABL-BANG-MBR", _variants),
+    _ablation("BUDDY packing on the bit distribution", "ABL-BUDDY-PACK-BIT", _packing_bit),
+    _ablation(
+        "BUDDY packing on the cluster distribution",
+        "ABL-BUDDY-PACK-CLUSTER",
+        _columns,
+        10,
+        _STORAGE,
+        _QUERY_AVERAGE,
+    ),
+    _ablation("HB with minimal regions (§5 prescription, % of GRID)", "ABL-HB-MBR", _variants),
+    _ablation(
+        "Sorted vs random insertion (uniform data, avg accesses per query)",
+        "ABL-INSERT-ORDER",
+        _columns,
+        10,
+        ("random", "random", 10, ".1f"),
+        ("sorted", "sorted", 10, ".1f"),
+        ("stor sorted", "sorted_storage_utilization", 12, ".1f"),
+    ),
+    _ablation(
+        "BUDDY vs the multilevel grid file (cluster data)",
+        "ABL-MLGF",
+        _columns,
+        8,
+        ("insert", "insert", 8, ".2f"),
+        ("probes", "probes", 8, "d"),
+        ("query avg", "query_average", 11, ".1f"),
+        ("h", "height", 4, "d"),
+        ("dir pages", "directory_pages", 11, "d"),
+    ),
+    _ablation("Page-size ablation (uniform data)", "ABL-PAGESIZE", _page_sizes),
+    _ablation("PLOP vs quantile hashing (avg accesses per query)", "ABL-QUANTILE", _variants),
+    _ablation("Scale sensitivity (diagonal file, query average % of GRID)", "ABL-SCALE", _scale),
+    _ablation(
+        "Twin grid file vs one-level grid file",
+        "ABL-TWIN",
+        _columns,
+        10,
+        ("stor 1x", "grid_storage_utilization", 9, ".1f"),
+        ("stor twin", "twin_storage_utilization", 10, ".1f"),
+        ("qa 1x", "grid_query_average", 8, ".1f"),
+        ("qa twin", "twin_query_average", 9, ".1f"),
+    ),
+    _ablation(
+        "R-tree split policies (Gaussiansquare, avg accesses per query)",
+        "ABL-RTREE-SPLIT",
+        _rtree,
+        lambda policy: f"{policy:10s}",
+    ),
+    _ablation(
+        "R-tree minimum fill (Uniformsmall, avg accesses per query)",
+        "ABL-RTREE-FILL",
+        _rtree,
+        lambda fill: f"min_fill={fill:<6}",
+    ),
+    _ablation(
+        "PAM-to-SAM techniques (Gaussiansquare, avg accesses per query)",
+        "ABL-TECHNIQUES",
+        _columns,
+        16,
+        *_SAM_COSTS,
+    ),
+    _ablation(
+        "Clipping redundancy sweep (Orenstein's trade-off)",
+        "ABL-CLIP-REDUNDANCY",
+        _clip_redundancy,
+    ),
+    _ablation(
+        "Corner vs center representation (BUDDY substrate, Gaussiansquare)",
+        "ABL-TRANSFORM",
+        _columns,
+        14,
+        *_SAM_COSTS,
+        ("avg", "average", 8, ".1f"),
+    ),
+    _ablation(
+        "Deleting half the file (avg accesses per deletion)",
+        "EXT-DELETE",
+        _columns,
+        10,
+        ("delete", "delete_cost", 8, ".2f"),
+        ("stor after", "storage_utilization", 11, ".1f"),
+    ),
+    _ablation("Spatial join ('overlay two maps'), page accesses", "EXT-JOIN", _counts),
+    _ablation("Nearest neighbours (k=5, 20 probes), page accesses", "EXT-NN", _counts),
+)
+TABLES.update((table.files[0], table) for table in _ABLATIONS)
 
-def render(table_id: str, report: Callable[[str, str], RunReport]) -> str:
-    """The text of ``table_id``; ``report(kind, file)`` supplies each run report."""
+
+def render(table_id: str, report: Load) -> str:
+    """The text of ``table_id``; ``report(kind, name)`` supplies each document."""
     table = TABLES[table_id]
     return table.renderer(table.title, {f: report(table.kind, f) for f in table.files})
 
@@ -289,19 +487,19 @@ def render(table_id: str, report: Callable[[str, str], RunReport]) -> str:
 # -- the paper's claims over the same reports -------------------------------
 
 
-def _averages(report: Callable[[str, str], RunReport], file_name: str) -> dict[str, float]:
+def _averages(report: Load, file_name: str) -> dict[str, float]:
     return query_averages(report("pam", file_name))
 
 
-def _costs(report: Callable[[str, str], RunReport], file_name: str) -> dict[str, dict]:
+def _costs(report: Load, file_name: str) -> dict[str, dict]:
     return query_means(report("sam", file_name))
 
 
-def _table_5_1(report: Callable[[str, str], RunReport]) -> dict[str, tuple]:
+def _table_5_1(report: Load) -> dict[str, tuple]:
     return table_5_1_rows({f: report("pam", f) for f in PAM_FILES})
 
 
-def _sam_summary(report: Callable[[str, str], RunReport]) -> dict[str, tuple]:
+def _sam_summary(report: Load) -> dict[str, tuple]:
     return sam_average_rows({f: report("sam", f) for f in SAM_FILES})
 
 
@@ -309,12 +507,28 @@ def _sam_summary(report: Callable[[str, str], RunReport]) -> dict[str, tuple]:
 class Claim:
     """One statement of the paper that the measured table must bear out.
 
-    ``holds(report)`` reads run reports the way :func:`render` does.
+    ``holds(report)`` reads the documents the way :func:`render` does.
     """
 
     table: str
     sentence: str
-    holds: Callable[[Callable[[str, str], RunReport]], bool]
+    holds: Callable[[Load], bool]
+
+
+def _rows(report: Load, result_id: str) -> Any:
+    return report("ablation", result_id)["rows"]
+
+
+def _degradation(report: Load) -> dict[str, float]:
+    """Sorted over random query average, per structure."""
+    rows = _rows(report, "ABL-INSERT-ORDER")
+    return {name: row["sorted"] / row["random"] for name, row in rows.items()}
+
+
+def _never_grows(rows: list, structure: str, key: str) -> bool:
+    """Whether ``structure``'s ``key`` never rises from row to row."""
+    column = [row[key] for row in rows if row["structure"] == structure]
+    return column == sorted(column, reverse=True)
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -417,5 +631,155 @@ CLAIMS: tuple[Claim, ...] = (
         "PLOP is the clear loser on the diagonal rectangles.",
         lambda r: (c := _costs(r, "diagonal"))["PLOP"]["intersection"]
         > c["BUDDY"]["intersection"],
+    ),
+    Claim(
+        "ABL-BANG-SPANNING",
+        "The spanning property can only shorten BANG's exact-match probes (§5).",
+        lambda r: (rows := _rows(r, "ABL-BANG-SPANNING"))["with spanning"]
+        <= rows["without spanning"],
+    ),
+    Claim(
+        "ABL-BANG-ENTRIES",
+        "BANG* never needs more directory pages than BANG and is at least as good "
+        "on the query average (Table 5.1).",
+        lambda r: (rows := _rows(r, "ABL-BANG-ENTRIES"))["BANG*"]["directory_pages"]
+        <= rows["BANG"]["directory_pages"]
+        and rows["BANG*"]["query_average"] <= rows["BANG"]["query_average"] * 1.05,
+    ),
+    Claim(
+        "ABL-BANG-MBR",
+        "Minimal regions improve BANG's query average on both skewed files (§9).",
+        lambda r: all(row["BANG+MBR"] < row["BANG"] for row in _rows(r, "ABL-BANG-MBR").values()),
+    ),
+    Claim(
+        "ABL-BUDDY-PACK-BIT",
+        "Packing the bit file saves pages, lifts storage utilisation and never "
+        "costs queries (§5).",
+        lambda r: (rows := _rows(r, "ABL-BUDDY-PACK-BIT"))["BUDDY+"]["pages_saved"] > 0
+        and rows["BUDDY+"]["storage_utilization"] > rows["BUDDY"]["storage_utilization"]
+        and rows["BUDDY+"]["query_average"] <= rows["BUDDY"]["query_average"],
+    ),
+    Claim(
+        "ABL-BUDDY-PACK-CLUSTER",
+        "On clusters the storage gain is \"not adequately reflected\" in the "
+        "queries: a small query gain, never a loss (§5).",
+        lambda r: (rows := _rows(r, "ABL-BUDDY-PACK-CLUSTER"))["BUDDY+"]["storage_utilization"]
+        >= rows["BUDDY"]["storage_utilization"]
+        and rows["BUDDY+"]["query_average"] <= rows["BUDDY"]["query_average"] * 1.02,
+    ),
+    Claim(
+        "ABL-HB-MBR",
+        "Not partitioning empty space improves HB on the files empty space "
+        "dominates (§5).",
+        lambda r: all(
+            (row := _rows(r, "ABL-HB-MBR")[f])["HB+MBR"] < row["HB"]
+            for f in ("diagonal", "cluster")
+        ),
+    ),
+    Claim(
+        "ABL-INSERT-ORDER",
+        "Sorted insertion degrades BUDDY least: BUDDY behaves robust under (C2) (§5).",
+        lambda r: (d := _degradation(r))["BUDDY"] <= min(d["GRID"], d["BANG"]) * 1.10,
+    ),
+    Claim(
+        "ABL-MLGF",
+        "Neither BUDDY nor the balanced multilevel grid file dominates by more than "
+        "a small factor (§2's claim does not reproduce cleanly).",
+        lambda r: (rows := _rows(r, "ABL-MLGF"))["BUDDY"]["insert"]
+        <= rows["MLGF"]["insert"] * 1.15
+        and rows["BUDDY"]["query_average"] <= rows["MLGF"]["query_average"] * 1.25,
+    ),
+    Claim(
+        "ABL-PAGESIZE",
+        "Larger pages never increase the directory height or the page count (§3).",
+        lambda r: all(
+            _never_grows(_rows(r, "ABL-PAGESIZE"), name, key)
+            for name in ("BUDDY", "BANG")
+            for key in ("height", "pages")
+        ),
+    ),
+    Claim(
+        "ABL-QUANTILE",
+        "Quantile boundaries beat PLOP's midpoints where the marginals are skewed "
+        "([KS 87] via §1).",
+        lambda r: all(
+            (row := _rows(r, "ABL-QUANTILE")[f])["QUANTILE"] < row["PLOP"]
+            for f in ("x_parallel", "sinus")
+        ),
+    ),
+    Claim(
+        "ABL-SCALE",
+        "BUDDY stays far below GRID and stays the winner at every file size (§3).",
+        lambda r: all(
+            row["BUDDY"] < 60.0 and row["BUDDY"] == min(row.values())
+            for row in _rows(r, "ABL-SCALE").values()
+        ),
+    ),
+    Claim(
+        "ABL-TWIN",
+        "The twin principle is a space optimisation: higher storage utilisation on "
+        "every file (§2).",
+        lambda r: all(
+            row["twin_storage_utilization"] > row["grid_storage_utilization"]
+            for row in _rows(r, "ABL-TWIN").values()
+        ),
+    ),
+    Claim(
+        "ABL-RTREE-SPLIT",
+        "Guttman's split never wins the retrieval comparison outright (§8).",
+        lambda r: min(
+            (rows := _rows(r, "ABL-RTREE-SPLIT")), key=lambda p: rows[p]["query_average"]
+        )
+        in ("greene", "margin"),
+    ),
+    Claim(
+        "ABL-RTREE-FILL",
+        "A 30 % minimum fill does not lose to Greene's 50 % by more than noise (§7).",
+        lambda r: (rows := _rows(r, "ABL-RTREE-FILL"))["0.3"]["query_average"]
+        <= rows["0.5"]["query_average"] * 1.10,
+    ),
+    Claim(
+        "ABL-TECHNIQUES",
+        "The technique of transformation was always best for the rectangle "
+        "containment query (§8), clipping included.",
+        lambda r: min(
+            (rows := _rows(r, "ABL-TECHNIQUES")), key=lambda n: rows[n]["containment"]
+        )
+        == "transformation",
+    ),
+    Claim(
+        "ABL-CLIP-REDUNDANCY",
+        "A larger redundancy budget never stores fewer regions; budget 1 stores "
+        "each object once.",
+        lambda r: (f := [row["regions_per_object"] for row in _rows(r, "ABL-CLIP-REDUNDANCY")])
+        == sorted(f)
+        and f[0] == 1.0,
+    ),
+    Claim(
+        "ABL-TRANSFORM",
+        "The corner representation clearly beats the published center one "
+        "[See 89]; bounding the extents recovers part of the gap (§7).",
+        lambda r: (rows := _rows(r, "ABL-TRANSFORM"))["corner"]["average"]
+        < rows["center"]["average"] * 0.75
+        and rows["center+bound"]["average"] <= rows["center"]["average"],
+    ),
+    Claim(
+        "EXT-DELETE",
+        "Every deletion costs accesses and leaves a storage utilisation in (0, 100].",
+        lambda r: all(
+            row["delete_cost"] > 0 and 0 < row["storage_utilization"] <= 100
+            for row in _rows(r, "EXT-DELETE").values()
+        ),
+    ),
+    Claim(
+        "EXT-JOIN",
+        "The synchronised R-tree join beats the nested-loop join.",
+        lambda r: (rows := _rows(r, "EXT-JOIN"))["synchronised join"]
+        < rows["nested-loop join"],
+    ),
+    Claim(
+        "EXT-NN",
+        "Best-first search answers all its probes in fewer accesses than one full scan.",
+        lambda r: (rows := _rows(r, "EXT-NN"))["best-first total"] < rows["file size (pages)"],
     ),
 )

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-try:  # numpy accelerates the bulk constructors; scalar fallbacks remain.
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["Rect"]
 
-#: Below this many inputs the scalar ``min``/``max`` loops beat the cost of
-#: materialising a NumPy array (micro-benchmarked in bench_micro_geometry).
+#: Below this many inputs the bulk constructors take the scalar ``min`` /
+#: ``max`` loops rather than materialise a NumPy array.
 _VECTOR_MIN = 16
 
 
@@ -85,7 +82,7 @@ class Rect:
         rects = list(rects)
         if not rects:
             raise ValueError("bounding() of an empty set")
-        if _np is not None and len(rects) >= _VECTOR_MIN:
+        if len(rects) >= _VECTOR_MIN:
             lo = tuple(_np.min([r.lo for r in rects], axis=0).tolist())
             hi = tuple(_np.max([r.hi for r in rects], axis=0).tolist())
         else:
@@ -99,7 +96,7 @@ class Rect:
         pts = [tuple(p) for p in points]
         if not pts:
             raise ValueError("bounding_points() of an empty set")
-        if _np is not None and len(pts) >= _VECTOR_MIN:
+        if len(pts) >= _VECTOR_MIN:
             arr = _np.asarray(pts)
             lo = tuple(arr.min(axis=0).tolist())
             hi = tuple(arr.max(axis=0).tolist())

@@ -541,7 +541,9 @@ class DiskPageStore(PageStore):
 
     def checkpoint(self) -> None:
         """Commit, then compact: after a checkpoint ``pages.dat`` holds
-        every live page's committed image and the WAL is empty."""
+        every live page's committed image and the WAL is empty.  With
+        nothing logged since the last compaction the base already holds
+        all of it, and nothing is written."""
         telem = self._telemetry
         if telem is None:
             self._checkpoint_inner()
@@ -554,8 +556,9 @@ class DiskPageStore(PageStore):
         self._in_checkpoint = True
         try:
             self.commit()
-            self._compact()
-            self.checkpoints += 1
+            if not self._wal.empty:
+                self._compact()
+                self.checkpoints += 1
         finally:
             self._in_checkpoint = False
 

@@ -137,6 +137,11 @@ class WriteAheadLog:
         """Bytes of log, including the header and the pending frames."""
         return self._end
 
+    @property
+    def empty(self) -> bool:
+        """Whether the log holds no record past its header."""
+        return self._end <= _HEADER.size
+
     # -- reading -----------------------------------------------------------
 
     def read(self, offset: int, length: int, crc: int) -> tuple:

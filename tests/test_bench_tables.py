@@ -1,23 +1,24 @@
-"""The paper tables are renders of the run reports.
+"""Every committed result table is a render of the committed JSON.
 
-The drift check renders every committed ``results/TAB-*`` / ``FIG-*``
-file from the committed ``results/RUN-*.json`` reports, byte for byte,
-so a table can no longer disagree with the session that produced it,
-and every paper claim must hold on those reports.  ``python -m
-repro.bench`` must write the same reports, traces and tables at one
-process and at two.  The rest runs the renderers on small synthetic
-reports.
+The drift check renders every committed ``results/*.txt`` but the
+geometry micro-bench's timings from the committed documents, byte for
+byte: each ``TAB-*`` / ``FIG-*`` from the ``results/RUN-*.json``
+reports, each ``ABL-*`` / ``EXT-*`` from its own ``<ID>.json`` rows.  So
+a table can no longer disagree with the run that produced it, and every
+claim must hold on those documents.  ``python -m repro.bench`` must
+write the same reports, traces, rows and tables at one process and at
+two.  The rest runs the renderers on small synthetic reports.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import run_bench
+from repro.bench.__main__ import loader, run_bench
+from repro.bench.ablations import EXPERIMENTS
 from repro.bench.tables import (
     CLAIMS,
     PAM_FILES,
@@ -38,20 +39,24 @@ from repro.obs.export import RunReport
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 REPORTS = sorted(RESULTS.glob("RUN-*.json"))
+ABLATIONS = sorted([*RESULTS.glob("ABL-*.json"), *RESULTS.glob("EXT-*.json")])
+
+committed = loader(RESULTS)
 
 
-@functools.cache
-def committed(kind: str, file_name: str) -> RunReport:
-    return RunReport.load(RESULTS / f"RUN-{kind.upper()}-{file_name}.json")
-
-
-# -- drift: every committed table from the committed reports ---------------
+# -- drift: every committed table from the committed documents -------------
 
 
 def test_every_committed_table_has_a_renderer():
-    on_disk = {p.stem for p in [*RESULTS.glob("TAB-*.txt"), *RESULTS.glob("FIG-*.txt")]}
+    on_disk = {p.stem for p in RESULTS.glob("*.txt")} - {"BENCH-MICRO-GEO"}
     assert on_disk == set(TABLES)
-    assert len(TABLES) == 16
+    assert len(TABLES) == 16 + len(EXPERIMENTS) == 36
+
+
+def test_every_ablation_table_has_its_experiment_and_rows():
+    registered = {table_id for table_id, table in TABLES.items() if table.kind == "ablation"}
+    assert registered == set(EXPERIMENTS)
+    assert {p.stem for p in ABLATIONS} == registered
 
 
 @pytest.mark.parametrize("table_id", sorted(TABLES))
@@ -65,8 +70,11 @@ def test_reports_come_from_one_session():
     expected |= {f"RUN-SAM-{f}.json" for f in SAM_FILES}
     assert {p.name for p in REPORTS} == expected
     # ``scale`` is the file's record count (Real is smaller); the
-    # session's records-per-file setting is in the meta block.
-    assert len({RunReport.load(p).meta["bench_scale"] for p in REPORTS}) == 1
+    # session's records-per-file setting is in the meta block.  Every
+    # ablation ran at the same setting.
+    scales = {RunReport.load(p).meta["bench_scale"] for p in REPORTS}
+    scales |= {json.loads(p.read_text(encoding="utf-8"))["bench_scale"] for p in ABLATIONS}
+    assert len(scales) == 1
 
 
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.table)
@@ -98,9 +106,9 @@ def _without_seconds(value):
 
 def test_processes_change_no_report_trace_or_table(tmp_path):
     """Every session audited and explained, at one process and at two:
-    reports equal but for ``seconds``, traces and tables byte-identical.
-    ``explain=True`` puts the traces under the results directory given,
-    never under the checkout's."""
+    reports equal but for ``seconds``; traces, ablation rows and tables
+    byte-identical.  ``explain=True`` puts the traces under the results
+    directory given, never under the checkout's."""
     checkout = default_results_root()
     before = set(checkout.rglob("*"))
     written = {}
@@ -115,6 +123,9 @@ def test_processes_change_no_report_trace_or_table(tmp_path):
     assert one.keys() == two.keys()
     assert sum(name.startswith("RUN-") for name in one) == len(PAM_FILES) + len(SAM_FILES)
     assert sum(name.startswith("explain/") for name in one) == 6 * 7 + 4 * 5
+    assert {name for name in one if name.startswith(("ABL-", "EXT-"))} == {
+        f"{result_id}.{suffix}" for result_id in EXPERIMENTS for suffix in ("json", "txt")
+    }
     assert set(checkout.rglob("*")) == before
     assert {name[:-4] for name in one if name.endswith(".txt")} == set(TABLES)
     for name, data in one.items():

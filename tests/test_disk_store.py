@@ -395,6 +395,22 @@ class TestDiskPageStore:
         store.close()
         assert _fresh(tmp_path).peek(a) == list(range(10))
 
+    def test_a_close_after_a_checkpoint_writes_nothing(self, tmp_path):
+        """Nothing logged since the last compaction: neither a second
+        checkpoint nor ``close()`` rewrites the base."""
+        io = FaultInjectingIO(fail_after=None)
+        store = _fresh(tmp_path, io=io)
+        store.begin_operation()
+        a = store.allocate(PageKind.DATA, list(range(10)))
+        store.write(a)
+        store.checkpoint()
+        writes = io.writes
+        store.checkpoint()
+        store.close()
+        assert io.writes == writes
+        assert store.checkpoints == 1
+        assert _fresh(tmp_path).peek(a) == list(range(10))
+
     def test_an_image_larger_than_a_page_survives_every_path(self, tmp_path):
         """A record holds an image of any length: 8 000 bytes at a 512 B
         page survive commit, eviction, reopen and compaction."""
