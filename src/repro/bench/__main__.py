@@ -65,12 +65,9 @@ def run_session(kind: str, file_name: str, results: Path, config: RunConfig) -> 
 
     ``explain=True`` traces into ``results/explain``, beside the reports.
     """
+    explain = results / "explain" if config.explain is True else config.explain or None
     outcome = run_file(
-        kind,
-        file_name,
-        scale=config.bench_scale,
-        audit=config.audit,
-        explain=results / "explain" if config.explain is True else config.explain,
+        kind, file_name, scale=config.bench_scale, audit=config.audit, explain=explain
     )
     report = outcome.to_report(
         f"{kind.upper()} {file_name}",

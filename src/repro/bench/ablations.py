@@ -13,10 +13,11 @@ internal consistency checks, not claims.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable
 
 from repro.bench.tables import normalise
-from repro.core.comparison import build_method, measure, run_pam_queries, run_sam_queries
+from repro.core.comparison import MethodResult, build_method, measure, run_queries
 from repro.core.testbed import standard_pam_factories
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import Tracer
@@ -41,9 +42,23 @@ from repro.workloads.rect_distributions import generate_rect_file
 __all__ = ["EXPERIMENTS"]
 
 
-def _build(factory, records, **options):
-    """``factory(store, dims, **options)`` built over ``records``."""
-    return build_method(lambda s, dims=2: factory(s, dims, **options), records)
+@contextmanager
+def _built(factory, records, page_size=512, **options):
+    """``factory(store, dims, **options)`` built over ``records``; its
+    store is closed on the way out."""
+    method = build_method(
+        lambda s, dims=2: factory(s, dims, **options), records, page_size=page_size
+    )
+    try:
+        yield method
+    finally:
+        method.store.close()
+
+
+def _queried(kind: str, factory, records, **options) -> MethodResult:
+    """The query files of ``kind`` run on a fresh :func:`_built` method."""
+    with _built(factory, records, **options) as method:
+        return run_queries(kind, method)
 
 
 def _buddy(store, dims):
@@ -70,10 +85,11 @@ def _probe_total(method, points) -> int:
 def bang_spanning(scale: int) -> dict:
     """§5: the missing spanning property lengthens BANG's probes."""
     points = generate_point_file("cluster", scale // 2)
-    return {
-        "without spanning": _probe_total(_build(BangFile, points), points),
-        "with spanning": _probe_total(_build(BangFile, points, spanning=True), points),
-    }
+    rows = {}
+    for name, spanning in (("without spanning", False), ("with spanning", True)):
+        with _built(BangFile, points, spanning=spanning) as bang:
+            rows[name] = _probe_total(bang, points)
+    return rows
 
 
 def bang_entries(scale: int) -> dict:
@@ -81,8 +97,7 @@ def bang_entries(scale: int) -> dict:
     points = generate_point_file("cluster", scale // 2)
     rows = {}
     for name, variable in (("BANG", False), ("BANG*", True)):
-        bang = _build(BangFile, points, variable_length_entries=variable)
-        result = run_pam_queries(bang)
+        result = _queried("pam", BangFile, points, variable_length_entries=variable)
         rows[name] = {
             "query_average": result.query_average,
             "directory_pages": result.metrics.directory_pages,
@@ -96,26 +111,26 @@ def bang_minimal_regions(scale: int) -> dict:
     for file_name in ("diagonal", "cluster"):
         points = generate_point_file(file_name, scale // 2)
         rows[file_name] = {
-            name: run_pam_queries(_build(BangFile, points, minimal_regions=m)).query_average
+            name: _queried("pam", BangFile, points, minimal_regions=m).query_average
             for name, m in (("BANG", False), ("BANG+MBR", True))
         }
     return rows
 
 
 def _packing(file_name: str, scale: int) -> dict:
-    tree = _build(BuddyTree, generate_point_file(file_name, scale // 2))
+    with _built(BuddyTree, generate_point_file(file_name, scale // 2)) as tree:
 
-    def row():
-        result = run_pam_queries(tree)
-        return {
-            "storage_utilization": result.metrics.storage_utilization,
-            "query_average": result.query_average,
-            "data_pages": result.metrics.data_pages,
-        }
+        def row():
+            result = run_queries("pam", tree)
+            return {
+                "storage_utilization": result.metrics.storage_utilization,
+                "query_average": result.query_average,
+                "data_pages": result.metrics.data_pages,
+            }
 
-    before = row()
-    saved = tree.pack()
-    return {"BUDDY": before, "BUDDY+": {**row(), "pages_saved": saved}}
+        before = row()
+        saved = tree.pack()
+        return {"BUDDY": before, "BUDDY+": {**row(), "pages_saved": saved}}
 
 
 def buddy_pack_bit(scale: int) -> dict:
@@ -133,10 +148,10 @@ def hb_minimal_regions(scale: int) -> dict:
     rows = {}
     for file_name in ("diagonal", "cluster", "uniform"):
         points = generate_point_file(file_name, scale // 2)
-        grid = run_pam_queries(_build(TwoLevelGridFile, points)).query_average
+        grid = _queried("pam", TwoLevelGridFile, points).query_average
         rows[file_name] = {}
         for name, minimal in (("HB", False), ("HB+MBR", True)):
-            hb = run_pam_queries(_build(HBTree, points, minimal_regions=minimal))
+            hb = _queried("pam", HBTree, points, minimal_regions=minimal)
             rows[file_name][name] = 100.0 * hb.query_average / grid
     return rows
 
@@ -147,8 +162,8 @@ def insertion_order(scale: int) -> dict:
     factories = standard_pam_factories()
     rows = {}
     for name in ("GRID", "BANG", "BUDDY"):
-        randomly = run_pam_queries(build_method(factories[name], points))
-        ordered = run_pam_queries(build_method(factories[name], sorted(points)))
+        randomly = _queried("pam", factories[name], points)
+        ordered = _queried("pam", factories[name], sorted(points))
         rows[name] = {
             "random": randomly.query_average,
             "sorted": ordered.query_average,
@@ -162,15 +177,15 @@ def buddy_vs_mlgf(scale: int) -> dict:
     points = generate_point_file("cluster", scale // 2)
     rows = {}
     for name, factory in (("BUDDY", BuddyTree), ("MLGF", MultilevelGridFile)):
-        tree = _build(factory, points)
-        result = run_pam_queries(tree)
-        rows[name] = {
-            "insert": result.metrics.insert_cost,
-            "probes": _probe_total(tree, points),
-            "query_average": result.query_average,
-            "height": result.metrics.height,
-            "directory_pages": result.metrics.directory_pages,
-        }
+        with _built(factory, points) as tree:
+            result = run_queries("pam", tree)
+            rows[name] = {
+                "insert": result.metrics.insert_cost,
+                "probes": _probe_total(tree, points),
+                "query_average": result.query_average,
+                "height": result.metrics.height,
+                "directory_pages": result.metrics.directory_pages,
+            }
     return rows
 
 
@@ -180,10 +195,7 @@ def page_sizes(scale: int) -> list:
     rows = []
     for page_size in (512, 1024, 2048):
         for name, factory in (("BUDDY", BuddyTree), ("BANG", BangFile)):
-            method = build_method(
-                lambda s, dims=2, f=factory: f(s, dims), points, page_size=page_size
-            )
-            result = run_pam_queries(method)
+            result = _queried("pam", factory, points, page_size=page_size)
             rows.append(
                 {
                     "structure": name,
@@ -202,7 +214,7 @@ def plop_vs_quantile(scale: int) -> dict:
     for file_name in ("x_parallel", "sinus", "cluster", "uniform"):
         points = generate_point_file(file_name, scale // 2)
         rows[file_name] = {
-            name: run_pam_queries(_build(factory, points)).query_average
+            name: _queried("pam", factory, points).query_average
             for name, factory in (("PLOP", PlopHashing), ("QUANTILE", QuantileHashing))
         }
     return rows
@@ -216,7 +228,7 @@ def scale_sensitivity(scale: int) -> dict:
     for n in (base, 2 * base, 4 * base):
         points = generate_point_file("diagonal", n)
         costs = {
-            name: run_pam_queries(build_method(factory, points)).query_costs
+            name: _queried("pam", factory, points).query_costs
             for name, factory in factories.items()
         }
         rows[str(n)] = {
@@ -233,7 +245,7 @@ def twin_grid(scale: int) -> dict:
         points = generate_point_file(file_name, scale // 2)
         rows[file_name] = {}
         for name, factory in (("grid", GridFile), ("twin", TwinGridFile)):
-            result = run_pam_queries(_build(factory, points))
+            result = _queried("pam", factory, points)
             rows[file_name][f"{name}_storage_utilization"] = result.metrics.storage_utilization
             rows[file_name][f"{name}_query_average"] = result.query_average
     return rows
@@ -247,7 +259,7 @@ def rtree_split(scale: int) -> dict:
     rects = generate_rect_file("gaussian_square", scale // 2)
     rows = {}
     for policy in ("guttman", "greene", "margin"):
-        result = run_sam_queries(_build(RTree, rects, split_policy=policy))
+        result = _queried("sam", RTree, rects, split_policy=policy)
         rows[policy] = {
             "query_average": result.query_average,
             "storage_utilization": result.metrics.storage_utilization,
@@ -260,7 +272,7 @@ def rtree_fill(scale: int) -> dict:
     rects = generate_rect_file("uniform_small", scale // 2)
     rows = {}
     for fill in (0.3, 0.5):
-        result = run_sam_queries(_build(RTree, rects, min_fill=fill))
+        result = _queried("sam", RTree, rects, min_fill=fill)
         rows[str(fill)] = {
             "query_average": result.query_average,
             "storage_utilization": result.metrics.storage_utilization,
@@ -278,7 +290,7 @@ def techniques(scale: int) -> dict:
         "clipping-R+": lambda s, dims=2: RPlusTree(s, dims),
     }
     return {
-        name: run_sam_queries(build_method(factory, rects)).query_costs
+        name: _queried("sam", factory, rects).query_costs
         for name, factory in variants.items()
     }
 
@@ -288,17 +300,17 @@ def clip_redundancy(scale: int) -> list:
     rects = generate_rect_file("gaussian_square", scale // 4)
     rows = []
     for budget in (1, 2, 4, 8):
-        sam = _build(ClippingSAM, rects, redundancy=budget)
-        result = run_sam_queries(sam)
-        rows.append(
-            {
-                "budget": budget,
-                "regions_per_object": sam.stored_regions / len(rects),
-                "point_cost": result.query_costs["point"],
-                "data_pages": result.metrics.data_pages,
-                "redundancy": dict(sam.snapshot()["redundancy"]),
-            }
-        )
+        with _built(ClippingSAM, rects, redundancy=budget) as sam:
+            result = run_queries("sam", sam)
+            rows.append(
+                {
+                    "budget": budget,
+                    "regions_per_object": sam.stored_regions / len(rects),
+                    "point_cost": result.query_costs["point"],
+                    "data_pages": result.metrics.data_pages,
+                    "redundancy": dict(sam.snapshot()["redundancy"]),
+                }
+            )
     return rows
 
 
@@ -311,10 +323,9 @@ def corner_vs_center(scale: int) -> dict:
         ("center", {"representation": "center"}),
         ("center+bound", {"representation": "center", "bounded_extents": True}),
     ):
-        sam = build_method(
-            lambda s, dims=2: TransformationSAM(s, _buddy, dims=dims, **options), rects
+        result = _queried(
+            "sam", lambda s, dims: TransformationSAM(s, _buddy, dims=dims, **options), rects
         )
-        result = run_sam_queries(sam)
         rows[name] = {**result.query_costs, "average": result.query_average}
     return rows
 
@@ -332,15 +343,15 @@ def deletion(scale: int) -> dict:
         ("BUDDY", BuddyTree, points),
         ("R-Tree", RTree, rects),
     ):
-        index = _build(factory, items)
-        before = index.store.stats.total
-        half = len(items) // 2
-        deleted = [index.delete(item, rid) for rid, item in enumerate(items[:half])]
-        assert all(deleted)
-        rows[name] = {
-            "delete_cost": (index.store.stats.total - before) / half,
-            "storage_utilization": index.metrics().storage_utilization,
-        }
+        with _built(factory, items) as index:
+            before = index.store.stats.total
+            half = len(items) // 2
+            deleted = [index.delete(item, rid) for rid, item in enumerate(items[:half])]
+            assert all(deleted)
+            rows[name] = {
+                "delete_cost": (index.store.stats.total - before) / half,
+                "storage_utilization": index.metrics().storage_utilization,
+            }
     return rows
 
 
@@ -349,39 +360,43 @@ def spatial_join(scale: int) -> dict:
     n = scale // 4
     left_rects = generate_rect_file("uniform_small", n, seed=41)
     right_rects = generate_rect_file("gaussian_square", n, seed=42)
-    left, right = _build(RTree, left_rects), _build(RTree, right_rects)
-    before = left.store.stats.total + right.store.stats.total
-    pairs = rtree_join(left, right)
-    synchronised = left.store.stats.total + right.store.stats.total - before
-    fresh = _build(RTree, right_rects)
-    before = fresh.store.stats.total
-    nested = nested_loop_join(list(zip(left_rects, range(n))), fresh)
+    with _built(RTree, left_rects) as left, _built(RTree, right_rects) as right:
+        before = left.store.stats.total + right.store.stats.total
+        pairs = rtree_join(left, right)
+        synchronised = left.store.stats.total + right.store.stats.total - before
+    with _built(RTree, right_rects) as fresh:
+        before = fresh.store.stats.total
+        nested = nested_loop_join(list(zip(left_rects, range(n))), fresh)
+        nested_cost = fresh.store.stats.total - before
     assert sorted(pairs) == sorted(nested)
     return {
         "result pairs": len(pairs),
         "synchronised join": synchronised,
-        "nested-loop join": fresh.store.stats.total - before,
+        "nested-loop join": nested_cost,
     }
 
 
 def nearest_neighbours(scale: int) -> dict:
     """§8's near-neighbour queries: best-first k-NN, each probe traced."""
-    tree = _build(RTree, generate_rect_file("uniform_small", scale // 2, seed=43))
-    tracer = Tracer().attach(tree.store)
-    tracer.set_context(structure="R-Tree", op="nn")
-    total = 0
-    for probe in generate_point_queries(count=20, seed=44):
-        tree.store.begin_operation()
-        tree.store.begin_operation()
-        cost, _ = measure(tree.store, lambda probe=probe: nearest_neighbors(tree, probe, k=5))
-        total += cost
-    per_probe = Histogram("nn/accesses")
-    # Every second span is the empty double-bracket flush; keep probes.
-    for span in tracer.finish():
-        if span.op == "nn" and span.accesses:
-            per_probe.observe(span.accesses)
-    assert per_probe.sum == total
-    metrics = tree.metrics()
+    rects = generate_rect_file("uniform_small", scale // 2, seed=43)
+    with _built(RTree, rects) as tree:
+        tracer = Tracer().attach(tree.store)
+        tracer.set_context(structure="R-Tree", op="nn")
+        total = 0
+        for probe in generate_point_queries(count=20, seed=44):
+            tree.store.begin_operation()
+            tree.store.begin_operation()
+            cost, _ = measure(
+                tree.store, lambda probe=probe: nearest_neighbors(tree, probe, k=5)
+            )
+            total += cost
+        per_probe = Histogram("nn/accesses")
+        # Every second span is the empty double-bracket flush; keep probes.
+        for span in tracer.finish():
+            if span.op == "nn" and span.accesses:
+                per_probe.observe(span.accesses)
+        assert per_probe.sum == total
+        metrics = tree.metrics()
     return {
         "best-first total": total,
         "file size (pages)": metrics.data_pages + metrics.directory_pages,

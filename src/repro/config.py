@@ -2,9 +2,11 @@
 
 :class:`RunConfig` has one field per variable (``store_backend`` is
 ``REPRO_STORE_BACKEND``) and :meth:`RunConfig.from_env` is the only
-code in the package that reads the environment.  Entry points consult
-it where an argument was left at ``None``; everything below them takes
-plain values.  One vocabulary serves every variable:
+code in the package that reads the environment.  It has two callers:
+:func:`repro.storage.factory.make_store` (backend, store directory,
+telemetry) and ``python -m repro.bench`` (scale, audit, explain);
+everything else takes plain values.  One vocabulary serves every
+variable:
 
 * **off** — ``""``, ``0``, ``off``, ``no``, ``false``, ``none``; unset
   keeps the field's default;
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-__all__ = ["BACKENDS", "RunConfig", "parse_location"]
+__all__ = ["BACKENDS", "RunConfig"]
 
 #: Page-store backends ``REPRO_STORE_BACKEND`` / ``make_store(backend=)`` accept.
 BACKENDS = ("sim", "disk")
@@ -45,9 +47,9 @@ def _flag(raw: str) -> bool:
     return value
 
 
-def parse_location(raw: str) -> Path | bool:
-    """A path-capable switch string (environment or ``explain=``): an off word
-    is ``False``, an on word ``True`` (the default location), else the path."""
+def _location(raw: str) -> Path | bool:
+    """A path-capable switch: an off word is ``False``, an on word ``True``
+    (the default location), else the path."""
     raw = raw.strip()
     value = _word(raw)
     return Path(raw) if value is None else value
@@ -83,11 +85,11 @@ class RunConfig:
     #: Records per data file in benches; the paper uses 100 000.
     bench_scale: int = _var(_count, 10_000)
     #: Explain-trace directory (on: ``results/explain``).
-    explain: Path | bool = _var(parse_location, False)
+    explain: Path | bool = _var(_location, False)
     #: One of :data:`BACKENDS`.
     store_backend: str = _var(_backend, "sim")
     #: Base directory of disk stores (on or off: a per-process tmp dir).
-    store_dir: Path | bool = _var(parse_location, False)
+    store_dir: Path | bool = _var(_location, False)
     #: Per-store IO latency in ``io_stats()`` (:mod:`repro.obs.telemetry`).
     telemetry: bool = _var(_flag, False)
 

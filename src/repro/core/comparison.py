@@ -4,20 +4,21 @@ Builds each access method on a data file, runs the query files, and
 reports average disk accesses per query; :mod:`repro.bench.tables`
 normalises them to a measuring stick (GRID = 100 % in Part I, the
 R-tree in Part II), which is exactly how the paper's tables are laid
-out.
+out.  Three drivers take plain values: :func:`run_experiment` (any
+data), :func:`run_file` (a named data file) and :func:`run_queries`
+(one built method).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro.config import RunConfig, parse_location
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.core.stats import AccessStats, BuildMetrics
-from repro.geometry.rect import Rect
 from repro.obs.tracer import Tracer
 from repro.query.driver import run_query_file
 from repro.storage.factory import make_store
@@ -36,7 +37,6 @@ __all__ = [
     "SAM_QUERY_TYPES",
     "QUERY_SEEDS",
     "MethodResult",
-    "StructureOutcome",
     "ExperimentOutcome",
     "measure",
     "build_pam",
@@ -45,8 +45,7 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "run_file",
-    "run_pam_experiment",
-    "run_sam_experiment",
+    "run_queries",
 ]
 
 #: Query-type labels in the order of the paper's PAM tables.
@@ -100,20 +99,6 @@ def default_results_root() -> Path:
         if (parent / "results").is_dir() or (parent / "pyproject.toml").is_file():
             return parent / "results"
     return Path.cwd() / "results"
-
-
-def _explain_dir(explain: bool | str | Path) -> Path | None:
-    """The trace directory an ``explain`` value names (``None`` = off).
-
-    ``False`` disables tracing, ``True`` traces into the default
-    ``results/explain``, a path is the output directory itself; a
-    string is read in the ``REPRO_EXPLAIN`` vocabulary first.
-    """
-    if isinstance(explain, str):
-        explain = parse_location(explain)
-    if explain is True:
-        return default_results_root() / "explain"
-    return explain or None
 
 
 def _trace_path(directory: Path, kind: str, name: str) -> Path:
@@ -228,113 +213,17 @@ def run_queries(
     return result
 
 
-def run_pam_queries(
-    pam: PointAccessMethod, seed: int = 101, tracer=None, explain=None
-) -> MethodResult:
-    """Run the five query files of §3 against a built PAM."""
-    return run_queries("pam", pam, seed, tracer, explain)
-
-
-def run_sam_queries(
-    sam: SpatialAccessMethod, seed: int = 107, tracer=None, explain=None
-) -> MethodResult:
-    """Run the four query types of §7 against a built SAM."""
-    return run_queries("sam", sam, seed, tracer, explain)
-
-
-@dataclass
-class StructureOutcome:
-    """One table row produced by a cell: result, totals and timings.
-
-    ``storage`` is the store's ``io_stats()`` document on the durable
-    backend (``None`` on the simulated one) — physical-IO counters that
-    ride next to, never instead of, the charged ``totals``.
-    """
-
-    name: str
-    result: MethodResult
-    totals: AccessStats
-    build_seconds: float
-    query_seconds: float
-    storage: dict | None = None
-
-
-def run_cell(
-    kind: str,
-    name: str,
-    factory: Callable,
-    data: Sequence,
-    *,
-    page_size: int = 512,
-    seed: int | None = None,
-    explain_dir: Path | None = None,
-    audit: bool = False,
-    derive_packed: bool = False,
-) -> tuple[list[StructureOutcome], list]:
-    """One cell of the comparison grid: build, query files, snapshot, totals.
-
-    This is the paper's standardised procedure for one (data file,
-    structure) pair, and the only place it is written down; every
-    experiment runs each of its cells through it.  Returns the cell's
-    table rows and the spans of the cell's own
-    :class:`~repro.obs.tracer.Tracer`, which observes the build and
-    labels each query file's spans.
-
-    ``explain_dir`` (already resolved, see :func:`_explain_dir`) gets
-    one :mod:`repro.obs.explain` trace per row.  Tracing is passive.
-    ``derive_packed`` adds the ``<name>+`` row the way the authors
-    generated BUDDY+ "by computation and simulation": pack the built
-    file and re-run the query files on the same store, charging only
-    the delta from that point on.
-    """
-    tracer = Tracer().set_context(structure=name)
-    started = time.perf_counter()
-    method = build_method(
-        factory, data, page_size=page_size, tracer=tracer, audit=audit
-    )
-    build_seconds = time.perf_counter() - started
-    store = method.store
-    io_stats = getattr(store, "io_stats", None)  # durable backend only
-
-    def row(row_name: str, build_seconds: float, before: AccessStats | None = None):
-        recorder = None
-        if explain_dir is not None:
-            from repro.obs.explain import ExplainRecorder
-
-            recorder = ExplainRecorder(row_name)
-        started = time.perf_counter()
-        result = run_queries(kind, method, seed, tracer, recorder)
-        query_seconds = time.perf_counter() - started
-        result.name = row_name
-        result.snapshot = method.snapshot()
-        if recorder is not None:
-            recorder.save(_trace_path(explain_dir, kind, row_name))
-        totals = store.stats.snapshot() if before is None else store.stats - before
-        storage = io_stats() if io_stats is not None else None
-        return StructureOutcome(
-            row_name, result, totals, build_seconds, query_seconds, storage
-        )
-
-    rows = [row(name, build_seconds)]
-    if derive_packed:
-        before = store.stats.snapshot()
-        tracer.set_context(structure=f"{name}+", op="pack")
-        started = time.perf_counter()
-        method.pack()
-        rows.append(row(f"{name}+", time.perf_counter() - started, before))
-    return rows, tracer.finish()
-
-
 @dataclass
 class ExperimentOutcome:
-    """Every cell of one comparison, folded in table order.
+    """Every cell of one comparison, written in table order.
 
     ``results`` keeps the order the cells ran in (with derived rows
     such as BUDDY+ directly after their parent); ``spans`` are every
     cell's tracer spans, in the same order.  ``storage`` holds the
     durable backend's ``io_stats()`` per structure (empty on the
-    simulated backend).  ``kind``, ``page_size`` and ``seed`` are the
-    cells' common parameters, for the report.
+    simulated backend) — physical-IO counters that ride next to, never
+    instead of, the charged ``totals``.  ``kind``, ``page_size`` and
+    ``seed`` are the cells' common parameters.
     """
 
     results: dict[str, MethodResult] = field(default_factory=dict)
@@ -372,43 +261,121 @@ class ExperimentOutcome:
         )
 
 
-def _run_cells(kind, factories, data, seed, page_size, audit, explain, file_name=None):
-    """Run one cell per ``factories`` entry on ``data`` and fold the rows in order.
+def _check_trace(recorder, spans) -> None:
+    """Each query file's explain total equals its tracer spans' total.
 
-    ``audit`` and ``explain`` left at ``None`` follow
-    :class:`repro.config.RunConfig`; an explicit value — ``False``
-    included — wins.  A named data file (``file_name``) traces into a
-    subdirectory of that name, so each file's traces keep their own
-    directory, and its PAM BUDDY cell also derives the BUDDY+ row.
+    The trace and the spans count the same accesses through independent
+    observers; a file on which they disagree raises, naming it.
     """
-    config = RunConfig.from_env()
-    audit = config.audit if audit is None else audit
-    explain_dir = _explain_dir(config.explain if explain is None else explain)
-    if explain_dir is not None and file_name is not None:
-        explain_dir = explain_dir / file_name
+    spanned = Counter()
+    for span in spans:
+        spanned[span.structure, span.op] += span.accesses
+    for file in recorder.files:
+        label = file["label"]
+        traced = sum(query["accesses"] for query in file["queries"])
+        if traced != spanned[recorder.structure, label]:
+            raise RuntimeError(
+                f"explain trace of {recorder.structure} {label} counts {traced} "
+                f"accesses, its tracer spans {spanned[recorder.structure, label]}"
+            )
+
+
+def run_cell(
+    outcome: ExperimentOutcome,
+    name: str,
+    factory: Callable,
+    data: Sequence,
+    *,
+    explain_dir: Path | None = None,
+    audit: bool = False,
+    derive_packed: bool = False,
+) -> None:
+    """One cell of the comparison grid: build, query files, snapshot, totals.
+
+    This is the paper's standardised procedure for one (data file,
+    structure) pair, and the only place it is written down; every
+    experiment runs each of its cells through it, with the ``kind``,
+    ``page_size`` and ``seed`` of ``outcome``.  The cell's rows, timers
+    and the spans of its own :class:`~repro.obs.tracer.Tracer` (which
+    observes the build and labels each query file's spans) are written
+    into ``outcome``; the store is closed when the cell is done.
+
+    ``explain_dir`` gets one :mod:`repro.obs.explain` trace per row,
+    each checked against the row's spans.  Tracing is passive.
+    ``derive_packed`` adds the ``<name>+`` row the way the authors
+    generated BUDDY+ "by computation and simulation": pack the built
+    file and re-run the query files on the same store, charging only
+    the delta from that point on.
+    """
+    tracer = Tracer().set_context(structure=name)
+    started = time.perf_counter()
+    method = build_method(
+        factory, data, page_size=outcome.page_size, tracer=tracer, audit=audit
+    )
+    build_seconds = time.perf_counter() - started
+    store = method.store
+    io_stats = getattr(store, "io_stats", None)  # durable backend only
+    recorders = []
+
+    def row(row_name: str, build_seconds: float, before: AccessStats | None = None):
+        recorder = None
+        if explain_dir is not None:
+            from repro.obs.explain import ExplainRecorder
+
+            recorder = ExplainRecorder(row_name)
+            recorders.append(recorder)
+        started = time.perf_counter()
+        result = run_queries(outcome.kind, method, outcome.seed, tracer, recorder)
+        outcome.timers[f"{row_name}/build"] = build_seconds
+        outcome.timers[f"{row_name}/queries"] = time.perf_counter() - started
+        result.name = row_name
+        result.snapshot = method.snapshot()
+        outcome.results[row_name] = result
+        outcome.totals[row_name] = (
+            store.stats.snapshot() if before is None else store.stats - before
+        )
+        if io_stats is not None:
+            outcome.storage[row_name] = io_stats()
+
+    try:
+        row(name, build_seconds)
+        if derive_packed:
+            before = store.stats.snapshot()
+            tracer.set_context(structure=f"{name}+", op="pack")
+            started = time.perf_counter()
+            method.pack()
+            row(f"{name}+", time.perf_counter() - started, before)
+    finally:
+        store.close()
+    spans = tracer.finish()
+    for recorder in recorders:
+        _check_trace(recorder, spans)
+        recorder.save(_trace_path(explain_dir, outcome.kind, recorder.structure))
+    outcome.spans.extend(spans)
+
+
+def _run_cells(kind, factories, data, seed, page_size, audit, explain, file_name=None):
+    """Run one cell per ``factories`` entry on ``data``, in order.
+
+    A named data file (``file_name``) traces into a subdirectory of
+    that name, so each file's traces keep their own directory, and its
+    PAM BUDDY cell also derives the BUDDY+ row.
+    """
+    if explain is not None and file_name is not None:
+        explain = explain / file_name
     outcome = ExperimentOutcome(
         kind=kind, page_size=page_size, seed=QUERY_SEEDS[kind] if seed is None else seed
     )
     for name, factory in factories.items():
-        rows, spans = run_cell(
-            kind,
+        run_cell(
+            outcome,
             name,
             factory,
             data,
-            page_size=page_size,
-            seed=outcome.seed,
-            explain_dir=explain_dir,
+            explain_dir=explain,
             audit=audit,
             derive_packed=file_name is not None and kind == "pam" and name == "BUDDY",
         )
-        for row in rows:
-            outcome.results[row.name] = row.result
-            outcome.totals[row.name] = row.totals
-            outcome.timers[f"{row.name}/build"] = row.build_seconds
-            outcome.timers[f"{row.name}/queries"] = row.query_seconds
-            if row.storage is not None:
-                outcome.storage[row.name] = row.storage
-        outcome.spans.extend(spans)
     return outcome
 
 
@@ -419,8 +386,8 @@ def run_experiment(
     *,
     seed: int | None = None,
     page_size: int = 512,
-    audit: bool | None = None,
-    explain: bool | str | Path | None = None,
+    audit: bool = False,
+    explain: Path | None = None,
 ) -> ExperimentOutcome:
     """Run every structure's cell on the same data, one after the other.
 
@@ -429,9 +396,10 @@ def run_experiment(
     is a :func:`run_cell` under its own tracer, and ``to_report()`` on
     the outcome assembles the run report from their spans.
 
-    ``audit`` and ``explain`` left at ``None`` follow
-    :class:`repro.config.RunConfig`; an explicit value — ``False``
-    included — wins.
+    ``audit=True`` audits every structure after its build; ``explain``
+    is the directory that gets one :mod:`repro.obs.explain` trace per
+    structure (``PAM-<name>.json`` / ``SAM-<name>.json``).  Neither
+    changes a charged access.
     """
     if not isinstance(factories, Mapping):
         from repro.core.testbed import standard_factories
@@ -448,16 +416,16 @@ def run_file(
     scale: int,
     page_size: int = 512,
     seed: int | None = None,
-    audit: bool | None = None,
-    explain: bool | str | Path | None = None,
+    audit: bool = False,
+    explain: Path | None = None,
 ) -> ExperimentOutcome:
     """The full standard comparison of ``kind`` on one named data file.
 
     The file is generated once at ``scale`` records and every standard
     structure runs its cell on it; PAM files add the derived BUDDY+
-    row.  ``audit`` and ``explain`` are
-    those of :func:`run_experiment`; explain traces go to a
-    subdirectory named after the file.
+    row.  ``audit`` and ``explain`` are those of
+    :func:`run_experiment`; explain traces go to a subdirectory named
+    after the file.
     """
     from repro.core.testbed import standard_factories
 
@@ -467,37 +435,3 @@ def run_file(
         data = generate_rect_file(file_name, scale)
     factories = standard_factories(kind)
     return _run_cells(kind, factories, data, seed, page_size, audit, explain, file_name)
-
-
-def run_pam_experiment(
-    factories: dict[str, Callable[..., PointAccessMethod]],
-    points: Sequence[tuple[float, ...]],
-    seed: int = QUERY_SEEDS["pam"],
-    **options,
-) -> dict[str, MethodResult]:
-    """Build every PAM on the same data file and run the query files.
-
-    The ``results`` of :func:`run_experiment`, whose keyword ``options``
-    (``audit``, ``explain``, ``page_size``) it takes; that outcome
-    also holds the spans, totals and :class:`~repro.obs.RunReport`.
-    ``audit=True`` audits every structure post-build; ``explain`` writes
-    one :mod:`repro.obs.explain` trace file per structure
-    (``PAM-<name>.json``) into the directory :func:`_explain_dir` names.
-    Tracing chains the store observer, so costs are bit-identical with
-    or without it.
-    """
-    return run_experiment("pam", factories, points, seed=seed, **options).results
-
-
-def run_sam_experiment(
-    factories: dict[str, Callable[..., SpatialAccessMethod]],
-    rects: Sequence[Rect],
-    seed: int = QUERY_SEEDS["sam"],
-    **options,
-) -> dict[str, MethodResult]:
-    """Build every SAM on the same rectangle file and run the queries.
-
-    Every parameter behaves as in :func:`run_pam_experiment` (trace
-    files are named ``SAM-<name>.json``).
-    """
-    return run_experiment("sam", factories, rects, seed=seed, **options).results

@@ -10,9 +10,9 @@ the compared structures under the paper's table abbreviations; the
 benches size their data files by ``RunConfig.bench_scale``, laptop
 scale by default and the paper's 100 000 records on demand.
 
-:func:`run_standard_pam_testbed` / :func:`run_standard_sam_testbed`
-run the whole standard comparison and return the usual results
-together with a machine-readable
+:func:`repro.core.comparison.run_experiment` with
+:func:`standard_factories` runs the whole standard comparison on any
+data, and ``to_report()`` on its outcome is the machine-readable
 :class:`~repro.obs.export.RunReport` (per-operation access histograms,
 percentiles, timings and exact totals).
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.comparison import run_experiment
 from repro.core.interfaces import PointAccessMethod, SpatialAccessMethod
 from repro.pam.bang import BangFile
 from repro.pam.buddytree import BuddyTree
@@ -39,8 +38,6 @@ __all__ = [
     "standard_pam_factories",
     "standard_sam_factories",
     "standard_factories",
-    "run_standard_pam_testbed",
-    "run_standard_sam_testbed",
 ]
 
 
@@ -65,43 +62,6 @@ def standard_pam_factories() -> dict[str, Callable[..., PointAccessMethod]]:
 def standard_factories(kind: str) -> dict[str, Callable]:
     """The standard structures of one part of the comparison, by kind."""
     return standard_pam_factories() if kind == "pam" else standard_sam_factories()
-
-
-def _run_standard(kind, data, seed, label, page_size, explain):
-    outcome = run_experiment(
-        kind, list(standard_factories(kind)), data, seed=seed, page_size=page_size, explain=explain
-    )
-    return outcome.results, outcome.to_report(label)
-
-
-def run_standard_pam_testbed(
-    points,
-    seed: int = 101,
-    label: str = "standard PAM testbed",
-    page_size: int = 512,
-    explain=None,
-):
-    """The standard PAM comparison on ``points``, with its run report.
-
-    Returns ``(results, report)``: the
-    :func:`~repro.core.comparison.run_experiment` outcome's results and
-    :class:`~repro.obs.export.RunReport`.  ``explain`` writes one
-    :mod:`repro.obs.explain` trace per structure (``True`` for the
-    default directory, a path for an explicit one) without changing
-    results.
-    """
-    return _run_standard("pam", points, seed, label, page_size, explain)
-
-
-def run_standard_sam_testbed(
-    rects,
-    seed: int = 107,
-    label: str = "standard SAM testbed",
-    page_size: int = 512,
-    explain=None,
-):
-    """The standard SAM comparison on ``rects``, with its run report."""
-    return _run_standard("sam", rects, seed, label, page_size, explain)
 
 
 def standard_sam_factories() -> dict[str, Callable[..., SpatialAccessMethod]]:

@@ -102,6 +102,10 @@ class PageStore:
         """The :class:`PageKind` of page ``pid``."""
         return self._kinds[pid]
 
+    def close(self) -> None:
+        """Release the store's resources: none in memory (the durable
+        backend checkpoints and closes its files)."""
+
     # -- audit accessors ---------------------------------------------------
     #
     # Auditors and read-only walks must see the file without disturbing

@@ -43,7 +43,6 @@ from repro.sam.overlapping import OverlappingPlop
 from repro.sam.rplustree import RPlusTree
 from repro.sam.rtree import RTree
 from repro.sam.transformation import TransformationSAM
-from repro.storage.disk import DiskPageStore
 from repro.storage.factory import make_store
 from repro.storage.pagestore import PageStore
 from repro.verify.barrier import WriteBarrier
@@ -307,7 +306,7 @@ def run_ops(
     The page-mutation contract is part of the verdict on both backends:
     the store runs under a :class:`WriteBarrier`, which raises an
     ``AuditError`` (``contract.unwritten``) at the operation boundary
-    after a page changed without a ``write()``.  A durable store is
+    after a page changed without a ``write()``.  The store is
     closed on the way out, whatever the verdict; a close that raises is
     a finding only when the run itself found nothing.
     """
@@ -316,11 +315,10 @@ def run_ops(
     try:
         failure = _differential(spec, ops, audit_every, store)
     finally:
-        if isinstance(store, DiskPageStore):
-            try:
-                store.close()
-            except Exception as exc:  # noqa: BLE001 - a failed close is a finding
-                failure = failure or _failure(*_last(ops), "exception", repr(exc))
+        try:
+            store.close()
+        except Exception as exc:  # noqa: BLE001 - a failed close is a finding
+            failure = failure or _failure(*_last(ops), "exception", repr(exc))
     return failure
 
 

@@ -1,7 +1,10 @@
 """Tests for the experiment driver and the standardised testbed."""
 
+import os
+
 import pytest
 
+from repro.bench.ablations import EXPERIMENTS
 from repro.core.comparison import (
     PAM_QUERY_TYPES,
     SAM_QUERY_TYPES,
@@ -9,8 +12,8 @@ from repro.core.comparison import (
     build_pam,
     build_sam,
     measure,
-    run_pam_experiment,
-    run_sam_experiment,
+    run_experiment,
+    run_file,
 )
 from repro.core.stats import BuildMetrics
 from repro.core.testbed import (
@@ -40,9 +43,9 @@ class TestMeasure:
 class TestDrivers:
     def test_pam_experiment_end_to_end(self):
         points = generate_point_file("uniform", 800)
-        results = run_pam_experiment(
-            {"BUDDY": lambda store, dims=2: BuddyTree(store, dims)}, points
-        )
+        results = run_experiment(
+            "pam", {"BUDDY": lambda store, dims=2: BuddyTree(store, dims)}, points
+        ).results
         result = results["BUDDY"]
         assert set(result.query_costs) == set(PAM_QUERY_TYPES)
         assert all(cost >= 0 for cost in result.query_costs.values())
@@ -53,9 +56,9 @@ class TestDrivers:
 
     def test_sam_experiment_end_to_end(self):
         rects = generate_rect_file("uniform_small", 400)
-        results = run_sam_experiment(
-            {"R-Tree": lambda store, dims=2: RTree(store, dims)}, rects
-        )
+        results = run_experiment(
+            "sam", {"R-Tree": lambda store, dims=2: RTree(store, dims)}, rects
+        ).results
         result = results["R-Tree"]
         assert set(result.query_costs) == set(SAM_QUERY_TYPES)
         assert result.metrics.records == 400
@@ -63,17 +66,33 @@ class TestDrivers:
     def test_same_points_same_hits(self):
         """Every structure must return identical result counts."""
         points = generate_point_file("cluster", 700)
-        results = run_pam_experiment(standard_pam_factories(), points)
+        results = run_experiment("pam", standard_pam_factories(), points).results
         baselines = results["GRID"].query_results
         for name, result in results.items():
             assert result.query_results == baselines, name
 
     def test_sam_hits_agree(self):
         rects = generate_rect_file("gaussian_square", 350)
-        results = run_sam_experiment(standard_sam_factories(), rects)
+        results = run_experiment("sam", standard_sam_factories(), rects).results
         baselines = results["R-Tree"].query_results
         for name, result in results.items():
             assert result.query_results == baselines, name
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_experiment("pam", ["GRID", "BUDDY"], generate_point_file("uniform", 200)),
+            lambda: run_file("pam", "uniform", scale=200),  # BUDDY+ included
+            lambda: EXPERIMENTS["ABL-TECHNIQUES"](300),
+        ],
+        ids=["run_experiment", "run_file", "ABL-TECHNIQUES"],
+    )
+    def test_disk_stores_are_closed_when_their_cell_is_done(self, run, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_BACKEND", "disk")
+        before = len(os.listdir("/proc/self/fd"))
+        run()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_build_helpers(self):
         pam = build_pam(

@@ -139,3 +139,21 @@ def test_vector_keyword_survives_as_true_only(tmp_path):
     ):
         with pytest.raises(ValueError, match="one query path"):
             build()
+
+
+def test_only_make_store_and_the_bench_program_call_from_env():
+    """The environment lives at the edge: the store factory reads the
+    backend switches, ``python -m repro.bench`` the run's, and every
+    driver takes plain values."""
+    callers = []
+    for path in SOURCES:
+        tree = _tree(path)
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_env":
+                scopes = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                callers.append(f"{path.relative_to(ROOT)}:{(scopes or ['<module>'])[-1]}")
+    assert sorted(callers) == [
+        "src/repro/bench/__main__.py:run_bench",
+        "src/repro/storage/factory.py:make_store",
+    ]

@@ -6,13 +6,12 @@ import json
 import pytest
 
 from repro.core.comparison import (
-    _explain_dir,
     _trace_path,
     build_pam,
     build_sam,
-    run_pam_experiment,
-    run_pam_queries,
-    run_sam_queries,
+    run_experiment,
+    run_file,
+    run_queries,
 )
 from repro.obs.__main__ import main
 from repro.obs.explain import (
@@ -41,8 +40,8 @@ def traced_pam(points, seed=19, scalar=False):
     pam = build_pam(PAM_FACTORY, points)
     recorder = ExplainRecorder("BUDDY")
     with scalar_only() if scalar else contextlib.nullcontext():
-        result = run_pam_queries(
-            reference(pam) if scalar else pam, seed=seed, explain=recorder
+        result = run_queries(
+            "pam", reference(pam) if scalar else pam, seed=seed, explain=recorder
         )
     return pam, result, recorder.to_trace()
 
@@ -58,14 +57,14 @@ class TestBitIdentity:
     def test_results_identical_to_unexplained(self, pam_trace):
         """Acceptance: explaining a run never changes its numbers."""
         points, _, result, _ = pam_trace
-        plain = run_pam_queries(build_pam(PAM_FACTORY, points), seed=19)
+        plain = run_queries("pam", build_pam(PAM_FACTORY, points), seed=19)
         assert plain.query_costs == result.query_costs
         assert plain.query_results == result.query_results
 
     def test_stats_identical_to_unexplained(self, pam_trace):
         points, pam, _, _ = pam_trace
         reference = build_pam(PAM_FACTORY, points)
-        run_pam_queries(reference, seed=19)
+        run_queries("pam", reference, seed=19)
         assert pam.store.stats == reference.store.stats
 
     def test_trace_pages_sum_to_access_stats(self, pam_trace):
@@ -87,7 +86,7 @@ class TestBitIdentity:
         """The scalar reference and the batched path explain alike."""
         points = make_points(200, seed=5)
         _, result, trace = traced_pam(points, seed=29, scalar=scalar)
-        plain = run_pam_queries(build_pam(PAM_FACTORY, points), seed=29)
+        plain = run_queries("pam", build_pam(PAM_FACTORY, points), seed=29)
         assert plain.query_costs == result.query_costs
         assert validate_explain(trace) == []
         assert trace == traced_pam(points, seed=29, scalar=not scalar)[2]
@@ -157,7 +156,7 @@ class TestTraceContents:
         rects = make_rects(150, seed=9)
         sam = build_sam(lambda s, dims=2: ClippingSAM(s, dims, redundancy=4), rects)
         recorder = ExplainRecorder("CLIP-4")
-        run_sam_queries(sam, seed=23, explain=recorder)
+        run_queries("sam", sam, seed=23, explain=recorder)
         trace = recorder.to_trace()
         assert validate_explain(trace) == []
         duplicates = sum(
@@ -250,20 +249,33 @@ class TestValidate:
 
 class TestExplainWiring:
     def test_explain_dir_env_semantics(self, monkeypatch, tmp_path):
-        # Values, not the environment: False is off, True the default
-        # results root, a string a path unless it is an on/off word.
+        # Values, not the environment: None is off, a path the directory.
         monkeypatch.setenv("REPRO_EXPLAIN", str(tmp_path / "env"))
-        assert _explain_dir(False) is None
-        assert str(_explain_dir("elsewhere")) == "elsewhere"
-        assert _explain_dir("none") is None
-        assert _explain_dir(True) == _explain_dir("1")
-        assert _explain_dir(True).name == "explain"
-        # The entry point is what follows REPRO_EXPLAIN; False beats it.
         factories = {"BUDDY": PAM_FACTORY}
-        run_pam_experiment(factories, make_points(60, seed=4), explain=False)
+        run_experiment("pam", factories, make_points(60, seed=4))
         assert not (tmp_path / "env").exists()
-        run_pam_experiment(factories, make_points(60, seed=4))
-        assert (tmp_path / "env" / "PAM-BUDDY.json").is_file()
+        run_experiment("pam", factories, make_points(60, seed=4), explain=tmp_path / "t")
+        assert (tmp_path / "t" / "PAM-BUDDY.json").is_file()
+
+    def test_a_trace_its_spans_disagree_with_fails_the_cell(self, monkeypatch, tmp_path):
+        """A tracer that drops one charged access of a query file: the
+        cell raises, naming the structure and the file."""
+        import repro.core.comparison as comparison
+
+        class Dropping(comparison.Tracer):
+            dropped = False
+
+            def on_access(self, store, pid, kind, rw, charged, reason):
+                if charged and self._op == "pm_x" and not self.dropped:
+                    self.dropped = True
+                    return
+                super().on_access(store, pid, kind, rw, charged, reason)
+
+        monkeypatch.setattr(comparison, "Tracer", Dropping)
+        points = make_points(100, seed=4)
+        run_experiment("pam", {"BUDDY": PAM_FACTORY}, points)  # untraced: no check
+        with pytest.raises(RuntimeError, match="BUDDY pm_x counts"):
+            run_experiment("pam", {"BUDDY": PAM_FACTORY}, points, explain=tmp_path)
 
     def test_trace_path_sanitises_names(self, tmp_path):
         assert _trace_path(tmp_path, "pam", "BANG*").name == "PAM-BANG-star.json"
@@ -276,8 +288,8 @@ class TestExplainWiring:
             "GRID": lambda s, dims=2: TwoLevelGridFile(s, dims),
             "BUDDY": PAM_FACTORY,
         }
-        plain = run_pam_experiment(factories, points)
-        traced = run_pam_experiment(factories, points, explain=str(tmp_path))
+        plain = run_experiment("pam", factories, points).results
+        traced = run_experiment("pam", factories, points, explain=tmp_path).results
         for name in plain:
             assert traced[name].query_costs == plain[name].query_costs
             assert traced[name].snapshot is not None
@@ -285,12 +297,13 @@ class TestExplainWiring:
             trace = json.loads((tmp_path / f"{stem}.json").read_text())
             assert validate_explain(trace) == []
 
-    def test_testbed_threads_explain_serially(self, tmp_path, monkeypatch):
-        from repro.core.testbed import run_standard_pam_testbed
+    def test_testbed_threads_explain_serially(self, tmp_path):
+        from repro.core.testbed import standard_pam_factories
 
-        monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
         points = make_points(200, seed=3)
-        results, _ = run_standard_pam_testbed(points, explain=tmp_path / "t")
+        results = run_experiment(
+            "pam", standard_pam_factories(), points, explain=tmp_path / "t"
+        ).results
         assert sorted(p.name for p in (tmp_path / "t").glob("*.json")) == [
             "PAM-BANG-star.json",
             "PAM-BANG.json",
@@ -304,8 +317,6 @@ class TestExplainWiring:
             assert result.snapshot is not None
 
     def test_named_file_cells_trace_per_file(self, tmp_path):
-        from repro.core.comparison import run_file
-
         run_file("pam", "uniform", scale=150, explain=tmp_path)
         # The five structures and the derived BUDDY+, under the file's own name.
         assert len(list((tmp_path / "uniform").glob("*.json"))) == 6

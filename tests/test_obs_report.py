@@ -9,8 +9,7 @@ from repro.core.comparison import (
     build_pam,
     build_sam,
     run_experiment,
-    run_pam_queries,
-    run_sam_queries,
+    run_queries,
 )
 from repro.obs.export import (
     RUN_REPORT_SCHEMA,
@@ -61,7 +60,7 @@ class TestTracedRuns:
         points, results, _ = pam_run
         for name, factory in PAM_FACTORIES.items():
             pam = build_pam(factory, points)
-            untraced = run_pam_queries(pam, seed=19)
+            untraced = run_queries("pam", pam, seed=19)
             assert untraced.query_costs == results[name].query_costs
             assert untraced.query_results == results[name].query_results
 
@@ -70,7 +69,7 @@ class TestTracedRuns:
         points, _, report = pam_run
         for name, factory in PAM_FACTORIES.items():
             pam = build_pam(factory, points)
-            run_pam_queries(pam, seed=19)
+            run_queries("pam", pam, seed=19)
             assert report.totals(name) == pam.store.stats
 
     def test_report_query_histograms_consistent_with_means(self, pam_run):
@@ -92,7 +91,7 @@ class TestTracedRuns:
         rects = make_rects(150, seed=9)
         report = run_experiment("sam", SAM_FACTORIES, rects, seed=23).to_report()
         sam = build_sam(SAM_FACTORIES["R-Tree"], rects)
-        run_sam_queries(sam, seed=23)
+        run_queries("sam", sam, seed=23)
         assert report.totals("R-Tree") == sam.store.stats
         assert report.kind == "sam"
         assert set(report.query_labels("R-Tree")) == {

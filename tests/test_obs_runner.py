@@ -23,7 +23,6 @@ def _report_blocks(report):
 
 
 def _experiment(points, tmp_path, monkeypatch):
-    # run_pam_experiment returns results only; its outcome carries the blocks.
     return run_experiment("pam", _FACTORIES, points, seed=19).storage
 
 

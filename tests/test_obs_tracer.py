@@ -1,6 +1,6 @@
 """Tests for the operation-scoped tracer and the store observer hook."""
 
-from repro.core.comparison import build_pam, build_sam, run_pam_queries, run_sam_queries
+from repro.core.comparison import build_pam, build_sam, run_queries
 from repro.obs.tracer import Tracer
 from repro.pam.twolevelgrid import TwoLevelGridFile
 from repro.sam.rtree import RTree
@@ -92,7 +92,7 @@ class TestZeroBehaviourChange:
         pam = build_pam(
             lambda s, dims=2: TwoLevelGridFile(s, dims), points, tracer=tracer
         )
-        run_pam_queries(pam, seed=11)
+        run_queries("pam", pam, seed=11)
         for rect in STANDARD_QUERIES:
             pam.range_query(rect)
         return pam.store.stats
@@ -100,7 +100,7 @@ class TestZeroBehaviourChange:
     def _sam_stats(self, tracer):
         rects = make_rects(200, seed=7)
         sam = build_sam(lambda s, dims=2: RTree(s, dims), rects, tracer=tracer)
-        run_sam_queries(sam, seed=13)
+        run_queries("sam", sam, seed=13)
         return sam.store.stats
 
     def test_grid_identical_with_and_without_tracer(self):

@@ -21,9 +21,7 @@ from repro.core.comparison import (
     build_sam,
     run_experiment,
     run_file,
-    run_pam_experiment,
-    run_pam_queries,
-    run_sam_queries,
+    run_queries,
 )
 from repro.core.testbed import standard_pam_factories, standard_sam_factories
 from repro.obs.export import summarise_spans
@@ -46,7 +44,7 @@ def serial_pam_reference(file_name: str, scale: int):
     for name, factory in standard_pam_factories().items():
         tracer.set_context(structure=name)
         pam = build_pam(factory, points, tracer=tracer)
-        result = run_pam_queries(pam, tracer=tracer)
+        result = run_queries("pam", pam, tracer=tracer)
         result.name = name
         results[name] = result
         totals[name] = pam.store.stats.snapshot()
@@ -54,7 +52,7 @@ def serial_pam_reference(file_name: str, scale: int):
             before = pam.store.stats.snapshot()
             tracer.set_context(structure="BUDDY+", op="pack")
             pam.pack()
-            packed = run_pam_queries(pam, tracer=tracer)
+            packed = run_queries("pam", pam, tracer=tracer)
             packed.name = "BUDDY+"
             results["BUDDY+"] = packed
             totals["BUDDY+"] = pam.store.stats - before
@@ -68,7 +66,7 @@ def serial_sam_reference(file_name: str, scale: int):
     for name, factory in standard_sam_factories().items():
         tracer.set_context(structure=name)
         sam = build_sam(factory, rects, tracer=tracer)
-        result = run_sam_queries(sam, tracer=tracer)
+        result = run_queries("sam", sam, tracer=tracer)
         result.name = name
         results[name] = result
         totals[name] = sam.store.stats.snapshot()
@@ -136,9 +134,9 @@ class TestParallelMatchesSerial:
         """Inline data and a structure name reach a worker; its costs are
         those of the factory run here."""
         points = generate_point_file("cluster", 300)
-        serial = run_pam_experiment({"GRID": standard_pam_factories()["GRID"]}, points)
+        serial = run_experiment("pam", {"GRID": standard_pam_factories()["GRID"]}, points)
         outcome = pool.submit(run_experiment, "pam", ["GRID"], points).result()
-        assert outcome.results["GRID"].query_costs == serial["GRID"].query_costs
+        assert outcome.results["GRID"].query_costs == serial.results["GRID"].query_costs
 
     def test_factories_and_pooled_names_trace_alike(self, pool):
         """Factories run here and registered names run in a worker, each

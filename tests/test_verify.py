@@ -1139,7 +1139,7 @@ class TestExperimentWiring:
         assert len(sam) == 60
 
     def test_audit_env_variable(self, monkeypatch):
-        from repro.core.comparison import build_pam, run_pam_experiment
+        from repro.core.comparison import build_pam, run_experiment
 
         audits = []
         monkeypatch.setattr(BuddyTree, "audit", lambda self: audits.append(self))
@@ -1147,10 +1147,9 @@ class TestExperimentWiring:
         points = make_points(40, seed=4)
         monkeypatch.setenv("REPRO_AUDIT", "1")
         build_pam(factories["BUDDY"], points)  # builders take values only
-        run_pam_experiment(factories, points, audit=False)  # explicit beats the env
+        run_experiment("pam", factories, points, audit=False)  # and so do drivers
+        run_experiment("pam", factories, points)  # the default is off, not the env
         assert audits == []
-        run_pam_experiment(factories, points)  # the entry point follows it
-        assert len(audits) == 1
 
     def test_audit_reaches_cells_run_by_name(self, monkeypatch):
         """An explicit ``audit=True`` travels to every job, whether the
@@ -1159,30 +1158,30 @@ class TestExperimentWiring:
 
         audits = []
         monkeypatch.setattr(BuddyTree, "audit", lambda self: audits.append(self))
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
         run_experiment("pam", ["BUDDY"], make_points(40, seed=4), audit=True)
         assert len(audits) == 1
 
     def test_audit_leaves_experiment_costs_unchanged(self):
-        from repro.core.comparison import run_pam_experiment, run_sam_experiment
+        from repro.core.comparison import run_experiment
         from repro.core.testbed import standard_pam_factories, standard_sam_factories
 
         points, rects = make_points(80, seed=6), make_rects(60, seed=6)
-        for run, names, data in (
-            (run_pam_experiment, list(standard_pam_factories())[:2], points),
-            (run_sam_experiment, list(standard_sam_factories())[:2], rects),
+        for kind, names, data in (
+            ("pam", list(standard_pam_factories())[:2], points),
+            ("sam", list(standard_sam_factories())[:2], rects),
         ):
-            audited = run(names, data, audit=True)
-            plain = run(names, data, audit=False)
+            audited = run_experiment(kind, names, data, audit=True).results
+            plain = run_experiment(kind, names, data).results
             for name in names:
                 assert audited[name].query_costs == plain[name].query_costs
 
     def test_experiment_with_audit_enabled(self):
-        from repro.core.comparison import run_pam_experiment
+        from repro.core.comparison import run_experiment
 
-        results = run_pam_experiment(
+        outcome = run_experiment(
+            "pam",
             {"BUDDY": lambda s, dims=2: BuddyTree(s, dims)},
             make_points(80, seed=6),
             audit=True,
         )
-        assert results["BUDDY"].metrics.records == 80
+        assert outcome.results["BUDDY"].metrics.records == 80
