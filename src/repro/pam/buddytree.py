@@ -34,7 +34,7 @@ from repro.storage.pagestore import PageStore
 import numpy as np
 
 from repro.query import traverse
-from repro.storage.soa import fused_points, soa_field
+from repro.storage.soa import delete_record, fused_points, soa_field
 
 __all__ = ["BuddyTree"]
 
@@ -606,11 +606,7 @@ class BuddyTree(PointAccessMethod):
         point = tuple(float(c) for c in point)
         if self._root_is_data:
             page: _DataPage = self.store.read(self._root_pid)
-            before = len(page.records)
-            page.records = [
-                r for r in page.records if not (r[0] == point and r[1] == rid)
-            ]
-            if len(page.records) == before:
+            if not delete_record(page.records, point, rid):
                 return False
             self._records -= 1
             self.store.write(self._root_pid)
@@ -642,11 +638,7 @@ class BuddyTree(PointAccessMethod):
                 continue
             if entry.is_data:
                 page: _DataPage = self.store.read(entry.pid)
-                before = len(page.records)
-                page.records = [
-                    r for r in page.records if not (r[0] == point and r[1] == rid)
-                ]
-                if len(page.records) == before:
+                if not delete_record(page.records, point, rid):
                     continue
                 if page.records:
                     entry.rect = Rect.bounding_points([p for p, _ in page.records])

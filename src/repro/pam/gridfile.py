@@ -28,7 +28,7 @@ from repro.storage import layout
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
 from repro.query import traverse
-from repro.storage.soa import soa_field
+from repro.storage.soa import delete_record, soa_field
 
 __all__ = ["GridFile"]
 
@@ -496,9 +496,7 @@ class GridFile(PointAccessMethod):
         point = tuple(float(c) for c in point)
         pid = self._locate(point)
         page: _DataPage = self.store.read(pid)
-        before = len(page.records)
-        page.records = [r for r in page.records if not (r[0] == point and r[1] == rid)]
-        if len(page.records) == before:
+        if not delete_record(page.records, point, rid):
             return False
         self._records -= 1
         self.store.write(pid)

@@ -259,7 +259,8 @@ class RTree(SpatialAccessMethod):
         dims = self.dims
         seeds = self._pick_seeds(cover)
         # Per-axis columns, and per side (left, right): its entries, box,
-        # volume and every row's enlargement of it; only the grown side is redone.
+        # volume and every row's enlargement of it; only a side whose box
+        # grew is redone.
         lo = [cover[:, axis] for axis in range(dims)]
         hi = [-cover[:, dims + axis] for axis in range(dims)]
 
@@ -291,9 +292,11 @@ class RTree(SpatialAccessMethod):
             )
             side = 0 if key <= other else 1
             groups[side].append(entries[k])
-            boxes[side] = box = boxes[side].union(entries[k][0])
-            areas[side] = box.area()
-            grow[side] = enlargements(box, areas[side])
+            box = boxes[side].union(entries[k][0])
+            if box != boxes[side]:  # min/max keep the old floats: an equal box is the same box
+                boxes[side] = box
+                areas[side] = box.area()
+                grow[side] = enlargements(box, areas[side])
         return groups
 
     def _split_greene(self, entries: list, cover: np.ndarray) -> tuple[list, list]:

@@ -3,7 +3,7 @@
 A :class:`SoAList` is the canonical container for a page's entries: it
 keeps the per-page columnar views — the fused NumPy arrays the batched
 traversal consumes (:mod:`repro.query.traverse`) — *on the page itself*,
-instead of in a pid-keyed side cache.  Two consequences:
+instead of in a pid-keyed side cache.  Three consequences:
 
 * **No side-cache probes.**  A page visit reaches its fused array through
   one attribute access and one dict lookup, with no per-store dictionary
@@ -15,18 +15,30 @@ instead of in a pid-keyed side cache.  Two consequences:
   keeps the directory-bounds arrays intact when a record list changes —
   previously any write rebuilt the whole page's arrays.
 
+* **A kept column.**  The coordinate views (``"pts"``, ``"boxes:cover"``,
+  ``"boxes:anti"``) are copies of one float column that ``append``,
+  ``extend``, ``insert``, ``pop``, ``remove`` and item ``__setitem__`` /
+  ``__delitem__`` splice as they splice the rows, so the next view after
+  an insert or a delete is one copy, not a walk over the rows.  It is
+  derived from the view held at the first mutation that drops it (a page
+  that is only read allocates none); any other mutator, a slice, a row
+  of another shape, ``touch()`` and the length guard drop it.
+
 Python row objects (``(point, rid)`` / ``(rect, rid)`` tuples) remain
 reachable through the ordinary list interface, which is what the scalar
 reference descents (``tests/reference_query.py``), the auditors, explain
 and snapshot walks iterate; the fused arrays are the
-representation the batched read path actually evaluates.
+representation the batched read path actually evaluates.  Images and
+pickles are made from the rows, never from a column, so a row swapped
+behind the mutators' back still shows in the next image.
 
 In-place mutation of *held objects* (e.g. rebinding ``entry.mbr`` on a
 BANG directory entry) cannot be observed by the container; such sites
-must call :meth:`SoAList.touch` for the affected view tags.  A length
-guard in :meth:`SoAList.view` additionally rebuilds a view whose row
-count drifted from the container, so a missed length-changing mutation
-degrades to a rebuild, never to a stale verdict.
+must call :meth:`SoAList.touch` for the affected view tags, as must a
+``list.*`` call that swaps a row.  A length guard in :meth:`SoAList.view`
+(and on the column) additionally rebuilds a view whose row count drifted
+from the container, so a missed length-changing mutation degrades to a
+rebuild, never to a stale verdict.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ __all__ = [
     "fused_anti_values",
     "fused_cover_boxes",
     "fused_anti_boxes",
+    "delete_record",
 ]
 
 
@@ -57,7 +70,8 @@ class SoAList(list):
 
     Views are keyed by tag (``"pts"``, ``"entries:cover"``, …) and built
     on first use by a caller-supplied function of the container; every
-    mutating list method invalidates them.  A page image
+    mutating list method drops them.  ``_col`` is the kept column
+    ``(kind, array)``, or ``None``; ``array`` has a row per item.  A page image
     (:mod:`repro.storage.pagecodec`) and the container's pickle are made
     from its items alone, so they never carry derived arrays: a container
     of float :class:`Rect` rows or of ``(point, rid)`` records travels as
@@ -71,12 +85,13 @@ class SoAList(list):
     mutator reads or writes it.
     """
 
-    __slots__ = ("_views", "_image")
+    __slots__ = ("_views", "_image", "_col")
 
     def __init__(self, items: Iterable = ()):
         super().__init__(items)
         self._views: "dict[str, tuple[int, Any]] | None" = None
         self._image: "tuple | None" = None
+        self._col: "tuple[str, np.ndarray] | None" = None
 
     # -- columnar views ---------------------------------------------------
 
@@ -105,6 +120,7 @@ class SoAList(list):
                 views.clear()
             else:
                 views.pop(tag, None)
+        self._col = None  # a changed row may be in it
 
     @property
     def view_builds(self) -> int:
@@ -120,67 +136,120 @@ class SoAList(list):
             return (_restore_columns, cols)
         return (type(self), (list(self),))
 
-    # -- mutators (each invalidates this container's views only) ----------
+    # -- mutators (each drops this container's views only) -----------------
+    # Those that splice rows run the list operation, then splice the column.
 
     def append(self, item):
-        if self._views:
-            self._views.clear()
+        col = self._kept()
         list.append(self, item)
+        if col is not None:
+            n = len(col[1])
+            self._patch(col, n, n, 1)
 
     def extend(self, items):
-        if self._views:
-            self._views.clear()
+        col = self._kept()
         list.extend(self, items)
+        if col is not None:
+            n = len(col[1])
+            self._patch(col, n, n, len(self) - n)
+
+    def __iadd__(self, other):
+        self.extend(other)
+        return self
 
     def insert(self, index, item):
-        if self._views:
-            self._views.clear()
+        col = self._kept()
         list.insert(self, index, item)
-
-    def remove(self, item):
-        if self._views:
-            self._views.clear()
-        list.remove(self, item)
+        if col is not None:
+            n = len(col[1])
+            i = operator.index(index)
+            i = max(i + n, 0) if i < 0 else min(i, n)
+            self._patch(col, i, i, 1)
 
     def pop(self, index=-1):
-        if self._views:
-            self._views.clear()
-        return list.pop(self, index)
+        item = list.__getitem__(self, operator.index(index))
+        del self[index]
+        return item
+
+    def remove(self, item):
+        del self[list.index(self, item)]
+
+    def __setitem__(self, index, value):
+        col = self._kept()
+        list.__setitem__(self, index, value)
+        if col is not None:
+            i = _row_at(col, index)
+            self._patch(col, i, i + 1, 1)
+
+    def __delitem__(self, index):
+        col = self._kept()
+        list.__delitem__(self, index)
+        if col is not None:
+            i = _row_at(col, index)
+            self._patch(col, i, i + 1, 0)
 
     def clear(self):
-        if self._views:
-            self._views.clear()
+        self._forget()
         list.clear(self)
 
     def sort(self, **kwargs):
-        if self._views:
-            self._views.clear()
+        self._forget()
         list.sort(self, **kwargs)
 
     def reverse(self):
-        if self._views:
-            self._views.clear()
+        self._forget()
         list.reverse(self)
 
-    def __setitem__(self, index, value):
-        if self._views:
-            self._views.clear()
-        list.__setitem__(self, index, value)
-
-    def __delitem__(self, index):
-        if self._views:
-            self._views.clear()
-        list.__delitem__(self, index)
-
-    def __iadd__(self, other):
-        if self._views:
-            self._views.clear()
-        return list.__iadd__(self, other)
-
     def __imul__(self, factor):
+        self._forget()
+        return list.__imul__(self, factor)
+
+    # -- the kept column ----------------------------------------------------
+
+    def _forget(self) -> None:
         if self._views:
             self._views.clear()
-        return list.__imul__(self, factor)
+        self._col = None
+
+    def _kept(self) -> "tuple | None":
+        """Drop the views; the column to splice: the kept one if it still
+        has a row per item, else one derived from a held coordinate view."""
+        n = len(self)
+        col = self._col
+        if col is not None and len(col[1]) != n:
+            col = None
+        views = self._views
+        if views:
+            if col is None:
+                for tag, kind, sign in _KEPT:
+                    entry = views.get(tag)
+                    if entry is not None and entry[0] == n and entry[1].ndim == 2:
+                        col = (kind, entry[1] * sign)
+                        break
+            views.clear()
+        self._col = col
+        return col
+
+    def _patch(self, col, start: int, stop: int, added: int) -> None:
+        """Make the column's rows ``[start, stop)`` those of the ``added``
+        items now at ``start``, or drop it (a slice, a row of another shape).
+
+        The column is rebuilt at its exact size: a page holds a few dozen
+        rows, and each view read copies the column anyway."""
+        kind, arr = col
+        self._col = None
+        if start < 0:
+            return
+        parts = [arr[:start], arr[stop:]]
+        if added:
+            try:
+                block = _ROWS[kind](list.__getitem__(self, slice(start, start + added)))
+            except Exception:  # the rows' own view build raises the same, later
+                return
+            if block.shape != (added, arr.shape[1]):
+                return
+            parts.insert(1, block)
+        self._col = (kind, np.concatenate(parts))
 
 
 def _flatten_boxes(rows) -> "tuple[int, list] | None":
@@ -293,7 +362,7 @@ def _restore_columns(dims: int, coords: bytes, rids: "bytes | None") -> SoAList:
             if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
                 raise ValueError(f"inverted interval on axis {axis} of a stored box")
     out = list.__new__(_Packed)
-    out._views, out._image = None, (None, (dims, coords, rids))
+    out._views, out._image, out._col = None, (None, (dims, coords, rids)), None
     return out
 
 
@@ -365,6 +434,15 @@ for _name in _DECODES:
     setattr(_Packed, _name, _decoding(_name))
 
 
+def delete_record(records: SoAList, point, rid) -> bool:
+    """Delete every ``(point, rid)`` record of ``records``, in place so
+    that a kept column takes the deletion; whether there was one."""
+    gone = [i for i, r in enumerate(records) if r[0] == point and r[1] == rid]
+    for i in reversed(gone):
+        del records[i]
+    return bool(gone)
+
+
 class soa_field:
     """A descriptor that keeps a page attribute a :class:`SoAList`.
 
@@ -416,13 +494,30 @@ class soa_field:
 # can call them without closures.
 
 
+def _current(lst, kind: str) -> "np.ndarray | None":
+    """The kept column's rows, if ``lst`` keeps a ``kind`` column with a
+    row per item (the length guard: the next mutation drops one without)."""
+    col = lst._col if type(lst) is SoAList else None
+    if col is not None and col[0] == kind and len(col[1]) == len(lst):
+        return col[1]
+    return None
+
+
 def fused_points(lst: "SoAList") -> np.ndarray:
     """``[-p, p]`` rows for a container of ``(point, rid)`` records."""
+    kept = _current(lst, "pts")
+    if kept is not None:
+        return kept.copy()
     if type(lst) is _Packed:
         dims, coords, _ = lst._image[1]
         pts = np.frombuffer(coords).reshape(-1, dims)
-    else:
-        pts = np.array([rec[0] for rec in lst], dtype=float)
+        return np.concatenate([-pts, pts], axis=1)
+    return _point_rows(lst)
+
+
+def _point_rows(rows) -> np.ndarray:
+    """:func:`fused_points` of ``rows``, by a walk over them."""
+    pts = np.array([rec[0] for rec in rows], dtype=float)
     return np.concatenate([-pts, pts], axis=1)
 
 
@@ -443,19 +538,26 @@ def fused_anti_values(lst: "SoAList") -> np.ndarray:
 def _signed_boxes(lst: "SoAList", lo: float) -> np.ndarray:
     """``[lo * row.lo, -lo * row.hi]`` for every :class:`Rect` row.
 
-    A packed container multiplies its coordinate column in place of a
-    copy; rows are flattened here (plain lists build too).
+    A kept column (``[lo, -hi]``) is copied or negated, a packed
+    container multiplies its coordinate column in place of a copy; rows
+    are flattened here (plain lists build too).
     """
+    kept = _current(lst, "boxes")
+    if kept is not None:
+        return kept.copy() if lo > 0 else kept * -1.0
     if type(lst) is _Packed:
         dims, coords, _ = lst._image[1]
-        arr = np.frombuffer(coords).reshape(-1, 2 * dims)
-    else:
-        boxes = _flatten_boxes(lst)
-        if boxes is None:
-            raise TypeError("box view of a container that is not all Rect rows")
-        dims, flat = boxes
-        arr = np.array(flat, dtype=float).reshape(-1, 2 * dims)
-    return arr * _signs(dims, lo)
+        return np.frombuffer(coords).reshape(-1, 2 * dims) * _signs(dims, lo)
+    return _box_rows(lst, lo)
+
+
+def _box_rows(rows, lo: float = 1.0) -> np.ndarray:
+    """:func:`_signed_boxes` of ``rows``, by a walk over them."""
+    boxes = _flatten_boxes(rows)
+    if boxes is None:
+        raise TypeError("box view of a container that is not all Rect rows")
+    dims, flat = boxes
+    return np.array(flat, dtype=float).reshape(-1, 2 * dims) * _signs(dims, lo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -473,3 +575,20 @@ def fused_cover_boxes(lst: "SoAList") -> np.ndarray:
 def fused_anti_boxes(lst: "SoAList") -> np.ndarray:
     """``[-lo, hi]`` rows for a container of :class:`Rect` (containment)."""
     return _signed_boxes(lst, -1.0)
+
+
+# -- the kept column ----------------------------------------------------------
+
+#: The coordinate views a column can be derived from: (view tag, column
+#: kind, sign that turns the view into the column).
+_KEPT = (("pts", "pts", 1.0), ("boxes:cover", "boxes", 1.0), ("boxes:anti", "boxes", -1.0))
+#: Column kind -> the column rows of a plain list of items, by a walk.
+_ROWS = {"pts": _point_rows, "boxes": _box_rows}
+
+
+def _row_at(col, index) -> int:
+    """The row an item index names in the column of ``col``; -1 for a slice."""
+    if type(index) is slice:
+        return -1
+    i = operator.index(index)
+    return i + len(col[1]) if i < 0 else i

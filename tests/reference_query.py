@@ -12,8 +12,10 @@ Run as a script (``PYTHONPATH=src:. python tests/reference_query.py``) it
 is the at-scale check: for nine representative structures, the explain
 traces (visited pages, per-page hits, prunes) of one 800-record build
 must be byte-equal between the reference descent and the production
-traversal; exit status 1 otherwise.  Tier-1 compares full access streams
-at small scale.
+traversal, and so must every query's trace in one 2 000-op interleaved
+insert / delete / query stream each for BUDDY, GRID-1 and R, where a
+query reads the kept columns of pages that mutations patched; exit
+status 1 otherwise.  Tier-1 compares full access streams at small scale.
 """
 
 from __future__ import annotations
@@ -411,8 +413,80 @@ def _explain_identity() -> list[str]:
     return failures
 
 
+#: Interleaved-stream op tag -> (public method, explain kind); an exact
+#: match reads rows, not columns, and runs untraced.
+_STREAM_QUERIES = {
+    "exact": ("exact_match", None),
+    "range": ("range_query", "range"),
+    "pm": ("partial_match", "pm"),
+    "point": ("point_query", "point"),
+    "intersection": ("intersection", "intersection"),
+    "containment": ("containment", "containment"),
+    "enclosure": ("enclosure", "enclosure"),
+}
+
+
+def _stream_op(kind: str, op: list):
+    """``(method name, explain kind or None, argument)`` of a fuzz op."""
+    tag = op[0]
+    if tag in ("insert", "delete"):
+        geom = tuple(op[1]) if kind == "pam" else Rect(tuple(op[1]), tuple(op[2]))
+        return tag, None, (geom, op[-1])
+    name, explain = _STREAM_QUERIES[tag]
+    if tag == "pm":
+        return name, explain, ({axis: value for axis, value in op[1]},)
+    if tag in ("exact", "point"):
+        return name, explain, (tuple(op[1]),)
+    return name, explain, (Rect(tuple(op[1]), tuple(op[2])),)
+
+
+def _interleaved_identity(n_ops: int = 2000) -> list[str]:
+    """Failures of the interleaved check: one fuzz stream of inserts,
+    deletes and single queries each for BUDDY, GRID-1 and R, so that
+    queries read pages whose kept columns mutations patched; every
+    query's explain trace must be byte-equal between the reference
+    descent and the production traversal."""
+    from repro.obs.explain import ExplainRecorder, validate_explain
+    from repro.storage.pagestore import PageStore
+    from repro.verify.fuzz import STRUCTURES, make_ops, structure_seed
+
+    failures = []
+    for name in ("BUDDY", "GRID-1", "R"):
+        spec = STRUCTURES[name]
+        ops = make_ops(spec, n_ops, structure_seed(name, 0))
+        traces = {}
+        for scalar in (True, False):
+            method = spec["factory"](PageStore(512))
+            if scalar:
+                reference(method)
+            rec = ExplainRecorder(name)
+            stats = method.store.stats
+            for op in ops:
+                attr, kind, args = _stream_op(spec["kind"], op)
+                call = getattr(method, attr)
+                if kind is None:
+                    call(*args)
+                    continue
+                rec.start_file(method, kind)
+                try:
+                    with scalar_only() if scalar else contextlib.nullcontext():
+                        before = stats.total
+                        result = call(*args)
+                    rec.finish_query(0, args[0], stats.total - before, result)
+                finally:
+                    rec.end_file()
+            trace = traces[scalar] = rec.to_trace()
+            failures += [f"{name}/{scalar}: {p}" for p in validate_explain(trace)]
+        if traces[True] != traces[False]:
+            failures.append(f"{name}: interleaved explain traces diverge")
+        else:
+            n = len(trace["files"])
+            print(f"{name}: {n} queries among {len(ops)} ops, traces bit-identical")
+    return failures
+
+
 if __name__ == "__main__":
-    failures = _explain_identity()
+    failures = _explain_identity() + _interleaved_identity()
     for failure in failures:
         print(f"FAIL {failure}")
     sys.exit(1 if failures else 0)
