@@ -36,7 +36,6 @@ __all__ = [
     "boxes_enclose_many",
     "fuse_points",
     "fuse_boxes_cover",
-    "fuse_boxes_within",
     "fused_match",
     "fused_match_many",
 ]
@@ -117,13 +116,14 @@ def boxes_enclose_many(
 #
 #   point in box:       [-p, p]   <= [-qlo, qhi]
 #   boxes intersect:    [lo, -hi] <= [qhi, -qlo]
-#   box within query:   [-lo, hi] <= [-qlo, qhi]
 #   box encloses query: [lo, -hi] <= [qlo, -qhi]
+#   box within query:   [lo, -hi] >= [qlo, -qhi]
 #
 # Two NumPy dispatches (compare + all) instead of four, with verdicts
 # bit-identical to the pairwise kernels — the hot-path form used by
-# :mod:`repro.query.traverse`.  Intersection and enclosure share the
-# ``[lo, -hi]`` page array ("cover"); containment needs ``[-lo, hi]``.
+# :mod:`repro.query.traverse`.  The three box predicates read one page
+# array, ``[lo, -hi]`` ("cover"): containment is enclosure's query
+# vector with the comparison reversed.
 
 
 def fuse_points(pts: np.ndarray) -> np.ndarray:
@@ -132,13 +132,8 @@ def fuse_points(pts: np.ndarray) -> np.ndarray:
 
 
 def fuse_boxes_cover(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``(n, 2d)`` fused array ``[lo, -hi]`` (intersection / enclosure)."""
+    """``(n, 2d)`` fused array ``[lo, -hi]`` of every box predicate."""
     return np.concatenate([lo, -hi], axis=1)
-
-
-def fuse_boxes_within(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``(n, 2d)`` fused array ``[-lo, hi]`` (containment)."""
-    return np.concatenate([-lo, hi], axis=1)
 
 
 def fused_match(fused: np.ndarray, qvec: np.ndarray) -> np.ndarray:

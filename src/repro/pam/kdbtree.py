@@ -337,7 +337,7 @@ class KdBTree(PointAccessMethod):
         # One charged descent (see repro.query.traverse).
         read = store.read
         hits = traverse.RowSource(store.columnar, rect).hits
-        region_tag, region_build = traverse.box_view("isect")
+        region_tag, region_build = traverse.BOXES
         result: list[tuple[tuple[float, ...], object]] = []
         stack = [(self._root_pid, self._root_is_leaf)]
         while stack:

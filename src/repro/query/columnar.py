@@ -41,11 +41,11 @@ def promote_visits_for(batch_size: int) -> int:
 
 #: Fused query-vector builders per op family (see repro.geometry.kernels):
 #: each maps the batch ``(qlo, qhi)`` corner matrices to the ``(Q, 2d)``
-#: matrix a fused page array is compared against with a single ``<=``.
+#: matrix a fused page array is compared against with a single ``<=``
+#: (containment: enclosure's matrix and ``>=``, ``traverse._TESTS``).
 _QVEC_BUILDERS = {
     "pts": lambda qlo, qhi: np.concatenate([-qlo, qhi], axis=1),
     "isect": lambda qlo, qhi: np.concatenate([qhi, -qlo], axis=1),
-    "within": lambda qlo, qhi: np.concatenate([-qlo, qhi], axis=1),
     "encl": lambda qlo, qhi: np.concatenate([qlo, -qhi], axis=1),
 }
 
@@ -140,7 +140,7 @@ class QueryWorkload:
         self._cur.clear()
 
     def qvecs(self, op: str) -> np.ndarray:
-        """The ``(Q, 2d)`` fused query matrix for ``op``, built on demand."""
+        """The ``(Q, 2d)`` fused query matrix of op family ``op``, built lazily."""
         qv = self._qvecs.get(op)
         if qv is None:
             qv = self._qvecs[op] = _QVEC_BUILDERS[op](self.qlo, self.qhi)

@@ -13,7 +13,7 @@ and the observer/explain event stream are bit-identical by construction.
 scalar descent — ``read`` the page, take its verdict row from
 :meth:`RowSource.hits`, push the children — and nothing else.  A
 promoted page answers from the workload's cached rows; any other page
-is evaluated on the spot.  Their regions are disjoint or nearly so, so
+is evaluated on the spot, alone.  Their regions are disjoint or nearly so, so
 a level holds few cold pages and batching them buys nothing.
 
 **Plan / replay** (R-tree).  Overlapping MBRs make a level wide: the
@@ -37,10 +37,14 @@ in ``tests/reference_query.py``, and ``tests/test_query_traversal.py``
 compares the two access streams event for event, with and without a
 registered workload.  :data:`SCALAR_PRED` holds the pairwise predicates
 the kernels must agree with.
+
+Every op reads a container's one coordinate array (:mod:`repro.storage.soa`)
+and picks only the query vector and the comparison (:data:`_TESTS`).
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from typing import Sequence
 
@@ -49,57 +53,40 @@ import numpy as np
 from repro.geometry.rect import Rect
 from repro.storage import soa
 
-__all__ = [
-    "RowSource",
-    "SCALAR_PRED",
-    "data_hit_rows",
-    "box_view",
-    "value_view",
-    "qvec_for",
-]
+__all__ = ["RowSource", "SCALAR_PRED", "data_hit_rows", "BOXES", "VALUES", "qvec_for"]
 
 _EMPTY_ROW: list = []
 
-#: op -> (container view tag, builder) for containers of :class:`Rect`.
-#: Intersection and enclosure share the ``[lo, -hi]`` fused encoding,
-#: containment needs ``[-lo, hi]`` (see :mod:`repro.geometry.kernels`).
-_BOX_VIEWS = {
-    "isect": ("boxes:cover", soa.fused_cover_boxes),
-    "encl": ("boxes:cover", soa.fused_cover_boxes),
-    "within": ("boxes:anti", soa.fused_anti_boxes),
-}
+#: ``(view tag, builder)`` of the ``[lo, -hi]`` rows of a container of
+#: :class:`Rect` rows: the one array every op evaluates.  Callers hand
+#: both to :meth:`RowSource.row` or :meth:`RowSource.hits`, which build
+#: the view only when the page cannot be answered from a cache.
+BOXES = ("boxes", soa.fused_cover_boxes)
 
 #: Same, for containers of ``(rect, payload)`` pairs.
-_VALUE_VIEWS = {
-    "isect": ("values:cover", soa.fused_cover_values),
-    "encl": ("values:cover", soa.fused_cover_values),
-    "within": ("values:anti", soa.fused_anti_values),
+VALUES = ("values", soa.fused_cover_values)
+
+#: op -> (query-vector family, comparison) against the container's one
+#: array.  Containment is enclosure's query vector compared with ``>=``:
+#: negation is exact in IEEE-754 and NaN compares false both ways, so
+#: ``[lo, -hi] >= [qlo, -qhi]`` (``qlo <= lo``, ``hi <= qhi``) is exact.
+_TESTS = {
+    "pts": ("pts", operator.le),
+    "isect": ("isect", operator.le),
+    "encl": ("encl", operator.le),
+    "within": ("encl", operator.ge),
 }
-
-
-def box_view(op: str) -> tuple:
-    """``(view tag, builder)`` for containers of Rect rows under ``op``.
-
-    Callers hoist this lookup out of their per-page loop and hand both
-    to :meth:`RowSource.row` or :meth:`RowSource.hits`, which materialise
-    the view only when the page cannot be answered from a cache.
-    """
-    return _BOX_VIEWS[op]
-
-
-def value_view(op: str) -> tuple:
-    """``(view tag, builder)`` for containers of (rect, rid) rows."""
-    return _VALUE_VIEWS[op]
 
 
 def qvec_for(op: str, query: Rect) -> np.ndarray:
-    """The fused ``(2d,)`` query vector of one box for ``op``.
+    """The fused ``(2d,)`` query vector of one box for an op family
+    (``"pts"``, ``"isect"`` or ``"encl"``, see :data:`_TESTS`).
 
     Sign flips only — exact in IEEE-754, so one fused comparison is
     bit-identical to the pairwise scalar predicate
     (see :mod:`repro.geometry.kernels`).
     """
-    if op == "pts" or op == "within":
+    if op == "pts":
         vals = tuple(-c for c in query.lo) + query.hi
     elif op == "isect":
         vals = query.hi + tuple(-c for c in query.lo)
@@ -165,77 +152,91 @@ class RowSource:
         """The verdict row for ``(pid, rowkey)``, or ``None`` if deferred.
 
         ``lst`` is the page's struct-of-arrays container and ``(tag,
-        build)`` name its fused view for the op's family (hoist the
-        lookup from ``_BOX_VIEWS``/``_VALUE_VIEWS`` out of the loop) —
-        the view is only materialised when this call actually needs the
-        arrays, which cache-answered pages never do.  ``rowkey`` is the
-        workload row key (tag + ":" + op for bound selects, ``"pts"``
-        for record matches).
+        build)`` name its coordinate view (:data:`BOXES`, :data:`VALUES`
+        or ``("pts", fused_points)``) — the view is only materialised when
+        this call actually needs the arrays, which cache-answered pages
+        never do.  ``rowkey`` is the workload row key (tag + ":" + op for
+        bound selects, ``"pts"`` for record matches).
         """
         key = (pid, rowkey)
-        rows = self.rows
-        row = rows.get(key)
-        if row is not None:
-            return row
         if key in self._pend_keys:
             return None
-        workload = self.workload
-        if workload is not None:
-            entry = workload._rows.get(key)
-            if entry is None:
-                visits = workload._visits.get(key, 0) + 1
-                if visits < workload.promote_visits and pid not in workload._hot:
-                    workload._visits[key] = visits
-                else:
-                    qvecs = workload.qvecs(op)
-                    fused = lst.view(tag, build)
-                    # Column-AND instead of a (Q, n, 2d) broadcast +
-                    # reduction: same comparisons, less memory traffic.
-                    mask = fused[:, 0] <= qvecs[:, 0:1]
-                    for j in range(1, fused.shape[1]):
-                        mask &= fused[:, j] <= qvecs[:, j : j + 1]
-                    qidx, cols = mask.nonzero()
-                    entry = workload._rows[key] = (
-                        np.searchsorted(qidx, workload._qrange).tolist(),
-                        cols,
-                    )
-            if entry is not None:
-                starts, cols = entry
-                i = workload.index
-                s = starts[i]
-                e = starts[i + 1]
-                row = rows[key] = cols[s:e].tolist() if e > s else _EMPTY_ROW
-                return row
-        pend = self._pend.get(op)
-        if pend is None:
-            pend = self._pend[op] = ([], [])
-        fused = lst.view(tag, build)
-        pend[0].append((key, fused.shape[0]))
-        pend[1].append(fused)
-        self._pend_keys.add(key)
-        return None
+        row = self._known(key, op, lst, tag, build)
+        if row is None:
+            pend = self._pend.get(op)
+            if pend is None:
+                pend = self._pend[op] = ([], [])
+            fused = lst.view(tag, build)
+            pend[0].append((key, fused.shape[0]))
+            pend[1].append(fused)
+            self._pend_keys.add(key)
+        return row
 
     def hits(self, pid: int, rowkey: str, op: str, lst, tag: str, build) -> list:
         """The verdict row for ``(pid, rowkey)``, evaluated now.
 
-        The one-descent form of :meth:`row` (same arguments): a promoted
-        page answers from the workload's CSR verdicts, anything else goes
-        through :meth:`row` — visit counting and promotion included — and
-        a deferred page is flushed at once, alone.
+        The one-descent form of :meth:`row` (same arguments): a memoised
+        or promoted page answers from its cached row, visit counting and
+        promotion included, and any other page is evaluated on the spot.
         """
-        workload = self.workload
-        if workload is not None:
-            entry = workload._rows.get((pid, rowkey))
-            if entry is not None:
-                starts, cols = entry
-                i = workload.index
-                s = starts[i]
-                e = starts[i + 1]
-                return cols[s:e].tolist() if e > s else _EMPTY_ROW
-        row = self.row(pid, rowkey, op, lst, tag, build)
+        key = (pid, rowkey)
+        row = self._known(key, op, lst, tag, build)
         if row is None:
-            row = self.flush()[(pid, rowkey)]
+            _, compare = _TESTS[op]
+            hit = compare(lst.view(tag, build), self._qvec(op)).all(axis=1)
+            row = self.rows[key] = hit.nonzero()[0].tolist()
         return row
+
+    def _known(self, key, op: str, lst, tag: str, build) -> "list | None":
+        """The memoised row for ``key``, or the workload's once the page is
+        promoted (counting this visit), else ``None``: evaluate it alone."""
+        rows = self.rows
+        row = rows.get(key)
+        if row is not None:
+            return row
+        workload = self.workload
+        if workload is None:
+            return None
+        entry = workload._rows.get(key)
+        if entry is None:
+            visits = workload._visits.get(key, 0) + 1
+            if visits < workload.promote_visits and key[0] not in workload._hot:
+                workload._visits[key] = visits
+                return None
+            family, compare = _TESTS[op]
+            qvecs = workload.qvecs(family)
+            fused = lst.view(tag, build)
+            # Column-AND instead of a (Q, n, 2d) broadcast + reduction:
+            # same comparisons, less memory traffic.
+            mask = compare(fused[:, 0], qvecs[:, 0:1])
+            for j in range(1, fused.shape[1]):
+                mask &= compare(fused[:, j], qvecs[:, j : j + 1])
+            qidx, cols = mask.nonzero()
+            entry = workload._rows[key] = (
+                np.searchsorted(qidx, workload._qrange).tolist(),
+                cols,
+            )
+        starts, cols = entry
+        i = workload.index
+        s = starts[i]
+        e = starts[i + 1]
+        row = rows[key] = cols[s:e].tolist() if e > s else _EMPTY_ROW
+        return row
+
+    def _qvec(self, op: str) -> np.ndarray:
+        """The fused query vector of this operation's box for ``op``."""
+        family = _TESTS[op][0]
+        qvec = self._qvecs.get(family)
+        if qvec is None:
+            workload = self.workload
+            if workload is not None:
+                # Row of the workload's fused query matrix — same floats
+                # as qvec_for, already materialised.
+                qvec = workload.qvecs(family)[workload.index]
+            else:
+                qvec = qvec_for(family, self.query)
+            self._qvecs[family] = qvec
+        return qvec
 
     def flush(self) -> dict:
         """Evaluate every deferred page — one fused kernel call per op.
@@ -246,20 +247,11 @@ class RowSource:
         rows = self.rows
         pend = self._pend
         if pend:
-            workload = self.workload
             for op, (keys, arrays) in pend.items():
                 fused = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-                qvec = self._qvecs.get(op)
-                if qvec is None:
-                    if workload is not None:
-                        # Row of the workload's fused query matrix — same
-                        # floats as qvec_for, already materialised.
-                        qvec = workload.qvecs(op)[workload.index]
-                    else:
-                        qvec = qvec_for(op, self.query)
-                    self._qvecs[op] = qvec
                 # Ascending hit positions, cut at the page boundaries.
-                hit = (fused <= qvec).all(axis=1).nonzero()[0].tolist()
+                _, compare = _TESTS[op]
+                hit = compare(fused, self._qvec(op)).all(axis=1).nonzero()[0].tolist()
                 j = end = 0
                 for key, n in keys:
                     start = end

@@ -124,7 +124,7 @@ class ClippingSAM(SpatialAccessMethod):
         query_regions = decompose_rect(query, self.dims, 8, _MAX_DEPTH)
         src = traverse.RowSource(self.store.columnar, query)
         rowkey = "vrects:" + op
-        vtag, vbuild = traverse.value_view(op)
+        vtag, vbuild = traverse.VALUES
         # The pass below only *charges* the reads (in the original
         # interleaved scan/probe order) and records an action log;
         # evaluation of all cold pages happens in one fused kernel call

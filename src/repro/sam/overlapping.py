@@ -83,7 +83,7 @@ class OverlappingPlop(SpatialAccessMethod):
         store = self.store
         src = traverse.RowSource(store.columnar, query)
         rowkey = "vrects:" + op
-        vtag, vbuild = traverse.value_view(op)
+        vtag, vbuild = traverse.VALUES
         occurrences: list = []
         result: list[object] = []
         idx = [r.start for r in ranges]

@@ -351,8 +351,7 @@ class RPlusTree(SpatialAccessMethod):
         # scalar result order.
         read = store.read
         hits = traverse.RowSource(store.columnar, query).hits
-        entry_tag, entry_build = traverse.box_view(entry_op)
-        region_tag, region_build = traverse.box_view(region_op)
+        tag, build = traverse.BOXES
         entry_key, region_key = "entries:" + entry_op, "regions:" + region_op
         result: list[object] = []
         seen: set[object] = set()
@@ -363,18 +362,14 @@ class RPlusTree(SpatialAccessMethod):
             if is_leaf:
                 if node.rects:
                     rids = node.rids
-                    for i in hits(
-                        pid, entry_key, entry_op, node.rects, entry_tag, entry_build
-                    ):
+                    for i in hits(pid, entry_key, entry_op, node.rects, tag, build):
                         rid = rids[i]
                         if rid not in seen:
                             seen.add(rid)
                             result.append(rid)
                 continue
             if node.regions:
-                row = hits(
-                    pid, region_key, region_op, node.regions, region_tag, region_build
-                )
+                row = hits(pid, region_key, region_op, node.regions, tag, build)
                 pids = node.pids
                 leaf = node.leaf_children
                 stack.extend([(pids[i], leaf) for i in row])

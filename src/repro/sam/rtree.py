@@ -31,13 +31,6 @@ __all__ = ["RTree"]
 
 _SPLIT_POLICIES = ("guttman", "greene", "margin")
 
-#: The ``[lo, -hi]`` fused view of a page's rectangles — the same
-#: container view the query path evaluates, so a split and the queries
-#: share one build of it.  On this encoding the union of two boxes is an
-#: elementwise ``minimum``.
-_COVER = traverse.box_view("isect")
-
-
 #: Pairs evaluated per step of the quadratic seed pick.
 _PAIR_BLOCK = 1 << 14
 
@@ -215,7 +208,10 @@ class RTree(SpatialAccessMethod):
     def _split(self, pid: int, node: _Node) -> tuple[Rect, int]:
         """Split an overflowing node; returns the new sibling's (rect, pid)."""
         entries = list(zip(node.rects, node.children))
-        cover = node.rects.view(*_COVER)
+        # The ``[lo, -hi]`` view the queries evaluate, so a split and the
+        # queries share one build of it.  On this encoding the union of two
+        # boxes is an elementwise ``minimum``.
+        cover = node.rects.view(*traverse.BOXES)
         if self.split_policy == "guttman":
             left, right = self._split_guttman(entries, cover)
         elif self.split_policy == "greene":
@@ -348,7 +344,7 @@ class RTree(SpatialAccessMethod):
         keys = {True: "entries:" + leaf_op, False: "entries:" + inner_op}
         ops = {True: leaf_op, False: inner_op}
         row_of = src.row
-        views = {True: traverse.box_view(leaf_op), False: traverse.box_view(inner_op)}
+        tag, build = traverse.BOXES
         # Promoted pages answer straight from the workload's CSR verdicts;
         # probing them inline skips the RowSource call for the common case
         # (the rows are the same lists row() would return).
@@ -387,7 +383,6 @@ class RTree(SpatialAccessMethod):
                             continue
                         row = cols[s:e].tolist()
                 if row is None:
-                    tag, build = views[leaf]
                     row = row_of(pid, keys[leaf], ops[leaf], rects, tag, build)
                 if row is None:
                     deferred.append(pid)

@@ -15,28 +15,32 @@ instead of in a pid-keyed side cache.  Three consequences:
   keeps the directory-bounds arrays intact when a record list changes —
   previously any write rebuilt the whole page's arrays.
 
-* **A kept column.**  The coordinate views (``"pts"``, ``"boxes:cover"``,
-  ``"boxes:anti"``) are copies of one float column that ``append``,
-  ``extend``, ``insert``, ``pop``, ``remove`` and item ``__setitem__`` /
-  ``__delitem__`` splice as they splice the rows, so the next view after
-  an insert or a delete is one copy, not a walk over the rows.  It is
-  derived from the view held at the first mutation that drops it (a page
-  that is only read allocates none); any other mutator, a slice, a row
-  of another shape, ``touch()`` and the length guard drop it.
+* **One coordinate array, kept.**  A container holds at most one:
+  ``"pts"`` (``[-p, p]``) for ``(point, rid)`` records, ``"boxes"``
+  (``[lo, -hi]``) for :class:`Rect` rows, ``"values"`` (``[lo, -hi]``)
+  for ``(rect, rid)`` pairs; every query op reads it with its own
+  comparison (:mod:`repro.query.traverse`).  ``append``, ``extend``,
+  ``insert``, ``pop``, ``remove`` and item ``__setitem__`` /
+  ``__delitem__`` splice a held ``"pts"`` / ``"boxes"`` view as they
+  splice the rows, so the next query after an insert or a delete reads
+  it without a walk over the rows (a page that is only read splices
+  nothing); any other mutator, a slice, a row of another shape,
+  ``touch()`` and the length guard drop it.  Coordinate arrays are
+  read-only, so no reader can change what the next one sees.
 
 Python row objects (``(point, rid)`` / ``(rect, rid)`` tuples) remain
 reachable through the ordinary list interface, which is what the scalar
 reference descents (``tests/reference_query.py``), the auditors, explain
 and snapshot walks iterate; the fused arrays are the
 representation the batched read path actually evaluates.  Images and
-pickles are made from the rows, never from a column, so a row swapped
+pickles are made from the rows, never from a view, so a row swapped
 behind the mutators' back still shows in the next image.
 
 In-place mutation of *held objects* (e.g. rebinding ``entry.mbr`` on a
 BANG directory entry) cannot be observed by the container; such sites
 must call :meth:`SoAList.touch` for the affected view tags, as must a
 ``list.*`` call that swaps a row.  A length guard in :meth:`SoAList.view`
-(and on the column) additionally rebuilds a view whose row count drifted
+(and at a splice) additionally rebuilds a view whose row count drifted
 from the container, so a missed length-changing mutation degrades to a
 rebuild, never to a stale verdict.
 """
@@ -58,9 +62,7 @@ __all__ = [
     "soa_field",
     "fused_points",
     "fused_cover_values",
-    "fused_anti_values",
     "fused_cover_boxes",
-    "fused_anti_boxes",
     "delete_record",
 ]
 
@@ -68,10 +70,10 @@ __all__ = [
 class SoAList(list):
     """A list of page entries carrying canonical columnar views.
 
-    Views are keyed by tag (``"pts"``, ``"entries:cover"``, …) and built
-    on first use by a caller-supplied function of the container; every
-    mutating list method drops them.  ``_col`` is the kept column
-    ``(kind, array)``, or ``None``; ``array`` has a row per item.  A page image
+    Views are keyed by tag (``"pts"``, ``"boxes"``, …) and built on first
+    use by a caller-supplied function of the container; every mutating
+    list method drops them, but for the held coordinate view that the
+    splicing ones splice.  A page image
     (:mod:`repro.storage.pagecodec`) and the container's pickle are made
     from its items alone, so they never carry derived arrays: a container
     of float :class:`Rect` rows or of ``(point, rid)`` records travels as
@@ -85,13 +87,12 @@ class SoAList(list):
     mutator reads or writes it.
     """
 
-    __slots__ = ("_views", "_image", "_col")
+    __slots__ = ("_views", "_image")
 
     def __init__(self, items: Iterable = ()):
         super().__init__(items)
         self._views: "dict[str, tuple[int, Any]] | None" = None
         self._image: "tuple | None" = None
-        self._col: "tuple[str, np.ndarray] | None" = None
 
     # -- columnar views ---------------------------------------------------
 
@@ -120,7 +121,6 @@ class SoAList(list):
                 views.clear()
             else:
                 views.pop(tag, None)
-        self._col = None  # a changed row may be in it
 
     @property
     def view_builds(self) -> int:
@@ -137,34 +137,35 @@ class SoAList(list):
         return (type(self), (list(self),))
 
     # -- mutators (each drops this container's views only) -----------------
-    # Those that splice rows run the list operation, then splice the column.
+    # Those that splice rows run the list operation, then splice the held
+    # coordinate view.
 
     def append(self, item):
-        col = self._kept()
+        held = self._held()
         list.append(self, item)
-        if col is not None:
-            n = len(col[1])
-            self._patch(col, n, n, 1)
+        if held is not None:
+            n = len(held[1])
+            self._splice(held, n, n, 1)
 
     def extend(self, items):
-        col = self._kept()
+        held = self._held()
         list.extend(self, items)
-        if col is not None:
-            n = len(col[1])
-            self._patch(col, n, n, len(self) - n)
+        if held is not None:
+            n = len(held[1])
+            self._splice(held, n, n, len(self) - n)
 
     def __iadd__(self, other):
         self.extend(other)
         return self
 
     def insert(self, index, item):
-        col = self._kept()
+        held = self._held()
         list.insert(self, index, item)
-        if col is not None:
-            n = len(col[1])
+        if held is not None:
+            n = len(held[1])
             i = operator.index(index)
             i = max(i + n, 0) if i < 0 else min(i, n)
-            self._patch(col, i, i, 1)
+            self._splice(held, i, i, 1)
 
     def pop(self, index=-1):
         item = list.__getitem__(self, operator.index(index))
@@ -175,81 +176,70 @@ class SoAList(list):
         del self[list.index(self, item)]
 
     def __setitem__(self, index, value):
-        col = self._kept()
+        held = self._held()
         list.__setitem__(self, index, value)
-        if col is not None:
-            i = _row_at(col, index)
-            self._patch(col, i, i + 1, 1)
+        if held is not None:
+            i = _row_at(held, index)
+            self._splice(held, i, i + 1, 1)
 
     def __delitem__(self, index):
-        col = self._kept()
+        held = self._held()
         list.__delitem__(self, index)
-        if col is not None:
-            i = _row_at(col, index)
-            self._patch(col, i, i + 1, 0)
+        if held is not None:
+            i = _row_at(held, index)
+            self._splice(held, i, i + 1, 0)
 
     def clear(self):
-        self._forget()
+        self.touch()
         list.clear(self)
 
     def sort(self, **kwargs):
-        self._forget()
+        self.touch()
         list.sort(self, **kwargs)
 
     def reverse(self):
-        self._forget()
+        self.touch()
         list.reverse(self)
 
     def __imul__(self, factor):
-        self._forget()
+        self.touch()
         return list.__imul__(self, factor)
 
-    # -- the kept column ----------------------------------------------------
+    # -- the held coordinate view ------------------------------------------
 
-    def _forget(self) -> None:
-        if self._views:
-            self._views.clear()
-        self._col = None
-
-    def _kept(self) -> "tuple | None":
-        """Drop the views; the column to splice: the kept one if it still
-        has a row per item, else one derived from a held coordinate view."""
-        n = len(self)
-        col = self._col
-        if col is not None and len(col[1]) != n:
-            col = None
+    def _held(self) -> "tuple | None":
+        """Drop the views; the held ``"pts"`` / ``"boxes"`` one as ``(tag,
+        array)`` if it still has a row per item, to be spliced."""
         views = self._views
-        if views:
-            if col is None:
-                for tag, kind, sign in _KEPT:
-                    entry = views.get(tag)
-                    if entry is not None and entry[0] == n and entry[1].ndim == 2:
-                        col = (kind, entry[1] * sign)
-                        break
-            views.clear()
-        self._col = col
-        return col
+        if not views:
+            return None
+        n = len(self)
+        held = None
+        for tag in _ROWS:
+            entry = views.get(tag)
+            if entry is not None and entry[0] == n and entry[1].ndim == 2:
+                held = (tag, entry[1])
+                break
+        views.clear()
+        return held
 
-    def _patch(self, col, start: int, stop: int, added: int) -> None:
-        """Make the column's rows ``[start, stop)`` those of the ``added``
-        items now at ``start``, or drop it (a slice, a row of another shape).
-
-        The column is rebuilt at its exact size: a page holds a few dozen
-        rows, and each view read copies the column anyway."""
-        kind, arr = col
-        self._col = None
+    def _splice(self, held, start: int, stop: int, added: int) -> None:
+        """Hold the view again with its rows ``[start, stop)`` those of the
+        ``added`` items now at ``start``, or not (a slice, a row of another
+        shape): the next read builds it from the rows."""
+        tag, arr = held
         if start < 0:
             return
         parts = [arr[:start], arr[stop:]]
         if added:
             try:
-                block = _ROWS[kind](list.__getitem__(self, slice(start, start + added)))
+                block = _ROWS[tag](list.__getitem__(self, slice(start, start + added)))
             except Exception:  # the rows' own view build raises the same, later
                 return
             if block.shape != (added, arr.shape[1]):
                 return
             parts.insert(1, block)
-        self._col = (kind, np.concatenate(parts))
+        self._views[tag] = (len(self), _frozen(np.concatenate(parts)))
 
 
 def _flatten_boxes(rows) -> "tuple[int, list] | None":
@@ -362,7 +352,7 @@ def _restore_columns(dims: int, coords: bytes, rids: "bytes | None") -> SoAList:
             if any(map(operator.gt, flat[axis::width], flat[dims + axis :: width])):
                 raise ValueError(f"inverted interval on axis {axis} of a stored box")
     out = list.__new__(_Packed)
-    out._views, out._image, out._col = None, (None, (dims, coords, rids)), None
+    out._views, out._image = None, (None, (dims, coords, rids))
     return out
 
 
@@ -370,9 +360,8 @@ class _Packed(SoAList):
     """Rows restored from a page image and not decoded yet.
 
     ``_image`` is ``(None, columns)``: the columns of :func:`_columns`
-    and no rows.  ``len`` / ``bool``, the fused views
-    (:func:`fused_points`, :func:`fused_cover_boxes`,
-    :func:`fused_anti_boxes`) and the pickle image are answered from the
+    and no rows.  ``len`` / ``bool``, the fused views (:func:`fused_points`,
+    :func:`fused_cover_boxes`) and the pickle image are answered from the
     columns; the first call of anything in :data:`_DECODES` builds the
     rows once and turns the object into a plain :class:`SoAList`, views
     and image kept — the rows they describe did not change.  A traversal
@@ -436,7 +425,7 @@ for _name in _DECODES:
 
 def delete_record(records: SoAList, point, rid) -> bool:
     """Delete every ``(point, rid)`` record of ``records``, in place so
-    that a kept column takes the deletion; whether there was one."""
+    that a held view takes the deletion; whether there was one."""
     gone = [i for i, r in enumerate(records) if r[0] == point and r[1] == rid]
     for i in reversed(gone):
         del records[i]
@@ -490,105 +479,72 @@ class soa_field:
 # -- view builders -----------------------------------------------------------
 #
 # The fused encodings mirror repro.geometry.kernels: every predicate is one
-# ``fused <= qvec`` comparison.  Builders take the container so SoAList.view
-# can call them without closures.
+# comparison of the container's one coordinate array against a query
+# vector.  Builders take the container so SoAList.view can call them
+# without closures; what they return is read-only.
 
 
-def _current(lst, kind: str) -> "np.ndarray | None":
-    """The kept column's rows, if ``lst`` keeps a ``kind`` column with a
-    row per item (the length guard: the next mutation drops one without)."""
-    col = lst._col if type(lst) is SoAList else None
-    if col is not None and col[0] == kind and len(col[1]) == len(lst):
-        return col[1]
-    return None
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def fused_points(lst: "SoAList") -> np.ndarray:
     """``[-p, p]`` rows for a container of ``(point, rid)`` records."""
-    kept = _current(lst, "pts")
-    if kept is not None:
-        return kept.copy()
     if type(lst) is _Packed:
         dims, coords, _ = lst._image[1]
         pts = np.frombuffer(coords).reshape(-1, dims)
-        return np.concatenate([-pts, pts], axis=1)
+        return _frozen(np.concatenate([-pts, pts], axis=1))
     return _point_rows(lst)
 
 
 def _point_rows(rows) -> np.ndarray:
     """:func:`fused_points` of ``rows``, by a walk over them."""
     pts = np.array([rec[0] for rec in rows], dtype=float)
-    return np.concatenate([-pts, pts], axis=1)
+    return _frozen(np.concatenate([-pts, pts], axis=1))
 
 
 def fused_cover_values(lst: "SoAList") -> np.ndarray:
-    """``[lo, -hi]`` rows for ``(rect, payload)`` pairs (isect/encl)."""
+    """``[lo, -hi]`` rows for ``(rect, payload)`` pairs."""
     lo = np.array([v[0].lo for v in lst], dtype=float)
     hi = np.array([v[0].hi for v in lst], dtype=float)
-    return np.concatenate([lo, -hi], axis=1)
+    return _frozen(np.concatenate([lo, -hi], axis=1))
 
 
-def fused_anti_values(lst: "SoAList") -> np.ndarray:
-    """``[-lo, hi]`` rows for ``(rect, payload)`` pairs (containment)."""
-    lo = np.array([v[0].lo for v in lst], dtype=float)
-    hi = np.array([v[0].hi for v in lst], dtype=float)
-    return np.concatenate([-lo, hi], axis=1)
+def fused_cover_boxes(lst: "SoAList") -> np.ndarray:
+    """``[lo, -hi]`` rows for a container of :class:`Rect` rows.
 
-
-def _signed_boxes(lst: "SoAList", lo: float) -> np.ndarray:
-    """``[lo * row.lo, -lo * row.hi]`` for every :class:`Rect` row.
-
-    A kept column (``[lo, -hi]``) is copied or negated, a packed
-    container multiplies its coordinate column in place of a copy; rows
-    are flattened here (plain lists build too).
+    A packed container multiplies its coordinate column in place of a
+    copy; rows are flattened here (plain lists build too).
     """
-    kept = _current(lst, "boxes")
-    if kept is not None:
-        return kept.copy() if lo > 0 else kept * -1.0
     if type(lst) is _Packed:
         dims, coords, _ = lst._image[1]
-        return np.frombuffer(coords).reshape(-1, 2 * dims) * _signs(dims, lo)
-    return _box_rows(lst, lo)
+        return _frozen(np.frombuffer(coords).reshape(-1, 2 * dims) * _signs(dims))
+    return _box_rows(lst)
 
 
-def _box_rows(rows, lo: float = 1.0) -> np.ndarray:
-    """:func:`_signed_boxes` of ``rows``, by a walk over them."""
+def _box_rows(rows) -> np.ndarray:
+    """:func:`fused_cover_boxes` of ``rows``, by a walk over them."""
     boxes = _flatten_boxes(rows)
     if boxes is None:
         raise TypeError("box view of a container that is not all Rect rows")
     dims, flat = boxes
-    return np.array(flat, dtype=float).reshape(-1, 2 * dims) * _signs(dims, lo)
+    return _frozen(np.array(flat, dtype=float).reshape(-1, 2 * dims) * _signs(dims))
 
 
 @functools.lru_cache(maxsize=None)
-def _signs(dims: int, lo: float) -> np.ndarray:
-    signs = np.repeat((lo, -lo), dims)
-    signs.flags.writeable = False  # one array for every caller
-    return signs
+def _signs(dims: int) -> np.ndarray:
+    return _frozen(np.repeat((1.0, -1.0), dims))  # one array for every caller
 
 
-def fused_cover_boxes(lst: "SoAList") -> np.ndarray:
-    """``[lo, -hi]`` rows for a container of :class:`Rect` (isect/encl)."""
-    return _signed_boxes(lst, 1.0)
-
-
-def fused_anti_boxes(lst: "SoAList") -> np.ndarray:
-    """``[-lo, hi]`` rows for a container of :class:`Rect` (containment)."""
-    return _signed_boxes(lst, -1.0)
-
-
-# -- the kept column ----------------------------------------------------------
-
-#: The coordinate views a column can be derived from: (view tag, column
-#: kind, sign that turns the view into the column).
-_KEPT = (("pts", "pts", 1.0), ("boxes:cover", "boxes", 1.0), ("boxes:anti", "boxes", -1.0))
-#: Column kind -> the column rows of a plain list of items, by a walk.
+#: The coordinate views the splicing mutators keep: tag -> the view's rows
+#: of a plain list of items, by a walk.
 _ROWS = {"pts": _point_rows, "boxes": _box_rows}
 
 
-def _row_at(col, index) -> int:
-    """The row an item index names in the column of ``col``; -1 for a slice."""
+def _row_at(held, index) -> int:
+    """The row an item index names in the held view; -1 for a slice."""
     if type(index) is slice:
         return -1
     i = operator.index(index)
-    return i + len(col[1]) if i < 0 else i
+    return i + len(held[1]) if i < 0 else i

@@ -12,10 +12,11 @@ Run as a script (``PYTHONPATH=src:. python tests/reference_query.py``) it
 is the at-scale check: for nine representative structures, the explain
 traces (visited pages, per-page hits, prunes) of one 800-record build
 must be byte-equal between the reference descent and the production
-traversal, and so must every query's trace in one 2 000-op interleaved
-insert / delete / query stream each for BUDDY, GRID-1 and R, where a
-query reads the kept columns of pages that mutations patched; exit
-status 1 otherwise.  Tier-1 compares full access streams at small scale.
+traversal, and so must every query's trace in one interleaved
+insert / delete / query stream each for BUDDY, GRID-1, R, R+ and
+PLOP-SAM (:data:`_STREAMS`), where a query reads coordinate views that mutations spliced
+(or, on PLOP-SAM's ``(rect, rid)`` pages, dropped); exit status 1
+otherwise.  Tier-1 compares full access streams at small scale.
 """
 
 from __future__ import annotations
@@ -440,18 +441,25 @@ def _stream_op(kind: str, op: list):
     return name, explain, (Rect(tuple(op[1]), tuple(op[2])),)
 
 
-def _interleaved_identity(n_ops: int = 2000) -> list[str]:
+#: Interleaved-stream lengths.  R+ tolerates an overflow on nearly every
+#: leaf, so its stream slows superlinearly (2 000 ops take ~110 s, 600
+#: under 1 s) and runs shorter.
+_STREAMS = {"BUDDY": 2000, "GRID-1": 2000, "R": 2000, "R+": 600, "PLOP-SAM": 2000}
+
+
+def _interleaved_identity() -> list[str]:
     """Failures of the interleaved check: one fuzz stream of inserts,
-    deletes and single queries each for BUDDY, GRID-1 and R, so that
-    queries read pages whose kept columns mutations patched; every
-    query's explain trace must be byte-equal between the reference
-    descent and the production traversal."""
+    deletes and single queries each for BUDDY, GRID-1, R, R+ and
+    PLOP-SAM, so that queries — containment among them — read pages
+    whose coordinate views mutations spliced; every query's explain
+    trace must be byte-equal between the reference descent and the
+    production traversal."""
     from repro.obs.explain import ExplainRecorder, validate_explain
     from repro.storage.pagestore import PageStore
     from repro.verify.fuzz import STRUCTURES, make_ops, structure_seed
 
     failures = []
-    for name in ("BUDDY", "GRID-1", "R"):
+    for name, n_ops in _STREAMS.items():
         spec = STRUCTURES[name]
         ops = make_ops(spec, n_ops, structure_seed(name, 0))
         traces = {}

@@ -690,7 +690,7 @@ class TestRTreeChoosers:
 
     def test_only_the_split_builds_the_page_view(self):
         """ChooseSubtree reads the rows; a split builds the one fused
-        ``boxes:cover`` view the queries read too."""
+        ``boxes`` view the queries read too."""
         tree = RTree(PageStore())
         node = node_of([Rect((0.1, 0.1), (0.2, 0.2)), Rect((0.5, 0.5), (0.9, 0.9))])
         node.is_leaf = False
@@ -702,7 +702,7 @@ class TestRTreeChoosers:
         rects = full.rects
         tree._split(pid, full)
         assert rects.view_builds == 1
-        rects.view(*traverse.box_view("isect"))  # the queries' view: no second one
+        rects.view(*traverse.BOXES)  # the queries' view: no second one
         assert rects.view_builds == 1
 
 

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
-from repro.query.columnar import _QVEC_BUILDERS
-from repro.query.traverse import SCALAR_PRED as ORACLES, qvec_for
+from repro.query.columnar import _QVEC_BUILDERS, ColumnarCache
+from repro.query.traverse import _TESTS, BOXES, SCALAR_PRED as ORACLES, RowSource, qvec_for
+from repro.storage.soa import SoAList
 
 # A small shared pool of exact values makes coincident boundaries (touching
 # and degenerate boxes) common instead of measure-zero.
@@ -148,16 +149,12 @@ class TestFusedKernels:
     def test_fused_boxes_match_pairwise(self, data):
         _, rects, queries = data
         lo, hi = _bounds(rects)
-        fused_by_family = {
-            "cover": kernels.fuse_boxes_cover(lo, hi),
-            "anti": kernels.fuse_boxes_within(lo, hi),
-        }
-        family = {"isect": "cover", "encl": "cover", "within": "anti"}
+        fused = kernels.fuse_boxes_cover(lo, hi)  # the one page array
         for op, (single_k, _) in PAIRWISE.items():
-            fused = fused_by_family[family[op]]
+            family, compare = _TESTS[op]
             for q in queries:
                 expected = single_k(lo, hi, np.array(q.lo), np.array(q.hi))
-                got = kernels.fused_match(fused, qvec_for(op, q))
+                got = compare(fused, qvec_for(family, q)).all(axis=1)
                 assert got.tolist() == expected.tolist(), op
 
     @KERNEL_SETTINGS
@@ -179,7 +176,68 @@ class TestFusedKernels:
         q = Rect((0.25, 0.5), (0.75, 1.0))
         qlo = np.array([q.lo])
         qhi = np.array([q.hi])
-        for op in ("pts", "isect", "within", "encl"):
+        for op in ("pts", "isect", "encl"):
             batch_row = _QVEC_BUILDERS[op](qlo, qhi)[0]
             assert batch_row.tolist() == qvec_for(op, q).tolist(), op
         assert qvec_for("pts", q).tolist() == list(tuple(-c for c in q.lo) + q.hi)
+
+
+#: Coordinates where a containment kernel would first go wrong: signed
+#: zeros, infinities, the smallest subnormals, bounds one ulp apart.
+_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 0.5, 1.0]
+_EDGES += [float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0))]
+edge = st.sampled_from(_EDGES)
+
+
+@st.composite
+def edge_boxes(draw, dims, min_size=1, max_size=10):
+    """Boxes with corners drawn from :data:`_EDGES`: equal corners make
+    degenerate boxes, ``(0.0, -0.0)`` a box from ``+0`` to ``-0``."""
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        corners = [sorted((draw(edge), draw(edge))) for _ in range(dims)]
+        out.append(Rect(tuple(c[0] for c in corners), tuple(c[1] for c in corners)))
+    return out
+
+
+class TestContainmentOnTheCoverArray:
+    """Containment is ``[lo, -hi] >= [qlo, -qhi]`` on the page's one
+    ``[lo, -hi]`` array, verdict for verdict the scalar predicate."""
+
+    @KERNEL_SETTINGS
+    @given(rects=edge_boxes(2), queries=edge_boxes(2, max_size=4))
+    def test_ge_on_the_cover_array_is_the_scalar_within(self, rects, queries):
+        fused = kernels.fuse_boxes_cover(*_bounds(rects))
+        family, compare = _TESTS["within"]
+        expect = [[ORACLES["within"](r, q) for r in rects] for q in queries]
+        for q, want in zip(queries, expect):
+            assert compare(fused, qvec_for(family, q)).all(axis=1).tolist() == want
+        # Batch query vectors, with the NaN row of a query that has no box.
+        qlo = np.array([q.lo for q in queries] + [(np.nan, np.nan)])
+        qhi = np.array([q.hi for q in queries] + [(np.nan, np.nan)])
+        qvecs = _QVEC_BUILDERS[family](qlo, qhi)
+        batch = compare(fused[None, :, :], qvecs[:, None, :]).all(axis=2)
+        assert batch.tolist() == expect + [[False] * len(rects)]
+
+    @KERNEL_SETTINGS
+    @given(rects=edge_boxes(2), queries=edge_boxes(2, max_size=4))
+    def test_row_source_answers_containment_exactly(self, rects, queries):
+        """Through the production paths: ``hits`` on a cold page, a
+        deferred ``row`` and ``flush``, and the promoted batch mask."""
+        lst = SoAList(rects)
+        for q in queries:
+            want = [i for i, r in enumerate(rects) if ORACLES["within"](r, q)]
+            src = RowSource(ColumnarCache(), q)
+            assert src.hits(1, "r", "within", lst, *BOXES) == want
+            src = RowSource(ColumnarCache(), q)
+            assert src.row(1, "r", "within", lst, *BOXES) is None
+            assert src.flush()[(1, "r")] == want
+        cache = ColumnarCache()
+        workload = cache.begin_workload(queries + [None])
+        workload.promote_visits = 1  # the first visit builds the batch mask
+        for i, q in enumerate(queries):
+            workload.set_query(i)
+            want = [j for j, r in enumerate(rects) if ORACLES["within"](r, q)]
+            assert RowSource(cache, q).hits(1, "r", "within", lst, *BOXES) == want
+        starts, _ = workload._rows[(1, "r")]
+        assert starts[-1] == starts[-2]  # the NaN row selects nothing

@@ -31,8 +31,8 @@ from repro.storage.soa import (
     _columns,
     _Packed,
     _restore_columns,
-    fused_anti_boxes,
     fused_cover_boxes,
+    fused_cover_values,
     fused_points,
     soa_field,
 )
@@ -249,12 +249,6 @@ def _old_cover(rows) -> np.ndarray:
     return np.concatenate([lo, -hi], axis=1)
 
 
-def _old_anti(rows) -> np.ndarray:
-    lo = np.array([r.lo for r in rows], dtype=float)
-    hi = np.array([r.hi for r in rows], dtype=float)
-    return np.concatenate([-lo, hi], axis=1)
-
-
 def _old_points(rows) -> np.ndarray:
     pts = np.array([rec[0] for rec in rows], dtype=float)
     return np.concatenate([-pts, pts], axis=1)
@@ -263,7 +257,7 @@ def _old_points(rows) -> np.ndarray:
 def _views(rows):
     """``(builder, reference)`` pairs for the views of this row shape."""
     if type(rows[0]) is Rect:
-        return ((fused_cover_boxes, _old_cover), (fused_anti_boxes, _old_anti))
+        return ((fused_cover_boxes, _old_cover),)
     return ((fused_points, _old_points),)
 
 
@@ -654,21 +648,25 @@ class TestPackedBoxes:
         store.close()
 
 
-# -- the kept column -------------------------------------------------------------
+# -- the kept view ---------------------------------------------------------------
 #
-# A container that held a coordinate view when a mutator ran keeps the view's
-# column current through the mutators that splice rows.  What must hold:
-# every fused view equals the one built from the rows, bit for bit, after any
-# sequence of mutators, bypasses, touches and packed round trips, and the
-# image never sees the column.
+# A container that holds its coordinate view when a mutator runs keeps that
+# view current through the mutators that splice rows.  What must hold: after
+# any sequence of mutators, bypasses, touches and packed round trips, the held
+# view is read-only and byte-equal to a fresh build from the rows, and the
+# image never sees it.
 
-#: The view tags a column is derived from, per row shape.
-_TAGS = {True: ("boxes:cover", "boxes:anti"), False: ("pts",)}
+#: The coordinate view tag, per row shape (Rect rows or records).
+_TAGS = {True: "boxes", False: "pts"}
+
+
+def _bytes(arr):
+    return arr.shape, arr.tobytes()
 
 
 def _reference(old, rows):
     try:
-        return old(rows).tobytes()
+        return _bytes(old(rows))
     except (ValueError, TypeError, IndexError):
         return None
 
@@ -677,7 +675,7 @@ class KeptColumnMachine(RuleBasedStateMachine):
     """Mutate an :class:`SoAList` and a plain-list model with the same ops.
 
     Rows are drawn with ``int`` coordinates among the floats (which NumPy
-    converts) and, rarely, of another dimensionality (a row no column can
+    converts) and, rarely, of another dimensionality (a row no view can
     hold).
     """
 
@@ -704,22 +702,22 @@ class KeptColumnMachine(RuleBasedStateMachine):
                 outcomes.append(("raised", type(exc)))
         assert repr(outcomes[0]) == repr(outcomes[1])
 
-    # -- what builds views and columns -------------------------------------
+    # -- what holds a view ---------------------------------------------------
 
     @rule()
     def look(self):
-        """Hold every coordinate view: the next mutator derives the column."""
+        """Hold the coordinate view: the next mutator splices it."""
         if self.model:
-            for tag, (build, _) in zip(_TAGS[self.boxes], _views(self.model)):
-                with contextlib.suppress(ValueError, TypeError):
-                    self.lst.view(tag, build)
+            ((build, _),) = _views(self.model)
+            with contextlib.suppress(ValueError, TypeError):
+                self.lst.view(_TAGS[self.boxes], build)
 
     @rule()
     def repack(self):
         """A round trip through the image: the next mutator decodes first."""
         self.lst = pickle.loads(pickle.dumps(self.lst, _PROTOCOL))
 
-    # -- the seven mutators that keep the column, and the rest -------------
+    # -- the seven mutators that keep the view, and the rest ---------------
 
     @rule(data=st.data())
     def append(self, data):
@@ -786,10 +784,10 @@ class KeptColumnMachine(RuleBasedStateMachine):
     @rule(data=st.data(), how=st.sampled_from(["append", "insert", "pop"]))
     def bypass_count(self, data, how):
         """A ``list.*`` call that changes the row count (the length guard)
-        behind a kept column, then a mutator before any view is read: it
-        must not patch the column as if the rows were its rows."""
+        behind a held view, then a mutator before any view is read: it
+        must not splice the view as if the rows were its rows."""
         self.look()
-        self.both(lambda c: c.append(c[-1]) if c else None)  # derives the column
+        self.both(lambda c: c.append(c[-1]) if c else None)  # splices the view
         item = data.draw(self.element)
         op = {
             "append": lambda c: list.append(c, item),
@@ -817,17 +815,17 @@ class KeptColumnMachine(RuleBasedStateMachine):
         assert len(self.lst) == len(self.model)
         if not self.model:
             return
-        views = self.lst._views or {}
-        for tag, (build, old) in zip(_TAGS[self.boxes], _views(self.model)):
-            want = _reference(old, self.model)
-            try:
-                got = build(self.lst).tobytes()
-            except (ValueError, TypeError):
-                got = None
-            assert got == want, tag
-            held = views.get(tag)
-            if held is not None and held[0] == len(self.model):
-                assert held[1].tobytes() == want, tag
+        ((build, old),) = _views(self.model)
+        want = _reference(old, self.model)
+        try:
+            got = _bytes(build(self.lst))
+        except (ValueError, TypeError):
+            got = None
+        assert got == want
+        # The view a read would return: the held one while it has a row per item.
+        held = (self.lst._views or {}).get(_TAGS[self.boxes])
+        if held is not None and held[0] == len(self.model):
+            assert _bytes(held[1]) == want and not held[1].flags.writeable
 
     @invariant()
     def the_image_is_the_rows_image(self):
@@ -863,16 +861,44 @@ class KeptColumnMachine(RuleBasedStateMachine):
     ],
 )
 def test_the_seven_mutators_keep_the_column(mutate):
-    """Each splices the column it derived from the held view: no view is
-    held after it, and the next one is a copy of the column, not a walk."""
+    """Each splices the held view: it is still held after the mutation,
+    read-only, byte-equal to the rows' view, and the next read returns
+    it without a walk over the rows."""
     for rows in (_BOXES * 3, _RECORDS * 3):
         lst = SoAList(rows)
-        for tag, (build, _) in zip(_TAGS[type(rows[0]) is Rect], _views(rows)):
-            lst.view(tag, build)
+        tag = _TAGS[type(rows[0]) is Rect]
+        ((build, old),) = _views(rows)
+        lst.view(tag, build)
         mutate(lst)
-        assert lst.view_builds == 0 and lst._col is not None
-        for build, old in _views(rows):
-            assert build(lst).tobytes() == old(list(lst)).tobytes()
+        assert lst.view_builds == 1
+        held = lst.view(tag, _no_walk)
+        assert not held.flags.writeable
+        assert _bytes(held) == _bytes(old(list(lst)))
+
+
+def _no_walk(lst):
+    raise AssertionError("the view was built again")
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_a_coordinate_view_is_read_only(packed):
+    """A reader that wrote into a view would change every later verdict on
+    its page: built, decoded from an image or spliced, the write raises."""
+    values = [(rect, i) for i, rect in enumerate(_BOXES)]
+    for rows, tag, build in (
+        (_BOXES, "boxes", fused_cover_boxes),
+        (_RECORDS, "pts", fused_points),
+        (values, "values", fused_cover_values),
+    ):
+        lst = _restored(rows) if packed else SoAList(rows)
+        for _ in range(2):  # as built, then as spliced by an append
+            arr = lst.view(tag, build)
+            with pytest.raises(ValueError):
+                arr[0, 0] = 9.0
+            with pytest.raises(ValueError):
+                arr *= -1.0
+            lst.append(lst[0])
+        assert _bytes(lst.view(tag, build)) == _bytes(build(list(lst)))
 
 
 KeptColumnMachine.TestCase.settings = settings(
@@ -886,8 +912,8 @@ def test_a_churn_stream_walks_the_rows_of_few_containers(monkeypatch, name, boun
     """Inserts, deletes and queries one at a time (``churn_sim``'s mix):
     a coordinate view is built by a walk over the rows only for a
     container that no view was held on at its last mutation (a new page,
-    a split half).  On this 600-op stream that is 20 / 14 / 65 walks;
-    without kept columns it was 145 / 158 / 395, and a delete that
+    a split half).  On this 600-op stream that is 20 / 14 / 45 walks;
+    without the splice it was 145 / 158 / 395, and a delete that
     rebinds its record list instead of deleting in place adds one per
     delete of a queried page."""
     from repro.storage import soa
